@@ -442,35 +442,48 @@ func (c *Client) RecvSeq() uint64 {
 	return c.recvSeq
 }
 
-// write serializes frame writes (uplink plugin, pings, QoE share the
-// conn) and numbers every tracked frame into the send window. Hello and
-// Bye stay untracked: the gateway's ack checkpoint counts neither, so
-// tracking them would skew the sequence mapping.
-func (c *Client) write(f wire.Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.w.WriteFrame(f)
-	if err == nil {
-		if c.capture != nil {
-			_ = c.capture.Record(binlog.DirUp, f)
-		}
-		if c.window != nil && f.Type != wire.TypeHello && f.Type != wire.TypeBye {
-			c.window.Push(f)
-		}
-	}
-	return err
-}
+// uplinkBatch bounds how many frames may sit queued in the client's
+// writer: the uplink forwarder flushes when its subscriptions run dry
+// (DESIGN.md §15.3), and a burst deeper than this flushes every
+// uplinkBatch frames so the first sample of the burst does not wait for
+// the last to be encoded. Same window as the session writer's and the
+// gateway relay's default; 16, 32 and 64 measured alike on
+// offload_saturate.
+const uplinkBatch = 16
 
-// writeUntracked is write without the send-window push — the
-// retransmission path, where frames already hold sequence numbers.
-func (c *Client) writeUntracked(f wire.Frame) error {
+// queue encodes f onto the client's shared writer (the uplink forwarder,
+// pings, QoE and retransmission all go through wmu) and puts the whole
+// pending batch on the wire in one Write when flush is set or
+// uplinkBatch frames are pending. The capture tap and the send window
+// see the frame here, at queue time, so binlog order and window
+// sequence are wire order even across a coalesced batch, and a frame
+// whose flush fails is still in the window for the next resume. Hello
+// and Bye stay untracked — the gateway's ack checkpoint counts neither
+// — and so do retransmissions, which already hold sequence numbers.
+func (c *Client) queue(f wire.Frame, tracked, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	err := c.w.WriteFrame(f)
-	if err == nil && c.capture != nil {
+	c.w.Queue(f)
+	if c.capture != nil {
 		_ = c.capture.Record(binlog.DirUp, f)
 	}
-	return err
+	if tracked && c.window != nil && f.Type != wire.TypeHello && f.Type != wire.TypeBye {
+		c.window.Push(f)
+	}
+	if flush || c.w.Queued() >= uplinkBatch {
+		return c.w.Flush()
+	}
+	return nil
+}
+
+// write puts f on the wire now, behind anything already queued.
+func (c *Client) write(f wire.Frame) error { return c.queue(f, true, true) }
+
+// flush writes whatever is queued; a no-op with nothing pending.
+func (c *Client) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.w.Flush()
 }
 
 // fail records the first transport error.
@@ -569,44 +582,57 @@ type uplinkPlugin struct {
 // Name implements runtime.Plugin.
 func (p *uplinkPlugin) Name() string { return "netxr.uplink" }
 
-// Start implements runtime.Plugin.
+// Start implements runtime.Plugin. One forwarder drains both
+// subscriptions into the client's writer and flushes on exhaustion:
+// while either channel holds another event the frame is only queued, and
+// the moment both are empty the batch goes out in one write — a lone
+// sample is on the wire immediately, a burst costs one syscall per
+// uplinkBatch frames, and nothing waits on a timer.
 func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)
 	p.done = make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
 	ctx.Go(p.Name(), func() {
-		defer wg.Done()
+		defer close(p.done)
 		var buf []byte
-		for ev := range p.imuSub.C {
-			s, ok := ev.Value.(sensors.IMUSample)
-			if !ok {
-				continue
+		imuC, camC := p.imuSub.C, p.camSub.C
+		for imuC != nil || camC != nil {
+			var f wire.Frame
+			select {
+			case ev, open := <-imuC:
+				if !open {
+					imuC = nil
+					continue
+				}
+				if s, ok := ev.Value.(sensors.IMUSample); ok {
+					buf = wire.AppendIMU(buf[:0], s)
+					f = wire.Frame{Type: wire.TypeIMU, Trace: ev.Trace, Payload: buf}
+				}
+			case ev, open := <-camC:
+				if !open {
+					camC = nil
+					continue
+				}
+				if cf, ok := ev.Value.(sensors.CameraFrame); ok {
+					buf = wire.AppendCamera(buf[:0], cf)
+					f = wire.Frame{Type: wire.TypeCamera, Trace: ev.Trace, Payload: buf}
+				}
 			}
-			buf = wire.AppendIMU(buf[:0], s)
-			if err := p.c.write(wire.Frame{Type: wire.TypeIMU, Trace: ev.Trace, Payload: buf}); err != nil {
-				p.c.fail(fmt.Errorf("uplink imu: %w", err))
+			// this goroutine is the only consumer, so a non-empty channel
+			// means the next receive cannot block
+			exhausted := len(imuC) == 0 && len(camC) == 0
+			var err error
+			if f.Type != wire.TypeInvalid {
+				err = p.c.queue(f, true, exhausted)
+			} else if exhausted {
+				err = p.c.flush() // a foreign event ended the burst
+			}
+			if err != nil {
+				p.c.fail(fmt.Errorf("uplink %v: %w", f.Type, err))
 				return
 			}
 		}
 	})
-	ctx.Go(p.Name(), func() {
-		defer wg.Done()
-		var buf []byte
-		for ev := range p.camSub.C {
-			f, ok := ev.Value.(sensors.CameraFrame)
-			if !ok {
-				continue
-			}
-			buf = wire.AppendCamera(buf[:0], f)
-			if err := p.c.write(wire.Frame{Type: wire.TypeCamera, Trace: ev.Trace, Payload: buf}); err != nil {
-				p.c.fail(fmt.Errorf("uplink camera: %w", err))
-				return
-			}
-		}
-	})
-	go func() { wg.Wait(); close(p.done) }()
 	return nil
 }
 
@@ -699,10 +725,12 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 
 // Stop implements runtime.Plugin.
 func (p *downlinkPlugin) Stop() error {
-	_ = p.c.conn.Close()
+	// flag first: the reader treats an error as a failure unless closed is
+	// already set when the conn's close wakes it
 	p.c.mu.Lock()
 	p.c.closed = true
 	p.c.mu.Unlock()
+	_ = p.c.conn.Close()
 	<-p.done
 	return nil
 }

@@ -61,8 +61,8 @@ func (w *SendWindow) Instrument(reg *telemetry.Registry) {
 	w.depthG = reg.Gauge(telemetry.MetricName("netxr", "uplink_window_depth"))
 }
 
-// Push records one sent frame (payload copied). Called by Client.write
-// for every tracked frame after a successful wire write.
+// Push records one sent frame (payload copied). Called by Client.queue
+// for every tracked frame as it is queued for the wire.
 func (w *SendWindow) Push(f wire.Frame) {
 	w.mu.Lock()
 	w.head++
@@ -156,12 +156,13 @@ func (w *SendWindow) resume(lastAckSeq uint64) (frames []wire.Frame, lost uint64
 // queued for the next resume).
 func (w *SendWindow) RetransmitTo(c *Client, lastAckSeq uint64) (sent int, lost uint64, err error) {
 	frames, lost := w.resume(lastAckSeq)
-	for _, f := range frames {
-		if err := c.writeUntracked(f); err != nil {
-			return sent, lost, err
+	for i, f := range frames {
+		if err := c.queue(f, false, i == len(frames)-1); err != nil {
+			// the failed flush took the current batch with it; the whole
+			// batches before it made it out
+			return i - i%uplinkBatch, lost, err
 		}
-		sent++
 	}
-	w.retransC.Add(sent)
-	return sent, lost, nil
+	w.retransC.Add(len(frames))
+	return len(frames), lost, nil
 }

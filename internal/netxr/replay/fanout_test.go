@@ -103,22 +103,51 @@ func TestFanOutSoakEightClients(t *testing.T) {
 	}
 }
 
-// TestFanOutAdmissionRefusal composes replay with PR 6 admission: a
-// 1-replica capacity-2 cell fanned to 4 clients admits exactly 2 and
-// refuses the rest with a typed, tallied error — never a hang.
+// TestFanOutAdmissionRefusal composes replay with PR 6 admission on a
+// 1-replica capacity-2 cell. Capacity is a bound on sessions open at
+// once, so the test holds the first two replays open — parked in their
+// first pacing sleep, admitted and mid-stream — while two more ask:
+// those are refused with a typed, tallied error, never a hang, and once
+// the holders say Bye their slots admit again. (Four unpaced 10-sample
+// replays prove nothing: each is over in microseconds, so whether the
+// later ones find a free slot is a scheduling accident.)
 func TestFanOutAdmissionRefusal(t *testing.T) {
 	gf := newGoldenFleet(t, 1, 2, nil)
 	l := makeRecording(t, 10)
-
-	results := replay.FanOut(4, func(int) (net.Conn, error) {
+	dial := func(int) (net.Conn, error) {
 		c, g := net.Pipe()
 		gf.gw.HandleConn(g)
 		return c, nil
-	}, l, replay.Options{Timeout: 5 * time.Second})
+	}
 
-	admitted, lost, _, firstErr := replay.Tally(results)
-	if admitted != 2 {
-		t.Fatalf("admitted %d, want 2", admitted)
+	parked := make(chan struct{}, 2) // one send per holder
+	release := make(chan struct{})
+	hold := replay.Options{Speed: 1e-3, Timeout: 5 * time.Second, Sleep: func(time.Duration) {
+		select {
+		case <-release:
+			return
+		default:
+		}
+		parked <- struct{}{}
+		<-release
+	}}
+	held := make(chan []replay.Result, 1)
+	go func() { held <- replay.FanOut(2, dial, l, hold) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("holders never reached their pacing sleep")
+		}
+	}
+	if n := gf.coord.Sessions(0); n != 2 {
+		t.Fatalf("coordinator counts %d sessions with two held open, want 2", n)
+	}
+
+	late := replay.FanOut(2, dial, l, replay.Options{Timeout: 5 * time.Second})
+	admitted, lost, _, firstErr := replay.Tally(late)
+	if admitted != 0 {
+		t.Fatalf("admitted %d past a full cell, want 0", admitted)
 	}
 	if lost != 0 {
 		t.Fatalf("refused clients lost %d frames; refusal is pre-stream", lost)
@@ -126,10 +155,25 @@ func TestFanOutAdmissionRefusal(t *testing.T) {
 	if !errors.Is(firstErr, replay.ErrRefused) {
 		t.Fatalf("firstErr = %v, want ErrRefused", firstErr)
 	}
-	for i, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, replay.ErrRefused) {
+	for i, r := range late {
+		if !errors.Is(r.Err, replay.ErrRefused) {
 			t.Fatalf("client %d failed with %v, want refusal", i, r.Err)
 		}
+	}
+
+	close(release)
+	if admitted, lost, _, firstErr := replay.Tally(<-held); admitted != 2 || lost != 0 {
+		t.Fatalf("holders: admitted %d lost %d err %v, want 2 admitted and nothing lost", admitted, lost, firstErr)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gf.coord.Sessions(0) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slots still held after both Byes", gf.coord.Sessions(0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if admitted, _, _, firstErr := replay.Tally(replay.FanOut(2, dial, l, hold)); admitted != 2 {
+		t.Fatalf("freed cell admitted %d of 2: %v", admitted, firstErr)
 	}
 }
 

@@ -61,7 +61,20 @@ type SpanCollector struct {
 	cap   int
 	spans []Span
 	index map[SpanID]int
+	// slab is the block retained spans' Parents are carved from, so Emit
+	// does not heap-allocate a slice per span. The collector owns every
+	// block for its own lifetime and only ever appends to the current one;
+	// a span's Parents is a full-capacity (three-index) window of it, so an
+	// append by a caller reallocates instead of reaching the next span's.
+	slab []SpanID
 }
+
+// Slab blocks double from slabMin to slabMax IDs (128 B to 32 KB): a
+// session that emits a handful of spans pays for a handful.
+const (
+	slabMin = 16
+	slabMax = 4096
+)
 
 // NewSpanCollector creates a collector; cap <= 0 selects DefaultSpanCap.
 func NewSpanCollector(cap int) *SpanCollector {
@@ -100,22 +113,38 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	if trace == 0 {
 		trace = TraceID(id)
 	}
-	var ps []SpanID
-	for _, p := range parents {
-		if p != 0 {
-			ps = append(ps, p)
-		}
-	}
+	ref := SpanRef{Trace: trace, Span: id}
 	c.mu.Lock()
+	// cap first: a dropped span must cost nothing but the counter
 	if len(c.spans) >= c.cap {
 		c.mu.Unlock()
 		c.dropped.Add(1)
-		return SpanRef{Trace: trace, Span: id}
+		return ref
+	}
+	n := 0
+	for _, p := range parents {
+		if p != 0 {
+			n++
+		}
+	}
+	var ps []SpanID
+	if n > 0 {
+		if cap(c.slab)-len(c.slab) < n {
+			block := min(max(2*cap(c.slab), slabMin), slabMax)
+			c.slab = make([]SpanID, 0, max(block, n))
+		}
+		at := len(c.slab)
+		for _, p := range parents {
+			if p != 0 {
+				c.slab = append(c.slab, p)
+			}
+		}
+		ps = c.slab[at:len(c.slab):len(c.slab)]
 	}
 	c.index[id] = len(c.spans)
 	c.spans = append(c.spans, Span{ID: id, Trace: trace, Name: name, Start: start, End: end, Parents: ps})
 	c.mu.Unlock()
-	return SpanRef{Trace: trace, Span: id}
+	return ref
 }
 
 // Len returns the number of retained spans.

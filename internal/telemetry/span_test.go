@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"illixr/internal/testutil"
 )
 
 func TestSpanLineageWalkBack(t *testing.T) {
@@ -99,4 +101,98 @@ func TestWriteChromeTrace(t *testing.T) {
 	if flowStart != 1 || flowEnd != 1 {
 		t.Errorf("flow events = %d/%d, want 1/1 (one causal edge)", flowStart, flowEnd)
 	}
+}
+
+// fig2Spans emits the integrated run's lineage (DESIGN.md §7): two
+// sensor roots, an integrator span with two parents, and the display
+// chain behind it.
+func fig2Spans() (*SpanCollector, SpanID) {
+	c := NewSpanCollector(0)
+	imu := c.Emit("imu", 0, 0.000, 0.001)
+	cam := c.Emit("camera", 0, 0.010, 0.012)
+	vio := c.Emit("vio", cam.Trace, 0.012, 0.030, cam.Span)
+	pose := c.Emit("integrator", imu.Trace, 0.031, 0.032, imu.Span, 0, vio.Span)
+	warp := c.Emit("reprojection", pose.Trace, 0.040, 0.041, pose.Span)
+	disp := c.Emit("display", warp.Trace, 0.041, 0.0416, warp.Span)
+	return c, disp.Span
+}
+
+// The slab is an allocation strategy, not a format change: the lineage
+// walk and the Chrome export are byte-identical to the fixtures written
+// by the slice-per-span Emit it replaced.
+func TestSpanExportsGolden(t *testing.T) {
+	c, disp := fig2Spans()
+	lin, err := json.Marshal(c.Lineage(disp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoldenBytes(t, "testdata/fig2_lineage.golden.json", lin)
+	var chrome bytes.Buffer
+	if err := c.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoldenBytes(t, "testdata/fig2_chrome.golden.json", chrome.Bytes())
+}
+
+// A retained span's Parents is a full-capacity window of the slab: a
+// caller appending to it gets a fresh array, never the next span's ids.
+func TestSpanParentsDoNotAlias(t *testing.T) {
+	c := NewSpanCollector(0)
+	a := c.Emit("a", 1, 0, 1, 11, 12)
+	b := c.Emit("b", 1, 1, 2, 21)
+	sa, _ := c.Get(a.Span)
+	if len(sa.Parents) != cap(sa.Parents) {
+		t.Fatalf("Parents has spare capacity: len %d cap %d", len(sa.Parents), cap(sa.Parents))
+	}
+	_ = append(sa.Parents, 99)
+	if sb, _ := c.Get(b.Span); len(sb.Parents) != 1 || sb.Parents[0] != 21 {
+		t.Fatalf("appending to one span's Parents rewrote its neighbour's: %v", sb.Parents)
+	}
+}
+
+// At the cap Emit drops the span before building anything for it.
+func TestZeroAllocSpanEmitAtCap(t *testing.T) {
+	c := NewSpanCollector(4)
+	for i := 0; i < 4; i++ {
+		c.Emit("s", 1, 0, 1, 7)
+	}
+	testutil.MustZeroAllocs(t, "Emit at the cap", func() { c.Emit("s", 1, 0, 1, 7, 9) })
+	if c.Len() != 4 || c.Dropped() == 0 {
+		t.Fatalf("Len=%d Dropped=%d, want 4 retained and the rest dropped", c.Len(), c.Dropped())
+	}
+}
+
+// Below the cap the only allocations are the geometric growth of the
+// span slice, its index and the slab blocks.
+func TestZeroAllocSpanEmitAmortised(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counting is skipped under -race")
+	}
+	const n = 100_000 // warm-up plus one measured run stay under DefaultSpanCap
+	c := NewSpanCollector(0)
+	perEmit := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			c.Emit("s", 1, 0, 1, SpanID(i+1))
+		}
+	}) / n
+	if c.Dropped() != 0 {
+		t.Fatalf("the measured run hit the cap: %d dropped", c.Dropped())
+	}
+	if perEmit > 0.01 {
+		t.Fatalf("%.4f allocs/Emit below the cap, want <= 0.01", perEmit)
+	}
+}
+
+func benchEmit(b *testing.B, c *SpanCollector) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Emit("net_uplink", 1, 0, 0, SpanID(i+1))
+	}
+}
+
+// BenchmarkSpanEmit prices one single-parent Emit (the per-frame span of
+// the offload path) while spans are retained and after the cap.
+func BenchmarkSpanEmit(b *testing.B) {
+	b.Run("below_cap", func(b *testing.B) { benchEmit(b, NewSpanCollector(b.N+1)) })
+	b.Run("at_cap", func(b *testing.B) { benchEmit(b, NewSpanCollector(1)) })
 }

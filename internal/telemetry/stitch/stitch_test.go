@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"illixr/internal/telemetry"
+	"illixr/internal/testutil"
 )
 
 // threeNodeDumps builds the canonical federated pipeline: a client IMU
@@ -185,4 +186,25 @@ func TestStitchConcurrentDumps(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// The three-node federation pinned byte for byte: the raw dumps as the
+// /spans?format=raw endpoint serialises them, and the stitched Chrome
+// trace. Collector-internal storage of Parents must never show here.
+func TestStitchThreeNodeGolden(t *testing.T) {
+	dumps, _, _, _ := threeNodeDumps(t)
+	raw, err := json.Marshal(dumps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoldenBytes(t, "testdata/three_node_dumps.golden.json", raw)
+	tr, err := Stitch(dumps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome bytes.Buffer
+	if err := tr.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoldenBytes(t, "testdata/three_node_chrome.golden.json", chrome.Bytes())
 }

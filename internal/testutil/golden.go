@@ -150,3 +150,25 @@ func Float32s(xs []float32) []float64 {
 	}
 	return out
 }
+
+// CheckGoldenBytes compares got with the fixture at path byte for byte
+// (exported documents: JSON traces, dumps), rewriting it under -update.
+func CheckGoldenBytes(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *Update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatalf("golden: mkdir %s: %v", filepath.Dir(path), err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatalf("golden: write %s: %v", path, err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden: %v (run `go test -update` to create it)", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("golden: %s differs\n got: %s\nwant: %s", path, got, want)
+	}
+}

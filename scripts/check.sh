@@ -7,12 +7,17 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+# a seed corpus file must never match .gitignore (it once swallowed the
+# binlog corpus and turned tier-1 red on a fresh clone)
+git check-ignore -q internal/netxr/binlog/testdata/fuzz/FuzzBinlogDecode/seed-00 && { echo "seed corpus is git-ignored" >&2; exit 1; }
 echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 # race instrumentation slows the heavy numeric packages ~10-20x, so the
 # per-package timeout must be far above go test's 10m default
 go test -race -timeout 60m ./...
+# the downlink stop/reader ordering is a narrow window: many rounds
+go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge >/dev/null
 
 echo "== determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
@@ -101,7 +106,12 @@ echo "== zero-allocation regression tests"
 # -race (the tests skip themselves when the detector is compiled in)
 go test -run 'TestZeroAlloc' ./internal/runtime ./internal/netxr/session \
 	./internal/netxr/fleet ./internal/reprojection ./internal/quality \
-	./internal/hologram ./internal/audio ./internal/imgproc ./internal/dsp >/dev/null
+	./internal/hologram ./internal/audio ./internal/imgproc ./internal/dsp \
+	./internal/telemetry >/dev/null
+
+echo "== per-package benchmarks (run, not gated, so they cannot rot)"
+go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
+go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
 
 echo "== memory bench + alloccheck gate"
 # the steady-state hot paths must stay allocation-free and must not
