@@ -76,8 +76,6 @@ func main() {
 	record := flag.String("record", "",
 		"capture all client-facing relayed frames into this binlog file "+
 			"(sidecar index written on shutdown; DESIGN.md §13)")
-	shards := flag.Int("shards", 0,
-		"session-registry shard count, rounded up to a power of two (0 = default 16)")
 	flushFrames := flag.Int("flush-frames", 0,
 		"relay write-coalescing window in frames (0 = default 16, 1 disables coalescing)")
 	profileContention := flag.Bool("profile-contention", false,
@@ -87,8 +85,8 @@ func main() {
 	flag.Parse()
 
 	if *profileContention {
-		// 1-in-1 sampling: the sharded registry's critical sections are
-		// tens of nanoseconds, so sparser sampling would miss them
+		// 1-in-1 sampling: the registry's critical sections are tens of
+		// nanoseconds, so sparser sampling would miss them
 		runtime.SetMutexProfileFraction(1)
 		runtime.SetBlockProfileRate(1)
 	}
@@ -115,7 +113,6 @@ func main() {
 		RetryAfter:      time.Duration(*retryAfter * float64(time.Second)),
 		ResumeBurst:     *resumeBurst,
 		TokenSeed:       *tokenSeed,
-		Shards:          *shards,
 		Metrics:         reg,
 		Events:          events,
 	})

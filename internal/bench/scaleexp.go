@@ -25,17 +25,17 @@ import (
 // allocations showing up in motion-to-photon latency? Four parts:
 //
 //   - Sweep: a deterministic DES at 120 (the PR 6 baseline), 256, 512,
-//     and 1024 sessions, each placed through the real sharded
+//     and 1024 sessions, each placed through the real
 //     fleet.Coordinator across 16 virtual replicas. Server turnaround
 //     grows with per-replica occupancy, so the sweep would expose a
 //     placement hot spot as an MTP tail. Same seed, byte-identical
 //     report.
 //
-//   - Fingerprints: the same admission script (1024 admits, acks,
-//     terminal ends, a replica kill with resumes, refusals of every
-//     flavor) driven at 1 shard and 16 shards must produce the same
-//     decision fingerprint — the proof that sharding the registry
-//     changed no decision.
+//   - Fingerprint: one admission script (1024 admits, acks, terminal
+//     ends, a replica kill with resumes, refusals of every flavor) and
+//     the coordinator's decision fingerprint over it. The seed-42 value
+//     is pinned as a golden in scaleexp_test.go: a coordinator change
+//     that alters a decision moves it.
 //
 //   - Relay: the per-frame relay cost before (decode + re-encode +
 //     binlog re-encode) and after (raw pass-through: ReadRaw, hop-span
@@ -47,7 +47,7 @@ import (
 //
 // scripts/scalecheck gates: zero lost sessions everywhere, MTP p99 at
 // 1024 sessions within 2x the 120-session baseline, the raw relay at
-// or under 0.05 allocs/frame, and shard-invariant fingerprints.
+// or under 0.05 allocs/frame, and a fingerprint over >= 1024 decisions.
 const (
 	// scaleVirtualSec is the simulated duration of each sweep cell; the
 	// IMU and vsync rates match the display clock so every vsync can
@@ -68,22 +68,15 @@ const (
 	scaleBaselineSessions = 120
 	// scaleRelayIters sizes the relay before/after measurement.
 	scaleRelayIters = 20000
-	// scaleContention* shape the lock storm: admissions, then acker
-	// goroutines racing an ender across the registry.
-	scaleContentionSessions = 256
-	scaleContentionAckers   = 8
-	scaleContentionSeqs     = 200
-	scaleContentionReplicas = 4
-	// scaleSoak* shape the live half: 8 replicas x 160 >= 1024 clients.
+	// scaleSoak* shape the live half.
 	scaleSoakReplicas = 8
-	scaleSoakCapacity = 160
 	scaleSoakIMU      = 30
 )
 
 const scaleNote = "kilo-session data-plane cell: the sweep is a seeded DES " +
 	"(byte-identical across runs) with per-replica occupancy feeding the " +
-	"server turnaround model; fingerprints prove the sharded coordinator " +
-	"makes the same decisions as the single-lock one; relay and soak are " +
+	"server turnaround model; the fingerprint is the coordinator's fold of " +
+	"every decision of one admission script; relay and soak are " +
 	"live measurements whose wall_* fields vary run to run (DESIGN.md §15)."
 
 // ScaleCell is one deterministic sweep point.
@@ -99,12 +92,11 @@ type ScaleCell struct {
 	MTP MTPStats `json:"mtp"`
 }
 
-// ScaleFingerprints is the shard-invariance proof.
-type ScaleFingerprints struct {
-	Decisions uint64 `json:"decisions"`
-	Shards1   string `json:"shards_1"`
-	Shards16  string `json:"shards_16"`
-	Equal     bool   `json:"equal"`
+// ScaleFingerprint is the admission script's outcome: how many decisions
+// the coordinator committed and their fingerprint.
+type ScaleFingerprint struct {
+	Decisions   uint64 `json:"decisions"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // ScaleRelayCost compares the decoded relay path with the raw
@@ -118,20 +110,6 @@ type ScaleRelayCost struct {
 	WallSpeedup          float64 `json:"wall_speedup"`
 }
 
-// ScaleContention is the registry lock storm at 1 shard vs the default
-// shard count (wall_* measurement; the counters come from the TryLock
-// fast path, so they are scheduler-dependent too).
-type ScaleContention struct {
-	Sessions        int     `json:"sessions"`
-	Ackers          int     `json:"ackers"`
-	SeqsPerAcker    int     `json:"seqs_per_acker"`
-	Shards          int     `json:"shards"`
-	WallMsShards1   float64 `json:"wall_ms_shards_1"`
-	WallMsSharded   float64 `json:"wall_ms_sharded"`
-	WallContention1 uint64  `json:"wall_contention_shards_1"`
-	WallContentionN uint64  `json:"wall_contention_sharded"`
-}
-
 // ScaleSoakResult is the live kilo-client half. admitted == sessions
 // and lost == 0 are the invariants scalecheck enforces.
 type ScaleSoakResult struct {
@@ -142,7 +120,7 @@ type ScaleSoakResult struct {
 	CleanShutdown bool    `json:"clean_shutdown"`
 	WallPoses     uint64  `json:"wall_poses"`
 	WallSec       float64 `json:"wall_sec"`
-	// WallCoordContention / WallServerContention are the shard-lock
+	// WallCoordContention / WallServerContention are the registry locks'
 	// TryLock miss counters accumulated during the soak.
 	WallCoordContention  uint64 `json:"wall_coord_contention"`
 	WallServerContention uint64 `json:"wall_server_contention"`
@@ -150,19 +128,18 @@ type ScaleSoakResult struct {
 
 // ScaleReport is the BENCH_scale.json document.
 type ScaleReport struct {
-	Seed             int64             `json:"seed"`
-	Replicas         int               `json:"replicas"`
-	ReplicaCapacity  int               `json:"replica_capacity"`
-	VirtualSec       float64           `json:"virtual_sec"`
-	IMUHz            float64           `json:"imu_hz"`
-	VsyncHz          float64           `json:"vsync_hz"`
-	BaselineSessions int               `json:"baseline_sessions"`
-	Note             string            `json:"note"`
-	Sweep            []ScaleCell       `json:"sweep"`
-	Fingerprints     ScaleFingerprints `json:"fingerprints"`
-	Relay            ScaleRelayCost    `json:"relay"`
-	Contention       ScaleContention   `json:"contention"`
-	Soak             ScaleSoakResult   `json:"soak"`
+	Seed             int64            `json:"seed"`
+	Replicas         int              `json:"replicas"`
+	ReplicaCapacity  int              `json:"replica_capacity"`
+	VirtualSec       float64          `json:"virtual_sec"`
+	IMUHz            float64          `json:"imu_hz"`
+	VsyncHz          float64          `json:"vsync_hz"`
+	BaselineSessions int              `json:"baseline_sessions"`
+	Note             string           `json:"note"`
+	Sweep            []ScaleCell      `json:"sweep"`
+	Fingerprints     ScaleFingerprint `json:"fingerprints"`
+	Relay            ScaleRelayCost   `json:"relay"`
+	Soak             ScaleSoakResult  `json:"soak"`
 }
 
 // simulateScaleSession runs one session's DES: IMU up, load-dependent
@@ -257,9 +234,8 @@ func runScaleCell(n int, seed int64) (ScaleCell, error) {
 // kilo-scale fresh admits, acks, terminal ends, a replica kill with the
 // displaced population resuming, and refusals of every flavor — and
 // returns the coordinator's decision fingerprint and decision count.
-func runScaleAdmissionScript(shards int, seed int64) (uint64, uint64, error) {
+func runScaleAdmissionScript(seed int64) (uint64, uint64, error) {
 	c := fleet.NewCoordinator(fleet.Config{
-		Shards:          shards,
 		ReplicaCapacity: scaleCapacity,
 		ResumeBurst:     32,
 		TokenSeed:       seed,
@@ -303,23 +279,6 @@ func runScaleAdmissionScript(shards int, seed int64) (uint64, uint64, error) {
 	_, _ = c.AdmitOn(now, 0, 7, wire.Hello{ResumeToken: 0xdeadbeef})
 	_, _ = c.AdmitOn(now, 3, 8, wire.Hello{App: "scale-script"})
 	return c.DecisionFingerprint(), c.Decisions(), nil
-}
-
-func runScaleFingerprints(seed int64) (ScaleFingerprints, error) {
-	fp1, d1, err := runScaleAdmissionScript(1, seed)
-	if err != nil {
-		return ScaleFingerprints{}, err
-	}
-	fp16, d16, err := runScaleAdmissionScript(16, seed)
-	if err != nil {
-		return ScaleFingerprints{}, err
-	}
-	return ScaleFingerprints{
-		Decisions: d1,
-		Shards1:   fmt.Sprintf("%#x", fp1),
-		Shards16:  fmt.Sprintf("%#x", fp16),
-		Equal:     fp1 == fp16 && d1 == d16,
-	}, nil
 }
 
 // ringReader serves the same encoded byte stream forever, so the relay
@@ -465,68 +424,6 @@ func measureRelayCost(iters int) (ScaleRelayCost, error) {
 	return res, nil
 }
 
-// runContentionStorm admits a population and hammers Ack/Lookup from
-// acker goroutines while an ender retires half of it, returning the
-// wall time and the shard-lock TryLock miss count.
-func runContentionStorm(shards int) (float64, uint64, error) {
-	c := fleet.NewCoordinator(fleet.Config{
-		Shards: shards, ReplicaCapacity: scaleContentionSessions, TokenSeed: 3})
-	for i := 0; i < scaleContentionReplicas; i++ {
-		c.AddReplica(i, nil)
-	}
-	tokens := make([]uint64, scaleContentionSessions)
-	for i := range tokens {
-		w, err := c.AdmitOn(0, i%scaleContentionReplicas, uint64(i+1), wire.Hello{App: "storm"})
-		if err != nil {
-			return 0, 0, fmt.Errorf("bench: storm admit %d: %w", i, err)
-		}
-		tokens[i] = w.ResumeToken
-	}
-	start := time.Now()
-	done := make(chan struct{})
-	for g := 0; g < scaleContentionAckers; g++ {
-		g := g
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for seq := uint64(1); seq <= scaleContentionSeqs; seq++ {
-				for _, tok := range tokens {
-					c.Ack(tok, seq*uint64(g+1))
-					if seq%64 == 0 {
-						c.Lookup(tok)
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		defer func() { done <- struct{}{} }()
-		for _, tok := range tokens[:len(tokens)/2] {
-			c.End(tok)
-		}
-	}()
-	for i := 0; i < scaleContentionAckers+1; i++ {
-		<-done
-	}
-	return float64(time.Since(start).Nanoseconds()) / 1e6, c.Contention(), nil
-}
-
-func runScaleContention() (ScaleContention, error) {
-	res := ScaleContention{
-		Sessions:     scaleContentionSessions,
-		Ackers:       scaleContentionAckers,
-		SeqsPerAcker: scaleContentionSeqs,
-		Shards:       16,
-	}
-	var err error
-	if res.WallMsShards1, res.WallContention1, err = runContentionStorm(1); err != nil {
-		return res, err
-	}
-	if res.WallMsSharded, res.WallContentionN, err = runContentionStorm(res.Shards); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
 // runScaleSoak fans nClients replayed sessions through a live gateway
 // into scaleSoakReplicas session servers over in-process pipes.
 func runScaleSoak(nClients int, seed int64) (ScaleSoakResult, error) {
@@ -536,14 +433,16 @@ func runScaleSoak(nClients int, seed int64) (ScaleSoakResult, error) {
 		return res, err
 	}
 
-	coord := fleet.NewCoordinator(fleet.Config{ReplicaCapacity: scaleSoakCapacity,
+	// No capacity push-back in this cell: Pick is read-only, so a herd of
+	// clients launched at once can all pick the same least-loaded replica
+	// before one AdmitOn lands, and a refused replay client does not
+	// redial. Every replica can hold the whole population, coordinator-
+	// and server-side.
+	coord := fleet.NewCoordinator(fleet.Config{ReplicaCapacity: nClients,
 		TokenSeed: seed, RetryAfter: 5 * time.Millisecond, ResumeBurst: 256, ResumeWindowSec: 1})
 	h := &soakHandler{}
 	var srvs []*session.Server
 	for i := 0; i < scaleSoakReplicas; i++ {
-		// the coordinator enforces per-replica capacity; the server-side
-		// cap stays loose because session teardown lags the coordinator's
-		// End (the gateway retires the token the moment it relays the Bye)
 		srvs = append(srvs, session.NewServer(session.Config{
 			IdleTimeout: -1, MaxSessions: nClients}, h))
 		coord.AddReplica(i, nil)
@@ -624,13 +523,13 @@ func ScaleExperiment(w io.Writer, maxSessions int, seed int64, outPath string) (
 			cell.MaxReplicaLoad, cell.Lost)
 	}
 
-	var err error
-	if rep.Fingerprints, err = runScaleFingerprints(seed); err != nil {
+	fp, decisions, err := runScaleAdmissionScript(seed)
+	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "  decision fingerprints over %d decisions: 1 shard %s, 16 shards %s, equal %v\n",
-		rep.Fingerprints.Decisions, rep.Fingerprints.Shards1,
-		rep.Fingerprints.Shards16, rep.Fingerprints.Equal)
+	rep.Fingerprints = ScaleFingerprint{Decisions: decisions, Fingerprint: fmt.Sprintf("%#x", fp)}
+	fmt.Fprintf(w, "  decision fingerprint over %d decisions: %s\n",
+		rep.Fingerprints.Decisions, rep.Fingerprints.Fingerprint)
 
 	if rep.Relay, err = measureRelayCost(scaleRelayIters); err != nil {
 		return nil, err
@@ -638,13 +537,6 @@ func ScaleExperiment(w io.Writer, maxSessions int, seed int64, outPath string) (
 	fmt.Fprintf(w, "  relay hop: %.0f -> %.0f ns/frame (%.2fx), %.3f -> %.3f allocs/frame\n",
 		rep.Relay.WallBeforeNsPerFrame, rep.Relay.WallAfterNsPerFrame, rep.Relay.WallSpeedup,
 		rep.Relay.BeforeAllocsPerFrame, rep.Relay.AfterAllocsPerFrame)
-
-	if rep.Contention, err = runScaleContention(); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "  registry storm: %.1f ms / %d misses at 1 shard -> %.1f ms / %d misses at %d shards\n",
-		rep.Contention.WallMsShards1, rep.Contention.WallContention1,
-		rep.Contention.WallMsSharded, rep.Contention.WallContentionN, rep.Contention.Shards)
 
 	fmt.Fprintf(w, "\nlive gateway soak: %d replayed clients through %d replicas\n",
 		maxSessions, scaleSoakReplicas)

@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// TestScaleSweepDeterminism: the sweep cell and the fingerprint check
+// TestScaleSweepDeterminism: the sweep cell and the admission script
 // are pure functions of the seed — the wall_* sections are exempt, but
-// the DES and the admission script must encode byte-identically.
+// the DES and the fingerprint must encode byte-identically.
 func TestScaleSweepDeterminism(t *testing.T) {
 	run := func() []byte {
 		cell, err := runScaleCell(32, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp, err := runScaleFingerprints(42)
+		fp, _, err := runScaleAdmissionScript(42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b, err := json.Marshal(struct {
 			Cell ScaleCell
-			Fp   ScaleFingerprints
+			Fp   uint64
 		}{cell, fp})
 		if err != nil {
 			t.Fatal(err)
@@ -33,19 +33,19 @@ func TestScaleSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestScaleFingerprintEqual: sharding the coordinator registry must not
-// change a single admission decision at kilo-session scale.
+// TestScaleFingerprintEqual: the 1602-decision admission script must
+// fingerprint equal to the value the sharded coordinator produced for it
+// at 1 and 16 shards (the checked-in BENCH_scale.json value from before
+// the shard tables were deleted) — no coordinator change may alter a
+// decision at kilo-session scale without moving it.
 func TestScaleFingerprintEqual(t *testing.T) {
-	fp, err := runScaleFingerprints(7)
+	fp, decisions, err := runScaleAdmissionScript(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fp.Equal {
-		t.Fatalf("decision fingerprints diverge across shard counts: %s vs %s (%d decisions)",
-			fp.Shards1, fp.Shards16, fp.Decisions)
-	}
-	if fp.Decisions < 1024 {
-		t.Fatalf("admission script logged %d decisions, want >= 1024", fp.Decisions)
+	if fp != 0x16742a60b11c759a || decisions != 1602 {
+		t.Fatalf("admission script: fingerprint %#x over %d decisions, want 0x16742a60b11c759a over 1602",
+			fp, decisions)
 	}
 }
 

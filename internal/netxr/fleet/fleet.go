@@ -20,6 +20,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,14 +98,6 @@ type Config struct {
 	ResumeWindowSec float64
 	// TokenSeed namespaces resume tokens (deterministic issuance).
 	TokenSeed int64
-	// Shards splits the resume registry (and its decision log) into this
-	// many independently locked shards keyed by token, so ack/end/lookup
-	// traffic from a thousand relays stops serializing on the placement
-	// lock (DESIGN.md §15). Rounded up to a power of two; 0 = default (16).
-	// The decision fingerprint is shard-count invariant: any two shard
-	// configurations replaying the same admission sequence fingerprint
-	// identically.
-	Shards int
 	// Metrics receives illixr_fleet_* instruments; nil = uninstrumented.
 	Metrics *telemetry.Registry
 	// Events receives the fleet flight-recorder stream (admissions,
@@ -128,39 +121,7 @@ func (c Config) withDefaults() Config {
 	if c.ResumeWindowSec == 0 {
 		c.ResumeWindowSec = 0.25
 	}
-	if c.Shards == 0 {
-		c.Shards = defaultShards
-	}
-	c.Shards = ceilPow2(c.Shards)
 	return c
-}
-
-const (
-	// defaultShards is the resume-registry shard count.
-	defaultShards = 16
-	// maxShards bounds a hostile config.
-	maxShards = 1 << 10
-	// maxDecisions caps the decision log fleet-wide: past it, decisions
-	// still consume sequence numbers (so admissions stay identical) but
-	// are no longer retained. The cap is global, not per shard, so the
-	// retained prefix — and with it the fingerprint — is shard-count
-	// invariant.
-	maxDecisions = 1 << 20
-)
-
-// ceilPow2 rounds n up to the next power of two in [1, maxShards].
-func ceilPow2(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > maxShards {
-		return maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // ErrUnknownToken refuses a resume Hello whose token was never issued
@@ -184,21 +145,8 @@ type fleetMetrics struct {
 	contention *telemetry.Counter
 }
 
-// decision is one committed admission-control outcome. The log exists
-// so sharding the registry is provably harmless: every decision gets a
-// globally ordered sequence number, and DecisionFingerprint folds the
-// decisions in that order — any two shard configurations replaying the
-// same admission script fingerprint identically.
-type decision struct {
-	seq     uint64
-	kind    uint8 // decAdmit..decEnd
-	reason  uint8 // refusal reason code (0 otherwise)
-	replica int32
-	token   uint64
-	epoch   uint64
-}
-
-// Decision kinds and refusal reason codes.
+// Decision kinds and refusal reason codes — the vocabulary of the
+// decision fingerprint.
 const (
 	decAdmit uint8 = iota + 1
 	decResume
@@ -213,70 +161,54 @@ const (
 	reasonResumeBurst
 )
 
-// recordShard is one lock's worth of the resume registry plus its slice
-// of the decision log.
-type recordShard struct {
-	mu        sync.Mutex
-	records   map[uint64]*Record
-	decisions []decision
-}
-
 // Coordinator is the fleet brain. All methods are safe for concurrent
 // use; time is always an explicit argument so the same instance runs
 // under wall or virtual clocks.
 //
-// Locking (DESIGN.md §15): the global mu covers the replica table and
-// the resume-burst window; each recordShard's mu covers its records and
-// decision-log slice. Lock order is shard → global (a shard holder may
-// take the global lock; a global holder never touches a shard), so the
-// hot per-session operations — Ack, Lookup, End — run entirely on the
-// token's shard while placement scoring runs on the global lock.
+// One mutex guards everything (DESIGN.md §15.2): the replica table, the
+// resume registry and burst window, token issuance and the decision
+// fingerprint. Every operation is a map access and a few words of
+// arithmetic under it; the success paths emit their metrics and flight
+// events after the unlock.
 type Coordinator struct {
 	cfg Config
 	m   fleetMetrics
 
-	mu       sync.Mutex
-	replicas map[int]*replica
-	window   []float64 // admit times of recent resumes (sliding window)
+	mu        sync.Mutex
+	replicas  map[int]*replica
+	ids       []int              // replica ids ascending: Pick's scan order
+	records   map[uint64]*Record // resume registry, by token
+	window    []float64          // admit times of recent resumes (sliding window)
+	tokState  uint64             // splitmix64 state for token issuance
+	decisions uint64             // committed admission decisions
+	fp        uint64             // running fold of every decision so far
 
-	shards    []recordShard
-	shardMask uint64
-	tokState  atomic.Uint64 // splitmix64 state for token issuance
-	decSeq    atomic.Uint64 // decision-log sequence (first seq is 1)
-
-	contention atomic.Uint64 // contended lock acquisitions (global + shard)
+	contention atomic.Uint64 // contended acquisitions of mu
 }
 
 // NewCoordinator builds a coordinator with no replicas.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
 		replicas: map[int]*replica{},
+		records:  map[uint64]*Record{},
+		tokState: uint64(cfg.TokenSeed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		fp:       0x9e3779b97f4a7c15,
+		m: fleetMetrics{
+			placed:     cfg.Metrics.Counter(telemetry.MetricName("fleet", "placed_total")),
+			resumed:    cfg.Metrics.Counter(telemetry.MetricName("fleet", "resumed_total")),
+			refused:    cfg.Metrics.Counter(telemetry.MetricName("fleet", "refused_total")),
+			up:         cfg.Metrics.Gauge(telemetry.MetricName("fleet", "replicas_up")),
+			contention: cfg.Metrics.Counter(telemetry.MetricName("fleet", "lock_contention_total")),
+		},
 	}
-	c.tokState.Store(uint64(cfg.TokenSeed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
-	c.shards = make([]recordShard, cfg.Shards)
-	for i := range c.shards {
-		c.shards[i].records = map[uint64]*Record{}
-	}
-	c.shardMask = uint64(cfg.Shards - 1)
-	c.m = fleetMetrics{
-		placed:     cfg.Metrics.Counter(telemetry.MetricName("fleet", "placed_total")),
-		resumed:    cfg.Metrics.Counter(telemetry.MetricName("fleet", "resumed_total")),
-		refused:    cfg.Metrics.Counter(telemetry.MetricName("fleet", "refused_total")),
-		up:         cfg.Metrics.Gauge(telemetry.MetricName("fleet", "replicas_up")),
-		contention: cfg.Metrics.Counter(telemetry.MetricName("fleet", "lock_contention_total")),
-	}
-	return c
 }
 
 // splitmix64 — the repo-wide deterministic generator.
 func splitmix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64(*s)
 }
 
 // mix64 is splitmix64's finalizer alone (for hash folding).
@@ -286,20 +218,10 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// nextToken draws the next resume token. The atomic add-then-mix is the
-// same arithmetic as splitmix64 over a shared state word, so sequential
-// drivers observe the exact token sequence the single-lock coordinator
-// issued — placement decisions stay byte-identical.
-func (c *Coordinator) nextToken() uint64 {
-	return mix64(c.tokState.Add(0x9e3779b97f4a7c15))
-}
-
-// shard returns the shard owning a token.
-func (c *Coordinator) shard(token uint64) *recordShard { return &c.shards[token&c.shardMask] }
-
-// lockGlobal / lockShard take their locks counting contended
-// acquisitions — the observable behind BENCH_scale's contention cell.
-func (c *Coordinator) lockGlobal() {
+// lock takes mu, counting the acquisitions that had to wait — the
+// measurement a many-core host would use to argue for splitting the
+// lock (illixr_fleet_lock_contention_total).
+func (c *Coordinator) lock() {
 	if c.mu.TryLock() {
 		return
 	}
@@ -308,71 +230,56 @@ func (c *Coordinator) lockGlobal() {
 	c.mu.Lock()
 }
 
-func (c *Coordinator) lockShard(sh *recordShard) {
-	if sh.mu.TryLock() {
-		return
-	}
-	c.contention.Add(1)
-	c.m.contention.Inc()
-	sh.mu.Lock()
-}
-
 // Contention returns the cumulative count of contended lock
-// acquisitions across the global and shard locks.
+// acquisitions.
 func (c *Coordinator) Contention() uint64 { return c.contention.Load() }
 
-// logDecision appends one decision to a shard's log. Caller holds the
-// shard's lock. Sequence numbers are always consumed; retention stops
-// at maxDecisions so the fingerprint prefix stays shard-count invariant.
-func (c *Coordinator) logDecision(sh *recordShard, kind, reason uint8, replica int32, token, epoch uint64) {
-	seq := c.decSeq.Add(1)
-	if seq > maxDecisions {
-		return
+// decide commits one admission-control outcome: it takes the next
+// sequence number and folds the decision, field by field, into the
+// running fingerprint. Nothing is retained per decision. Caller holds mu.
+func (c *Coordinator) decide(kind, reason uint8, replicaID int, token, epoch uint64) {
+	c.decisions++
+	h := c.fp
+	for _, v := range [...]uint64{c.decisions, uint64(kind), uint64(reason),
+		uint64(uint32(replicaID)), token, epoch} {
+		h = mix64(h ^ v)
 	}
-	sh.decisions = append(sh.decisions, decision{
-		seq: seq, kind: kind, reason: reason, replica: replica, token: token, epoch: epoch})
+	c.fp = h
 }
 
-// DecisionFingerprint folds the fleet's committed admission decisions
-// into one hash: shard logs are gathered in canonical shard order, put
-// back into global sequence order, and folded field by field. Equal
-// fingerprints mean equal decision streams — the proof obligation that
-// sharding the registry changed nothing (scripts/scalecheck enforces
-// it across shard counts on every make check).
+// DecisionFingerprint is the hash of every admission decision committed
+// so far, in commit order. Equal fingerprints mean equal decision
+// streams: the pinned goldens in the fleet and bench tests are how a
+// change to this file proves it altered no decision.
 func (c *Coordinator) DecisionFingerprint() uint64 {
-	var all []decision
-	for i := range c.shards {
-		sh := &c.shards[i]
-		c.lockShard(sh)
-		all = append(all, sh.decisions...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, d := range all {
-		for _, v := range [...]uint64{d.seq, uint64(d.kind), uint64(d.reason),
-			uint64(uint32(d.replica)), d.token, d.epoch} {
-			h = mix64(h ^ v)
-		}
-	}
-	return h
+	c.lock()
+	defer c.mu.Unlock()
+	return c.fp
 }
 
 // Decisions returns how many admission decisions have been committed.
-func (c *Coordinator) Decisions() uint64 { return c.decSeq.Load() }
+func (c *Coordinator) Decisions() uint64 {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.decisions
+}
 
 // AddReplica registers replica id as Up. probe may be nil (placement
 // then scores by the coordinator's own counts alone).
 func (c *Coordinator) AddReplica(id int, probe LoadProbe) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
+	if _, known := c.replicas[id]; !known {
+		i, _ := slices.BinarySearch(c.ids, id)
+		c.ids = slices.Insert(c.ids, i, id)
+	}
 	c.replicas[id] = &replica{status: Up, probe: probe}
 	c.gaugeUpLocked()
 }
 
 // SetStatus transitions a replica's lifecycle state.
 func (c *Coordinator) SetStatus(id int, st Status) {
-	c.mu.Lock()
+	c.lock()
 	changed := false
 	if r, ok := c.replicas[id]; ok && r.status != st {
 		r.status = st
@@ -410,7 +317,7 @@ const (
 
 // StatusOf returns a replica's state (Down for unknown ids).
 func (c *Coordinator) StatusOf(id int) Status {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if r, ok := c.replicas[id]; ok {
 		return r.status
@@ -452,30 +359,16 @@ func (r *replica) load() (int, float64) {
 // committed until AdmitOn lands the handshake there.
 func (c *Coordinator) Pick(now float64, h wire.Hello) (int, error) {
 	_ = now
-	lastReplica := -1
-	if h.ResumeToken != 0 {
-		sh := c.shard(h.ResumeToken)
-		c.lockShard(sh)
-		if rec, ok := sh.records[h.ResumeToken]; ok {
-			lastReplica = rec.Replica
-		}
-		sh.mu.Unlock()
-	}
-	c.lockGlobal()
+	c.lock()
 	defer c.mu.Unlock()
 	avoid := -1
-	if lastReplica >= 0 {
-		if r, live := c.replicas[lastReplica]; live && r.status != Up {
-			avoid = lastReplica
+	if rec, ok := c.records[h.ResumeToken]; ok {
+		if r, live := c.replicas[rec.Replica]; live && r.status != Up {
+			avoid = rec.Replica
 		}
 	}
 	best, bestScore := -1, 0.0
-	ids := make([]int, 0, len(c.replicas))
-	for id := range c.replicas {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range c.ids {
 		r := c.replicas[id]
 		if r.status != Up || id == avoid {
 			continue
@@ -507,44 +400,23 @@ func (c *Coordinator) AdmitOn(now float64, replicaID int, sessionID uint64, h wi
 	return c.admitResume(now, replicaID, sessionID, h)
 }
 
-// admitFresh validates the replica and commits a first placement. The
-// global lock covers validation and the count bump (capacity stays
-// exact); the token insert then lands on the shard alone.
+// admitFresh validates the replica and commits a first placement.
 func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h wire.Hello) (wire.Welcome, error) {
-	c.lockGlobal()
-	if err, reason := c.validateReplicaLocked(now, replicaID); err != nil {
+	c.lock()
+	if err := c.validateReplicaLocked(now, replicaID, 0, 0); err != nil {
 		c.mu.Unlock()
-		// log after the global unlock: taking a shard lock under the
-		// global one would invert the shard → global order
-		sh := &c.shards[0]
-		c.lockShard(sh)
-		c.logDecision(sh, decRefuse, reason, int32(replicaID), 0, 0)
-		sh.mu.Unlock()
 		return wire.Welcome{}, err
 	}
 	c.replicas[replicaID].count++
-	c.mu.Unlock()
-
-	// issue a token and insert it; the atomic draw keeps sequential
-	// issuance identical to the single-lock coordinator, and collisions
-	// (astronomically rare) just draw again
-	var tok uint64
-	var sh *recordShard
-	for {
-		tok = c.nextToken()
-		if tok == 0 {
-			continue
-		}
-		sh = c.shard(tok)
-		c.lockShard(sh)
-		if sh.records[tok] == nil {
-			break
-		}
-		sh.mu.Unlock()
+	// 0 means "no token" on the wire; a collision (astronomically rare)
+	// just draws again
+	tok := splitmix64(&c.tokState)
+	for tok == 0 || c.records[tok] != nil {
+		tok = splitmix64(&c.tokState)
 	}
-	sh.records[tok] = &Record{Token: tok, Hello: h, Replica: replicaID, Epoch: 1}
-	c.logDecision(sh, decAdmit, 0, int32(replicaID), tok, 1)
-	sh.mu.Unlock()
+	c.records[tok] = &Record{Token: tok, Hello: h, Replica: replicaID, Epoch: 1}
+	c.decide(decAdmit, 0, replicaID, tok, 1)
+	c.mu.Unlock()
 
 	c.m.placed.Inc()
 	c.cfg.Events.RecordAt(now, EventAdmit, replicaNode(replicaID), fmt.Sprintf("session %d", sessionID))
@@ -552,26 +424,19 @@ func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h
 }
 
 // admitResume revalidates the replica, applies the burst limiter, and
-// moves the placement. The shard lock is held across the whole commit
-// (the record mutates); the global lock nests inside it — shard →
-// global is the fleet-wide lock order.
+// moves the placement.
 func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, h wire.Hello) (wire.Welcome, error) {
-	sh := c.shard(h.ResumeToken)
-	c.lockShard(sh)
-	rec, ok := sh.records[h.ResumeToken]
+	c.lock()
+	rec, ok := c.records[h.ResumeToken]
 	if !ok {
-		c.logDecision(sh, decRefuse, reasonUnknownToken, int32(replicaID), h.ResumeToken, 0)
-		sh.mu.Unlock()
+		c.decide(decRefuse, reasonUnknownToken, replicaID, h.ResumeToken, 0)
+		c.mu.Unlock()
 		c.m.refused.Inc()
 		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "unknown resume token")
 		return wire.Welcome{}, fmt.Errorf("%w: %#x", ErrUnknownToken, h.ResumeToken)
 	}
-
-	c.lockGlobal()
-	if err, reason := c.validateReplicaLocked(now, replicaID); err != nil {
+	if err := c.validateReplicaLocked(now, replicaID, rec.Token, rec.Epoch); err != nil {
 		c.mu.Unlock()
-		c.logDecision(sh, decRefuse, reason, int32(replicaID), h.ResumeToken, rec.Epoch)
-		sh.mu.Unlock()
 		return wire.Welcome{}, err
 	}
 	// resume-burst limiter: slide the window, refuse past the budget so
@@ -584,9 +449,8 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 	}
 	c.window = keep
 	if len(c.window) >= c.cfg.ResumeBurst {
-		c.logDecision(sh, decRefuse, reasonResumeBurst, int32(replicaID), h.ResumeToken, rec.Epoch)
+		c.decide(decRefuse, reasonResumeBurst, replicaID, rec.Token, rec.Epoch)
 		c.mu.Unlock()
-		sh.mu.Unlock()
 		c.m.refused.Inc()
 		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "resume burst")
 		return wire.Welcome{}, &session.AdmissionError{Reason: "resume burst", RetryAfter: c.cfg.RetryAfter}
@@ -594,17 +458,15 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 	c.window = append(c.window, now)
 
 	// move the placement: the old replica (dead or draining) loses it
-	if old, live := c.replicas[rec.Replica]; live && rec.Replica != replicaID && old.count > 0 {
-		old.count--
-	}
 	if rec.Replica != replicaID {
+		if old, live := c.replicas[rec.Replica]; live && old.count > 0 {
+			old.count--
+		}
 		c.replicas[replicaID].count++
+		rec.Replica = replicaID
 	}
-	c.mu.Unlock()
-
-	rec.Replica = replicaID
 	rec.Epoch++
-	c.logDecision(sh, decResume, 0, int32(replicaID), rec.Token, rec.Epoch)
+	c.decide(decResume, 0, replicaID, rec.Token, rec.Epoch)
 	welcome := wire.Welcome{
 		Session:     sessionID,
 		ResumeToken: rec.Token,
@@ -612,53 +474,46 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 		LastAckSeq:  rec.LastAckSeq,
 		PoseEpoch:   rec.Epoch,
 	}
-	epoch := rec.Epoch
-	sh.mu.Unlock()
+	c.mu.Unlock()
 
 	c.m.resumed.Inc()
-	c.cfg.Events.RecordAt(now, EventResume, replicaNode(replicaID), fmt.Sprintf("epoch %d", epoch))
+	c.cfg.Events.RecordAt(now, EventResume, replicaNode(replicaID), fmt.Sprintf("epoch %d", welcome.PoseEpoch))
 	return welcome, nil
 }
 
 // validateReplicaLocked checks the target replica is Up with headroom.
-// Caller holds the global lock. A non-nil error is the refusal to
-// return; the caller logs the decision (with the returned reason code)
-// once its own locks allow — never under the global lock, which would
-// invert the shard → global order.
-func (c *Coordinator) validateReplicaLocked(now float64, replicaID int) (error, uint8) {
+// Caller holds mu. A non-nil error is the refusal to return; the
+// decision (against token and epoch, zero for a fresh admit) is already
+// committed.
+func (c *Coordinator) validateReplicaLocked(now float64, replicaID int, token, epoch uint64) error {
 	r, ok := c.replicas[replicaID]
 	if !ok || r.status != Up {
-		name := c.statusNameLocked(replicaID)
+		name := "unknown"
+		if ok {
+			name = r.status.String()
+		}
+		c.decide(decRefuse, reasonReplicaGone, replicaID, token, epoch)
 		c.m.refused.Inc()
 		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "replica "+name)
 		return &session.AdmissionError{
-			Reason: fmt.Sprintf("replica %d %s", replicaID, name), RetryAfter: c.cfg.RetryAfter}, reasonReplicaGone
+			Reason: fmt.Sprintf("replica %d %s", replicaID, name), RetryAfter: c.cfg.RetryAfter}
 	}
-	sessions, _ := r.load()
-	if sessions >= c.cfg.ReplicaCapacity {
+	if sessions, _ := r.load(); sessions >= c.cfg.ReplicaCapacity {
+		c.decide(decRefuse, reasonReplicaFull, replicaID, token, epoch)
 		c.m.refused.Inc()
 		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "replica full")
 		return &session.AdmissionError{
-			Reason: fmt.Sprintf("replica %d full", replicaID), RetryAfter: c.cfg.RetryAfter}, reasonReplicaFull
+			Reason: fmt.Sprintf("replica %d full", replicaID), RetryAfter: c.cfg.RetryAfter}
 	}
-	return nil, 0
-}
-
-func (c *Coordinator) statusNameLocked(id int) string {
-	if r, ok := c.replicas[id]; ok {
-		return r.status.String()
-	}
-	return "unknown"
+	return nil
 }
 
 // Ack records uplink progress for a session so a later resume can tell
-// the client how much of its stream survived. Shard-local: a thousand
-// relays acking every 64 frames never touch the placement lock.
+// the client how much of its stream survived.
 func (c *Coordinator) Ack(token, seq uint64) {
-	sh := c.shard(token)
-	c.lockShard(sh)
-	defer sh.mu.Unlock()
-	if rec, ok := sh.records[token]; ok && seq > rec.LastAckSeq {
+	c.lock()
+	defer c.mu.Unlock()
+	if rec, ok := c.records[token]; ok && seq > rec.LastAckSeq {
 		rec.LastAckSeq = seq
 	}
 }
@@ -667,18 +522,14 @@ func (c *Coordinator) Ack(token, seq uint64) {
 // forgotten and the placement count released. Server-side deaths do NOT
 // End — the record is exactly what lets the session come back.
 func (c *Coordinator) End(token uint64) {
-	sh := c.shard(token)
-	c.lockShard(sh)
-	rec, ok := sh.records[token]
+	c.lock()
+	rec, ok := c.records[token]
 	if !ok {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
-	delete(sh.records, token)
-	c.logDecision(sh, decEnd, 0, int32(rec.Replica), token, rec.Epoch)
-	sh.mu.Unlock()
-
-	c.lockGlobal()
+	delete(c.records, token)
+	c.decide(decEnd, 0, rec.Replica, token, rec.Epoch)
 	if r, live := c.replicas[rec.Replica]; live && r.count > 0 {
 		r.count--
 	}
@@ -688,10 +539,9 @@ func (c *Coordinator) End(token uint64) {
 
 // Lookup returns a copy of a token's record.
 func (c *Coordinator) Lookup(token uint64) (Record, bool) {
-	sh := c.shard(token)
-	c.lockShard(sh)
-	defer sh.mu.Unlock()
-	if rec, ok := sh.records[token]; ok {
+	c.lock()
+	defer c.mu.Unlock()
+	if rec, ok := c.records[token]; ok {
 		return *rec, true
 	}
 	return Record{}, false
@@ -700,7 +550,7 @@ func (c *Coordinator) Lookup(token uint64) (Record, bool) {
 // Sessions returns how many sessions the coordinator has placed on a
 // replica (its own count, not the probe's).
 func (c *Coordinator) Sessions(replicaID int) int {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if r, ok := c.replicas[replicaID]; ok {
 		return r.count
@@ -711,17 +561,14 @@ func (c *Coordinator) Sessions(replicaID int) int {
 // Placed returns copies of every record currently placed on a replica —
 // the displaced population when that replica dies or drains.
 func (c *Coordinator) Placed(replicaID int) []Record {
+	c.lock()
 	var out []Record
-	for i := range c.shards {
-		sh := &c.shards[i]
-		c.lockShard(sh)
-		for _, rec := range sh.records {
-			if rec.Replica == replicaID {
-				out = append(out, *rec)
-			}
+	for _, rec := range c.records {
+		if rec.Replica == replicaID {
+			out = append(out, *rec)
 		}
-		sh.mu.Unlock()
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Token < out[j].Token })
 	return out
 }

@@ -158,13 +158,12 @@ func TestCoalesceOrderingAcrossFlushSizes(t *testing.T) {
 	}
 }
 
-// TestShardedSessionTable: with a small shard count, sessions spread
-// across shards and every table operation — Len, listing, idle fields,
-// shutdown sweep — sees all of them.
-func TestShardedSessionTable(t *testing.T) {
+// TestSessionTable: every table operation — Len, the MaxSessions cap,
+// listing, shutdown sweep — sees all of a 32-session population.
+func TestSessionTable(t *testing.T) {
 	const n = 32
 	h := newCollect()
-	srv := NewServer(Config{Shards: 4, MaxSessions: n, Metrics: telemetry.NewRegistry()}, h)
+	srv := NewServer(Config{MaxSessions: n, Metrics: telemetry.NewRegistry()}, h)
 
 	clients := make([]net.Conn, 0, n)
 	for i := 0; i < n; i++ {
@@ -186,21 +185,7 @@ func TestShardedSessionTable(t *testing.T) {
 		t.Fatalf("Len() = %d, want %d", srv.Len(), n)
 	}
 
-	// every shard owns some sessions (ids are sequential, shards keyed
-	// by id&mask, so 32 ids over 4 shards must hit all of them)
-	occupied := 0
-	for i := range srv.shards {
-		srv.shards[i].mu.Lock()
-		if len(srv.shards[i].sessions) > 0 {
-			occupied++
-		}
-		srv.shards[i].mu.Unlock()
-	}
-	if occupied != 4 {
-		t.Fatalf("%d of 4 shards occupied, want all", occupied)
-	}
-
-	// the 33rd connect is refused: MaxSessions stays exact under sharding
+	// the 33rd connect is refused: MaxSessions is exact
 	extraC, extraS := net.Pipe()
 	defer extraC.Close()
 	if srv.HandleConn(extraS) != nil {

@@ -50,11 +50,6 @@ type Config struct {
 	Capture *binlog.Writer
 	// Metrics receives illixr_netxr_* instruments; nil = uninstrumented.
 	Metrics *telemetry.Registry
-	// Shards splits the session table into this many independently locked
-	// shards keyed by session id, so session teardown, idle reaping and
-	// debug snapshots stop serializing on one mutex at kilo-session scale
-	// (DESIGN.md §15). Rounded up to a power of two; 0 = default (16).
-	Shards int
 	// FlushFrames bounds the writer's flush window: the session writer
 	// pops up to this many queued frames per wakeup and puts them on the
 	// wire in ONE buffered write (writev-style). 1 disables coalescing
@@ -112,10 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Shards == 0 {
-		c.Shards = defaultShards
-	}
-	c.Shards = ceilPow2(c.Shards)
 	if c.FlushFrames == 0 {
 		c.FlushFrames = defaultFlushFrames
 	}
@@ -125,31 +116,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-const (
-	// defaultShards is the session-table shard count: small enough to be
-	// free at 8 sessions, wide enough that a kilo-session churn storm
-	// spreads teardown and janitor sweeps across 16 locks.
-	defaultShards = 16
-	// defaultFlushFrames is the writer's flush window.
-	defaultFlushFrames = 16
-	// maxShards bounds a hostile config.
-	maxShards = 1 << 10
-)
-
-// ceilPow2 rounds n up to the next power of two in [1, maxShards].
-func ceilPow2(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > maxShards {
-		return maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// defaultFlushFrames is the writer's flush window.
+const defaultFlushFrames = 16
 
 // Handler reacts to session lifecycle events. SessionFrame runs on the
 // session's reader goroutine; returning an error terminates the session
@@ -164,40 +132,28 @@ type Handler interface {
 	SessionEnd(s *Session, err error)
 }
 
-// sessionShard is one lock's worth of the session table.
-type sessionShard struct {
-	mu       sync.Mutex
-	sessions map[uint64]*Session
-}
-
-// Server accepts connections and runs one Session per client. The
-// session table is sharded (Config.Shards) so teardown, idle reaping
-// and snapshots contend per shard, not fleet-wide; admission serializes
-// only on the short lifecycle lock that orders registration against
-// Shutdown/Abort.
+// Server accepts connections and runs one Session per client.
 type Server struct {
 	cfg     Config
 	handler Handler
 	m       *metrics
 
-	// lifeMu orders the closed flag, wg.Add, and shard registration
-	// against Shutdown/Abort: a session is either swept by the teardown
-	// snapshot or refused by the closed check, never neither. Held only
-	// for those few statements.
-	lifeMu sync.Mutex
-	closed bool
-	ln     net.Listener
+	// mu guards the closed flag, the listener and the session table, and
+	// orders wg.Add against Shutdown/Abort: a session is either swept by
+	// the teardown snapshot or refused by the closed check, never
+	// neither. Held for a few statements at a time (DESIGN.md §15.2).
+	mu       sync.Mutex
+	closed   bool
+	ln       net.Listener
+	sessions map[uint64]*Session
 
-	shards     []sessionShard
-	shardMask  uint64
 	nextID     atomic.Uint64
-	active     atomic.Int64
+	active     atomic.Int64 // len(sessions), readable without mu
 	contention atomic.Uint64
 
-	wg          sync.WaitGroup
-	janitorC    chan struct{}
-	janitor     sync.Once
-	janitorStop sync.Once
+	wg       sync.WaitGroup
+	janitorC chan struct{}
+	janitor  sync.Once
 }
 
 // NewServer builds a server with the given handler.
@@ -205,51 +161,45 @@ func NewServer(cfg Config, h Handler) *Server {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
 		handler:  h,
+		sessions: map[uint64]*Session{},
 		janitorC: make(chan struct{}),
 	}
-	s.shards = make([]sessionShard, s.cfg.Shards)
-	for i := range s.shards {
-		s.shards[i].sessions = map[uint64]*Session{}
-	}
-	s.shardMask = uint64(s.cfg.Shards - 1)
 	s.m = newMetrics(s.cfg.Metrics)
 	return s
 }
 
-// shard returns the shard owning a session id.
-func (s *Server) shard(id uint64) *sessionShard { return &s.shards[id&s.shardMask] }
-
-// lockShard takes a shard's lock, counting the contended acquisitions —
-// the observable the scale bench uses to show sharding actually spread
-// the load (illixr_netxr_shard_contention_total).
-func (s *Server) lockShard(sh *sessionShard) {
-	if sh.mu.TryLock() {
+// lock takes mu, counting the acquisitions that had to wait — the
+// measurement a many-core host would use to argue for splitting the
+// table. The counter keeps the name its readers (dashboards, benchmark/)
+// know: illixr_netxr_shard_contention_total.
+func (s *Server) lock() {
+	if s.mu.TryLock() {
 		return
 	}
 	s.contention.Add(1)
 	s.m.shardContention.Inc()
-	sh.mu.Lock()
+	s.mu.Lock()
 }
 
-// ShardContention returns the cumulative count of contended shard-lock
-// acquisitions.
+// ShardContention returns the cumulative count of contended
+// acquisitions of the server lock.
 func (s *Server) ShardContention() uint64 { return s.contention.Load() }
 
 // Serve accepts on ln until Shutdown (or a listener error). It blocks.
 func (s *Server) Serve(ln net.Listener) error {
-	s.lifeMu.Lock()
+	s.lock()
 	if s.closed {
-		s.lifeMu.Unlock()
+		s.mu.Unlock()
 		return ErrClosed
 	}
 	s.ln = ln
-	s.lifeMu.Unlock()
+	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.lifeMu.Lock()
+			s.lock()
 			closed := s.closed
-			s.lifeMu.Unlock()
+			s.mu.Unlock()
 			if closed {
 				return nil
 			}
@@ -264,10 +214,10 @@ func (s *Server) Serve(ln net.Listener) error {
 // the conn is then refused and closed.
 func (s *Server) HandleConn(conn net.Conn) *Session {
 	s.startJanitor()
-	s.lifeMu.Lock()
-	if s.closed || int(s.active.Load()) >= s.cfg.MaxSessions {
+	s.lock()
+	if s.closed || len(s.sessions) >= s.cfg.MaxSessions {
 		full := !s.closed
-		s.lifeMu.Unlock()
+		s.mu.Unlock()
 		if full {
 			// best-effort refusal so the client sees why; the Retry-After
 			// hint makes it an admission-control push-back rather than a
@@ -292,19 +242,14 @@ func (s *Server) HandleConn(conn net.Conn) *Session {
 	sess := &Session{id: id, conn: conn, srv: s, created: time.Now()}
 	sess.cond = sync.NewCond(&sess.mu)
 	sess.slots = map[wire.Type]wire.Frame{}
-	// Register under lifeMu: admission must be ordered against the closed
-	// check so a racing Abort/Shutdown either sees this session in its
-	// sweep or refused it — and wg.Add must not race a wg.Wait going 0→1
-	// (undefined per sync.WaitGroup). MaxSessions stays exact because
-	// every admission serializes here; only the per-session hot paths
-	// (teardown, acks, reaping) moved to the shard locks.
-	sh := s.shard(id)
-	s.lockShard(sh)
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
+	// Register in the same critical section as the closed check: a racing
+	// Abort/Shutdown either sees this session in its sweep or refused it —
+	// and wg.Add must not race a wg.Wait going 0→1 (undefined per
+	// sync.WaitGroup). MaxSessions is exact for the same reason.
+	s.sessions[id] = sess
 	active := s.active.Add(1)
 	s.wg.Add(1)
-	s.lifeMu.Unlock()
+	s.mu.Unlock()
 
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Set(float64(active))
@@ -339,11 +284,10 @@ func (s *Server) run(sess *Session) {
 	<-writerDone
 	sess.Close(err) // no-op if the writer already closed it
 
-	sh := s.shard(sess.id)
-	s.lockShard(sh)
-	delete(sh.sessions, sess.id)
-	sh.mu.Unlock()
+	s.lock()
+	delete(s.sessions, sess.id)
 	active := s.active.Add(-1)
+	s.mu.Unlock()
 	s.m.sessionsActive.Set(float64(active))
 
 	s.handler.SessionEnd(sess, err)
@@ -374,37 +318,23 @@ func (s *Server) startJanitor() {
 	})
 }
 
-// reapIdle sweeps shard by shard: each shard's lock is held only while
-// snapshotting that shard, so a kilo-session reap never stalls admission
-// or teardown on the other shards.
+// reapIdle closes sessions that stopped sending. The lock is held only
+// for the snapshot; Close runs outside it.
 func (s *Server) reapIdle() {
 	cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
-	var scratch []*Session
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.lockShard(sh)
-		scratch = scratch[:0]
-		for _, sess := range sh.sessions {
-			scratch = append(scratch, sess)
-		}
-		sh.mu.Unlock()
-		for _, sess := range scratch {
-			if last := sess.lastRecv.Load(); last > 0 && last < cutoff {
-				sess.Close(fmt.Errorf("%w after %s", ErrIdleTimeout, s.cfg.IdleTimeout))
-			}
+	for _, sess := range s.snapshotSessions() {
+		if last := sess.lastRecv.Load(); last > 0 && last < cutoff {
+			sess.Close(fmt.Errorf("%w after %s", ErrIdleTimeout, s.cfg.IdleTimeout))
 		}
 	}
 }
 
 func (s *Server) snapshotSessions() []*Session {
-	out := make([]*Session, 0, s.active.Load())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.lockShard(sh)
-		for _, sess := range sh.sessions {
-			out = append(out, sess)
-		}
-		sh.mu.Unlock()
+	s.lock()
+	defer s.mu.Unlock()
+	out := make([]*Session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		out = append(out, sess)
 	}
 	return out
 }
@@ -434,21 +364,30 @@ func (s *Server) Sessions() []Info {
 	return out
 }
 
+// stopAccepting marks the server closed and stops the listener and the
+// janitor. false means an earlier Shutdown/Abort already did.
+func (s *Server) stopAccepting() bool {
+	s.lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.closed = true
+	ln := s.ln
+	s.mu.Unlock()
+	close(s.janitorC)
+	if ln != nil {
+		_ = ln.Close()
+	}
+	return true
+}
+
 // Shutdown stops accepting, drains every session (flushing queued frames
 // and sending Bye), and waits for session goroutines up to the context
 // deadline; stragglers are then force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
+	if !s.stopAccepting() {
 		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	s.lifeMu.Unlock()
-	s.janitorStop.Do(func() { close(s.janitorC) })
-	if ln != nil {
-		_ = ln.Close()
 	}
 	for _, sess := range s.snapshotSessions() {
 		// a drained session is invited back: the fleet will re-place it
@@ -482,17 +421,8 @@ func (s *Server) Abort(cause error) {
 	if cause == nil {
 		cause = ErrAborted
 	}
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
+	if !s.stopAccepting() {
 		return
-	}
-	s.closed = true
-	ln := s.ln
-	s.lifeMu.Unlock()
-	s.janitorStop.Do(func() { close(s.janitorC) })
-	if ln != nil {
-		_ = ln.Close()
 	}
 	for _, sess := range s.snapshotSessions() {
 		sess.Close(cause)

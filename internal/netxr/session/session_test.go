@@ -205,13 +205,25 @@ func TestLatestWinsDisplacement(t *testing.T) {
 	sess := srv.HandleConn(server)
 	r, _, _ := clientHandshake(t, client)
 
-	// stall the reader: queue five poses; only the newest survives
+	// park the writer in a Write the client has not read yet: left idle it
+	// could wake between two Sends and put an early pose on the wire
+	if err := sess.Send(wire.Frame{Type: wire.TypePong}, Reliable); err != nil {
+		t.Fatal(err)
+	}
+	for sess.QueueDepth() != 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	// queue five poses; only the newest survives
 	var bufs [5][]byte
 	for i := range bufs {
 		bufs[i] = wire.AppendPose(nil, wire.Pose{T: float64(i)})
 		if err := sess.Send(wire.Frame{Type: wire.TypePose, Payload: bufs[i]}, LatestWins); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypePong {
+		t.Fatalf("first frame = %v, %v, want the parked pong", f.Type, err)
 	}
 	f, err := r.ReadFrame()
 	if err != nil {

@@ -231,7 +231,11 @@ type Supervisor struct {
 	rest    int
 	stopped bool
 	lastErr error
-	wg      sync.WaitGroup
+	// startCrash is the crash an instance reported while restartLoop was
+	// still inside its Start (starting): the start then counts as failed.
+	starting   bool
+	startCrash error
+	wg         sync.WaitGroup
 }
 
 // NewSupervisor builds a supervisor for the named plugin role; factory
@@ -322,6 +326,12 @@ func (s *Supervisor) Start(ctx *Context) error {
 // onCrash handles a crash report from instance generation gen.
 func (s *Supervisor) onCrash(gen int, err error) {
 	s.mu.Lock()
+	if s.starting && gen == s.gen && !s.stopped {
+		// the instance restartLoop is starting died before the loop could
+		// mark it Healthy; dropping this report would leave a dead plugin
+		// behind a Healthy supervisor
+		s.startCrash = err
+	}
 	if s.stopped || gen != s.gen || s.state == Restarting || s.state == Failed {
 		s.mu.Unlock()
 		return
@@ -371,6 +381,7 @@ func (s *Supervisor) restartLoop(gen int) {
 		}
 		s.gen++
 		gen = s.gen
+		s.starting, s.startCrash = true, nil
 		child := s.childContext(gen)
 		p := s.factory()
 		board := s.parent.Health
@@ -378,10 +389,17 @@ func (s *Supervisor) restartLoop(gen int) {
 
 		err := safeStart(p, child)
 		s.mu.Lock()
+		s.starting = false
 		if s.stopped {
 			s.mu.Unlock()
 			_ = safeStop(p)
 			return
+		}
+		if err == nil && s.startCrash != nil {
+			err = s.startCrash
+			s.mu.Unlock()
+			_ = safeStop(p)
+			s.mu.Lock()
 		}
 		if err == nil {
 			s.plugin = p

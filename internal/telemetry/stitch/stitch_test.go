@@ -148,8 +148,12 @@ func TestStitchChromeTraceProcessesPerNode(t *testing.T) {
 
 // TestStitchConcurrentDumps exercises the federation path under the race
 // detector: three collectors written from separate goroutines, dumped
-// and stitched while emission continues.
+// and stitched for as long as emission lasts (and at least ten times).
+// Each emitter has a fixed budget, so the work is bounded: emitters that
+// spun until the dumps were done made every dump copy however far
+// emission had run ahead (1 s or ~110 s under -race).
 func TestStitchConcurrentDumps(t *testing.T) {
+	const perEmitter = 1 << 12
 	cols := []*telemetry.SpanCollector{
 		telemetry.NewSpanCollector(0),
 		telemetry.NewSpanCollector(0),
@@ -158,34 +162,30 @@ func TestStitchConcurrentDumps(t *testing.T) {
 	cols[1].SetIDBase(1 << 40)
 	cols[2].SetIDBase(1 << 62)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i, c := range cols {
+	for _, c := range cols {
 		wg.Add(1)
-		go func(i int, c *telemetry.SpanCollector) {
+		go func(c *telemetry.SpanCollector) {
 			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for j := 0; j < perEmitter; j++ {
 				c.Emit("stage", 0, float64(j), float64(j)+0.5)
 			}
-		}(i, c)
+		}(c)
 	}
-	for k := 0; k < 10; k++ {
-		_, err := Stitch(
+	emitted := make(chan struct{})
+	go func() { wg.Wait(); close(emitted) }()
+	for k, emitting := 0, true; emitting || k < 10; k++ {
+		if _, err := Stitch(
 			CollectorDump("a", cols[0]),
 			CollectorDump("b", cols[1]),
-			CollectorDump("c", cols[2]))
-		if err != nil {
-			close(stop)
-			wg.Wait()
+			CollectorDump("c", cols[2])); err != nil {
 			t.Fatal(err)
 		}
+		select {
+		case <-emitted:
+			emitting = false
+		default:
+		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // The three-node federation pinned byte for byte: the raw dumps as the

@@ -18,6 +18,9 @@ echo "== go test -race ./..."
 go test -race -timeout 60m ./...
 # the downlink stop/reader ordering is a narrow window: many rounds
 go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge >/dev/null
+# so are admission racing teardown and the registry's ack/end storm
+go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session >/dev/null
+go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
 
 echo "== determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
@@ -95,8 +98,8 @@ go run ./scripts/qoscheck "$TMP/qos.json"
 echo "== kilo-session scale bench smoke"
 # the 1024-session sweep must hold MTP p99 within 2x the 120-session
 # baseline, the raw relay must stay under 0.05 allocs/frame, and the
-# sharded coordinator's decision fingerprints must match the
-# single-lock ones (see scripts/scalecheck)
+# admission script must fingerprint >= 1024 decisions (see
+# scripts/scalecheck)
 go run ./cmd/illixr-bench -exp scale \
 	-scale-out "$TMP/scale.json" >/dev/null
 go run ./scripts/scalecheck "$TMP/scale.json"
@@ -112,6 +115,8 @@ go test -run 'TestZeroAlloc' ./internal/runtime ./internal/netxr/session \
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
+go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
+go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 
 echo "== memory bench + alloccheck gate"
 # the steady-state hot paths must stay allocation-free and must not
