@@ -4,200 +4,41 @@
 //
 //	illixr-bench -exp all            # everything (≈ a few minutes)
 //	illixr-bench -exp fig3           # one experiment
-//	illixr-bench -exp table5 -duration 10 -quality-frames 8
+//	illixr-bench -exp table5 -duration 10
+//	illixr-bench -exp network,fleet -out-dir /tmp/bench
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 // fig3 fig4 fig5 fig6 fig7 fig8 ablation-vio faults observability
 // parallel network memory fleet fleetobs replay qos scale all
+//
+// The last nine also write BENCH_<exp>.json into -out-dir;
+// scripts/benchcheck gates those files. An id that names no experiment
+// exits 2 with the list of valid ones.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"illixr/internal/bench"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1..table7, fig3..fig8, ablation-vio, faults, observability, parallel, network, memory, fleet, fleetobs, replay, qos, scale, all)")
-	duration := flag.Float64("duration", 30, "virtual seconds per integrated run (the paper uses ~30)")
-	qualityFrames := flag.Int("quality-frames", 8, "sampled frames for the Table V image-quality pipeline")
-	faultScenario := flag.String("fault-scenario", "light", "fault scenario for -exp faults (vio-stall|light|stress)")
-	faultSeed := flag.Int64("fault-seed", 42, "seed for the fault schedule")
-	obsOut := flag.String("obs-out", "BENCH_observability.json",
-		"output file for -exp observability (empty to skip the file)")
-	workers := flag.Int("workers", 4, "worker count for -exp parallel")
-	parallelIters := flag.Int("parallel-iters", 5, "iterations per kernel for -exp parallel")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json",
-		"output file for -exp parallel (empty to skip the file)")
-	networkSessions := flag.Int("network-sessions", 8, "concurrent sessions per cell for -exp network")
-	networkSeed := flag.Int64("network-seed", 42, "seed for the -exp network link processes")
-	networkOut := flag.String("network-out", "BENCH_network.json",
-		"output file for -exp network (empty to skip the file)")
-	memoryIters := flag.Int("memory-iters", 64, "steady-state frames per path for -exp memory")
-	memoryOut := flag.String("memory-out", "BENCH_memory.json",
-		"output file for -exp memory (empty to skip the file)")
-	fleetSessions := flag.Int("fleet-sessions", 120, "sessions in the -exp fleet chaos cell (>=100)")
-	fleetSeed := flag.Int64("fleet-seed", 42, "seed for the -exp fleet crash schedule, links, and backoff")
-	fleetOut := flag.String("fleet-out", "BENCH_fleet.json",
-		"output file for -exp fleet (empty to skip the file)")
-	fleetObsSessions := flag.Int("fleetobs-sessions", 30, "sessions in the -exp fleetobs placement ramp")
-	fleetObsSeed := flag.Int64("fleetobs-seed", 42, "seed for the -exp fleetobs links and placement ramp")
-	fleetObsOut := flag.String("fleetobs-out", "BENCH_fleetobs.json",
-		"output file for -exp fleetobs (empty to skip the file)")
-	replayFanout := flag.Int("replay-fanout", 8, "largest fan-out step for -exp replay")
-	replaySeed := flag.Int64("replay-seed", 42, "seed stamped into the -exp replay source recording")
-	replayOut := flag.String("replay-out", "BENCH_replay.json",
-		"output file for -exp replay (empty to skip the file)")
-	qosSeed := flag.Int64("qos-seed", 42, "seed for the -exp qos controller and load jitter")
-	qosOut := flag.String("qos-out", "BENCH_qos.json",
-		"output file for -exp qos (empty to skip the file)")
-	scaleSessions := flag.Int("scale-sessions", 1024, "largest cell of the -exp scale sweep and the soak's client count")
-	scaleSeed := flag.Int64("scale-seed", 42, "seed for the -exp scale links, placement, and admission script")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json",
-		"output file for -exp scale (empty to skip the file)")
+	exp := flag.String("exp", "all", "comma-separated experiment ids, or all (an unknown id lists them)")
+	var o bench.Options
+	flag.Float64Var(&o.Duration, "duration", 30, "virtual seconds per integrated run (the paper uses ~30)")
+	flag.Int64Var(&o.Seed, "seed", 42, "seed for every link process, fault schedule, placement and controller")
+	flag.StringVar(&o.OutDir, "out-dir", ".", "directory the BENCH_<exp>.json reports are written to")
+	flag.StringVar(&o.FaultScenario, "fault-scenario", "light", "fault scenario for -exp faults (vio-stall|light|stress)")
 	flag.Parse()
 
-	w := os.Stdout
-	wants := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		wants[strings.TrimSpace(e)] = true
-	}
-	all := wants["all"]
-
-	needMatrix := all || wants["fig3"] || wants["fig4"] || wants["fig5"] ||
-		wants["fig6"] || wants["fig7"] || wants["table4"]
-	var m *bench.Matrix
-	if needMatrix {
-		fmt.Fprintf(w, "Running the 4-app x 3-platform evaluation matrix (%.0f s virtual each)...\n\n", *duration)
-		m = bench.RunMatrix(*duration)
-	}
-
-	if all || wants["table1"] {
-		bench.Table1(w)
-		fmt.Fprintln(w)
-	}
-	if all || wants["table2"] {
-		bench.Table2(w)
-		fmt.Fprintln(w)
-	}
-	if all || wants["table3"] {
-		bench.Table3(w)
-		fmt.Fprintln(w)
-	}
-	if all || wants["fig3"] {
-		bench.Fig3(w, m)
-	}
-	if all || wants["fig4"] {
-		bench.Fig4(w, m)
-		fmt.Fprintln(w)
-	}
-	if all || wants["fig5"] {
-		bench.Fig5(w, m)
-		fmt.Fprintln(w)
-	}
-	if all || wants["fig6"] {
-		bench.Fig6(w, m)
-		fmt.Fprintln(w)
-	}
-	if all || wants["fig7"] {
-		bench.Fig7(w, m)
-		fmt.Fprintln(w)
-	}
-	if all || wants["table4"] {
-		bench.Table4(w, m)
-		fmt.Fprintln(w)
-	}
-	if all || wants["table5"] {
-		fmt.Fprintln(w, "Running the offline image-quality pipeline (Table V)...")
-		bench.Table5(w, *duration, *qualityFrames)
-		fmt.Fprintln(w)
-	}
-	if all || wants["table6"] {
-		bench.Table6(w, *duration)
-	}
-	if all || wants["table7"] {
-		bench.Table7(w)
-		fmt.Fprintln(w)
-	}
-	if all || wants["fig8"] {
-		bench.Fig8(w)
-		fmt.Fprintln(w)
-	}
-	if all || wants["ablation-vio"] {
-		bench.AblationVIO(w, *duration)
-		fmt.Fprintln(w)
-	}
-	if all || wants["faults"] {
-		if _, err := bench.FaultScenario(w, *faultScenario, *duration, *faultSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if err := bench.Run(os.Stdout, *exp, o); err != nil {
+		fmt.Fprintln(os.Stderr, "illixr-bench:", err)
+		if errors.Is(err, bench.ErrUnknownExperiment) {
+			os.Exit(2)
 		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["observability"] {
-		if _, err := bench.Observability(w, *duration, *obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["parallel"] {
-		if _, err := bench.ParallelExperiment(w, *workers, *parallelIters, *parallelOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["network"] {
-		if _, err := bench.NetworkExperiment(w, *networkSessions, *networkSeed, *networkOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["memory"] {
-		if _, err := bench.MemoryExperiment(w, *memoryIters, *duration, *memoryOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["fleet"] {
-		if _, err := bench.FleetExperiment(w, *fleetSessions, *fleetSeed, *fleetOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["fleetobs"] {
-		if _, err := bench.FleetObsExperiment(w, *fleetObsSessions, *fleetObsSeed, *fleetObsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["replay"] {
-		if _, err := bench.ReplayExperiment(w, *replayFanout, *replaySeed, *replayOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["qos"] {
-		if _, err := bench.QoSExperiment(w, *qosSeed, *qosOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
-	}
-	if all || wants["scale"] {
-		if _, err := bench.ScaleExperiment(w, *scaleSessions, *scaleSeed, *scaleOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(w)
+		os.Exit(1)
 	}
 }

@@ -1,0 +1,435 @@
+package bench
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"illixr/internal/testutil"
+)
+
+// checkedIn is the path of a checked-in report, seen from this package.
+func checkedIn(name string) string { return "../../BENCH_" + name + ".json" }
+
+// stripWall drops the wall_* lines of an encoded report: everything a
+// report measures on the host's clock or scheduler carries that prefix,
+// and everything else is byte-identical for a given seed.
+func stripWall(b []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		if !bytes.HasPrefix(bytes.TrimLeft(line, " "), []byte(`"wall_`)) {
+			out = append(out, line...)
+		}
+	}
+	return out
+}
+
+func encodeNoWall(t *testing.T, rep any) []byte {
+	t.Helper()
+	b, err := marshalReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stripWall(b)
+}
+
+// load decodes a checked-in report into its real type, strictly.
+func load[T any](t *testing.T, name string) *T {
+	t.Helper()
+	rep := new(T)
+	if err := readReport(checkedIn(name), rep, true); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCheckedInReportsReproduce regenerates every seed-deterministic
+// report through the experiment table — default sizes, seed 42 — and
+// requires the checked-in file back byte for byte, wall_* lines aside.
+func TestCheckedInReportsReproduce(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the scale report's relay allocation counts differ under the race detector")
+	}
+	deterministic := map[string]bool{"network": true, "fleet": true, "fleetobs": true, "qos": true, "scale": true}
+	for _, e := range experiments {
+		if !deterministic[e.name] {
+			continue
+		}
+		rep, err := e.run(io.Discard, Options{Duration: 30, Seed: 42}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		want, err := os.ReadFile(checkedIn(e.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeNoWall(t, rep); !bytes.Equal(got, stripWall(want)) {
+			t.Errorf("%s: regenerated report differs from %s outside its wall_* lines", e.name, checkedIn(e.name))
+		}
+		delete(deterministic, e.name)
+	}
+	if len(deterministic) != 0 {
+		t.Fatalf("not in the experiment table: %v", deterministic)
+	}
+}
+
+// TestCheckedInReportsPassCheck decodes every checked-in BENCH_*.json
+// into the type that wrote it — an unknown field is schema drift — and
+// requires its gate to pass.
+func TestCheckedInReportsPassCheck(t *testing.T) {
+	for _, kind := range []string{"parallel", "network", "memory", "fleet", "fleetobs", "replay", "qos", "scale"} {
+		baseline := ""
+		if kind == "memory" {
+			baseline = checkedIn(kind)
+		}
+		failed, err := CheckFile(kind, checkedIn(kind), baseline)
+		if err != nil {
+			t.Errorf("%s: %v", kind, err)
+		}
+		for _, e := range failed {
+			t.Errorf("%s: %v", kind, e)
+		}
+	}
+	load[ObservabilitySnapshot](t, "observability") // no gate, but no drift either
+}
+
+func TestCheckFileRejects(t *testing.T) {
+	if _, err := CheckFile("scael", checkedIn("scale"), ""); err == nil || !strings.Contains(err.Error(), "valid:") {
+		t.Errorf("unknown kind: err = %v, want the list of valid kinds", err)
+	}
+	if _, err := CheckFile("scale", checkedIn("scale"), checkedIn("scale")); err == nil {
+		t.Error("a baseline was accepted for a kind that has none")
+	}
+	// the right kind for the wrong file is schema drift, not an empty pass
+	if _, err := CheckFile("fleet", checkedIn("scale"), ""); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("scale report read as fleet: err = %v, want an unknown-field error", err)
+	}
+}
+
+const goodTrace = `{"displayTimeUnit":"ms","traceEvents":[
+	{"name":"vio","ph":"X","ts":1,"dur":2,"pid":1,"tid":1,"args":{"k":1}},
+	{"name":"flow","ph":"s","ts":1,"pid":1,"tid":1,"id":7}]}`
+
+func checkTrace(t *testing.T, doc string) []error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed, err := CheckFile("trace", path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return failed
+}
+
+// TestChecksCanFail takes each passing report, breaks one gated
+// property per row, and requires an error naming it. A row with an
+// empty want sits exactly on a threshold and must still pass: together
+// the two pin each comparison and its constant.
+func TestChecksCanFail(t *testing.T) {
+	network := func(f func(*NetworkReport)) func() []error {
+		return func() []error { r := load[NetworkReport](t, "network"); f(r); return r.Check() }
+	}
+	fleet := func(f func(*FleetReport)) func() []error {
+		return func() []error { r := load[FleetReport](t, "fleet"); f(r); return r.Check() }
+	}
+	obs := func(f func(*FleetObsReport)) func() []error {
+		return func() []error { r := load[FleetObsReport](t, "fleetobs"); f(r); return r.Check() }
+	}
+	scale := func(f func(*ScaleReport)) func() []error {
+		return func() []error { r := load[ScaleReport](t, "scale"); f(r); return r.Check() }
+	}
+	qos := func(f func(*QoSReport)) func() []error {
+		return func() []error { r := load[QoSReport](t, "qos"); f(r); return r.Check() }
+	}
+	replay := func(f func(*ReplayReport)) func() []error {
+		return func() []error { r := load[ReplayReport](t, "replay"); f(r); return r.Check() }
+	}
+	parallel := func(f func(*ParallelReport)) func() []error {
+		return func() []error { r := load[ParallelReport](t, "parallel"); f(r); return r.Check() }
+	}
+	memory := func(f func(fresh, base *MemoryReport)) func() []error {
+		return func() []error {
+			fresh, base := load[MemoryReport](t, "memory"), load[MemoryReport](t, "memory")
+			f(fresh, base)
+			return fresh.Check(base)
+		}
+	}
+	trace := func(doc string) func() []error {
+		return func() []error { return checkTrace(t, doc) }
+	}
+	// displaced returns the first displaced session of the chaos cell
+	displaced := func(r *FleetReport) *FleetSessionResult {
+		for i := range r.Per {
+			if r.Per[i].Displaced {
+				return &r.Per[i]
+			}
+		}
+		t.Fatal("checked-in fleet report has no displaced session")
+		return nil
+	}
+	kernel := func(r *ParallelReport, name string) *ParallelKernelResult {
+		for i := range r.Kernels {
+			if r.Kernels[i].Name == name {
+				return &r.Kernels[i]
+			}
+		}
+		t.Fatalf("checked-in parallel report has no %s kernel", name)
+		return nil
+	}
+
+	rows := []struct {
+		name string
+		errs func() []error
+		want string
+	}{
+		// network
+		{"network/no cells", network(func(r *NetworkReport) { r.Cells = nil }), "no sweep cells"},
+		{"network/7 sessions", network(func(r *NetworkReport) { r.Cells[0].Sessions = r.Cells[0].Sessions[:7] }), "7 sessions, need >= 8"},
+		{"network/decode error", network(func(r *NetworkReport) { r.Cells[1].Sessions[2].DecodeErrors = 1 }), "session 2: 1 decode errors"},
+		{"network/no mtp", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MTP.N = 0 }), "no MTP samples"},
+		{"network/queue at bound", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound }), ""},
+		{"network/queue over bound", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound + 1 }), "in-flight queue hit 129 (bound 128)"},
+		{"network/faulted queue exempt", network(func(r *NetworkReport) { r.Cells[len(r.Cells)-1].Sessions[0].MaxInflight = r.QueueBound + 1 }), ""},
+		{"network/faulted lost pose", network(func(r *NetworkReport) { r.Cells[len(r.Cells)-1].Sessions[0].PosesDelivered-- }), "poses delivered after outages"},
+		{"network/no loopback", network(func(r *NetworkReport) { r.Cells[0].Profile.Name = "lo" }), "missing the loopback or regional cell"},
+		{"network/flat rtt", network(func(r *NetworkReport) {
+			for i := range r.Cells {
+				r.Cells[i].Aggregate.MeanMs = 9
+			}
+		}), "MTP does not grow with RTT"},
+		{"network/soak 7 sessions", network(func(r *NetworkReport) { r.Soak.Sessions = 7 }), "soak ran 7 sessions, need >= 8"},
+		{"network/soak frame lost", network(func(r *NetworkReport) { r.Soak.FramesReceived-- }), "soak received 2399 of 2400 frames"},
+		{"network/soak decode error", network(func(r *NetworkReport) { r.Soak.DecodeErrors = 1 }), "soak had 1 decode errors"},
+		{"network/soak dirty", network(func(r *NetworkReport) { r.Soak.CleanShutdown = false }), "soak shutdown was not clean"},
+
+		// fleet
+		{"fleet/100 sessions", fleet(func(r *FleetReport) { r.Sessions = 100 }), ""},
+		{"fleet/99 sessions", fleet(func(r *FleetReport) { r.Sessions = 99 }), "99 sessions, need >= 100"},
+		{"fleet/2 replicas", fleet(func(r *FleetReport) { r.Replicas = 2 }), "2 replicas, need >= 3"},
+		{"fleet/inert", fleet(func(r *FleetReport) { r.Displaced = 0 }), "chaos cell is inert"},
+		{"fleet/early crash", fleet(func(r *FleetReport) { r.CrashTimeSec = 0.29 * r.VirtualSec }), "outside the middle window"},
+		{"fleet/late crash", fleet(func(r *FleetReport) { r.CrashTimeSec = 0.71 * r.VirtualSec }), "outside the middle window"},
+		{"fleet/lost", fleet(func(r *FleetReport) { r.Lost = 1 }), "lost 1 sessions"},
+		{"fleet/not all resumed", fleet(func(r *FleetReport) { r.Resumed-- }), "displaced sessions"},
+		{"fleet/recovery n", fleet(func(r *FleetReport) { r.Recovery.N++ }), "recovery distribution has"},
+		{"fleet/recovery at bound", fleet(func(r *FleetReport) { r.Recovery.P99Ms, r.Recovery.MaxMs = r.RecoveryBoundMs, r.RecoveryBoundMs }), ""},
+		{"fleet/recovery p99 over", fleet(func(r *FleetReport) { r.Recovery.P99Ms = r.RecoveryBoundMs + 1 }), "recovery p99 1501.0ms outside"},
+		{"fleet/recovery p99 zero", fleet(func(r *FleetReport) { r.Recovery.P99Ms = 0 }), "recovery p99 0.0ms outside"},
+		{"fleet/recovery max over", fleet(func(r *FleetReport) { r.Recovery.MaxMs = r.RecoveryBoundMs + 1 }), "recovery max 1501.0ms exceeds bound"},
+		{"fleet/no recovery", fleet(func(r *FleetReport) { displaced(r).RecoveryMs = 0 }), "displaced but recovery"},
+		{"fleet/resumed on corpse", fleet(func(r *FleetReport) { displaced(r).ResumedOn = r.CrashedReplica }), "resumed on replica"},
+		{"fleet/resumed nowhere", fleet(func(r *FleetReport) { displaced(r).ResumedOn = -1 }), "resumed on replica -1"},
+		{"fleet/no poses", fleet(func(r *FleetReport) { displaced(r).PosesDelivered = 0 }), "delivered no poses"},
+		{"fleet/no refusals", fleet(func(r *FleetReport) { r.AdmissionRefusals = 0 }), "zero admission refusals"},
+		{"fleet/soak lost", fleet(func(r *FleetReport) { r.Soak.Lost = 1 }), "soak lost 1 sessions"},
+		{"fleet/soak dirty", fleet(func(r *FleetReport) { r.Soak.CleanShutdown = false }), "soak shutdown was not clean"},
+		{"fleet/soak unresumed", fleet(func(r *FleetReport) { r.Soak.WallDisplaced, r.Soak.WallResumed = 2, 1 }), "soak resumed 1 of 2"},
+
+		// fleetobs
+		{"fleetobs/2 replicas", obs(func(r *FleetObsReport) { r.Replicas = 2 }), "2 replicas, need >= 3"},
+		{"fleetobs/empty mtp", obs(func(r *FleetObsReport) { r.Balanced.Live.MTP.N = 0 }), "balanced cell has empty MTP"},
+		{"fleetobs/no hidden load", obs(func(r *FleetObsReport) { r.Skewed.Background = []int{0, 0, 0} }), "no hidden background load"},
+		{"fleetobs/balanced at eps", obs(func(r *FleetObsReport) { r.Balanced.Static.MTP.P99Ms, r.Balanced.Live.MTP.P99Ms = 10, 10.5 }), ""},
+		{"fleetobs/balanced over eps", obs(func(r *FleetObsReport) { r.Balanced.Static.MTP.P99Ms, r.Balanced.Live.MTP.P99Ms = 10, 10.51 }), "balanced cell: live p99"},
+		{"fleetobs/skewed p99 tie", obs(func(r *FleetObsReport) { r.Skewed.Live.MTP.P99Ms = r.Skewed.Static.MTP.P99Ms }), "skewed cell: live p99"},
+		{"fleetobs/skewed mean tie", obs(func(r *FleetObsReport) { r.Skewed.Live.MTP.MeanMs = r.Skewed.Static.MTP.MeanMs }), "skewed cell: live mean"},
+		{"fleetobs/probe inert", obs(func(r *FleetObsReport) { r.Skewed.Live.PerReplica[0] = r.Skewed.Static.PerReplica[0] }), "the probe changed nothing"},
+		{"fleetobs/2 nodes", obs(func(r *FleetObsReport) { r.Stitch.Nodes = 2 }), "merged 2 nodes, want 3"},
+		{"fleetobs/no spans", obs(func(r *FleetObsReport) { r.Stitch.Spans = 0 }), "stitch cell is empty"},
+		{"fleetobs/bound relaxed", obs(func(r *FleetObsReport) { r.AttrBoundMs = 1.5 }), "attr_bound_ms 1.500 outside (0, 1]"},
+		{"fleetobs/bound zero", obs(func(r *FleetObsReport) { r.AttrBoundMs = 0 }), "outside (0, 1]"},
+		{"fleetobs/attribution at bound", obs(func(r *FleetObsReport) { r.Stitch.MaxAttrErrMs = r.AttrBoundMs }), ""},
+		{"fleetobs/attribution over bound", obs(func(r *FleetObsReport) { r.Stitch.MaxAttrErrMs = r.AttrBoundMs + 0.1 }), "max attribution error 1.1000ms exceeds bound"},
+		{"fleetobs/one objective", obs(func(r *FleetObsReport) { r.SLO = r.SLO[:1] }), "has 1 objectives"},
+		{"fleetobs/slo saw nothing", obs(func(r *FleetObsReport) { r.SLO[0].Good, r.SLO[0].Bad = 0, 0 }), "observed no events"},
+		{"fleetobs/negative burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = -1 }), "burn rate -1 is not"},
+		{"fleetobs/nan burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = math.NaN() }), "burn rate NaN is not"},
+		{"fleetobs/inf burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = math.Inf(1) }), "burn rate +Inf is not"},
+		{"fleetobs/no events", obs(func(r *FleetObsReport) { r.Events.Recorded = 0 }), "recorded no events"},
+		{"fleetobs/admit missing", obs(func(r *FleetObsReport) { r.Events.ByKind["admit"]-- }), "saw 29 admit events for 30 sessions"},
+
+		// scale
+		{"scale/not all admitted", scale(func(r *ScaleReport) { r.Sweep[1].Admitted-- }), "admitted 255 of 256"},
+		{"scale/lost", scale(func(r *ScaleReport) { r.Sweep[0].Lost = 1 }), "cell 120 lost 1 sessions"},
+		{"scale/empty mtp", scale(func(r *ScaleReport) { r.Sweep[2].MTP.N = 0 }), "cell 512 has an empty MTP"},
+		{"scale/no baseline", scale(func(r *ScaleReport) { r.BaselineSessions = 121 }), "no 121-session baseline"},
+		{"scale/no kilo cell", scale(func(r *ScaleReport) { r.Sweep = r.Sweep[:3] }), "never reached 1024"},
+		{"scale/p99 2x", scale(func(r *ScaleReport) { r.Sweep[3].MTP.P99Ms = 2 * r.Sweep[0].MTP.P99Ms }), ""},
+		{"scale/p99 3x", scale(func(r *ScaleReport) { r.Sweep[3].MTP.P99Ms = 3 * r.Sweep[0].MTP.P99Ms }), "over 2x the 120-session baseline"},
+		{"scale/relay allocs 0.05", scale(func(r *ScaleReport) { r.Relay.AfterAllocsPerFrame = 0.05 }), ""},
+		{"scale/relay allocs 0.06", scale(func(r *ScaleReport) { r.Relay.AfterAllocsPerFrame = 0.06 }), "allocates 0.060 per frame, over the 0.05 budget"},
+		{"scale/relay 1.05x", scale(func(r *ScaleReport) { r.Relay.WallSpeedup = 1.05 }), ""},
+		{"scale/relay 1.04x", scale(func(r *ScaleReport) { r.Relay.WallSpeedup = 1.04 }), "speedup 1.04x, want >= 1.05x"},
+		{"scale/no fingerprint", scale(func(r *ScaleReport) { r.Fingerprints.Fingerprint = "" }), "no decision fingerprint"},
+		{"scale/1024 decisions", scale(func(r *ScaleReport) { r.Fingerprints.Decisions = 1024 }), ""},
+		{"scale/1023 decisions", scale(func(r *ScaleReport) { r.Fingerprints.Decisions = 1023 }), "only 1023 decisions"},
+		{"scale/soak refused", scale(func(r *ScaleReport) { r.Soak.Admitted-- }), "soak admitted 1023 of 1024"},
+		{"scale/soak lost", scale(func(r *ScaleReport) { r.Soak.Lost = 1 }), "soak lost 1 frames"},
+		{"scale/soak dirty", scale(func(r *ScaleReport) { r.Soak.CleanShutdown = false }), "soak shutdown was not clean"},
+		{"scale/soak silent", scale(func(r *ScaleReport) { r.Soak.WallPoses = 0 }), "soak delivered no poses"},
+
+		// qos (ramp cell 3, 24 sessions, is the saturated one)
+		{"qos/2 cells", qos(func(r *QoSReport) { r.Ramp = r.Ramp[2:] }), "ramp has 2 cells, need >= 3"},
+		{"qos/margin 1", qos(func(r *QoSReport) { r.AdaptiveMarginFrac = 1 }), "adaptive_margin_frac 1.00 outside (0, 1)"},
+		{"qos/margin 0", qos(func(r *QoSReport) { r.AdaptiveMarginFrac = 0 }), "outside (0, 1)"},
+		{"qos/empty mtp", qos(func(r *QoSReport) { r.Ramp[0].Static.MTP.N = 0 }), "static variant has an empty MTP"},
+		{"qos/worker leak", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.FinalWorkers["audio"]++ }), "9 workers allocated, want 8"},
+		{"qos/violation", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.Violations = 1 }), "1 controller invariant violations"},
+		{"qos/idle +0.5", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.5 }), ""},
+		{"qos/idle +0.6", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.6 }), "with no pressure"},
+		{"qos/at margin", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * r.AdaptiveMarginFrac }), ""},
+		{"qos/over margin", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * 0.86 }), "not within 85% of static"},
+		{"qos/no fewer misses", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.DeadlineMisses = r.Ramp[3].Static.DeadlineMisses }), "no improvement"},
+		{"qos/no moves", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.WorkerMoves = 0 }), "never moved a worker"},
+		{"qos/nothing saturated", qos(func(r *QoSReport) { r.Ramp[3].Static.DeadlineMisses = 0 }), "the ramp proves nothing"},
+		{"qos/nothing saved", qos(func(r *QoSReport) { r.Batching.DispatchSavedMs = 0 }), "amortization did not happen"},
+		{"qos/nothing batched", qos(func(r *QoSReport) { r.Batching.Dispatches = r.Batching.Items }), "nothing was batched"},
+		{"qos/batched no better", qos(func(r *QoSReport) { r.Batching.Batched.MTP.P99Ms = r.Batching.Unbatched.MTP.P99Ms }), "not better than unbatched"},
+		{"qos/batching violation", qos(func(r *QoSReport) { r.Batching.Unbatched.Violations = 1 }), "batching unbatched variant reported 1"},
+		{"qos/no windows", qos(func(r *QoSReport) { r.Fault.Windows = nil }), "no fault windows"},
+		{"qos/not degraded", qos(func(r *QoSReport) { r.Fault.Degraded = false }), "never degraded pyramid_levels"},
+		{"qos/degraded to full", qos(func(r *QoSReport) { r.Fault.MostDegraded = r.Fault.FullValue }), "never degraded pyramid_levels"},
+		{"qos/not restored", qos(func(r *QoSReport) { r.Fault.Restored = false }), "restored after the spike"},
+		{"qos/ended degraded", qos(func(r *QoSReport) { r.Fault.FinalValue = 2 }), "ended with pyramid_levels=2"},
+		{"qos/drift 1", qos(func(r *QoSReport) { r.Drift.Drift = 1 }), "(drift 1) — re-run not reproducible"},
+		{"qos/fingerprint drift", qos(func(r *QoSReport) { r.Drift.FingerprintB = "0" }), "re-run not reproducible"},
+		{"qos/p99 drift", qos(func(r *QoSReport) { r.Drift.P99BitsB = "0" }), "re-run not reproducible"},
+		{"qos/no fingerprint", qos(func(r *QoSReport) { r.Drift.FingerprintA, r.Drift.FingerprintB = "", "" }), "no decision-log fingerprint"},
+		{"qos/soak frame lost", qos(func(r *QoSReport) { r.Soak.FramesDelivered-- }), "soak delivered 99 of 100"},
+		{"qos/soak idle", qos(func(r *QoSReport) { r.Soak.FramesSent, r.Soak.FramesDelivered = 0, 0 }), "soak delivered 0 of 0"},
+		{"qos/never flushed", qos(func(r *QoSReport) { r.Soak.WallFlushes = 0 }), "over 0 flushes — the batcher was bypassed"},
+		{"qos/never batched", qos(func(r *QoSReport) { r.Soak.BatchedFrames = 0 }), "batched 0 frames"},
+
+		// replay
+		{"replay/alloc delta 0.05", replay(func(r *ReplayReport) { r.Capture.AllocDeltaPerFrame = 0.05 }), ""},
+		{"replay/alloc delta 0.06", replay(func(r *ReplayReport) { r.Capture.AllocDeltaPerFrame = 0.06 }), "0.060/frame amortized, budget is 0.05"},
+		{"replay/budget 2.99%", replay(func(r *ReplayReport) { r.Capture.FrameBudgetPct = 2.99 }), ""},
+		{"replay/budget 3%", replay(func(r *ReplayReport) { r.Capture.FrameBudgetPct = 3 }), "costs 3.00% of the 8.33 ms frame budget"},
+		{"replay/empty recording", replay(func(r *ReplayReport) { r.Fidelity.Records = 0 }), "empty recording"},
+		{"replay/not bit exact", replay(func(r *ReplayReport) { r.Fidelity.BitExact = false }), "not bit-identical"},
+		{"replay/round trip", replay(func(r *ReplayReport) { r.Fidelity.FileRoundTrip = false }), "round trip failed"},
+		{"replay/torn tail", replay(func(r *ReplayReport) { r.Fidelity.TornRecovered = false }), "torn-tail recovery failed"},
+		{"replay/no ramp", replay(func(r *ReplayReport) { r.Ramp = nil }), "no fan-out ramp"},
+		{"replay/refused", replay(func(r *ReplayReport) { r.Ramp[1].Admitted-- }), "ramp step 2 admitted 1/2"},
+		{"replay/lost frame", replay(func(r *ReplayReport) { r.Ramp[0].Lost = 1 }), "lost 1 uplink frames"},
+		{"replay/no poses", replay(func(r *ReplayReport) { r.Ramp[2].Poses = 0 }), "ramp step 4 saw no poses"},
+		{"replay/fan-out 4", replay(func(r *ReplayReport) { r.Ramp = r.Ramp[:3] }), "largest fan-out step is 4 clients, want >= 8"},
+
+		// memory (fresh checked against the same report as baseline)
+		{"memory/no paths", memory(func(fresh, _ *MemoryReport) { fresh.Paths = nil }), "no paths in report"},
+		{"memory/gated alloc", memory(func(fresh, _ *MemoryReport) { fresh.Paths[0].AllocsPerFrame = 1 }), "reprojection: 1.00 allocs/frame"},
+		{"memory/gated bytes", memory(func(fresh, _ *MemoryReport) { fresh.Paths[1].BytesPerFrame = 16 }), "ssim: 0.00 allocs/frame 16 bytes/frame"},
+		{"memory/nothing gated", memory(func(fresh, base *MemoryReport) {
+			for i := range fresh.Paths {
+				fresh.Paths[i].Gated, base.Paths[i].Gated = false, false
+			}
+		}), "no gated paths"},
+		{"memory/end-to-end alloc", memory(func(fresh, _ *MemoryReport) { fresh.EndToEnd.AllocsPerFrame = 1 }), "end-to-end loop: 1.00 allocs/frame"},
+		{"memory/reduction 10x", memory(func(fresh, _ *MemoryReport) { fresh.EndToEnd.BytesReduction = 10 }), ""},
+		{"memory/reduction 9.9x", memory(func(fresh, _ *MemoryReport) { fresh.EndToEnd.BytesReduction = 9.9 }), "reduction 9.9x < 10x"},
+		{"memory/no baseline paths", memory(func(_, base *MemoryReport) { base.Paths = nil }), "no paths in baseline"},
+		{"memory/path missing", memory(func(fresh, _ *MemoryReport) { fresh.Paths = fresh.Paths[1:] }), `baseline path "reprojection" missing`},
+		{"memory/ungated", memory(func(fresh, _ *MemoryReport) { fresh.Paths[2].Gated = false }), `path "flip" was gated at the baseline`},
+		{"memory/ungated path regressed", memory(func(fresh, _ *MemoryReport) { fresh.Paths[6].AllocsPerFrame = 1 }), `path "netxr_latestwins" regressed: 1.00 allocs/frame vs 0.00`},
+		{"memory/ungated path improved", memory(func(_, base *MemoryReport) { base.Paths[6].AllocsPerFrame = 1 }), ""},
+
+		// parallel
+		{"parallel/no kernels", parallel(func(r *ParallelReport) { r.Kernels = nil }), "no kernels in report"},
+		{"parallel/three at 2x", parallel(func(r *ParallelReport) {
+			for i := range r.Kernels {
+				r.Kernels[i].Speedup = 1.99
+			}
+			r.Kernels[0].Speedup, r.Kernels[1].Speedup, r.Kernels[2].Speedup = 2, 2, 2
+		}), ""},
+		{"parallel/two at 2x", parallel(func(r *ParallelReport) {
+			for i := range r.Kernels {
+				r.Kernels[i].Speedup = 1.99
+			}
+			r.Kernels[0].Speedup, r.Kernels[1].Speedup = 2, 2
+		}), "only 2 kernels reach 2x modeled speedup"},
+		{"parallel/ssim at +10%", parallel(func(r *ParallelReport) {
+			k := kernel(r, "ssim")
+			k.ModeledParallelMs, k.WallParallelMsMean = 1.10*k.SerialMsMean, 1.10*k.SerialMsMean
+		}), ""},
+		{"parallel/ssim at +11%", parallel(func(r *ParallelReport) {
+			k := kernel(r, "ssim")
+			k.ModeledParallelMs, k.WallParallelMsMean = 1.11*k.SerialMsMean, 1.11*k.SerialMsMean
+		}), "ssim: parallel"},
+		{"parallel/flip wall 1.5x", parallel(func(r *ParallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.5 * k.SerialMsMean }), ""},
+		{"parallel/flip wall 1.6x", parallel(func(r *ParallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.6 * k.SerialMsMean }), "flip: wall parallel"},
+
+		// trace
+		{"trace/good", trace(goodTrace), ""},
+		{"trace/empty", trace(`{"traceEvents":[]}`), "no traceEvents"},
+		{"trace/no name", trace(`{"traceEvents":[{"ph":"X","ts":1,"pid":1,"tid":1}]}`), "event 0 missing ph or name"},
+		{"trace/no pid", trace(`{"traceEvents":[{"name":"a","ph":"X","ts":1,"tid":1}]}`), "event 0 missing pid/tid"},
+		{"trace/no ts", trace(`{"traceEvents":[{"name":"a","ph":"X","pid":1,"tid":1}]}`), "complete event 0 has bad ts/dur"},
+		{"trace/negative dur", trace(`{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-1,"pid":1,"tid":1}]}`), "bad ts/dur"},
+		{"trace/flows only", trace(`{"traceEvents":[{"name":"a","ph":"s","ts":1,"pid":1,"tid":1}]}`), "no complete (ph=X) events"},
+	}
+	for _, row := range rows {
+		errs := row.errs()
+		if row.want == "" {
+			for _, err := range errs {
+				t.Errorf("%s: on the threshold, want a pass, got: %v", row.name, err)
+			}
+			continue
+		}
+		named := false
+		for _, err := range errs {
+			named = named || strings.Contains(err.Error(), row.want)
+		}
+		if !named {
+			t.Errorf("%s: want an error containing %q, got %v", row.name, row.want, errs)
+		}
+	}
+}
+
+// TestWriteReportRejectsNonFinite: a measurement JSON cannot carry must
+// surface as an error, not as a truncated or missing-but-unnoticed file.
+func TestWriteReportRejectsNonFinite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
+	rep := &ScaleReport{Relay: ScaleRelayCost{WallSpeedup: math.Inf(1)}}
+	if err := writeReport(path, rep); err == nil {
+		t.Fatal("a report holding +Inf was written without error")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a file was left behind: stat err = %v", err)
+	}
+	rep.Relay.WallSpeedup = 2
+	if err := writeReport(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	if failed, err := CheckFile("scale", path, ""); err != nil || len(failed) == 0 {
+		t.Fatalf("written report did not decode and fail its gate: %v, %v", failed, err)
+	}
+}
+
+// TestRunRejectsUnknownExperiment: a typo must fail the whole call
+// before anything runs, not pass as an empty or partial success.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	dir := t.TempDir()
+	for _, ids := range []string{"bogus", "scael,fleetobs", ""} {
+		err := Run(io.Discard, ids, Options{Duration: 1, Seed: 42, OutDir: dir})
+		if !errors.Is(err, ErrUnknownExperiment) || !strings.Contains(err.Error(), "fleetobs") {
+			t.Errorf("-exp %q: err = %v, want ErrUnknownExperiment listing the valid ids", ids, err)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Errorf("a rejected run still wrote %v", left)
+	}
+	var out bytes.Buffer
+	if err := Run(&out, "table1, fig8", Options{OutDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "Table I") || !strings.Contains(out.String(), "Fig 8") {
+		t.Errorf("-exp table1,fig8 rendered:\n%s", out.String())
+	}
+}

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +38,7 @@ import (
 //     Abort()ed mid-stream; clients redial with their resume tokens.
 //     Scheduler-dependent observations live in wall_* fields.
 //
-// The survivability contract the fleetcheck gate enforces: zero lost
+// The survivability contract FleetReport.Check enforces: zero lost
 // sessions, every displaced session resumed, recovery p99 within
 // RecoveryBoundMs.
 const (
@@ -60,7 +58,7 @@ const (
 	// fleetDetectSec is the client-side failure-detection delay beyond
 	// one-way propagation (a missed-heartbeat allowance).
 	fleetDetectSec = 0.010
-	// fleetRecoveryBoundMs is the survivability bound fleetcheck asserts
+	// fleetRecoveryBoundMs is the survivability bound Check asserts
 	// on recovery p99: detection + a resume storm spread over the burst
 	// windows + the backoff schedule all must land inside it.
 	fleetRecoveryBoundMs = 1500.0
@@ -140,6 +138,77 @@ const fleetNote = "deterministic replica-crash chaos cell: sessions placed by " 
 	"wall_* fields come from the live gateway soak and vary run to run " +
 	"(DESIGN.md §11)."
 
+// Check is the survivability gate: the replica-crash chaos cell must
+// lose zero sessions and recover every displaced one inside the bound.
+func (rep *FleetReport) Check() []error {
+	var f failures
+	// cell shape
+	if rep.Sessions < 100 {
+		f.addf("cell ran %d sessions, need >= 100", rep.Sessions)
+	}
+	if rep.Replicas < 3 {
+		f.addf("cell ran %d replicas, need >= 3", rep.Replicas)
+	}
+	if rep.Displaced == 0 {
+		f.addf("crash displaced no sessions — the chaos cell is inert")
+	}
+	if rep.CrashTimeSec < 0.3*rep.VirtualSec || rep.CrashTimeSec > 0.7*rep.VirtualSec {
+		f.addf("crash at %.3fs outside the middle window of a %.0fs run",
+			rep.CrashTimeSec, rep.VirtualSec)
+	}
+
+	// survivability
+	if rep.Lost != 0 {
+		f.addf("lost %d sessions", rep.Lost)
+	}
+	if rep.Resumed != rep.Displaced {
+		f.addf("resumed %d of %d displaced sessions", rep.Resumed, rep.Displaced)
+	}
+
+	// bounded recovery
+	if rep.Recovery.N != rep.Displaced {
+		f.addf("recovery distribution has %d samples for %d displaced", rep.Recovery.N, rep.Displaced)
+	}
+	if rep.Recovery.P99Ms <= 0 || rep.Recovery.P99Ms > rep.RecoveryBoundMs {
+		f.addf("recovery p99 %.1fms outside (0, %.0fms]", rep.Recovery.P99Ms, rep.RecoveryBoundMs)
+	}
+	if rep.Recovery.MaxMs > rep.RecoveryBoundMs {
+		f.addf("recovery max %.1fms exceeds bound %.0fms", rep.Recovery.MaxMs, rep.RecoveryBoundMs)
+	}
+	for _, s := range rep.Per {
+		if !s.Displaced {
+			continue
+		}
+		if s.RecoveryMs <= 0 {
+			f.addf("session %d displaced but recovery %.1fms", s.Session, s.RecoveryMs)
+		}
+		if s.ResumedOn == rep.CrashedReplica || s.ResumedOn < 0 {
+			f.addf("session %d resumed on replica %d", s.Session, s.ResumedOn)
+		}
+		if s.PosesDelivered == 0 {
+			f.addf("session %d delivered no poses", s.Session)
+		}
+	}
+
+	// admission did real work: without a push-back the burst limiter is
+	// inert and the cell proves nothing about admission control
+	if rep.AdmissionRefusals == 0 {
+		f.addf("resume storm saw zero admission refusals — burst limiter untested")
+	}
+
+	// soak invariants
+	if rep.Soak.Lost != 0 {
+		f.addf("soak lost %d sessions", rep.Soak.Lost)
+	}
+	if !rep.Soak.CleanShutdown {
+		f.addf("soak shutdown was not clean")
+	}
+	if rep.Soak.WallResumed < rep.Soak.WallDisplaced {
+		f.addf("soak resumed %d of %d displaced clients", rep.Soak.WallResumed, rep.Soak.WallDisplaced)
+	}
+	return f
+}
+
 // fleetResume is the outcome of the global resume storm for one
 // displaced session.
 type fleetResume struct {
@@ -211,97 +280,6 @@ func runResumeStorm(coord *fleet.Coordinator, displaced []fleet.Record,
 		pending = append(pending, a)
 	}
 	return out, refusals, totalAttempts
-}
-
-// simulateFleetSession runs one session's DES. A displaced session goes
-// dark during [crashT, res.resumeT): uplink samples are unsent, poses
-// in flight at the crash never arrive, and after resume a fresh link
-// pair (the new replica) carries the stream.
-func simulateFleetSession(idx int, prof netsim.Profile, seed int64,
-	crashT float64, res *fleetResume) FleetSessionResult {
-
-	out := FleetSessionResult{Session: idx, ResumedOn: -1}
-	up := netsim.NewLink(prof, seed+int64(idx)*2)
-	down := netsim.NewLink(prof, seed+int64(idx)*2+1)
-	var up2, down2 *netsim.Link
-	resumeT := fleetVirtualSec + 1 // never, unless displaced
-	if res != nil {
-		out.Displaced = true
-		out.ResumedOn = res.landedOn
-		out.ResumeAttempts = res.attempts
-		resumeT = res.resumeT
-		up2 = netsim.NewLink(prof, seed+int64(idx)*2+500_000)
-		down2 = netsim.NewLink(prof, seed+int64(idx)*2+500_001)
-	}
-
-	type poseArrival struct{ recvT, sampleT float64 }
-	var arrivals []poseArrival
-	var encBuf []byte
-	firstFresh := -1.0
-
-	n := int(fleetVirtualSec * fleetIMUHz)
-	for i := 0; i < n; i++ {
-		t := float64(i) / fleetIMUHz
-		if res != nil && t >= crashT && t < resumeT {
-			continue // disconnected: nothing to send
-		}
-		preCrash := res != nil && t < crashT
-		ul, dl := up, down
-		if res != nil && t >= resumeT {
-			ul, dl = up2, down2
-		}
-
-		// real codec on both directions, as in the network cell
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, sensors.IMUSample{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
-		}
-		out.IMUSent++
-		serverT := ul.Arrive(t)
-		if preCrash && serverT >= crashT {
-			continue // died in flight with the replica
-		}
-		sendT := serverT + fleetServerProcMs/1000
-		if preCrash && sendT >= crashT {
-			continue
-		}
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypePose, Payload: wire.AppendPose(nil, wire.Pose{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
-		}
-		recvT := dl.Arrive(sendT)
-		if preCrash && recvT >= crashT {
-			continue // pose was on the wire when the replica died
-		}
-		arrivals = append(arrivals, poseArrival{recvT: recvT, sampleT: t})
-		if res != nil && t >= resumeT && firstFresh < 0 {
-			firstFresh = recvT
-		}
-	}
-	out.PosesDelivered = len(arrivals)
-	if res != nil && firstFresh >= 0 {
-		out.RecoveryMs = (firstFresh - crashT) * 1000
-	}
-
-	// display loop: newest delivered pose at each vsync
-	var samples []float64
-	ptr, newest := 0, -1
-	vsyncs := int(fleetVirtualSec * fleetVsyncHz)
-	for v := 1; v <= vsyncs; v++ {
-		tv := float64(v) / fleetVsyncHz
-		for ptr < len(arrivals) && arrivals[ptr].recvT <= tv {
-			newest = ptr
-			ptr++
-		}
-		if newest < 0 {
-			continue
-		}
-		samples = append(samples, (tv-arrivals[newest].sampleT)*1000)
-	}
-	out.MTP = mtpStats(samples)
-	return out
 }
 
 // runFleetSoak drives real clients through a live gateway and kills one
@@ -443,12 +421,8 @@ func runFleetSoak() FleetSoakResult {
 	return res
 }
 
-// FleetExperiment runs the chaos cell and the soak, prints the summary,
-// and writes BENCH_fleet.json to outPath.
-func FleetExperiment(w io.Writer, nSessions int, seed int64, outPath string) (*FleetReport, error) {
-	if nSessions <= 0 {
-		nSessions = 120
-	}
+// FleetExperiment runs the chaos cell and the soak and prints the summary.
+func FleetExperiment(w io.Writer, nSessions int, seed int64) (*FleetReport, error) {
 	if nSessions > fleetCapacity*(fleetReplicas-1) {
 		// the survivors must be able to absorb everyone, or zero-loss is
 		// arithmetically impossible — refuse rather than report a rigged cell
@@ -518,14 +492,30 @@ func FleetExperiment(w io.Writer, nSessions int, seed int64, outPath string) (*F
 	var recoveries, mtpMeans []float64
 	agg := MTPStats{}
 	for i := 0; i < nSessions; i++ {
-		var res *fleetResume
-		if placedOn[i] == crashed {
-			if r, ok := resumes[i]; ok {
-				res = &r
+		// a displaced session goes dark from the crash until its resume
+		// handshake completes, then streams to its new replica over a
+		// fresh link pair
+		spec := sessionSpec{endSec: fleetVirtualSec, imuHz: fleetIMUHz, vsyncHz: fleetVsyncHz,
+			turnaroundSec: fleetServerProcMs / 1000,
+			up:            netsim.NewLink(prof, seed+int64(i)*2),
+			down:          netsim.NewLink(prof, seed+int64(i)*2+1)}
+		res, resumed := resumes[i]
+		if resumed {
+			spec.outage = &sessionOutage{startSec: crashT, endSec: res.resumeT,
+				up:   netsim.NewLink(prof, seed+int64(i)*2+500_000),
+				down: netsim.NewLink(prof, seed+int64(i)*2+500_001)}
+		}
+		sim := simulateSession(spec)
+		sres := FleetSessionResult{Session: i, Replica: placedOn[i], ResumedOn: -1,
+			IMUSent: sim.imuSent, PosesDelivered: sim.poses, MTP: mtpStats(sim.mtp)}
+		if resumed {
+			sres.Displaced = true
+			sres.ResumedOn = res.landedOn
+			sres.ResumeAttempts = res.attempts
+			if sim.firstResumeArrival >= 0 {
+				sres.RecoveryMs = (sim.firstResumeArrival - crashT) * 1000
 			}
 		}
-		sres := simulateFleetSession(i, prof, seed, crashT, res)
-		sres.Replica = placedOn[i]
 		rep.Per = append(rep.Per, sres)
 		if sres.Displaced {
 			recoveries = append(recoveries, sres.RecoveryMs)
@@ -563,28 +553,5 @@ func FleetExperiment(w io.Writer, nSessions int, seed int64, outPath string) (*F
 		rep.Soak.WallDisplaced, rep.Soak.WallResumed, rep.Soak.Lost,
 		rep.Soak.WallRedials, rep.Soak.CleanShutdown, rep.Soak.WallMs)
 
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
 	return rep, nil
-}
-
-// EncodeFleetReport marshals the report exactly as the file writer
-// does, for determinism tests.
-func EncodeFleetReport(rep *FleetReport) []byte {
-	b, _ := json.MarshalIndent(rep, "", "  ")
-	return append(b, '\n')
 }

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"illixr/internal/netxr/fleet"
 	"illixr/internal/netxr/netsim"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 	"illixr/internal/telemetry/slo"
 	"illixr/internal/telemetry/stitch"
@@ -38,7 +35,7 @@ import (
 //     slo.Engine; the report carries the resulting burn rates, and the
 //     flight recorder's event counts close the audit trail.
 //
-// obscheck gates the report: live <= static + eps when balanced,
+// FleetObsReport.Check gates the report: live <= static + eps when balanced,
 // live strictly better when skewed, attribution error under 1 ms,
 // three nodes stitched, finite burn rates, events recorded.
 const (
@@ -132,49 +129,94 @@ const fleetObsNote = "fleet observability cells (DESIGN.md §12): placement ramp
 	"and checks per-hop attribution telescopes to the end-to-end MTP sample. " +
 	"All virtual-time and seed-deterministic."
 
-// simulateObsSession returns per-vsync MTP samples (ms) for one session
-// streaming through a replica with the given service time.
-func simulateObsSession(idx int, prof netsim.Profile, seed int64, startT, procMs float64) []float64 {
-	up := netsim.NewLink(prof, seed+int64(idx)*2)
-	down := netsim.NewLink(prof, seed+int64(idx)*2+1)
-
-	type poseArrival struct{ recvT, sampleT float64 }
-	var arrivals []poseArrival
-	var encBuf []byte
-	n := int((obsVirtualSec - startT) * obsIMUHz)
-	for i := 0; i < n; i++ {
-		t := startT + float64(i)/obsIMUHz
-		// real codec on both directions, as in the other network cells
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, sensors.IMUSample{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
+// Check is the observability gate: the loop must demonstrably close —
+// scraped metrics improving placement, and stitched cross-node traces
+// attributing end-to-end latency correctly.
+func (rep *FleetObsReport) Check() []error {
+	var f failures
+	// cell shape
+	if rep.Replicas < 3 {
+		f.addf("cell ran %d replicas, need >= 3", rep.Replicas)
+	}
+	for _, c := range []struct {
+		name string
+		ObsPlacementCell
+	}{{"balanced", rep.Balanced}, {"skewed", rep.Skewed}} {
+		if c.Static.MTP.N == 0 || c.Live.MTP.N == 0 {
+			f.addf("%s cell has empty MTP distributions (static n=%d live n=%d)",
+				c.name, c.Static.MTP.N, c.Live.MTP.N)
 		}
-		serverT := up.Arrive(t)
-		sendT := serverT + procMs/1000
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypePose, Payload: wire.AppendPose(nil, wire.Pose{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
-		}
-		arrivals = append(arrivals, poseArrival{recvT: down.Arrive(sendT), sampleT: t})
+	}
+	hiddenLoad := 0
+	for _, b := range rep.Skewed.Background {
+		hiddenLoad += b
+	}
+	if hiddenLoad == 0 {
+		f.addf("skewed cell has no hidden background load — nothing for the scrape to reveal")
 	}
 
-	var samples []float64
-	ptr, newest := 0, -1
-	firstVsync := int(math.Ceil(startT*obsVsyncHz)) + 1
-	for v := firstVsync; v <= int(obsVirtualSec*obsVsyncHz); v++ {
-		tv := float64(v) / obsVsyncHz
-		for ptr < len(arrivals) && arrivals[ptr].recvT <= tv {
-			newest = ptr
-			ptr++
-		}
-		if newest < 0 {
+	// placement quality: balanced ties, skewed strictly better live
+	bal, skew := rep.Balanced, rep.Skewed
+	if d := bal.Live.MTP.P99Ms - bal.Static.MTP.P99Ms; d > rep.BalancedEpsMs {
+		f.addf("balanced cell: live p99 %.2fms exceeds static %.2fms by more than eps %.2fms",
+			bal.Live.MTP.P99Ms, bal.Static.MTP.P99Ms, rep.BalancedEpsMs)
+	}
+	if skew.Live.MTP.P99Ms >= skew.Static.MTP.P99Ms {
+		f.addf("skewed cell: live p99 %.2fms not strictly better than static %.2fms",
+			skew.Live.MTP.P99Ms, skew.Static.MTP.P99Ms)
+	}
+	if skew.Live.MTP.MeanMs >= skew.Static.MTP.MeanMs {
+		f.addf("skewed cell: live mean %.2fms not strictly better than static %.2fms",
+			skew.Live.MTP.MeanMs, skew.Static.MTP.MeanMs)
+	}
+	// live placement must have shifted sessions off the loaded replica
+	for i, b := range skew.Background {
+		if b == 0 || i >= len(skew.Live.PerReplica) || i >= len(skew.Static.PerReplica) {
 			continue
 		}
-		samples = append(samples, (tv-arrivals[newest].sampleT)*1000)
+		if skew.Live.PerReplica[i] >= skew.Static.PerReplica[i] {
+			f.addf("skewed cell: live placed %d on loaded replica %d, static placed %d — the probe changed nothing",
+				skew.Live.PerReplica[i], i, skew.Static.PerReplica[i])
+		}
 	}
-	return samples
+
+	// cross-node attribution: per-hop segments telescope to the sample
+	if rep.Stitch.Nodes != 3 {
+		f.addf("stitch cell merged %d nodes, want 3 (client, gateway, replica)", rep.Stitch.Nodes)
+	}
+	if rep.Stitch.Frames == 0 || rep.Stitch.Spans == 0 {
+		f.addf("stitch cell is empty (%d frames, %d spans)", rep.Stitch.Frames, rep.Stitch.Spans)
+	}
+	if rep.AttrBoundMs <= 0 || rep.AttrBoundMs > 1.0 {
+		f.addf("attr_bound_ms %.3f outside (0, 1] — the bench relaxed the contract", rep.AttrBoundMs)
+	}
+	if rep.Stitch.MaxAttrErrMs > rep.AttrBoundMs {
+		f.addf("max attribution error %.4fms exceeds bound %.2fms",
+			rep.Stitch.MaxAttrErrMs, rep.AttrBoundMs)
+	}
+
+	// SLO engine
+	if len(rep.SLO) < 2 {
+		f.addf("SLO snapshot has %d objectives, want >= 2 (static and live)", len(rep.SLO))
+	}
+	for _, st := range rep.SLO {
+		if st.Good+st.Bad == 0 {
+			f.addf("SLO %q observed no events", st.Name)
+		}
+		if math.IsNaN(st.BurnRate) || math.IsInf(st.BurnRate, 0) || st.BurnRate < 0 {
+			f.addf("SLO %q burn rate %v is not a finite non-negative number", st.Name, st.BurnRate)
+		}
+	}
+
+	// flight recorder: one admit per placed session
+	if rep.Events.Recorded == 0 {
+		f.addf("flight recorder recorded no events")
+	}
+	if int(rep.Events.ByKind["admit"]) != rep.Sessions {
+		f.addf("flight recorder saw %d admit events for %d sessions",
+			rep.Events.ByKind["admit"], rep.Sessions)
+	}
+	return f
 }
 
 // runObsVariant places the ramp with or without live probes and returns
@@ -244,7 +286,11 @@ func runObsVariant(nSessions int, seed int64, background []int, live bool) (ObsP
 	for i := 0; i < nSessions; i++ {
 		load := background[replicas[i]] + placed[replicas[i]]
 		procMs := obsBaseProcMs + obsPerSessionMs*float64(load)
-		samples = append(samples, simulateObsSession(i, prof, seed, starts[i], procMs)...)
+		samples = append(samples, simulateSession(sessionSpec{
+			startSec: starts[i], endSec: obsVirtualSec, imuHz: obsIMUHz, vsyncHz: obsVsyncHz,
+			turnaroundSec: procMs / 1000,
+			up:            netsim.NewLink(prof, seed+int64(i)*2),
+			down:          netsim.NewLink(prof, seed+int64(i)*2+1)}).mtp...)
 	}
 	v.MTP = mtpStats(samples)
 	return v, samples, events, nil
@@ -361,12 +407,8 @@ func runObsSLO(staticSamples, liveSamples []float64) []slo.Status {
 	return eng.Snapshot()
 }
 
-// FleetObsExperiment runs the observability cells, prints the summary,
-// and writes BENCH_fleetobs.json to outPath.
-func FleetObsExperiment(w io.Writer, nSessions int, seed int64, outPath string) (*FleetObsReport, error) {
-	if nSessions <= 0 {
-		nSessions = 30
-	}
+// FleetObsExperiment runs the observability cells and prints the summary.
+func FleetObsExperiment(w io.Writer, nSessions int, seed int64) (*FleetObsReport, error) {
 	if nSessions < obsReplicas*2 || nSessions > obsCapacity*(obsReplicas-1) {
 		return nil, fmt.Errorf("bench: fleetobs sessions must be in [%d, %d], got %d",
 			obsReplicas*2, obsCapacity*(obsReplicas-1), nSessions)
@@ -423,28 +465,5 @@ func FleetObsExperiment(w io.Writer, nSessions int, seed int64, outPath string) 
 	}
 	fmt.Fprintf(w, "  flight recorder: %d events %v\n", rep.Events.Recorded, rep.Events.ByKind)
 
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
 	return rep, nil
-}
-
-// EncodeFleetObsReport marshals the report exactly as the file writer
-// does, for determinism tests.
-func EncodeFleetObsReport(rep *FleetObsReport) []byte {
-	b, _ := json.MarshalIndent(rep, "", "  ")
-	return append(b, '\n')
 }

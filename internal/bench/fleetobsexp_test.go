@@ -10,22 +10,22 @@ func TestFleetObsExperimentDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleetobs bench in -short mode")
 	}
-	a, err := FleetObsExperiment(io.Discard, 30, 42, "")
+	a, err := FleetObsExperiment(io.Discard, 30, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FleetObsExperiment(io.Discard, 30, 42, "")
+	b, err := FleetObsExperiment(io.Discard, 30, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(EncodeFleetObsReport(a), EncodeFleetObsReport(b)) {
+	if !bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, b)) {
 		t.Fatal("same seed produced different fleetobs reports")
 	}
-	c, err := FleetObsExperiment(io.Discard, 30, 43, "")
+	c, err := FleetObsExperiment(io.Discard, 30, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(EncodeFleetObsReport(a), EncodeFleetObsReport(c)) {
+	if bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, c)) {
 		t.Fatal("different seeds produced identical fleetobs reports")
 	}
 }
@@ -34,54 +34,16 @@ func TestFleetObsPlacementAndAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleetobs bench in -short mode")
 	}
-	rep, err := FleetObsExperiment(io.Discard, 30, 42, "")
+	rep, err := FleetObsExperiment(io.Discard, 30, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// balanced cell must tie: the live probes see nothing static doesn't
-	if d := rep.Balanced.Live.MTP.P99Ms - rep.Balanced.Static.MTP.P99Ms; d > ObsBalancedEpsMs {
-		t.Errorf("balanced live p99 %.2f exceeds static %.2f by %.2fms",
-			rep.Balanced.Live.MTP.P99Ms, rep.Balanced.Static.MTP.P99Ms, d)
+	for _, err := range rep.Check() {
+		t.Error(err)
 	}
-
-	// skewed cell: the scrape reveals the hidden load, so live placement
-	// must avoid replica 0 and deliver strictly better latency
-	if rep.Skewed.Live.PerReplica[0] >= rep.Skewed.Static.PerReplica[0] {
-		t.Errorf("live placed %d on the loaded replica, static %d",
-			rep.Skewed.Live.PerReplica[0], rep.Skewed.Static.PerReplica[0])
-	}
-	if rep.Skewed.Live.MTP.P99Ms >= rep.Skewed.Static.MTP.P99Ms {
-		t.Errorf("skewed live p99 %.2f not better than static %.2f",
-			rep.Skewed.Live.MTP.P99Ms, rep.Skewed.Static.MTP.P99Ms)
-	}
-	if rep.Skewed.Live.MTP.MeanMs >= rep.Skewed.Static.MTP.MeanMs {
-		t.Errorf("skewed live mean %.2f not better than static %.2f",
-			rep.Skewed.Live.MTP.MeanMs, rep.Skewed.Static.MTP.MeanMs)
-	}
-
-	// cross-node attribution telescopes to the end-to-end sample
-	if rep.Stitch.Nodes != 3 {
-		t.Errorf("stitched %d nodes, want 3", rep.Stitch.Nodes)
-	}
-	if rep.Stitch.MaxAttrErrMs > ObsAttrBoundMs {
-		t.Errorf("attribution error %.4fms exceeds %.1fms",
-			rep.Stitch.MaxAttrErrMs, ObsAttrBoundMs)
-	}
-	if rep.Stitch.Spans == 0 || rep.Stitch.Frames == 0 {
-		t.Error("stitch cell is empty")
-	}
-
-	// the SLO engine and flight recorder actually observed the run
+	// exactly the static and live objectives, nothing stray
 	if len(rep.SLO) != 2 {
 		t.Fatalf("slo statuses = %+v", rep.SLO)
-	}
-	for _, st := range rep.SLO {
-		if st.Good+st.Bad == 0 {
-			t.Errorf("slo %q observed nothing", st.Name)
-		}
-	}
-	if rep.Events.ByKind["admit"] != uint64(rep.Sessions) {
-		t.Errorf("admit events = %d, want %d", rep.Events.ByKind["admit"], rep.Sessions)
 	}
 }

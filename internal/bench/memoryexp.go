@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -33,8 +31,8 @@ import (
 // pre-recycling behaviour where every Get is a fresh make).
 type MemoryPathResult struct {
 	Name string `json:"name"`
-	// Gated paths must show zero steady-state allocs/frame; scripts/alloccheck
-	// fails the build otherwise.
+	// Gated paths must show zero steady-state allocs/frame; Check fails
+	// the build otherwise.
 	Gated            bool    `json:"gated"`
 	AllocsPerFrame   float64 `json:"allocs_per_frame"`
 	BytesPerFrame    float64 `json:"bytes_per_frame"`
@@ -92,10 +90,69 @@ const memoryNote = "allocs/bytes per frame are steady-state (pools and " +
 	"plan/LUT caches warmed before measuring) on the serial path; " +
 	"unpooled_* re-measures with recycle.SetEnabled(false), the " +
 	"pre-recycling behaviour. Gated paths are enforced at zero by " +
-	"scripts/alloccheck. The MTP comparison runs in virtual time, so " +
+	"MemoryReport.Check. The MTP comparison runs in virtual time, so " +
 	"identical p99s are the expected pass (GC pacing cannot move the " +
 	"deterministic schedule); the wall-clock GC benefit is the " +
 	"gc_pooled vs gc_unpooled pause stats."
+
+// Check is the allocation gate: the per-frame hot paths must be
+// allocation-free in steady state and pooling must keep its headline
+// heap-traffic reduction. With a baseline (the checked-in
+// BENCH_memory.json) every baseline path must still be present, still
+// gated if it was, and must not allocate more than it did there — so an
+// allocation regression fails CI instead of landing silently.
+func (rep *MemoryReport) Check(baseline *MemoryReport) []error {
+	var f failures
+	if len(rep.Paths) == 0 {
+		f.addf("no paths in report")
+	}
+	gated := 0
+	for _, p := range rep.Paths {
+		if !p.Gated {
+			continue
+		}
+		gated++
+		if p.AllocsPerFrame != 0 || p.BytesPerFrame != 0 {
+			f.addf("%s: %.2f allocs/frame %.0f bytes/frame in steady state, want 0",
+				p.Name, p.AllocsPerFrame, p.BytesPerFrame)
+		}
+	}
+	if gated == 0 {
+		f.addf("no gated paths in report")
+	}
+	if rep.EndToEnd.AllocsPerFrame != 0 {
+		f.addf("end-to-end loop: %.2f allocs/frame, want 0", rep.EndToEnd.AllocsPerFrame)
+	}
+	if rep.EndToEnd.BytesReduction < 10 {
+		f.addf("end-to-end bytes/frame reduction %.1fx < 10x", rep.EndToEnd.BytesReduction)
+	}
+
+	if baseline == nil {
+		return f
+	}
+	if len(baseline.Paths) == 0 {
+		f.addf("no paths in baseline")
+	}
+	fresh := map[string]MemoryPathResult{}
+	for _, p := range rep.Paths {
+		fresh[p.Name] = p
+	}
+	for _, b := range baseline.Paths {
+		p, ok := fresh[b.Name]
+		if !ok {
+			f.addf("baseline path %q missing from fresh report", b.Name)
+			continue
+		}
+		if b.Gated && !p.Gated {
+			f.addf("path %q was gated at the baseline but is not any more", b.Name)
+		}
+		if p.AllocsPerFrame > b.AllocsPerFrame {
+			f.addf("path %q regressed: %.2f allocs/frame vs %.2f at the baseline",
+				b.Name, p.AllocsPerFrame, b.AllocsPerFrame)
+		}
+	}
+	return f
+}
 
 // memoryPath is one measured hot path; setup returns the per-frame body
 // plus an optional teardown.
@@ -410,11 +467,7 @@ func mtpP99(durationSec float64, gcPercent int) float64 {
 // MemoryExperiment runs `illixr-bench -exp memory`: steady-state heap
 // allocations per frame for each recycled hot path (pooled vs unpooled),
 // GC pause stats for the composite loop, and the MTP-p99 GC-pacing check.
-// Writes BENCH_memory.json when outPath is non-empty.
-func MemoryExperiment(w io.Writer, iters int, mtpDurationSec float64, outPath string) (*MemoryReport, error) {
-	if iters < 1 {
-		iters = 64
-	}
+func MemoryExperiment(w io.Writer, iters int, mtpDurationSec float64) *MemoryReport {
 	if mtpDurationSec <= 0 {
 		mtpDurationSec = 10
 	}
@@ -453,16 +506,5 @@ func MemoryExperiment(w io.Writer, iters int, mtpDurationSec float64, outPath st
 		e.GCPooled.Cycles, e.GCPooled.P99Ns, e.GCUnpooled.Cycles, e.GCUnpooled.P99Ns)
 	fmt.Fprintf(w, "MTP p99: %.2f ms at GOGC=100 vs %.2f ms at GOGC=%d (virtual-time scheduler: equal is the pass)\n",
 		rep.MTP.DefaultP99Ms, rep.MTP.TunedP99Ms, rep.MTP.TunedPercent)
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
-	return rep, nil
+	return rep
 }

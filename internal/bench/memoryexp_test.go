@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -13,11 +11,7 @@ func TestMemoryExperimentShape(t *testing.T) {
 		t.Skip("memory experiment runs the integrated system twice")
 	}
 	var buf bytes.Buffer
-	out := filepath.Join(t.TempDir(), "memory.json")
-	rep, err := MemoryExperiment(&buf, 8, 1, out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := MemoryExperiment(&buf, 8, 1)
 	if len(rep.Paths) < 6 {
 		t.Fatalf("paths = %d, want >= 6", len(rep.Paths))
 	}
@@ -44,12 +38,12 @@ func TestMemoryExperimentShape(t *testing.T) {
 		t.Fatalf("MTP p99s not measured: %+v", rep.MTP)
 	}
 
-	data, err := os.ReadFile(out)
-	if err != nil {
+	out := filepath.Join(t.TempDir(), "memory.json")
+	if err := writeReport(out, rep); err != nil {
 		t.Fatal(err)
 	}
 	var round MemoryReport
-	if err := json.Unmarshal(data, &round); err != nil {
+	if err := readReport(out, &round, true); err != nil {
 		t.Fatalf("BENCH_memory.json does not round-trip: %v", err)
 	}
 	if len(round.Paths) != len(rep.Paths) {

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,8 +33,8 @@ import (
 //   - A real concurrency soak: N goroutine-driven clients over net.Pipe
 //     against the actual session server, proving the transport under the
 //     race detector. Its scheduler-dependent observations are confined
-//     to wall_* fields, which the determinism check and scripts/netcheck
-//     exclude.
+//     to wall_* fields, which the determinism check and
+//     NetworkReport.Check exclude.
 const (
 	// networkVirtualSec is the simulated duration of each sweep cell.
 	networkVirtualSec = 10.0
@@ -47,7 +45,7 @@ const (
 	// networkServerProcMs models the server-side integrate+publish cost
 	// per sample.
 	networkServerProcMs = 0.3
-	// networkQueueBound is the in-flight bound netcheck enforces on
+	// networkQueueBound is the in-flight bound Check enforces on
 	// clean (non-faulted) cells. The worst legal case is a regional
 	// retransmission stall: 120 ms of head-of-line blocking at 500 Hz
 	// queues ~60 messages behind the loss plus ~18 in propagation.
@@ -158,103 +156,73 @@ const networkNote = "deterministic virtual-time sweep: MTP measured at " +
 	"from the real goroutine soak and vary run to run — everything else " +
 	"is byte-identical for a given seed (DESIGN.md §9)."
 
-// simulateSession runs one session's DES against a pair of directional
-// links, exercising the real codec for every message.
-func simulateSession(idx int, up, down *netsim.Link) NetworkSessionResult {
-	res := NetworkSessionResult{Session: idx}
-	var encBuf []byte
-
-	type poseArrival struct {
-		recvT   float64 // virtual arrival at the client
-		sampleT float64 // IMU timestamp the pose answers
+// Check is the offload gate: the server must sustain the required
+// session count with a clean wire and bounded queues.
+func (rep *NetworkReport) Check() []error {
+	var f failures
+	const minSessions = 8
+	if len(rep.Cells) == 0 {
+		f.addf("no sweep cells in report")
+		return f
 	}
-	var arrivals []poseArrival
-	var inflight []float64 // uplink arrival times not yet reached
-
-	n := int(networkVirtualSec * networkIMUHz)
-	for i := 0; i < n; i++ {
-		t := float64(i) / networkIMUHz
-		sample := sensors.IMUSample{T: t}
-
-		// uplink: encode, frame, decode — the real codec in the loop
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type:    wire.TypeIMU,
-			Payload: wire.AppendIMU(nil, sample),
-		})
-		res.BytesUp += int64(len(encBuf))
-		f, _, err := wire.Decode(encBuf)
-		if err != nil {
-			res.DecodeErrors++
-			continue
+	var loopback, regional float64
+	var haveLoop, haveRegional bool
+	for _, c := range rep.Cells {
+		name := c.Profile.Name
+		if c.Faulted {
+			name += "+flaky"
 		}
-		if _, err := wire.DecodeIMU(f.Payload); err != nil {
-			res.DecodeErrors++
-			continue
+		if len(c.Sessions) < minSessions {
+			f.addf("%s: %d sessions, need >= %d", name, len(c.Sessions), minSessions)
 		}
-		res.IMUSent++
-
-		serverT := up.Arrive(t)
-		// in-flight accounting: how many uplink messages were still in
-		// the pipe when this one was sent
-		keep := inflight[:0]
-		for _, a := range inflight {
-			if a > t {
-				keep = append(keep, a)
+		for _, s := range c.Sessions {
+			// the wire is either correct or broken: no acceptable error rate
+			if s.DecodeErrors != 0 {
+				f.addf("%s session %d: %d decode errors", name, s.Session, s.DecodeErrors)
+			}
+			if s.MTP.N == 0 {
+				f.addf("%s session %d: no MTP samples", name, s.Session)
+			}
+			if !c.Faulted && s.MaxInflight > rep.QueueBound {
+				f.addf("%s session %d: in-flight queue hit %d (bound %d)",
+					name, s.Session, s.MaxInflight, rep.QueueBound)
+			}
+			// faulted cells must instead recover: every sample delivered
+			if c.Faulted && s.PosesDelivered != s.IMUSent {
+				f.addf("%s session %d: only %d of %d poses delivered after outages",
+					name, s.Session, s.PosesDelivered, s.IMUSent)
 			}
 		}
-		inflight = append(keep, serverT)
-		if len(inflight) > res.MaxInflight {
-			res.MaxInflight = len(inflight)
+		if !c.Faulted {
+			switch c.Profile.Name {
+			case "loopback":
+				loopback, haveLoop = c.Aggregate.MeanMs, true
+			case "regional":
+				regional, haveRegional = c.Aggregate.MeanMs, true
+			}
 		}
-
-		// downlink: the server integrates and answers with a pose frame
-		sendT := serverT + networkServerProcMs/1000
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type:    wire.TypePose,
-			Payload: wire.AppendPose(nil, wire.Pose{T: t}),
-		})
-		res.BytesDown += int64(len(encBuf))
-		pf, _, err := wire.Decode(encBuf)
-		if err != nil {
-			res.DecodeErrors++
-			continue
-		}
-		if _, err := wire.DecodePose(pf.Payload); err != nil {
-			res.DecodeErrors++
-			continue
-		}
-		arrivals = append(arrivals, poseArrival{recvT: down.Arrive(sendT), sampleT: t})
 	}
-	res.PosesDelivered = len(arrivals)
-	res.LostUp = up.Lost()
-	res.LostDown = down.Lost()
-
-	// display loop: at every vsync the newest delivered pose wins
-	var samples []float64
-	displayed := map[int]bool{}
-	ptr, newest := 0, -1
-	vsyncs := int(networkVirtualSec * networkVsyncHz)
-	for v := 1; v <= vsyncs; v++ {
-		tv := float64(v) / networkVsyncHz
-		advanced := false
-		for ptr < len(arrivals) && arrivals[ptr].recvT <= tv {
-			newest = ptr
-			ptr++
-			advanced = true
-		}
-		if newest < 0 {
-			continue // nothing to show yet
-		}
-		if !advanced {
-			res.RepeatVsyncs++
-		}
-		displayed[newest] = true
-		samples = append(samples, (tv-arrivals[newest].sampleT)*1000)
+	// the sweep must be measuring the link, not a constant
+	if !haveLoop || !haveRegional {
+		f.addf("sweep is missing the loopback or regional cell")
+	} else if regional <= loopback {
+		f.addf("MTP does not grow with RTT: regional %.2f ms <= loopback %.2f ms", regional, loopback)
 	}
-	res.PosesDisplayed = len(displayed)
-	res.StaleDrops = res.PosesDelivered - res.PosesDisplayed
-	res.MTP = mtpStats(samples)
-	return res
+
+	if rep.Soak.Sessions < minSessions {
+		f.addf("soak ran %d sessions, need >= %d", rep.Soak.Sessions, minSessions)
+	}
+	wantFrames := uint64(rep.Soak.Sessions * rep.Soak.FramesPerSession)
+	if rep.Soak.FramesReceived != wantFrames {
+		f.addf("soak received %d of %d frames", rep.Soak.FramesReceived, wantFrames)
+	}
+	if rep.Soak.DecodeErrors != 0 {
+		f.addf("soak had %d decode errors", rep.Soak.DecodeErrors)
+	}
+	if !rep.Soak.CleanShutdown {
+		f.addf("soak shutdown was not clean")
+	}
+	return f
 }
 
 // soakHandler answers every IMU frame with a latest-wins pose.
@@ -341,12 +309,9 @@ func runNetworkSoak(nSessions int) NetworkSoakResult {
 	return res
 }
 
-// NetworkExperiment runs the sweep and the soak, prints the RTT-vs-MTP
-// table, and writes BENCH_network.json to outPath.
-func NetworkExperiment(w io.Writer, nSessions int, seed int64, outPath string) (*NetworkReport, error) {
-	if nSessions <= 0 {
-		nSessions = 8
-	}
+// NetworkExperiment runs the sweep and the soak and prints the
+// RTT-vs-MTP table.
+func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, error) {
 	rep := &NetworkReport{
 		Seed:       seed,
 		SessionsN:  nSessions,
@@ -398,7 +363,15 @@ func NetworkExperiment(w io.Writer, nSessions int, seed int64, outPath string) (
 				up.SetOutages(upWindows)
 				down.SetOutages(downWindows)
 			}
-			sres := simulateSession(si, up, down)
+			sim := simulateSession(sessionSpec{endSec: networkVirtualSec,
+				imuHz: networkIMUHz, vsyncHz: networkVsyncHz,
+				turnaroundSec: networkServerProcMs / 1000, up: up, down: down})
+			sres := NetworkSessionResult{Session: si, IMUSent: sim.imuSent,
+				PosesDelivered: sim.poses, PosesDisplayed: sim.displayed,
+				BytesUp: sim.bytesUp, BytesDown: sim.bytesDown,
+				DecodeErrors: sim.decodeErrors, LostUp: up.Lost(), LostDown: down.Lost(),
+				MaxInflight: sim.maxInflight, StaleDrops: sim.poses - sim.displayed,
+				RepeatVsyncs: sim.repeatVsyncs, MTP: mtpStats(sim.mtp)}
 			cell.Sessions = append(cell.Sessions, sres)
 			// rebuild the aggregate from the session stats' source samples
 			// is wasteful; collect means weighted by n instead
@@ -441,28 +414,5 @@ func NetworkExperiment(w io.Writer, nSessions int, seed int64, outPath string) (
 		rep.Soak.FramesReceived, uint64(nSessions*networkSoakFrames),
 		rep.Soak.DecodeErrors, rep.Soak.CleanShutdown, rep.Soak.WallMs)
 
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
 	return rep, nil
-}
-
-// EncodeNetworkReport marshals the report exactly as the file writer
-// does, for determinism tests.
-func EncodeNetworkReport(rep *NetworkReport) []byte {
-	b, _ := json.MarshalIndent(rep, "", "  ")
-	return append(b, '\n')
 }

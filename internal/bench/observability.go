@@ -8,10 +8,8 @@ package bench
 // can diff against.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"illixr/internal/core"
@@ -43,9 +41,8 @@ type ObservabilitySnapshot struct {
 	Registry telemetry.RegistrySnapshot `json:"registry"`
 }
 
-// Observability runs the experiment and writes outPath (skipped when
-// empty); the summary renders to w.
-func Observability(w io.Writer, duration float64, outPath string) (*ObservabilitySnapshot, error) {
+// Observability runs the experiment; the summary renders to w.
+func Observability(w io.Writer, duration float64) *ObservabilitySnapshot {
 	app, plat := render.AppPlatformer, perfmodel.Desktop
 
 	base := core.DefaultRunConfig(app, plat)
@@ -94,22 +91,5 @@ func Observability(w io.Writer, duration float64, outPath string) (*Observabilit
 	if m, ok := snap.MTP["total"]; ok {
 		fmt.Fprintf(w, "  MTP from histograms: p50 %.2f ms, p99 %.2f ms over %d frames\n", m.P50, m.P99, m.Count)
 	}
-
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "  wrote %s\n", outPath)
-	}
-	return snap, nil
+	return snap
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -57,6 +55,48 @@ const parallelNote = "modeled_parallel_ms applies the pool's tile-order " +
 	"a single-CPU host wall_speedup stays near 1 while speedup reports " +
 	"the available parallelism. Outputs are bitwise identical at every " +
 	"worker count (DESIGN.md §8)."
+
+// Check is the parallel-kernel gate: the work-span model must show the
+// required parallelism, and the quality kernels must not regress
+// against serial.
+func (rep *ParallelReport) Check() []error {
+	var f failures
+	if len(rep.Kernels) == 0 {
+		f.addf("no kernels in report")
+		return f
+	}
+	fast := 0
+	for _, k := range rep.Kernels {
+		if k.Speedup >= 2 {
+			fast++
+		}
+	}
+	if fast < 3 {
+		f.addf("only %d kernels reach 2x modeled speedup at %d workers (need >= 3)",
+			fast, rep.Workers)
+	}
+	for _, k := range rep.Kernels {
+		if k.Name != "ssim" && k.Name != "flip" {
+			continue
+		}
+		// On a single-CPU host the wall time is noise-bound, so the faster
+		// of the modeled and measured times carries the 10% regression
+		// check; the wall time alone guards against pathological slowdowns.
+		best := k.ModeledParallelMs
+		if k.WallParallelMsMean < best {
+			best = k.WallParallelMsMean
+		}
+		if best > 1.10*k.SerialMsMean {
+			f.addf("%s: parallel %.2f ms is >10%% slower than serial %.2f ms",
+				k.Name, best, k.SerialMsMean)
+		}
+		if k.WallParallelMsMean > 1.5*k.SerialMsMean {
+			f.addf("%s: wall parallel %.2f ms is pathologically slower than serial %.2f ms",
+				k.Name, k.WallParallelMsMean, k.SerialMsMean)
+		}
+	}
+	return f
+}
 
 // parallelKernel is one benchmarked kernel: setup builds a fresh runner
 // bound to the given pool; the returned func executes one iteration.
@@ -233,15 +273,8 @@ func measureKernel(k parallelKernel, workers, iters int) ParallelKernelResult {
 
 // ParallelExperiment runs `illixr-bench -exp parallel`: serial vs N-worker
 // throughput and tail latency for the five hot-path kernels, with the
-// work-span model providing the N-ideal-core makespan. Writes
-// BENCH_parallel.json when outPath is non-empty.
-func ParallelExperiment(w io.Writer, workers, iters int, outPath string) (*ParallelReport, error) {
-	if workers < 2 {
-		workers = 4
-	}
-	if iters < 1 {
-		iters = 5
-	}
+// work-span model providing the N-ideal-core makespan.
+func ParallelExperiment(w io.Writer, workers, iters int) *ParallelReport {
 	rep := &ParallelReport{
 		Workers:    workers,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -265,16 +298,5 @@ func ParallelExperiment(w io.Writer, workers, iters int, outPath string) (*Paral
 	}
 	t.Render(w)
 	fmt.Fprintf(w, "note: %s\n", rep.Note)
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
-	return rep, nil
+	return rep
 }

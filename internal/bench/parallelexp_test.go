@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
@@ -31,11 +30,7 @@ func TestListScheduleMakespan(t *testing.T) {
 
 func TestParallelExperimentShape(t *testing.T) {
 	var buf bytes.Buffer
-	out := filepath.Join(t.TempDir(), "parallel.json")
-	rep, err := ParallelExperiment(&buf, 4, 1, out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := ParallelExperiment(&buf, 4, 1)
 	if rep.Workers != 4 {
 		t.Fatalf("workers = %d, want 4", rep.Workers)
 	}

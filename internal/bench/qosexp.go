@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,7 +52,7 @@ import (
 //     delivering every batched camera frame (wall-clock, not gated on
 //     timing).
 //
-// scripts/qoscheck gates the report: adaptive p99 <= static p99 *
+// QoSReport.Check gates the report: adaptive p99 <= static p99 *
 // QoSAdaptiveMarginFrac in the saturated ramp cells, fewer deadline
 // misses, batching wins with positive dispatch savings, the fault cell
 // degraded AND restored, drift == 0, and zero controller invariant
@@ -215,12 +213,13 @@ type QoSDriftCell struct {
 }
 
 // QoSSoakCell is the real-pipeline half (wall-clock, not gated on time).
+// How many flush ticks the frames spread over depends on the scheduler.
 type QoSSoakCell struct {
 	Sessions        int     `json:"sessions"`
 	FramesSent      int     `json:"frames_sent"`
 	FramesDelivered int     `json:"frames_delivered"`
 	BatchedFrames   uint64  `json:"batched_frames"`
-	Flushes         uint64  `json:"flushes"`
+	WallFlushes     uint64  `json:"wall_flushes"`
 	WallMs          float64 `json:"wall_ms"`
 }
 
@@ -248,6 +247,122 @@ const qosNote = "adaptive QoS cells (DESIGN.md §14): per-kernel multi-server FI
 	"cost across sessions per flush window. Fault cell drives a faults.Generate " +
 	"cost spike through the knob hysteresis. Sim cells are virtual-time and " +
 	"seed-deterministic; soak drives the real session.Server + BatchingHandler."
+
+// Check is the adaptive-QoS gate: the loop must demonstrably close —
+// deadline pressure driving worker reallocation and quality degradation,
+// cross-session batching amortizing dispatch cost, and every decision
+// reproducible bit-for-bit.
+func (rep *QoSReport) Check() []error {
+	var f failures
+	// cell shape
+	if len(rep.Ramp) < 3 {
+		f.addf("ramp has %d cells, need >= 3", len(rep.Ramp))
+	}
+	if rep.AdaptiveMarginFrac <= 0 || rep.AdaptiveMarginFrac >= 1 {
+		f.addf("adaptive_margin_frac %.2f outside (0, 1) — the bench relaxed the contract",
+			rep.AdaptiveMarginFrac)
+	}
+	checkSplit := func(where string, v QoSVariantRow) {
+		if v.MTP.N == 0 {
+			f.addf("%s %s variant has an empty MTP distribution", where, v.Mode)
+		}
+		sum := 0
+		for _, w := range v.FinalWorkers {
+			sum += w
+		}
+		if sum != rep.TotalWorkers {
+			f.addf("%s %s variant ended with %d workers allocated, want %d — workers leaked",
+				where, v.Mode, sum, rep.TotalWorkers)
+		}
+		if v.Violations != 0 {
+			f.addf("%s %s variant reported %d controller invariant violations",
+				where, v.Mode, v.Violations)
+		}
+	}
+
+	// adaptation under load
+	saturated := 0
+	for _, c := range rep.Ramp {
+		where := fmt.Sprintf("ramp[%d sessions]", c.Sessions)
+		checkSplit(where, c.Static)
+		checkSplit(where, c.Adaptive)
+		if c.Static.DeadlineMisses == 0 {
+			// unsaturated cell: adapting must not make things worse
+			if c.Adaptive.MTP.P99Ms > c.Static.MTP.P99Ms+0.5 {
+				f.addf("%s: adaptive p99 %.2fms worse than static %.2fms with no pressure",
+					where, c.Adaptive.MTP.P99Ms, c.Static.MTP.P99Ms)
+			}
+			continue
+		}
+		saturated++
+		if c.Adaptive.MTP.P99Ms > c.Static.MTP.P99Ms*rep.AdaptiveMarginFrac {
+			f.addf("%s: adaptive p99 %.2fms not within %.0f%% of static %.2fms",
+				where, c.Adaptive.MTP.P99Ms, rep.AdaptiveMarginFrac*100, c.Static.MTP.P99Ms)
+		}
+		if c.Adaptive.DeadlineMisses >= c.Static.DeadlineMisses {
+			f.addf("%s: adaptive missed %d deadlines, static %d — no improvement",
+				where, c.Adaptive.DeadlineMisses, c.Static.DeadlineMisses)
+		}
+		if c.Adaptive.WorkerMoves == 0 {
+			f.addf("%s: saturated but the controller never moved a worker", where)
+		}
+	}
+	if saturated == 0 {
+		f.addf("no ramp cell saturated the static split — the ramp proves nothing")
+	}
+
+	// cross-session batching
+	b := rep.Batching
+	checkSplit("batching", b.Unbatched)
+	checkSplit("batching", b.Batched)
+	if b.DispatchSavedMs <= 0 {
+		f.addf("batching saved %.2fms of dispatch — amortization did not happen", b.DispatchSavedMs)
+	}
+	if b.Dispatches >= b.Items {
+		f.addf("batching issued %d dispatches for %d items — nothing was batched",
+			b.Dispatches, b.Items)
+	}
+	if b.Batched.MTP.P99Ms >= b.Unbatched.MTP.P99Ms {
+		f.addf("batched p99 %.2fms not better than unbatched %.2fms",
+			b.Batched.MTP.P99Ms, b.Unbatched.MTP.P99Ms)
+	}
+
+	// degrade under faults, restore after
+	fc := rep.Fault
+	if len(fc.Windows) == 0 {
+		f.addf("fault cell ran with no fault windows")
+	}
+	if !fc.Degraded || fc.MostDegraded >= fc.FullValue {
+		f.addf("fault cell never degraded %s below full %d (most degraded %d)",
+			fc.Knob, fc.FullValue, fc.MostDegraded)
+	}
+	if !fc.Restored || fc.FinalValue != fc.FullValue {
+		f.addf("fault cell ended with %s=%d, want full %d restored after the spike",
+			fc.Knob, fc.FinalValue, fc.FullValue)
+	}
+
+	// determinism
+	d := rep.Drift
+	if d.Drift != 0 || d.FingerprintA != d.FingerprintB || d.P99BitsA != d.P99BitsB {
+		f.addf("drift cell: fingerprint %s vs %s, p99 bits %s vs %s (drift %d) — re-run not reproducible",
+			d.FingerprintA, d.FingerprintB, d.P99BitsA, d.P99BitsB, d.Drift)
+	}
+	if d.FingerprintA == "" {
+		f.addf("drift cell has no decision-log fingerprint")
+	}
+
+	// real-pipeline soak
+	s := rep.Soak
+	if s.FramesSent == 0 || s.FramesDelivered != s.FramesSent {
+		f.addf("soak delivered %d of %d frames through the batching pipeline",
+			s.FramesDelivered, s.FramesSent)
+	}
+	if s.BatchedFrames == 0 || s.WallFlushes == 0 {
+		f.addf("soak batched %d frames over %d flushes — the batcher was bypassed",
+			s.BatchedFrames, s.WallFlushes)
+	}
+	return f
+}
 
 // qosMix is the repo-wide splitmix64 step.
 func qosMix(s *uint64) uint64 {
@@ -516,16 +631,15 @@ func runQoSSoak(nSessions, framesPer int) (QoSSoakCell, error) {
 	cell.FramesDelivered = int(inner.delivered.Load())
 	snap := reg.Snapshot()
 	cell.BatchedFrames = snap.Counters["illixr_qos_batch_frames_total"]
-	cell.Flushes = snap.Counters["illixr_qos_batch_flushes_total"]
+	cell.WallFlushes = snap.Counters["illixr_qos_batch_flushes_total"]
 	if errs := bh.DeferredErrors(); len(errs) != 0 {
 		return cell, fmt.Errorf("bench: qos soak deferred errors: %v", errs[0])
 	}
 	return cell, nil
 }
 
-// QoSExperiment runs the adaptive-QoS cells, prints the summary table,
-// and writes BENCH_qos.json to outPath.
-func QoSExperiment(w io.Writer, seed int64, outPath string) (*QoSReport, error) {
+// QoSExperiment runs the adaptive-QoS cells and prints the summary table.
+func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 	rep := &QoSReport{Seed: seed, TotalWorkers: qosTotalWorkers,
 		VirtualSec: qosVirtualSec, EpochMs: qosEpochMs, VsyncHz: qosVsyncHz,
 		BudgetMs: qosBudgetMs, AdaptiveMarginFrac: QoSAdaptiveMarginFrac,
@@ -623,30 +737,7 @@ func QoSExperiment(w io.Writer, seed int64, outPath string) (*QoSReport, error) 
 	}
 	rep.Soak = soak
 	fmt.Fprintf(w, "  soak: %d/%d camera frames delivered through the real batcher (%d batched, %d flushes) in %.1f ms\n",
-		soak.FramesDelivered, soak.FramesSent, soak.BatchedFrames, soak.Flushes, soak.WallMs)
+		soak.FramesDelivered, soak.FramesSent, soak.BatchedFrames, soak.WallFlushes, soak.WallMs)
 
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
 	return rep, nil
-}
-
-// EncodeQoSReport marshals the report exactly as the file writer does,
-// for determinism tests.
-func EncodeQoSReport(rep *QoSReport) []byte {
-	b, _ := json.MarshalIndent(rep, "", "  ")
-	return append(b, '\n')
 }

@@ -33,46 +33,13 @@ func TestQoSSimDeterminism(t *testing.T) {
 }
 
 // TestQoSExperimentGates runs the full experiment and asserts the
-// qoscheck contract on the in-memory report.
+// QoSReport.Check contract on the in-memory report.
 func TestQoSExperimentGates(t *testing.T) {
-	rep, err := QoSExperiment(io.Discard, 42, "")
+	rep, err := QoSExperiment(io.Discard, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saturated := 0
-	for _, c := range rep.Ramp {
-		if c.Static.DeadlineMisses == 0 {
-			continue
-		}
-		saturated++
-		if c.Adaptive.MTP.P99Ms > c.Static.MTP.P99Ms*QoSAdaptiveMarginFrac {
-			t.Errorf("ramp %d: adaptive p99 %.2f not within margin of static %.2f",
-				c.Sessions, c.Adaptive.MTP.P99Ms, c.Static.MTP.P99Ms)
-		}
-		if c.Adaptive.DeadlineMisses >= c.Static.DeadlineMisses {
-			t.Errorf("ramp %d: adaptive misses %d >= static %d",
-				c.Sessions, c.Adaptive.DeadlineMisses, c.Static.DeadlineMisses)
-		}
-	}
-	if saturated == 0 {
-		t.Error("no ramp cell saturated the static split")
-	}
-	if rep.Batching.DispatchSavedMs <= 0 ||
-		rep.Batching.Batched.MTP.P99Ms >= rep.Batching.Unbatched.MTP.P99Ms {
-		t.Errorf("batching cell: saved %.2fms, batched p99 %.2f vs unbatched %.2f",
-			rep.Batching.DispatchSavedMs, rep.Batching.Batched.MTP.P99Ms,
-			rep.Batching.Unbatched.MTP.P99Ms)
-	}
-	if !rep.Fault.Degraded || !rep.Fault.Restored {
-		t.Errorf("fault cell: degraded=%v restored=%v (most degraded %d, final %d)",
-			rep.Fault.Degraded, rep.Fault.Restored,
-			rep.Fault.MostDegraded, rep.Fault.FinalValue)
-	}
-	if rep.Drift.Drift != 0 {
-		t.Errorf("drift cell reported drift %d", rep.Drift.Drift)
-	}
-	if rep.Soak.FramesDelivered != rep.Soak.FramesSent || rep.Soak.BatchedFrames == 0 {
-		t.Errorf("soak: delivered %d/%d, batched %d",
-			rep.Soak.FramesDelivered, rep.Soak.FramesSent, rep.Soak.BatchedFrames)
+	for _, err := range rep.Check() {
+		t.Error(err)
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -23,7 +22,7 @@ import (
 
 // CaptureOverhead compares the frame write path with and without a
 // binlog tap attached: the capture cost must stay inside the frame
-// budget (scripts/replaycheck gates the alloc delta and the ns share
+// budget (ReplayReport.Check gates the alloc delta and the ns share
 // of the 8.33 ms / 120 Hz frame).
 type CaptureOverhead struct {
 	Frames                 int     `json:"frames"`
@@ -34,7 +33,7 @@ type CaptureOverhead struct {
 	CaptureNsPerFrame      float64 `json:"capture_ns_per_frame"`
 	OverheadNsPerFrame     float64 `json:"overhead_ns_per_frame"`
 	// FrameBudgetPct is the capture overhead as a percentage of the
-	// 8.33 ms frame-path budget; replaycheck fails the build above 3%.
+	// 8.33 ms frame-path budget; Check fails the build at 3%.
 	FrameBudgetPct float64 `json:"frame_budget_pct"`
 }
 
@@ -83,6 +82,62 @@ const replayNote = "capture overhead is the binlog tap's cost on the " +
 	"clients through the gateway into 2 live replicas. qoe_p99_ms is " +
 	"computed from the replayed (recorded) QoE stream, so a flat value " +
 	"across the ramp means the fan-out delivered the stream intact."
+
+// Check is the record/replay gate: the capture tap must stay inside the
+// frame-path budget, the 1× replay must be bit-exact, and the N×
+// fan-out cell must admit at least 8 replayed sessions with zero lost
+// frames.
+func (rep *ReplayReport) Check() []error {
+	var f failures
+	// capture overhead: the frame path stays allocation-free in steady
+	// state (amortized) and the tap costs < 3% of the 8.33 ms frame
+	if rep.Capture.AllocDeltaPerFrame > 0.05 {
+		f.addf("capture tap allocates %.3f/frame amortized, budget is 0.05",
+			rep.Capture.AllocDeltaPerFrame)
+	}
+	if rep.Capture.FrameBudgetPct >= 3 {
+		f.addf("capture tap costs %.2f%% of the 8.33 ms frame budget (%.0f ns/frame), limit 3%%",
+			rep.Capture.FrameBudgetPct, rep.Capture.OverheadNsPerFrame)
+	}
+
+	// bit-exact replay
+	if rep.Fidelity.Records == 0 {
+		f.addf("fidelity ran on an empty recording")
+	}
+	if !rep.Fidelity.BitExact {
+		f.addf("1x replay fingerprints are not bit-identical")
+	}
+	if !rep.Fidelity.FileRoundTrip {
+		f.addf("binlog file + sidecar round trip failed")
+	}
+	if !rep.Fidelity.TornRecovered {
+		f.addf("torn-tail recovery failed")
+	}
+
+	// the fan-out cell scales to >= 8 with zero loss
+	if len(rep.Ramp) == 0 {
+		f.addf("no fan-out ramp in report")
+	}
+	largest := 0
+	for _, s := range rep.Ramp {
+		if s.Clients > largest {
+			largest = s.Clients
+		}
+		if s.Admitted != s.Clients {
+			f.addf("ramp step %d admitted %d/%d clients", s.Clients, s.Admitted, s.Clients)
+		}
+		if s.Lost != 0 {
+			f.addf("ramp step %d lost %d uplink frames, want 0", s.Clients, s.Lost)
+		}
+		if s.Clients > 0 && s.Poses == 0 {
+			f.addf("ramp step %d saw no poses flow back", s.Clients)
+		}
+	}
+	if largest < 8 {
+		f.addf("largest fan-out step is %d clients, want >= 8", largest)
+	}
+	return f
+}
 
 // measureCaptureOverhead measures the pose frame write path into a
 // discard sink, bare and with a binlog tap recording each frame.
@@ -330,12 +385,8 @@ func runRamp(l *binlog.Log, steps []int) ([]ReplayRampStep, error) {
 
 // ReplayExperiment runs `illixr-bench -exp replay`: the binlog capture
 // overhead on the frame path, the 1× bit-exact replay fidelity check,
-// and the N× fan-out ramp through a live gateway cell. Writes
-// BENCH_replay.json when outPath is non-empty.
-func ReplayExperiment(w io.Writer, fanoutMax int, seed int64, outPath string) (*ReplayReport, error) {
-	if fanoutMax < 1 {
-		fanoutMax = 8
-	}
+// and the N× fan-out ramp through a live gateway cell.
+func ReplayExperiment(w io.Writer, fanoutMax int, seed int64) (*ReplayReport, error) {
 	rep := &ReplayReport{Note: replayNote}
 
 	var err error
@@ -382,15 +433,5 @@ func ReplayExperiment(w io.Writer, fanoutMax int, seed int64, outPath string) (*
 	}
 	t.Render(w)
 
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
 	return rep, nil
 }

@@ -1,43 +1,29 @@
 package bench
 
 import (
-	"bytes"
-	"path/filepath"
+	"io"
 	"testing"
 
 	"illixr/internal/netxr/replay"
 )
 
 func TestReplayExperimentShape(t *testing.T) {
-	var buf bytes.Buffer
-	out := filepath.Join(t.TempDir(), "replay.json")
-	rep, err := ReplayExperiment(&buf, 4, 42, out)
+	rep, err := ReplayExperiment(io.Discard, 8, 42)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, err := range rep.Check() {
+		t.Error(err)
 	}
 	if rep.Capture.Frames == 0 || rep.Capture.CaptureNsPerFrame <= 0 {
 		t.Fatalf("capture overhead not measured: %+v", rep.Capture)
 	}
-	if rep.Capture.FrameBudgetPct >= 3 {
-		t.Fatalf("capture tap costs %.2f%% of the frame budget, limit 3%%", rep.Capture.FrameBudgetPct)
-	}
-	if rep.Capture.AllocDeltaPerFrame > 0.05 {
-		t.Fatalf("capture tap allocates %.3f/frame amortized", rep.Capture.AllocDeltaPerFrame)
-	}
 	fd := rep.Fidelity
-	if fd.Records == 0 || !fd.BitExact || !fd.FileRoundTrip || !fd.TornRecovered {
-		t.Fatalf("fidelity = %+v, want bit-exact round-tripping recovery", fd)
-	}
 	if fd.Fingerprint.UpIMU == 0 || len(fd.Fingerprint.PoseEpochs) == 0 {
 		t.Fatalf("fingerprint empty: %+v", fd.Fingerprint)
 	}
-	if len(rep.Ramp) != 3 { // 1, 2, 4
-		t.Fatalf("ramp steps = %d, want 3", len(rep.Ramp))
-	}
-	for _, s := range rep.Ramp {
-		if s.Admitted != s.Clients || s.Lost != 0 || s.Poses == 0 {
-			t.Fatalf("ramp step %+v: want full admission, 0 lost, poses flowing", s)
-		}
+	if len(rep.Ramp) != 4 { // 1, 2, 4, 8
+		t.Fatalf("ramp steps = %d, want 4", len(rep.Ramp))
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +14,6 @@ import (
 	"illixr/internal/netxr/replay"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 )
 
@@ -45,7 +43,7 @@ import (
 //     into 8 session servers over in-process pipes. Scheduler-dependent
 //     observations live in wall_* fields; admitted/lost are invariants.
 //
-// scripts/scalecheck gates: zero lost sessions everywhere, MTP p99 at
+// ScaleReport.Check gates: zero lost sessions everywhere, MTP p99 at
 // 1024 sessions within 2x the 120-session baseline, the raw relay at
 // or under 0.05 allocs/frame, and a fingerprint over >= 1024 decisions.
 const (
@@ -60,8 +58,7 @@ const (
 	scaleReplicas = 16
 	scaleCapacity = 96
 	// scaleProcMs is the unloaded per-sample server turnaround; the
-	// effective turnaround grows linearly with replica occupancy:
-	// proc = scaleProcMs * (1 + sessionsOnReplica/capacity).
+	// effective turnaround is scaleProcMs * (1 + sessionsOnReplica/capacity).
 	scaleProcMs = 0.3
 	// scaleBaselineSessions is the PR 6 fleet cell size the p99 ratio
 	// gate compares against.
@@ -111,7 +108,7 @@ type ScaleRelayCost struct {
 }
 
 // ScaleSoakResult is the live kilo-client half. admitted == sessions
-// and lost == 0 are the invariants scalecheck enforces.
+// and lost == 0 are the invariants Check enforces.
 type ScaleSoakResult struct {
 	Sessions      int     `json:"sessions"`
 	Replicas      int     `json:"replicas"`
@@ -142,50 +139,75 @@ type ScaleReport struct {
 	Soak             ScaleSoakResult  `json:"soak"`
 }
 
-// simulateScaleSession runs one session's DES: IMU up, load-dependent
-// turnaround, pose down, newest-pose display at each vsync.
-func simulateScaleSession(idx int, prof netsim.Profile, seed int64,
-	replicaLoad, capacity int) (poses int, samples []float64) {
-
-	up := netsim.NewLink(prof, seed+int64(idx)*2)
-	down := netsim.NewLink(prof, seed+int64(idx)*2+1)
-	procSec := scaleProcMs * (1 + float64(replicaLoad)/float64(capacity)) / 1000
-
-	type poseArrival struct{ recvT, sampleT float64 }
-	var arrivals []poseArrival
-	var encBuf []byte
-	n := int(scaleVirtualSec * scaleIMUHz)
-	for i := 0; i < n; i++ {
-		t := float64(i) / scaleIMUHz
-		// real codec on both directions, as in the fleet cell
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, sensors.IMUSample{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
+// Check is the kilo-session gate: the data plane must carry 1024
+// sessions without losing any, without letting MTP collapse, and
+// without the relay allocating per frame.
+func (rep *ScaleReport) Check() []error {
+	var f failures
+	// sweep shape
+	var baseline, largest *ScaleCell
+	for i := range rep.Sweep {
+		c := &rep.Sweep[i]
+		if c.Sessions == rep.BaselineSessions {
+			baseline = c
 		}
-		sendT := up.Arrive(t) + procSec
-		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
-			Type: wire.TypePose, Payload: wire.AppendPose(nil, wire.Pose{T: t})})
-		if _, _, err := wire.Decode(encBuf); err != nil {
-			continue
+		if largest == nil || c.Sessions > largest.Sessions {
+			largest = c
 		}
-		arrivals = append(arrivals, poseArrival{recvT: down.Arrive(sendT), sampleT: t})
+		if c.Admitted != c.Sessions {
+			f.addf("cell %d admitted %d of %d sessions", c.Sessions, c.Admitted, c.Sessions)
+		}
+		if c.Lost != 0 {
+			f.addf("cell %d lost %d sessions", c.Sessions, c.Lost)
+		}
+		if c.MTP.N == 0 || c.MTP.P99Ms <= 0 {
+			f.addf("cell %d has an empty MTP distribution", c.Sessions)
+		}
+	}
+	switch {
+	case baseline == nil:
+		f.addf("sweep has no %d-session baseline cell", rep.BaselineSessions)
+	case largest.Sessions < 1024:
+		f.addf("sweep never reached 1024 sessions")
+	case largest.MTP.P99Ms > 2*baseline.MTP.P99Ms:
+		// the kilo-session promise: p99 within 2x the baseline
+		f.addf("MTP p99 at %d sessions is %.2fms, over 2x the %d-session baseline %.2fms",
+			largest.Sessions, largest.MTP.P99Ms, baseline.Sessions, baseline.MTP.P99Ms)
 	}
 
-	ptr, newest := 0, -1
-	vsyncs := int(scaleVirtualSec * scaleVsyncHz)
-	for v := 1; v <= vsyncs; v++ {
-		tv := float64(v) / scaleVsyncHz
-		for ptr < len(arrivals) && arrivals[ptr].recvT <= tv {
-			newest = ptr
-			ptr++
-		}
-		if newest < 0 {
-			continue
-		}
-		samples = append(samples, (tv-arrivals[newest].sampleT)*1000)
+	// zero-copy relay
+	if rep.Relay.AfterAllocsPerFrame > 0.05 {
+		f.addf("raw relay allocates %.3f per frame, over the 0.05 budget",
+			rep.Relay.AfterAllocsPerFrame)
 	}
-	return len(arrivals), samples
+	if rep.Relay.WallSpeedup < 1.05 {
+		f.addf("raw relay speedup %.2fx, want >= 1.05x over the decoded path",
+			rep.Relay.WallSpeedup)
+	}
+
+	// the admission script ran to completion (its value is pinned by
+	// TestScaleFingerprintEqual)
+	if rep.Fingerprints.Fingerprint == "" {
+		f.addf("no decision fingerprint")
+	}
+	if rep.Fingerprints.Decisions < 1024 {
+		f.addf("fingerprint script logged only %d decisions", rep.Fingerprints.Decisions)
+	}
+
+	// live soak
+	if rep.Soak.Admitted != rep.Soak.Sessions {
+		f.addf("soak admitted %d of %d clients", rep.Soak.Admitted, rep.Soak.Sessions)
+	}
+	if rep.Soak.Lost != 0 {
+		f.addf("soak lost %d frames", rep.Soak.Lost)
+	}
+	if !rep.Soak.CleanShutdown {
+		f.addf("soak shutdown was not clean")
+	}
+	if rep.Soak.WallPoses == 0 {
+		f.addf("soak delivered no poses")
+	}
+	return f
 }
 
 // runScaleCell places n sessions through the real coordinator and runs
@@ -220,11 +242,17 @@ func runScaleCell(n int, seed int64) (ScaleCell, error) {
 	prof := netsim.DefaultProfile()
 	var pooled []float64
 	for i := 0; i < n; i++ {
-		poses, samples := simulateScaleSession(i, prof, seed, load[placedOn[i]], scaleCapacity)
-		if poses == 0 {
+		// turnaround grows linearly with the replica's occupancy
+		occupancy := float64(load[placedOn[i]]) / float64(scaleCapacity)
+		sim := simulateSession(sessionSpec{endSec: scaleVirtualSec,
+			imuHz: scaleIMUHz, vsyncHz: scaleVsyncHz,
+			turnaroundSec: scaleProcMs * (1 + occupancy) / 1000,
+			up:            netsim.NewLink(prof, seed+int64(i)*2),
+			down:          netsim.NewLink(prof, seed+int64(i)*2+1)})
+		if sim.poses == 0 {
 			cell.Lost++
 		}
-		pooled = append(pooled, samples...)
+		pooled = append(pooled, sim.mtp...)
 	}
 	cell.MTP = mtpStats(pooled)
 	return cell, nil
@@ -494,12 +522,8 @@ func scaleSweepSizes(maxSessions int) []int {
 	return sizes
 }
 
-// ScaleExperiment runs `illixr-bench -exp scale` and writes
-// BENCH_scale.json when outPath is non-empty.
-func ScaleExperiment(w io.Writer, maxSessions int, seed int64, outPath string) (*ScaleReport, error) {
-	if maxSessions <= 0 {
-		maxSessions = 1024
-	}
+// ScaleExperiment runs `illixr-bench -exp scale`.
+func ScaleExperiment(w io.Writer, maxSessions int, seed int64) (*ScaleReport, error) {
 	if maxSessions > scaleReplicas*scaleCapacity {
 		return nil, fmt.Errorf("bench: %d sessions exceed fleet capacity %d",
 			maxSessions, scaleReplicas*scaleCapacity)
@@ -547,15 +571,5 @@ func ScaleExperiment(w io.Writer, maxSessions int, seed int64, outPath string) (
 		rep.Soak.Admitted, rep.Soak.Lost, rep.Soak.WallPoses, rep.Soak.CleanShutdown,
 		rep.Soak.WallSec, rep.Soak.WallCoordContention, rep.Soak.WallServerContention)
 
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
 	return rep, nil
 }

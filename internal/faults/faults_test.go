@@ -205,7 +205,7 @@ func TestReplicaCrashScenario(t *testing.T) {
 	}
 
 	// golden fingerprint: the replica-crash schedule for this seed is
-	// pinned — bench reports and the fleetcheck gate replay it exactly,
+	// pinned — bench reports and the fleet gate replay it exactly,
 	// so silent drift in the generator would invalidate archived results
 	const golden = uint64(0x3c5a5cce5d51c009)
 	if got := s.Fingerprint(); got != golden {

@@ -178,7 +178,7 @@ func (l *loopReader) Read(p []byte) (int, error) {
 // TestZeroAllocRelayLoop pins the steady-state relay data path —
 // ReadRaw, the hop-span trace rewrite, QueueRaw, Flush — at zero
 // allocations per frame. This is the loop every one of a thousand
-// sessions' frames crosses twice; scripts/scalecheck holds the live
+// sessions' frames crosses twice; ScaleReport.Check holds the live
 // measurement under 0.05 allocs/frame.
 func TestZeroAllocRelayLoop(t *testing.T) {
 	big := make([]byte, 1024)

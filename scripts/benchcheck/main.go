@@ -1,0 +1,40 @@
+// Command benchcheck gates one illixr-bench report (or one Chrome trace
+// from illixr-run -trace-out): it decodes the file into the report type
+// that wrote it and runs that type's Check method — the assertions
+// themselves live in internal/bench, next to the structs they read.
+//
+// Usage: benchcheck <kind> <file> [baseline]
+//
+// Kinds: parallel network memory fleet fleetobs replay qos scale trace.
+// Only memory takes a baseline (the checked-in BENCH_memory.json).
+package main
+
+import (
+	"fmt"
+	"os"
+
+	"illixr/internal/bench"
+)
+
+func main() {
+	if len(os.Args) < 3 || len(os.Args) > 4 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck <kind> <file> [baseline]")
+		os.Exit(2)
+	}
+	kind, file, baseline := os.Args[1], os.Args[2], ""
+	if len(os.Args) == 4 {
+		baseline = os.Args[3]
+	}
+	failed, err := bench.CheckFile(kind, file, baseline)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
+		os.Exit(1)
+	}
+	for _, e := range failed {
+		fmt.Fprintf(os.Stderr, "benchcheck %s: FAIL %v\n", kind, e)
+	}
+	if len(failed) > 0 {
+		os.Exit(1)
+	}
+	fmt.Printf("benchcheck %s: %s OK\n", kind, file)
+}

@@ -41,68 +41,45 @@ echo "== observability smoke test"
 # and a non-empty metrics dump
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+go build -o "$TMP/illixr-bench" ./cmd/illixr-bench
+go build -o "$TMP/benchcheck" ./scripts/benchcheck
 go run ./cmd/illixr-run -app platformer -duration 1 \
 	-trace-out "$TMP/trace.json" -metrics-out "$TMP/metrics.txt" >/dev/null
-go run ./scripts/tracecheck "$TMP/trace.json"
+"$TMP/benchcheck" trace "$TMP/trace.json"
 grep -q '^illixr_' "$TMP/metrics.txt" || {
 	echo "metrics dump has no illixr_ metrics" >&2
 	exit 1
 }
 
-echo "== parallel bench smoke"
-# the 4-worker run must show the modeled parallelism and must not regress
-# the quality kernels against serial (see scripts/parallelcheck)
-go run ./cmd/illixr-bench -exp parallel -workers 4 -parallel-iters 3 \
-	-parallel-out "$TMP/parallel.json" >/dev/null
-go run ./scripts/parallelcheck "$TMP/parallel.json"
-
-echo "== network bench smoke"
-# the offload sweep must sustain 8 sessions per cell with a clean wire
-# and bounded queues (see scripts/netcheck)
-go run ./cmd/illixr-bench -exp network -network-sessions 8 \
-	-network-out "$TMP/network.json" >/dev/null
-go run ./scripts/netcheck "$TMP/network.json"
-
-echo "== fleet bench smoke"
-# the replica-crash chaos cell must lose zero of its 120 sessions and
-# recover every displaced one inside the bound (see scripts/fleetcheck)
-go run ./cmd/illixr-bench -exp fleet -fleet-sessions 120 \
-	-fleet-out "$TMP/fleet.json" >/dev/null
-go run ./scripts/fleetcheck "$TMP/fleet.json"
-
-echo "== fleet observability bench smoke"
-# scraped metrics must demonstrably improve placement under skewed load,
-# and stitched cross-node traces must attribute end-to-end MTP within
-# 1 ms (see scripts/obscheck)
-go run ./cmd/illixr-bench -exp fleetobs \
-	-fleetobs-out "$TMP/fleetobs.json" >/dev/null
-go run ./scripts/obscheck "$TMP/fleetobs.json"
-
-echo "== record/replay bench smoke"
-# the binlog capture tap must stay inside the frame budget, the 1x
-# replay must be bit-exact, and the fan-out cell must admit >= 8
-# replayed sessions with zero lost frames (see scripts/replaycheck)
-go run ./cmd/illixr-bench -exp replay \
-	-replay-out "$TMP/replay.json" >/dev/null
-go run ./scripts/replaycheck "$TMP/replay.json"
-
-echo "== adaptive QoS bench smoke"
-# the controller must beat the static split on MTP p99 wherever the
-# static split misses deadlines, batching must amortize dispatch cost,
-# faults must degrade-then-restore, and re-runs must not drift
-# (see scripts/qoscheck)
-go run ./cmd/illixr-bench -exp qos \
-	-qos-out "$TMP/qos.json" >/dev/null
-go run ./scripts/qoscheck "$TMP/qos.json"
-
-echo "== kilo-session scale bench smoke"
-# the 1024-session sweep must hold MTP p99 within 2x the 120-session
-# baseline, the raw relay must stay under 0.05 allocs/frame, and the
-# admission script must fingerprint >= 1024 decisions (see
-# scripts/scalecheck)
-go run ./cmd/illixr-bench -exp scale \
-	-scale-out "$TMP/scale.json" >/dev/null
-go run ./scripts/scalecheck "$TMP/scale.json"
+echo "== bench smokes: each experiment runs, then benchcheck gates its report"
+# a typo in the loop below must fail, not pass as an empty run
+if "$TMP/illixr-bench" -exp bogus >/dev/null 2>&1; then
+	echo "illixr-bench accepted an unknown experiment id" >&2
+	exit 1
+fi
+# parallel: the 4-worker run must show the modeled parallelism and must
+#   not regress the quality kernels against serial
+# network:  the offload sweep must sustain 8 sessions per cell with a
+#   clean wire and bounded queues
+# fleet:    the replica-crash chaos cell must lose zero of its 120
+#   sessions and recover every displaced one inside the bound
+# fleetobs: scraped metrics must demonstrably improve placement under
+#   skewed load, and stitched cross-node traces must attribute end-to-end
+#   MTP within 1 ms
+# replay:   the binlog capture tap must stay inside the frame budget, the
+#   1x replay must be bit-exact, and the fan-out cell must admit >= 8
+#   replayed sessions with zero lost frames
+# qos:      the controller must beat the static split on MTP p99 wherever
+#   the static split misses deadlines, batching must amortize dispatch
+#   cost, faults must degrade-then-restore, and re-runs must not drift
+# scale:    the 1024-session sweep must hold MTP p99 within 2x the
+#   120-session baseline, the raw relay must stay under 0.05
+#   allocs/frame, and the admission script must fingerprint >= 1024
+#   decisions
+for e in parallel network fleet fleetobs replay qos scale; do
+	"$TMP/illixr-bench" -exp $e -out-dir "$TMP" >/dev/null
+	"$TMP/benchcheck" $e "$TMP/BENCH_$e.json"
+done
 
 echo "== zero-allocation regression tests"
 # AllocsPerRun needs real allocation counts, so this pass runs without
@@ -118,10 +95,9 @@ go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 
-echo "== memory bench + alloccheck gate"
+echo "== memory bench + allocation gate"
 # the steady-state hot paths must stay allocation-free and must not
 # regress against the checked-in BENCH_memory.json baseline
-go run ./cmd/illixr-bench -exp memory -duration 5 \
-	-memory-out "$TMP/memory.json" >/dev/null
-go run ./scripts/alloccheck "$TMP/memory.json" BENCH_memory.json
+"$TMP/illixr-bench" -exp memory -duration 5 -out-dir "$TMP" >/dev/null
+"$TMP/benchcheck" memory "$TMP/BENCH_memory.json" BENCH_memory.json
 echo "check: OK"
