@@ -22,7 +22,9 @@ type Application struct {
 	Frames int
 }
 
-// New builds the named application on a session.
+// New builds the named application on a session. The renderer runs on its
+// own GOMAXPROCS-sized pool; call a.Renderer.SetPool to share a pool or,
+// with nil, to render serially (output is the same either way).
 func New(name render.AppName, session *openxr.Session, w, h int, seed int64) *Application {
 	return &Application{
 		Name:     name,

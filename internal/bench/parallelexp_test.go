@@ -34,8 +34,9 @@ func TestParallelExperimentShape(t *testing.T) {
 	if rep.Workers != 4 {
 		t.Fatalf("workers = %d, want 4", rep.Workers)
 	}
-	if len(rep.Kernels) != 6 {
-		t.Fatalf("got %d kernels, want 6", len(rep.Kernels))
+	wantNames := []string{"reprojection", "render", "hologram", "ssim", "flip", "pyramid", "audio"}
+	if len(rep.Kernels) != len(wantNames) {
+		t.Fatalf("got %d kernels, want %d", len(rep.Kernels), len(wantNames))
 	}
 	names := map[string]bool{}
 	for _, k := range rep.Kernels {
@@ -53,7 +54,7 @@ func TestParallelExperimentShape(t *testing.T) {
 			t.Errorf("%s: only %d tiles per iteration", k.Name, k.TilesPerIter)
 		}
 	}
-	for _, want := range []string{"reprojection", "hologram", "ssim", "flip", "pyramid", "audio"} {
+	for _, want := range wantNames {
 		if !names[want] {
 			t.Errorf("missing kernel %q", want)
 		}

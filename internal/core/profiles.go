@@ -69,6 +69,7 @@ func buildAppProfile(cfg RunConfig, ds *sensors.Dataset) *appProfile {
 	}
 	scale := float64(cfg.System.DisplayWidth*cfg.System.DisplayHeight) / float64(probeW*probeH)
 	r := render.NewRenderer(probeW, probeH)
+	r.SetPool(nil) // stats-only probe: serial, so it parks no helper goroutines
 	for i := 0; i < samples; i++ {
 		t := float64(i) * prof.sampleDt
 		r.Stats = render.FrameStats{}

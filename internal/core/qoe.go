@@ -98,6 +98,7 @@ func evaluateQuality(cfg RunConfig, perc *perception, appProf *appProfile,
 		warp.SetPool(pool)
 	}
 	renderer := render.NewRenderer(w, h)
+	renderer.SetPool(pool)
 	vsync := 1 / cfg.System.DisplayRateHz
 
 	// sample display events evenly, skipping the warm-up

@@ -232,9 +232,16 @@ func (m *Mat) CholeskySolve(b []float64) ([]float64, bool) {
 	if !ok {
 		return nil, false
 	}
-	n := m.Rows
+	x := make([]float64, m.Rows)
+	choleskySubst(l, b, make([]float64, m.Rows), x)
+	return x, true
+}
+
+// choleskySubst solves L Lᵀ x = b for one right-hand side by forward then
+// back substitution; y is scratch of the same length as x.
+func choleskySubst(l *Mat, b, y, x []float64) {
+	n := l.Rows
 	// forward: L y = b
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
@@ -243,7 +250,6 @@ func (m *Mat) CholeskySolve(b []float64) ([]float64, bool) {
 		y[i] = s / l.At(i, i)
 	}
 	// backward: Lᵀ x = y
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -251,25 +257,28 @@ func (m *Mat) CholeskySolve(b []float64) ([]float64, bool) {
 		}
 		x[i] = s / l.At(i, i)
 	}
-	return x, true
 }
 
-// CholeskySolveMat solves m X = B column-by-column.
+// CholeskySolveMat solves m X = B: m is factored once and each column of B
+// is substituted through the factor, so every column equals the
+// CholeskySolve of that column bit for bit.
 func (m *Mat) CholeskySolveMat(b *Mat) (*Mat, bool) {
 	if m.Rows != b.Rows {
 		panic("mathx: CholeskySolveMat shape mismatch")
 	}
-	out := NewMat(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
+	l, ok := m.Cholesky()
+	if !ok {
+		return nil, false
+	}
+	n := b.Rows
+	out := NewMat(n, b.Cols)
+	col, y, x := make([]float64, n), make([]float64, n), make([]float64, n)
 	for c := 0; c < b.Cols; c++ {
-		for r := 0; r < b.Rows; r++ {
+		for r := 0; r < n; r++ {
 			col[r] = b.At(r, c)
 		}
-		x, ok := m.CholeskySolve(col)
-		if !ok {
-			return nil, false
-		}
-		for r := 0; r < b.Rows; r++ {
+		choleskySubst(l, col, y, x)
+		for r := 0; r < n; r++ {
 			out.Set(r, c, x[r])
 		}
 	}

@@ -109,6 +109,51 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
+// TestCholeskySolveMatBitEqual holds the factor-once matrix solve to the
+// column-by-column CholeskySolve it replaced, bit for bit.
+func TestCholeskySolveMatBitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{1, 2, 6, 15, 33} {
+		spd := randSPD(rng, n)
+		b := randMat(rng, n, n+3)
+		got, ok := spd.CholeskySolveMat(b)
+		if !ok {
+			t.Fatalf("n=%d: SPD matrix rejected", n)
+		}
+		col := make([]float64, n)
+		for c := 0; c < b.Cols; c++ {
+			for r := 0; r < n; r++ {
+				col[r] = b.At(r, c)
+			}
+			want, _ := spd.CholeskySolve(col)
+			for r := 0; r < n; r++ {
+				if math.Float64bits(got.At(r, c)) != math.Float64bits(want[r]) {
+					t.Fatalf("n=%d: X[%d,%d]=%x, column solve gives %x", n, r, c, got.At(r, c), want[r])
+				}
+			}
+		}
+	}
+	indefinite := NewMatFrom(2, 2, []float64{1, 2, 2, 1})
+	if _, ok := indefinite.CholeskySolveMat(Eye(2)); ok {
+		t.Error("indefinite matrix accepted")
+	}
+}
+
+// BenchmarkCholeskySolveMat is the VIO's Kalman-gain solve: a 30×30
+// innovation covariance against a 30×45 right-hand side.
+func BenchmarkCholeskySolveMat(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	spd := randSPD(rng, 30)
+	rhs := randMat(rng, 30, 45)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := spd.CholeskySolveMat(rhs); !ok {
+			b.Fatal("solve failed")
+		}
+	}
+}
+
 func TestLUSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{1, 4, 10} {

@@ -51,7 +51,7 @@ func Profiles() []Profile {
 	}
 }
 
-// DefaultProfile is the bench and netcheck default: a good home Wi-Fi
+// DefaultProfile is the bench experiments' default: a good home Wi-Fi
 // link to a nearby edge.
 func DefaultProfile() Profile { return Profiles()[2] }
 

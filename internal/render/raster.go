@@ -5,6 +5,7 @@ import (
 
 	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
+	"illixr/internal/parallel"
 )
 
 // ShadingModel selects the per-fragment cost class.
@@ -75,7 +76,11 @@ type FrameStats struct {
 	PhysicsOps          int
 }
 
-// Renderer is a z-buffered software rasterizer.
+// Renderer is a z-buffered software rasterizer. A frame is two passes
+// (DESIGN.md §8): a serial set-up pass that turns the scene into an
+// in-order list of screen-space triangles, and a raster+shade pass that the
+// pool runs over fixed bands of rows. RenderFrame is not safe for
+// concurrent use on one Renderer.
 type Renderer struct {
 	W, H  int
 	FovY  float64
@@ -84,17 +89,41 @@ type Renderer struct {
 	color *imgproc.RGB
 	depth []float32
 	Stats FrameStats
+	pool  *parallel.Pool
+
+	// Per-frame state the band kernel reads, in buffers kept across frames
+	// so that a steady-state RenderFrame allocates nothing (DESIGN.md §10).
+	verts     []screenVert // projected vertices of the instance being set up
+	tris      []setupTri   // this frame's triangles, in submission order
+	lights    []frameLight
+	ambient   float32
+	bandStats []bandCount // one per band of the framebuffer
+	bandFn    func(lo, hi int)
 }
 
-// NewRenderer creates a renderer with the given framebuffer size.
+// rasterBandRows is the fixed band height of the raster pass. Bands depend
+// only on the framebuffer height, never on the worker count.
+const rasterBandRows = 8
+
+// NewRenderer creates a renderer with the given framebuffer size and a
+// GOMAXPROCS-sized worker pool of its own.
 func NewRenderer(w, h int) *Renderer {
-	return &Renderer{
+	r := &Renderer{
 		W: w, H: h,
 		FovY: mathx.Deg2Rad(90), Near: 0.05, Far: 100,
 		color: imgproc.NewRGB(w, h),
 		depth: make([]float32, w*h),
+		pool:  parallel.New(0),
+
+		bandStats: make([]bandCount, parallel.Tiles(h, rasterBandRows)),
 	}
+	r.bandFn = r.rasterBand
+	return r
 }
+
+// SetPool overrides the worker pool (e.g. to share one instrumented pool
+// across kernels). A nil pool restores the serial path.
+func (r *Renderer) SetPool(p *parallel.Pool) { r.pool = p }
 
 // viewFromPose builds the view matrix for a body pose: the camera looks
 // along body +X with body +Z up (the same convention as the sensors
@@ -112,18 +141,20 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 		s.Update(s, t)
 		r.Stats.PhysicsOps += s.PhysicsCost
 	}
-	// clear
-	for i := range r.depth {
-		r.depth[i] = float32(math.Inf(1))
-	}
-	for i := range r.color.Pix {
-		r.color.Pix[i] = 0
-	}
 	view := viewFromPose(pose)
 	proj := mathx.Perspective(r.FovY, float64(r.W)/float64(r.H), r.Near, r.Far)
 	vp := proj.Mul(view)
+	r.tris = r.tris[:0]
 	for _, inst := range s.Instances {
-		r.drawMesh(inst, s, vp)
+		r.setUpMesh(inst, vp)
+	}
+	r.Stats.TrianglesRasterized += len(r.tris)
+	r.setUpLights(s)
+
+	r.pool.ForTiles("render", r.H, rasterBandRows, r.bandFn)
+	for _, b := range r.bandStats {
+		r.Stats.FragmentsShaded += b.fragments
+		r.Stats.ShadingCostWeight += b.costWeight
 	}
 	return r.color
 }
@@ -131,41 +162,79 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 // Framebuffer returns the last rendered image.
 func (r *Renderer) Framebuffer() *imgproc.RGB { return r.color }
 
-type clipVert struct {
-	clip mathx.Vec4
-	n    mathx.Vec3
-	wp   mathx.Vec3
+// setupTri is one triangle that survived the near-plane reject, the
+// backface cull and the bounding-box clip, ready to rasterize.
+type setupTri struct {
+	ax, ay, bx, by, cx, cy float64 // screen-space vertices, pixels
+	za, zb, zc             float64 // NDC depth at each vertex
+	invArea                float64
+	minX, maxX, minY, maxY int // pixel bounding box, clipped to the framebuffer
+	va, vb, vc             *Vertex
+	mat                    *Material
 }
 
-func (r *Renderer) drawMesh(inst *Instance, s *Scene, vp mathx.Mat4) {
+// frameLight is a scene light with its per-frame constants worked out.
+type frameLight struct {
+	dir   mathx.Vec3 // unit vector from the surface toward the light
+	half  mathx.Vec3 // Blinn half-vector between dir and the view direction
+	color [3]float32
+}
+
+// bandCount is one band's share of the frame's fragment counters.
+type bandCount struct {
+	fragments, costWeight int
+}
+
+// setUpLights works out what shade needs of each light once per frame.
+func (r *Renderer) setUpLights(s *Scene) {
+	r.ambient = s.Ambient
+	r.lights = r.lights[:0]
+	for _, l := range s.Lights {
+		ld := l.Dir.Normalized().Neg() // Dir points from light toward scene
+		// view direction approximated as +Z (headset-relative highlights
+		// are not needed for workload purposes)
+		h := ld.Add(mathx.Vec3{Z: 1}).Normalized()
+		r.lights = append(r.lights, frameLight{dir: ld, half: h, color: l.Color})
+	}
+}
+
+// screenVert is a vertex after projection: pixel position, NDC depth and
+// the clip-space w the near-plane test reads.
+type screenVert struct {
+	x, y, z, w float64
+}
+
+// setUpMesh projects an instance's vertices and appends its visible
+// triangles to the frame's list.
+func (r *Renderer) setUpMesh(inst *Instance, vp mathx.Mat4) {
 	mesh := inst.Mesh
-	// transform all vertices once
-	cv := make([]clipVert, len(mesh.Vertices))
-	for i, v := range mesh.Vertices {
-		cv[i] = clipVert{
-			clip: vp.MulVec(mathx.Vec4{X: v.Pos.X, Y: v.Pos.Y, Z: v.Pos.Z, W: 1}),
-			n:    v.Normal,
-			wp:   v.Pos,
+	r.Stats.TrianglesSubmitted += len(mesh.Triangles)
+	// project every vertex once, however many triangles share it
+	if cap(r.verts) < len(mesh.Vertices) {
+		r.verts = make([]screenVert, len(mesh.Vertices))
+	}
+	verts := r.verts[:len(mesh.Vertices)]
+	fw, fh := float64(r.W), float64(r.H)
+	for i := range mesh.Vertices {
+		p := &mesh.Vertices[i].Pos
+		clip := vp.MulVec(mathx.Vec4{X: p.X, Y: p.Y, Z: p.Z, W: 1})
+		ndc := clip.PerspectiveDivide()
+		// viewport transform (NDC y up → pixel y down)
+		verts[i] = screenVert{
+			x: (ndc.X + 1) / 2 * fw,
+			y: (1 - ndc.Y) / 2 * fh,
+			z: ndc.Z,
+			w: clip.W,
 		}
 	}
 	for _, tri := range mesh.Triangles {
-		r.Stats.TrianglesSubmitted++
-		a, b, c := cv[tri[0]], cv[tri[1]], cv[tri[2]]
+		a, b, c := &verts[tri[0]], &verts[tri[1]], &verts[tri[2]]
 		// reject triangles with any vertex behind the near plane (simple
 		// clipping: fine for these scenes where geometry is room-scale)
-		if a.clip.W < r.Near || b.clip.W < r.Near || c.clip.W < r.Near {
+		if a.w < r.Near || b.w < r.Near || c.w < r.Near {
 			continue
 		}
-		pa := a.clip.PerspectiveDivide()
-		pb := b.clip.PerspectiveDivide()
-		pc := c.clip.PerspectiveDivide()
-		// viewport transform (NDC y up → pixel y down)
-		ax := (pa.X + 1) / 2 * float64(r.W)
-		ay := (1 - pa.Y) / 2 * float64(r.H)
-		bx := (pb.X + 1) / 2 * float64(r.W)
-		by := (1 - pb.Y) / 2 * float64(r.H)
-		cx := (pc.X + 1) / 2 * float64(r.W)
-		cy := (1 - pc.Y) / 2 * float64(r.H)
+		ax, ay, bx, by, cx, cy := a.x, a.y, b.x, b.y, c.x, c.y
 		// backface cull (counter-clockwise front faces in screen space)
 		area := (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
 		if area >= 0 {
@@ -191,36 +260,85 @@ func (r *Renderer) drawMesh(inst *Instance, s *Scene, vp mathx.Mat4) {
 		if minX > maxX || minY > maxY {
 			continue
 		}
-		r.Stats.TrianglesRasterized++
-		invArea := 1 / area
-		for py := minY; py <= maxY; py++ {
+		r.tris = append(r.tris, setupTri{
+			ax: ax, ay: ay, bx: bx, by: by, cx: cx, cy: cy,
+			za: a.z, zb: b.z, zc: c.z,
+			invArea: 1 / area,
+			minX:    minX, maxX: maxX, minY: minY, maxY: maxY,
+			va: &mesh.Vertices[tri[0]], vb: &mesh.Vertices[tri[1]], vc: &mesh.Vertices[tri[2]],
+			mat: &inst.Material,
+		})
+	}
+}
+
+// rasterBand clears rows [lo, hi) and rasterizes and shades every set-up
+// triangle clipped to them, in submission order: a pixel sees the same
+// triangles in the same order whichever band size or worker runs it, so
+// the depth test (a later triangle at equal depth loses) resolves the same
+// way. It is the pool kernel; its arguments are the Renderer's per-frame
+// fields.
+func (r *Renderer) rasterBand(lo, hi int) {
+	w := r.W
+	depth, pix := r.depth, r.color.Pix
+	far := float32(math.Inf(1))
+	for i := lo * w; i < hi*w; i++ {
+		depth[i] = far
+	}
+	for i := 3 * lo * w; i < 3*hi*w; i++ {
+		pix[i] = 0
+	}
+	var count bandCount
+	for i := range r.tris {
+		t := &r.tris[i]
+		y0, y1 := t.minY, t.maxY
+		if y0 < lo {
+			y0 = lo
+		}
+		if y1 > hi-1 {
+			y1 = hi - 1
+		}
+		if y0 > y1 {
+			continue
+		}
+		// locals, so the pixel loop reloads nothing through t after a
+		// framebuffer store
+		ax, bx, cx, by, cy := t.ax, t.bx, t.cx, t.by, t.cy
+		dx0, dy0 := cx-bx, cy-by
+		dx1, dy1 := ax-cx, t.ay-cy
+		za, zb, zc, invArea := t.za, t.zb, t.zc, t.invArea
+		minX, maxX := t.minX, t.maxX
+		shaded := 0
+		for py := y0; py <= y1; py++ {
 			fy := float64(py) + 0.5
+			// the row-constant halves of the two edge functions
+			e0 := dx0 * (fy - by)
+			e1 := dx1 * (fy - cy)
 			for px := minX; px <= maxX; px++ {
 				fx := float64(px) + 0.5
 				// barycentric
-				w0 := ((cx-bx)*(fy-by) - (cy-by)*(fx-bx)) * invArea
-				w1 := ((ax-cx)*(fy-cy) - (ay-cy)*(fx-cx)) * invArea
+				w0 := (e0 - dy0*(fx-bx)) * invArea
+				w1 := (e1 - dy1*(fx-cx)) * invArea
 				w2 := 1 - w0 - w1
 				if w0 < 0 || w1 < 0 || w2 < 0 {
 					continue
 				}
-				z := float32(w0*pa.Z + w1*pb.Z + w2*pc.Z)
-				di := py*r.W + px
-				if z >= r.depth[di] {
+				z := float32(w0*za + w1*zb + w2*zc)
+				di := py*w + px
+				if z >= depth[di] {
 					continue
 				}
-				r.depth[di] = z
-				n := a.n.Scale(w0).Add(b.n.Scale(w1)).Add(c.n.Scale(w2)).Normalized()
-				wp := a.wp.Scale(w0).Add(b.wp.Scale(w1)).Add(c.wp.Scale(w2))
-				col := r.shade(inst.Material, s, n, wp)
-				r.color.Pix[3*di] = col[0]
-				r.color.Pix[3*di+1] = col[1]
-				r.color.Pix[3*di+2] = col[2]
-				r.Stats.FragmentsShaded++
-				r.Stats.ShadingCostWeight += shadingCost(inst.Material.Model)
+				depth[di] = z
+				col := r.shade(t, w0, w1, w2)
+				pix[3*di] = col[0]
+				pix[3*di+1] = col[1]
+				pix[3*di+2] = col[2]
+				shaded++
 			}
 		}
+		count.fragments += shaded
+		count.costWeight += shaded * shadingCost(t.mat.Model)
 	}
+	r.bandStats[lo/rasterBandRows] = count
 }
 
 func shadingCost(m ShadingModel) int {
@@ -236,8 +354,10 @@ func shadingCost(m ShadingModel) int {
 	}
 }
 
-func (r *Renderer) shade(m Material, s *Scene, n, wp mathx.Vec3) [3]float32 {
-	amb := s.Ambient
+// shade colours the fragment of t at barycentric weights (w0, w1, w2).
+func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
+	m := t.mat
+	amb := r.ambient
 	var col [3]float32
 	col[0] = m.Albedo[0] * amb
 	col[1] = m.Albedo[1] * amb
@@ -245,29 +365,26 @@ func (r *Renderer) shade(m Material, s *Scene, n, wp mathx.Vec3) [3]float32 {
 	if m.Model == ShadeFlat {
 		return col
 	}
-	for _, l := range s.Lights {
-		ld := l.Dir.Normalized().Neg() // Dir points from light toward scene
-		lam := mathx.Clamp(n.Dot(ld), 0, 1)
+	n := t.va.Normal.Scale(w0).Add(t.vb.Normal.Scale(w1)).Add(t.vc.Normal.Scale(w2)).Normalized()
+	for i := range r.lights {
+		l := &r.lights[i]
+		lam := mathx.Clamp(n.Dot(l.dir), 0, 1)
 		if lam <= 0 {
 			continue
 		}
 		diff := float32(lam)
-		col[0] += m.Albedo[0] * l.Color[0] * diff
-		col[1] += m.Albedo[1] * l.Color[1] * diff
-		col[2] += m.Albedo[2] * l.Color[2] * diff
+		col[0] += m.Albedo[0] * l.color[0] * diff
+		col[1] += m.Albedo[1] * l.color[1] * diff
+		col[2] += m.Albedo[2] * l.color[2] * diff
 		if m.Model == ShadeLambert {
 			continue
 		}
-		// view direction approximated as +Z (headset-relative highlights
-		// are not needed for workload purposes)
-		v := mathx.Vec3{Z: 1}
-		h := ld.Add(v).Normalized()
-		ndh := mathx.Clamp(n.Dot(h), 0, 1)
+		ndh := mathx.Clamp(n.Dot(l.half), 0, 1)
 		if m.Model == ShadeBlinnPhong {
 			spec := float32(math.Pow(ndh, 32))
-			col[0] += 0.3 * spec * l.Color[0]
-			col[1] += 0.3 * spec * l.Color[1]
-			col[2] += 0.3 * spec * l.Color[2]
+			col[0] += 0.3 * spec * l.color[0]
+			col[1] += 0.3 * spec * l.color[1]
+			col[2] += 0.3 * spec * l.color[2]
 			continue
 		}
 		// ShadePBR: GGX distribution + Schlick Fresnel + a procedural
@@ -282,7 +399,7 @@ func (r *Renderer) shade(m Material, s *Scene, n, wp mathx.Vec3) [3]float32 {
 		wrap := (lam + 0.3) / 1.3
 		spec := float32(d * fres * 0.25)
 		for ch := 0; ch < 3; ch++ {
-			col[ch] += (m.Albedo[ch]*float32(wrap)*0.4 + spec) * l.Color[ch]
+			col[ch] += (m.Albedo[ch]*float32(wrap)*0.4 + spec) * l.color[ch]
 		}
 	}
 	for ch := 0; ch < 3; ch++ {

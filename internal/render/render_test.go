@@ -84,11 +84,7 @@ func TestComplexityOrdering(t *testing.T) {
 		// average over a few frames around the loop
 		for i := 0; i < 4; i++ {
 			tm := float64(i) * 2
-			pose := mathx.Pose{
-				Pos: mathx.Vec3{X: 2 * math.Cos(tm*0.3), Y: 2 * math.Sin(tm*0.3), Z: 1.6},
-				Rot: mathx.QuatFromAxisAngle(mathx.Vec3{Z: 1}, tm*0.3+math.Pi/2),
-			}
-			r.RenderFrame(s, pose, tm)
+			r.RenderFrame(s, loopPose(tm), tm)
 		}
 		cost[app] = r.Stats.ShadingCostWeight + 10*r.Stats.TrianglesSubmitted
 	}

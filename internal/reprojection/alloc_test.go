@@ -5,6 +5,7 @@ import (
 
 	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
+	"illixr/internal/parallel"
 	"illixr/internal/testutil"
 )
 
@@ -23,4 +24,18 @@ func TestZeroAllocReproject(t *testing.T) {
 		out := r.Reproject(src, renderPose, freshPose)
 		imgproc.PutRGB(out)
 	})
+}
+
+// BenchmarkReproject320x180 is the live pipeline's warp: one frame at the
+// benchmark's resolution on a GOMAXPROCS-sized pool (run with -cpu 1,2).
+func BenchmarkReproject320x180(b *testing.B) {
+	r := New(DefaultParams())
+	r.SetPool(parallel.New(0))
+	src := testFrame(320, 180)
+	renderPose, freshPose := testPoses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imgproc.PutRGB(r.Reproject(src, renderPose, freshPose))
+	}
 }

@@ -183,24 +183,25 @@ func buildMesh(fovY float64, meshW, meshH int, k1, k2 float64) [][2]float64 {
 	return mesh
 }
 
-// meshLookup bilinearly interpolates a distortion mesh at output NDC.
-func meshLookup(mesh [][2]float64, w, h int, u, v float64) (x, y float64) {
-	fx := u * float64(w-1)
-	fy := v * float64(h-1)
-	x0 := int(fx)
-	y0 := int(fy)
-	if x0 >= w-1 {
-		x0 = w - 2
+// meshCell locates normalised output coordinate t in [0, 1] on a mesh axis
+// of n vertices: the cell's first vertex and the weight of its second. All
+// three channel meshes share one grid, so the warp computes a cell once per
+// row and once per pixel, not once per channel.
+func meshCell(t float64, n int) (i0 int, a float64) {
+	f := t * float64(n-1)
+	i0 = int(f)
+	if i0 >= n-1 {
+		i0 = n - 2
 	}
-	if y0 >= h-1 {
-		y0 = h - 2
-	}
-	ax := fx - float64(x0)
-	ay := fy - float64(y0)
-	v00 := mesh[y0*w+x0]
-	v10 := mesh[y0*w+x0+1]
-	v01 := mesh[(y0+1)*w+x0]
-	v11 := mesh[(y0+1)*w+x0+1]
+	return i0, f - float64(i0)
+}
+
+// meshBlend interpolates the mesh cell whose first vertex is at index i.
+func meshBlend(mesh [][2]float64, i, w int, ax, ay float64) (x, y float64) {
+	v00 := mesh[i]
+	v10 := mesh[i+1]
+	v01 := mesh[i+w]
+	v11 := mesh[i+w+1]
 	x = (v00[0]*(1-ax)+v10[0]*ax)*(1-ay) + (v01[0]*(1-ax)+v11[0]*ax)*ay
 	y = (v00[1]*(1-ax)+v10[1]*ax)*(1-ay) + (v01[1]*(1-ax)+v11[1]*ax)*ay
 	return x, y
@@ -240,29 +241,26 @@ func (r *Reprojector) warpTile(lo, hi int) {
 	src, out := r.warpSrc, r.warpOut
 	dR, dPos := r.warpDR, r.warpDPos
 	tanHalf, aspect := r.warpTanHalf, r.warpAspect
+	meshes := [3][][2]float64{r.meshR, r.meshG, r.meshB}
+	translate := r.P.Translational && r.P.PlaneDepth > 0
+	fw, fh := float64(src.W), float64(src.H)
 	for py := lo; py < hi; py++ {
-		v := (float64(py) + 0.5) / float64(src.H)
+		y0, ay := meshCell((float64(py)+0.5)/fh, r.meshH)
+		o := 3 * py * src.W
 		for px := 0; px < src.W; px++ {
-			u := (float64(px) + 0.5) / float64(src.W)
+			x0, ax := meshCell((float64(px)+0.5)/fw, r.meshW)
+			cell := y0*r.meshW + x0
 			// per-channel distorted tangent-space direction in the fresh
 			// view (display space)
 			var rgb [3]float32
 			for c := 0; c < 3; c++ {
-				var tx, ty float64
-				switch c {
-				case 0:
-					tx, ty = meshLookup(r.meshR, r.meshW, r.meshH, u, v)
-				case 1:
-					tx, ty = meshLookup(r.meshG, r.meshW, r.meshH, u, v)
-				default:
-					tx, ty = meshLookup(r.meshB, r.meshW, r.meshH, u, v)
-				}
+				tx, ty := meshBlend(meshes[c], cell, r.meshW, ax, ay)
 				// direction in fresh camera space (camera looks down +Z
 				// here with x right, y down in image space)
 				dir := mathx.Vec3{X: tx * aspect, Y: ty, Z: 1}
 				// rotate into the render camera frame
 				rd := dR.MulVec(dir)
-				if r.P.Translational && r.P.PlaneDepth > 0 {
+				if translate {
 					// intersect with the constant-depth plane and correct
 					// for camera displacement
 					pt := rd.Scale(r.P.PlaneDepth / math.Max(rd.Z, 1e-6))
@@ -275,22 +273,15 @@ func (r *Reprojector) warpTile(lo, hi int) {
 				sx := rd.X / rd.Z / aspect
 				sy := rd.Y / rd.Z
 				// back to pixel coordinates in the source frame
-				fx := (sx/tanHalf + 1) / 2 * float64(src.W)
-				fy := (sy/tanHalf + 1) / 2 * float64(src.H)
-				if fx < 0 || fy < 0 || fx >= float64(src.W) || fy >= float64(src.H) {
+				fx := (sx/tanHalf + 1) / 2 * fw
+				fy := (sy/tanHalf + 1) / 2 * fh
+				if fx < 0 || fy < 0 || fx >= fw || fy >= fh {
 					continue
 				}
-				rr, gg, bb := src.BilinearRGB(fx-0.5, fy-0.5)
-				switch c {
-				case 0:
-					rgb[0] = rr
-				case 1:
-					rgb[1] = gg
-				default:
-					rgb[2] = bb
-				}
+				rgb[c] = src.BilinearChannel(fx-0.5, fy-0.5, c)
 			}
-			out.Set(px, py, rgb[0], rgb[1], rgb[2])
+			out.Pix[o], out.Pix[o+1], out.Pix[o+2] = rgb[0], rgb[1], rgb[2]
+			o += 3
 		}
 	}
 }

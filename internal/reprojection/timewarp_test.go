@@ -185,3 +185,10 @@ func TestBehindCameraLeavesBlack(t *testing.T) {
 		t.Errorf("180° warp should be mostly black, sum=%v", sum)
 	}
 }
+
+// meshLookup interpolates a distortion mesh at output NDC (u, v).
+func meshLookup(mesh [][2]float64, w, h int, u, v float64) (x, y float64) {
+	x0, ax := meshCell(u, w)
+	y0, ay := meshCell(v, h)
+	return meshBlend(mesh, y0*w+x0, w, ax, ay)
+}

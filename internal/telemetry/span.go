@@ -260,7 +260,7 @@ type chromeTrace struct {
 	// SpanCount and SpansDropped surface the collector's retention state
 	// alongside the export: a nonzero SpansDropped means the trace is
 	// truncated at the cap, not complete. Extra top-level keys are
-	// ignored by chrome://tracing/Perfetto (and by scripts/tracecheck).
+	// ignored by chrome://tracing/Perfetto (and by `benchcheck trace`).
 	SpanCount    int    `json:"spanCount"`
 	SpansDropped uint64 `json:"spansDropped"`
 }

@@ -21,6 +21,9 @@ go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/brid
 # so are admission racing teardown and the registry's ack/end storm
 go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session >/dev/null
 go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
+# the band rasteriser shares one triangle list and one framebuffer between
+# workers: every band must stay inside its own rows
+go test -race -count=10 -run TestDeterminismRender ./internal/render >/dev/null
 
 echo "== determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
@@ -87,13 +90,16 @@ echo "== zero-allocation regression tests"
 go test -run 'TestZeroAlloc' ./internal/runtime ./internal/netxr/session \
 	./internal/netxr/fleet ./internal/reprojection ./internal/quality \
 	./internal/hologram ./internal/audio ./internal/imgproc ./internal/dsp \
-	./internal/telemetry >/dev/null
+	./internal/telemetry ./internal/render >/dev/null
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
+go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
+go test -run='^$' -bench=BenchmarkReproject320x180 -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
+go test -run='^$' -bench=BenchmarkCholeskySolveMat -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
 
 echo "== memory bench + allocation gate"
 # the steady-state hot paths must stay allocation-free and must not
