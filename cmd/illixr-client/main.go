@@ -61,9 +61,9 @@ func main() {
 		}
 	}
 	tracer := telemetry.NewSpanCollector(0)
-	cl, err := bridge.DialCapture(conn, wire.Hello{
+	cl, err := bridge.DialWith(conn, wire.Hello{
 		App: *app, Seed: *seed, IMURateHz: *imuRate, CamRateHz: *camRate,
-	}, tracer, capture)
+	}, bridge.DialOptions{Tracer: tracer, Capture: capture})
 	if err != nil {
 		log.Fatalf("handshake: %v", err)
 	}

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -72,24 +71,11 @@ func main() {
 	traceOut := flag.String("trace-out", "",
 		"on shutdown, write the stitched gateway+replica trace to this file")
 	metricsOut := flag.String("metrics-out", "",
-		"on shutdown, write the metrics registry as text to this file")
+		"on shutdown, write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	record := flag.String("record", "",
 		"capture all client-facing relayed frames into this binlog file "+
 			"(sidecar index written on shutdown; DESIGN.md §13)")
-	flushFrames := flag.Int("flush-frames", 0,
-		"relay write-coalescing window in frames (0 = default 16, 1 disables coalescing)")
-	profileContention := flag.Bool("profile-contention", false,
-		"record mutex and block profiles (served at /debug/pprof/mutex and "+
-			"/debug/pprof/block with -debug-addr) and report lock-contention "+
-			"counters on shutdown")
 	flag.Parse()
-
-	if *profileContention {
-		// 1-in-1 sampling: the registry's critical sections are tens of
-		// nanoseconds, so sparser sampling would miss them
-		runtime.SetMutexProfileFraction(1)
-		runtime.SetBlockProfileRate(1)
-	}
 
 	backends := strings.Split(*replicas, ",")
 	for i := range backends {
@@ -151,10 +137,9 @@ func main() {
 		Dial: func(id int) (net.Conn, error) {
 			return net.DialTimeout("tcp", backends[id], 5*time.Second)
 		},
-		Metrics:     reg,
-		Spans:       spans,
-		Record:      capture,
-		FlushFrames: *flushFrames,
+		Metrics: reg,
+		Spans:   spans,
+		Record:  capture,
 	}
 
 	var sloEng *slo.Engine
@@ -286,14 +271,10 @@ func main() {
 		fmt.Printf("wrote %s\n", *traceOut)
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, reg.WriteText); err != nil {
+		if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {
 			log.Fatalf("metrics-out: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)
-	}
-	if *profileContention {
-		fmt.Printf("lock contention: %d contended coordinator acquisitions over %d decisions\n",
-			coord.Contention(), coord.Decisions())
 	}
 	fmt.Println("gateway stopped")
 }

@@ -45,7 +45,7 @@ func main() {
 		"inject a seeded fault schedule: "+strings.Join(faults.ScenarioNames(), "|"))
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the fault schedule")
 	traceOut := flag.String("trace-out", "", "write causal spans as Chrome trace JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry as text to this file")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve /metrics /health /spans /debug/pprof/ on this address (e.g. :8080); keeps running after the run until interrupted")
 	flag.Parse()
@@ -150,7 +150,7 @@ func main() {
 			cfg.Spans.Len(), cfg.Spans.Dropped(), *traceOut)
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, cfg.Metrics.WriteText); err != nil {
+		if err := writeFile(*metricsOut, cfg.Metrics.WritePrometheus); err != nil {
 			log.Fatalf("metrics-out: %v", err)
 		}
 		fmt.Printf("Wrote metrics to %s\n", *metricsOut)

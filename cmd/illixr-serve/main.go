@@ -53,7 +53,7 @@ func main() {
 	traceOut := flag.String("trace-out", "",
 		"on shutdown, write all sessions' causal spans as Chrome trace JSON to this file")
 	metricsOut := flag.String("metrics-out", "",
-		"on shutdown, write the metrics registry as text to this file")
+		"on shutdown, write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	record := flag.String("record", "",
 		"capture every session frame (uplink+downlink) into this binlog file; "+
 			"a sidecar index is written alongside on shutdown (DESIGN.md §13)")
@@ -156,7 +156,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *traceOut)
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, reg.WriteText); err != nil {
+		if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {
 			log.Fatalf("metrics-out: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)

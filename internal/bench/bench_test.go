@@ -91,11 +91,6 @@ func TestFig5Fig6Fig7Render(t *testing.T) {
 			t.Errorf("missing %q", want)
 		}
 	}
-	// Fig 7 series extraction
-	series := MTPSeries(m, string(render.AppPlatformer))
-	if len(series) != 3 || len(series[0].T) == 0 {
-		t.Error("MTP series broken")
-	}
 }
 
 func TestTable6VIOShares(t *testing.T) {

@@ -333,59 +333,30 @@ func runFleetSoak() FleetSoakResult {
 				}
 				c, g := net.Pipe()
 				gw.HandleConn(g)
-				r, w := wire.NewReader(c), wire.NewWriter(c)
-				hello := wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "fleet-soak",
-					IMURateHz: fleetIMUHz, ResumeToken: token})
-				if w.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: hello}) != nil {
-					_ = c.Close()
-					continue
-				}
-				f, err := r.ReadFrame()
-				if err != nil || f.Type != wire.TypeWelcome {
-					_ = c.Close()
+				base := sent
+				var buf []byte
+				wel, wrote, poses, ok := streamFrames(c,
+					wire.Hello{App: "fleet-soak", IMURateHz: fleetIMUHz, ResumeToken: token},
+					fleetSoakFrames-base, func(i int) wire.Frame {
+						if i > 0 {
+							time.Sleep(200 * time.Microsecond)
+						}
+						buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(base+i) / fleetIMUHz})
+						return wire.Frame{Type: wire.TypeIMU, Payload: buf}
+					})
+				if !ok {
 					continue // refused or severed: back off and redial
-				}
-				wel, err := wire.DecodeWelcome(f.Payload)
-				if err != nil {
-					_ = c.Close()
-					continue
 				}
 				token = wel.ResumeToken
 				if wel.Resumed {
 					resumedN.Add(1)
 				}
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for {
-						if df, err := r.ReadFrame(); err != nil {
-							return
-						} else if df.Type == wire.TypePose {
-							framesRecv.Add(1)
-						}
-					}
-				}()
-				var buf []byte
-				streamErr := false
-				for ; sent < fleetSoakFrames; sent++ {
-					buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(sent) / fleetIMUHz})
-					if w.WriteFrame(wire.Frame{Type: wire.TypeIMU, Payload: buf}) != nil {
-						streamErr = true
-						break
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-				if !streamErr {
-					_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
-						Payload: wire.AppendBye(nil, wire.Bye{Reason: "done"})})
-					_ = c.Close()
-					<-done
+				framesRecv.Add(poses)
+				if sent += wrote; sent == fleetSoakFrames {
 					return
 				}
 				displacedN.Add(1)
 				redials.Add(1)
-				_ = c.Close()
-				<-done
 			}
 		}(i)
 	}

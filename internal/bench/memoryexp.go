@@ -293,14 +293,8 @@ func memoryPaths() []memoryPath {
 			srv := session.NewServer(session.Config{}, nopHandler{})
 			client, server := net.Pipe()
 			sess := srv.HandleConn(server)
-			w := wire.NewWriter(client)
-			r := wire.NewReader(client)
-			hello := wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "bench"})
-			if err := w.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: hello}); err != nil {
-				panic(err)
-			}
-			if _, err := r.ReadFrame(); err != nil { // welcome
-				panic(err)
+			if _, _, _, ok := handshake(client, wire.Hello{App: "bench"}); !ok {
+				panic("bench: latest-wins path: handshake failed")
 			}
 			// From here the client stops reading: the writer goroutine blocks
 			// on the synchronous pipe and every further Send displaces the

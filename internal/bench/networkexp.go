@@ -269,29 +269,12 @@ func runNetworkSoak(nSessions int) NetworkSoakResult {
 		wg.Add(1)
 		go func(conn *netsim.Conn, sess *session.Session) {
 			defer wg.Done()
-			defer conn.Close()
-			r, w := wire.NewReader(conn), wire.NewWriter(conn)
-			hello := wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "bench",
-				IMURateHz: networkIMUHz, CamRateHz: 15})
-			if err := w.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: hello}); err != nil {
-				return
-			}
-			go func() {
-				for {
-					if _, err := r.ReadFrame(); err != nil {
-						return
-					}
-				}
-			}()
 			var buf []byte
-			for j := 0; j < networkSoakFrames; j++ {
-				buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(j) / networkIMUHz})
-				if err := w.WriteFrame(wire.Frame{Type: wire.TypeIMU, Payload: buf}); err != nil {
-					return
-				}
-			}
-			_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
-				Payload: wire.AppendBye(nil, wire.Bye{Reason: "done"})})
+			streamFrames(conn, wire.Hello{App: "bench", IMURateHz: networkIMUHz, CamRateHz: 15},
+				networkSoakFrames, func(j int) wire.Frame {
+					buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(j) / networkIMUHz})
+					return wire.Frame{Type: wire.TypeIMU, Payload: buf}
+				})
 			_, dropped, _, _ := sess.Stats()
 			drops.Add(dropped)
 			bytesOut.Add(conn.BytesRead())

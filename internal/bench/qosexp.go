@@ -593,29 +593,12 @@ func runQoSSoak(nSessions, framesPer int) (QoSSoakCell, error) {
 		wg.Add(1)
 		go func(conn net.Conn) {
 			defer wg.Done()
-			defer conn.Close()
-			r, w := wire.NewReader(conn), wire.NewWriter(conn)
-			hello := wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "qos-soak",
-				CamRateHz: 15})
-			if err := w.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: hello}); err != nil {
-				return
-			}
-			go func() {
-				for {
-					if _, err := r.ReadFrame(); err != nil {
-						return
-					}
-				}
-			}()
 			var buf []byte
-			for j := 0; j < framesPer; j++ {
-				buf = wire.AppendCamera(buf[:0], sensors.CameraFrame{T: float64(j) / 15})
-				if err := w.WriteFrame(wire.Frame{Type: wire.TypeCamera, Payload: buf}); err != nil {
-					return
-				}
-			}
-			_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
-				Payload: wire.AppendBye(nil, wire.Bye{Reason: "done"})})
+			streamFrames(conn, wire.Hello{App: "qos-soak", CamRateHz: 15},
+				framesPer, func(j int) wire.Frame {
+					buf = wire.AppendCamera(buf[:0], sensors.CameraFrame{T: float64(j) / 15})
+					return wire.Frame{Type: wire.TypeCamera, Payload: buf}
+				})
 		}(client)
 	}
 	wg.Wait()

@@ -355,7 +355,8 @@ func measureRelayCost(iters int) (ScaleRelayCost, error) {
 
 	// Both sinks are a real file descriptor, not io.Discard: the decoded
 	// path issues one write per frame where the coalescing window issues
-	// one per 16, and a zero-cost sink would hide exactly that saving.
+	// one per wire.FlushWindow, and a zero-cost sink would hide exactly
+	// that saving.
 	sink, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		return res, err
@@ -424,7 +425,7 @@ func measureRelayCost(iters int) (ScaleRelayCost, error) {
 			raw.SetTrace(ref)
 		}
 		w2.QueueRaw(raw)
-		if w2.Queued() >= 16 {
+		if w2.Queued() >= wire.FlushWindow {
 			if err := w2.Flush(); err != nil {
 				runErr = err
 			}

@@ -192,17 +192,3 @@ func AblationVIO(w io.Writer, duration float64) (ateFull, ateFast, costRatio flo
 	fmt.Fprintf(w, "Paper: 8.1 cm -> 4.9 cm at 1.5x per-frame cost; reproduction shows the same trade-off shape.\n")
 	return fullATE, fastATE, ratio
 }
-
-// MTPSeries extracts the Fig 7 CSV series for an app across platforms.
-func MTPSeries(m *Matrix, app string) []*telemetry.Series {
-	var out []*telemetry.Series
-	for _, plat := range perfmodel.Platforms {
-		res := m.Results[plat.Name][app]
-		s := &telemetry.Series{Name: plat.Name}
-		for _, samp := range res.MTP {
-			s.Append(samp.T, samp.Total())
-		}
-		out = append(out, s)
-	}
-	return out
-}

@@ -31,10 +31,6 @@ type RunConfig struct {
 	// QualityFrames, when > 0, enables the offline image-quality pipeline
 	// (Table V) on that many sampled frames.
 	QualityFrames int
-	// Trace, when non-nil, records every component completion (time +
-	// execution ms) — the rosbag-style component trace of §V-G that can
-	// drive per-component architectural simulation.
-	Trace *telemetry.TraceRecorder
 	// Metrics, when non-nil, receives the run's counters, gauges and
 	// histograms (per-task scheduling stats, per-stage MTP attribution,
 	// fault counters) under the illixr_<component>_<name> naming scheme.

@@ -9,7 +9,6 @@ import (
 	"illixr/internal/render"
 	"illixr/internal/runtime"
 	"illixr/internal/sensors"
-	"illixr/internal/telemetry"
 )
 
 // shortRun runs a 8-second integrated simulation.
@@ -263,29 +262,5 @@ func TestPluginsPipelineOnSwitchboard(t *testing.T) {
 	}
 	if _, ok := top.Latest(); !ok {
 		t.Error("no latest fast pose")
-	}
-}
-
-func TestRunRecordsComponentTraces(t *testing.T) {
-	cfg := DefaultRunConfig(render.AppARDemo, perfmodel.Desktop)
-	cfg.Duration = 3
-	tr := telemetry.NewTraceRecorder()
-	cfg.Trace = tr
-	Run(cfg)
-	if len(tr.Topics()) != len(Components) {
-		t.Fatalf("traced topics = %v", tr.Topics())
-	}
-	// camera completions arrive at the camera period
-	gaps := tr.InterArrivals(CompCamera)
-	if len(gaps) == 0 {
-		t.Fatal("no camera trace")
-	}
-	mean := 0.0
-	for _, g := range gaps {
-		mean += g
-	}
-	mean /= float64(len(gaps))
-	if math.Abs(mean-1.0/15) > 0.002 {
-		t.Errorf("camera inter-arrival %v, want ~1/15", mean)
 	}
 }

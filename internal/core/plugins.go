@@ -108,9 +108,6 @@ func (p *DatasetPlayerPlugin) PumpUntil(t float64) int {
 
 var _ runtime.Plugin = (*DatasetPlayerPlugin)(nil)
 
-// Rewind resets playback to the start of the recording.
-func (p *DatasetPlayerPlugin) Rewind() { p.imuIdx, p.camIdx = 0, 0 }
-
 // IntegratorPlugin subscribes synchronously to the IMU topic and publishes
 // fast poses (the IMU-integrator role of Fig 2).
 type IntegratorPlugin struct {

@@ -323,13 +323,6 @@ func Run(cfg RunConfig) *RunResult {
 			res.CPUShare[name] = c / totalCPUSec
 		}
 	}
-	if cfg.Trace != nil {
-		for _, name := range Components {
-			for _, sp := range sim.Stats(name).Spans {
-				cfg.Trace.Record(name, sp.Finish, (sp.CPUDuration+sp.GPUDuration)*1000)
-			}
-		}
-	}
 	res.CPUUtil, res.GPUUtil = sim.Utilization()
 	res.Power = power.Estimate(plat, power.Utilization{CPU: res.CPUUtil, GPU: res.GPUUtil})
 	if fs != nil {

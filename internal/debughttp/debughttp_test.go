@@ -1,6 +1,7 @@
 package debughttp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -338,6 +339,32 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("content type = %q", ct)
+	}
+}
+
+// The -metrics-out file (the commands hand Registry.WritePrometheus the
+// file) and /metrics?format=prometheus are one exposition: byte-identical
+// for one registry, every instrument kind included.
+func TestMetricsOutMatchesPrometheusEndpoint(t *testing.T) {
+	s, ts := newTestServer(t)
+	h := s.Metrics.Histogram("illixr_test_lat_ms")
+	h.Observe(1)
+	h.Observe(3)
+	var file bytes.Buffer
+	if err := s.Metrics.WritePrometheus(&file); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, ts.URL+"/metrics?format=prometheus")
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if body != file.String() {
+		t.Errorf("endpoint and -metrics-out text differ:\n--- endpoint\n%s--- file\n%s", body, file.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !strings.HasPrefix(line, "illixr_") && !strings.HasPrefix(line, "# TYPE illixr_") {
+			t.Errorf("line %q is neither a sample nor its TYPE annotation", line)
+		}
 	}
 }
 

@@ -44,13 +44,14 @@ func TestRecordRawByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wr.SetClock(func() float64 { return 0.5 })
 	for i, f := range frames {
 		dir := DirUp
 		if i%2 == 1 {
 			dir = DirDown
 		}
 		r := wire.Raw{Type: f.Type, Trace: f.Trace, Bytes: wire.AppendFrame(nil, f)}
-		if err := wr.RecordRawAt(dir, 0.5, r); err != nil {
+		if err := wr.RecordRaw(dir, r); err != nil {
 			t.Fatal(err)
 		}
 	}

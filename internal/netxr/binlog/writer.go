@@ -144,24 +144,13 @@ func (w *Writer) recordLocked(dir Dir, wall float64, f wire.Frame) error {
 func (w *Writer) RecordRaw(dir Dir, raw wire.Raw) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.recordRawLocked(dir, w.now(), raw)
-}
-
-// RecordRawAt is RecordRaw with an explicit wall-receipt stamp.
-func (w *Writer) RecordRawAt(dir Dir, wall float64, raw wire.Raw) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.recordRawLocked(dir, wall, raw)
-}
-
-func (w *Writer) recordRawLocked(dir Dir, wall float64, raw wire.Raw) error {
 	if w.closed {
 		return ErrClosed
 	}
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = appendRecordRaw(w.buf[:0], dir, w.seq, wall, raw.Bytes)
+	w.buf = appendRecordRaw(w.buf[:0], dir, w.seq, w.now(), raw.Bytes)
 	return w.commitLocked(dir, raw.Type)
 }
 

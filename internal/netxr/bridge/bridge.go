@@ -60,8 +60,6 @@ type Pipeline struct {
 	// Metrics is shared across sessions (the illixr_netxr_* registry);
 	// nil runs uninstrumented.
 	Metrics *telemetry.Registry
-	// SpanCap bounds each per-session collector (0 = default).
-	SpanCap int
 	// Init supplies the integrator's initial state for a session; nil
 	// starts at the origin (the client then interprets poses relative to
 	// its own starting pose).
@@ -100,7 +98,7 @@ type pipeState struct {
 func (p *Pipeline) SessionStart(s *session.Session) error {
 	loader := runtime.NewLoader()
 	ctx := loader.Context()
-	tracer := telemetry.NewSpanCollector(p.SpanCap)
+	tracer := telemetry.NewSpanCollector(0)
 	tracer.SetIDBase(serverIDBase(s.ID()))
 	_ = ctx.Phonebook.Register(telemetry.TracerService, tracer)
 	if p.Metrics != nil {
@@ -239,15 +237,6 @@ func (p *Pipeline) SessionEnd(s *session.Session, _ error) {
 	_ = st.loader.Shutdown()
 }
 
-// Tracer returns the live session's span collector (nil if unknown) so
-// callers can export or inspect the server half of a merged trace.
-func (p *Pipeline) Tracer(sessionID uint64) *telemetry.SpanCollector {
-	if st := p.state(sessionID); st != nil {
-		return st.tracer
-	}
-	return nil
-}
-
 // Dumps merges every session tracer — live ones plus the RetainTracers
 // tail of ended ones — into a single node-labelled span dump for
 // cross-node stitching (/spans?format=raw federation, -trace-out).
@@ -276,14 +265,6 @@ func (p *Pipeline) Dumps(node string) []stitch.Dump {
 		d.Dropped += c.Dropped()
 	}
 	return []stitch.Dump{d}
-}
-
-// Health returns the supervision states of a live session's plugins.
-func (p *Pipeline) Health(sessionID uint64) map[string]runtime.Health {
-	if st := p.state(sessionID); st != nil {
-		return st.loader.Context().Health.Snapshot()
-	}
-	return nil
 }
 
 func (p *Pipeline) state(id uint64) *pipeState {
@@ -316,13 +297,12 @@ type Client struct {
 	err      error
 	closed   bool
 	bye      wire.Bye
-	byeSeen  bool
 	recvSeq  uint64
 	pongs    map[uint64]chan wire.Ping
 	lastPose atomic64
 }
 
-// RefusedError is returned by Dial when the server answers the Hello
+// RefusedError is returned by DialWith when the server answers the Hello
 // with a Bye instead of a Welcome. A Retry-After hint on the Bye marks
 // the refusal transient: back off and redial (Redialer does this).
 type RefusedError struct {
@@ -367,23 +347,11 @@ type DialOptions struct {
 	Window *SendWindow
 }
 
-// Dial performs the client handshake over an established connection. The
-// tracer may be nil (untraced client).
-func Dial(conn net.Conn, hello wire.Hello, tracer *telemetry.SpanCollector) (*Client, error) {
-	return DialWith(conn, hello, DialOptions{Tracer: tracer})
-}
-
-// DialCapture is Dial with a client-side binlog tap: every frame this
-// client sends (DirUp) or receives (DirDown) — the Hello and Welcome
-// included — is recorded through the Writer's single append path
-// (DESIGN.md §13). The capture's owner closes it after the client is
-// done; cap may be nil.
-func DialCapture(conn net.Conn, hello wire.Hello, tracer *telemetry.SpanCollector, cap *binlog.Writer) (*Client, error) {
-	return DialWith(conn, hello, DialOptions{Tracer: tracer, Capture: cap})
-}
-
-// DialWith is the full-control handshake: Dial/DialCapture are thin
-// wrappers over it.
+// DialWith performs the client handshake over an established
+// connection. With a Capture every frame this client sends (DirUp) or
+// receives (DirDown) — the Hello and Welcome included — is recorded
+// through the Writer's single append path (DESIGN.md §13); the
+// capture's owner closes it after the client is done.
 func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error) {
 	hello.Proto = wire.Version
 	c := &Client{
@@ -442,22 +410,14 @@ func (c *Client) RecvSeq() uint64 {
 	return c.recvSeq
 }
 
-// uplinkBatch bounds how many frames may sit queued in the client's
-// writer: the uplink forwarder flushes when its subscriptions run dry
-// (DESIGN.md §15.3), and a burst deeper than this flushes every
-// uplinkBatch frames so the first sample of the burst does not wait for
-// the last to be encoded. Same window as the session writer's and the
-// gateway relay's default; 16, 32 and 64 measured alike on
-// offload_saturate.
-const uplinkBatch = 16
-
 // queue encodes f onto the client's shared writer (the uplink forwarder,
 // pings, QoE and retransmission all go through wmu) and puts the whole
 // pending batch on the wire in one Write when flush is set or
-// uplinkBatch frames are pending. The capture tap and the send window
-// see the frame here, at queue time, so binlog order and window
-// sequence are wire order even across a coalesced batch, and a frame
-// whose flush fails is still in the window for the next resume. Hello
+// wire.FlushWindow frames are pending, so the first sample of a deep
+// burst does not wait for the last to be encoded. The capture tap and
+// the send window see the frame here, at queue time, so binlog order and
+// window sequence are wire order even across a coalesced batch, and a
+// frame whose flush fails is still in the window for the next resume. Hello
 // and Bye stay untracked — the gateway's ack checkpoint counts neither
 // — and so do retransmissions, which already hold sequence numbers.
 func (c *Client) queue(f wire.Frame, tracked, flush bool) error {
@@ -470,7 +430,7 @@ func (c *Client) queue(f wire.Frame, tracked, flush bool) error {
 	if tracked && c.window != nil && f.Type != wire.TypeHello && f.Type != wire.TypeBye {
 		c.window.Push(f)
 	}
-	if flush || c.w.Queued() >= uplinkBatch {
+	if flush || c.w.Queued() >= wire.FlushWindow {
 		return c.w.Flush()
 	}
 	return nil
@@ -507,15 +467,6 @@ func (c *Client) ByeReason() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bye.Reason
-}
-
-// Bye returns the server's terminal Bye (and whether one arrived). A
-// retryable Bye — nonzero RetryAfterMs — means the server drained the
-// session expecting the client to reconnect and resume.
-func (c *Client) Bye() (wire.Bye, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bye, c.byeSeen
 }
 
 // Close sends a Bye and closes the connection.
@@ -587,7 +538,7 @@ func (p *uplinkPlugin) Name() string { return "netxr.uplink" }
 // while either channel holds another event the frame is only queued, and
 // the moment both are empty the batch goes out in one write — a lone
 // sample is on the wire immediately, a burst costs one syscall per
-// uplinkBatch frames, and nothing waits on a timer.
+// wire.FlushWindow frames, and nothing waits on a timer.
 func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)
@@ -714,7 +665,7 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 			case wire.TypeBye:
 				b, _ := wire.DecodeBye(f.Payload)
 				c.mu.Lock()
-				c.bye, c.byeSeen = b, true
+				c.bye = b
 				c.mu.Unlock()
 				return
 			}

@@ -38,7 +38,7 @@ func startRig(t *testing.T, pipe *Pipeline, duration float64) *offloadRig {
 		t.Fatal("conn refused")
 	}
 	tracer := telemetry.NewSpanCollector(0)
-	cl, err := Dial(cConn, wire.Hello{App: "test", IMURateHz: 500, CamRateHz: 15}, tracer)
+	cl, err := DialWith(cConn, wire.Hello{App: "test", IMURateHz: 500, CamRateHz: 15}, DialOptions{Tracer: tracer})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -129,10 +129,11 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 	rig.pumpAndAwaitPose(t, 0.5)
 
 	// server half: net_uplink spans parented on client sensor spans
-	serverTr := pipe.Tracer(rig.client.Session())
-	if serverTr == nil {
-		t.Fatal("no server tracer for session")
+	st := pipe.state(rig.client.Session())
+	if st == nil {
+		t.Fatal("no server state for session")
 	}
+	serverTr := st.tracer
 	ups := serverTr.Find(CompNetUp)
 	if len(ups) == 0 {
 		t.Fatal("no net_uplink spans on the server")
@@ -198,9 +199,11 @@ func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var restarted bool
 	for time.Now().Before(deadline) && !restarted {
-		health := pipe.Health(rig.client.Session())
-		if h, ok := health["integrator.rk4"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
-			restarted = true
+		if st := pipe.state(rig.client.Session()); st != nil {
+			health := st.loader.Context().Health.Snapshot()
+			if h, ok := health["integrator.rk4"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
+				restarted = true
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

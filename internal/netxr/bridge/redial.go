@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/wire"
 	"illixr/internal/telemetry"
 )
@@ -86,8 +85,11 @@ func splitmix64(s *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ErrGaveUp wraps the last failure when a Redialer exhausts MaxAttempts.
+// ErrGaveUp wraps the last failure when a Redialer exhausts maxAttempts.
 var ErrGaveUp = errors.New("bridge: reconnect attempts exhausted")
+
+// maxAttempts bounds one Connect call.
+const maxAttempts = 8
 
 // Redialer dials (and redials) the split's server side with resume: the
 // first Connect performs a fresh handshake; after the session dies —
@@ -105,9 +107,6 @@ type Redialer struct {
 	Hello wire.Hello
 	// Tracer seeds each dialed client's span collector; may be nil.
 	Tracer *telemetry.SpanCollector
-	// Capture records every frame of every dialed client — across
-	// resumes — into one client-side binlog; may be nil.
-	Capture *binlog.Writer
 	// Window, when set, follows the session across reconnects: every
 	// dialed client pushes its uplink frames into it, and after a
 	// Resumed Welcome the unacked gap [last_ack_seq+1, head] is
@@ -117,8 +116,6 @@ type Redialer struct {
 	Window *SendWindow
 	// Backoff paces reconnect attempts; nil = NewBackoff(Hello.Seed).
 	Backoff *Backoff
-	// MaxAttempts bounds one Connect call (0 = 8).
-	MaxAttempts int
 	// Sleep is the wait primitive, injectable for tests and virtual-time
 	// benches; nil = time.Sleep.
 	Sleep func(time.Duration)
@@ -132,17 +129,10 @@ type Redialer struct {
 // Attempts returns the total dial attempts made so far.
 func (r *Redialer) Attempts() int { return r.attempts }
 
-// LastWelcome returns the most recent handshake result, if any.
-func (r *Redialer) LastWelcome() (wire.Welcome, bool) { return r.welcome, r.haveW }
-
 // Connect establishes (or re-establishes) the session, blocking through
 // backoff waits. Not safe for concurrent use — the owner of the client
 // drives reconnection from one goroutine.
 func (r *Redialer) Connect() (*Client, error) {
-	max := r.MaxAttempts
-	if max == 0 {
-		max = 8
-	}
 	if r.Backoff == nil {
 		r.Backoff = NewBackoff(r.Hello.Seed)
 	}
@@ -152,7 +142,7 @@ func (r *Redialer) Connect() (*Client, error) {
 	}
 
 	var lastErr error
-	for attempt := 0; attempt < max; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			delay := r.Backoff.Delay(attempt - 1)
 			// a server Retry-After hint is a floor, not a replacement: the
@@ -176,7 +166,7 @@ func (r *Redialer) Connect() (*Client, error) {
 			}
 		}
 		cl, err := DialWith(conn, hello, DialOptions{
-			Tracer: r.Tracer, Capture: r.Capture, Window: r.Window,
+			Tracer: r.Tracer, Window: r.Window,
 		})
 		if err == nil {
 			if w := cl.Welcome(); w.Resumed && r.Window != nil {
@@ -197,7 +187,7 @@ func (r *Redialer) Connect() (*Client, error) {
 			return nil, err // terminal refusal: retrying cannot help
 		}
 	}
-	return nil, fmt.Errorf("%w after %d attempts: %v", ErrGaveUp, max, lastErr)
+	return nil, fmt.Errorf("%w after %d attempts: %v", ErrGaveUp, maxAttempts, lastErr)
 }
 
 // retryAfter extracts a server Retry-After hint from a dial error.

@@ -115,8 +115,8 @@ func TestRedialerBacksOffThroughRefusals(t *testing.T) {
 			t.Fatalf("sleep %d = %v, below the server's Retry-After floor", i, d)
 		}
 	}
-	if w, ok := r.LastWelcome(); !ok || w.ResumeToken != 42 {
-		t.Fatalf("welcome = %+v ok=%v", w, ok)
+	if w := cl.Welcome(); w.ResumeToken != 42 {
+		t.Fatalf("welcome = %+v", w)
 	}
 }
 
@@ -196,16 +196,15 @@ func TestRedialerTerminalRefusalFailsFast(t *testing.T) {
 
 func TestRedialerGivesUpAfterMaxAttempts(t *testing.T) {
 	r := &Redialer{
-		Dial:        func() (net.Conn, error) { return nil, fmt.Errorf("no route") },
-		Hello:       wire.Hello{App: "xr"},
-		MaxAttempts: 3,
-		Sleep:       func(time.Duration) {},
+		Dial:  func() (net.Conn, error) { return nil, fmt.Errorf("no route") },
+		Hello: wire.Hello{App: "xr"},
+		Sleep: func(time.Duration) {},
 	}
 	_, err := r.Connect()
 	if !errors.Is(err, ErrGaveUp) {
 		t.Fatalf("err = %v, want ErrGaveUp", err)
 	}
-	if r.Attempts() != 3 {
-		t.Fatalf("attempts = %d, want 3", r.Attempts())
+	if r.Attempts() != maxAttempts {
+		t.Fatalf("attempts = %d, want %d", r.Attempts(), maxAttempts)
 	}
 }

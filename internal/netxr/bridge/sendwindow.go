@@ -160,7 +160,7 @@ func (w *SendWindow) RetransmitTo(c *Client, lastAckSeq uint64) (sent int, lost 
 		if err := c.queue(f, false, i == len(frames)-1); err != nil {
 			// the failed flush took the current batch with it; the whole
 			// batches before it made it out
-			return i - i%uplinkBatch, lost, err
+			return i - i%wire.FlushWindow, lost, err
 		}
 	}
 	w.retransC.Add(len(frames))

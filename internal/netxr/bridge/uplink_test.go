@@ -192,15 +192,15 @@ func wantAscending(t *testing.T, ts []float64, from, to int) {
 
 func ceilDiv(a, b int) int64 { return int64((a + b - 1) / b) }
 
-// A burst the forwarder finds waiting costs one write per uplinkBatch
+// A burst the forwarder finds waiting costs one write per wire.FlushWindow
 // frames, not one per frame, and arrives in publish order.
 func TestUplinkBurstCoalesces(t *testing.T) {
 	rig := newUplinkRig(t, DialOptions{}, 0)
 	base := rig.conn.writes.Load() // the Hello
 	rig.burst(func() { rig.publishIMU(1, 64) })
 	waitCond(t, func() bool { return rig.log.len() == 1+64 })
-	if w := rig.conn.writes.Load() - base; w > ceilDiv(64, uplinkBatch)+1 {
-		t.Fatalf("64-frame burst took %d writes, want <= %d", w, ceilDiv(64, uplinkBatch)+1)
+	if w := rig.conn.writes.Load() - base; w > ceilDiv(64, wire.FlushWindow)+1 {
+		t.Fatalf("64-frame burst took %d writes, want <= %d", w, ceilDiv(64, wire.FlushWindow)+1)
 	}
 	wantAscending(t, imuTimes(t, rig.log.snapshot()), 1, 64)
 }
@@ -301,7 +301,7 @@ func TestUplinkWriteErrorKeepsQueuedFramesForResume(t *testing.T) {
 	got := len(delivered)
 	wantAscending(t, delivered, 1, got)
 	// the batch whose flush failed was queued too, so the window holds it
-	queued := got + uplinkBatch
+	queued := got + wire.FlushWindow
 	if int(win.Head()) != queued || win.Len() != queued {
 		t.Fatalf("window head=%d len=%d, want %d queued frames", win.Head(), win.Len(), queued)
 	}
@@ -315,7 +315,7 @@ func TestUplinkWriteErrorKeepsQueuedFramesForResume(t *testing.T) {
 	if !cl2.Welcome().Resumed {
 		t.Fatalf("welcome = %+v, want resumed", cl2.Welcome())
 	}
-	waitCond(t, func() bool { return legs[1].log.len() == 1+uplinkBatch })
+	waitCond(t, func() bool { return legs[1].log.len() == 1+wire.FlushWindow })
 	wantAscending(t, imuTimes(t, legs[1].log.snapshot()), got+1, queued)
 }
 
@@ -387,8 +387,8 @@ func TestRetransmitCoalesces(t *testing.T) {
 	if err != nil || sent != gap || lost != 0 {
 		t.Fatalf("RetransmitTo = %d sent, %d lost, err %v; want %d, 0, nil", sent, lost, err, gap)
 	}
-	if w := rig.conn.writes.Load() - base; w > ceilDiv(gap, uplinkBatch) {
-		t.Fatalf("%d-frame gap took %d writes, want <= %d", gap, w, ceilDiv(gap, uplinkBatch))
+	if w := rig.conn.writes.Load() - base; w > ceilDiv(gap, wire.FlushWindow) {
+		t.Fatalf("%d-frame gap took %d writes, want <= %d", gap, w, ceilDiv(gap, wire.FlushWindow))
 	}
 	waitCond(t, func() bool { return rig.log.len() == 1+gap })
 	wantAscending(t, imuTimes(t, rig.log.snapshot()), 1, gap)
@@ -403,7 +403,7 @@ func TestRetransmitCoalesces(t *testing.T) {
 // the conn closes, or the reader can observe the close first.
 func TestDownlinkStopLeavesNoError(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		cl, err := Dial(newLeg(t, 0, 0).conn, wire.Hello{App: "stop-test"}, nil)
+		cl, err := DialWith(newLeg(t, 0, 0).conn, wire.Hello{App: "stop-test"}, DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func BenchmarkUplinkBurst(b *testing.B) {
 		b.Fatal(err)
 	}
 	conn := &countConn{Conn: c}
-	cl, err := Dial(conn, wire.Hello{App: "bench"}, nil)
+	cl, err := DialWith(conn, wire.Hello{App: "bench"}, DialOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -84,10 +84,6 @@ type Record struct {
 type Config struct {
 	// ReplicaCapacity caps sessions per replica (0 = config default).
 	ReplicaCapacity int
-	// QueueWeight scales a replica's queue depth against its session
-	// count in the placement score (0 = default 4: a deep queue repels
-	// new placements harder than a warm body).
-	QueueWeight float64
 	// RetryAfter is the base reconnect hint on refusals (0 = 250ms).
 	RetryAfter time.Duration
 	// ResumeBurst bounds resumes admitted per ResumeWindow — a dead
@@ -109,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicaCapacity == 0 {
 		c.ReplicaCapacity = config.DefaultNet().MaxSessions
 	}
-	if c.QueueWeight == 0 {
-		c.QueueWeight = 4
-	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 250 * time.Millisecond
 	}
@@ -123,6 +116,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// queueWeight scales a replica's queue depth against its session count
+// in the placement score: a deep queue repels new placements harder than
+// a warm body.
+const queueWeight = 4
 
 // ErrUnknownToken refuses a resume Hello whose token was never issued
 // (or was ended): terminal, not retryable — retrying cannot help.
@@ -288,12 +286,12 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 	c.gaugeUpLocked()
 	c.mu.Unlock()
 	if changed {
-		kind := EventReplicaUp
+		kind := telemetry.EventReplicaUp
 		switch st {
 		case Draining:
-			kind = EventDraining
+			kind = telemetry.EventDraining
 		case Down:
-			kind = EventDown
+			kind = telemetry.EventDown
 		}
 		c.cfg.Events.Record(kind, replicaNode(id), "")
 	}
@@ -301,19 +299,6 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 
 // replicaNode names a replica in flight events.
 func replicaNode(id int) string { return fmt.Sprintf("replica-%d", id) }
-
-// Flight-event kind aliases so fleet callers don't import telemetry for
-// the constants alone.
-const (
-	EventAdmit     = telemetry.EventAdmit
-	EventResume    = telemetry.EventResume
-	EventRefuse    = telemetry.EventRefuse
-	EventEnd       = telemetry.EventEnd
-	EventReplicaUp = telemetry.EventReplicaUp
-	EventDraining  = telemetry.EventDraining
-	EventDown      = telemetry.EventDown
-	EventDialFail  = telemetry.EventDialFail
-)
 
 // StatusOf returns a replica's state (Down for unknown ids).
 func (c *Coordinator) StatusOf(id int) Status {
@@ -353,7 +338,7 @@ func (r *replica) load() (int, float64) {
 }
 
 // Pick chooses the replica a new connection should dial: the Up replica
-// with headroom minimizing sessions + QueueWeight·queueDepth (ties go
+// with headroom minimizing sessions + queueWeight·queueDepth (ties go
 // to the lowest id — deterministic). A resume Hello prefers any replica
 // other than the one the session died on. Read-only: nothing is
 // committed until AdmitOn lands the handshake there.
@@ -377,7 +362,7 @@ func (c *Coordinator) Pick(now float64, h wire.Hello) (int, error) {
 		if sessions >= c.cfg.ReplicaCapacity {
 			continue
 		}
-		score := float64(sessions) + c.cfg.QueueWeight*queue
+		score := float64(sessions) + queueWeight*queue
 		if best == -1 || score < bestScore {
 			best, bestScore = id, score
 		}
@@ -419,7 +404,7 @@ func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h
 	c.mu.Unlock()
 
 	c.m.placed.Inc()
-	c.cfg.Events.RecordAt(now, EventAdmit, replicaNode(replicaID), fmt.Sprintf("session %d", sessionID))
+	c.cfg.Events.RecordAt(now, telemetry.EventAdmit, replicaNode(replicaID), fmt.Sprintf("session %d", sessionID))
 	return wire.Welcome{Session: sessionID, ResumeToken: tok, PoseEpoch: 1}, nil
 }
 
@@ -432,7 +417,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 		c.decide(decRefuse, reasonUnknownToken, replicaID, h.ResumeToken, 0)
 		c.mu.Unlock()
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "unknown resume token")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "unknown resume token")
 		return wire.Welcome{}, fmt.Errorf("%w: %#x", ErrUnknownToken, h.ResumeToken)
 	}
 	if err := c.validateReplicaLocked(now, replicaID, rec.Token, rec.Epoch); err != nil {
@@ -452,7 +437,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 		c.decide(decRefuse, reasonResumeBurst, replicaID, rec.Token, rec.Epoch)
 		c.mu.Unlock()
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "resume burst")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "resume burst")
 		return wire.Welcome{}, &session.AdmissionError{Reason: "resume burst", RetryAfter: c.cfg.RetryAfter}
 	}
 	c.window = append(c.window, now)
@@ -477,7 +462,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 	c.mu.Unlock()
 
 	c.m.resumed.Inc()
-	c.cfg.Events.RecordAt(now, EventResume, replicaNode(replicaID), fmt.Sprintf("epoch %d", welcome.PoseEpoch))
+	c.cfg.Events.RecordAt(now, telemetry.EventResume, replicaNode(replicaID), fmt.Sprintf("epoch %d", welcome.PoseEpoch))
 	return welcome, nil
 }
 
@@ -494,14 +479,14 @@ func (c *Coordinator) validateReplicaLocked(now float64, replicaID int, token, e
 		}
 		c.decide(decRefuse, reasonReplicaGone, replicaID, token, epoch)
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "replica "+name)
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "replica "+name)
 		return &session.AdmissionError{
 			Reason: fmt.Sprintf("replica %d %s", replicaID, name), RetryAfter: c.cfg.RetryAfter}
 	}
 	if sessions, _ := r.load(); sessions >= c.cfg.ReplicaCapacity {
 		c.decide(decRefuse, reasonReplicaFull, replicaID, token, epoch)
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, EventRefuse, replicaNode(replicaID), "replica full")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "replica full")
 		return &session.AdmissionError{
 			Reason: fmt.Sprintf("replica %d full", replicaID), RetryAfter: c.cfg.RetryAfter}
 	}
@@ -534,7 +519,7 @@ func (c *Coordinator) End(token uint64) {
 		r.count--
 	}
 	c.mu.Unlock()
-	c.cfg.Events.Record(EventEnd, replicaNode(rec.Replica), "")
+	c.cfg.Events.Record(telemetry.EventEnd, replicaNode(rec.Replica), "")
 }
 
 // Lookup returns a copy of a token's record.
@@ -573,40 +558,9 @@ func (c *Coordinator) Placed(replicaID int) []Record {
 	return out
 }
 
-// DrainReplica marks a replica Draining and returns its population; the
-// caller shuts the underlying server down gracefully (its Bye carries
-// Retry-After, so every session is invited to resume elsewhere).
-func (c *Coordinator) DrainReplica(replicaID int) []Record {
-	c.SetStatus(replicaID, Draining)
-	return c.Placed(replicaID)
-}
-
 // KillReplica marks a replica Down and returns the displaced records.
 // Their resume tokens stay valid — that is the survivability contract.
 func (c *Coordinator) KillReplica(replicaID int) []Record {
 	c.SetStatus(replicaID, Down)
 	return c.Placed(replicaID)
-}
-
-// admission adapts the coordinator to one replica's session.Admission.
-type admission struct {
-	c       *Coordinator
-	replica int
-	now     func() float64
-}
-
-// Admit implements session.Admission.
-func (a admission) Admit(sessionID uint64, h wire.Hello) (wire.Welcome, error) {
-	return a.c.AdmitOn(a.now(), a.replica, sessionID, h)
-}
-
-// Admission returns the session.Admission a replica's server config
-// should embed, binding the coordinator to that replica under the given
-// clock (wall for production, virtual for the bench).
-func (c *Coordinator) Admission(replicaID int, now func() float64) session.Admission {
-	if now == nil {
-		start := time.Now()
-		now = func() float64 { return time.Since(start).Seconds() }
-	}
-	return admission{c: c, replica: replicaID, now: now}
 }

@@ -14,8 +14,8 @@ import (
 	"illixr/internal/sensors"
 )
 
-func TestPickLeastLoadedWithQueueWeight(t *testing.T) {
-	c := NewCoordinator(Config{ReplicaCapacity: 10, QueueWeight: 4})
+func TestPickLeastLoadedWeighsQueueDepth(t *testing.T) {
+	c := NewCoordinator(Config{ReplicaCapacity: 10})
 	c.AddReplica(0, func() (int, float64) { return 2, 0 })   // score 2
 	c.AddReplica(1, func() (int, float64) { return 1, 0.5 }) // score 3: queue repels
 	c.AddReplica(2, func() (int, float64) { return 10, 0 })  // full
@@ -340,7 +340,8 @@ func TestGatewayDrainMigration(t *testing.T) {
 
 	// graceful drain: the replica's Bye (Retry-After attached) relays to
 	// the client — an invitation to resume, not an error
-	displaced := tf.coord.DrainReplica(placedOn)
+	tf.coord.SetStatus(placedOn, Draining)
+	displaced := tf.coord.Placed(placedOn)
 	if len(displaced) != 1 {
 		t.Fatalf("displaced = %d, want 1", len(displaced))
 	}

@@ -22,9 +22,9 @@ import (
 // the replica, and acking it would let a resume skip it.
 const ackEvery = 64
 
-// defaultGatewayFlush is the relay's flush window (frames per buffered
-// write); see Gateway.FlushFrames.
-const defaultGatewayFlush = 16
+// dialAttempts bounds placement retries when a picked replica fails to
+// dial — each failure marks that replica Down and re-Picks.
+const dialAttempts = 3
 
 // Gateway trace-stitching constants: the gateway's span collector
 // allocates ids from GatewayIDBase — disjoint from the client's low
@@ -60,23 +60,9 @@ type Gateway struct {
 	Coord *Coordinator
 	// Dial opens a connection to a replica. Required.
 	Dial func(replica int) (net.Conn, error)
-	// Now is the admission clock in seconds; nil = wall clock from the
-	// first connection.
-	Now func() float64
 	// HandshakeTimeout bounds the client Hello wait and the replica
 	// handshake (0 = 5s).
 	HandshakeTimeout time.Duration
-	// DialAttempts bounds placement retries when a picked replica fails
-	// to dial — each failure marks that replica Down and re-Picks
-	// (0 = 3).
-	DialAttempts int
-	// FlushFrames bounds the relay's flush window: up to this many
-	// queued frames per direction go to the wire in one buffered write.
-	// The flush tick is buffer exhaustion (FrameBuffered), not a timer —
-	// a lone frame flushes immediately, so coalescing adds no latency
-	// and stays virtual-time safe. 1 disables coalescing; 0 = default
-	// (16). See DESIGN.md §15.
-	FlushFrames int
 	// Metrics receives illixr_fleet_* gateway instruments; nil = off.
 	Metrics *telemetry.Registry
 	// Spans, when installed, records one hop span per relayed traced
@@ -95,10 +81,8 @@ type Gateway struct {
 	// closes it after Shutdown returns.
 	Record *binlog.Writer
 
-	startNow sync.Once
-	nowFn    func() float64
-
 	initOnce  sync.Once
+	start     time.Time // admission clock origin: the first connection
 	relayed   *telemetry.Counter
 	dialFail  *telemetry.Counter
 	protoErrs *telemetry.Counter
@@ -119,29 +103,12 @@ func (g *Gateway) init() {
 		if g.HandshakeTimeout == 0 {
 			g.HandshakeTimeout = 5 * time.Second
 		}
-		if g.DialAttempts == 0 {
-			g.DialAttempts = 3
-		}
-		if g.FlushFrames == 0 {
-			g.FlushFrames = defaultGatewayFlush
-		}
-		if g.FlushFrames < 1 {
-			g.FlushFrames = 1
-		}
+		g.start = time.Now()
 	})
 }
 
-func (g *Gateway) now() float64 {
-	g.startNow.Do(func() {
-		if g.Now != nil {
-			g.nowFn = g.Now
-			return
-		}
-		start := time.Now()
-		g.nowFn = func() float64 { return time.Since(start).Seconds() }
-	})
-	return g.nowFn()
-}
+// now is the admission clock: wall seconds since the first connection.
+func (g *Gateway) now() float64 { return time.Since(g.start).Seconds() }
 
 // Serve accepts client connections on ln until Shutdown. It blocks.
 func (g *Gateway) Serve(ln net.Listener) error {
@@ -247,15 +214,15 @@ func (g *Gateway) refuse(conn net.Conn, w *wire.Writer, reason string, retry tim
 // gateway_protocol_errors_total counter keep the evidence.
 func (g *Gateway) protocolError(conn net.Conn, w *wire.Writer, detail string) {
 	g.protoErrs.Inc()
-	g.Coord.cfg.Events.RecordAt(g.now(), EventRefuse, "gateway", "protocol error: "+detail)
+	g.Coord.cfg.Events.RecordAt(g.now(), telemetry.EventRefuse, "gateway", "protocol error: "+detail)
 	g.refuse(conn, w, "protocol error", 0)
 }
 
 // place picks a replica and dials it, marking dial failures Down and
-// re-picking, up to DialAttempts.
+// re-picking, up to dialAttempts.
 func (g *Gateway) place(now float64, h wire.Hello) (int, net.Conn, error) {
 	var lastErr error
-	for attempt := 0; attempt < g.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		id, err := g.Coord.Pick(now, h)
 		if err != nil {
 			return -1, nil, err
@@ -385,7 +352,7 @@ func (g *Gateway) relay(client net.Conn) {
 	// trace from the fixed header and hands over the whole encoded
 	// frame; the only rewrite is the hop-span trace (SetTrace patches
 	// the header and CRC in place); QueueRaw passes the bytes through
-	// the writer's buffer, and up to FlushFrames frames ride one
+	// the writer's buffer, and up to wire.FlushWindow frames ride one
 	// buffered write. The binlog tap (RecordRaw) records exactly the
 	// bytes being forwarded. Handshake frames (Hello/Welcome/Bye above)
 	// stay on the decoded slow path — they are the frames the gateway
@@ -451,7 +418,7 @@ func (g *Gateway) relay(client net.Conn) {
 			queued++
 			// flush on window exhaustion or an empty read buffer: never
 			// hold a frame while the client has nothing more in flight
-			if bw.Queued() >= g.FlushFrames || !cr.FrameBuffered() {
+			if bw.Queued() >= wire.FlushWindow || !cr.FrameBuffered() {
 				if !flush() {
 					g.Coord.Ack(token, baseSeq+flushed)
 					return
@@ -490,7 +457,7 @@ func (g *Gateway) relay(client net.Conn) {
 			// the reader's scratch is safe)
 			_ = g.Record.RecordRaw(binlog.DirDown, raw)
 		}
-		if isBye || cw.Queued() >= g.FlushFrames || !br.FrameBuffered() {
+		if isBye || cw.Queued() >= wire.FlushWindow || !br.FrameBuffered() {
 			if err := cw.Flush(); err != nil {
 				break
 			}

@@ -73,11 +73,6 @@ type FleetDoc struct {
 type ScrapeConfig struct {
 	// Interval between scrape rounds in Run (0 = 1s).
 	Interval time.Duration
-	// Timeout bounds each HTTP fetch (0 = Interval, capped at 5s).
-	Timeout time.Duration
-	// DownAfter marks a replica Down after this many consecutive scrape
-	// failures (0 = 3; negative disables Down-marking).
-	DownAfter int
 	// Metrics receives the folded illixr_fleet_replica_* gauges and
 	// scrape counters; nil = uninstrumented.
 	Metrics *telemetry.Registry
@@ -87,9 +82,11 @@ type ScrapeConfig struct {
 	// the target URL expecting the /metrics JSON document. The bench
 	// injects synthetic snapshots here.
 	Fetch func(id int, target string) (telemetry.RegistrySnapshot, error)
-	// Now is the scraper clock in seconds; nil = wall clock from start.
-	Now func() float64
 }
+
+// downAfter marks a replica Down after this many consecutive scrape
+// failures.
+const downAfter = 3
 
 type scrapeState struct {
 	target       string
@@ -108,9 +105,6 @@ type Scraper struct {
 	coord *Coordinator
 	cfg   ScrapeConfig
 
-	startNow sync.Once
-	nowFn    func() float64
-
 	mu      sync.Mutex
 	targets map[int]*scrapeState
 }
@@ -120,28 +114,7 @@ func NewScraper(coord *Coordinator, cfg ScrapeConfig) *Scraper {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval
-		if cfg.Timeout > 5*time.Second {
-			cfg.Timeout = 5 * time.Second
-		}
-	}
-	if cfg.DownAfter == 0 {
-		cfg.DownAfter = 3
-	}
 	return &Scraper{coord: coord, cfg: cfg, targets: map[int]*scrapeState{}}
-}
-
-func (s *Scraper) now() float64 {
-	s.startNow.Do(func() {
-		if s.cfg.Now != nil {
-			s.nowFn = s.cfg.Now
-			return
-		}
-		start := time.Now()
-		s.nowFn = func() float64 { return time.Since(start).Seconds() }
-	})
-	return s.nowFn()
 }
 
 // AddTarget registers a replica's metrics endpoint. Call Probe(id) for
@@ -185,7 +158,9 @@ func (s *Scraper) fetch(id int, target string) (telemetry.RegistrySnapshot, erro
 	if s.cfg.Fetch != nil {
 		return s.cfg.Fetch(id, target)
 	}
-	client := &http.Client{Timeout: s.cfg.Timeout}
+	// each fetch gets one interval, capped so a long interval cannot pin
+	// a round on a dead replica
+	client := &http.Client{Timeout: min(s.cfg.Interval, 5*time.Second)}
 	resp, err := client.Get(target)
 	if err != nil {
 		return telemetry.RegistrySnapshot{}, err
@@ -245,7 +220,7 @@ func (s *Scraper) scrapeTarget(id int, now float64) {
 		st.consecFails++
 		st.scrapeFailsC.Inc()
 		s.cfg.Events.RecordAt(now, telemetry.EventScrapeFail, node, err.Error())
-		if s.cfg.DownAfter > 0 && st.consecFails >= s.cfg.DownAfter && !st.markedDown {
+		if st.consecFails >= downAfter && !st.markedDown {
 			st.markedDown = true
 			markDown = true
 		}
@@ -281,10 +256,12 @@ func (s *Scraper) scrapeTarget(id int, now float64) {
 	}
 }
 
-// Run scrapes every Interval until the context is cancelled, on the
-// scraper's clock. The production loop behind illixr-gateway
-// -scrape-interval; the bench calls ScrapeOnce directly instead.
+// Run scrapes every Interval until the context is cancelled, stamping
+// rounds with wall seconds since it started. The production loop behind
+// illixr-gateway -scrape-interval; the bench calls ScrapeOnce directly
+// instead.
 func (s *Scraper) Run(ctx context.Context) {
+	start := time.Now()
 	t := time.NewTicker(s.cfg.Interval)
 	defer t.Stop()
 	for {
@@ -292,7 +269,7 @@ func (s *Scraper) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			s.ScrapeOnce(s.now())
+			s.ScrapeOnce(time.Since(start).Seconds())
 		}
 	}
 }

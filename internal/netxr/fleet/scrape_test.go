@@ -27,7 +27,7 @@ func TestScraperFeedsLivePlacement(t *testing.T) {
 	load := map[int]struct{ sessions, queue float64 }{
 		0: {sessions: 10, queue: 0},
 		1: {sessions: 1, queue: 0}, // lightly loaded → placement target
-		2: {sessions: 5, queue: 8}, // deep queue repels via QueueWeight
+		2: {sessions: 5, queue: 8}, // deep queue repels via queueWeight
 	}
 	s := NewScraper(coord, ScrapeConfig{
 		Fetch: func(id int, _ string) (telemetry.RegistrySnapshot, error) {
@@ -76,8 +76,7 @@ func TestScraperDownMarkingAndRecovery(t *testing.T) {
 	events := telemetry.NewFlightRecorder(64)
 	failing := true
 	s := NewScraper(coord, ScrapeConfig{
-		DownAfter: 3,
-		Events:    events,
+		Events: events,
 		Fetch: func(int, string) (telemetry.RegistrySnapshot, error) {
 			if failing {
 				return telemetry.RegistrySnapshot{}, errors.New("connection refused")
@@ -150,14 +149,14 @@ func TestCoordinatorRecordsFlightEvents(t *testing.T) {
 	for _, ev := range events.Events() {
 		kinds[ev.Kind]++
 	}
-	for _, want := range []string{EventAdmit, EventRefuse, EventEnd, EventDown} {
+	for _, want := range []string{telemetry.EventAdmit, telemetry.EventRefuse, telemetry.EventEnd, telemetry.EventDown} {
 		if kinds[want] == 0 {
 			t.Errorf("no %q event recorded (got %v)", want, kinds)
 		}
 	}
 	// explicit-clock events carry the admission time
 	for _, ev := range events.Events() {
-		if ev.Kind == EventAdmit && ev.T != 1.0 {
+		if ev.Kind == telemetry.EventAdmit && ev.T != 1.0 {
 			t.Errorf("admit event at t=%v, want 1.0", ev.T)
 		}
 	}

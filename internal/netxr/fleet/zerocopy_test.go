@@ -120,15 +120,13 @@ func TestGatewayZeroCopyByeRetiresToken(t *testing.T) {
 	t.Fatal("client Bye did not retire the resume token")
 }
 
-// TestGatewayCoalescedRelayDeliversBurst: with a small flush window, a
-// burst far larger than the window must arrive complete and in order
-// through the raw relay.
+// TestGatewayCoalescedRelayDeliversBurst: a burst several flush windows
+// deep must arrive complete and in order through the raw relay.
 func TestGatewayCoalescedRelayDeliversBurst(t *testing.T) {
 	tf := newTestFleet(t, 1, 8)
-	tf.gw.FlushFrames = 4
 	_, r, w, _ := tf.connect(t, wire.Hello{App: "burst"})
 
-	const burst = 50
+	const burst = 4 * wire.FlushWindow
 	errc := make(chan error, 1)
 	go func() {
 		imu := wire.AppendIMU(nil, wireIMU(0.01))

@@ -19,7 +19,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"illixr/internal/faults"
 )
@@ -138,16 +137,13 @@ func (l *Link) Arrive(sendT float64) float64 {
 }
 
 // Conn wraps a net.Conn for the real (goroutine-driven) session layer:
-// it counts bytes, can kill the link mid-stream after a byte budget
-// (exercising dead-session supervision), and can pace writes with a real
-// sleep scaled from the profile latency when realDelay is enabled (soak
-// realism; off by default so tests stay fast).
+// it counts bytes and can kill the link mid-stream after a byte budget
+// (exercising dead-session supervision).
 type Conn struct {
 	net.Conn
 	failAfter atomic.Int64 // bytes until forced failure; <0 = never
 	wrote     atomic.Int64
 	read      atomic.Int64
-	realDelay time.Duration
 	mu        sync.Mutex
 }
 
@@ -171,26 +167,19 @@ func Pipe() (*Conn, *Conn) {
 // FailAfter arms an injected link failure after n more written bytes.
 func (c *Conn) FailAfter(n int64) { c.failAfter.Store(n) }
 
-// SetRealDelay makes every write sleep d first (wall-clock pacing for
-// soak tests; leaves virtual-time accounting untouched).
-func (c *Conn) SetRealDelay(d time.Duration) { c.realDelay = d }
-
 // BytesWritten returns the total bytes successfully written.
 func (c *Conn) BytesWritten() int64 { return c.wrote.Load() }
 
 // BytesRead returns the total bytes read.
 func (c *Conn) BytesRead() int64 { return c.read.Load() }
 
-// Write implements net.Conn with failure injection and optional pacing.
+// Write implements net.Conn with failure injection.
 func (c *Conn) Write(p []byte) (int, error) {
 	if budget := c.failAfter.Load(); budget >= 0 {
 		if budget == 0 || c.failAfter.Add(-int64(len(p))) < 0 {
 			_ = c.Conn.Close()
 			return 0, ErrInjectedLinkFailure
 		}
-	}
-	if c.realDelay > 0 {
-		time.Sleep(c.realDelay)
 	}
 	c.mu.Lock()
 	n, err := c.Conn.Write(p)

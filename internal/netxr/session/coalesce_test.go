@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -13,148 +12,142 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// TestCoalesceOrderingAcrossFlushSizes drives a session through flush
-// windows of 1 (coalescing disabled), 4, and 64 with the reliable and
-// latest-wins producers racing on separate goroutines (run under -race
-// by make check). The batched writer must preserve exactly the
-// per-frame path's contract:
+// TestCoalesceOrderingAtFlushWindow drives a session whose queues run
+// many wire.FlushWindow batches deep, with the reliable and latest-wins
+// producers racing on separate goroutines (run under -race by make
+// check). The batched writer must preserve exactly the per-frame
+// contract:
 //   - reliable frames arrive in FIFO send order, none lost;
 //   - latest-wins frames arrive in strictly increasing freshness
 //     (a newer pose displaces an unsent older one, never reorders);
 //   - delivered + displaced == sent, so displacement accounting holds.
-func TestCoalesceOrderingAcrossFlushSizes(t *testing.T) {
-	for _, flush := range []int{1, 4, 64} {
-		flush := flush
-		t.Run(fmt.Sprintf("flush=%d", flush), func(t *testing.T) {
-			const reliableN = 200
-			const poseN = 300
+func TestCoalesceOrderingAtFlushWindow(t *testing.T) {
+	const reliableN = 200
+	const poseN = 300
 
-			h := newCollect()
-			srv := NewServer(Config{
-				FlushFrames: flush,
-				QueueLen:    reliableN + 8,
-				Metrics:     telemetry.NewRegistry(),
-			}, h)
-			defer srv.Shutdown(context.Background())
+	h := newCollect()
+	srv := NewServer(Config{
+		QueueLen: reliableN + 8,
+		Metrics:  telemetry.NewRegistry(),
+	}, h)
+	defer srv.Shutdown(context.Background())
 
-			client, server := net.Pipe()
-			defer client.Close()
-			sess := srv.HandleConn(server)
-			if sess == nil {
-				t.Fatal("conn refused")
-			}
-			r, _, _ := clientHandshake(t, client)
+	client, server := net.Pipe()
+	defer client.Close()
+	sess := srv.HandleConn(server)
+	if sess == nil {
+		t.Fatal("conn refused")
+	}
+	r, _, _ := clientHandshake(t, client)
 
-			// client side: drain everything until the Bye, recording the
-			// order of each class
-			var (
-				relSeqs  []uint32
-				poseSeqs []uint32
-				readErr  error
-				readDone = make(chan struct{})
-			)
-			go func() {
-				defer close(readDone)
-				for {
-					f, err := r.ReadFrame()
-					if err != nil {
-						readErr = err
-						return
-					}
-					switch f.Type {
-					case wire.TypeQoE:
-						relSeqs = append(relSeqs, binary.LittleEndian.Uint32(f.Payload))
-					case wire.TypePose:
-						poseSeqs = append(poseSeqs, binary.LittleEndian.Uint32(f.Payload))
-					case wire.TypeBye:
-						return
-					}
-				}
-			}()
+	// client side: drain everything until the Bye, recording the
+	// order of each class
+	var (
+		relSeqs  []uint32
+		poseSeqs []uint32
+		readErr  error
+		readDone = make(chan struct{})
+	)
+	go func() {
+		defer close(readDone)
+		for {
+			f, err := r.ReadFrame()
+			if err != nil {
+				readErr = err
+				return
+			}
+			switch f.Type {
+			case wire.TypeQoE:
+				relSeqs = append(relSeqs, binary.LittleEndian.Uint32(f.Payload))
+			case wire.TypePose:
+				poseSeqs = append(poseSeqs, binary.LittleEndian.Uint32(f.Payload))
+			case wire.TypeBye:
+				return
+			}
+		}
+	}()
 
-			// server side: two producers race into the same session
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, 4)
-				for i := 0; i < reliableN; i++ {
-					binary.LittleEndian.PutUint32(buf, uint32(i))
-					for {
-						err := sess.Send(wire.Frame{Type: wire.TypeQoE, Payload: buf}, Reliable)
-						if err == nil {
-							break
-						}
-						if !IsRetryable(err) {
-							t.Errorf("reliable send %d: %v", i, err)
-							return
-						}
-						time.Sleep(100 * time.Microsecond)
-					}
+	// server side: two producers race into the same session
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 4)
+		for i := 0; i < reliableN; i++ {
+			binary.LittleEndian.PutUint32(buf, uint32(i))
+			for {
+				err := sess.Send(wire.Frame{Type: wire.TypeQoE, Payload: buf}, Reliable)
+				if err == nil {
+					break
 				}
-			}()
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, 4)
-				for i := 0; i < poseN; i++ {
-					binary.LittleEndian.PutUint32(buf, uint32(i))
-					if err := sess.Send(wire.Frame{Type: wire.TypePose, Payload: buf}, LatestWins); err != nil {
-						t.Errorf("pose send %d: %v", i, err)
-						return
-					}
+				if !IsRetryable(err) {
+					t.Errorf("reliable send %d: %v", i, err)
+					return
 				}
-			}()
-			wg.Wait()
-			sess.Drain("test done")
-			select {
-			case <-readDone:
-			case <-time.After(10 * time.Second):
-				t.Fatal("client never saw the drain Bye")
+				time.Sleep(100 * time.Microsecond)
 			}
-			if readErr != nil {
-				t.Fatalf("client read: %v", readErr)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 4)
+		for i := 0; i < poseN; i++ {
+			binary.LittleEndian.PutUint32(buf, uint32(i))
+			if err := sess.Send(wire.Frame{Type: wire.TypePose, Payload: buf}, LatestWins); err != nil {
+				t.Errorf("pose send %d: %v", i, err)
+				return
 			}
-			// the writer's counter updates land after the flush the client
-			// just observed: wait for full session teardown before reading
-			deadline := time.Now().Add(5 * time.Second)
-			for h.endedCount() == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if h.endedCount() != 1 {
-				t.Fatal("session never tore down after drain")
-			}
+		}
+	}()
+	wg.Wait()
+	sess.Drain("test done")
+	select {
+	case <-readDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never saw the drain Bye")
+	}
+	if readErr != nil {
+		t.Fatalf("client read: %v", readErr)
+	}
+	// the writer's counter updates land after the flush the client
+	// just observed: wait for full session teardown before reading
+	deadline := time.Now().Add(5 * time.Second)
+	for h.endedCount() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if h.endedCount() != 1 {
+		t.Fatal("session never tore down after drain")
+	}
 
-			// reliable: complete and in FIFO order
-			if len(relSeqs) != reliableN {
-				t.Fatalf("reliable frames delivered = %d, want %d", len(relSeqs), reliableN)
-			}
-			for i, seq := range relSeqs {
-				if seq != uint32(i) {
-					t.Fatalf("reliable frame %d carries seq %d: FIFO order broken", i, seq)
-				}
-			}
-			// latest-wins: strictly increasing freshness, newest delivered
-			for i := 1; i < len(poseSeqs); i++ {
-				if poseSeqs[i] <= poseSeqs[i-1] {
-					t.Fatalf("pose order regressed: %d after %d", poseSeqs[i], poseSeqs[i-1])
-				}
-			}
-			if n := len(poseSeqs); n == 0 || poseSeqs[n-1] != poseN-1 {
-				t.Fatalf("newest pose never delivered: got %v tail", poseSeqs)
-			}
-			// displacement accounting: delivered + displaced == sent
-			sent, dropped, _, _ := sess.Stats()
-			if int(dropped)+len(poseSeqs) != poseN {
-				t.Fatalf("accounting broken: %d delivered + %d displaced != %d sent",
-					len(poseSeqs), dropped, poseN)
-			}
-			// sent counts the handshake Welcome, every delivered frame and
-			// the terminal Bye
-			wantSent := uint64(1 + reliableN + len(poseSeqs) + 1)
-			if sent != wantSent {
-				t.Fatalf("sent counter = %d, want %d", sent, wantSent)
-			}
-		})
+	// reliable: complete and in FIFO order
+	if len(relSeqs) != reliableN {
+		t.Fatalf("reliable frames delivered = %d, want %d", len(relSeqs), reliableN)
+	}
+	for i, seq := range relSeqs {
+		if seq != uint32(i) {
+			t.Fatalf("reliable frame %d carries seq %d: FIFO order broken", i, seq)
+		}
+	}
+	// latest-wins: strictly increasing freshness, newest delivered
+	for i := 1; i < len(poseSeqs); i++ {
+		if poseSeqs[i] <= poseSeqs[i-1] {
+			t.Fatalf("pose order regressed: %d after %d", poseSeqs[i], poseSeqs[i-1])
+		}
+	}
+	if n := len(poseSeqs); n == 0 || poseSeqs[n-1] != poseN-1 {
+		t.Fatalf("newest pose never delivered: got %v tail", poseSeqs)
+	}
+	// displacement accounting: delivered + displaced == sent
+	sent, dropped, _, _ := sess.Stats()
+	if int(dropped)+len(poseSeqs) != poseN {
+		t.Fatalf("accounting broken: %d delivered + %d displaced != %d sent",
+			len(poseSeqs), dropped, poseN)
+	}
+	// sent counts the handshake Welcome, every delivered frame and
+	// the terminal Bye
+	wantSent := uint64(1 + reliableN + len(poseSeqs) + 1)
+	if sent != wantSent {
+		t.Fatalf("sent counter = %d, want %d", sent, wantSent)
 	}
 }
 

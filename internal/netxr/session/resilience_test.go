@@ -125,7 +125,7 @@ func TestBackpressureTypedError(t *testing.T) {
 // push-back — the Bye carries a machine-readable Retry-After hint.
 func TestServerFullRetryAfter(t *testing.T) {
 	h := newCollect()
-	srv := NewServer(Config{MaxSessions: 1, RetryAfter: 200 * time.Millisecond}, h)
+	srv := NewServer(Config{MaxSessions: 1}, h)
 	defer srv.Shutdown(context.Background())
 
 	c1, s1 := net.Pipe()
@@ -144,8 +144,8 @@ func TestServerFullRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bye.RetryAfterMs != 200 || !bye.Retryable() {
-		t.Fatalf("bye = %+v, want retryable with 200ms hint", bye)
+	if bye.RetryAfterMs != uint32(retryAfter.Milliseconds()) || !bye.Retryable() {
+		t.Fatalf("bye = %+v, want retryable with the %v hint", bye, retryAfter)
 	}
 }
 

@@ -29,12 +29,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// HandshakeTimeout bounds the wait for the client Hello.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each frame write.
-	WriteTimeout time.Duration
-	// RetryAfter is the reconnect hint attached to capacity refusals: a
-	// full server refuses with a Bye telling the client to come back in
-	// this long instead of a terminal error. 0 = default (1 s).
-	RetryAfter time.Duration
 	// Admission, when non-nil, decides every handshake: it issues resume
 	// tokens, restores resumed-session state, and refuses admission with
 	// Retry-After hints. nil admits every session fresh with the session
@@ -50,14 +44,6 @@ type Config struct {
 	Capture *binlog.Writer
 	// Metrics receives illixr_netxr_* instruments; nil = uninstrumented.
 	Metrics *telemetry.Registry
-	// FlushFrames bounds the writer's flush window: the session writer
-	// pops up to this many queued frames per wakeup and puts them on the
-	// wire in ONE buffered write (writev-style). 1 disables coalescing
-	// (every frame is its own write); 0 = default (16). The flush "tick"
-	// is queue exhaustion, not a timer — no frame ever waits for a
-	// wall-clock window, which keeps the path virtual-time safe and adds
-	// zero latency on a quiet session (DESIGN.md §15).
-	FlushFrames int
 }
 
 // Admission decides handshake outcomes; the fleet coordinator implements
@@ -101,23 +87,17 @@ func (c Config) withDefaults() Config {
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.FlushFrames == 0 {
-		c.FlushFrames = defaultFlushFrames
-	}
-	if c.FlushFrames < 1 {
-		c.FlushFrames = 1
-	}
 	return c
 }
 
-// defaultFlushFrames is the writer's flush window.
-const defaultFlushFrames = 16
+const (
+	// writeTimeout bounds each batch write.
+	writeTimeout = 10 * time.Second
+	// retryAfter is the reconnect hint attached to capacity refusals and
+	// the shutdown drain: the Bye tells the client to come back in this
+	// long instead of ending terminally.
+	retryAfter = time.Second
+)
 
 // Handler reacts to session lifecycle events. SessionFrame runs on the
 // session's reader goroutine; returning an error terminates the session
@@ -224,7 +204,7 @@ func (s *Server) HandleConn(conn net.Conn) *Session {
 			// hard error — the client backs off and redials. Written off
 			// the accept path because synchronous transports (net.Pipe)
 			// block the write until the peer reads.
-			retryMs := uint32(s.cfg.RetryAfter.Milliseconds())
+			retryMs := uint32(retryAfter.Milliseconds())
 			s.m.refused.Inc()
 			go func() {
 				w := wire.NewWriter(conn)
@@ -391,7 +371,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	for _, sess := range s.snapshotSessions() {
 		// a drained session is invited back: the fleet will re-place it
-		sess.DrainRetry("server shutdown", uint32(s.cfg.RetryAfter.Milliseconds()))
+		sess.DrainRetry("server shutdown", uint32(retryAfter.Milliseconds()))
 	}
 
 	done := make(chan struct{})

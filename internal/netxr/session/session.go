@@ -273,38 +273,37 @@ func (s *Session) Err() error {
 
 // drainByeTimeout bounds the write of the terminal drain Bye: a peer
 // that has stopped reading must not pin session teardown for the full
-// WriteTimeout.
+// writeTimeout.
 const drainByeTimeout = time.Second
 
 // nextBatch blocks until at least one frame is queued, then pops up to
-// max frames in send order — the whole FIFO first, then latest-wins
-// slots in arrival order, exactly the discipline the per-frame path
-// used. If a drain is pending and the batch has room, the terminal Bye
+// wire.FlushWindow frames in send order — the whole FIFO first, then
+// latest-wins slots in arrival order. If a drain is pending and the batch has room, the terminal Bye
 // rides the same batch (terminal=true). ok=false means exit. The flush
 // "tick" is queue exhaustion: a lone frame on a quiet session flushes
 // immediately, so coalescing adds zero latency and no wall-clock timer
 // (virtual-time safe; DESIGN.md §15).
-func (s *Session) nextBatch(batch []wire.Frame, max int) (out []wire.Frame, ok, terminal bool) {
+func (s *Session) nextBatch(batch []wire.Frame) (out []wire.Frame, ok, terminal bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed {
 			return batch, false, false
 		}
-		for len(batch) < max && len(s.fifo) > 0 {
+		for len(batch) < wire.FlushWindow && len(s.fifo) > 0 {
 			batch = append(batch, s.fifo[0])
 			copy(s.fifo, s.fifo[1:])
 			s.fifo[len(s.fifo)-1] = wire.Frame{}
 			s.fifo = s.fifo[:len(s.fifo)-1]
 		}
-		for len(batch) < max && len(s.slotSeq) > 0 {
+		for len(batch) < wire.FlushWindow && len(s.slotSeq) > 0 {
 			t := s.slotSeq[0]
 			copy(s.slotSeq, s.slotSeq[1:])
 			s.slotSeq = s.slotSeq[:len(s.slotSeq)-1]
 			batch = append(batch, s.slots[t])
 			delete(s.slots, t)
 		}
-		if s.drainReq && !s.byeSent && len(batch) < max {
+		if s.drainReq && !s.byeSent && len(batch) < wire.FlushWindow {
 			// the queues are empty (or the batch is full — then the Bye
 			// waits for the next batch): append the terminal Bye
 			if len(s.fifo) == 0 && len(s.slotSeq) == 0 {
@@ -324,29 +323,26 @@ func (s *Session) nextBatch(batch []wire.Frame, max int) (out []wire.Frame, ok, 
 	}
 }
 
-// writeLoop drains the queues onto the wire, up to FlushFrames frames
-// per wakeup coalesced into one buffered write.
+// writeLoop drains the queues onto the wire, up to wire.FlushWindow
+// frames per wakeup coalesced into one buffered write.
 func (s *Session) writeLoop(done chan<- struct{}) {
 	defer close(done)
 	w := wire.NewWriter(s.conn)
-	max := s.srv.cfg.FlushFrames
-	batch := make([]wire.Frame, 0, max)
+	batch := make([]wire.Frame, 0, wire.FlushWindow)
 	for {
 		var ok, terminal bool
-		batch, ok, terminal = s.nextBatch(batch[:0], max)
+		batch, ok, terminal = s.nextBatch(batch[:0])
 		if !ok {
 			if s.drained() {
 				s.Close(nil)
 			}
 			return
 		}
-		timeout := s.srv.cfg.WriteTimeout
-		if terminal && (timeout <= 0 || timeout > drainByeTimeout) {
+		timeout := writeTimeout
+		if terminal {
 			timeout = drainByeTimeout
 		}
-		if timeout > 0 {
-			_ = s.conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
+		_ = s.conn.SetWriteDeadline(time.Now().Add(timeout))
 		before := w.Bytes()
 		for _, f := range batch {
 			w.Queue(f)

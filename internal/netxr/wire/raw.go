@@ -79,6 +79,14 @@ func (r *Reader) FrameBuffered() bool {
 	return n >= headerLen+vlen+int(ln)+4
 }
 
+// FlushWindow is the most frames any writer in the offload stack lets sit
+// queued before it flushes: the session writer, both gateway relay
+// directions and the client uplink all queue while more frames are
+// already waiting and flush on exhaustion or at this bound (DESIGN.md
+// §15.3), so a lone frame never waits and a burst costs one Write per
+// window.
+const FlushWindow = 16
+
 // Queue encodes f onto the writer's pending buffer without writing.
 // Call Flush to put the whole batch on the wire in one Write — the
 // writev-style coalescing the session writer and gateway relay use.
@@ -115,11 +123,4 @@ func (w *Writer) Flush() error {
 	}
 	w.frames += uint64(q)
 	return nil
-}
-
-// WriteRaw writes one already-encoded frame immediately (QueueRaw +
-// Flush).
-func (w *Writer) WriteRaw(r Raw) error {
-	w.QueueRaw(r)
-	return w.Flush()
 }

@@ -48,15 +48,16 @@ func TestReadRawRoundTrip(t *testing.T) {
 		if !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
-		if err := w.WriteRaw(raw); err != nil {
-			t.Fatalf("frame %d: WriteRaw: %v", i, err)
+		w.QueueRaw(raw)
+		if err := w.Flush(); err != nil {
+			t.Fatalf("frame %d: QueueRaw+Flush: %v", i, err)
 		}
 	}
 	if _, err := r.ReadRaw(); err != io.EOF {
 		t.Fatalf("after stream: err=%v, want EOF", err)
 	}
 	if !bytes.Equal(out.Bytes(), stream) {
-		t.Fatal("WriteRaw pass-through is not byte-identical to the source stream")
+		t.Fatal("QueueRaw pass-through is not byte-identical to the source stream")
 	}
 	if r.Frames() != uint64(len(frames)) || w.Frames() != uint64(len(frames)) {
 		t.Fatalf("counters: read %d written %d, want %d", r.Frames(), w.Frames(), len(frames))

@@ -286,10 +286,10 @@ func eofToUnexpected(err error) error {
 // Writer encodes frames onto a byte stream with a reused buffer. Not
 // safe for concurrent use; the session layer serializes writers.
 //
-// Two write disciplines share one buffer: WriteFrame/WriteRaw put one
-// frame on the wire immediately, while Queue/QueueRaw + Flush coalesce
-// a batch into a single Write (raw.go) — the flush-window path of the
-// session writer and the gateway relay.
+// Two write disciplines share one buffer: WriteFrame puts one frame on
+// the wire immediately, while Queue/QueueRaw + Flush coalesce a batch
+// into a single Write (raw.go) — the FlushWindow path of the session
+// writer, the gateway relay and the client uplink.
 type Writer struct {
 	w      io.Writer
 	buf    []byte

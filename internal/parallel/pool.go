@@ -51,7 +51,7 @@ type Pool struct {
 
 	// tile-time collection for the work-span model of `illixr-bench -exp
 	// parallel` (off by default; adds a clock read per tile when on).
-	// One inner slice per ForTiles/MapReduce call, in call order.
+	// One inner slice per pool call, in call order.
 	collectTiles atomic.Bool
 	tileMu       sync.Mutex
 	tileCalls    [][]float64
@@ -72,7 +72,6 @@ type Pool struct {
 	// token of one dispatch; guarded by runMu.
 	runMu      sync.Mutex
 	curFn      func(lo, hi int)
-	curFnIdx   func(ti, lo, hi int)
 	curSum     func(lo, hi int) float64
 	curSum2    func(lo, hi int) (re, im float64)
 	partials   []float64 // reused ordered-sum partial buffer
@@ -256,8 +255,6 @@ func (p *Pool) runTile(ti int) {
 	switch {
 	case p.curFn != nil:
 		p.curFn(lo, hi)
-	case p.curFnIdx != nil:
-		p.curFnIdx(ti, lo, hi)
 	case p.curSum != nil:
 		p.partials[ti] = p.curSum(lo, hi)
 	case p.curSum2 != nil:
@@ -271,7 +268,7 @@ func (p *Pool) runTile(ti int) {
 }
 
 // dispatch runs the kernel configured in the cur* fields. The caller must
-// hold runMu and have set exactly one of curFn/curFnIdx/curSum/curSum2.
+// hold runMu and have set exactly one of curFn/curSum/curSum2.
 func (p *Pool) dispatch(kernel string, n, tile, tiles int) {
 	p.curN, p.curTile, p.curTiles = n, tile, tiles
 	p.curCollect = p.collectTiles.Load()
@@ -332,7 +329,8 @@ func (p *Pool) dispatch(kernel string, n, tile, tiles int) {
 	}
 }
 
-// serialTiles runs the nil-pool path with no state at all.
+// serialTiles is the nil-pool path: the same tiles in ascending order on
+// the calling goroutine, with no state at all.
 func serialTiles(n, tile, tiles int, fn func(lo, hi int)) {
 	for ti := 0; ti < tiles; ti++ {
 		lo := ti * tile
@@ -365,34 +363,6 @@ func (p *Pool) ForTiles(kernel string, n, tile int, fn func(lo, hi int)) {
 	p.curFn = fn
 	p.dispatch(kernel, n, tile, tiles)
 	p.curFn = nil
-	p.runMu.Unlock()
-}
-
-// forTilesIndexed is ForTiles with the tile index exposed (the building
-// block of MapReduce's ordered reduction).
-func (p *Pool) forTilesIndexed(kernel string, n, tile int, fn func(ti, lo, hi int)) {
-	tiles := Tiles(n, tile)
-	if tiles == 0 {
-		return
-	}
-	if tile <= 0 {
-		tile = n
-	}
-	if p == nil {
-		for ti := 0; ti < tiles; ti++ {
-			lo := ti * tile
-			hi := lo + tile
-			if hi > n {
-				hi = n
-			}
-			fn(ti, lo, hi)
-		}
-		return
-	}
-	p.runMu.Lock()
-	p.curFnIdx = fn
-	p.dispatch(kernel, n, tile, tiles)
-	p.curFnIdx = nil
 	p.runMu.Unlock()
 }
 
@@ -430,20 +400,16 @@ func (p *Pool) SumTiles(kernel string, n, tile int, fn func(lo, hi int) float64)
 		tile = n
 	}
 	if p == nil {
+		// the first partial is assigned, not added to zero, exactly as
+		// foldOrdered starts from partials[0] (0 + -0 would lose the sign)
 		var acc float64
-		for ti := 0; ti < tiles; ti++ {
-			lo := ti * tile
-			hi := lo + tile
-			if hi > n {
-				hi = n
-			}
-			v := fn(lo, hi)
-			if ti == 0 {
+		serialTiles(n, tile, tiles, func(lo, hi int) {
+			if v := fn(lo, hi); lo == 0 {
 				acc = v
 			} else {
 				acc += v
 			}
-		}
+		})
 		return acc
 	}
 	p.runMu.Lock()
@@ -469,20 +435,14 @@ func (p *Pool) SumTiles2(kernel string, n, tile int, fn func(lo, hi int) (a, b f
 	}
 	if p == nil {
 		var accA, accB float64
-		for ti := 0; ti < tiles; ti++ {
-			lo := ti * tile
-			hi := lo + tile
-			if hi > n {
-				hi = n
-			}
-			va, vb := fn(lo, hi)
-			if ti == 0 {
+		serialTiles(n, tile, tiles, func(lo, hi int) {
+			if va, vb := fn(lo, hi); lo == 0 {
 				accA, accB = va, vb
 			} else {
 				accA += va
 				accB += vb
 			}
-		}
+		})
 		return accA, accB
 	}
 	p.runMu.Lock()
@@ -498,28 +458,4 @@ func (p *Pool) SumTiles2(kernel string, n, tile int, fn func(lo, hi int) (a, b f
 	}
 	p.runMu.Unlock()
 	return accA, accB
-}
-
-// MapReduce maps each tile of [0, n) to a partial result and folds the
-// partials in ascending tile order: acc = reduce(reduce(t0, t1), t2)...
-// The fold order is fixed regardless of worker count, so floating-point
-// reductions are bitwise deterministic. Returns the zero T when n <= 0.
-//
-// MapReduce allocates a partial buffer per call; per-frame kernels use the
-// pool-owned SumTiles/SumTiles2 reductions instead.
-func MapReduce[T any](p *Pool, kernel string, n, tile int, mapFn func(lo, hi int) T, reduce func(acc, v T) T) T {
-	var zero T
-	tiles := Tiles(n, tile)
-	if tiles == 0 {
-		return zero
-	}
-	partials := make([]T, tiles)
-	p.forTilesIndexed(kernel, n, tile, func(ti, lo, hi int) {
-		partials[ti] = mapFn(lo, hi)
-	})
-	acc := partials[0]
-	for i := 1; i < tiles; i++ {
-		acc = reduce(acc, partials[i])
-	}
-	return acc
 }

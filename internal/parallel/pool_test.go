@@ -56,15 +56,15 @@ func TestNilPoolIsSerial(t *testing.T) {
 	if sum != 45 {
 		t.Fatalf("nil pool sum = %d", sum)
 	}
-	if got := MapReduce(p, "nil", 0, 4, func(lo, hi int) int { return 1 },
-		func(a, b int) int { return a + b }); got != 0 {
-		t.Fatalf("empty MapReduce = %d", got)
+	if got := p.SumTiles("nil", 0, 4, func(lo, hi int) float64 { return 1 }); got != 0 {
+		t.Fatalf("empty SumTiles = %v", got)
 	}
 }
 
-// TestDeterminismMapReduce requires the floating-point fold to be bitwise
-// identical across worker counts: the canonical determinism contract.
-func TestDeterminismMapReduce(t *testing.T) {
+// TestDeterminismSumTiles requires the floating-point fold to be bitwise
+// identical across worker counts and on the nil pool: the canonical
+// determinism contract, for both reductions.
+func TestDeterminismSumTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 100000
 	xs := make([]float64, n)
@@ -72,22 +72,27 @@ func TestDeterminismMapReduce(t *testing.T) {
 		// wide dynamic range makes the sum order-sensitive
 		xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
 	}
-	sumTiles := func(workers int) float64 {
-		p := New(workers)
-		return MapReduce(p, "sum", n, 4096, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		}, func(a, b float64) float64 { return a + b })
+	sum := func(lo, hi int) float64 {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += xs[i]
+		}
+		return s
 	}
-	want := sumTiles(1)
-	for _, workers := range []int{2, 4, 7} {
-		got := sumTiles(workers)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("workers=%d: sum %x != serial %x",
-				workers, math.Float64bits(got), math.Float64bits(want))
+	// the paired form sums the same range forwards and negated
+	sum2 := func(lo, hi int) (float64, float64) { s := sum(lo, hi); return s, -s }
+	bits := func(p *Pool) [3]uint64 {
+		a, b := p.SumTiles2("sum2", n, 4096, sum2)
+		return [3]uint64{math.Float64bits(p.SumTiles("sum", n, 4096, sum)),
+			math.Float64bits(a), math.Float64bits(b)}
+	}
+	want := bits(nil)
+	if want[1] != want[0] || want[2] != want[0]^(1<<63) {
+		t.Fatalf("SumTiles2 components %x disagree with SumTiles", want)
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		if got := bits(New(workers)); got != want {
+			t.Errorf("workers=%d: sums %x != nil-pool %x", workers, got, want)
 		}
 	}
 }
@@ -123,7 +128,7 @@ func TestDeterminismForTilesDisjointWrites(t *testing.T) {
 }
 
 // TestPoolRaceStress hammers one shared pool from many goroutines with
-// concurrent ForTiles/MapReduce calls against shared accumulators; run
+// concurrent ForTiles/SumTiles calls against shared accumulators; run
 // under -race this validates the pool's internal synchronization.
 func TestPoolRaceStress(t *testing.T) {
 	p := New(4)
@@ -140,14 +145,14 @@ func TestPoolRaceStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				// shared accumulator via ordered reduce
-				s := MapReduce(p, "stress", 2000, 64, func(lo, hi int) int64 {
-					var acc int64
+				s := p.SumTiles("stress", 2000, 64, func(lo, hi int) float64 {
+					var acc float64
 					for i := lo; i < hi; i++ {
-						acc += int64(i)
+						acc += float64(i)
 					}
 					return acc
-				}, func(a, b int64) int64 { return a + b })
-				total.add(s)
+				})
+				total.add(int64(s))
 				// disjoint writes into a shared slice
 				out := make([]int64, 512)
 				p.ForTiles("stress2", len(out), 32, func(lo, hi int) {

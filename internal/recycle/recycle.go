@@ -39,9 +39,6 @@ func init() { enabled.Store(true) }
 // experiment. Returns the previous state.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
-// Enabled reports whether recycling is active.
-func Enabled() bool { return enabled.Load() }
-
 // wrapper boxes a slice for sync.Pool storage: a *wrapper converts to
 // interface{} without allocating, unlike a raw slice header.
 type wrapper[T any] struct{ s []T }

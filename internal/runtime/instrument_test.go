@@ -104,34 +104,6 @@ func TestHealthBoardMirrorsToRegistry(t *testing.T) {
 	}
 }
 
-func TestWatchdogTripCounter(t *testing.T) {
-	sb := NewSwitchboard()
-	reg := telemetry.NewRegistry()
-	board := NewHealthBoard()
-	board.SetMetrics(reg)
-	wd := NewWatchdog(sb, board)
-	wd.Watch("imu", 0.002, 3)
-
-	topic := sb.GetTopic("imu")
-	topic.Publish(Event{T: 0})
-	wd.Check(0) // primes
-	wd.Check(0.001)
-	// silence past the grace window: exactly one trip even across checks
-	wd.Check(0.010)
-	wd.Check(0.020)
-	name := "illixr_watchdog_imu_trips_total"
-	if got := reg.Counter(name).Value(); got != 1 {
-		t.Fatalf("trips = %d, want 1 (trip counts transitions, not checks)", got)
-	}
-	// recovery, then a second stall: second trip
-	topic.Publish(Event{T: 0.021})
-	wd.Check(0.021)
-	wd.Check(0.040)
-	if got := reg.Counter(name).Value(); got != 2 {
-		t.Fatalf("trips after second stall = %d, want 2", got)
-	}
-}
-
 func TestSubscribeCancelSnapshotIsolation(t *testing.T) {
 	// Publish reads the subscriber slice outside the lock; Subscribe and
 	// Cancel must replace (not mutate) it. Interleave them and verify

@@ -3,12 +3,9 @@ package runtime
 // Plugin supervision and graceful degradation for the live runtime: each
 // plugin can be wrapped in a Supervisor that recovers panics from its
 // goroutines (reported via Context.Go), tracks a health state machine
-// (healthy -> restarting -> healthy | failed, with degraded set by
-// watchdogs), and restarts crashed plugins with exponential backoff plus
-// deterministic jitter under a bounded restart budget. A Watchdog marks
-// event streams degraded when their publishers go silent (e.g. no IMU
-// event within 3 periods), so downstream consumers can switch to
-// dead-reckoning instead of blocking.
+// (healthy -> restarting -> healthy | failed), and restarts crashed
+// plugins with exponential backoff plus deterministic jitter under a
+// bounded restart budget.
 
 import (
 	"fmt"
@@ -47,7 +44,7 @@ func (h Health) String() string {
 }
 
 // HealthBoard is the shared registry of plugin and stream health,
-// readable by watchdogs, telemetry, and degradation policies.
+// readable by telemetry and degradation policies.
 type HealthBoard struct {
 	mu       sync.Mutex
 	states   map[string]Health
@@ -62,9 +59,9 @@ func NewHealthBoard() *HealthBoard {
 
 // SetMetrics mirrors every health transition and restart onto a metrics
 // registry: a gauge illixr_health_<name> holding the numeric state and a
-// counter illixr_supervisor_<name>_restarts_total. The supervision and
-// watchdog code paths need no separate wiring — the board is the single
-// observability chokepoint for plugin and stream condition.
+// counter illixr_supervisor_<name>_restarts_total. The supervision code
+// paths need no separate wiring — the board is the single observability
+// chokepoint for plugin condition.
 func (b *HealthBoard) SetMetrics(reg *telemetry.Registry) {
 	if b == nil {
 		return
@@ -72,16 +69,6 @@ func (b *HealthBoard) SetMetrics(reg *telemetry.Registry) {
 	b.mu.Lock()
 	b.metrics = reg
 	b.mu.Unlock()
-}
-
-// registry returns the installed metrics registry (nil-safe).
-func (b *HealthBoard) registry() *telemetry.Registry {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.metrics
 }
 
 // Set records the health of a named plugin or stream.
@@ -230,7 +217,6 @@ type Supervisor struct {
 	state   Health
 	rest    int
 	stopped bool
-	lastErr error
 	// startCrash is the crash an instance reported while restartLoop was
 	// still inside its Start (starting): the start then counts as failed.
 	starting   bool
@@ -260,13 +246,6 @@ func (s *Supervisor) Restarts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rest
-}
-
-// LastError returns the most recent crash error, if any.
-func (s *Supervisor) LastError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }
 
 // childContext derives the per-instance context whose crash reports are
@@ -338,7 +317,6 @@ func (s *Supervisor) onCrash(gen int, err error) {
 	}
 	old := s.plugin
 	s.plugin = nil
-	s.lastErr = err
 	s.state = Restarting
 	board := s.parent.Health
 	s.wg.Add(1)
@@ -409,7 +387,6 @@ func (s *Supervisor) restartLoop(gen int) {
 			board.IncrementRestart(s.name)
 			return
 		}
-		s.lastErr = err
 		s.mu.Unlock()
 		// start failed: loop and spend another restart from the budget
 	}
@@ -432,72 +409,3 @@ func (s *Supervisor) Stop() error {
 }
 
 var _ Plugin = (*Supervisor)(nil)
-
-// Watchdog marks event streams degraded when they go stale. It is
-// pull-based: callers invoke Check with the current session time (live
-// loops from a ticker, tests directly), keeping staleness detection
-// deterministic. Stream health is published on the board under
-// "topic:<name>".
-type Watchdog struct {
-	sb    *Switchboard
-	board *HealthBoard
-
-	mu      sync.Mutex
-	watches []*watch
-}
-
-type watch struct {
-	topic      string
-	period     float64 // expected publish period, seconds
-	grace      float64 // periods of silence tolerated
-	lastSeq    uint64
-	lastChange float64
-	primed     bool
-	tripped    bool // currently degraded (to count trips, not checks)
-}
-
-// NewWatchdog creates a watchdog over a switchboard, reporting to board.
-func NewWatchdog(sb *Switchboard, board *HealthBoard) *Watchdog {
-	return &Watchdog{sb: sb, board: board}
-}
-
-// Watch registers a topic with its expected publish period; silence
-// longer than gracePeriods * periodSec marks the stream degraded (the
-// paper-motivated default is 3 periods).
-func (w *Watchdog) Watch(topic string, periodSec, gracePeriods float64) {
-	if gracePeriods <= 0 {
-		gracePeriods = 3
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.watches = append(w.watches, &watch{topic: topic, period: periodSec, grace: gracePeriods})
-}
-
-// Check evaluates all watched topics at session time now and returns the
-// names of the streams currently degraded. A topic that publishes again
-// after a stall is restored to Healthy on the next Check.
-func (w *Watchdog) Check(now float64) []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var stale []string
-	for _, wa := range w.watches {
-		seq := w.sb.GetTopic(wa.topic).Seq()
-		if !wa.primed || seq != wa.lastSeq {
-			wa.primed = true
-			wa.lastSeq = seq
-			wa.lastChange = now
-			wa.tripped = false
-			w.board.Set("topic:"+wa.topic, Healthy)
-			continue
-		}
-		if now-wa.lastChange > wa.grace*wa.period {
-			stale = append(stale, wa.topic)
-			if !wa.tripped {
-				wa.tripped = true
-				w.board.registry().Counter(telemetry.MetricName("watchdog", wa.topic+"_trips_total")).Inc()
-			}
-			w.board.Set("topic:"+wa.topic, Degraded)
-		}
-	}
-	return stale
-}

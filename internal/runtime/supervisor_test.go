@@ -75,9 +75,6 @@ func TestSupervisorRestartsPanickedPlugin(t *testing.T) {
 	if created != 2 {
 		t.Errorf("factory invoked %d times, want 2", created)
 	}
-	if sup.LastError() == nil {
-		t.Error("crash error not recorded")
-	}
 	if l.Context().Health.Get("crashy") != Healthy {
 		t.Errorf("board health = %v", l.Context().Health.Get("crashy"))
 	}
@@ -188,40 +185,6 @@ func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
 	}
 	if !diff {
 		t.Error("jitter ignores the seed")
-	}
-}
-
-func TestWatchdogMarksStaleStreamDegraded(t *testing.T) {
-	sb := NewSwitchboard()
-	board := NewHealthBoard()
-	wd := NewWatchdog(sb, board)
-	const period = 1.0 / 500 // IMU at 500 Hz
-	wd.Watch(TopicIMU, period, 3)
-
-	top := sb.GetTopic(TopicIMU)
-	top.Publish(Event{T: 0.0})
-	if stale := wd.Check(0.0); len(stale) != 0 {
-		t.Fatalf("fresh stream flagged: %v", stale)
-	}
-	// within grace: 2 periods of silence
-	if stale := wd.Check(2 * period); len(stale) != 0 {
-		t.Fatalf("flagged inside grace: %v", stale)
-	}
-	// silence beyond 3 periods => degraded
-	stale := wd.Check(4 * period)
-	if len(stale) != 1 || stale[0] != TopicIMU {
-		t.Fatalf("stale = %v", stale)
-	}
-	if board.Get("topic:"+TopicIMU) != Degraded {
-		t.Errorf("board = %v", board.Get("topic:"+TopicIMU))
-	}
-	// stream resumes => healthy again
-	top.Publish(Event{T: 5 * period})
-	if stale := wd.Check(5 * period); len(stale) != 0 {
-		t.Fatalf("recovered stream still flagged: %v", stale)
-	}
-	if board.Get("topic:"+TopicIMU) != Healthy {
-		t.Errorf("board after recovery = %v", board.Get("topic:"+TopicIMU))
 	}
 }
 

@@ -250,21 +250,15 @@ func (sb *Switchboard) Topics() []string {
 	return out
 }
 
-// Standard topic names used by the integrated system (Fig 2's streams).
+// Topic names of the streams the integrated system publishes (a subset
+// of Fig 2's: the ones a plugin here actually carries).
 const (
-	TopicIMU       = "imu"             // sensors.IMUSample
-	TopicCamera    = "cam"             // sensors.CameraFrame
-	TopicSlowPose  = "slow_pose"       // vio.Estimate
-	TopicFastPose  = "fast_pose"       // integrator fast pose
-	TopicAppFrame  = "app_frame"       // rendered application frame
-	TopicWarped    = "reprojected"     // final display frame
-	TopicSound     = "soundfield"      // encoded ambisonic block
-	TopicBinaural  = "binaural"        // stereo output block
-	TopicEyeGaze   = "eye_gaze"        // eyetrack.Result pair
-	TopicSceneMesh = "scene_mesh"      // reconstruct map stats
-	TopicHologram  = "hologram_phase"  // hologram.Result
-	TopicVsync     = "vsync_estimate"  // next vsync time
-	TopicMetrics   = "metrics_records" // telemetry records
+	TopicIMU      = "imu"         // sensors.IMUSample
+	TopicCamera   = "cam"         // sensors.CameraFrame
+	TopicSlowPose = "slow_pose"   // vio.Estimate
+	TopicFastPose = "fast_pose"   // integrator fast pose
+	TopicWarped   = "reprojected" // final display frame
+	TopicBinaural = "binaural"    // stereo output block
 )
 
 // Phonebook is the service directory plugins use to look up shared

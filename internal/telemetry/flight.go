@@ -31,7 +31,6 @@ const (
 	EventDown       = "down"        // replica marked Down
 	EventDialFail   = "dial_fail"   // gateway failed to dial a replica
 	EventScrapeFail = "scrape_fail" // metrics scrape of a replica failed
-	EventDegrade    = "degrade"     // degradation policy engaged
 )
 
 // FleetEvent is one recorded occurrence. Seq increases monotonically

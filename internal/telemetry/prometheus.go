@@ -1,10 +1,11 @@
 package telemetry
 
-// Prometheus text exposition for the registry: the same instruments the
-// JSON snapshot and WriteText expose, rendered in the format standard
-// scrapers understand — `# TYPE`-annotated lines, histograms as
-// summaries with quantile labels plus _sum/_count. Served by debughttp
-// /metrics under content negotiation (Accept: text/plain).
+// Prometheus text exposition for the registry — its one text format: the
+// same instruments the JSON snapshot exposes, rendered the way standard
+// scrapers understand (`# TYPE`-annotated lines, histograms as summaries
+// with quantile labels plus _sum/_count). Served by debughttp /metrics
+// under content negotiation (Accept: text/plain) and written by the
+// commands' -metrics-out.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,16 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	// instruments come out sorted by name, whatever their kind
+	var types []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	if len(types) != 3 || !sort.StringsAreSorted(types) {
+		t.Errorf("instruments not sorted by name: %q", types)
 	}
 }
 

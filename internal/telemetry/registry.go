@@ -16,10 +16,7 @@ package telemetry
 // to build them so component labels are sanitized consistently.
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,11 +191,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// NumBuckets returns the number of log-spaced buckets every Histogram
-// carries (a compile-time constant exposed for windowed consumers like
-// the QoS controller's registry tap).
-func (h *Histogram) NumBuckets() int { return histBuckets }
 
 // BucketValue returns the representative (geometric-midpoint) value of
 // bucket i.
@@ -433,36 +425,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.Histograms[n] = h.Snapshot()
 	}
 	return s
-}
-
-// WriteText dumps every instrument as plain text, one metric per line,
-// sorted by name — the /metrics payload and the -metrics-out file format.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		var err error
-		if v, ok := s.Counters[n]; ok {
-			_, err = fmt.Fprintf(w, "%s %d\n", n, v)
-		} else if v, ok := s.Gauges[n]; ok {
-			_, err = fmt.Fprintf(w, "%s %g\n", n, v)
-		} else if h, ok := s.Histograms[n]; ok {
-			_, err = fmt.Fprintf(w, "%s count=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g min=%.4g max=%.4g\n",
-				n, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Min, h.Max)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -115,33 +114,5 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestMetricName(t *testing.T) {
 	if got := MetricName("Audio-Enc", "blocks.total"); got != "illixr_audio_enc_blocks_total" {
 		t.Fatalf("MetricName = %q", got)
-	}
-}
-
-func TestRegistryWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(MetricName("vio", "frames_total")).Add(3)
-	r.Gauge(MetricName("topic_imu", "depth")).Set(2)
-	r.Histogram(MetricName("reprojection", "mtp_total_ms")).Observe(3.5)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"illixr_vio_frames_total 3",
-		"illixr_topic_imu_depth 2",
-		"illixr_reprojection_mtp_total_ms count=1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
-	}
-	// sorted output: lines must be in order
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			t.Errorf("dump not sorted: %q before %q", lines[i-1], lines[i])
-		}
 	}
 }

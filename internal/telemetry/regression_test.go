@@ -1,8 +1,7 @@
 package telemetry
 
 // Regression tests for the observability PR's satellite fixes: Summarize
-// on empty/corrupt input, the TraceRecorder cap, WriteSeriesCSV on
-// misaligned or empty series, and Table.Render on ragged rows.
+// on empty/corrupt input and Table.Render on ragged rows.
 
 import (
 	"bytes"
@@ -36,93 +35,6 @@ func TestSummarizeSkipsNonFinite(t *testing.T) {
 	// all NaN/Inf degrades to the zero summary, not NaN propagation
 	if got := Summarize([]float64{math.NaN(), math.Inf(1)}); got != (Summary{}) {
 		t.Fatalf("all-non-finite input must summarize to zero, got %+v", got)
-	}
-}
-
-func TestTraceRecorderCapAndLen(t *testing.T) {
-	tr := NewTraceRecorder()
-	tr.SetCap(2)
-	for i := 0; i < 5; i++ {
-		tr.Record("imu", float64(i), 1)
-	}
-	tr.Record("cam", 0, 1)
-	if got := tr.Len("imu"); got != 2 {
-		t.Fatalf("Len(imu) = %d, want 2", got)
-	}
-	if got := tr.Overflow("imu"); got != 3 {
-		t.Fatalf("Overflow(imu) = %d, want 3", got)
-	}
-	if got, want := tr.Len("cam"), 1; got != want {
-		t.Fatalf("Len(cam) = %d, want %d (cap is per-topic)", got, want)
-	}
-	if tr.Overflow("cam") != 0 {
-		t.Fatal("cam must not report overflow")
-	}
-	// retained events are the earliest ones, in order
-	evs := tr.Events("imu")
-	if len(evs) != 2 || evs[0].T != 0 || evs[1].T != 1 {
-		t.Fatalf("retained events wrong: %+v", evs)
-	}
-	// uncapped recorder never overflows
-	un := NewTraceRecorder()
-	for i := 0; i < 100; i++ {
-		un.Record("x", float64(i), 0)
-	}
-	if un.Len("x") != 100 || un.Overflow("x") != 0 {
-		t.Fatalf("unbounded recorder dropped events: len=%d overflow=%d", un.Len("x"), un.Overflow("x"))
-	}
-}
-
-func TestWriteSeriesCSVMisalignedTimestamps(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Append(0, 1)
-	a.Append(2, 3)
-	b := &Series{Name: "b"}
-	b.Append(1, 10)
-	b.Append(2, 20)
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	want := []string{
-		"t,a,b",
-		"0,1,",   // b has no sample at t=0
-		"1,,10",  // a has no sample at t=1
-		"2,3,20", // both aligned at t=2
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), buf.String())
-	}
-	for i, w := range want {
-		if lines[i] != w {
-			t.Errorf("line %d = %q, want %q", i, lines[i], w)
-		}
-	}
-}
-
-func TestWriteSeriesCSVEmptySeries(t *testing.T) {
-	empty := &Series{Name: "empty"}
-	full := &Series{Name: "full"}
-	full.Append(0.5, 7)
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, empty, full); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "t,empty,full" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 2 || lines[1] != "0.5,,7" {
-		t.Fatalf("rows = %v", lines[1:])
-	}
-	// all-empty input: header only, no panic
-	buf.Reset()
-	if err := WriteSeriesCSV(&buf, empty); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "t,empty" {
-		t.Fatalf("all-empty CSV = %q", got)
 	}
 }
 

@@ -28,7 +28,7 @@ type Objective struct {
 	// Name keys the objective ("mtp_p99", "frame_drop", "session_loss").
 	Name string `json:"name"`
 	// Bound is the threshold a value observation must stay under (<=) to
-	// count as good. Event objectives (ObserveGood/ObserveBad) ignore it.
+	// count as good.
 	Bound float64 `json:"bound"`
 	// Budget is the allowed bad fraction over the window, e.g. 0.01
 	// allows 1% bad (a "99%" objective). Must be > 0 to be meaningful;
@@ -133,14 +133,6 @@ func (st *objState) windowCounts(now float64) (good, bad uint64) {
 func (e *Engine) Observe(name string, now, value float64) {
 	e.observe(name, now, value <= e.bound(name))
 }
-
-// ObserveGood records a good event observation (frame delivered,
-// session resumed) at now.
-func (e *Engine) ObserveGood(name string, now float64) { e.observe(name, now, true) }
-
-// ObserveBad records a bad event observation (frame dropped, session
-// lost) at now.
-func (e *Engine) ObserveBad(name string, now float64) { e.observe(name, now, false) }
 
 func (e *Engine) bound(name string) float64 {
 	if e == nil {

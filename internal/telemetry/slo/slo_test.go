@@ -41,7 +41,7 @@ func TestWindowExpiry(t *testing.T) {
 	e := NewEngine(nil)
 	e.AddObjective(Objective{Name: "drop", Budget: 0.5, WindowSec: 8})
 	for i := 0; i < 10; i++ {
-		e.ObserveBad("drop", float64(i)*0.1) // all bad, near t=0
+		e.Observe("drop", float64(i)*0.1, 1) // all over the 0 bound, near t=0
 	}
 	if burn := e.BurnRate("drop", 1); burn != 2.0 {
 		t.Fatalf("burn inside window = %v, want 2.0", burn)
@@ -52,13 +52,15 @@ func TestWindowExpiry(t *testing.T) {
 	}
 }
 
+// A 0/1 event stream (0 = kept, 1 = lost, bound 0) spending exactly its
+// budget burns at 1.0.
 func TestEventObjective(t *testing.T) {
 	e := NewEngine(nil)
 	e.AddObjective(Objective{Name: "session_loss", Budget: 0.01, WindowSec: 60})
 	for i := 0; i < 99; i++ {
-		e.ObserveGood("session_loss", float64(i)*0.5)
+		e.Observe("session_loss", float64(i)*0.5, 0)
 	}
-	e.ObserveBad("session_loss", 49.5)
+	e.Observe("session_loss", 49.5, 1)
 	burn := e.BurnRate("session_loss", 50)
 	if math.Abs(burn-1.0) > 1e-9 { // exactly at budget: 1% bad on a 1% budget
 		t.Errorf("burn = %v, want 1.0", burn)
@@ -91,8 +93,6 @@ func TestNilAndUnknownSafe(t *testing.T) {
 	var e *Engine
 	e.AddObjective(Objective{Name: "x"})
 	e.Observe("x", 0, 1)
-	e.ObserveGood("x", 0)
-	e.ObserveBad("x", 0)
 	if e.BurnRate("x", 0) != 0 || e.Snapshot() != nil {
 		t.Fatal("nil engine must be inert")
 	}

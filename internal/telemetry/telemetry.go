@@ -5,12 +5,9 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 
 	"illixr/internal/mathx"
@@ -71,11 +68,15 @@ func Summarize(values []float64) Summary {
 	if len(finite) == 0 {
 		return Summary{}
 	}
+	lo, hi := mathx.Min(finite), mathx.Max(finite)
+	// a running sum of nearly equal values rounds the quotient a few ulps
+	// past either end; the mean of values in [lo, hi] is in [lo, hi]
+	mean := math.Max(lo, math.Min(hi, mathx.Mean(finite)))
 	return Summary{
-		Mean: mathx.Mean(finite),
+		Mean: mean,
 		Std:  mathx.StdDev(finite),
-		Min:  mathx.Min(finite),
-		Max:  mathx.Max(finite),
+		Min:  lo,
+		Max:  hi,
 		P99:  mathx.Percentile(finite, 99),
 		N:    len(finite),
 	}
@@ -139,56 +140,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// WriteSeriesCSV emits one or more aligned series as CSV (t plus one
-// column per series; series are sampled at their own timestamps, rows are
-// the union).
-func WriteSeriesCSV(w io.Writer, series ...*Series) error {
-	cw := csv.NewWriter(w)
-	header := []string{"t"}
-	for _, s := range series {
-		header = append(header, s.Name)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	// union of timestamps
-	tset := map[float64]bool{}
-	for _, s := range series {
-		for _, t := range s.T {
-			tset[t] = true
-		}
-	}
-	ts := make([]float64, 0, len(tset))
-	for t := range tset {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
-	for _, t := range ts {
-		row := []string{strconv.FormatFloat(t, 'g', 10, 64)}
-		for _, s := range series {
-			v, ok := lookup(s, t)
-			if ok {
-				row = append(row, strconv.FormatFloat(v, 'g', 10, 64))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func lookup(s *Series, t float64) (float64, bool) {
-	i := sort.SearchFloat64s(s.T, t)
-	if i < len(s.T) && s.T[i] == t {
-		return s.Values[i], true
-	}
-	return 0, false
 }
 
 // Bar renders an ASCII bar of the given fraction (0–1) and width.

@@ -67,33 +67,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestWriteSeriesCSV(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Append(1, 10)
-	a.Append(2, 20)
-	b := &Series{Name: "b"}
-	b.Append(2, 200)
-	b.Append(3, 300)
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "t,a,b" {
-		t.Errorf("header %q", lines[0])
-	}
-	// union of 3 timestamps
-	if len(lines) != 4 {
-		t.Errorf("rows = %d", len(lines)-1)
-	}
-	if lines[1] != "1,10," {
-		t.Errorf("row 1 = %q", lines[1])
-	}
-	if lines[2] != "2,20,200" {
-		t.Errorf("row 2 = %q", lines[2])
-	}
-}
-
 func TestBar(t *testing.T) {
 	if Bar(0.5, 10) != "#####....." {
 		t.Errorf("bar = %q", Bar(0.5, 10))

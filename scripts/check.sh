@@ -10,6 +10,12 @@ go vet ./...
 # a seed corpus file must never match .gitignore (it once swallowed the
 # binlog corpus and turned tier-1 red on a fresh clone)
 git check-ignore -q internal/netxr/binlog/testdata/fuzz/FuzzBinlogDecode/seed-00 && { echo "seed corpus is git-ignored" >&2; exit 1; }
+# a crash the fuzzer rediscovers lands as a hash-named file that turns
+# local `go test` red: triage it and check it in as seed-*, never leave it
+if find . -path '*/testdata/fuzz/*' -type f | grep -E '/[0-9a-f]{16}$'; then
+	echo "hash-named fuzz corpus file(s) above: triage and rename to seed-*" >&2
+	exit 1
+fi
 echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
@@ -32,9 +38,11 @@ GOMAXPROCS=2 go test -run Determinism -count=2 ./internal/... >/dev/null
 GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/... >/dev/null
 
 echo "== fuzz smokes (5s each)"
+# Summarize first: its Min <= Mean <= Max invariant once failed one smoke
+# in three, so a regression there should be the first thing to trip
+go test -run='^$' -fuzz=FuzzSummarize -fuzztime=5s ./internal/telemetry >/dev/null
 go test -run='^$' -fuzz=FuzzQuatNormalize -fuzztime=5s ./internal/mathx >/dev/null
 go test -run='^$' -fuzz=FuzzSE3 -fuzztime=5s ./internal/mathx >/dev/null
-go test -run='^$' -fuzz=FuzzSummarize -fuzztime=5s ./internal/telemetry >/dev/null
 go test -run='^$' -fuzz=FuzzSSIMWindow -fuzztime=5s ./internal/quality >/dev/null
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/netxr/wire >/dev/null
 go test -run='^$' -fuzz=FuzzBinlogDecode -fuzztime=5s ./internal/netxr/binlog >/dev/null
