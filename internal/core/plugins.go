@@ -108,6 +108,13 @@ func (p *DatasetPlayerPlugin) PumpUntil(t float64) int {
 
 var _ runtime.Plugin = (*DatasetPlayerPlugin)(nil)
 
+// The integrator's metric names, built once: an offload replica starts an
+// IntegratorPlugin per session.
+var (
+	integratorSamplesTotal = telemetry.MetricName(CompIntegrator, "samples_total")
+	integratorFeedNs       = telemetry.MetricName(CompIntegrator, "feed_ns")
+)
+
 // IntegratorPlugin subscribes synchronously to the IMU topic and publishes
 // fast poses (the IMU-integrator role of Fig 2).
 type IntegratorPlugin struct {
@@ -140,8 +147,9 @@ func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
 	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
 	inj := injectorFrom(ctx)
 	tracer := tracerFrom(ctx)
-	samples := metricsFrom(ctx).Counter(telemetry.MetricName(CompIntegrator, "samples_total"))
-	feedNs := metricsFrom(ctx).Histogram(telemetry.MetricName(CompIntegrator, "feed_ns"))
+	reg := metricsFrom(ctx)
+	samples := reg.Counter(integratorSamplesTotal)
+	feedNs := reg.Histogram(integratorFeedNs)
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
 		for ev := range p.sub.C {
@@ -164,7 +172,9 @@ func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
 	return nil
 }
 
-// Stop implements runtime.Plugin.
+// Stop implements runtime.Plugin. Samples already on the subscription's
+// channel are still integrated; a backlog beyond its fast tier (DESIGN.md
+// §4) is dropped with the Cancel.
 func (p *IntegratorPlugin) Stop() error {
 	p.sub.Cancel()
 	<-p.done

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -64,7 +65,14 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 	p.filter = vio.NewFilter(p.Params, sensors.DefaultIMUNoise(), init)
 	p.frontend = vio.NewGeometricFrontend(cam, p.Params.MaxFeatures)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(64)
-	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
+	imuTopic := ctx.Switchboard.GetTopic(runtime.TopicIMU)
+	p.imuSub = imuTopic.Subscribe(8192)
+	// imuSeen is the time of the newest IMU event behind us; a sample from
+	// before the subscription will never arrive on it, so it counts as seen
+	imuSeen := math.Inf(-1)
+	if ev, ok := imuTopic.Latest(); ok {
+		imuSeen = ev.T
+	}
 	p.done = make(chan struct{})
 	slowTopic := ctx.Switchboard.GetTopic(runtime.TopicSlowPose)
 	inj := injectorFrom(ctx)
@@ -85,20 +93,32 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 				panic(fmt.Sprintf("injected fault at t=%.3f", frame.T))
 			}
 			wall := time.Now()
-			// drain all IMU samples already delivered (published before
-			// this camera frame on the pumped, time-ordered streams)
+			// take every IMU sample published before this camera frame (the
+			// streams are time-ordered). They are all queued on imuSub, but
+			// an empty C does not say so: past the subscription's fast tier
+			// they reach C through a pump goroutine (DESIGN.md §4). So
+			// receive, blocking, up to the newest sample the topic has seen,
+			// and only then drain whatever else is already there.
+			newest, published := imuTopic.Latest()
 		drain:
 			for {
-				select {
-				case imuEv, open := <-p.imuSub.C:
-					if !open {
+				var imuEv runtime.Event
+				var open bool
+				if published && imuSeen < newest.T {
+					imuEv, open = <-p.imuSub.C
+				} else {
+					select {
+					case imuEv, open = <-p.imuSub.C:
+					default:
 						break drain
 					}
-					if s, ok2 := imuEv.Value.(sensors.IMUSample); ok2 {
-						imuBuf = append(imuBuf, s)
-					}
-				default:
+				}
+				if !open {
 					break drain
+				}
+				imuSeen = imuEv.T
+				if s, ok2 := imuEv.Value.(sensors.IMUSample); ok2 {
+					imuBuf = append(imuBuf, s)
 				}
 			}
 			// split the buffer at the frame time
@@ -126,7 +146,10 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 	return nil
 }
 
-// Stop implements runtime.Plugin.
+// Stop implements runtime.Plugin. Frames already on the camera channel are
+// still answered, with the IMU samples that reached imuSub.C; IMU queued
+// beyond the subscription's fast tier (DESIGN.md §4) is dropped with the
+// Cancel.
 func (p *VIOPlugin) Stop() error {
 	p.camSub.Cancel()
 	p.imuSub.Cancel()

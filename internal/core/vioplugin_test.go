@@ -77,3 +77,73 @@ func TestVIOPluginRequiresDataset(t *testing.T) {
 		t.Error("missing dataset accepted")
 	}
 }
+
+// runVIOOver plays ds into a fresh VIO plugin, one pump call per entry of
+// upTo, and returns every estimate. With wait set it lets VIO answer each
+// pump before the next one, so VIO is never behind.
+func runVIOOver(t *testing.T, ds *sensors.Dataset, upTo []float64, wait bool) []vio.Estimate {
+	t.Helper()
+	loader := runtime.NewLoader()
+	player := &DatasetPlayerPlugin{Dataset: ds}
+	vp := &VIOPlugin{Params: vio.FastParams(), Dataset: ds}
+	for _, p := range []runtime.Plugin{player, vp} {
+		if err := loader.Load(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await := func(n int) {
+		deadline := time.Now().Add(30 * time.Second)
+		for len(vp.Estimates()) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d estimates", len(vp.Estimates()), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cams := 0
+	for _, tm := range upTo {
+		player.PumpUntil(tm)
+		for cams < len(ds.Frames) && ds.Frames[cams].T <= tm {
+			cams++
+		}
+		if wait {
+			await(cams)
+		}
+	}
+	await(cams)
+	if err := loader.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	return vp.Estimates()
+}
+
+// A VIO that has fallen more than a subscription fast tier (64 events)
+// behind on IMU still integrates, for each camera frame, every sample
+// published before it: the backlog reaches imuSub.C through a pump
+// goroutine, so "C is empty" does not mean "nothing is queued". One pump
+// call publishes 1500 IMU samples and then all the frames, each 100
+// samples after the one before (more than C refills with while VIO works
+// on a frame); the estimates must equal, bit for bit, those of a run
+// where VIO keeps up.
+func TestVIOPluginStalledMatchesUnstalled(t *testing.T) {
+	cfg := sensors.DefaultDatasetConfig()
+	cfg.Duration = 3
+	cfg.CamRateHz = 5
+	cfg.MaxFeats = 40
+	ds := sensors.GenerateDataset(cfg)
+
+	var steps []float64
+	for _, f := range ds.Frames {
+		steps = append(steps, f.T)
+	}
+	want := runVIOOver(t, ds, steps, true)
+	got := runVIOOver(t, ds, []float64{cfg.Duration}, false)
+	if len(got) != len(want) || len(want) < 10 {
+		t.Fatalf("stalled run: %d estimates, unstalled %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("estimate %d (t=%.3f) differs once VIO is stalled:\n got %+v\nwant %+v", i, want[i].T, got[i].Pose, want[i].Pose)
+		}
+	}
+}

@@ -83,19 +83,27 @@ type Pipeline struct {
 	mu       sync.Mutex
 	states   map[uint64]*pipeState
 	retained []*telemetry.SpanCollector
-}
 
-type pipeState struct {
-	loader    *runtime.Loader
-	tracer    *telemetry.SpanCollector
-	poseSub   *runtime.Subscription
-	fwdDone   chan struct{}
+	// the instruments every session shares, resolved from Metrics by the
+	// first SessionStart (nil, and no-ops, when uninstrumented)
+	resolve   sync.Once
 	qoe       *telemetry.Histogram
 	sendRetry *telemetry.Counter
 }
 
+type pipeState struct {
+	loader  *runtime.Loader
+	tracer  *telemetry.SpanCollector
+	poseSub *runtime.Subscription
+	fwdDone chan struct{}
+}
+
 // SessionStart implements session.Handler.
 func (p *Pipeline) SessionStart(s *session.Session) error {
+	p.resolve.Do(func() {
+		p.qoe = p.Metrics.Histogram(telemetry.MetricName("netxr", "qoe_mtp_ms"))
+		p.sendRetry = p.Metrics.Counter(telemetry.MetricName("netxr", "bridge_send_retry_total"))
+	})
 	loader := runtime.NewLoader()
 	ctx := loader.Context()
 	tracer := telemetry.NewSpanCollector(0)
@@ -136,12 +144,10 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 	}
 
 	st := &pipeState{
-		loader:    loader,
-		tracer:    tracer,
-		poseSub:   ctx.Switchboard.GetTopic(runtime.TopicFastPose).Subscribe(1024),
-		fwdDone:   make(chan struct{}),
-		qoe:       p.Metrics.Histogram(telemetry.MetricName("netxr", "qoe_mtp_ms")),
-		sendRetry: p.Metrics.Counter(telemetry.MetricName("netxr", "bridge_send_retry_total")),
+		loader:  loader,
+		tracer:  tracer,
+		poseSub: ctx.Switchboard.GetTopic(runtime.TopicFastPose).Subscribe(1024),
+		fwdDone: make(chan struct{}),
 	}
 	p.mu.Lock()
 	if p.states == nil {
@@ -172,7 +178,7 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 				// transient pushback (session.BackpressureError): the next
 				// pose supersedes this one anyway, so account for it and
 				// keep forwarding instead of killing the session.
-				st.sendRetry.Inc()
+				p.sendRetry.Inc()
 			default:
 				return
 			}
@@ -210,7 +216,7 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: qoe: %w", s.ID(), err)
 		}
-		st.qoe.Observe((q.MTP.IMUAge + q.MTP.Reproj + q.MTP.Swap) * 1000)
+		p.qoe.Observe((q.MTP.IMUAge + q.MTP.Reproj + q.MTP.Swap) * 1000)
 	default:
 		// unknown-but-well-framed types are ignored: forward compatibility
 	}
@@ -538,7 +544,13 @@ func (p *uplinkPlugin) Name() string { return "netxr.uplink" }
 // while either channel holds another event the frame is only queued, and
 // the moment both are empty the batch goes out in one write — a lone
 // sample is on the wire immediately, a burst costs one syscall per
-// wire.FlushWindow frames, and nothing waits on a timer.
+// wire.FlushWindow frames, and nothing waits on a timer. An empty channel
+// is all the forwarder can see: once it is more than a subscription fast
+// tier (64 events) behind, the rest of the backlog reaches the channel
+// through a pump goroutine (DESIGN.md §4), the channel can run empty with
+// events still queued, and that backlog goes out in shorter writes than
+// one per window. No benchmark workload gets there, so the cost of it is
+// unmeasured.
 func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)

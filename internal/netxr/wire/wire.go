@@ -182,9 +182,28 @@ type Reader struct {
 	bytes  uint64
 }
 
+// readBufSize is the Reader's bufio buffer. Every connection end pays it
+// (client, both gateway legs, replica), so it is sized from the traffic,
+// not for it. What can be waiting on a connection is what the peer keeps
+// in flight: the benchmark's deepest window is 64 IMU samples, ~5.4 KB of
+// the 148 B/frame uplink mix, written a FlushWindow (16 frames, ~2.4 KB)
+// at a time; a payload larger than the buffer bypasses it (bufio reads
+// straight into the frame scratch). It was 64 KiB: 256 KiB zeroed per
+// session. 4 KiB measured the same end to end but tore that 64-sample
+// window, so the gateway's coalescing loop flushed short
+// (fleet.frames_per_write_up 13.2 -> 11.3 on offload_saturate); at 8 KiB
+// it reads 13.1-13.2 (DESIGN.md §9.1 has the A/B).
+const readBufSize = 8 << 10
+
+// scratchFloor is the smallest frame scratch a Reader allocates: room for
+// the header and any fixed-size message (Hello, IMU, Pose, Ping, Bye), so
+// a session's first frames share one allocation; a camera frame that
+// outgrows it at least doubles it.
+const scratchFloor = 512
+
 // NewReader wraps r for frame decoding.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{br: bufio.NewReaderSize(r, readBufSize)}
 }
 
 // Frames returns the number of frames successfully decoded.
@@ -267,10 +286,11 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 	return typ, trace, rest, headerLen + vlen, nil
 }
 
-// grow returns the reader's scratch buffer resized to n bytes.
+// grow returns the reader's scratch buffer resized to n bytes. Contents
+// are not carried over.
 func (r *Reader) grow(n int) []byte {
 	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
+		r.buf = make([]byte, max(n, 2*cap(r.buf), scratchFloor))
 	}
 	r.buf = r.buf[:n]
 	return r.buf

@@ -80,7 +80,9 @@ func (b *HealthBoard) Set(name string, h Health) {
 	b.states[name] = h
 	reg := b.metrics
 	b.mu.Unlock()
-	reg.Gauge(telemetry.MetricName("health", name)).Set(float64(h))
+	if reg != nil { // an unmirrored board (one per offload session) builds no names
+		reg.Gauge(telemetry.MetricName("health", name)).Set(float64(h))
+	}
 }
 
 // Get returns the recorded health; unknown names report Healthy.
@@ -296,10 +298,18 @@ func (s *Supervisor) Start(ctx *Context) error {
 	}
 	s.mu.Lock()
 	s.plugin = p
-	s.state = Healthy
+	s.setState(Healthy)
 	s.mu.Unlock()
-	ctx.Health.Set(s.name, Healthy)
 	return nil
+}
+
+// setState makes a health transition under s.mu, board first: anyone who
+// reads the new state off the supervisor finds the board already there.
+// (HealthBoard never calls back into a supervisor, so nesting its lock
+// inside s.mu cannot deadlock.)
+func (s *Supervisor) setState(h Health) {
+	s.parent.Health.Set(s.name, h)
+	s.state = h
 }
 
 // onCrash handles a crash report from instance generation gen.
@@ -317,12 +327,10 @@ func (s *Supervisor) onCrash(gen int, err error) {
 	}
 	old := s.plugin
 	s.plugin = nil
-	s.state = Restarting
-	board := s.parent.Health
+	s.setState(Restarting)
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	board.Set(s.name, Restarting)
 	if old != nil {
 		_ = safeStop(old)
 	}
@@ -340,10 +348,8 @@ func (s *Supervisor) restartLoop(gen int) {
 			return
 		}
 		if s.rest >= s.opts.MaxRestarts {
-			s.state = Failed
-			board := s.parent.Health
+			s.setState(Failed)
 			s.mu.Unlock()
-			board.Set(s.name, Failed)
 			return
 		}
 		s.rest++
@@ -362,7 +368,6 @@ func (s *Supervisor) restartLoop(gen int) {
 		s.starting, s.startCrash = true, nil
 		child := s.childContext(gen)
 		p := s.factory()
-		board := s.parent.Health
 		s.mu.Unlock()
 
 		err := safeStart(p, child)
@@ -381,10 +386,9 @@ func (s *Supervisor) restartLoop(gen int) {
 		}
 		if err == nil {
 			s.plugin = p
-			s.state = Healthy
+			s.parent.Health.IncrementRestart(s.name)
+			s.setState(Healthy)
 			s.mu.Unlock()
-			board.Set(s.name, Healthy)
-			board.IncrementRestart(s.name)
 			return
 		}
 		s.mu.Unlock()

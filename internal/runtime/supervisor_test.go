@@ -70,7 +70,10 @@ func TestSupervisorRestartsPanickedPlugin(t *testing.T) {
 	}
 	trigger <- struct{}{} // instance 1 panics
 	eventually(t, "restart", func() bool {
-		return sup.Health() == Healthy && sup.Restarts() == 1
+		// Restarts first: it counts attempts, so 1 means the crash has been
+		// seen, and a Healthy read after that is the restarted instance's
+		// (the other order can pair the pre-crash Healthy with the attempt)
+		return sup.Restarts() == 1 && sup.Health() == Healthy
 	})
 	if created != 2 {
 		t.Errorf("factory invoked %d times, want 2", created)
@@ -208,5 +211,43 @@ func TestContextGoReportsPanicToSupervisorHook(t *testing.T) {
 	case err := <-got:
 		t.Errorf("spurious crash report: %v", err)
 	default:
+	}
+}
+
+// TestSupervisorBoardNeverBehind: whoever reads a transition off the
+// supervisor must find the health board already showing it. The reader
+// spins (no sleep) so it lands inside the window between the two updates
+// if there is one.
+func TestSupervisorBoardNeverBehind(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		trigger := make(chan struct{})
+		created := 0
+		sup := NewSupervisor("crashy", func() Plugin {
+			created++
+			return &crashyPlugin{id: created, trigger: trigger, doPanic: created == 1}
+		}, supTestOptions())
+		l := NewLoader()
+		if err := l.Load(sup); err != nil {
+			t.Fatal(err)
+		}
+		board := l.Context().Health
+		trigger <- struct{}{} // instance 1 panics
+		deadline := time.Now().Add(5 * time.Second)
+		for !(sup.Restarts() == 1 && sup.Health() == Healthy) { // in this order, see above
+			// the board read is bracketed: only a supervisor that was
+			// Restarting on both sides pins what the board had to show
+			if before, b := sup.Health(), board.Get("crashy"); before == Restarting && sup.Health() == Restarting && b != Restarting {
+				t.Fatalf("round %d: supervisor restarting, board %v", round, b)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("timed out waiting for the restart")
+			}
+		}
+		if h, n := board.Get("crashy"), board.Restarts("crashy"); h != Healthy || n != 1 {
+			t.Fatalf("round %d: supervisor healthy after 1 restart, board %v with %d restarts", round, h, n)
+		}
+		if err := l.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

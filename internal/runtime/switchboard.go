@@ -63,21 +63,50 @@ type Topic struct {
 	m    *topicMetrics
 }
 
+// fastTier is the most channel slots a subscription allocates up front.
+// Subscribe's buffer argument is a bound, not an allocation: a session
+// that queues 16 events behind a Subscribe(8192) pays for fastTier slots
+// (2.5 KB of 40-byte events, not 320 KiB) and for a ring only once its
+// consumer has actually fallen that far behind. None of the four
+// benchmark workloads queues past 64 on any subscription, and 64 vs 256
+// measured the same on all of them (DESIGN.md §4), so the smaller wins.
+const fastTier = 64
+
 // Subscription is a synchronous reader handle: every event published
-// after Subscribe is delivered on C in order.
+// after Subscribe is delivered on C in order, at most the subscribed
+// buffer depth queued at once. Events beyond the fast tier reach C
+// through a goroutine, so an empty C (len(C) == 0, or a select falling to
+// default) does not mean nothing is queued, and an event published before
+// one on another topic may become receivable after it: a consumer that
+// needs everything published so far receives, blocking, up to the topic's
+// Latest (VIOPlugin does).
 type Subscription struct {
 	C     chan Event
 	topic *Topic
+	// limit is how many events may queue in the ring behind a full C:
+	// buffer - cap(C), zero for every buffer that fits the fast tier.
+	limit int
 
 	// life guards closed so Publish never sends on a channel Cancel has
 	// closed: delivery holds it for the duration of the send, Cancel takes
 	// it before closing. Always acquired after (never inside) topic.mu.
 	life   sync.Mutex
 	closed bool
+	// ring is the overflow queue (circular: n events from head), grown by
+	// doubling up to limit and kept once grown. It is non-empty exactly
+	// while a pump goroutine is live, and ring[head] is the event that
+	// pump is sending; deliver goes through the ring for as long, so C
+	// never sees events out of order.
+	ring    []Event
+	head, n int
+	stop    chan struct{} // closed by Cancel to release a blocked pump; made with the first pump
+	pumps   sync.WaitGroup
 }
 
 // Cancel detaches the subscription and closes its channel. Safe against
-// concurrent Publish and idempotent.
+// concurrent Publish and idempotent. Events still in the overflow ring
+// are discarded; a pump blocked on a full C is released and waited for
+// before C closes, so nothing ever sends on the closed channel.
 func (s *Subscription) Cancel() {
 	s.topic.mu.Lock()
 	subs := make([]*Subscription, 0, len(s.topic.subs))
@@ -90,43 +119,125 @@ func (s *Subscription) Cancel() {
 	s.topic.mu.Unlock()
 
 	s.life.Lock()
-	defer s.life.Unlock()
 	if s.closed {
+		s.life.Unlock()
 		return
 	}
 	s.closed = true
+	if s.stop != nil {
+		close(s.stop)
+	}
+	s.life.Unlock()
+	s.pumps.Wait()
 	close(s.C)
 }
 
 // deliver sends one event with latest-wins backpressure, skipping the
 // send entirely if the subscription has been cancelled. Reports whether
-// an older event was displaced to make room.
-func (s *Subscription) deliver(ev Event) (displaced bool) {
+// an older event was displaced to make room, and the queue depth after.
+func (s *Subscription) deliver(ev Event) (displaced bool, depth int) {
 	s.life.Lock()
 	defer s.life.Unlock()
 	if s.closed {
-		return false
+		return false, 0
 	}
-	select {
-	case s.C <- ev:
-	default:
-		// drop one, retry once
-		select {
-		case <-s.C:
-			displaced = true
-		default:
-		}
+	if s.n == 0 {
 		select {
 		case s.C <- ev:
+			return false, len(s.C)
 		default:
 		}
+		if s.limit == 0 {
+			// drop one, retry once
+			select {
+			case <-s.C:
+				displaced = true
+			default:
+			}
+			select {
+			case s.C <- ev:
+			default:
+			}
+			return displaced, len(s.C)
+		}
+		// first overflow of an episode: queue the event and start the pump
+		// (it cannot look at the ring before deliver releases life)
+		if s.stop == nil {
+			s.stop = make(chan struct{})
+		}
+		s.pumps.Add(1)
+		go s.pump()
+	} else if s.n == s.limit {
+		// a pump is live and the ring is at its bound. The victim is the
+		// oldest event not already on its way into C, i.e. the second in
+		// the ring (limit >= 2, see Subscribe): moving the in-flight head
+		// over it removes it in O(1).
+		next := s.head + 1
+		if next == len(s.ring) {
+			next = 0
+		}
+		s.ring[next], s.ring[s.head] = s.ring[s.head], Event{}
+		s.head = next
+		s.n--
+		displaced = true
 	}
-	return displaced
+	s.push(ev)
+	return displaced, len(s.C) + s.n
 }
 
-// Publish writes an event to the topic. Synchronous subscribers with full
-// buffers drop the oldest event (latest-wins backpressure, matching an XR
-// runtime where stale sensor data is worthless). With no metrics
+// push appends ev to the ring, doubling it (up to limit) when full.
+// Callers hold life and have made room at the bound.
+func (s *Subscription) push(ev Event) {
+	if s.n == len(s.ring) {
+		size := 2 * len(s.ring)
+		if size == 0 {
+			size = cap(s.C)
+		}
+		if size > s.limit {
+			size = s.limit
+		}
+		grown := make([]Event, size)
+		k := copy(grown, s.ring[s.head:])
+		copy(grown[k:], s.ring[:s.head])
+		s.ring, s.head = grown, 0
+	}
+	tail := s.head + s.n
+	if tail >= len(s.ring) {
+		tail -= len(s.ring)
+	}
+	s.ring[tail] = ev
+	s.n++
+}
+
+// pump moves the ring into C with blocking sends until it is empty (or
+// the subscription is cancelled), then exits: transient, one per overflow
+// episode. The event being sent stays at ring[head] until C has taken it,
+// so it counts toward the bound and deliver never displaces it.
+func (s *Subscription) pump() {
+	defer s.pumps.Done()
+	s.life.Lock()
+	for s.n > 0 && !s.closed {
+		ev := s.ring[s.head]
+		s.life.Unlock()
+		select {
+		case s.C <- ev:
+		case <-s.stop:
+			return
+		}
+		s.life.Lock()
+		s.ring[s.head] = Event{}
+		if s.head++; s.head == len(s.ring) {
+			s.head = 0
+		}
+		s.n--
+	}
+	s.life.Unlock()
+}
+
+// Publish writes an event to the topic. A synchronous subscriber already
+// holding its full depth drops an old event to take the new one
+// (latest-wins backpressure, matching an XR runtime where stale sensor
+// data is worthless). With no metrics
 // collector installed the publish path performs no allocations.
 func (t *Topic) Publish(ev Event) {
 	t.mu.Lock()
@@ -140,22 +251,20 @@ func (t *Topic) Publish(ev Event) {
 	if m != nil {
 		begin = time.Now()
 	}
-	displaced := 0
+	displaced, maxDepth := 0, 0
 	for _, s := range subs {
-		if s.deliver(ev) {
+		dropped, depth := s.deliver(ev)
+		if dropped {
 			displaced++
+		}
+		if depth > maxDepth {
+			maxDepth = depth
 		}
 	}
 	if m != nil {
 		m.deliverNs.Observe(float64(time.Since(begin).Nanoseconds()))
 		m.published.Inc()
 		m.dropped.Add(displaced)
-		maxDepth := 0
-		for _, s := range subs {
-			if d := len(s.C); d > maxDepth {
-				maxDepth = d
-			}
-		}
 		m.depth.Set(float64(maxDepth))
 	}
 }
@@ -174,13 +283,21 @@ func (t *Topic) Seq() uint64 {
 	return t.seq
 }
 
-// Subscribe performs a synchronous-read registration with the given
-// buffer capacity.
+// Subscribe performs a synchronous-read registration that queues at most
+// buffer events. Only min(buffer, fastTier) channel slots are allocated
+// now; the rest of the depth is an overflow ring that exists once a
+// consumer has fallen a full fast tier behind (see Subscription).
 func (t *Topic) Subscribe(buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}
-	s := &Subscription{C: make(chan Event, buffer), topic: t}
+	fast := buffer
+	// a ring of one would hold only the pump's in-flight event and leave
+	// latest-wins nothing to displace, so fastTier+1 stays all channel
+	if buffer > fastTier+1 {
+		fast = fastTier
+	}
+	s := &Subscription{C: make(chan Event, fast), topic: t, limit: buffer - fast}
 	t.mu.Lock()
 	subs := make([]*Subscription, len(t.subs)+1)
 	copy(subs, t.subs)

@@ -27,6 +27,18 @@ go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/brid
 # so are admission racing teardown and the registry's ack/end storm
 go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session >/dev/null
 go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
+# the elastic subscription hands events channel -> ring -> pump -> channel
+# while Cancel and publishers race it: order, the displaced count and
+# no-send-on-closed must hold across many interleavings
+go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|TestCancelReleasesBlockedPump|TestSwitchboardPublishCancelStress' ./internal/runtime >/dev/null
+# and a consumer that pairs two topics (VIO: IMU up to each camera frame)
+# must get the same answer however far behind the pump finds it
+go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core >/dev/null
+# a supervisor transition must reach the health board before anyone can
+# read it off the supervisor: the window was a few instructions wide and
+# only showed on a busy host
+go test -race -count=2000 -run TestSupervisorRestartsPanickedPlugin ./internal/runtime >/dev/null
+go test -race -count=20 -run TestSupervisorBoardNeverBehind ./internal/runtime >/dev/null
 # the band rasteriser shares one triangle list and one framebuffer between
 # workers: every band must stay inside its own rows
 go test -race -count=10 -run TestDeterminismRender ./internal/render >/dev/null
@@ -102,6 +114,8 @@ go test -run 'TestZeroAlloc' ./internal/runtime ./internal/netxr/session \
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
+go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime >/dev/null
+go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
