@@ -22,7 +22,6 @@ import (
 	"illixr/internal/render"
 	"illixr/internal/reprojection"
 	"illixr/internal/sensors"
-	"illixr/internal/vio"
 )
 
 // ---- static tables (Tables I-III, Fig 8) -------------------------------
@@ -105,19 +104,8 @@ func BenchmarkTable5ImageQuality_DesktopSponza(b *testing.B) {
 }
 
 // ---- standalone component workloads (Tables VI-VII) --------------------
-
-func BenchmarkTable6VIO_Frame(b *testing.B) {
-	cfg := sensors.DefaultDatasetConfig()
-	cfg.Duration = 4
-	ds := sensors.GenerateDataset(cfg)
-	p := vio.DefaultParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := vio.NewRunner(ds, p, vio.NewGeometricFrontend(ds.Cam, p.MaxFeatures))
-		r.Run(ds)
-	}
-}
+// Table VI's VIO row and the §V-E fast-parameter ablation live with their
+// package: BenchmarkVIORun/{default,fast} in internal/vio.
 
 func BenchmarkTable6Recon_Frame(b *testing.B) {
 	cam := sensors.CameraModel{Width: 80, Height: 60, Fx: 40, Fy: 40, Cx: 40, Cy: 30}
@@ -206,19 +194,5 @@ func BenchmarkApplication_SponzaFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.RenderFrame(scene, pose, float64(i)*0.01)
-	}
-}
-
-// AblationVIO (§V-E) cost kernel: the fast-vs-accurate VIO configs.
-func BenchmarkAblationVIO_FastParams(b *testing.B) {
-	cfg := sensors.DefaultDatasetConfig()
-	cfg.Duration = 4
-	ds := sensors.GenerateDataset(cfg)
-	p := vio.FastParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := vio.NewRunner(ds, p, vio.NewGeometricFrontend(ds.Cam, p.MaxFeatures))
-		r.Run(ds)
 	}
 }

@@ -83,7 +83,9 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
-		var imuBuf []sensors.IMUSample
+		// imuBuf holds the samples received and not yet consumed; use is the
+		// part of it handed to the filter for one frame. Both are reused.
+		var imuBuf, use []sensors.IMUSample
 		for ev := range p.camSub.C {
 			frame, ok := ev.Value.(sensors.CameraFrame)
 			if !ok {
@@ -121,8 +123,9 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 					imuBuf = append(imuBuf, s)
 				}
 			}
-			// split the buffer at the frame time
-			var use []sensors.IMUSample
+			// split the buffer at the frame time; what is left is compacted
+			// in place (the write index never passes the read index)
+			use = use[:0]
 			rest := imuBuf[:0]
 			for _, s := range imuBuf {
 				if s.T <= frame.T {
@@ -131,7 +134,7 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 					rest = append(rest, s)
 				}
 			}
-			imuBuf = append([]sensors.IMUSample(nil), rest...)
+			imuBuf = rest
 			feats, _ := p.frontend.Process(frame)
 			est := p.filter.ProcessFrame(vio.FrameInput{T: frame.T, Features: feats, IMU: use})
 			p.mu.Lock()

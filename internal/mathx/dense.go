@@ -33,10 +33,28 @@ func NewMatFrom(rows, cols int, data []float64) *Mat {
 // Eye returns the n×n identity matrix.
 func Eye(n int) *Mat {
 	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
+	m.SetIdentity()
 	return m
+}
+
+// SetIdentity overwrites the square matrix m with the identity.
+func (m *Mat) SetIdentity() {
+	if m.Rows != m.Cols {
+		panic("mathx: SetIdentity requires square matrix")
+	}
+	clear(m.Data)
+	for i := 0; i < m.Rows; i++ {
+		m.Data[i*m.Cols+i] = 1
+	}
+}
+
+// mustNotAlias panics when a destination is an input's own storage (the
+// same first element; partial overlaps are not looked for): every *Into
+// kernel reads its inputs while it writes dst.
+func mustNotAlias(dst, src []float64) {
+	if len(dst) > 0 && len(src) > 0 && &dst[0] == &src[0] {
+		panic("mathx: dst aliases an input")
+	}
 }
 
 // At returns element (r, c).
@@ -55,23 +73,42 @@ func (m *Mat) Clone() *Mat {
 // T returns the transpose of m as a new matrix.
 func (m *Mat) T() *Mat {
 	out := NewMat(m.Cols, m.Rows)
+	m.TInto(out)
+	return out
+}
+
+// TInto writes the transpose of m into dst (Cols×Rows).
+func (m *Mat) TInto(dst *Mat) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("mathx: transpose shape mismatch %dx%d -> %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols))
+	}
+	mustNotAlias(dst.Data, m.Data)
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
-			out.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
+			dst.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
 		}
 	}
-	return out
 }
 
 // MulMat returns m * n (GEMM).
 func (m *Mat) MulMat(n *Mat) *Mat {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
 	out := NewMat(m.Rows, n.Cols)
+	m.MulMatInto(out, n)
+	return out
+}
+
+// MulMatInto writes m * n into dst (m.Rows×n.Cols), allocating nothing.
+func (m *Mat) MulMatInto(dst, n *Mat) {
+	if m.Cols != n.Rows || dst.Rows != m.Rows || dst.Cols != n.Cols {
+		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d * %dx%d -> %dx%d",
+			m.Rows, m.Cols, n.Rows, n.Cols, dst.Rows, dst.Cols))
+	}
+	mustNotAlias(dst.Data, m.Data)
+	mustNotAlias(dst.Data, n.Data)
+	clear(dst.Data)
 	for r := 0; r < m.Rows; r++ {
 		mrow := m.Data[r*m.Cols : (r+1)*m.Cols]
-		orow := out.Data[r*n.Cols : (r+1)*n.Cols]
+		orow := dst.Data[r*n.Cols : (r+1)*n.Cols]
 		for k, mv := range mrow {
 			if mv == 0 {
 				continue
@@ -82,7 +119,6 @@ func (m *Mat) MulMat(n *Mat) *Mat {
 			}
 		}
 	}
-	return out
 }
 
 // MulVecN returns m * v for a length-Cols vector.
@@ -149,15 +185,22 @@ func (m *Mat) SetBlock(r0, c0 int, src *Mat) {
 
 // Block extracts the rows×cols sub-matrix at (r0, c0) as a copy.
 func (m *Mat) Block(r0, c0, rows, cols int) *Mat {
+	out := NewMat(rows, cols)
+	m.BlockInto(out, r0, c0)
+	return out
+}
+
+// BlockInto copies the sub-matrix of dst's shape at (r0, c0) into dst.
+func (m *Mat) BlockInto(dst *Mat, r0, c0 int) {
+	rows, cols := dst.Rows, dst.Cols
 	if r0+rows > m.Rows || c0+cols > m.Cols || r0 < 0 || c0 < 0 {
 		panic("mathx: Block out of range")
 	}
-	out := NewMat(rows, cols)
+	mustNotAlias(dst.Data, m.Data)
 	for r := 0; r < rows; r++ {
-		copy(out.Data[r*cols:(r+1)*cols],
+		copy(dst.Data[r*cols:(r+1)*cols],
 			m.Data[(r0+r)*m.Cols+c0:(r0+r)*m.Cols+c0+cols])
 	}
-	return out
 }
 
 // SetMat3 copies a Mat3 into m at (r0, c0).
@@ -199,18 +242,30 @@ func (m *Mat) MaxAbs() float64 {
 // Cholesky computes the lower-triangular factor L with m = L Lᵀ.
 // Returns false if m is not (numerically) positive definite.
 func (m *Mat) Cholesky() (*Mat, bool) {
-	if m.Rows != m.Cols {
-		panic("mathx: Cholesky requires square matrix")
+	l := NewMat(m.Rows, m.Cols)
+	if !m.CholeskyInto(l) {
+		return nil, false
 	}
+	return l, true
+}
+
+// CholeskyInto writes the lower-triangular factor L with m = L Lᵀ into l
+// (upper triangle zero). Returns false, with l half written, if m is not
+// (numerically) positive definite.
+func (m *Mat) CholeskyInto(l *Mat) bool {
+	if m.Rows != m.Cols || l.Rows != m.Rows || l.Cols != m.Cols {
+		panic("mathx: Cholesky requires square matrices of one size")
+	}
+	mustNotAlias(l.Data, m.Data)
+	clear(l.Data)
 	n := m.Rows
-	l := NewMat(n, n)
 	for j := 0; j < n; j++ {
 		d := m.At(j, j)
 		for k := 0; k < j; k++ {
 			d -= l.At(j, k) * l.At(j, k)
 		}
 		if d <= 0 {
-			return nil, false
+			return false
 		}
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
@@ -222,19 +277,33 @@ func (m *Mat) Cholesky() (*Mat, bool) {
 			l.Set(i, j, s/ljj)
 		}
 	}
-	return l, true
+	return true
 }
 
 // CholeskySolve solves m x = b via Cholesky factorization. m must be
 // symmetric positive definite.
 func (m *Mat) CholeskySolve(b []float64) ([]float64, bool) {
-	l, ok := m.Cholesky()
-	if !ok {
+	x := make([]float64, m.Rows)
+	var ws Arena
+	if !m.CholeskySolveInto(x, b, &ws) {
 		return nil, false
 	}
-	x := make([]float64, m.Rows)
-	choleskySubst(l, b, make([]float64, m.Rows), x)
 	return x, true
+}
+
+// CholeskySolveInto solves m x = b into x, taking the factor and its
+// scratch from ws. x may not alias b.
+func (m *Mat) CholeskySolveInto(x, b []float64, ws *Arena) bool {
+	if len(x) != m.Rows || len(b) != m.Rows {
+		panic("mathx: CholeskySolve shape mismatch")
+	}
+	mustNotAlias(x, b)
+	l := ws.Mat(m.Rows, m.Cols)
+	if !m.CholeskyInto(l) {
+		return false
+	}
+	choleskySubst(l, b, ws.Vec(m.Rows), x)
+	return true
 }
 
 // choleskySubst solves L Lᵀ x = b for one right-hand side by forward then
@@ -263,26 +332,38 @@ func choleskySubst(l *Mat, b, y, x []float64) {
 // is substituted through the factor, so every column equals the
 // CholeskySolve of that column bit for bit.
 func (m *Mat) CholeskySolveMat(b *Mat) (*Mat, bool) {
-	if m.Rows != b.Rows {
-		panic("mathx: CholeskySolveMat shape mismatch")
-	}
-	l, ok := m.Cholesky()
-	if !ok {
+	out := NewMat(b.Rows, b.Cols)
+	var ws Arena
+	if !m.CholeskySolveMatInto(out, b, &ws) {
 		return nil, false
 	}
+	return out, true
+}
+
+// CholeskySolveMatInto solves m X = B into dst (B's shape), taking the
+// factor and the column scratch from ws.
+func (m *Mat) CholeskySolveMatInto(dst, b *Mat, ws *Arena) bool {
+	if m.Rows != b.Rows || dst.Rows != b.Rows || dst.Cols != b.Cols {
+		panic("mathx: CholeskySolveMat shape mismatch")
+	}
+	mustNotAlias(dst.Data, b.Data)
+	mustNotAlias(dst.Data, m.Data)
+	l := ws.Mat(m.Rows, m.Cols)
+	if !m.CholeskyInto(l) {
+		return false
+	}
 	n := b.Rows
-	out := NewMat(n, b.Cols)
-	col, y, x := make([]float64, n), make([]float64, n), make([]float64, n)
+	col, y, x := ws.Vec(n), ws.Vec(n), ws.Vec(n)
 	for c := 0; c < b.Cols; c++ {
 		for r := 0; r < n; r++ {
 			col[r] = b.At(r, c)
 		}
 		choleskySubst(l, col, y, x)
 		for r := 0; r < n; r++ {
-			out.Set(r, c, x[r])
+			dst.Set(r, c, x[r])
 		}
 	}
-	return out, true
+	return true
 }
 
 // LUSolve solves m x = b by Gaussian elimination with partial pivoting.
@@ -341,13 +422,46 @@ func (m *Mat) LUSolve(b []float64) ([]float64, bool) {
 // reflections, with Q of shape rows×cols and R of shape cols×cols
 // (requires rows >= cols).
 func (m *Mat) QR() (q, r *Mat) {
+	q, r = NewMat(m.Rows, m.Cols), NewMat(m.Cols, m.Cols)
+	var ws Arena
+	m.QRInto(q, r, &ws)
+	return q, r
+}
+
+// QRInto writes the thin QR decomposition of m into q (rows×cols) and r
+// (cols×cols), taking the working copy and the reflectors from ws.
+func (m *Mat) QRInto(q, r *Mat, ws *Arena) {
 	rows, cols := m.Rows, m.Cols
 	if rows < cols {
 		panic("mathx: QR requires rows >= cols")
 	}
-	a := m.Clone()
-	// Accumulate Householder vectors; build Q afterwards.
-	vs := make([][]float64, 0, cols)
+	if q.Rows != rows || q.Cols != cols || r.Rows != cols || r.Cols != cols {
+		panic("mathx: QR shape mismatch")
+	}
+	mustNotAlias(q.Data, m.Data)
+	mustNotAlias(r.Data, m.Data)
+	a, vs, vnorm2 := m.householder(ws)
+	clear(r.Data)
+	for i := 0; i < cols; i++ {
+		for j := i; j < cols; j++ {
+			r.Set(i, j, a.At(i, j))
+		}
+	}
+	// Q = H₀ H₁ … H_{k-1} applied to the first `cols` columns of I.
+	reflectUnitColumns(q, 0, vs, vnorm2, ws)
+}
+
+// householder reduces a working copy of m (rows >= cols) to upper
+// triangular form with one reflection H_k = I - 2 v vᵀ / (vᵀv) per column.
+// It returns the reduced copy, the reflectors (row k of vs is v_k, zero
+// above its diagonal) and their squared norms; vnorm2[k] == 0 marks a
+// column that needed no reflection. Everything comes from ws.
+func (m *Mat) householder(ws *Arena) (a, vs *Mat, vnorm2 []float64) {
+	rows, cols := m.Rows, m.Cols
+	a = ws.Mat(rows, cols)
+	copy(a.Data, m.Data)
+	vs = ws.Mat(cols, rows)
+	vnorm2 = ws.Vec(cols)
 	for k := 0; k < cols; k++ {
 		// norm of column k below diagonal
 		norm := 0.0
@@ -356,70 +470,66 @@ func (m *Mat) QR() (q, r *Mat) {
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
-			vs = append(vs, nil)
 			continue
 		}
 		alpha := -norm
 		if a.At(k, k) < 0 {
 			alpha = norm
 		}
-		v := make([]float64, rows)
+		v := vs.Data[k*rows : (k+1)*rows]
 		v[k] = a.At(k, k) - alpha
 		for i := k + 1; i < rows; i++ {
 			v[i] = a.At(i, k)
 		}
-		vnorm2 := 0.0
+		vn2 := 0.0
 		for i := k; i < rows; i++ {
-			vnorm2 += v[i] * v[i]
+			vn2 += v[i] * v[i]
 		}
-		if vnorm2 < 1e-300 {
-			vs = append(vs, nil)
+		if vn2 < 1e-300 {
 			continue
 		}
-		// apply H = I - 2 v vᵀ / (vᵀv) to remaining columns
+		// apply H to the remaining columns
 		for c := k; c < cols; c++ {
 			dot := 0.0
 			for i := k; i < rows; i++ {
 				dot += v[i] * a.At(i, c)
 			}
-			f := 2 * dot / vnorm2
+			f := 2 * dot / vn2
 			for i := k; i < rows; i++ {
 				a.Set(i, c, a.At(i, c)-f*v[i])
 			}
 		}
-		vs = append(vs, v)
+		vnorm2[k] = vn2
 	}
-	r = NewMat(cols, cols)
-	for i := 0; i < cols; i++ {
-		for j := i; j < cols; j++ {
-			r.Set(i, j, a.At(i, j))
-		}
-	}
-	// Q = H₀ H₁ … H_{k-1} applied to the first `cols` columns of I.
-	q = NewMat(rows, cols)
-	for c := 0; c < cols; c++ {
-		e := make([]float64, rows)
-		e[c] = 1
-		for k := len(vs) - 1; k >= 0; k-- {
-			v := vs[k]
-			if v == nil {
+	return a, vs, vnorm2
+}
+
+// reflectUnitColumns writes H₀ H₁ … e_{first+c} into column c of dst, for
+// every column of dst: columns first… of the full Q of householder.
+func reflectUnitColumns(dst *Mat, first int, vs *Mat, vnorm2 []float64, ws *Arena) {
+	rows := vs.Cols
+	e := ws.Vec(rows)
+	for c := 0; c < dst.Cols; c++ {
+		clear(e)
+		e[first+c] = 1
+		for k := len(vnorm2) - 1; k >= 0; k-- {
+			if vnorm2[k] == 0 {
 				continue
 			}
-			vnorm2, dot := 0.0, 0.0
+			v := vs.Data[k*rows : (k+1)*rows]
+			dot := 0.0
 			for i := k; i < rows; i++ {
-				vnorm2 += v[i] * v[i]
 				dot += v[i] * e[i]
 			}
-			f := 2 * dot / vnorm2
+			f := 2 * dot / vnorm2[k]
 			for i := k; i < rows; i++ {
 				e[i] -= f * v[i]
 			}
 		}
 		for i := 0; i < rows; i++ {
-			q.Set(i, c, e[i])
+			dst.Set(i, c, e[i])
 		}
 	}
-	return q, r
 }
 
 // SVD computes the singular value decomposition m = U diag(s) Vᵀ using
@@ -516,76 +626,23 @@ func (m *Mat) SVD() (u *Mat, s []float64, v *Mat) {
 // of m, i.e. the columns N with Nᵀ m = 0, using the full QR of m. Used by
 // the MSCKF update to project out feature-position dependence.
 func (m *Mat) Nullspace() *Mat {
-	rows, cols := m.Rows, m.Cols
-	if rows <= cols {
-		return NewMat(rows, 0)
+	if m.Rows <= m.Cols {
+		return NewMat(m.Rows, 0)
 	}
-	// Full QR via Householder on m, then the trailing rows-cols columns of
-	// the full Q span the left nullspace.
-	a := m.Clone()
-	vs := make([][]float64, 0, cols)
-	for k := 0; k < cols; k++ {
-		norm := 0.0
-		for i := k; i < rows; i++ {
-			norm += a.At(i, k) * a.At(i, k)
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		alpha := -norm
-		if a.At(k, k) < 0 {
-			alpha = norm
-		}
-		v := make([]float64, rows)
-		v[k] = a.At(k, k) - alpha
-		for i := k + 1; i < rows; i++ {
-			v[i] = a.At(i, k)
-		}
-		vnorm2 := 0.0
-		for i := k; i < rows; i++ {
-			vnorm2 += v[i] * v[i]
-		}
-		if vnorm2 < 1e-300 {
-			vs = append(vs, nil)
-			continue
-		}
-		for c := k; c < cols; c++ {
-			dot := 0.0
-			for i := k; i < rows; i++ {
-				dot += v[i] * a.At(i, c)
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < rows; i++ {
-				a.Set(i, c, a.At(i, c)-f*v[i])
-			}
-		}
-		vs = append(vs, v)
-	}
-	nsCols := rows - cols
-	out := NewMat(rows, nsCols)
-	for c := 0; c < nsCols; c++ {
-		e := make([]float64, rows)
-		e[cols+c] = 1
-		for k := len(vs) - 1; k >= 0; k-- {
-			v := vs[k]
-			if v == nil {
-				continue
-			}
-			vnorm2, dot := 0.0, 0.0
-			for i := k; i < rows; i++ {
-				vnorm2 += v[i] * v[i]
-				dot += v[i] * e[i]
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < rows; i++ {
-				e[i] -= f * v[i]
-			}
-		}
-		for i := 0; i < rows; i++ {
-			out.Set(i, c, e[i])
-		}
-	}
+	out := NewMat(m.Rows, m.Rows-m.Cols)
+	var ws Arena
+	m.NullspaceInto(out, &ws)
 	return out
+}
+
+// NullspaceInto writes the left-nullspace basis of m (rows > cols) into dst
+// (rows×(rows-cols)): the trailing columns of the full Householder Q. The
+// working copy and the reflectors come from ws.
+func (m *Mat) NullspaceInto(dst *Mat, ws *Arena) {
+	if m.Rows <= m.Cols || dst.Rows != m.Rows || dst.Cols != m.Rows-m.Cols {
+		panic("mathx: Nullspace shape mismatch")
+	}
+	mustNotAlias(dst.Data, m.Data)
+	_, vs, vnorm2 := m.householder(ws)
+	reflectUnitColumns(dst, m.Cols, vs, vnorm2, ws)
 }

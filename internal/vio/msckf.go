@@ -36,10 +36,25 @@ type Filter struct {
 
 	clones []clone
 	slam   []slamFeat
-	cov    *mathx.Mat
+	// cov is the error-state covariance; covSpare is the buffer the next
+	// covariance of a different shape (or a full rewrite) is built in before
+	// the two swap. Both are the filter's own memory, grown to the largest
+	// state dimension seen: the covariance outlives every arena cycle.
+	cov, covSpare *mathx.Mat
 
 	tracks      map[int]*Track
 	nextCloneID int
+
+	// arena holds every matrix temporary of one propagation step or one
+	// update stage. Nothing taken from it may be stored on the filter.
+	arena mathx.Arena
+	// per-frame scratch kept across frames: the set of feature ids seen in
+	// this frame, the candidate tracks of an update stage, and the clone
+	// poses and window indices of one track's observations.
+	live      map[int]bool
+	cands     []*Track
+	poses     []mathx.Pose
+	cloneIdxs []int
 
 	// lastIMU is the most recent sample seen, used to bridge batch
 	// boundaries and extrapolate to frame timestamps.
@@ -63,8 +78,9 @@ func NewFilter(p Params, noise sensors.IMUNoise, init integrator.State) *Filter 
 		bg:     init.BiasG,
 		ba:     init.BiasA,
 		tracks: map[int]*Track{},
+		live:   map[int]bool{},
 	}
-	f.cov = mathx.NewMat(imuDim, imuDim)
+	f.cov, f.covSpare = mathx.NewMat(imuDim, imuDim), mathx.NewMat(0, 0)
 	for i := 0; i < 3; i++ {
 		f.cov.Set(i, i, 1e-6)       // orientation
 		f.cov.Set(3+i, 3+i, 1e-4)   // gyro bias
@@ -88,6 +104,21 @@ func (f *Filter) cloneIndex(id int) int {
 }
 
 func (f *Filter) slamOffset() int { return imuDim + 6*len(f.clones) }
+
+// nextCov returns the spare covariance buffer shaped n×n and zeroed, for
+// the caller to fill and then install with swapCov.
+func (f *Filter) nextCov(n int) *mathx.Mat {
+	m := f.covSpare
+	if cap(m.Data) < n*n {
+		m.Data = make([]float64, n*n)
+	}
+	m.Rows, m.Cols, m.Data = n, n, m.Data[:n*n]
+	clear(m.Data)
+	return m
+}
+
+// swapCov installs the buffer nextCov handed out as the covariance.
+func (f *Filter) swapCov() { f.cov, f.covSpare = f.covSpare, f.cov }
 
 // State returns the current inertial state.
 func (f *Filter) State() integrator.State {
@@ -115,8 +146,11 @@ func (f *Filter) propagate(prev, cur sensors.IMUSample) {
 	aHat := prev.Accel.Sub(f.ba)
 	r := f.rot.RotationMatrix()
 
+	a := &f.arena
+	a.Reset()
 	n := f.dim()
-	phiI := mathx.Eye(imuDim)
+	phiI := a.Mat(imuDim, imuDim)
+	phiI.SetIdentity()
 	// δθ̇ = -[ω]ₓ δθ - δbg
 	sw := mathx.Skew(wHat).Scale(-dt)
 	for i := 0; i < 3; i++ {
@@ -140,8 +174,14 @@ func (f *Filter) propagate(prev, cur sensors.IMUSample) {
 	}
 
 	// P_II ← Φ P_II Φᵀ + Q ; P_IX ← Φ P_IX (X = clones+slam)
-	pII := f.cov.Block(0, 0, imuDim, imuDim)
-	newPII := phiI.MulMat(pII).MulMat(phiI.T())
+	pII := a.Mat(imuDim, imuDim)
+	f.cov.BlockInto(pII, 0, 0)
+	phiP := a.Mat(imuDim, imuDim)
+	phiI.MulMatInto(phiP, pII)
+	phiT := a.Mat(imuDim, imuDim)
+	phiI.TInto(phiT)
+	newPII := a.Mat(imuDim, imuDim)
+	phiP.MulMatInto(newPII, phiT)
 	// discrete process noise
 	qg := f.Noise.GyroNoiseDensity * f.Noise.GyroNoiseDensity * dt
 	qbg := f.Noise.GyroBiasWalk * f.Noise.GyroBiasWalk * dt
@@ -155,10 +195,14 @@ func (f *Filter) propagate(prev, cur sensors.IMUSample) {
 	}
 	f.cov.SetBlock(0, 0, newPII)
 	if n > imuDim {
-		pIX := f.cov.Block(0, imuDim, imuDim, n-imuDim)
-		newPIX := phiI.MulMat(pIX)
+		pIX := a.Mat(imuDim, n-imuDim)
+		f.cov.BlockInto(pIX, 0, imuDim)
+		newPIX := a.Mat(imuDim, n-imuDim)
+		phiI.MulMatInto(newPIX, pIX)
 		f.cov.SetBlock(0, imuDim, newPIX)
-		f.cov.SetBlock(imuDim, 0, newPIX.T())
+		newPXI := a.Mat(n-imuDim, imuDim)
+		newPIX.TInto(newPXI)
+		f.cov.SetBlock(imuDim, 0, newPXI)
 	}
 	f.cov.Symmetrize()
 
@@ -178,9 +222,7 @@ func b2f(b bool) float64 {
 // augmentClone appends the current pose as a new stochastic clone.
 func (f *Filter) augmentClone() {
 	n := f.dim()
-	nSlam := 3 * len(f.slam)
-	nNew := n + 6
-	newCov := mathx.NewMat(nNew, nNew)
+	newCov := f.nextCov(n + 6)
 	// layout: [imu | clones... | NEW CLONE | slam]
 	// Build J: rows of the new clone error w.r.t. old state:
 	// δθ_c = δθ (imu 0..2), δp_c = δp (imu 12..14)
@@ -217,10 +259,9 @@ func (f *Filter) augmentClone() {
 			newCov.Set(oldCloneEnd+i, oldCloneEnd+j, f.cov.At(ri, cj))
 		}
 	}
-	f.cov = newCov
+	f.swapCov()
 	f.clones = append(f.clones, clone{ID: f.nextCloneID, T: f.t, Pose: f.Pose()})
 	f.nextCloneID++
-	_ = nSlam
 }
 
 // marginalizeOldest removes the oldest clone from the state and covariance
@@ -230,9 +271,10 @@ func (f *Filter) marginalizeOldest() {
 		return
 	}
 	removed := f.clones[0]
-	start := imuDim // oldest clone sits first in the clone block
-	f.cov = removeRange(f.cov, start, 6)
-	f.clones = f.clones[1:]
+	f.removeRange(imuDim, 6) // oldest clone sits first in the clone block
+	// shift down rather than reslice, so appending the next clone reuses
+	// the array
+	f.clones = f.clones[:copy(f.clones, f.clones[1:])]
 	for id, tr := range f.tracks {
 		kept := tr.Obs[:0]
 		for _, o := range tr.Obs {
@@ -249,10 +291,11 @@ func (f *Filter) marginalizeOldest() {
 }
 
 // removeRange deletes `count` consecutive rows and columns starting at
-// `start` from a square matrix.
-func removeRange(m *mathx.Mat, start, count int) *mathx.Mat {
+// `start` from the covariance.
+func (f *Filter) removeRange(start, count int) {
+	m := f.cov
 	n := m.Rows
-	out := mathx.NewMat(n-count, n-count)
+	out := f.nextCov(n - count)
 	for r, ro := 0, 0; r < n; r++ {
 		if r >= start && r < start+count {
 			continue
@@ -266,7 +309,7 @@ func removeRange(m *mathx.Mat, start, count int) *mathx.Mat {
 		}
 		ro++
 	}
-	return out
+	f.swapCov()
 }
 
 // obsJacobian computes the residual and Jacobian blocks of one observation
@@ -310,7 +353,8 @@ func (f *Filter) obsJacobian(ci int, pf mathx.Vec3, o Obs) (r [2]float64, hc [2]
 
 // ekfUpdate applies a standard EKF update with measurement Jacobian h
 // (m×dim), residual r (m) and isotropic noise sigma². QR compression is
-// applied when m exceeds the state dimension.
+// applied when m exceeds the state dimension. h and r may be the calling
+// stage's arena memory: the arena is not reset here.
 func (f *Filter) ekfUpdate(h *mathx.Mat, r []float64, sigma2 float64) bool {
 	n := f.dim()
 	if h.Cols != n || len(r) != h.Rows {
@@ -319,39 +363,60 @@ func (f *Filter) ekfUpdate(h *mathx.Mat, r []float64, sigma2 float64) bool {
 	if h.Rows == 0 {
 		return false
 	}
+	a := &f.arena
 	// QR compression: H = Q1 R1; equivalent update uses R1, Q1ᵀ r.
 	if h.Rows > n {
-		q, rr := h.QR()
-		newR := q.T().MulVecN(r)
+		q, rr := a.Mat(h.Rows, n), a.Mat(n, n)
+		h.QRInto(q, rr, a)
+		qT := a.Mat(n, h.Rows)
+		q.TInto(qT)
+		newR := a.Vec(n)
+		qT.MulVecNInto(newR, r)
 		h = rr
 		r = newR
 	}
 	m := h.Rows
 	// S = H P Hᵀ + σ² I
-	ph := f.cov.MulMat(h.T()) // n×m
-	s := h.MulMat(ph)
+	hT := a.Mat(n, m)
+	h.TInto(hT)
+	ph := a.Mat(n, m)
+	f.cov.MulMatInto(ph, hT)
+	s := a.Mat(m, m)
+	h.MulMatInto(s, ph)
 	for i := 0; i < m; i++ {
 		s.Set(i, i, s.At(i, i)+sigma2)
 	}
 	// K = P Hᵀ S⁻¹ → solve Sᵀ Kᵀ = (P Hᵀ)ᵀ; S symmetric.
-	kT, ok := s.CholeskySolveMat(ph.T())
-	if !ok {
+	phT := a.Mat(m, n)
+	ph.TInto(phT)
+	kT := a.Mat(m, n)
+	if !s.CholeskySolveMatInto(kT, phT, a) {
 		return false
 	}
-	k := kT.T() // n×m
-	dx := k.MulVecN(r)
+	k := a.Mat(n, m)
+	kT.TInto(k)
+	dx := a.Vec(n)
+	k.MulVecNInto(dx, r)
 	// Joseph-form covariance update
-	ikh := mathx.Eye(n)
-	kh := k.MulMat(h)
+	ikh := a.Mat(n, n)
+	ikh.SetIdentity()
+	kh := a.Mat(n, n)
+	k.MulMatInto(kh, h)
 	for i := range ikh.Data {
 		ikh.Data[i] -= kh.Data[i]
 	}
-	newP := ikh.MulMat(f.cov).MulMat(ikh.T())
-	kkT := k.MulMat(k.T())
+	ikhP := a.Mat(n, n)
+	ikh.MulMatInto(ikhP, f.cov)
+	ikhT := a.Mat(n, n)
+	ikh.TInto(ikhT)
+	newP := f.nextCov(n)
+	ikhP.MulMatInto(newP, ikhT)
+	kkT := a.Mat(n, n)
+	k.MulMatInto(kkT, kT)
 	kkT.ScaleInPlace(sigma2)
 	newP.AddInPlace(kkT)
 	newP.Symmetrize()
-	f.cov = newP
+	f.swapCov()
 	f.inject(dx)
 	return true
 }

@@ -63,15 +63,24 @@ func projectToClone(body mathx.Pose, pw mathx.Vec3) (xn, yn float64, ok bool) {
 // reprojection error. Returns the refined point, the mean residual (in
 // normalized units), and ok.
 func TriangulateGN(poses []mathx.Pose, obs []Obs, maxIter int) (mathx.Vec3, float64, bool) {
+	var a mathx.Arena
+	return triangulateGN(&a, poses, obs, maxIter)
+}
+
+// triangulateGN is TriangulateGN with its normal equations in the caller's
+// arena.
+func triangulateGN(a *mathx.Arena, poses []mathx.Pose, obs []Obs, maxIter int) (mathx.Vec3, float64, bool) {
 	p, ok := TriangulateLinear(poses, obs)
 	if !ok {
 		return mathx.Vec3{}, 0, false
 	}
 	lambda := 1e-6
+	jtj := a.Mat(3, 3)
+	jtr, dx := a.Vec(3), a.Vec(3)
 	for iter := 0; iter < maxIter; iter++ {
 		// accumulate JᵀJ and Jᵀr
-		jtj := mathx.NewMat(3, 3)
-		jtr := make([]float64, 3)
+		clear(jtj.Data)
+		clear(jtr)
 		cost := 0.0
 		valid := 0
 		for i := range obs {
@@ -110,8 +119,7 @@ func TriangulateGN(poses []mathx.Pose, obs []Obs, maxIter int) (mathx.Vec3, floa
 		for d := 0; d < 3; d++ {
 			jtj.Set(d, d, jtj.At(d, d)*(1+lambda))
 		}
-		dx, okS := jtj.CholeskySolve(jtr)
-		if !okS {
+		if !jtj.CholeskySolveInto(dx, jtr, a) {
 			break
 		}
 		p = p.Add(mathx.Vec3{X: dx[0], Y: dx[1], Z: dx[2]})

@@ -1,7 +1,8 @@
 package vio
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"illixr/internal/mathx"
 )
@@ -44,12 +45,14 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 	curClone := f.clones[len(f.clones)-1].ID
 
 	// 3) track bookkeeping (the front end already associated features)
-	live := make(map[int]bool, len(in.Features))
+	live := f.live
+	clear(live)
 	for _, tf := range in.Features {
 		live[tf.ID] = true
 		tr, ok := f.tracks[tf.ID]
 		if !ok {
-			tr = &Track{FeatureID: tf.ID}
+			// a track holds at most one observation per clone in the window
+			tr = &Track{FeatureID: tf.ID, Obs: make([]Obs, 0, f.P.MaxClones+1)}
 			f.tracks[tf.ID] = tr
 			f.stats.DetectedFeatures++
 		} else {
@@ -82,21 +85,34 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 	}
 }
 
-// clonePoses gathers the poses for a track's observations. Returns nil if
-// any observation references a clone no longer in the window.
+// clonePoses gathers the poses and window indices for a track's
+// observations, valid until the next call. Returns nil if any observation
+// references a clone no longer in the window.
 func (f *Filter) clonePoses(tr *Track) ([]mathx.Pose, []int) {
-	poses := make([]mathx.Pose, 0, len(tr.Obs))
-	idx := make([]int, 0, len(tr.Obs))
+	f.poses, f.cloneIdxs = f.poses[:0], f.cloneIdxs[:0]
 	for _, o := range tr.Obs {
 		ci := f.cloneIndex(o.CloneID)
 		if ci < 0 {
 			return nil, nil
 		}
-		poses = append(poses, f.clones[ci].Pose)
-		idx = append(idx, ci)
+		f.poses = append(f.poses, f.clones[ci].Pose)
+		f.cloneIdxs = append(f.cloneIdxs, ci)
 	}
-	return poses, idx
+	return f.poses, f.cloneIdxs
 }
+
+// longestFirst orders candidate tracks by observation count, longest
+// first, then by feature id: a total order, so any sort gives one result.
+func longestFirst(a, b *Track) int {
+	if c := cmp.Compare(len(b.Obs), len(a.Obs)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.FeatureID, b.FeatureID)
+}
+
+// featureRows is the height of a track's nullspace-projected Jacobian when
+// every observation is usable.
+func featureRows(tr *Track) int { return max(2*len(tr.Obs)-3, 0) }
 
 // msckfUpdate triangulates dead tracks and applies the nullspace-projected
 // MSCKF measurement update.
@@ -105,7 +121,7 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 	sigma2 := sigma * sigma
 
 	// Collect candidate tracks: dead, not SLAM, enough observations.
-	var cands []*Track
+	cands := f.cands[:0]
 	for id, tr := range f.tracks {
 		if tr.InState || live[id] {
 			continue
@@ -114,19 +130,28 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 			cands = append(cands, tr)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i].Obs) != len(cands[j].Obs) {
-			return len(cands[i].Obs) > len(cands[j].Obs)
-		}
-		return cands[i].FeatureID < cands[j].FeatureID
-	})
+	slices.SortFunc(cands, longestFirst)
+	f.cands = cands[:0]
+	if len(cands) == 0 {
+		return
+	}
 
+	a := &f.arena
+	a.Reset()
 	n := f.dim()
-	var rowsH []*mathx.Mat // per-feature projected Jacobians
-	var rowsR [][]float64
+	// The stack stops growing once it passes 3n rows (QR compresses the
+	// rest), so it ends at most one feature — none taller than the first —
+	// above that, and never above every candidate accepted at full height.
+	maxRows := 0
+	for _, tr := range cands {
+		maxRows += featureRows(tr)
+	}
+	maxRows = min(maxRows, 3*n+featureRows(cands[0]))
+	bigH := a.Mat(maxRows, n) // per-feature projected Jacobians, stacked
+	bigR := a.Vec(maxRows)
 	totalRows := 0
 	for _, tr := range cands {
-		if totalRows > 3*n { // cap stacked size; QR compresses the rest
+		if totalRows > 3*n { // cap stacked size
 			break
 		}
 		h, r, ok := f.featureResidual(tr, sigma2)
@@ -134,8 +159,8 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 			f.stats.RejectedChi2++
 			continue
 		}
-		rowsH = append(rowsH, h)
-		rowsR = append(rowsR, r)
+		bigH.SetBlock(totalRows, 0, h)
+		copy(bigR[totalRows:], r)
 		totalRows += h.Rows
 		f.stats.InitFeatures++
 	}
@@ -143,37 +168,33 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 	for _, tr := range cands {
 		delete(f.tracks, tr.FeatureID)
 	}
+	clear(cands) // and drop the pointers to them
 	if totalRows == 0 {
 		return
 	}
-	bigH := mathx.NewMat(totalRows, n)
-	bigR := make([]float64, totalRows)
-	row := 0
-	for i, h := range rowsH {
-		bigH.SetBlock(row, 0, h)
-		copy(bigR[row:row+h.Rows], rowsR[i])
-		row += h.Rows
-	}
+	bigH.Rows, bigH.Data = totalRows, bigH.Data[:totalRows*n]
 	f.stats.MSCKFRows = totalRows
-	f.ekfUpdate(bigH, bigR, sigma2)
+	f.ekfUpdate(bigH, bigR[:totalRows], sigma2)
 }
 
 // featureResidual triangulates one track and produces its nullspace-
-// projected Jacobian and residual, chi-square gated.
+// projected Jacobian and residual, chi-square gated. The results are the
+// arena's.
 func (f *Filter) featureResidual(tr *Track, sigma2 float64) (*mathx.Mat, []float64, bool) {
 	poses, idx := f.clonePoses(tr)
 	if poses == nil || len(poses) < 2 {
 		return nil, nil, false
 	}
-	pf, _, ok := TriangulateGN(poses, tr.Obs, f.P.MaxIterGN)
+	a := &f.arena
+	pf, _, ok := triangulateGN(a, poses, tr.Obs, f.P.MaxIterGN)
 	if !ok {
 		return nil, nil, false
 	}
 	n := f.dim()
 	m := 2 * len(tr.Obs)
-	hx := mathx.NewMat(m, n)
-	hf := mathx.NewMat(m, 3)
-	r := make([]float64, m)
+	hx := a.Mat(m, n)
+	hf := a.Mat(m, 3)
+	r := a.Vec(m)
 	validRows := 0
 	for i, o := range tr.Obs {
 		res, hc, hfi, okJ := f.obsJacobian(idx[i], pf, o)
@@ -197,24 +218,33 @@ func (f *Filter) featureResidual(tr *Track, sigma2 float64) (*mathx.Mat, []float
 	if validRows < 2 {
 		return nil, nil, false
 	}
+	// keep the rows that were filled (row-major: a prefix of the data)
 	m = 2 * validRows
-	hx = hx.Block(0, 0, m, n)
-	hf = hf.Block(0, 0, m, 3)
+	hx.Rows, hx.Data = m, hx.Data[:m*n]
+	hf.Rows, hf.Data = m, hf.Data[:m*3]
 	r = r[:m]
 	// nullspace projection removes the feature-position dependence
-	ns := hf.Nullspace() // m×(m-3)
-	if ns.Cols == 0 {
-		return nil, nil, false
-	}
-	hProj := ns.T().MulMat(hx)
-	rProj := ns.T().MulVecN(r)
+	// (m ≥ 4 rows over 3 columns, so the left nullspace is never empty)
+	ns := a.Mat(m, m-3)
+	hf.NullspaceInto(ns, a)
+	nsT := a.Mat(m-3, m)
+	ns.TInto(nsT)
+	hProj := a.Mat(m-3, n)
+	nsT.MulMatInto(hProj, hx)
+	rProj := a.Vec(m - 3)
+	nsT.MulVecNInto(rProj, r)
 	// chi-square gate: rᵀ (H P Hᵀ + σ²I)⁻¹ r < χ²₀.₉₅(dof)
-	s := hProj.MulMat(f.cov).MulMat(hProj.T())
+	hp := a.Mat(m-3, n)
+	hProj.MulMatInto(hp, f.cov)
+	hProjT := a.Mat(n, m-3)
+	hProj.TInto(hProjT)
+	s := a.Mat(m-3, m-3)
+	hp.MulMatInto(s, hProjT)
 	for i := 0; i < s.Rows; i++ {
 		s.Set(i, i, s.At(i, i)+sigma2)
 	}
-	sol, okS := s.CholeskySolve(rProj)
-	if !okS {
+	sol := a.Vec(m - 3)
+	if !s.CholeskySolveInto(sol, rProj, a) {
 		return nil, nil, false
 	}
 	gamma := 0.0
@@ -239,13 +269,16 @@ func (f *Filter) slamUpdate(live map[int]bool, curClone int) {
 	if ci < 0 {
 		return
 	}
+	a := &f.arena
+	a.Reset()
 	n := f.dim()
 	so := f.slamOffset()
-	type rowSet struct {
-		h *mathx.Mat
-		r []float64
-	}
-	var rows []rowSet
+	bigH := a.Mat(2*len(f.slam), n) // accepted features' rows, stacked
+	bigR := a.Vec(2 * len(f.slam))
+	h, hT := a.Mat(2, n), a.Mat(n, 2)
+	hp, s := a.Mat(2, n), a.Mat(2, 2)
+	r, sol := a.Vec(2), a.Vec(2)
+	rows := 0
 	for si, sf := range f.slam {
 		tr, ok := f.tracks[sf.ID]
 		if !ok || !live[sf.ID] {
@@ -268,7 +301,7 @@ func (f *Filter) slamUpdate(live map[int]bool, curClone int) {
 		if !okJ {
 			continue
 		}
-		h := mathx.NewMat(2, n)
+		clear(h.Data)
 		off := imuDim + 6*ci
 		for c := 0; c < 6; c++ {
 			h.Set(0, off+c, hc[0][c])
@@ -279,13 +312,14 @@ func (f *Filter) slamUpdate(live map[int]bool, curClone int) {
 			h.Set(0, foff+c, hfi[0][c])
 			h.Set(1, foff+c, hfi[1][c])
 		}
-		r := []float64{res[0], res[1]}
+		r[0], r[1] = res[0], res[1]
 		// per-feature chi-square gate
-		s := h.MulMat(f.cov).MulMat(h.T())
+		h.MulMatInto(hp, f.cov)
+		h.TInto(hT)
+		hp.MulMatInto(s, hT)
 		s.Set(0, 0, s.At(0, 0)+sigma2)
 		s.Set(1, 1, s.At(1, 1)+sigma2)
-		sol, okS := s.CholeskySolve(r)
-		if !okS {
+		if !s.CholeskySolveInto(sol, r, a) {
 			continue
 		}
 		gamma := r[0]*sol[0] + r[1]*sol[1]
@@ -293,20 +327,16 @@ func (f *Filter) slamUpdate(live map[int]bool, curClone int) {
 			f.stats.RejectedChi2++
 			continue
 		}
-		rows = append(rows, rowSet{h, r})
+		bigH.SetBlock(rows, 0, h)
+		copy(bigR[rows:], r)
+		rows += 2
 	}
-	if len(rows) == 0 {
+	if rows == 0 {
 		return
 	}
-	bigH := mathx.NewMat(2*len(rows), n)
-	bigR := make([]float64, 2*len(rows))
-	for i, rs := range rows {
-		bigH.SetBlock(2*i, 0, rs.h)
-		bigR[2*i] = rs.r[0]
-		bigR[2*i+1] = rs.r[1]
-	}
-	f.stats.SLAMRows = len(bigR)
-	f.ekfUpdate(bigH, bigR, sigma2)
+	bigH.Rows, bigH.Data = rows, bigH.Data[:rows*n]
+	f.stats.SLAMRows = rows
+	f.ekfUpdate(bigH, bigR[:rows], sigma2)
 }
 
 // pruneSLAM drops SLAM features that are no longer observed.
@@ -317,7 +347,7 @@ func (f *Filter) pruneSLAM(live map[int]bool) {
 		}
 		// remove feature i from state
 		off := f.slamOffset() + 3*i
-		f.cov = removeRange(f.cov, off, 3)
+		f.removeRange(off, 3)
 		if tr, ok := f.tracks[f.slam[i].ID]; ok {
 			tr.InState = false
 			delete(f.tracks, f.slam[i].ID)
@@ -334,58 +364,51 @@ func (f *Filter) promoteSLAM(live map[int]bool) {
 	if len(f.slam) >= f.P.MaxSLAM {
 		return
 	}
-	type cand struct {
-		tr  *Track
-		len int
-	}
-	var cands []cand
+	cands := f.cands[:0]
 	for id, tr := range f.tracks {
 		if tr.InState || !live[id] {
 			continue
 		}
 		if len(tr.Obs) >= f.P.MaxClones-1 {
-			cands = append(cands, cand{tr, len(tr.Obs)})
+			cands = append(cands, tr)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].len != cands[j].len {
-			return cands[i].len > cands[j].len
-		}
-		return cands[i].tr.FeatureID < cands[j].tr.FeatureID
-	})
-	for _, c := range cands {
+	slices.SortFunc(cands, longestFirst)
+	f.cands = cands[:0]
+	f.arena.Reset()
+	for _, tr := range cands {
 		if len(f.slam) >= f.P.MaxSLAM {
 			break
 		}
-		poses, _ := f.clonePoses(c.tr)
+		poses, _ := f.clonePoses(tr)
 		if poses == nil {
 			continue
 		}
-		pf, residual, ok := TriangulateGN(poses, c.tr.Obs, f.P.MaxIterGN)
+		pf, residual, ok := triangulateGN(&f.arena, poses, tr.Obs, f.P.MaxIterGN)
 		if !ok || residual > 5*f.P.PixelNoise/320.0 {
 			continue
 		}
 		// grow covariance by 3
 		n := f.dim()
-		newCov := mathx.NewMat(n+3, n+3)
+		newCov := f.nextCov(n + 3)
 		newCov.SetBlock(0, 0, f.cov)
 		// initial variance: conservative isotropic prior scaled by depth
 		depth := pf.Sub(poses[len(poses)-1].Pos).Norm()
-		v := 0.05 * depth * depth / float64(len(c.tr.Obs))
+		v := 0.05 * depth * depth / float64(len(tr.Obs))
 		if v < 1e-4 {
 			v = 1e-4
 		}
 		for i := 0; i < 3; i++ {
 			newCov.Set(n+i, n+i, v)
 		}
-		f.cov = newCov
-		f.slam = append(f.slam, slamFeat{ID: c.tr.FeatureID, Pos: pf})
-		c.tr.InState = true
+		f.swapCov()
+		f.slam = append(f.slam, slamFeat{ID: tr.FeatureID, Pos: pf})
+		tr.InState = true
 		// keep only the most recent observation; SLAM features update
 		// against the newest clone from now on.
-		if len(c.tr.Obs) > 1 {
-			c.tr.Obs = c.tr.Obs[len(c.tr.Obs)-1:]
-		}
+		// (moved to the front, so the slice keeps its capacity)
+		tr.Obs[0] = tr.Obs[len(tr.Obs)-1]
+		tr.Obs = tr.Obs[:1]
 		f.stats.InitFeatures++
 	}
 }

@@ -42,6 +42,9 @@ go test -race -count=20 -run TestSupervisorBoardNeverBehind ./internal/runtime >
 # the band rasteriser shares one triangle list and one framebuffer between
 # workers: every band must stay inside its own rows
 go test -race -count=10 -run TestDeterminismRender ./internal/render >/dev/null
+# the filter's arena hands the same memory to every stage of every frame:
+# the bit-exact fixtures, once more on their own so a failure names them
+go test -race -run TestGoldenFilter ./internal/vio >/dev/null
 
 echo "== determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
@@ -107,10 +110,10 @@ done
 echo "== zero-allocation regression tests"
 # AllocsPerRun needs real allocation counts, so this pass runs without
 # -race (the tests skip themselves when the detector is compiled in)
-go test -run 'TestZeroAlloc' ./internal/runtime ./internal/netxr/session \
+go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget' ./internal/runtime ./internal/netxr/session \
 	./internal/netxr/fleet ./internal/reprojection ./internal/quality \
 	./internal/hologram ./internal/audio ./internal/imgproc ./internal/dsp \
-	./internal/telemetry ./internal/render >/dev/null
+	./internal/telemetry ./internal/render ./internal/vio ./internal/mathx >/dev/null
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
@@ -121,7 +124,8 @@ go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./i
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
 go test -run='^$' -bench=BenchmarkReproject320x180 -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
-go test -run='^$' -bench=BenchmarkCholeskySolveMat -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
+go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
+go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
 
 echo "== memory bench + allocation gate"
 # the steady-state hot paths must stay allocation-free and must not
