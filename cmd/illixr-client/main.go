@@ -14,14 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"illixr/internal/core"
 	"illixr/internal/netxr/binlog"
-	"illixr/internal/netxr/bridge"
+	"illixr/internal/netxr/node"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/runtime"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 )
@@ -46,36 +44,19 @@ func main() {
 	dcfg.Seed = *seed
 	ds := sensors.GenerateDataset(dcfg)
 
-	conn, err := net.Dial("tcp", *addr)
-	if err != nil {
-		log.Fatalf("dial: %v", err)
+	c := &node.Client{
+		Addr:   *addr,
+		Hello:  wire.Hello{App: *app, Seed: *seed, IMURateHz: *imuRate, CamRateHz: *camRate},
+		Record: *record,
 	}
-	var capture *binlog.Writer
-	if *record != "" {
-		capture, err = binlog.Create(*record, binlog.Meta{
-			App: *app, Seed: *seed, IMURateHz: *imuRate, CamRateHz: *camRate,
-			Label: "client",
-		}, nil)
-		if err != nil {
-			log.Fatalf("record: %v", err)
-		}
+	if err := c.Start(); err != nil {
+		log.Fatal(err)
 	}
-	tracer := telemetry.NewSpanCollector(0)
-	cl, err := bridge.DialWith(conn, wire.Hello{
-		App: *app, Seed: *seed, IMURateHz: *imuRate, CamRateHz: *camRate,
-	}, bridge.DialOptions{Tracer: tracer, Capture: capture})
-	if err != nil {
-		log.Fatalf("handshake: %v", err)
-	}
+	cl := c.Bridge
 	fmt.Printf("connected to %s as session %d\n", *addr, cl.Session())
-
-	loader := runtime.NewLoader()
-	_ = loader.Context().Phonebook.Register(telemetry.TracerService, tracer)
 	player := &core.DatasetPlayerPlugin{Dataset: ds}
-	for _, p := range []runtime.Plugin{cl.Downlink(), cl.Uplink(), player} {
-		if err := loader.Load(p); err != nil {
-			log.Fatalf("load %s: %v", p.Name(), err)
-		}
+	if err := c.Loader.Load(player); err != nil {
+		log.Fatalf("load %s: %v", player.Name(), err)
 	}
 
 	// playback loop: advance virtual time in 50 ms steps, sampling pose
@@ -126,12 +107,10 @@ func main() {
 	if why := cl.ByeReason(); why != "" {
 		fmt.Printf("server said bye: %s\n", why)
 	}
-	_ = cl.Close()
-	_ = loader.Shutdown()
-	if capture != nil {
-		if err := capture.Close(); err != nil {
-			log.Fatalf("record: %v", err)
-		}
-		fmt.Printf("recorded %d frames into %s (+%s)\n", capture.Count(), *record, binlog.IndexSuffix)
+	if err := c.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if *record != "" {
+		fmt.Printf("recorded %d frames into %s (+%s)\n", c.Recorded(), *record, binlog.IndexSuffix)
 	}
 }

@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -143,14 +142,14 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, cfg.Spans.WriteChromeTrace); err != nil {
+		if err := telemetry.WriteFile(*traceOut, cfg.Spans.WriteChromeTrace); err != nil {
 			log.Fatalf("trace-out: %v", err)
 		}
 		fmt.Printf("\nWrote %d spans (%d dropped) to %s — open in chrome://tracing or Perfetto\n",
 			cfg.Spans.Len(), cfg.Spans.Dropped(), *traceOut)
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, cfg.Metrics.WritePrometheus); err != nil {
+		if err := telemetry.WriteFile(*metricsOut, cfg.Metrics.WritePrometheus); err != nil {
 			log.Fatalf("metrics-out: %v", err)
 		}
 		fmt.Printf("Wrote metrics to %s\n", *metricsOut)
@@ -162,17 +161,4 @@ func main() {
 		<-ch
 		stopDebug()
 	}
-}
-
-// writeFile streams write(w) into path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,30 +285,11 @@ func runResumeStorm(coord *fleet.Coordinator, displaced []fleet.Record,
 // replica mid-stream; every client carries its resume token and redials.
 func runFleetSoak() FleetSoakResult {
 	res := FleetSoakResult{Sessions: fleetSoakSessions, FramesPerSession: fleetSoakFrames}
-	coord := fleet.NewCoordinator(fleet.Config{ReplicaCapacity: fleetSoakCapacity,
-		TokenSeed: 1, RetryAfter: 5 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1})
-	var srvs []*session.Server
-	var downMu sync.Mutex
-	down := map[int]bool{}
-	for i := 0; i < fleetReplicas; i++ {
-		srvs = append(srvs, session.NewServer(session.Config{IdleTimeout: -1,
-			MaxSessions: fleetSoakSessions}, &soakHandler{}))
-		coord.AddReplica(i, nil)
-	}
-	gw := &fleet.Gateway{Coord: coord, Dial: func(id int) (net.Conn, error) {
-		downMu.Lock()
-		dead := down[id]
-		downMu.Unlock()
-		if dead {
-			return nil, fmt.Errorf("replica %d down", id)
-		}
-		c, s := net.Pipe()
-		if srvs[id].HandleConn(s) == nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("replica %d refused", id)
-		}
-		return c, nil
-	}}
+	f := pipeFleet(fleetReplicas,
+		fleet.Config{ReplicaCapacity: fleetSoakCapacity,
+			TokenSeed: 1, RetryAfter: 5 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1},
+		session.Config{IdleTimeout: -1, MaxSessions: fleetSoakSessions}, &soakHandler{})
+	coord := f.gw.Coord
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -331,11 +311,9 @@ func runFleetSoak() FleetSoakResult {
 				if attempt > 0 {
 					time.Sleep(bo.Delay(attempt - 1))
 				}
-				c, g := net.Pipe()
-				gw.HandleConn(g)
 				base := sent
 				var buf []byte
-				wel, wrote, poses, ok := streamFrames(c,
+				wel, wrote, poses, ok := streamFrames(f.dial(),
 					wire.Hello{App: "fleet-soak", IMURateHz: fleetIMUHz, ResumeToken: token},
 					fleetSoakFrames-base, func(i int) wire.Frame {
 						if i > 0 {
@@ -369,20 +347,12 @@ func runFleetSoak() FleetSoakResult {
 			victim = i
 		}
 	}
-	downMu.Lock()
-	down[victim] = true
-	downMu.Unlock()
-	srvs[victim].Abort(nil)
-	coord.KillReplica(victim)
+	f.crash(victim)
 
 	wg.Wait()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	clean := gw.Shutdown(ctx) == nil
-	for _, s := range srvs {
-		clean = s.Shutdown(ctx) == nil && clean
-	}
-	res.CleanShutdown = clean
+	res.CleanShutdown = f.stop(ctx)
 	res.Lost = int(lost.Load())
 	res.WallDisplaced = int(displacedN.Load())
 	res.WallResumed = int(resumedN.Load())

@@ -573,6 +573,7 @@ func runQoSSoak(nSessions, framesPer int) (QoSSoakCell, error) {
 	cell := QoSSoakCell{Sessions: nSessions, FramesSent: nSessions * framesPer}
 	reg := telemetry.NewRegistry()
 	pool := parallel.New(2)
+	defer pool.Close()
 	batcher := qos.NewBatcher(pool)
 	batcher.Instrument(reg)
 	inner := &qosSoakHandler{}

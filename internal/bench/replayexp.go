@@ -320,61 +320,27 @@ func (q *qoeCollector) drain() []float64 {
 	return out
 }
 
-// replayFleet is the live cell the ramp drives: 2 replicas behind a
-// gateway, dialed over in-process pipes.
-type replayFleet struct {
-	coord *fleet.Coordinator
-	gw    *fleet.Gateway
-	srvs  []*session.Server
-	qoe   *qoeCollector
-}
-
-func newReplayFleet(capacity int) *replayFleet {
-	rf := &replayFleet{qoe: &qoeCollector{}}
-	rf.coord = fleet.NewCoordinator(fleet.Config{ReplicaCapacity: capacity, TokenSeed: 1,
-		RetryAfter: 50 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1})
-	for i := 0; i < 2; i++ {
-		srv := session.NewServer(session.Config{IdleTimeout: -1}, rf.qoe)
-		rf.srvs = append(rf.srvs, srv)
-		rf.coord.AddReplica(i, nil)
-	}
-	rf.gw = &fleet.Gateway{Coord: rf.coord, Dial: func(id int) (net.Conn, error) {
-		c, s := net.Pipe()
-		if rf.srvs[id].HandleConn(s) == nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("replica %d: connection refused", id)
-		}
-		return c, nil
-	}}
-	return rf
-}
-
-func (rf *replayFleet) shutdown() {
-	_ = rf.gw.Shutdown(context.Background())
-	for _, s := range rf.srvs {
-		_ = s.Shutdown(context.Background())
-	}
-}
-
 // runRamp fans the recording out at each step size and reports the
 // cell's behaviour.
 func runRamp(l *binlog.Log, steps []int) ([]ReplayRampStep, error) {
 	var out []ReplayRampStep
 	for _, n := range steps {
-		rf := newReplayFleet(n)
+		// the live cell the ramp drives: 2 replicas behind a gateway
+		qoe := &qoeCollector{}
+		f := pipeFleet(2,
+			fleet.Config{ReplicaCapacity: n, TokenSeed: 1,
+				RetryAfter: 50 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1},
+			session.Config{IdleTimeout: -1}, qoe)
 		start := time.Now()
-		results := replay.FanOut(n, func(int) (net.Conn, error) {
-			c, g := net.Pipe()
-			rf.gw.HandleConn(g)
-			return c, nil
-		}, l, replay.Options{Timeout: 10 * time.Second})
+		results := replay.FanOut(n, func(int) (net.Conn, error) { return f.dial(), nil },
+			l, replay.Options{Timeout: 10 * time.Second})
 		admitted, lost, poses, firstErr := replay.Tally(results)
 		step := ReplayRampStep{Clients: n, Admitted: admitted, Lost: lost,
 			Poses: poses, WallSec: time.Since(start).Seconds()}
-		if totals := rf.qoe.drain(); len(totals) > 0 {
+		if totals := qoe.drain(); len(totals) > 0 {
 			step.QoEP99Ms = mathx.Percentile(totals, 99)
 		}
-		rf.shutdown()
+		f.stop(context.Background())
 		if firstErr != nil {
 			return out, fmt.Errorf("ramp step %d: %w", n, firstErr)
 		}

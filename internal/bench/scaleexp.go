@@ -467,43 +467,25 @@ func runScaleSoak(nClients int, seed int64) (ScaleSoakResult, error) {
 	// before one AdmitOn lands, and a refused replay client does not
 	// redial. Every replica can hold the whole population, coordinator-
 	// and server-side.
-	coord := fleet.NewCoordinator(fleet.Config{ReplicaCapacity: nClients,
-		TokenSeed: seed, RetryAfter: 5 * time.Millisecond, ResumeBurst: 256, ResumeWindowSec: 1})
-	h := &soakHandler{}
-	var srvs []*session.Server
-	for i := 0; i < scaleSoakReplicas; i++ {
-		srvs = append(srvs, session.NewServer(session.Config{
-			IdleTimeout: -1, MaxSessions: nClients}, h))
-		coord.AddReplica(i, nil)
-	}
-	gw := &fleet.Gateway{Coord: coord, Dial: func(id int) (net.Conn, error) {
-		c, s := net.Pipe()
-		if srvs[id].HandleConn(s) == nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("replica %d refused", id)
-		}
-		return c, nil
-	}}
+	f := pipeFleet(scaleSoakReplicas,
+		fleet.Config{ReplicaCapacity: nClients,
+			TokenSeed: seed, RetryAfter: 5 * time.Millisecond, ResumeBurst: 256, ResumeWindowSec: 1},
+		session.Config{IdleTimeout: -1, MaxSessions: nClients}, &soakHandler{})
 
 	start := time.Now()
-	results := replay.FanOut(nClients, func(int) (net.Conn, error) {
-		c, g := net.Pipe()
-		gw.HandleConn(g)
-		return c, nil
-	}, l, replay.Options{Timeout: 120 * time.Second})
+	results := replay.FanOut(nClients, func(int) (net.Conn, error) { return f.dial(), nil },
+		l, replay.Options{Timeout: 120 * time.Second})
 	admitted, lost, poses, firstErr := replay.Tally(results)
 	res.Admitted, res.Lost, res.WallPoses = admitted, lost, poses
 	res.WallSec = time.Since(start).Seconds()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	clean := gw.Shutdown(ctx) == nil
-	for _, s := range srvs {
-		clean = s.Shutdown(ctx) == nil && clean
+	res.CleanShutdown = f.stop(ctx)
+	for _, s := range f.srvs {
 		res.WallServerContention += s.ShardContention()
 	}
-	res.CleanShutdown = clean
-	res.WallCoordContention = coord.Contention()
+	res.WallCoordContention = f.gw.Coord.Contention()
 	if firstErr != nil {
 		return res, fmt.Errorf("bench: soak client: %w", firstErr)
 	}

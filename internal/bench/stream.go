@@ -1,10 +1,80 @@
 package bench
 
 import (
+	"context"
+	"fmt"
 	"net"
+	"sync"
 
+	"illixr/internal/netxr/fleet"
+	"illixr/internal/netxr/node"
+	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
 )
+
+// pipedFleet is the in-process cell the fleet, scale and replay soaks
+// drive: session servers over one handler behind a node.Gateway whose
+// relay legs are net.Pipe ends handed straight to the placed server.
+type pipedFleet struct {
+	gw   *node.Gateway
+	srvs []*session.Server
+
+	mu   sync.Mutex
+	down map[int]bool // replicas crash has taken: the dialer refuses them
+}
+
+func pipeFleet(replicas int, fc fleet.Config, sc session.Config, h session.Handler) *pipedFleet {
+	f := &pipedFleet{down: map[int]bool{}}
+	for i := 0; i < replicas; i++ {
+		f.srvs = append(f.srvs, session.NewServer(sc, h))
+	}
+	f.gw = &node.Gateway{Backends: make([]string, replicas), Fleet: fc,
+		Dial: func(id int) (net.Conn, error) {
+			f.mu.Lock()
+			dead := f.down[id]
+			f.mu.Unlock()
+			if dead {
+				return nil, fmt.Errorf("replica %d down", id)
+			}
+			c, s := net.Pipe()
+			if f.srvs[id].HandleConn(s) == nil {
+				_ = c.Close()
+				return nil, fmt.Errorf("replica %d refused", id)
+			}
+			return c, nil
+		}}
+	if err := f.gw.Start(); err != nil {
+		panic(err) // no file, listener or URL list in this gateway: nothing Start does can fail
+	}
+	return f
+}
+
+// crash kills replica id the way a process crash would: no dial reaches
+// it again, its sessions are severed, the coordinator displaces them.
+func (f *pipedFleet) crash(id int) {
+	f.mu.Lock()
+	f.down[id] = true
+	f.mu.Unlock()
+	f.srvs[id].Abort(nil)
+	f.gw.Coord.KillReplica(id)
+}
+
+// dial hands the gateway one end of a pipe and returns the client's.
+func (f *pipedFleet) dial() net.Conn {
+	c, g := net.Pipe()
+	f.gw.HandleConn(g)
+	return c
+}
+
+// stop shuts the gateway, then the servers, down; it reports whether
+// every one of them finished inside ctx.
+func (f *pipedFleet) stop(ctx context.Context) bool {
+	clean := f.gw.Close(ctx) == nil
+	for _, s := range f.srvs {
+		clean = s.Shutdown(ctx) == nil && clean
+	}
+	return clean
+}
 
 // handshake opens a hand-rolled wire client on conn: it writes hello and
 // reads the answer. ok is false when the answer is not a decodable

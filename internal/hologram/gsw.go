@@ -97,6 +97,7 @@ func Generate(p Params, spots []Spot) Result {
 	var pool *parallel.Pool
 	if p.Workers > 1 {
 		pool = parallel.New(p.Workers)
+		defer pool.Close()
 	}
 	return GeneratePool(pool, p, spots)
 }

@@ -2,7 +2,9 @@ package hologram
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func smallParams(iters int) Params {
@@ -119,5 +121,27 @@ func TestWeightingBoostsDimSpot(t *testing.T) {
 		if math.Abs(a-mean)/mean > 0.1 {
 			t.Errorf("spot %d amplitude %v deviates from mean %v", i, a, mean)
 		}
+	}
+}
+
+// TestGenerateGivesWorkersBack: Generate builds its own pool at
+// Workers > 1 and must return that pool's helpers with the result.
+func TestGenerateGivesWorkersBack(t *testing.T) {
+	p := DefaultParams()
+	p.Width, p.Height = 128, 128 // four holoTile tiles: every worker gets one
+	p.Iterations = 1
+	p.Workers = 4
+	spots := SpotsFromDepthPlanes(2, 2, 6e-4, 0.02)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		r := Generate(p, spots)
+		ReleaseResult(&r)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("8 Generate calls at Workers=4 left %d goroutines over a baseline of %d", got, base)
 	}
 }

@@ -15,7 +15,6 @@ package fleet
 // time — the scrape→fold→probe→Pick pipeline is identical either way.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,7 +70,8 @@ type FleetDoc struct {
 
 // ScrapeConfig tunes the scraper. The zero value is usable.
 type ScrapeConfig struct {
-	// Interval between scrape rounds in Run (0 = 1s).
+	// Interval is the caller's pause between ScrapeOnce rounds (0 = 1s);
+	// it bounds each fetch.
 	Interval time.Duration
 	// Metrics receives the folded illixr_fleet_replica_* gauges and
 	// scrape counters; nil = uninstrumented.
@@ -253,24 +253,6 @@ func (s *Scraper) scrapeTarget(id int, now float64) {
 	}
 	if markUp && s.coord.StatusOf(id) == Down {
 		s.coord.SetStatus(id, Up)
-	}
-}
-
-// Run scrapes every Interval until the context is cancelled, stamping
-// rounds with wall seconds since it started. The production loop behind
-// illixr-gateway -scrape-interval; the bench calls ScrapeOnce directly
-// instead.
-func (s *Scraper) Run(ctx context.Context) {
-	start := time.Now()
-	t := time.NewTicker(s.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.ScrapeOnce(time.Since(start).Seconds())
-		}
 	}
 }
 

@@ -36,7 +36,8 @@ import (
 // Pool schedules tiled kernels over a fixed number of workers. The zero
 // value and the nil pool are both valid and run every kernel serially.
 // A Pool serializes its own kernel calls (one kernel runs at a time);
-// distinct Pools are independent.
+// distinct Pools are independent. A pool that has dispatched parks
+// workers-1 goroutines until Close.
 type Pool struct {
 	workers int
 
@@ -67,6 +68,8 @@ type Pool struct {
 	start     chan struct{}
 	done      chan struct{}
 	spawned   int
+	helpers   sync.WaitGroup
+	closed    bool // guarded by runMu
 
 	// per-call state, valid between the start tokens and the last done
 	// token of one dispatch; guarded by runMu.
@@ -85,9 +88,9 @@ type Pool struct {
 	busyNs     atomic.Int64
 }
 
-// maxWorkers caps the pool size: helper goroutines are parked, never
-// killed, so the cap bounds how many a resize-happy controller can
-// leave behind (each parked helper costs one idle goroutine).
+// maxWorkers caps the pool size: helper goroutines stay parked until
+// Close, so the cap bounds how many a resize-happy controller can hold
+// (each parked helper costs one idle goroutine).
 const maxWorkers = 256
 
 // New returns a pool with the given worker count. workers <= 0 selects
@@ -122,8 +125,9 @@ func (p *Pool) Workers() int {
 // tile boundaries depend only on n and tile size — never the worker
 // count — so kernel output stays bitwise identical across resizes.
 // Growing spawns additional parked helper goroutines; shrinking parks
-// the surplus (goroutines are reused, not killed). This is the QoS
-// controller's reallocation hook: call it at control-epoch boundaries.
+// the surplus (goroutines are reused, and exit only at Close). This is
+// the QoS controller's reallocation hook: call it at control-epoch
+// boundaries.
 func (p *Pool) SetWorkers(n int) {
 	if p == nil {
 		return
@@ -212,12 +216,35 @@ func (p *Pool) ensureWorkers() {
 		p.done = make(chan struct{}, maxWorkers)
 	})
 	for p.spawned < p.workers-1 {
+		p.helpers.Add(1)
 		go p.helperLoop()
 		p.spawned++
 	}
 }
 
+// Close gives the helper goroutines back and returns once they have
+// exited. It takes the dispatch lock, so it waits out a kernel in flight
+// and never strands one. A closed pool is still usable: it behaves as the
+// nil pool — every kernel runs on the calling goroutine, over the same
+// tiles in the same order, so outputs stay bit-identical. Idempotent.
+func (p *Pool) Close() {
+	if p == nil {
+		return
+	}
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	if p.closed {
+		return
+	}
+	p.closed = true
+	if p.start != nil {
+		close(p.start)
+	}
+	p.helpers.Wait()
+}
+
 func (p *Pool) helperLoop() {
+	defer p.helpers.Done()
 	for range p.start {
 		var t0 time.Time
 		if p.curInstr {
@@ -285,6 +312,9 @@ func (p *Pool) dispatch(kernel string, n, tile, tiles int) {
 	helpers := p.workers
 	if helpers > tiles {
 		helpers = tiles
+	}
+	if p.closed {
+		helpers = 1
 	}
 	helpers-- // the calling goroutine participates
 	p.next.Store(0)

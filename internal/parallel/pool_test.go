@@ -3,8 +3,10 @@ package parallel
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"illixr/internal/telemetry"
 )
@@ -197,4 +199,129 @@ func TestInstrumentedKernelHistogram(t *testing.T) {
 	if h.Count() != 2 {
 		t.Errorf("kernel histogram count = %d, want 2", h.Count())
 	}
+}
+
+// closeKernels runs the three dispatch shapes over an order-sensitive
+// input and returns every output bit.
+func closeKernels(p *Pool, xs []float64) (out []float64, sum, re, im float64) {
+	out = make([]float64, len(xs))
+	p.ForTiles("for", len(xs), 37, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = xs[i] * 3
+		}
+	})
+	sum = p.SumTiles("sum", len(xs), 37, func(lo, hi int) float64 {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += xs[i]
+		}
+		return s
+	})
+	re, im = p.SumTiles2("sum2", len(xs), 37, func(lo, hi int) (float64, float64) {
+		a, b := 0.0, 0.0
+		for i := lo; i < hi; i++ {
+			a += xs[i]
+			b -= xs[i] * xs[i]
+		}
+		return a, b
+	})
+	return out, sum, re, im
+}
+
+// waitGoroutines polls until the goroutine count is back at or below
+// want (an exited goroutine leaves the count a moment after its last
+// statement).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want <= %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestPoolCloseReleasesHelpers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(6)
+	p.ForTiles("spawn", 64, 1, func(lo, hi int) {})
+	if got := runtime.NumGoroutine(); got < base+5 {
+		t.Fatalf("dispatch at 6 workers left %d goroutines over a baseline of %d: helpers not parked", got, base)
+	}
+	p.SetWorkers(9) // grown helpers must be given back too
+	p.ForTiles("spawn", 64, 1, func(lo, hi int) {})
+	p.Close()
+	waitGoroutines(t, base)
+	p.Close() // idempotent
+	p.ForTiles("closed", 64, 1, func(lo, hi int) {})
+	p.SetWorkers(4)
+	p.ForTiles("closed", 64, 1, func(lo, hi int) {})
+	waitGoroutines(t, base)
+
+	// a pool that never dispatched, the zero value and nil have nothing to give back
+	New(4).Close()
+	new(Pool).Close()
+	(*Pool)(nil).Close()
+}
+
+// TestClosedPoolRunsSerialSameBits: a closed pool is the nil pool — same
+// tiles, same fold order — so its outputs match an open pool's bit for bit.
+func TestClosedPoolRunsSerialSameBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		open := New(workers)
+		wantOut, wantSum, wantRe, wantIm := closeKernels(open, xs)
+		open.Close()
+
+		closed := New(workers)
+		closed.ForTiles("warm", 64, 1, func(lo, hi int) {}) // helpers exist before Close
+		closed.Close()
+		out, sum, re, im := closeKernels(closed, xs)
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
+				t.Fatalf("workers=%d: ForTiles out[%d] differs after Close", workers, i)
+			}
+		}
+		if math.Float64bits(sum) != math.Float64bits(wantSum) ||
+			math.Float64bits(re) != math.Float64bits(wantRe) ||
+			math.Float64bits(im) != math.Float64bits(wantIm) {
+			t.Fatalf("workers=%d: closed sums (%x %x %x) != open (%x %x %x)", workers,
+				math.Float64bits(sum), math.Float64bits(re), math.Float64bits(im),
+				math.Float64bits(wantSum), math.Float64bits(wantRe), math.Float64bits(wantIm))
+		}
+	}
+}
+
+// TestPoolCloseRacesDispatch: Close against kernels in flight from
+// several goroutines — every call completes with the right answer,
+// whichever side of the Close it lands on, and the helpers are gone.
+func TestPoolCloseRacesDispatch(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(4)
+	var wg sync.WaitGroup
+	startC := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-startC
+			for i := 0; i < 200; i++ {
+				got := p.SumTiles("race", 1000, 10, func(lo, hi int) float64 { return float64(hi - lo) })
+				if got != 1000 {
+					t.Errorf("SumTiles = %v, want 1000", got)
+					return
+				}
+			}
+		}()
+	}
+	close(startC)
+	p.SumTiles("race", 1000, 10, func(lo, hi int) float64 { return float64(hi - lo) })
+	p.Close()
+	wg.Wait()
+	waitGoroutines(t, base)
 }

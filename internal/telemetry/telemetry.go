@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strings"
 
 	"illixr/internal/mathx"
@@ -152,4 +153,18 @@ func Bar(frac float64, width int) string {
 	}
 	n := int(frac*float64(width) + 0.5)
 	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
+}
+
+// WriteFile streams one exporter (Registry.WritePrometheus,
+// SpanCollector.WriteChromeTrace, a stitched trace) into path.
+func WriteFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

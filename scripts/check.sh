@@ -16,6 +16,12 @@ if find . -path '*/testdata/fuzz/*' -type f | grep -E '/[0-9a-f]{16}$'; then
 	echo "hash-named fuzz corpus file(s) above: triage and rename to seed-*" >&2
 	exit 1
 fi
+# the commands are flag parsing around internal/netxr/node: composition
+# (and the file helper every main once carried) must not grow back there
+if grep -nE 'session\.NewServer|fleet\.NewCoordinator|fleet\.NewScraper|qos\.New|bridge\.Pipeline\{|fleet\.Gateway\{|func writeFile' cmd/*/main.go; then
+	echo "composition in package main (above): build it in internal/netxr/node" >&2
+	exit 1
+fi
 echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
@@ -42,6 +48,11 @@ go test -race -count=20 -run TestSupervisorBoardNeverBehind ./internal/runtime >
 # the band rasteriser shares one triangle list and one framebuffer between
 # workers: every band must stay inside its own rows
 go test -race -count=10 -run TestDeterminismRender ./internal/render >/dev/null
+# a node must give back every goroutine it started, and handle a frame
+# still parked in the batcher before its capture closes; Pool.Close must
+# hold against kernels in flight
+go test -race -count=20 -run 'TestCloseReturnsEverything|TestCloseHandlesParkedFrameBeforeCaptureCloses' ./internal/netxr/node >/dev/null
+go test -race -count=50 -run TestPoolCloseRacesDispatch ./internal/parallel >/dev/null
 # the filter's arena hands the same memory to every stage of every frame:
 # the bit-exact fixtures, once more on their own so a failure names them
 go test -race -run TestGoldenFilter ./internal/vio >/dev/null
@@ -76,6 +87,16 @@ grep -q '^illixr_' "$TMP/metrics.txt" || {
 	echo "metrics dump has no illixr_ metrics" >&2
 	exit 1
 }
+
+echo "== command flags: names, defaults and help text as captured at PR 22"
+for c in illixr-serve illixr-gateway illixr-client; do
+	go build -o "$TMP/$c" ./cmd/$c
+	# line 1 names the binary's path; flag prints the rest to stderr
+	"$TMP/$c" -h 2>&1 | tail -n +2 | diff -u "scripts/testdata/help/$c.txt" - || {
+		echo "$c -h differs from scripts/testdata/help/$c.txt" >&2
+		exit 1
+	}
+done
 
 echo "== bench smokes: each experiment runs, then benchcheck gates its report"
 # a typo in the loop below must fail, not pass as an empty run
