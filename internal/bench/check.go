@@ -23,7 +23,6 @@ func (f *failures) addf(format string, args ...any) {
 type checker interface{ Check() []error }
 
 // checkKinds maps a benchcheck kind to a fresh report of its type.
-// Memory is not here: its Check takes the optional baseline.
 var checkKinds = map[string]func() checker{
 	"parallel": func() checker { return new(ParallelReport) },
 	"network":  func() checker { return new(NetworkReport) },
@@ -39,34 +38,16 @@ var checkKinds = map[string]func() checker{
 // or "trace" for a Chrome trace) from path and returns what its Check
 // method finds wrong; err is for a file that cannot be checked at all.
 // Reports are decoded strictly — a field the report type does not have
-// is schema drift, not something to skip. baselinePath is memory's
-// optional no-regression reference.
-func CheckFile(kind, path, baselinePath string) (failed []error, err error) {
-	if kind == "memory" {
-		var rep MemoryReport
-		if err := readReport(path, &rep, true); err != nil {
-			return nil, err
-		}
-		var base *MemoryReport
-		if baselinePath != "" {
-			base = new(MemoryReport)
-			if err := readReport(baselinePath, base, true); err != nil {
-				return nil, err
-			}
-		}
-		return rep.Check(base), nil
-	}
+// is schema drift, not something to skip.
+func CheckFile(kind, path string) (failed []error, err error) {
 	mk, ok := checkKinds[kind]
 	if !ok {
-		kinds := []string{"memory"}
+		var kinds []string
 		for k := range checkKinds {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
 		return nil, fmt.Errorf("unknown kind %q (valid: %s)", kind, strings.Join(kinds, " "))
-	}
-	if baselinePath != "" {
-		return nil, fmt.Errorf("kind %q takes no baseline", kind)
 	}
 	rep := mk()
 	// a Chrome trace carries viewer fields the check does not read

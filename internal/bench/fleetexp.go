@@ -288,7 +288,7 @@ func runFleetSoak() FleetSoakResult {
 	f := pipeFleet(fleetReplicas,
 		fleet.Config{ReplicaCapacity: fleetSoakCapacity,
 			TokenSeed: 1, RetryAfter: 5 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1},
-		session.Config{IdleTimeout: -1, MaxSessions: fleetSoakSessions}, &soakHandler{})
+		session.Config{IdleTimeout: -1, MaxSessions: fleetSoakSessions}, soakHandler{})
 	coord := f.gw.Coord
 
 	start := time.Now()

@@ -1,40 +1,27 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"illixr/internal/faults"
 	"illixr/internal/netxr/netsim"
-	"illixr/internal/netxr/session"
-	"illixr/internal/netxr/wire"
-	"illixr/internal/sensors"
 )
 
 // The network experiment (-exp network) answers the edge-offload
 // question of DESIGN.md §9: how does motion-to-photon latency degrade
-// with round-trip time when the IMU integrator runs on a server? It has
-// two halves:
-//
-//   - A deterministic discrete-event sweep in virtual session time: for
-//     each link profile (loopback → regional, plus a wifi cell overlaid
-//     with the flaky-link fault scenario's outage windows), N sessions
-//     push IMU samples through real wire encode/decode and the seeded
-//     netsim delay process, poses come back the same way, and the client
-//     displays at the next 120 Hz vsync. No wall clocks are read, so the
-//     same seed produces a byte-identical report.
-//
-//   - A real concurrency soak: N goroutine-driven clients over net.Pipe
-//     against the actual session server, proving the transport under the
-//     race detector. Its scheduler-dependent observations are confined
-//     to wall_* fields, which the determinism check and
-//     NetworkReport.Check exclude.
+// with round-trip time when the IMU integrator runs on a server? It is a
+// deterministic discrete-event sweep in virtual session time: for each
+// link profile (loopback → regional, plus a wifi cell overlaid with the
+// flaky-link fault scenario's outage windows), N sessions push IMU
+// samples through real wire encode/decode and the seeded netsim delay
+// process, poses come back the same way, and the client displays at the
+// next 120 Hz vsync. No wall clocks are read, so the same seed produces a
+// byte-identical report. The real-concurrency proof of the session layer
+// (N goroutine clients over netsim.Pipe, under the race detector) is
+// session.TestMultiSessionSoak.
 const (
 	// networkVirtualSec is the simulated duration of each sweep cell.
 	networkVirtualSec = 10.0
@@ -55,8 +42,6 @@ const (
 	// 0.4 s mean drop); they are instead required to *recover*: every
 	// sample eventually delivered, zero decode errors.
 	networkQueueBound = 128
-	// networkSoakFrames is the per-client frame count of the soak half.
-	networkSoakFrames = 300
 )
 
 // MTPStats is a deterministic latency summary in milliseconds.
@@ -124,19 +109,6 @@ type NetworkCellResult struct {
 	Aggregate MTPStats               `json:"aggregate_mtp"`
 }
 
-// NetworkSoakResult is the real-concurrency half. Fields prefixed wall_
-// depend on the host scheduler and are excluded from determinism checks.
-type NetworkSoakResult struct {
-	Sessions         int     `json:"sessions"`
-	FramesPerSession int     `json:"frames_per_session"`
-	FramesReceived   uint64  `json:"frames_received"`
-	DecodeErrors     uint64  `json:"decode_errors"`
-	CleanShutdown    bool    `json:"clean_shutdown"`
-	WallMs           float64 `json:"wall_ms"`
-	WallPoseDrops    uint64  `json:"wall_pose_drops"`
-	WallBytesOut     int64   `json:"wall_bytes_out"`
-}
-
 // NetworkReport is the BENCH_network.json document.
 type NetworkReport struct {
 	Seed       int64               `json:"seed"`
@@ -147,14 +119,12 @@ type NetworkReport struct {
 	QueueBound int                 `json:"queue_bound"`
 	Note       string              `json:"note"`
 	Cells      []NetworkCellResult `json:"cells"`
-	Soak       NetworkSoakResult   `json:"soak"`
 }
 
 const networkNote = "deterministic virtual-time sweep: MTP measured at " +
 	"each 120Hz vsync as display time minus the IMU timestamp of the " +
-	"newest pose delivered over the simulated link; wall_* fields come " +
-	"from the real goroutine soak and vary run to run — everything else " +
-	"is byte-identical for a given seed (DESIGN.md §9)."
+	"newest pose delivered over the simulated link; every field is " +
+	"byte-identical for a given seed (DESIGN.md §9)."
 
 // Check is the offload gate: the server must sustain the required
 // session count with a clean wire and bounded queues.
@@ -208,92 +178,10 @@ func (rep *NetworkReport) Check() []error {
 	} else if regional <= loopback {
 		f.addf("MTP does not grow with RTT: regional %.2f ms <= loopback %.2f ms", regional, loopback)
 	}
-
-	if rep.Soak.Sessions < minSessions {
-		f.addf("soak ran %d sessions, need >= %d", rep.Soak.Sessions, minSessions)
-	}
-	wantFrames := uint64(rep.Soak.Sessions * rep.Soak.FramesPerSession)
-	if rep.Soak.FramesReceived != wantFrames {
-		f.addf("soak received %d of %d frames", rep.Soak.FramesReceived, wantFrames)
-	}
-	if rep.Soak.DecodeErrors != 0 {
-		f.addf("soak had %d decode errors", rep.Soak.DecodeErrors)
-	}
-	if !rep.Soak.CleanShutdown {
-		f.addf("soak shutdown was not clean")
-	}
 	return f
 }
 
-// soakHandler answers every IMU frame with a latest-wins pose.
-type soakHandler struct {
-	received     atomic.Uint64
-	decodeErrors atomic.Uint64
-}
-
-func (h *soakHandler) SessionStart(*session.Session) error { return nil }
-
-func (h *soakHandler) SessionFrame(s *session.Session, f wire.Frame) error {
-	if f.Type != wire.TypeIMU {
-		return nil
-	}
-	sample, err := wire.DecodeIMU(f.Payload)
-	if err != nil {
-		h.decodeErrors.Add(1)
-		return err
-	}
-	h.received.Add(1)
-	_ = s.Send(wire.Frame{Type: wire.TypePose,
-		Payload: wire.AppendPose(nil, wire.Pose{T: sample.T})}, session.LatestWins)
-	return nil
-}
-
-func (h *soakHandler) SessionEnd(*session.Session, error) {}
-
-// runNetworkSoak drives nSessions real clients over net.Pipe.
-func runNetworkSoak(nSessions int) NetworkSoakResult {
-	res := NetworkSoakResult{Sessions: nSessions, FramesPerSession: networkSoakFrames}
-	h := &soakHandler{}
-	srv := session.NewServer(session.Config{MaxSessions: nSessions}, h)
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	var drops atomic.Uint64
-	var bytesOut atomic.Int64
-	for i := 0; i < nSessions; i++ {
-		client, server := netsim.Pipe()
-		sess := srv.HandleConn(server)
-		if sess == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(conn *netsim.Conn, sess *session.Session) {
-			defer wg.Done()
-			var buf []byte
-			streamFrames(conn, wire.Hello{App: "bench", IMURateHz: networkIMUHz, CamRateHz: 15},
-				networkSoakFrames, func(j int) wire.Frame {
-					buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(j) / networkIMUHz})
-					return wire.Frame{Type: wire.TypeIMU, Payload: buf}
-				})
-			_, dropped, _, _ := sess.Stats()
-			drops.Add(dropped)
-			bytesOut.Add(conn.BytesRead())
-		}(client, sess)
-	}
-	wg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res.CleanShutdown = srv.Shutdown(ctx) == nil
-	res.FramesReceived = h.received.Load()
-	res.DecodeErrors = h.decodeErrors.Load()
-	res.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	res.WallPoseDrops = drops.Load()
-	res.WallBytesOut = bytesOut.Load()
-	return res
-}
-
-// NetworkExperiment runs the sweep and the soak and prints the
-// RTT-vs-MTP table.
+// NetworkExperiment runs the sweep and prints the RTT-vs-MTP table.
 func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, error) {
 	rep := &NetworkReport{
 		Seed:       seed,
@@ -390,12 +278,6 @@ func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, 
 			name, cell.RTTMs, cell.Aggregate.MeanMs, cell.Aggregate.P99Ms,
 			float64(repeats)/float64(nSessions)/networkVirtualSec, lost, errs)
 	}
-
-	fmt.Fprintf(w, "\nreal-concurrency soak: %d sessions x %d frames over net.Pipe\n", nSessions, networkSoakFrames)
-	rep.Soak = runNetworkSoak(nSessions)
-	fmt.Fprintf(w, "  received %d/%d frames, %d decode errors, clean shutdown %v (%.0f ms wall)\n",
-		rep.Soak.FramesReceived, uint64(nSessions*networkSoakFrames),
-		rep.Soak.DecodeErrors, rep.Soak.CleanShutdown, rep.Soak.WallMs)
 
 	return rep, nil
 }

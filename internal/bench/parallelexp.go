@@ -240,6 +240,7 @@ func measureKernel(k parallelKernel, workers, iters int) ParallelKernelResult {
 
 	// Serial pass with tile-time collection.
 	sp := parallel.New(1)
+	defer sp.Close()
 	sp.CollectTiles(true)
 	run := k.setup(sp)
 	run() // warm-up
@@ -262,6 +263,7 @@ func measureKernel(k parallelKernel, workers, iters int) ParallelKernelResult {
 
 	// Wall-clock pass with the real N-worker pool.
 	pp := parallel.New(workers)
+	defer pp.Close()
 	run = k.setup(pp)
 	run() // warm-up
 	var wallMs []float64

@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestListScheduleMakespan(t *testing.T) {
@@ -29,8 +31,17 @@ func TestListScheduleMakespan(t *testing.T) {
 }
 
 func TestParallelExperimentShape(t *testing.T) {
+	base := runtime.NumGoroutine()
 	var buf bytes.Buffer
 	rep := ParallelExperiment(&buf, 4, 1)
+	// every kernel's two pools are closed when its measurement returns (an
+	// exited goroutine leaves the count a moment after its last statement)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the experiment, %d before it: a kernel pool was left open",
+				runtime.NumGoroutine(), base)
+		}
+	}
 	if rep.Workers != 4 {
 		t.Fatalf("workers = %d, want 4", rep.Workers)
 	}

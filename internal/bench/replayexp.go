@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -139,6 +140,34 @@ func (rep *ReplayReport) Check() []error {
 	return f
 }
 
+// measureSteadyState warms the path, settles the heap, and returns the
+// heap allocations per call over iters calls on the calling goroutine. The
+// measurement runs at GOMAXPROCS=1: sync.Pool free-lists are per-P, so a
+// goroutine migrating between Ps can miss the private slot it filled one
+// call earlier — a scheduler artifact, not an allocation the path
+// performs.
+func measureSteadyState(iters int, run func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 3; i++ {
+		run() // warm pools, plan caches, and any lazily built scratch
+	}
+	runtime.GC()
+	// A GC cycle detaches every sync.Pool's per-P local array; the first
+	// use afterwards re-pins it (one-time allocations that would otherwise
+	// be charged to the first measured call). In true steady state no GC
+	// runs — that is the point — so re-warm once before measuring.
+	for i := 0; i < 2; i++ {
+		run()
+	}
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	for i := 0; i < iters; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m2)
+	return float64(m2.Mallocs-m1.Mallocs) / float64(iters)
+}
+
 // measureCaptureOverhead measures the pose frame write path into a
 // discard sink, bare and with a binlog tap recording each frame.
 func measureCaptureOverhead(frames int) (CaptureOverhead, error) {
@@ -152,7 +181,7 @@ func measureCaptureOverhead(frames int) (CaptureOverhead, error) {
 			panic(err)
 		}
 	}
-	res.BaselineAllocsPerFrame, _ = measureSteadyState(frames, baseRun)
+	res.BaselineAllocsPerFrame = measureSteadyState(frames, baseRun)
 	start := time.Now()
 	for i := 0; i < frames; i++ {
 		baseRun()
@@ -173,7 +202,7 @@ func measureCaptureOverhead(frames int) (CaptureOverhead, error) {
 			panic(err)
 		}
 	}
-	res.CaptureAllocsPerFrame, _ = measureSteadyState(frames, capRun)
+	res.CaptureAllocsPerFrame = measureSteadyState(frames, capRun)
 	start = time.Now()
 	for i := 0; i < frames; i++ {
 		capRun()

@@ -26,7 +26,6 @@ const (
 	parallelWorkers  = 4
 	parallelIters    = 5
 	networkSessions  = 8
-	memoryIters      = 64
 	fleetSessions    = 120
 	fleetObsSessions = 30
 	replayFanout     = 8
@@ -89,9 +88,6 @@ var experiments = []experiment{
 	}},
 	{name: "network", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return NetworkExperiment(w, networkSessions, o.Seed)
-	}},
-	{name: "memory", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return MemoryExperiment(w, memoryIters, o.Duration), nil
 	}},
 	{name: "fleet", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return FleetExperiment(w, fleetSessions, o.Seed)

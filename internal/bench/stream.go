@@ -76,6 +76,27 @@ func (f *pipedFleet) stop(ctx context.Context) bool {
 	return clean
 }
 
+// soakHandler is the soaks' server side: it answers every IMU frame with
+// a latest-wins pose, and a frame that does not decode ends the session.
+type soakHandler struct{}
+
+func (soakHandler) SessionStart(*session.Session) error { return nil }
+
+func (soakHandler) SessionFrame(s *session.Session, f wire.Frame) error {
+	if f.Type != wire.TypeIMU {
+		return nil
+	}
+	sample, err := wire.DecodeIMU(f.Payload)
+	if err != nil {
+		return err
+	}
+	_ = s.Send(wire.Frame{Type: wire.TypePose,
+		Payload: wire.AppendPose(nil, wire.Pose{T: sample.T})}, session.LatestWins)
+	return nil
+}
+
+func (soakHandler) SessionEnd(*session.Session, error) {}
+
 // handshake opens a hand-rolled wire client on conn: it writes hello and
 // reads the answer. ok is false when the answer is not a decodable
 // Welcome (refused with a Bye, or the conn died).

@@ -196,6 +196,7 @@ type AudioPlugin struct {
 
 	enc     *audio.Encoder
 	play    *audio.Playback
+	pool    *parallel.Pool // nil when serial; Stop closes it
 	ctx     *runtime.Context
 	tracer  *telemetry.SpanCollector
 	blocks  *telemetry.Counter
@@ -229,18 +230,21 @@ func (p *AudioPlugin) Start(ctx *runtime.Context) error {
 	p.tracer = tracerFrom(ctx)
 	reg := metricsFrom(ctx)
 	if p.Workers > 1 {
-		pool := parallel.New(p.Workers)
-		pool.Instrument(reg)
-		p.enc.SetPool(pool)
-		p.play.SetPool(pool)
+		p.pool = parallel.New(p.Workers)
+		p.pool.Instrument(reg)
+		p.enc.SetPool(p.pool)
+		p.play.SetPool(p.pool)
 	}
 	p.blocks = reg.Counter(telemetry.MetricName("audio", "blocks_total"))
 	p.blockNs = reg.Histogram(telemetry.MetricName("audio", "block_ns"))
 	return nil
 }
 
-// Stop implements runtime.Plugin.
-func (p *AudioPlugin) Stop() error { return nil }
+// Stop implements runtime.Plugin: it gives the kernel pool's helpers back.
+func (p *AudioPlugin) Stop() error {
+	p.pool.Close()
+	return nil
+}
 
 // ProcessBlock encodes and binauralizes one block at session time t,
 // publishing to the binaural topic and returning the stereo pair.

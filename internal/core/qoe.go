@@ -94,6 +94,7 @@ func evaluateQuality(cfg RunConfig, perc *perception, appProf *appProfile,
 	var pool *parallel.Pool
 	if cfg.System.Workers > 1 {
 		pool = parallel.New(cfg.System.Workers)
+		defer pool.Close()
 		pool.Instrument(cfg.Metrics)
 		warp.SetPool(pool)
 	}

@@ -12,10 +12,6 @@
 // whether its buffers are fresh or recycled. Ownership is explicit: the
 // function documented as owning a buffer is the only one that may Put it,
 // and a buffer must not be used after Put.
-//
-// SetEnabled(false) turns the package into a pass-through (Get allocates,
-// Put drops) so benchmarks can measure the unpooled baseline with the same
-// code path.
 package recycle
 
 import (
@@ -29,15 +25,6 @@ import (
 // maxBuckets covers capacities up to 2^40 elements — far beyond any frame
 // buffer; larger requests fall through to plain allocation.
 const maxBuckets = 41
-
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles recycling globally. When disabled, Get allocates a
-// fresh slice and Put is a no-op — the unpooled baseline for the memory
-// experiment. Returns the previous state.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // wrapper boxes a slice for sync.Pool storage: a *wrapper converts to
 // interface{} without allocating, unlike a raw slice header.
@@ -121,7 +108,7 @@ func (p *SlicePool[T]) Get(n int) []T {
 		return nil
 	}
 	b := getBucket(n)
-	if !enabled.Load() || b >= maxBuckets {
+	if b >= maxBuckets {
 		p.misses.Add(1)
 		p.missC.Inc()
 		return make([]T, n)
@@ -148,7 +135,7 @@ func (p *SlicePool[T]) Get(n int) []T {
 // any alias of it) afterwards. nil and zero-capacity slices are ignored.
 func (p *SlicePool[T]) Put(s []T) {
 	c := cap(s)
-	if c == 0 || !enabled.Load() {
+	if c == 0 {
 		return
 	}
 	b := putBucket(c)

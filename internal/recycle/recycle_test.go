@@ -83,26 +83,6 @@ func TestStatsAndInstrument(t *testing.T) {
 	}
 }
 
-func TestSetEnabled(t *testing.T) {
-	p := NewSlicePool[float64]("test_disable")
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	s := p.Get(16)
-	for i := range s {
-		s[i] = 7
-	}
-	p.Put(s) // dropped
-	s2 := p.Get(16)
-	for _, v := range s2 {
-		if v != 0 {
-			t.Fatal("disabled Get must return a fresh slice")
-		}
-	}
-	if st := p.Stats(); st.Hits != 0 {
-		t.Fatalf("hits = %d with recycling disabled, want 0", st.Hits)
-	}
-}
-
 func TestSteadyStateGetPutAllocsZero(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -3,10 +3,9 @@
 // that wrote it and runs that type's Check method — the assertions
 // themselves live in internal/bench, next to the structs they read.
 //
-// Usage: benchcheck <kind> <file> [baseline]
+// Usage: benchcheck <kind> <file>
 //
-// Kinds: parallel network memory fleet fleetobs replay qos scale trace.
-// Only memory takes a baseline (the checked-in BENCH_memory.json).
+// Kinds: parallel network fleet fleetobs replay qos scale trace.
 package main
 
 import (
@@ -17,15 +16,12 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 3 || len(os.Args) > 4 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck <kind> <file> [baseline]")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck <kind> <file>")
 		os.Exit(2)
 	}
-	kind, file, baseline := os.Args[1], os.Args[2], ""
-	if len(os.Args) == 4 {
-		baseline = os.Args[3]
-	}
-	failed, err := bench.CheckFile(kind, file, baseline)
+	kind, file := os.Args[1], os.Args[2]
+	failed, err := bench.CheckFile(kind, file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)

@@ -119,22 +119,20 @@ fi
 # qos:      the controller must beat the static split on MTP p99 wherever
 #   the static split misses deadlines, batching must amortize dispatch
 #   cost, faults must degrade-then-restore, and re-runs must not drift
-# scale:    the 1024-session sweep must hold MTP p99 within 2x the
-#   120-session baseline, the raw relay must stay under 0.05
-#   allocs/frame, and the admission script must fingerprint >= 1024
-#   decisions
+# scale:    the admission script must fingerprint >= 1024 decisions, and
+#   the live soak must admit all 1024 clients, lose no frame and shut
+#   down clean
 for e in parallel network fleet fleetobs replay qos scale; do
 	"$TMP/illixr-bench" -exp $e -out-dir "$TMP" >/dev/null
 	"$TMP/benchcheck" $e "$TMP/BENCH_$e.json"
 done
 
 echo "== zero-allocation regression tests"
+# the only allocation gate: every pooled hot path has a TestZeroAlloc*
+# beside it, and ./internal/... finds one a new package gains.
 # AllocsPerRun needs real allocation counts, so this pass runs without
 # -race (the tests skip themselves when the detector is compiled in)
-go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget' ./internal/runtime ./internal/netxr/session \
-	./internal/netxr/fleet ./internal/reprojection ./internal/quality \
-	./internal/hologram ./internal/audio ./internal/imgproc ./internal/dsp \
-	./internal/telemetry ./internal/render ./internal/vio ./internal/mathx >/dev/null
+go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget' ./internal/... >/dev/null
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
@@ -148,9 +146,4 @@ go test -run='^$' -bench=BenchmarkReproject320x180 -benchmem -benchtime=100ms -c
 go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
 go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
 
-echo "== memory bench + allocation gate"
-# the steady-state hot paths must stay allocation-free and must not
-# regress against the checked-in BENCH_memory.json baseline
-"$TMP/illixr-bench" -exp memory -duration 5 -out-dir "$TMP" >/dev/null
-"$TMP/benchcheck" memory "$TMP/BENCH_memory.json" BENCH_memory.json
 echo "check: OK"
