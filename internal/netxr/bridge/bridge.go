@@ -28,6 +28,7 @@ import (
 	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
+	"illixr/internal/recycle"
 	"illixr/internal/runtime"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
@@ -290,14 +291,14 @@ var _ session.Handler = (*Pipeline)(nil)
 // local runtime.
 type Client struct {
 	conn    net.Conn
-	r       *wire.Reader
+	r       *wire.Reader // the handshake's, then the downlink's; released when it exits
 	welcome wire.Welcome
 	tracer  *telemetry.SpanCollector
 	capture *binlog.Writer
 	window  *SendWindow
 
 	wmu sync.Mutex
-	w   *wire.Writer
+	w   *wire.Writer // nil once Close or the downlink's Stop has released it
 
 	mu       sync.Mutex
 	err      error
@@ -370,13 +371,16 @@ func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error
 		pongs:   map[uint64]chan wire.Ping{},
 	}
 	cap := opts.Capture
-	if err := c.write(wire.Frame{Type: wire.TypeHello, Payload: wire.AppendHello(nil, hello)}); err != nil {
-		_ = conn.Close()
+	hbuf := wire.AppendHello(recycle.Bytes.Get(128)[:0], hello)
+	err := c.write(wire.Frame{Type: wire.TypeHello, Payload: hbuf})
+	recycle.Bytes.Put(hbuf) // queue, the capture and the window copy synchronously
+	if err != nil {
+		c.abandon()
 		return nil, fmt.Errorf("bridge: hello: %w", err)
 	}
 	f, err := c.r.ReadFrame()
 	if err != nil {
-		_ = conn.Close()
+		c.abandon()
 		return nil, fmt.Errorf("bridge: awaiting welcome: %w", err)
 	}
 	if cap != nil {
@@ -386,19 +390,27 @@ func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error
 	case wire.TypeWelcome:
 		w, derr := wire.DecodeWelcome(f.Payload)
 		if derr != nil {
-			_ = conn.Close()
+			c.abandon()
 			return nil, fmt.Errorf("bridge: welcome: %w", derr)
 		}
 		c.welcome = w
 		return c, nil
 	case wire.TypeBye:
 		b, _ := wire.DecodeBye(f.Payload)
-		_ = conn.Close()
+		c.abandon()
 		return nil, &RefusedError{Bye: b}
 	default:
-		_ = conn.Close()
+		c.abandon()
 		return nil, fmt.Errorf("bridge: unexpected %v before welcome", f.Type)
 	}
+}
+
+// abandon closes the conn of a failed handshake and gives back both
+// buffers; nothing else holds the client yet.
+func (c *Client) abandon() {
+	_ = c.conn.Close()
+	c.r.Release()
+	c.w.Release()
 }
 
 // Session returns the server-assigned session id.
@@ -429,6 +441,18 @@ func (c *Client) RecvSeq() uint64 {
 func (c *Client) queue(f wire.Frame, tracked, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.queueLocked(f, tracked, flush)
+}
+
+// errWritesEnded is what a write after Close (or after the downlink's
+// Stop) gets: the writer is back in the pool and another conn may own it.
+var errWritesEnded = errors.New("bridge: client closed")
+
+// queueLocked is queue with wmu held.
+func (c *Client) queueLocked(f wire.Frame, tracked, flush bool) error {
+	if c.w == nil {
+		return errWritesEnded
+	}
 	c.w.Queue(f)
 	if c.capture != nil {
 		_ = c.capture.Record(binlog.DirUp, f)
@@ -449,7 +473,19 @@ func (c *Client) write(f wire.Frame) error { return c.queue(f, true, true) }
 func (c *Client) flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.w == nil {
+		return errWritesEnded
+	}
 	return c.w.Flush()
+}
+
+// endWritesLocked gives the writer back to the pool; every later queue
+// or flush fails with errWritesEnded. Caller holds wmu.
+func (c *Client) endWritesLocked() {
+	if c.w != nil {
+		c.w.Release()
+		c.w = nil
+	}
 }
 
 // fail records the first transport error.
@@ -475,7 +511,9 @@ func (c *Client) ByeReason() string {
 	return c.bye.Reason
 }
 
-// Close sends a Bye and closes the connection.
+// Close sends a Bye — behind whatever is still queued, in the same
+// write — ends writes and closes the connection. Nothing reaches the
+// wire after the Bye: a forwarder racing Close gets errWritesEnded.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -484,7 +522,12 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	_ = c.write(wire.Frame{Type: wire.TypeBye, Payload: wire.AppendBye(nil, wire.Bye{Reason: "client close"})})
+	bye := wire.AppendBye(recycle.Bytes.Get(64)[:0], wire.Bye{Reason: "client close"})
+	c.wmu.Lock()
+	_ = c.queueLocked(wire.Frame{Type: wire.TypeBye, Payload: bye}, true, true)
+	c.endWritesLocked()
+	c.wmu.Unlock()
+	recycle.Bytes.Put(bye)
 	return c.conn.Close()
 }
 
@@ -623,6 +666,9 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 	c := p.c
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
+		// the reader is this goroutine's alone from here on: a Client's
+		// downlink runs once, and its exit is the reader's last use
+		defer c.r.Release()
 		for {
 			f, err := c.r.ReadFrame()
 			if err != nil {
@@ -694,6 +740,10 @@ func (p *downlinkPlugin) Stop() error {
 	p.c.closed = true
 	p.c.mu.Unlock()
 	_ = p.c.conn.Close()
+	// the conn is gone, so nothing can be written any more
+	p.c.wmu.Lock()
+	p.c.endWritesLocked()
+	p.c.wmu.Unlock()
 	<-p.done
 	return nil
 }

@@ -420,6 +420,70 @@ func TestDownlinkStopLeavesNoError(t *testing.T) {
 	}
 }
 
+// Close racing the uplink forwarder: Close puts the Bye behind whatever is
+// queued and gives the writer back to the wire pool under the writer
+// lock, so the forwarder's next frame gets errWritesEnded instead of a
+// buffer another conn may own, and nothing reaches the wire after the
+// Bye. Writers reissued from the pool while the forwarder keeps going
+// give the race detector the overlap to see. Run with -race -count=50
+// (scripts/check.sh does).
+func TestCloseRacesUplinkForwarder(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		rig := newUplinkRig(t, DialOptions{}, 0)
+		stop := make(chan struct{})
+		published := make(chan struct{})
+		go func() { // the sensor keeps publishing through the Close
+			defer close(published)
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rig.publishIMU(i, i)
+			}
+		}()
+		waitCond(t, func() bool { return rig.log.len() > 4 })
+		if err := rig.cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for rig.cl.Err() == nil && time.Now().Before(deadline) {
+			w := wire.NewWriter(discard{}) // a next owner of a pooled writer
+			w.Queue(imuFrame(-1))
+			_ = w.Flush()
+			w.Release()
+		}
+		close(stop)
+		<-published
+		if err := rig.cl.Err(); !errors.Is(err, errWritesEnded) {
+			t.Fatalf("round %d: forwarder after Close: Err() = %v, want errWritesEnded", round, err)
+		}
+		<-rig.peer.done
+		fs := rig.log.snapshot()
+		for i, f := range fs {
+			if f.Type == wire.TypeBye && i != len(fs)-1 {
+				t.Fatalf("round %d: %d frames reached the wire after the Bye", round, len(fs)-1-i)
+			}
+		}
+		if last := fs[len(fs)-1]; last.Type != wire.TypeBye {
+			t.Fatalf("round %d: last frame on the wire is %v, want bye", round, last.Type)
+		}
+		// an unthrottled publisher outruns the subscription's depth, so
+		// latest-wins displaces samples: order holds, contiguity need not
+		ts := imuTimes(t, fs)
+		for i := 1; i < len(ts); i++ {
+			if ts[i] <= ts[i-1] {
+				t.Fatalf("round %d: IMU frame %d carries T=%v after %v", round, i, ts[i], ts[i-1])
+			}
+		}
+	}
+}
+
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
 // BenchmarkUplinkBurst drives 64-deep IMU bursts through the uplink
 // plugin over a loopback TCP pair and reports the end-to-end frame rate
 // and the coalescing ratio (1.0 = one syscall per frame).

@@ -132,7 +132,8 @@ var ErrNoReplica = errors.New("fleet: no replica available")
 type replica struct {
 	status Status
 	probe  LoadProbe
-	count  int // sessions placed here by this coordinator
+	count  int    // sessions placed here by this coordinator
+	node   string // flight-event name, built once (replicaNode)
 }
 
 type fleetMetrics struct {
@@ -271,17 +272,17 @@ func (c *Coordinator) AddReplica(id int, probe LoadProbe) {
 		i, _ := slices.BinarySearch(c.ids, id)
 		c.ids = slices.Insert(c.ids, i, id)
 	}
-	c.replicas[id] = &replica{status: Up, probe: probe}
+	c.replicas[id] = &replica{status: Up, probe: probe, node: replicaNode(id)}
 	c.gaugeUpLocked()
 }
 
 // SetStatus transitions a replica's lifecycle state.
 func (c *Coordinator) SetStatus(id int, st Status) {
 	c.lock()
-	changed := false
+	changed, node := false, ""
 	if r, ok := c.replicas[id]; ok && r.status != st {
 		r.status = st
-		changed = true
+		changed, node = true, r.node
 	}
 	c.gaugeUpLocked()
 	c.mu.Unlock()
@@ -293,12 +294,21 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 		case Down:
 			kind = telemetry.EventDown
 		}
-		c.cfg.Events.Record(kind, replicaNode(id), "")
+		c.cfg.Events.Record(kind, node, "")
 	}
 }
 
 // replicaNode names a replica in flight events.
 func replicaNode(id int) string { return fmt.Sprintf("replica-%d", id) }
+
+// nodeLocked is replicaNode without the formatting for a registered
+// replica. Caller holds mu.
+func (c *Coordinator) nodeLocked(id int) string {
+	if r, ok := c.replicas[id]; ok {
+		return r.node
+	}
+	return replicaNode(id)
+}
 
 // StatusOf returns a replica's state (Down for unknown ids).
 func (c *Coordinator) StatusOf(id int) Status {
@@ -401,10 +411,11 @@ func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h
 	}
 	c.records[tok] = &Record{Token: tok, Hello: h, Replica: replicaID, Epoch: 1}
 	c.decide(decAdmit, 0, replicaID, tok, 1)
+	node := c.replicas[replicaID].node
 	c.mu.Unlock()
 
 	c.m.placed.Inc()
-	c.cfg.Events.RecordAt(now, telemetry.EventAdmit, replicaNode(replicaID), fmt.Sprintf("session %d", sessionID))
+	c.cfg.Events.RecordAt(now, telemetry.EventAdmit, node, fmt.Sprintf("session %d", sessionID))
 	return wire.Welcome{Session: sessionID, ResumeToken: tok, PoseEpoch: 1}, nil
 }
 
@@ -413,11 +424,12 @@ func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h
 func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, h wire.Hello) (wire.Welcome, error) {
 	c.lock()
 	rec, ok := c.records[h.ResumeToken]
+	node := c.nodeLocked(replicaID)
 	if !ok {
 		c.decide(decRefuse, reasonUnknownToken, replicaID, h.ResumeToken, 0)
 		c.mu.Unlock()
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "unknown resume token")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, node, "unknown resume token")
 		return wire.Welcome{}, fmt.Errorf("%w: %#x", ErrUnknownToken, h.ResumeToken)
 	}
 	if err := c.validateReplicaLocked(now, replicaID, rec.Token, rec.Epoch); err != nil {
@@ -437,7 +449,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 		c.decide(decRefuse, reasonResumeBurst, replicaID, rec.Token, rec.Epoch)
 		c.mu.Unlock()
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "resume burst")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, node, "resume burst")
 		return wire.Welcome{}, &session.AdmissionError{Reason: "resume burst", RetryAfter: c.cfg.RetryAfter}
 	}
 	c.window = append(c.window, now)
@@ -462,7 +474,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 	c.mu.Unlock()
 
 	c.m.resumed.Inc()
-	c.cfg.Events.RecordAt(now, telemetry.EventResume, replicaNode(replicaID), fmt.Sprintf("epoch %d", welcome.PoseEpoch))
+	c.cfg.Events.RecordAt(now, telemetry.EventResume, node, fmt.Sprintf("epoch %d", welcome.PoseEpoch))
 	return welcome, nil
 }
 
@@ -479,14 +491,14 @@ func (c *Coordinator) validateReplicaLocked(now float64, replicaID int, token, e
 		}
 		c.decide(decRefuse, reasonReplicaGone, replicaID, token, epoch)
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "replica "+name)
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, c.nodeLocked(replicaID), "replica "+name)
 		return &session.AdmissionError{
 			Reason: fmt.Sprintf("replica %d %s", replicaID, name), RetryAfter: c.cfg.RetryAfter}
 	}
 	if sessions, _ := r.load(); sessions >= c.cfg.ReplicaCapacity {
 		c.decide(decRefuse, reasonReplicaFull, replicaID, token, epoch)
 		c.m.refused.Inc()
-		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, replicaNode(replicaID), "replica full")
+		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, r.node, "replica full")
 		return &session.AdmissionError{
 			Reason: fmt.Sprintf("replica %d full", replicaID), RetryAfter: c.cfg.RetryAfter}
 	}
@@ -518,8 +530,9 @@ func (c *Coordinator) End(token uint64) {
 	if r, live := c.replicas[rec.Replica]; live && r.count > 0 {
 		r.count--
 	}
+	node := c.nodeLocked(rec.Replica)
 	c.mu.Unlock()
-	c.cfg.Events.Record(telemetry.EventEnd, replicaNode(rec.Replica), "")
+	c.cfg.Events.Record(telemetry.EventEnd, node, "")
 }
 
 // Lookup returns a copy of a token's record.

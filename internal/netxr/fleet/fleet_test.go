@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"testing"
@@ -376,4 +378,81 @@ func TestGatewayDrainMigration(t *testing.T) {
 // wireIMU builds a minimal IMU sample for relay tests.
 func wireIMU(ts float64) sensors.IMUSample {
 	return sensors.IMUSample{T: ts}
+}
+
+// Why one resume in eight retries on session_churn (ROADMAP item 5): it
+// is the resume-burst limiter doing its job. benchmark/ runs two
+// closed-loop resumers against ResumeBurst 16 per 0.25 s window with a
+// 0.25 s Retry-After; once the window is full each resumer takes one
+// refusal, sleeps out the Retry-After — by which time the window has
+// emptied — and resumes again. So refusals per window = resumers, and
+// refusals/resumes = k/ResumeBurst: 2/16 = 0.125 (0.121–0.124 measured as
+// fleet.resume_retry_ratio). Pinned here on the real Coordinator under a
+// virtual clock, for k = 1, 2, 4.
+func TestResumeBurstRefusalRatio(t *testing.T) {
+	const (
+		burst   = 16
+		window  = 0.25 // s, the default ResumeWindowSec
+		retry   = 250 * time.Millisecond
+		windows = 100
+	)
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("resumers=%d", k), func(t *testing.T) {
+			c := NewCoordinator(Config{ReplicaCapacity: 64, ResumeBurst: burst, RetryAfter: retry, TokenSeed: 3})
+			c.AddReplica(0, nil)
+			c.AddReplica(1, nil)
+			// each resumer: its token, and when it next dials (virtual s)
+			tokens, next := make([]uint64, k), make([]float64, k)
+			for i := range tokens {
+				w, err := c.AdmitOn(0, 0, uint64(i+1), wire.Hello{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tokens[i] = w.ResumeToken
+			}
+			rng := rand.New(rand.NewPCG(uint64(k), 5))
+			var resumes, refusals int
+			sid := uint64(100)
+			for {
+				// the resumer due first dials (ties: lowest index)
+				i := 0
+				for j := range next {
+					if next[j] < next[i] {
+						i = j
+					}
+				}
+				now := next[i]
+				if now >= windows*window {
+					break
+				}
+				h := wire.Hello{ResumeToken: tokens[i]}
+				id, err := c.Pick(now, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sid++
+				_, err = c.AdmitOn(now, id, sid, h)
+				var ae *session.AdmissionError
+				switch {
+				case err == nil:
+					resumes++
+					// a resume leg: stream 16 samples, see the pose, sever
+					next[i] = now + 0.0005 + 0.002*rng.Float64()
+				case errors.As(err, &ae) && ae.Reason == "resume burst":
+					refusals++
+					next[i] = now + ae.RetryAfter.Seconds()
+				default:
+					t.Fatalf("resume refused for another reason: %v", err)
+				}
+			}
+			got, want := float64(refusals)/float64(resumes), float64(k)/burst
+			t.Logf("k=%d: %d resumes, %d refusals, ratio %.4f (k/ResumeBurst %.4f)", k, resumes, refusals, got, want)
+			if filled := refusals / k; filled < 50 {
+				t.Errorf("the window filled %d times, want >= 50", filled)
+			}
+			if math.Abs(got-want) > 0.1*want {
+				t.Errorf("refusals/resumes = %.4f, want %.4f ± 10%%", got, want)
+			}
+		})
+	}
 }

@@ -244,7 +244,11 @@ func (g *Gateway) place(now float64, h wire.Hello) (int, net.Conn, error) {
 // relay runs one client's full lifecycle on the calling goroutine.
 func (g *Gateway) relay(client net.Conn) {
 	defer func() { _ = client.Close() }()
+	// released after the relay's last read and write: the deferred calls
+	// run once both legs have returned (wg.Wait below)
 	cr, cw := wire.NewReader(client), wire.NewWriter(client)
+	defer cr.Release()
+	defer cw.Release()
 
 	// 1. client Hello
 	_ = client.SetReadDeadline(time.Now().Add(g.HandshakeTimeout))
@@ -282,6 +286,8 @@ func (g *Gateway) relay(client net.Conn) {
 	}
 	defer func() { _ = backend.Close() }()
 	br, bw := wire.NewReader(backend), wire.NewWriter(backend)
+	defer br.Release()
+	defer bw.Release()
 
 	// 3. handshake the replica with a resume-stripped Hello: the replica
 	// admits it as a brand-new session; resume is a fleet-level fiction.

@@ -1,0 +1,145 @@
+package node
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"illixr/internal/core"
+	"illixr/internal/mathx"
+	"illixr/internal/netxr/wire"
+	xruntime "illixr/internal/runtime"
+	"illixr/internal/sensors"
+	"illixr/internal/telemetry"
+	"illixr/internal/testutil"
+)
+
+// lifecycleSamples is what one lifecycle streams before it waits for the
+// covering pose — benchmark/'s session_churn phase A.
+const lifecycleSamples = 16
+
+// lifecycleRig is a replica behind a gateway on loopback TCP, and the
+// samples every lifecycle streams through them.
+type lifecycleRig struct {
+	rep     *Replica
+	gw      *Gateway
+	addr    string
+	samples []sensors.IMUSample
+	timer   *time.Timer
+}
+
+func newLifecycleRig(tb testing.TB) *lifecycleRig {
+	tb.Helper()
+	r := &lifecycleRig{rep: &Replica{}, timer: time.NewTimer(time.Hour)}
+	r.gw = &Gateway{Backends: []string{serve(tb, r.rep)}}
+	r.addr = serve(tb, r.gw)
+	for i := 0; i < lifecycleSamples; i++ {
+		t := float64(i+1) / 500
+		r.samples = append(r.samples, sensors.IMUSample{T: t,
+			Gyro: mathx.Vec3{X: 0.01 * t, Y: 0.02, Z: -0.01}, Accel: mathx.Vec3{X: 0.1, Y: 9.81, Z: 0.05 * t}})
+	}
+	tb.Cleanup(func() { r.timer.Stop() })
+	return r
+}
+
+// lifecycle is one session from connect to Bye: handshake through the
+// gateway, 16 traced IMU samples up, the pose covering the last one back,
+// Bye and teardown of the client runtime.
+func (r *lifecycleRig) lifecycle(i int) error {
+	c := &Client{Addr: r.addr, Hello: wire.Hello{App: "churn", Seed: int64(i), IMURateHz: 500, CamRateHz: 15}}
+	if err := c.Start(); err != nil {
+		return err
+	}
+	defer c.Close()
+	ctx := c.Loader.Context()
+	svc, _ := ctx.Phonebook.Lookup(telemetry.TracerService)
+	tracer := svc.(*telemetry.SpanCollector)
+	imu := ctx.Switchboard.GetTopic(xruntime.TopicIMU)
+	poses := ctx.Switchboard.GetTopic(xruntime.TopicFastPose).Subscribe(64)
+	defer poses.Cancel()
+	for _, s := range r.samples {
+		imu.Publish(xruntime.Event{T: s.T, Value: s, Trace: tracer.Emit(core.CompIMU, 0, s.T, s.T)})
+	}
+	last := r.samples[len(r.samples)-1].T
+	r.timer.Reset(5 * time.Second)
+	defer r.timer.Stop()
+	for {
+		select {
+		case ev := <-poses.C:
+			if ev.T >= last {
+				return nil
+			}
+		case <-r.timer.C:
+			return fmt.Errorf("lifecycle %d: no pose covering t=%v (transport: %v)", i, last, c.Bridge.Err())
+		}
+	}
+}
+
+// quiesce waits until the replica and the coordinator have let go of
+// every session, so a MemStats read sees whole lifecycles.
+func (r *lifecycleRig) quiesce(tb testing.TB) {
+	tb.Helper()
+	eventually(tb, "every session to end", func() bool {
+		return r.rep.Server.Len() == 0 && r.gw.Coord.Sessions(0) == 0
+	})
+}
+
+func (r *lifecycleRig) run(n, from int) error {
+	for i := from; i < from+n; i++ {
+		if err := r.lifecycle(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lifecycleAllocBudget is the heap allocations one lifecycle may make,
+// client, gateway and replica together: 200.9 measured with pooled
+// connection buffers, the index-free span store and the one-allocation
+// loader (PR 25), + 10 %. The tree before it measured 297.3.
+const lifecycleAllocBudget = 221
+
+// A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
+// connection buffers come from the wire free lists, the span collectors
+// and the plugin runtimes cost a handful of objects, not a growth curve.
+// Skipped under -race, which allocates on its own account.
+func TestSessionLifecycleAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counting is skipped under -race")
+	}
+	const warmup, measured = 50, 200
+	r := newLifecycleRig(t)
+	if err := r.run(warmup, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.quiesce(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.run(measured, warmup); err != nil {
+		t.Fatal(err)
+	}
+	r.quiesce(t)
+	runtime.ReadMemStats(&after)
+	perLife := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("%.1f allocs, %.1f KB per lifecycle", perLife, float64(after.TotalAlloc-before.TotalAlloc)/measured/1024)
+	if perLife > lifecycleAllocBudget {
+		t.Fatalf("%.1f allocs per session lifecycle, budget %d", perLife, lifecycleAllocBudget)
+	}
+}
+
+// BenchmarkSessionLifecycle prices one lifecycle end to end: allocs/op
+// and B/op count the client, the gateway and the replica together.
+func BenchmarkSessionLifecycle(b *testing.B) {
+	r := newLifecycleRig(b)
+	if err := r.run(20, 0); err != nil {
+		b.Fatal(err)
+	}
+	r.quiesce(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := r.run(b.N, 20); err != nil {
+		b.Fatal(err)
+	}
+	r.quiesce(b)
+}

@@ -48,7 +48,7 @@ func get(t *testing.T, url string) string {
 	return string(body)
 }
 
-func eventually(t *testing.T, what string, ok func() bool) {
+func eventually(t testing.TB, what string, ok func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -57,7 +57,7 @@ func eventually(t *testing.T, what string, ok func() bool) {
 	}
 }
 
-func closeCtx(t *testing.T) context.Context {
+func closeCtx(t testing.TB) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	t.Cleanup(cancel)
 	return ctx
@@ -65,7 +65,7 @@ func closeCtx(t *testing.T) context.Context {
 
 // serve starts n and serves it on a loopback port until the test ends
 // (Close is idempotent, so a test that closes earlier is fine).
-func serve(t *testing.T, n interface {
+func serve(t testing.TB, n interface {
 	Start() error
 	Serve(net.Listener) error
 	Close(context.Context) error
@@ -210,11 +210,21 @@ func TestReplica(t *testing.T) {
 			eventually(t, "the session to end", func() bool { return r.Server.Len() == 0 })
 
 			if r.QoS == nil {
-				// (with -qos the epoch loop moves gauges between the two reads)
-				endpoint := get(t, "http://"+r.DebugAddr+"/metrics?format=prometheus")
+				// (with -qos the epoch loop moves gauges between the two reads;
+				// and Server.Len reaches 0 before SessionEnd has stopped the
+				// session's VIO, so a last frame can land between them: the
+				// two renderings must agree once the registry holds still)
+				var endpoint string
 				var file bytes.Buffer
-				if err := r.WriteMetrics(&file); err != nil {
-					t.Fatal(err)
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+					endpoint = get(t, "http://"+r.DebugAddr+"/metrics?format=prometheus")
+					file.Reset()
+					if err := r.WriteMetrics(&file); err != nil {
+						t.Fatal(err)
+					}
+					if endpoint == file.String() || time.Now().After(deadline) {
+						break
+					}
 				}
 				if endpoint != file.String() {
 					t.Errorf("WriteMetrics and /metrics?format=prometheus differ:\n--- endpoint\n%s--- WriteMetrics\n%s", endpoint, file.String())

@@ -211,6 +211,7 @@ func (s *Server) HandleConn(conn net.Conn) *Session {
 				_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 				_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
 					Payload: wire.AppendBye(nil, wire.Bye{Reason: "server full", RetryAfterMs: retryMs})})
+				w.Release()
 				_ = conn.Close()
 			}()
 		} else {

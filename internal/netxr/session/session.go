@@ -305,11 +305,12 @@ func (s *Session) nextBatch(batch []wire.Frame) (out []wire.Frame, ok, terminal 
 		}
 		if s.drainReq && !s.byeSent && len(batch) < wire.FlushWindow {
 			// the queues are empty (or the batch is full — then the Bye
-			// waits for the next batch): append the terminal Bye
+			// waits for the next batch): append the terminal Bye, on a
+			// recycled payload the writer puts back like any other
 			if len(s.fifo) == 0 && len(s.slotSeq) == 0 {
 				s.byeSent = true
 				batch = append(batch, wire.Frame{Type: wire.TypeBye,
-					Payload: wire.AppendBye(nil, wire.Bye{Reason: s.byeWhy, RetryAfterMs: s.byeRetry})})
+					Payload: wire.AppendBye(recycle.Bytes.Get(64)[:0], wire.Bye{Reason: s.byeWhy, RetryAfterMs: s.byeRetry})})
 				return batch, true, true
 			}
 		}
@@ -328,6 +329,7 @@ func (s *Session) nextBatch(batch []wire.Frame) (out []wire.Frame, ok, terminal 
 func (s *Session) writeLoop(done chan<- struct{}) {
 	defer close(done)
 	w := wire.NewWriter(s.conn)
+	defer w.Release()
 	batch := make([]wire.Frame, 0, wire.FlushWindow)
 	for {
 		var ok, terminal bool
@@ -382,6 +384,7 @@ func (s *Session) drained() bool {
 // handler until the connection ends.
 func (s *Session) readLoop() error {
 	r := wire.NewReader(s.conn)
+	defer r.Release()
 	if err := s.handshake(r); err != nil {
 		return err
 	}
@@ -420,7 +423,7 @@ func (s *Session) readLoop() error {
 				s.srv.m.decodeErrors.Inc()
 				return fmt.Errorf("session %d: ping: %w", s.id, perr)
 			}
-			_ = s.Send(wire.Frame{Type: wire.TypePong, Payload: wire.AppendPing(nil, p)}, Reliable)
+			_ = s.sendScratch(wire.TypePong, wire.AppendPing(recycle.Bytes.Get(32)[:0], p))
 		case wire.TypeBye:
 			return nil
 		default:
@@ -481,8 +484,15 @@ func (s *Session) handshake(r *wire.Reader) error {
 	if welcome.Resumed {
 		s.srv.m.resumed.Inc()
 	}
-	payload := wire.AppendWelcome(nil, welcome)
-	return s.Send(wire.Frame{Type: wire.TypeWelcome, Payload: payload}, Reliable)
+	return s.sendScratch(wire.TypeWelcome, wire.AppendWelcome(recycle.Bytes.Get(128)[:0], welcome))
+}
+
+// sendScratch sends a control frame encoded into a recycled buffer and
+// gives the buffer back: Send has copied the payload by then.
+func (s *Session) sendScratch(t wire.Type, payload []byte) error {
+	err := s.Send(wire.Frame{Type: t, Payload: payload}, Reliable)
+	recycle.Bytes.Put(payload)
+	return err
 }
 
 // Info is the introspection snapshot of one live session (the /sessions

@@ -14,10 +14,10 @@ import (
 // decode and the re-encode CRC pass a Frame round trip would pay.
 //
 // Ownership: a Raw returned by ReadRaw aliases the reader's scratch and
-// is valid only until the next ReadFrame/ReadRaw on that reader. Anyone
-// who needs the bytes beyond that point must copy them before the next
-// read — Writer.QueueRaw and binlog's RecordRaw both copy synchronously,
-// so handing a Raw straight to either is safe.
+// is valid only until the next ReadFrame/ReadRaw or Release on that
+// reader. Anyone who needs the bytes beyond that point must copy them
+// before the next read — Writer.QueueRaw and binlog's RecordRaw both copy
+// synchronously, so handing a Raw straight to either is safe.
 type Raw struct {
 	Type  Type
 	Trace telemetry.SpanRef

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"illixr/internal/telemetry"
 )
@@ -201,9 +202,44 @@ const readBufSize = 8 << 10
 // outgrows it at least doubles it.
 const scratchFloor = 512
 
-// NewReader wraps r for frame decoding.
+// pooledMax bounds the scratch or pending buffer a released Reader or
+// Writer keeps: one outsized camera frame must not pin its buffer in the
+// free list for every later connection.
+const pooledMax = 64 << 10
+
+// readers and writers are the connection-buffer free lists (DESIGN.md
+// §10.1): a session lifecycle's four connection ends take their buffers
+// from here and Release gives them back, instead of growing them from
+// nothing per connection.
+var (
+	readers = sync.Pool{New: func() any {
+		return &Reader{br: bufio.NewReaderSize(nil, readBufSize), buf: make([]byte, 0, scratchFloor)}
+	}}
+	writers = sync.Pool{New: func() any {
+		return &Writer{buf: make([]byte, 0, writeBufSize)}
+	}}
+)
+
+// NewReader wraps r for frame decoding, on buffers from the free list.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, readBufSize)}
+	rd := readers.Get().(*Reader)
+	rd.br.Reset(r)
+	return rd
+}
+
+// Release gives the reader's buffers back to the free list. The owner
+// calls it exactly once, after its last read; the Reader, and every
+// payload or Raw it returned, must not be used afterwards. Unread
+// buffered bytes are discarded. An owner that never calls it leaves the
+// buffers to the GC.
+func (r *Reader) Release() {
+	r.br.Reset(nil)
+	if cap(r.buf) > pooledMax {
+		r.buf = make([]byte, 0, scratchFloor)
+	}
+	r.buf = r.buf[:0]
+	r.frames, r.bytes = 0, 0
+	readers.Put(r)
 }
 
 // Frames returns the number of frames successfully decoded.
@@ -213,8 +249,9 @@ func (r *Reader) Frames() uint64 { return r.frames }
 func (r *Reader) Bytes() uint64 { return r.bytes }
 
 // ReadFrame reads and verifies the next frame. The returned payload is
-// valid until the next ReadFrame call. io.EOF is returned only on a
-// clean frame boundary; a partial frame yields io.ErrUnexpectedEOF.
+// valid until the next ReadFrame, ReadRaw or Release call. io.EOF is
+// returned only on a clean frame boundary; a partial frame yields
+// io.ErrUnexpectedEOF.
 func (r *Reader) ReadFrame() (Frame, error) {
 	typ, trace, full, payStart, err := r.readRaw()
 	if err != nil {
@@ -319,8 +356,32 @@ type Writer struct {
 	bytes  uint64
 }
 
-// NewWriter wraps w for frame encoding.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// writeBufSize pre-sizes a Writer's pending buffer: one FlushWindow of
+// the ~148 B/frame uplink mix is ~2.4 KB, so a coalesced batch never
+// regrows it (a nil buffer doubled through its first 16 frames).
+const writeBufSize = 4 << 10
+
+// NewWriter wraps w for frame encoding, on a buffer from the free list.
+func NewWriter(w io.Writer) *Writer {
+	wr := writers.Get().(*Writer)
+	wr.w = w
+	return wr
+}
+
+// Release gives the writer's buffer back to the free list. The owner
+// calls it exactly once, after its last write; the Writer must not be
+// used afterwards. Frames queued but not flushed are discarded, never
+// written to the next owner's stream. An owner that never calls it
+// leaves the buffer to the GC.
+func (w *Writer) Release() {
+	w.w = nil
+	if cap(w.buf) > pooledMax {
+		w.buf = make([]byte, 0, writeBufSize)
+	}
+	w.buf, w.queued = w.buf[:0], 0
+	w.frames, w.bytes = 0, 0
+	writers.Put(w)
+}
 
 // Frames returns the number of frames written.
 func (w *Writer) Frames() uint64 { return w.frames }

@@ -123,3 +123,49 @@ func TestSubscribeCancelSnapshotIsolation(t *testing.T) {
 	}
 	b.Cancel()
 }
+
+// A board nobody writes makes no maps (an offload client's never does),
+// and reads as the map-backed board always did: every name Healthy, no
+// restarts, empty non-nil snapshots the caller may fill.
+func TestHealthBoardNeverWritten(t *testing.T) {
+	for name, b := range map[string]*HealthBoard{
+		"NewHealthBoard": NewHealthBoard(),
+		"NewLoader":      NewLoader().Context().Health,
+	} {
+		if got := b.Get("integrator.rk4"); got != Healthy {
+			t.Errorf("%s: Get = %v, want healthy", name, got)
+		}
+		if got := b.Restarts("integrator.rk4"); got != 0 {
+			t.Errorf("%s: Restarts = %d, want 0", name, got)
+		}
+		snap, counts := b.Snapshot(), b.RestartCounts()
+		if snap == nil || len(snap) != 0 || counts == nil || len(counts) != 0 {
+			t.Fatalf("%s: Snapshot %v, RestartCounts %v; want empty non-nil maps", name, snap, counts)
+		}
+		snap["x"], counts["x"] = Failed, 1 // copies: writing them leaves the board alone
+		if b.Get("x") != Healthy || b.Restarts("x") != 0 {
+			t.Errorf("%s: a snapshot write reached the board", name)
+		}
+		b.Set("vio", Restarting)
+		if n := b.IncrementRestart("vio"); n != 1 || b.Get("vio") != Restarting {
+			t.Errorf("%s: first writes: restarts %d, state %v", name, n, b.Get("vio"))
+		}
+	}
+}
+
+// The last Cancel on a topic leaves no subscriber slice behind, and a
+// second Cancel of the same subscription drops no one else.
+func TestCancelLastSubscriberLeavesNil(t *testing.T) {
+	topic := NewSwitchboard().GetTopic("t")
+	a, b := topic.Subscribe(1), topic.Subscribe(1)
+	a.Cancel()
+	a.Cancel()
+	if len(topic.subs) != 1 || topic.subs[0] != b {
+		t.Fatalf("after cancelling a twice: %d subscribers, want b alone", len(topic.subs))
+	}
+	b.Cancel()
+	if topic.subs != nil {
+		t.Fatalf("no subscriber left but subs = %#v, want nil", topic.subs)
+	}
+	topic.Publish(Event{T: 1}) // a publish to nobody is fine
+}

@@ -132,13 +132,23 @@ type Loader struct {
 	started []Plugin
 }
 
-// NewLoader creates a loader over a fresh context.
+// NewLoader creates a loader over a fresh context. The loader, its
+// context, switchboard, phonebook and health board are one allocation:
+// an offload session builds a runtime per client on both ends of the
+// link and drops it with the session.
 func NewLoader() *Loader {
-	return &Loader{ctx: &Context{
-		Switchboard: NewSwitchboard(),
-		Phonebook:   NewPhonebook(),
-		Health:      NewHealthBoard(),
-	}}
+	rt := &struct {
+		l  Loader
+		c  Context
+		sb Switchboard
+		pb Phonebook
+		hb HealthBoard
+	}{}
+	rt.sb.topics = map[string]*Topic{}
+	rt.pb.services = map[string]any{}
+	rt.c = Context{Switchboard: &rt.sb, Phonebook: &rt.pb, Health: &rt.hb}
+	rt.l.ctx = &rt.c
+	return &rt.l
 }
 
 // Context exposes the loader's context.

@@ -44,7 +44,9 @@ func (h Health) String() string {
 }
 
 // HealthBoard is the shared registry of plugin and stream health,
-// readable by telemetry and degradation policies.
+// readable by telemetry and degradation policies. Its maps are made on
+// first write: an unsupervised runtime (an offload client's) never
+// writes them. The zero value is an empty board.
 type HealthBoard struct {
 	mu       sync.Mutex
 	states   map[string]Health
@@ -53,9 +55,7 @@ type HealthBoard struct {
 }
 
 // NewHealthBoard creates an empty board.
-func NewHealthBoard() *HealthBoard {
-	return &HealthBoard{states: map[string]Health{}, restarts: map[string]int{}}
-}
+func NewHealthBoard() *HealthBoard { return &HealthBoard{} }
 
 // SetMetrics mirrors every health transition and restart onto a metrics
 // registry: a gauge illixr_health_<name> holding the numeric state and a
@@ -77,6 +77,9 @@ func (b *HealthBoard) Set(name string, h Health) {
 		return
 	}
 	b.mu.Lock()
+	if b.states == nil {
+		b.states = map[string]Health{}
+	}
 	b.states[name] = h
 	reg := b.metrics
 	b.mu.Unlock()
@@ -101,6 +104,9 @@ func (b *HealthBoard) IncrementRestart(name string) int {
 		return 0
 	}
 	b.mu.Lock()
+	if b.restarts == nil {
+		b.restarts = map[string]int{}
+	}
 	b.restarts[name]++
 	n := b.restarts[name]
 	reg := b.metrics

@@ -9,6 +9,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,13 +110,15 @@ type Subscription struct {
 // before C closes, so nothing ever sends on the closed channel.
 func (s *Subscription) Cancel() {
 	s.topic.mu.Lock()
-	subs := make([]*Subscription, 0, len(s.topic.subs))
-	for _, sub := range s.topic.subs {
-		if sub != s {
-			subs = append(subs, sub)
+	if i := slices.Index(s.topic.subs, s); i >= 0 {
+		// a new snapshot without s; the last subscriber leaves nil, not
+		// an empty slice allocated for nothing
+		var subs []*Subscription
+		if len(s.topic.subs) > 1 {
+			subs = slices.Concat(s.topic.subs[:i], s.topic.subs[i+1:])
 		}
+		s.topic.subs = subs
 	}
-	s.topic.subs = subs
 	s.topic.mu.Unlock()
 
 	s.life.Lock()

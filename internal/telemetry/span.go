@@ -10,8 +10,10 @@ package telemetry
 // JSON loadable in chrome://tracing or Perfetto.
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,14 +55,17 @@ const DefaultSpanCap = 1 << 18
 // cap are counted in Dropped instead of growing memory without bound.
 // All methods are nil-receiver safe so instrumented code can hold a nil
 // collector when tracing is off.
+//
+// Retained spans are stored in ascending id order — Emit draws the id
+// under the same lock that appends the span — so Get and Lineage
+// binary-search the slice and no per-span index exists (DESIGN.md §7).
 type SpanCollector struct {
-	nextID  atomic.Uint64
 	dropped atomic.Uint64
 
-	mu    sync.Mutex
-	cap   int
-	spans []Span
-	index map[SpanID]int
+	mu     sync.Mutex
+	nextID uint64 // the last id handed out
+	cap    int
+	spans  []Span
 	// slab is the block retained spans' Parents are carved from, so Emit
 	// does not heap-allocate a slice per span. The collector owns every
 	// block for its own lifetime and only ever appends to the current one;
@@ -76,12 +81,17 @@ const (
 	slabMax = 4096
 )
 
+// spanBlock is the span slice the first retained span allocates (~4.6 KB):
+// an offload lifecycle's collectors hold a few dozen spans each, which a
+// slice doubling from one element reached in seven allocations.
+const spanBlock = 64
+
 // NewSpanCollector creates a collector; cap <= 0 selects DefaultSpanCap.
 func NewSpanCollector(cap int) *SpanCollector {
 	if cap <= 0 {
 		cap = DefaultSpanCap
 	}
-	return &SpanCollector{cap: cap, index: map[SpanID]int{}}
+	return &SpanCollector{cap: cap}
 }
 
 // SetIDBase raises the collector's span/trace id allocation floor. The
@@ -93,12 +103,9 @@ func (c *SpanCollector) SetIDBase(base uint64) {
 	if c == nil {
 		return
 	}
-	for {
-		cur := c.nextID.Load()
-		if cur >= base || c.nextID.CompareAndSwap(cur, base) {
-			return
-		}
-	}
+	c.mu.Lock()
+	c.nextID = max(c.nextID, base)
+	c.mu.Unlock()
 }
 
 // Emit records one completed span and returns its ref. A zero trace
@@ -109,12 +116,13 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	if c == nil {
 		return SpanRef{}
 	}
-	id := SpanID(c.nextID.Add(1))
+	c.mu.Lock()
+	c.nextID++
+	id := SpanID(c.nextID)
 	if trace == 0 {
 		trace = TraceID(id)
 	}
 	ref := SpanRef{Trace: trace, Span: id}
-	c.mu.Lock()
 	// cap first: a dropped span must cost nothing but the counter
 	if len(c.spans) >= c.cap {
 		c.mu.Unlock()
@@ -141,7 +149,9 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 		}
 		ps = c.slab[at:len(c.slab):len(c.slab)]
 	}
-	c.index[id] = len(c.spans)
+	if c.spans == nil {
+		c.spans = make([]Span, 0, min(spanBlock, c.cap))
+	}
 	c.spans = append(c.spans, Span{ID: id, Trace: trace, Name: name, Start: start, End: end, Parents: ps})
 	c.mu.Unlock()
 	return ref
@@ -172,14 +182,19 @@ func (c *SpanCollector) Get(id SpanID) (Span, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.index[id]
+	i, ok := c.find(id)
 	if !ok {
 		return Span{}, false
 	}
 	return c.spans[i], true
 }
 
-// Spans returns a copy of every retained span in emission order.
+// find binary-searches the id-ordered spans. Caller holds mu.
+func (c *SpanCollector) find(id SpanID) (int, bool) {
+	return slices.BinarySearchFunc(c.spans, id, func(s Span, id SpanID) int { return cmp.Compare(s.ID, id) })
+}
+
+// Spans returns a copy of every retained span in emission (= id) order.
 func (c *SpanCollector) Spans() []Span {
 	if c == nil {
 		return nil
@@ -227,7 +242,7 @@ func (c *SpanCollector) Lineage(id SpanID) []Span {
 			continue
 		}
 		seen[cur] = true
-		i, ok := c.index[cur]
+		i, ok := c.find(cur)
 		if !ok {
 			continue
 		}

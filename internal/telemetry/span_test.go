@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"illixr/internal/testutil"
@@ -163,7 +166,7 @@ func TestZeroAllocSpanEmitAtCap(t *testing.T) {
 }
 
 // Below the cap the only allocations are the geometric growth of the
-// span slice, its index and the slab blocks.
+// span slice and the slab blocks.
 func TestZeroAllocSpanEmitAmortised(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counting is skipped under -race")
@@ -180,6 +183,116 @@ func TestZeroAllocSpanEmitAmortised(t *testing.T) {
 	}
 	if perEmit > 0.01 {
 		t.Fatalf("%.4f allocs/Emit below the cap, want <= 0.01", perEmit)
+	}
+}
+
+// Concurrent emitters: the id is drawn under the lock that appends the
+// span, so the store stays in ascending id order — the order Get and
+// Lineage binary-search — and both answer exactly what a map kept beside
+// the collector says. Run with -race -count=20 (scripts/check.sh does).
+func TestConcurrentEmitKeepsIDOrder(t *testing.T) {
+	const workers, perWorker = 8, 10_000
+	c := NewSpanCollector(0)
+	c.SetIDBase(1 << 40) // a raised floor, as the offload ends use
+	roots := make([]SpanID, 16)
+	for i := range roots {
+		roots[i] = c.Emit("root", 0, 0, 1).Span
+	}
+	type rec struct {
+		id      SpanID
+		parents []SpanID
+	}
+	out := make([][]rec, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 7))
+			own := out[w][:0]
+			pick := func() SpanID { // a root, an earlier span of ours, or none
+				switch k := rng.IntN(4); {
+				case k == 0 || len(own) == 0:
+					return roots[rng.IntN(len(roots))]
+				case k == 3:
+					return 0
+				default:
+					return own[rng.IntN(len(own))].id
+				}
+			}
+			for i := 0; i < perWorker; i++ {
+				ps := make([]SpanID, rng.IntN(3))
+				for j := range ps {
+					ps[j] = pick()
+				}
+				ref := c.Emit("s", 1, float64(i), float64(i), ps...)
+				own = append(own, rec{ref.Span, ps})
+			}
+			out[w] = own
+		}()
+	}
+	wg.Wait()
+
+	parents := map[SpanID][]SpanID{}
+	for _, r := range roots {
+		parents[r] = nil
+	}
+	for _, own := range out {
+		for _, r := range own {
+			var kept []SpanID
+			for _, p := range r.parents {
+				if p != 0 {
+					kept = append(kept, p)
+				}
+			}
+			parents[r.id] = kept
+		}
+	}
+	spans := c.Spans()
+	if len(spans) != len(parents) {
+		t.Fatalf("%d spans retained, %d emitted", len(spans), len(parents))
+	}
+	for i := 1; i < len(spans); i++ {
+		if spans[i].ID <= spans[i-1].ID {
+			t.Fatalf("spans[%d].ID %d after %d: not ascending", i, spans[i].ID, spans[i-1].ID)
+		}
+	}
+	for id, ps := range parents {
+		sp, ok := c.Get(id)
+		if !ok || sp.ID != id || !slices.Equal(sp.Parents, ps) {
+			t.Fatalf("Get(%d) = %+v, %v; want parents %v", id, sp, ok, ps)
+		}
+	}
+	if _, ok := c.Get(1); ok {
+		t.Fatal("Get found an id below the floor")
+	}
+
+	// the reference walk: the same breadth-first order over the map
+	lineage := func(id SpanID) []SpanID {
+		var ids []SpanID
+		seen := map[SpanID]bool{}
+		for queue := []SpanID{id}; len(queue) > 0; queue = queue[1:] {
+			cur := queue[0]
+			if seen[cur] {
+				continue
+			}
+			seen[cur] = true
+			ids = append(ids, cur)
+			queue = append(queue, parents[cur]...)
+		}
+		return ids
+	}
+	rng := rand.New(rand.NewPCG(99, 1))
+	for n := 0; n < 500; n++ {
+		own := out[rng.IntN(workers)]
+		id := own[rng.IntN(len(own))].id
+		var got []SpanID
+		for _, sp := range c.Lineage(id) {
+			got = append(got, sp.ID)
+		}
+		if want := lineage(id); !slices.Equal(got, want) {
+			t.Fatalf("Lineage(%d) = %v, reference %v", id, got, want)
+		}
 	}
 }
 

@@ -30,6 +30,14 @@ echo "== go test -race ./..."
 go test -race -timeout 60m ./...
 # the downlink stop/reader ordering is a narrow window: many rounds
 go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge >/dev/null
+# pooled connection buffers: a released reader or writer reissued to the
+# next conn carries nothing over, and Close racing the uplink forwarder
+# must end its writes before the writer goes back to the pool
+go test -race -count=50 -run 'TestReaderReleaseReissueReadsOnlyTheNewConn|TestWriterReleaseDropsQueuedFrames' ./internal/netxr/wire >/dev/null
+go test -race -count=50 -run TestCloseRacesUplinkForwarder ./internal/netxr/bridge >/dev/null
+# the span store is id-ordered with no index: concurrent emitters must
+# keep it so, or Get and Lineage miss spans
+go test -race -count=20 -run TestConcurrentEmitKeepsIDOrder ./internal/telemetry >/dev/null
 # so are admission racing teardown and the registry's ack/end storm
 go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session >/dev/null
 go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
@@ -132,13 +140,14 @@ echo "== zero-allocation regression tests"
 # beside it, and ./internal/... finds one a new package gains.
 # AllocsPerRun needs real allocation counts, so this pass runs without
 # -race (the tests skip themselves when the detector is compiled in)
-go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget' ./internal/... >/dev/null
+go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget' ./internal/... >/dev/null
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
 go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime >/dev/null
 go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
+go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./internal/netxr/node >/dev/null
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
