@@ -10,17 +10,13 @@ import (
 	"io"
 	"testing"
 
-	"illixr/internal/audio"
 	"illixr/internal/bench"
 	"illixr/internal/core"
 	"illixr/internal/eyetrack"
 	"illixr/internal/hologram"
-	"illixr/internal/imgproc"
-	"illixr/internal/mathx"
 	"illixr/internal/perfmodel"
 	"illixr/internal/reconstruct"
 	"illixr/internal/render"
-	"illixr/internal/reprojection"
 	"illixr/internal/sensors"
 )
 
@@ -105,7 +101,10 @@ func BenchmarkTable5ImageQuality_DesktopSponza(b *testing.B) {
 
 // ---- standalone component workloads (Tables VI-VII) --------------------
 // Table VI's VIO row and the §V-E fast-parameter ablation live with their
-// package: BenchmarkVIORun/{default,fast} in internal/vio.
+// package: BenchmarkVIORun/{default,fast} in internal/vio. So do Table
+// VII's reprojection (BenchmarkReproject1280x720) and audio rows
+// (BenchmarkEncodeBlock, BenchmarkPlaybackBlock in internal/audio) and the
+// application frame (BenchmarkRenderSponza in internal/render).
 
 func BenchmarkTable6Recon_Frame(b *testing.B) {
 	cam := sensors.CameraModel{Width: 80, Height: 60, Fx: 40, Fy: 40, Cx: 40, Cy: 30}
@@ -121,21 +120,6 @@ func BenchmarkTable6Recon_Frame(b *testing.B) {
 	}
 }
 
-func BenchmarkTable7Reprojection_720p(b *testing.B) {
-	src := imgproc.NewRGB(1280, 720)
-	for i := range src.Pix {
-		src.Pix[i] = float32(i%255) / 255
-	}
-	warp := reprojection.New(reprojection.DefaultParams())
-	renderPose := mathx.PoseIdentity()
-	fresh := mathx.Pose{Rot: mathx.QuatFromAxisAngle(mathx.Vec3{Y: 1}, 0.02)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		warp.Reproject(src, renderPose, fresh)
-	}
-}
-
 func BenchmarkTable7Hologram_GSW(b *testing.B) {
 	p := hologram.DefaultParams()
 	p.Width, p.Height = 128, 128
@@ -148,31 +132,6 @@ func BenchmarkTable7Hologram_GSW(b *testing.B) {
 	}
 }
 
-func BenchmarkTable7AudioEncoding_Block(b *testing.B) {
-	srcs := []audio.Source{
-		audio.SpeechLikeSource("a", 48000, 1, audio.DirectionFromAzEl(0.5, 0), 1),
-		audio.SineSource("b", 440, 48000, 1, audio.DirectionFromAzEl(-0.5, 0.2)),
-	}
-	enc := audio.NewEncoder(2, 1024, srcs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.EncodeBlock()
-	}
-}
-
-func BenchmarkTable7AudioPlayback_Block(b *testing.B) {
-	srcs := []audio.Source{audio.SineSource("a", 440, 48000, 1, audio.DirectionFromAzEl(0.5, 0))}
-	enc := audio.NewEncoder(2, 1024, srcs)
-	play := audio.NewPlayback(2, 1024, 48000)
-	pose := mathx.PoseIdentity()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		play.Process(enc.EncodeBlock(), pose)
-	}
-}
-
 func BenchmarkEyeTracking_Inference(b *testing.B) {
 	tr := eyetrack.NewTracker()
 	img := eyetrack.SynthEyeImage(160, 120, 0.1, 0, 0.02, 1)
@@ -180,19 +139,5 @@ func BenchmarkEyeTracking_Inference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Track(img.Img)
-	}
-}
-
-func BenchmarkApplication_SponzaFrame(b *testing.B) {
-	scene := render.BuildScene(render.AppSponza, 42)
-	r := render.NewRenderer(256, 144)
-	pose := mathx.Pose{
-		Pos: mathx.Vec3{X: 2, Z: 1.6},
-		Rot: mathx.QuatFromAxisAngle(mathx.Vec3{Z: 1}, 1.57),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RenderFrame(scene, pose, float64(i)*0.01)
 	}
 }

@@ -24,3 +24,32 @@ func TestZeroAllocAudioBlock(t *testing.T) {
 		_, _ = play.Process(field, pose)
 	})
 }
+
+// BenchmarkEncodeBlock is Table VII's audio-encoding task: one 1024-sample
+// second-order block from two sources.
+func BenchmarkEncodeBlock(b *testing.B) {
+	srcs := []Source{
+		SpeechLikeSource("a", 48000, 1, DirectionFromAzEl(0.5, 0), 1),
+		SineSource("b", 440, 48000, 1, DirectionFromAzEl(-0.5, 0.2)),
+	}
+	enc := NewEncoder(2, 1024, srcs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.EncodeBlock()
+	}
+}
+
+// BenchmarkPlaybackBlock is Table VII's audio-playback task: filter,
+// rotate, zoom and binauralize one 1024-sample second-order block.
+func BenchmarkPlaybackBlock(b *testing.B) {
+	srcs := []Source{SineSource("a", 440, 48000, 1, DirectionFromAzEl(0.5, 0))}
+	enc := NewEncoder(2, 1024, srcs)
+	play := NewPlayback(2, 1024, 48000)
+	pose := mathx.PoseIdentity()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		play.Process(enc.EncodeBlock(), pose)
+	}
+}

@@ -127,8 +127,7 @@ func NewPlayback(order, blockSize int, sampleRate float64) *Playback {
 					spk[i] += g * row[i]
 				}
 			}
-			p.ls[s] = p.hrtfL[s].Process(spk)
-			p.rs[s] = p.hrtfR[s].Process(spk)
+			p.ls[s], p.rs[s] = dsp.ProcessPair(p.hrtfL[s], p.hrtfR[s], spk)
 		}
 	}
 	return p

@@ -101,6 +101,27 @@ func (o *OverlapAdd) BlockSize() int { return o.blockSize }
 // Process call on the same OverlapAdd — copy it out if it must outlive
 // that (DESIGN.md §10). block may alias a previous return value.
 func (o *OverlapAdd) Process(block []float64) []float64 {
+	o.transform(block)
+	return o.finish()
+}
+
+// ProcessPair is a.Process(block) and b.Process(block) with one forward
+// FFT: the block's spectrum is the same for both convolvers, so it is
+// computed in a's scratch and copied to b's. Both must share the block and
+// FFT size (two HRTF ears of one speaker do). The outputs are bit-identical
+// to two Process calls and follow the same ownership rule.
+func ProcessPair(a, b *OverlapAdd, block []float64) (outA, outB []float64) {
+	if a.blockSize != b.blockSize || a.fftSize != b.fftSize {
+		panic("dsp: ProcessPair convolvers differ in block or FFT size")
+	}
+	a.transform(block)
+	copy(b.buf, a.buf)
+	return a.finish(), b.finish()
+}
+
+// transform loads one zero-padded block into the scratch spectrum and
+// FFTs it.
+func (o *OverlapAdd) transform(block []float64) {
 	if len(block) != o.blockSize {
 		panic("dsp: OverlapAdd block size mismatch")
 	}
@@ -112,6 +133,11 @@ func (o *OverlapAdd) Process(block []float64) []float64 {
 		}
 	}
 	FFT(o.buf)
+}
+
+// finish multiplies the scratch spectrum by the kernel's, transforms back,
+// adds the carried tail and carries the new one.
+func (o *OverlapAdd) finish() []float64 {
 	for i := range o.buf {
 		o.buf[i] *= o.kernelSpec[i]
 	}

@@ -159,6 +159,39 @@ func TestOverlapAddMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestProcessPairMatchesProcess: one shared forward FFT finishes both
+// convolvers exactly as two Process calls do, bit for bit, over 64 blocks
+// whose tails carry from block to block.
+func TestProcessPairMatchesProcess(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kernel := func() []float64 {
+		h := make([]float64, 64)
+		for i := range h {
+			h[i] = rng.NormFloat64()
+		}
+		return h
+	}
+	ka, kb := kernel(), kernel()
+	const block = 256
+	pairA, pairB := NewOverlapAdd(ka, block), NewOverlapAdd(kb, block)
+	refA, refB := NewOverlapAdd(ka, block), NewOverlapAdd(kb, block)
+	in := make([]float64, block)
+	for n := 0; n < 64; n++ {
+		for i := range in {
+			in[i] = rng.NormFloat64()
+		}
+		gotA, gotB := ProcessPair(pairA, pairB, in)
+		wantA, wantB := refA.Process(in), refB.Process(in)
+		for i := range in {
+			if math.Float64bits(gotA[i]) != math.Float64bits(wantA[i]) ||
+				math.Float64bits(gotB[i]) != math.Float64bits(wantB[i]) {
+				t.Fatalf("block %d sample %d: pair (%v, %v), Process (%v, %v)",
+					n, i, gotA[i], gotB[i], wantA[i], wantB[i])
+			}
+		}
+	}
+}
+
 func TestOverlapAddReset(t *testing.T) {
 	kernel := []float64{1, 0.5, 0.25}
 	ola := NewOverlapAdd(kernel, 8)

@@ -102,16 +102,20 @@ func TestDeterminismRender(t *testing.T) {
 	}
 }
 
-// TestZeroAllocRenderFrame pins a steady-state frame at zero allocations:
-// the clip-vertex, triangle, light and band-counter buffers are the
-// Renderer's and are reused.
+// TestZeroAllocRenderFrame pins a steady-state frame of every app at zero
+// allocations: the clip-vertex, triangle, light and band-counter buffers
+// are the Renderer's and are reused, and the animated scenes (Platformer's
+// enemies, the AR demo's ball) re-pose their meshes in place.
 func TestZeroAllocRenderFrame(t *testing.T) {
-	s := BuildScene(AppSponza, 42)
-	r := NewRenderer(160, 90)
-	pose := loopPose(0)
-	testutil.MustZeroAllocs(t, "Renderer.RenderFrame", func() {
-		r.RenderFrame(s, pose, 0)
-	})
+	for _, app := range AllApps {
+		s := BuildScene(app, 42)
+		r := NewRenderer(160, 90)
+		tm := 0.0
+		testutil.MustZeroAllocs(t, string(app)+" Renderer.RenderFrame", func() {
+			tm += 1.0 / 120
+			r.RenderFrame(s, loopPose(tm), tm)
+		})
+	}
 }
 
 // BenchmarkRenderSponza is the live pipeline's application frame: Sponza at

@@ -19,9 +19,21 @@ type Vertex struct {
 }
 
 // Mesh is an indexed triangle mesh.
+//
+// Every constructor (Box, Sphere, Plane, Column, Transform, TransformInto)
+// records a bounding sphere of the vertices it writes, and the renderer
+// skips a whole instance whose sphere cannot put a triangle on screen. A
+// Mesh built as a literal has no bound and is never skipped; code that
+// edits Vertices in place must rewrite them through TransformInto, which
+// refreshes the bound, or the stale bound may hide geometry. The bound is
+// computed eagerly, never on first use, so renderers may share a scene.
 type Mesh struct {
 	Vertices  []Vertex
 	Triangles [][3]int
+
+	center  mathx.Vec3 // bounding-sphere centre, valid when bounded
+	radius  float64
+	bounded bool
 }
 
 // TriangleCount returns the number of triangles.
@@ -30,18 +42,47 @@ func (m *Mesh) TriangleCount() int { return len(m.Triangles) }
 // Transform returns a copy of the mesh with positions and normals mapped
 // through the pose and scaled.
 func (m *Mesh) Transform(pose mathx.Pose, scale mathx.Vec3) *Mesh {
-	out := &Mesh{
-		Vertices:  make([]Vertex, len(m.Vertices)),
-		Triangles: m.Triangles,
+	out := &Mesh{}
+	m.TransformInto(out, pose, scale)
+	return out
+}
+
+// TransformInto is Transform writing into dst: it rewrites dst.Vertices
+// (reusing their storage), shares m's triangles and refreshes dst's bound.
+// An animated instance re-posed every frame this way allocates nothing.
+func (m *Mesh) TransformInto(dst *Mesh, pose mathx.Pose, scale mathx.Vec3) {
+	if cap(dst.Vertices) < len(m.Vertices) {
+		dst.Vertices = make([]Vertex, len(m.Vertices))
 	}
+	dst.Vertices = dst.Vertices[:len(m.Vertices)]
+	dst.Triangles = m.Triangles
 	for i, v := range m.Vertices {
 		p := mathx.Vec3{X: v.Pos.X * scale.X, Y: v.Pos.Y * scale.Y, Z: v.Pos.Z * scale.Z}
-		out.Vertices[i] = Vertex{
+		dst.Vertices[i] = Vertex{
 			Pos:    pose.Apply(p),
 			Normal: pose.ApplyDir(v.Normal).Normalized(),
 		}
 	}
-	return out
+	dst.bound()
+}
+
+// bound records a sphere around the vertices: centred on their bounding
+// box, with the largest vertex distance as radius.
+func (m *Mesh) bound() {
+	m.center, m.radius, m.bounded = mathx.Vec3{}, 0, true
+	if len(m.Vertices) == 0 {
+		return
+	}
+	lo, hi := m.Vertices[0].Pos, m.Vertices[0].Pos
+	for i := range m.Vertices {
+		p := m.Vertices[i].Pos
+		lo = mathx.Vec3{X: math.Min(lo.X, p.X), Y: math.Min(lo.Y, p.Y), Z: math.Min(lo.Z, p.Z)}
+		hi = mathx.Vec3{X: math.Max(hi.X, p.X), Y: math.Max(hi.Y, p.Y), Z: math.Max(hi.Z, p.Z)}
+	}
+	m.center = lo.Add(hi).Scale(0.5)
+	for i := range m.Vertices {
+		m.radius = math.Max(m.radius, m.Vertices[i].Pos.Sub(m.center).Norm())
+	}
 }
 
 // Box builds a unit cube centered at the origin with per-face normals.
@@ -69,6 +110,7 @@ func Box() *Mesh {
 			[3]int{base, base + 1, base + 2},
 			[3]int{base, base + 2, base + 3})
 	}
+	m.bound()
 	return m
 }
 
@@ -103,6 +145,7 @@ func Sphere(stacks, slices int) *Mesh {
 			m.Triangles = append(m.Triangles, [3]int{a, c, b}, [3]int{b, c, d})
 		}
 	}
+	m.bound()
 	return m
 }
 
@@ -133,6 +176,7 @@ func Plane(subdiv int) *Mesh {
 			m.Triangles = append(m.Triangles, [3]int{a, c, b}, [3]int{b, c, d})
 		}
 	}
+	m.bound()
 	return m
 }
 
@@ -155,5 +199,6 @@ func Column(segments int) *Mesh {
 			[3]int{a, a + 2, a + 1},
 			[3]int{a + 1, a + 2, a + 3})
 	}
+	m.bound()
 	return m
 }

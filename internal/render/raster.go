@@ -95,6 +95,7 @@ type Renderer struct {
 	// so that a steady-state RenderFrame allocates nothing (DESIGN.md §10).
 	verts     []screenVert // projected vertices of the instance being set up
 	tris      []setupTri   // this frame's triangles, in submission order
+	cull      [5]cullPlane // this frame's instance-skip half-spaces
 	lights    []frameLight
 	ambient   float32
 	bandStats []bandCount // one per band of the framebuffer
@@ -141,16 +142,7 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 		s.Update(s, t)
 		r.Stats.PhysicsOps += s.PhysicsCost
 	}
-	view := viewFromPose(pose)
-	proj := mathx.Perspective(r.FovY, float64(r.W)/float64(r.H), r.Near, r.Far)
-	vp := proj.Mul(view)
-	r.tris = r.tris[:0]
-	for _, inst := range s.Instances {
-		r.setUpMesh(inst, vp)
-	}
-	r.Stats.TrianglesRasterized += len(r.tris)
-	r.setUpLights(s)
-
+	r.setUp(s, pose)
 	r.pool.ForTiles("render", r.H, rasterBandRows, r.bandFn)
 	for _, b := range r.bandStats {
 		r.Stats.FragmentsShaded += b.fragments
@@ -161,6 +153,80 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 
 // Framebuffer returns the last rendered image.
 func (r *Renderer) Framebuffer() *imgproc.RGB { return r.color }
+
+// setUp is the serial pass: it turns the scene, as posed now, into this
+// frame's triangle list and light constants.
+func (r *Renderer) setUp(s *Scene, pose mathx.Pose) {
+	view := viewFromPose(pose)
+	proj := mathx.Perspective(r.FovY, float64(r.W)/float64(r.H), r.Near, r.Far)
+	vp := proj.Mul(view)
+	r.setUpCull(vp)
+	r.tris = r.tris[:0]
+	for _, inst := range s.Instances {
+		r.setUpMesh(inst, vp)
+	}
+	r.Stats.TrianglesRasterized += len(r.tris)
+	r.setUpLights(s)
+}
+
+// cullPlane is a world-space half-space n·p + d >= 0 holding every point
+// that could still land a triangle vertex on screen.
+type cullPlane struct {
+	n    mathx.Vec3
+	d    float64
+	norm float64 // |n|, so a sphere test is one dot product
+}
+
+// cullMarginPx widens the side planes past the framebuffer. The bounding-
+// box clip keeps a triangle whose vertices all sit within 1 px outside an
+// edge (floor/ceil round them onto it), so a skip needs more than that.
+const cullMarginPx = 2
+
+// cullSlack absorbs the rounding of the plane and bound arithmetic, which is
+// some 1e-14 at room scale.
+const cullSlack = 1e-9
+
+// setUpCull derives the frame's skip planes from the clip rows of vp: the
+// near plane (clip w >= Near) and four side planes at cullMarginPx outside
+// the framebuffer (|clip x| <= kx·w, |clip y| <= ky·w).
+func (r *Renderer) setUpCull(vp mathx.Mat4) {
+	kx := 1 + 2*cullMarginPx/float64(r.W)
+	ky := 1 + 2*cullMarginPx/float64(r.H)
+	plane := func(x, y, w, d float64) cullPlane {
+		// the combination x·rowX + y·rowY + w·rowW of vp's clip rows
+		n := mathx.Vec3{
+			X: x*vp[0] + y*vp[4] + w*vp[12],
+			Y: x*vp[1] + y*vp[5] + w*vp[13],
+			Z: x*vp[2] + y*vp[6] + w*vp[14],
+		}
+		return cullPlane{n: n, d: x*vp[3] + y*vp[7] + w*vp[15] + d, norm: n.Norm()}
+	}
+	r.cull = [5]cullPlane{
+		plane(0, 0, 1, -r.Near),
+		plane(1, 0, kx, 0),
+		plane(-1, 0, kx, 0),
+		plane(0, 1, ky, 0),
+		plane(0, -1, ky, 0),
+	}
+}
+
+// skips reports whether no triangle of m can survive set-up: its bounding
+// sphere lies wholly behind the near plane, or wholly outside one side
+// plane, where any vertex in front of the near plane projects more than
+// cullMarginPx off screen. A triangle needs all three vertices in front of
+// the near plane, so either way the triangle loop would keep nothing.
+func (r *Renderer) skips(m *Mesh) bool {
+	if !m.bounded {
+		return false
+	}
+	for i := range r.cull {
+		c := &r.cull[i]
+		if c.n.Dot(m.center)+c.d < -(c.norm*m.radius + cullSlack) {
+			return true
+		}
+	}
+	return false
+}
 
 // setupTri is one triangle that survived the near-plane reject, the
 // backface cull and the bounding-box clip, ready to rasterize.
@@ -209,6 +275,9 @@ type screenVert struct {
 func (r *Renderer) setUpMesh(inst *Instance, vp mathx.Mat4) {
 	mesh := inst.Mesh
 	r.Stats.TrianglesSubmitted += len(mesh.Triangles)
+	if r.skips(mesh) {
+		return
+	}
 	// project every vertex once, however many triangles share it
 	if cap(r.verts) < len(mesh.Vertices) {
 		r.verts = make([]screenVert, len(mesh.Vertices))
@@ -381,7 +450,7 @@ func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
 		}
 		ndh := mathx.Clamp(n.Dot(l.half), 0, 1)
 		if m.Model == ShadeBlinnPhong {
-			spec := float32(math.Pow(ndh, 32))
+			spec := float32(pow32(ndh))
 			col[0] += 0.3 * spec * l.color[0]
 			col[1] += 0.3 * spec * l.color[1]
 			col[2] += 0.3 * spec * l.color[2]
@@ -394,7 +463,7 @@ func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
 		denom := ndh*ndh*(a2-1) + 1
 		d := a2 / (math.Pi * denom * denom)
 		f0 := 0.04 + 0.96*m.Metallic
-		fres := f0 + (1-f0)*math.Pow(1-ndh, 5)
+		fres := f0 + (1-f0)*pow5(1-ndh)
 		// subsurface-ish wrap term
 		wrap := (lam + 0.3) / 1.3
 		spec := float32(d * fres * 0.25)
@@ -408,4 +477,24 @@ func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
 		}
 	}
 	return col
+}
+
+// pow32 is math.Pow(x, 32) by five squarings. For an integer exponent Pow
+// squares the Frexp mantissa with exact power-of-two renormalisation, so
+// the two agree bit for bit wherever x³² is normal; where it is not, both
+// round to 0 in shade's float32 conversion.
+func pow32(x float64) float64 {
+	x *= x
+	x *= x
+	x *= x
+	x *= x
+	return x * x
+}
+
+// pow5 is math.Pow(x, 5) in Pow's own multiplication order, x·(x²)²:
+// bit-identical wherever the result is normal, which it is for 1-ndh
+// (0 or at least 2⁻⁵³).
+func pow5(x float64) float64 {
+	x2 := x * x
+	return x * (x2 * x2)
 }

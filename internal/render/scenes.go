@@ -227,7 +227,7 @@ func buildPlatformer(seed int64) *Scene {
 			p := e.base
 			p.X += 0.8 * math.Cos(t*1.3+e.phase)
 			p.Y += 0.8 * math.Sin(t*0.9+e.phase)
-			e.inst.Mesh = proto.Transform(at(p.X, p.Y, p.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4})
+			proto.TransformInto(e.inst.Mesh, at(p.X, p.Y, p.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4})
 		}
 	}
 	return s
@@ -271,7 +271,7 @@ func buildARDemo(seed int64) *Scene {
 		z := 0.4 + math.Abs(math.Sin(t*2.5))*1.1
 		x := 1 + 0.8*math.Cos(t*0.7)
 		y := 1 + 0.8*math.Sin(t*0.7)
-		ball.Mesh = proto.Transform(at(x, y, z), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25})
+		proto.TransformInto(ball.Mesh, at(x, y, z), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25})
 	}
 	_ = seed
 	return s

@@ -39,3 +39,23 @@ func BenchmarkReproject320x180(b *testing.B) {
 		imgproc.PutRGB(r.Reproject(src, renderPose, freshPose))
 	}
 }
+
+// BenchmarkReproject1280x720 is Table VII's reprojection workload: one
+// 720p frame on the serial path.
+func BenchmarkReproject1280x720(b *testing.B) {
+	src := imgproc.NewRGB(1280, 720)
+	for i := range src.Pix {
+		src.Pix[i] = float32(i%255) / 255
+	}
+	warp := New(DefaultParams())
+	renderPose := mathx.PoseIdentity()
+	fresh := mathx.Pose{Rot: mathx.QuatFromAxisAngle(mathx.Vec3{Y: 1}, 0.02)}
+	// at -benchtime=100ms this runs a couple of frames: build the x-blend
+	// table and pool the output before timing, so ns/op is a steady frame
+	imgproc.PutRGB(warp.Reproject(src, renderPose, fresh))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imgproc.PutRGB(warp.Reproject(src, renderPose, fresh))
+	}
+}

@@ -72,3 +72,27 @@ func TestDeterminismReproject(t *testing.T) {
 		}
 	}
 }
+
+// TestWidthChangeMatchesFresh drives one Reprojector through source widths
+// 160 → 320 → 160, rotational and translational: each frame must equal, bit
+// for bit, a fresh Reprojector's, so the x-blend table is rebuilt (and
+// reused in place) whenever the width changes.
+func TestWidthChangeMatchesFresh(t *testing.T) {
+	renderPose, freshPose := testPoses()
+	for _, translational := range []bool{false, true} {
+		p := DefaultParams()
+		p.Translational = translational
+		warp := New(p)
+		for _, w := range []int{160, 320, 160} {
+			src := testFrame(w, w*9/16)
+			got := warp.Reproject(src, renderPose, freshPose)
+			want := New(p).Reproject(src, renderPose, freshPose)
+			for i := range got.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Fatalf("translational=%v width %d: pixel %d is %v, fresh Reprojector %v",
+						translational, w, i, got.Pix[i], want.Pix[i])
+				}
+			}
+		}
+	}
+}

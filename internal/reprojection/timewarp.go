@@ -90,6 +90,14 @@ type Reprojector struct {
 	warpTanHalf float64
 	warpAspect  float64
 	warpFn      func(lo, hi int)
+
+	// xblend is the pose-independent half of the mesh interpolation at
+	// source width xblendW: entry ((j·W + px)·3 + c)·2 + k holds
+	// v0·(1-ax) + v1·ax, coordinate k of channel c's mesh blended across
+	// column px's cell on mesh row j. Built by the first Reproject at a
+	// width, rebuilt (in place when it fits) when the width changes.
+	xblend  []float64
+	xblendW int
 }
 
 // meshKey identifies one cached distortion-mesh triple. Only the optical
@@ -185,8 +193,8 @@ func buildMesh(fovY float64, meshW, meshH int, k1, k2 float64) [][2]float64 {
 
 // meshCell locates normalised output coordinate t in [0, 1] on a mesh axis
 // of n vertices: the cell's first vertex and the weight of its second. All
-// three channel meshes share one grid, so the warp computes a cell once per
-// row and once per pixel, not once per channel.
+// three channel meshes share one grid, so a cell is found once per row (and
+// once per column, when the x-blend table is built), not once per channel.
 func meshCell(t float64, n int) (i0 int, a float64) {
 	f := t * float64(n-1)
 	i0 = int(f)
@@ -196,15 +204,30 @@ func meshCell(t float64, n int) (i0 int, a float64) {
 	return i0, f - float64(i0)
 }
 
-// meshBlend interpolates the mesh cell whose first vertex is at index i.
-func meshBlend(mesh [][2]float64, i, w int, ax, ay float64) (x, y float64) {
-	v00 := mesh[i]
-	v10 := mesh[i+1]
-	v01 := mesh[i+w]
-	v11 := mesh[i+w+1]
-	x = (v00[0]*(1-ax)+v10[0]*ax)*(1-ay) + (v01[0]*(1-ax)+v11[0]*ax)*ay
-	y = (v00[1]*(1-ax)+v10[1]*ax)*(1-ay) + (v01[1]*(1-ax)+v11[1]*ax)*ay
-	return x, y
+// buildXBlend fills the x-blend table for source width w: the bilinear
+// mesh interpolation's two row terms v00·(1-ax)+v10·ax and v01·(1-ax)+v11·ax
+// depend only on the output column, so they are evaluated once per column
+// and mesh row instead of once per pixel and frame.
+func (r *Reprojector) buildXBlend(w int) {
+	n := r.meshH * w * 6
+	if cap(r.xblend) < n {
+		r.xblend = make([]float64, n)
+	}
+	xb := r.xblend[:n]
+	meshes := [3][][2]float64{r.meshR, r.meshG, r.meshB}
+	fw := float64(w)
+	for px := 0; px < w; px++ {
+		x0, ax := meshCell((float64(px)+0.5)/fw, r.meshW)
+		for j := 0; j < r.meshH; j++ {
+			e := xb[(j*w+px)*6 : (j*w+px)*6+6]
+			for c, mesh := range meshes {
+				v0, v1 := mesh[j*r.meshW+x0], mesh[j*r.meshW+x0+1]
+				e[2*c] = v0[0]*(1-ax) + v1[0]*ax
+				e[2*c+1] = v0[1]*(1-ax) + v1[1]*ax
+			}
+		}
+	}
+	r.xblend, r.xblendW = xb, w
 }
 
 // Reproject warps the source frame (rendered at renderPose) to the fresh
@@ -227,6 +250,9 @@ func (r *Reprojector) Reproject(src *imgproc.RGB, renderPose, freshPose mathx.Po
 		r.warpDPos = renderPose.Rot.Inverse().Rotate(freshPose.Pos.Sub(renderPose.Pos))
 	}
 
+	if r.xblendW != src.W {
+		r.buildXBlend(src.W)
+	}
 	r.warpSrc, r.warpOut = src, out
 	r.warpTanHalf = math.Tan(r.P.FovY / 2)
 	r.warpAspect = float64(src.W) / float64(src.H)
@@ -241,20 +267,22 @@ func (r *Reprojector) warpTile(lo, hi int) {
 	src, out := r.warpSrc, r.warpOut
 	dR, dPos := r.warpDR, r.warpDPos
 	tanHalf, aspect := r.warpTanHalf, r.warpAspect
-	meshes := [3][][2]float64{r.meshR, r.meshG, r.meshB}
 	translate := r.P.Translational && r.P.PlaneDepth > 0
 	fw, fh := float64(src.W), float64(src.H)
+	row := 6 * src.W
 	for py := lo; py < hi; py++ {
 		y0, ay := meshCell((float64(py)+0.5)/fh, r.meshH)
+		top := r.xblend[y0*row : (y0+1)*row]
+		bot := r.xblend[(y0+1)*row : (y0+2)*row]
 		o := 3 * py * src.W
 		for px := 0; px < src.W; px++ {
-			x0, ax := meshCell((float64(px)+0.5)/fw, r.meshW)
-			cell := y0*r.meshW + x0
+			t, b := top[6*px:6*px+6], bot[6*px:6*px+6]
 			// per-channel distorted tangent-space direction in the fresh
-			// view (display space)
+			// view (display space): the y half of the mesh blend
 			var rgb [3]float32
 			for c := 0; c < 3; c++ {
-				tx, ty := meshBlend(meshes[c], cell, r.meshW, ax, ay)
+				tx := t[2*c]*(1-ay) + b[2*c]*ay
+				ty := t[2*c+1]*(1-ay) + b[2*c+1]*ay
 				// direction in fresh camera space (camera looks down +Z
 				// here with x right, y down in image space)
 				dir := mathx.Vec3{X: tx * aspect, Y: ty, Z: 1}

@@ -190,5 +190,9 @@ func TestBehindCameraLeavesBlack(t *testing.T) {
 func meshLookup(mesh [][2]float64, w, h int, u, v float64) (x, y float64) {
 	x0, ax := meshCell(u, w)
 	y0, ay := meshCell(v, h)
-	return meshBlend(mesh, y0*w+x0, w, ax, ay)
+	v00, v10 := mesh[y0*w+x0], mesh[y0*w+x0+1]
+	v01, v11 := mesh[(y0+1)*w+x0], mesh[(y0+1)*w+x0+1]
+	x = (v00[0]*(1-ax)+v10[0]*ax)*(1-ay) + (v01[0]*(1-ax)+v11[0]*ax)*ay
+	y = (v00[1]*(1-ax)+v10[1]*ax)*(1-ay) + (v01[1]*(1-ax)+v11[1]*ax)*ay
+	return x, y
 }

@@ -139,7 +139,9 @@ echo "== zero-allocation regression tests"
 # the only allocation gate: every pooled hot path has a TestZeroAlloc*
 # beside it, and ./internal/... finds one a new package gains.
 # AllocsPerRun needs real allocation counts, so this pass runs without
-# -race (the tests skip themselves when the detector is compiled in)
+# -race (the tests skip themselves when the detector is compiled in).
+# TestZeroAllocRenderFrame covers all four apps, so an animated scene that
+# allocates a mesh per frame fails here
 go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget' ./internal/... >/dev/null
 
 echo "== per-package benchmarks (run, not gated, so they cannot rot)"
@@ -151,7 +153,8 @@ go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
-go test -run='^$' -bench=BenchmarkReproject320x180 -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
+go test -run='^$' -bench='BenchmarkReproject320x180|BenchmarkReproject1280x720' -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
+go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock' -benchmem -benchtime=100ms -cpu 1,2 ./internal/audio >/dev/null
 go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
 go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
 
