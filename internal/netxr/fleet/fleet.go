@@ -181,6 +181,7 @@ type Coordinator struct {
 	tokState  uint64             // splitmix64 state for token issuance
 	decisions uint64             // committed admission decisions
 	fp        uint64             // running fold of every decision so far
+	downHooks []func(id int)     // run after a replica is marked Down
 
 	contention atomic.Uint64 // contended acquisitions of mu
 }
@@ -285,7 +286,14 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 		changed, node = true, r.node
 	}
 	c.gaugeUpLocked()
+	var hooks []func(int)
+	if changed && st == Down {
+		hooks = c.downHooks
+	}
 	c.mu.Unlock()
+	for _, f := range hooks {
+		f(id)
+	}
 	if changed {
 		kind := telemetry.EventReplicaUp
 		switch st {
@@ -296,6 +304,14 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 		}
 		c.cfg.Events.Record(kind, node, "")
 	}
+}
+
+// onDown registers f to run, outside the lock, each time a replica is
+// marked Down: a gateway closes the legs it parked there.
+func (c *Coordinator) onDown(f func(id int)) {
+	c.lock()
+	c.downHooks = append(c.downHooks, f)
+	c.mu.Unlock()
 }
 
 // replicaNode names a replica in flight events.

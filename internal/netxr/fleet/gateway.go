@@ -26,6 +26,11 @@ const ackEvery = 64
 // dial — each failure marks that replica Down and re-Picks.
 const dialAttempts = 3
 
+// maxIdleLegs bounds each replica's list of parked legs: beyond it a
+// finished leg is closed instead. Above the concurrency one gateway
+// normally sees per replica; a burst past it pays fresh dials.
+const maxIdleLegs = 16
+
 // Gateway trace-stitching constants: the gateway's span collector
 // allocates ids from GatewayIDBase — disjoint from the client's low
 // range and from every replica session's sessionID<<40 range (which
@@ -55,13 +60,18 @@ const (
 //   - replica dies mid-session → connection drops, the client redials
 //     the gateway with its resume token and lands on a survivor
 //   - replica drains → its Bye (Retry-After attached) is relayed
+//
+// A replica connection (a leg) outlives the session it was dialled for
+// (DESIGN.md §11): the client's Bye half-closes the relay, and once the
+// replica answers with its own terminal Bye the leg is parked on that
+// replica's idle list for the next session placed there.
 type Gateway struct {
 	// Coord places sessions and owns resume state. Required.
 	Coord *Coordinator
 	// Dial opens a connection to a replica. Required.
 	Dial func(replica int) (net.Conn, error)
-	// HandshakeTimeout bounds the client Hello wait and the replica
-	// handshake (0 = 5s).
+	// HandshakeTimeout bounds the client Hello wait, the replica
+	// handshake and the half-close's wait for the replica's Bye (0 = 5s).
 	HandshakeTimeout time.Duration
 	// Metrics receives illixr_fleet_* gateway instruments; nil = off.
 	Metrics *telemetry.Registry
@@ -86,12 +96,27 @@ type Gateway struct {
 	relayed   *telemetry.Counter
 	dialFail  *telemetry.Counter
 	protoErrs *telemetry.Counter
+	reused    *telemetry.Counter
 
 	mu     sync.Mutex
 	closed bool
 	ln     net.Listener
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]net.Conn // client conn → its replica leg's conn, once placed
+	idle   map[int][]*leg        // parked legs per replica, most recent last
 	wg     sync.WaitGroup
+}
+
+// leg is one gateway → replica connection with its pooled codec.
+type leg struct {
+	conn net.Conn
+	r    *wire.Reader
+	w    *wire.Writer
+}
+
+func (l *leg) close() {
+	_ = l.conn.Close()
+	l.r.Release()
+	l.w.Release()
 }
 
 func (g *Gateway) init() {
@@ -99,6 +124,8 @@ func (g *Gateway) init() {
 		g.relayed = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_frames_relayed_total"))
 		g.dialFail = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_dial_failures_total"))
 		g.protoErrs = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_protocol_errors_total"))
+		g.reused = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_legs_reused_total"))
+		g.Coord.onDown(g.dropLegs)
 		g.Spans.SetIDBase(GatewayIDBase) // nil-safe
 		if g.HandshakeTimeout == 0 {
 			g.HandshakeTimeout = 5 * time.Second
@@ -146,9 +173,9 @@ func (g *Gateway) HandleConn(conn net.Conn) {
 		return
 	}
 	if g.conns == nil {
-		g.conns = map[net.Conn]struct{}{}
+		g.conns = map[net.Conn]net.Conn{}
 	}
-	g.conns[conn] = struct{}{}
+	g.conns[conn] = nil
 	g.wg.Add(1)
 	g.mu.Unlock()
 	go func() {
@@ -160,8 +187,9 @@ func (g *Gateway) HandleConn(conn net.Conn) {
 	}()
 }
 
-// Shutdown stops accepting and closes every relayed connection, then
-// waits for the relay goroutines up to the context deadline.
+// Shutdown stops accepting, closes every relayed connection (both legs)
+// and every parked leg, then waits for the relay goroutines up to the
+// context deadline.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	if g.closed {
@@ -170,9 +198,17 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 	g.closed = true
 	ln := g.ln
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
+	conns := make([]net.Conn, 0, 2*len(g.conns))
+	for c, backend := range g.conns {
 		conns = append(conns, c)
+		if backend != nil {
+			conns = append(conns, backend)
+		}
+	}
+	var parked []*leg
+	for id, legs := range g.idle {
+		parked = append(parked, legs...)
+		delete(g.idle, id)
 	}
 	g.mu.Unlock()
 	if ln != nil {
@@ -180,6 +216,9 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 	for _, c := range conns {
 		_ = c.Close()
+	}
+	for _, l := range parked {
+		l.close()
 	}
 	done := make(chan struct{})
 	go func() { g.wg.Wait(); close(done) }()
@@ -218,27 +257,102 @@ func (g *Gateway) protocolError(conn net.Conn, w *wire.Writer, detail string) {
 	g.refuse(conn, w, "protocol error", 0)
 }
 
-// place picks a replica and dials it, marking dial failures Down and
-// re-picking, up to dialAttempts.
-func (g *Gateway) place(now float64, h wire.Hello) (int, net.Conn, error) {
+// place picks a replica and opens a leg to it, then sends the replica
+// hello and returns the replica's answer (bf: a Welcome, or a Bye
+// refusing; it aliases the leg's reader). The leg is the replica's most
+// recently parked one when it has any. A parked leg that fails the
+// exchange (the replica idled it out, or went away) is closed and a
+// fresh one dialled to the same replica; only a failed dial marks the
+// replica Down and re-picks, up to dialAttempts.
+func (g *Gateway) place(now float64, h wire.Hello, hello wire.Frame) (id int, l *leg, bf wire.Frame, err error) {
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
-		id, err := g.Coord.Pick(now, h)
-		if err != nil {
-			return -1, nil, err
+		if id, err = g.Coord.Pick(now, h); err != nil {
+			return -1, nil, bf, err
+		}
+		if l = g.takeLeg(id); l != nil {
+			if bf, err = g.exchange(l, hello); err == nil {
+				g.reused.Inc()
+				return id, l, bf, nil
+			}
+			l.close()
 		}
 		conn, err := g.Dial(id)
-		if err == nil {
-			return id, conn, nil
+		if err != nil {
+			// a replica that refuses a dial is treated as crashed: mark it
+			// Down so placement stops routing there, and try the next one.
+			g.dialFail.Inc()
+			g.Coord.cfg.Events.RecordAt(now, telemetry.EventDialFail, replicaNode(id), err.Error())
+			g.Coord.SetStatus(id, Down)
+			lastErr = fmt.Errorf("fleet: dial replica %d: %w", id, err)
+			continue
 		}
-		// a replica that refuses a dial is treated as crashed: mark it
-		// Down so placement stops routing there, and try the next one.
-		g.dialFail.Inc()
-		g.Coord.cfg.Events.RecordAt(now, telemetry.EventDialFail, replicaNode(id), err.Error())
-		g.Coord.SetStatus(id, Down)
-		lastErr = fmt.Errorf("fleet: dial replica %d: %w", id, err)
+		l = &leg{conn: conn, r: wire.NewReader(conn), w: wire.NewWriter(conn)}
+		if bf, err = g.exchange(l, hello); err != nil {
+			// refused as "fleet unavailable"; the replica stays Up
+			l.close()
+			return -1, nil, bf, fmt.Errorf("fleet: replica %d handshake: %w", id, err)
+		}
+		return id, l, bf, nil
 	}
-	return -1, nil, lastErr
+	return -1, nil, bf, lastErr
+}
+
+// exchange writes the replica hello on l and reads the replica's first
+// answer within HandshakeTimeout: the one handshake a fresh and a parked
+// leg share.
+func (g *Gateway) exchange(l *leg, hello wire.Frame) (wire.Frame, error) {
+	if err := l.w.WriteFrame(hello); err != nil {
+		return wire.Frame{}, err
+	}
+	_ = l.conn.SetReadDeadline(time.Now().Add(g.HandshakeTimeout))
+	bf, err := l.r.ReadFrame()
+	_ = l.conn.SetReadDeadline(time.Time{})
+	return bf, err
+}
+
+// takeLeg pops replica id's most recently parked leg (nil: none).
+func (g *Gateway) takeLeg(id int) *leg {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	legs := g.idle[id]
+	if len(legs) == 0 {
+		return nil
+	}
+	l := legs[len(legs)-1]
+	legs[len(legs)-1] = nil
+	g.idle[id] = legs[:len(legs)-1]
+	return l
+}
+
+// park puts a leg whose session ended on both peers' Byes onto replica
+// id's idle list. false — the gateway is shut, the replica is no longer
+// Up, or the list is full — leaves the leg to the caller to close. The
+// status is read under mu, so a replica marked Down either sees the leg
+// in dropLegs or refuses it here.
+func (g *Gateway) park(id int, l *leg) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed || len(g.idle[id]) >= maxIdleLegs || g.Coord.StatusOf(id) != Up {
+		return false
+	}
+	if g.idle == nil {
+		g.idle = map[int][]*leg{}
+	}
+	g.idle[id] = append(g.idle[id], l)
+	return true
+}
+
+// dropLegs closes every leg parked on replica id: the coordinator calls
+// it when the replica is marked Down.
+func (g *Gateway) dropLegs(id int) {
+	g.mu.Lock()
+	legs := g.idle[id]
+	delete(g.idle, id)
+	g.mu.Unlock()
+	for _, l := range legs {
+		l.close()
+	}
 }
 
 // relay runs one client's full lifecycle on the calling goroutine.
@@ -270,43 +384,30 @@ func (g *Gateway) relay(client net.Conn) {
 		_ = g.Record.Record(binlog.DirUp, f)
 	}
 	_ = client.SetReadDeadline(time.Time{})
-	helloTrace := f.Trace
 
-	// 2. place + dial
-	now := g.now()
-	replicaID, backend, err := g.place(now, hello)
-	if err != nil {
-		retry := g.Coord.cfg.RetryAfter
-		if errors.Is(err, ErrNoReplica) {
-			g.refuse(client, cw, "fleet full", retry)
-		} else {
-			g.refuse(client, cw, "fleet unavailable", retry)
-		}
-		return
-	}
-	defer func() { _ = backend.Close() }()
-	br, bw := wire.NewReader(backend), wire.NewWriter(backend)
-	defer br.Release()
-	defer bw.Release()
-
-	// 3. handshake the replica with a resume-stripped Hello: the replica
-	// admits it as a brand-new session; resume is a fleet-level fiction.
+	// 2. place, and handshake the replica with a resume-stripped Hello:
+	// the replica admits it as a brand-new session; resume is a
+	// fleet-level fiction.
 	backendHello := hello
 	backendHello.ResumeToken, backendHello.LastSeq = 0, 0
 	hbuf := wire.AppendHello(recycle.Bytes.Get(128)[:0], backendHello)
-	err = bw.WriteFrame(wire.Frame{Type: wire.TypeHello, Trace: helloTrace, Payload: hbuf})
+	replicaID, l, bf, err := g.place(g.now(), hello, wire.Frame{Type: wire.TypeHello, Trace: f.Trace, Payload: hbuf})
 	recycle.Bytes.Put(hbuf)
 	if err != nil {
-		g.refuse(client, cw, "fleet unavailable", g.Coord.cfg.RetryAfter)
+		if errors.Is(err, ErrNoReplica) {
+			g.refuse(client, cw, "fleet full", g.Coord.cfg.RetryAfter)
+		} else {
+			g.refuse(client, cw, "fleet unavailable", g.Coord.cfg.RetryAfter)
+		}
 		return
 	}
-	_ = backend.SetReadDeadline(time.Now().Add(g.HandshakeTimeout))
-	bf, err := br.ReadFrame()
-	if err != nil {
-		g.refuse(client, cw, "fleet unavailable", g.Coord.cfg.RetryAfter)
-		return
-	}
-	_ = backend.SetReadDeadline(time.Time{})
+	parked := false
+	defer func() {
+		if !parked {
+			l.close()
+		}
+	}()
+	backend, br, bw := l.conn, l.r, l.w
 	if bf.Type == wire.TypeBye {
 		// replica-level refusal (e.g. its own MaxSessions): relay the
 		// push-back as-is — the hint tells the client when to come back.
@@ -327,7 +428,7 @@ func (g *Gateway) relay(client net.Conn) {
 		return
 	}
 
-	// 4. commit the placement; this can still refuse (the replica filled
+	// 3. commit the placement; this can still refuse (the replica filled
 	// up between Pick and now, or a resume burst is in flight).
 	welcome, err := g.Coord.AdmitOn(g.now(), replicaID, backendWelcome.Session, hello)
 	if err != nil {
@@ -337,6 +438,17 @@ func (g *Gateway) relay(client net.Conn) {
 		} else {
 			g.refuse(client, cw, err.Error(), 0)
 		}
+		return
+	}
+	// Shutdown closes the replica leg of a live relay too: a half-closed
+	// relay reads only from it
+	g.mu.Lock()
+	closed := g.closed
+	if !closed {
+		g.conns[client] = backend
+	}
+	g.mu.Unlock()
+	if closed {
 		return
 	}
 	welcome.Proto = wire.Version
@@ -353,7 +465,7 @@ func (g *Gateway) relay(client net.Conn) {
 	token := welcome.ResumeToken
 	baseSeq := welcome.LastAckSeq
 
-	// 5. relay, zero-copy (DESIGN.md §15): after the handshake the
+	// 4. relay, zero-copy (DESIGN.md §15): after the handshake the
 	// gateway never decodes a payload again. ReadRaw peeks type and
 	// trace from the fixed header and hands over the whole encoded
 	// frame; the only rewrite is the hop-span trace (SetTrace patches
@@ -363,14 +475,18 @@ func (g *Gateway) relay(client net.Conn) {
 	// bytes being forwarded. Handshake frames (Hello/Welcome/Bye above)
 	// stay on the decoded slow path — they are the frames the gateway
 	// must understand and rewrite.
+	//
+	// The client's Bye half-closes the relay: the uplink forwards it and
+	// returns with both conns open, and the downlink goes on relaying
+	// what the replica still flushes until the replica's own terminal
+	// Bye, within HandshakeTimeout. Any other ending severs both conns.
 	var once sync.Once
-	var severed atomic.Bool
+	var severed, halfClosed atomic.Bool
 	closeBoth := func() { severed.Store(true); _ = client.Close(); _ = backend.Close() }
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // uplink: client → replica
 		defer wg.Done()
-		defer once.Do(closeBoth)
 		var queued, flushed, lastAcked uint64
 		// flush returns false on a backend write error. Acks checkpoint
 		// only flushed frames: a resume retransmits from the last ack,
@@ -395,6 +511,7 @@ func (g *Gateway) relay(client net.Conn) {
 					flushed = queued
 				}
 				g.Coord.Ack(token, baseSeq+flushed)
+				once.Do(closeBoth)
 				return
 			}
 			if g.Record != nil {
@@ -402,16 +519,22 @@ func (g *Gateway) relay(client net.Conn) {
 				_ = g.Record.RecordRaw(binlog.DirUp, raw)
 			}
 			if raw.Type == wire.TypeBye {
+				// clean departure. Mark the half-close before the replica
+				// can answer, and bound the downlink's wait for that answer
+				// and its writes to a client that may have stopped reading.
+				halfClosed.Store(true)
+				bound := time.Now().Add(g.HandshakeTimeout)
+				_ = backend.SetDeadline(bound)
+				_ = client.SetWriteDeadline(bound)
 				bw.QueueRaw(raw)
-				if bw.Flush() == nil {
+				err := bw.Flush()
+				if err == nil {
 					g.relayed.Add(int(queued - flushed))
 				}
-				// clean departure: the replica will tear the session down as
-				// soon as it reads the Bye, possibly before this goroutine's
-				// deferred close runs — mark the relay severed first so the
-				// downlink's read error is not mistaken for a replica death.
-				severed.Store(true)
 				g.Coord.End(token)
+				if err != nil {
+					once.Do(closeBoth)
+				}
 				return
 			}
 			if g.Spans != nil && raw.Trace.Valid() {
@@ -427,6 +550,7 @@ func (g *Gateway) relay(client net.Conn) {
 			if bw.Queued() >= wire.FlushWindow || !cr.FrameBuffered() {
 				if !flush() {
 					g.Coord.Ack(token, baseSeq+flushed)
+					once.Do(closeBoth)
 					return
 				}
 			}
@@ -434,46 +558,79 @@ func (g *Gateway) relay(client net.Conn) {
 	}()
 	// downlink, on this goroutine: replica → client
 	var dnQueued, dnFlushed uint64
+	clientGone := false // a client write failed after its Bye: read on, relay nothing
 	for {
 		raw, err := br.ReadRaw()
 		if err != nil {
-			// the clean path ends with a relayed Bye, so an error here
+			// the clean path ends with the replica's Bye, so an error here
 			// without one means the replica went away under a session the
-			// client still wanted: mark it Down (unless this end of the
-			// relay was torn down first by the client side) and sever the
+			// client still wanted: mark it Down (unless the relay was torn
+			// down, or half-closed and merely timed out) and sever the
 			// client so it redials with its token.
-			if cw.Queued() > 0 && cw.Flush() == nil {
+			if !clientGone && cw.Queued() > 0 && cw.Flush() == nil {
 				g.relayed.Add(int(dnQueued - dnFlushed))
 			}
-			if !severed.Load() {
+			if !severed.Load() && !halfClosed.Load() {
 				g.Coord.SetStatus(replicaID, Down)
 			}
 			break
 		}
 		isBye := raw.Type == wire.TypeBye
-		if g.Spans != nil && raw.Trace.Valid() && !isBye {
-			t := g.now()
-			raw.SetTrace(g.Spans.Emit(CompGatewayDown, raw.Trace.Trace, t, t, raw.Trace.Span))
+		if !clientGone {
+			if g.Spans != nil && raw.Trace.Valid() && !isBye {
+				t := g.now()
+				raw.SetTrace(g.Spans.Emit(CompGatewayDown, raw.Trace.Trace, t, t, raw.Trace.Span))
+			}
+			cw.QueueRaw(raw)
+			dnQueued++
+			if g.Record != nil {
+				// tap at queue time, after the rewrite: the capture holds the
+				// bytes as delivered (QueueRaw copied them, so the alias into
+				// the reader's scratch is safe)
+				_ = g.Record.RecordRaw(binlog.DirDown, raw)
+			}
 		}
-		cw.QueueRaw(raw)
-		dnQueued++
-		if g.Record != nil {
-			// tap at queue time, after the rewrite: the capture holds the
-			// bytes as delivered (QueueRaw copied them, so the alias into
-			// the reader's scratch is safe)
-			_ = g.Record.RecordRaw(binlog.DirDown, raw)
+		if isBye && halfClosed.Load() && !drainBye(raw) {
+			// the replica's answer to the client's Bye. Once the uplink has
+			// returned without severing (its Bye reached the replica), both
+			// peers have said Bye and the leg is clean: park it before the
+			// client hears the answer (queued above, so the leg's reader is
+			// free), so a client that waits for it finds the leg parked.
+			wg.Wait()
+			if !severed.Load() {
+				_ = backend.SetDeadline(time.Time{})
+				parked = g.park(replicaID, l)
+			}
 		}
-		if isBye || cw.Queued() >= wire.FlushWindow || !br.FrameBuffered() {
-			if err := cw.Flush(); err != nil {
+		if !clientGone && (isBye || cw.Queued() >= wire.FlushWindow || !br.FrameBuffered()) {
+			if err := cw.Flush(); err == nil {
+				g.relayed.Add(int(dnQueued - dnFlushed))
+				dnFlushed = dnQueued
+			} else if halfClosed.Load() {
+				clientGone = true // it said Bye and hung up: fine
+			} else {
 				break
 			}
-			g.relayed.Add(int(dnQueued - dnFlushed))
-			dnFlushed = dnQueued
 		}
 		if isBye {
 			break
 		}
 	}
-	once.Do(closeBoth)
+	if parked {
+		_ = client.Close()
+	} else {
+		once.Do(closeBoth)
+	}
 	wg.Wait()
+}
+
+// drainBye reports whether a relayed Bye carries a Retry-After hint: the
+// replica is draining (or refusing), not answering a client's Bye.
+func drainBye(raw wire.Raw) bool {
+	f, _, err := wire.Decode(raw.Bytes)
+	if err != nil {
+		return true
+	}
+	b, err := wire.DecodeBye(f.Payload)
+	return err != nil || b.RetryAfterMs > 0
 }

@@ -2,11 +2,15 @@ package node
 
 import (
 	"fmt"
+	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"illixr/internal/core"
+	"illixr/internal/integrator"
 	"illixr/internal/mathx"
 	"illixr/internal/netxr/wire"
 	xruntime "illixr/internal/runtime"
@@ -25,27 +29,64 @@ type lifecycleRig struct {
 	rep     *Replica
 	gw      *Gateway
 	addr    string
+	accepts *acceptCounter // the replica's listener
 	samples []sensors.IMUSample
+	want    mathx.Pose // a local integrator's pose after every sample
 	timer   *time.Timer
 }
 
-func newLifecycleRig(tb testing.TB) *lifecycleRig {
+func newLifecycleRig(tb testing.TB, rep *Replica) *lifecycleRig {
 	tb.Helper()
-	r := &lifecycleRig{rep: &Replica{}, timer: time.NewTimer(time.Hour)}
-	r.gw = &Gateway{Backends: []string{serve(tb, r.rep)}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &lifecycleRig{rep: rep, accepts: &acceptCounter{Listener: ln}, timer: time.NewTimer(time.Hour)}
+	r.gw = &Gateway{Backends: []string{serveOn(tb, r.rep, r.accepts)}}
 	r.addr = serve(tb, r.gw)
+	in := integrator.New(integrator.State{})
 	for i := 0; i < lifecycleSamples; i++ {
 		t := float64(i+1) / 500
 		r.samples = append(r.samples, sensors.IMUSample{T: t,
 			Gyro: mathx.Vec3{X: 0.01 * t, Y: 0.02, Z: -0.01}, Accel: mathx.Vec3{X: 0.1, Y: 9.81, Z: 0.05 * t}})
+		in.Feed(r.samples[i])
 	}
+	r.want = in.FastPose()
 	tb.Cleanup(func() { r.timer.Stop() })
 	return r
 }
 
+// acceptCounter wraps a listener, counting the conns it accepts and how
+// many of those the server has closed since.
+type acceptCounter struct {
+	net.Listener
+	accepted, closed atomic.Int64
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.accepted.Add(1)
+	return &countedConn{Conn: c, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l    *acceptCounter
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.l.closed.Add(1) })
+	return c.Conn.Close()
+}
+
 // lifecycle is one session from connect to Bye: handshake through the
-// gateway, 16 traced IMU samples up, the pose covering the last one back,
-// Bye and teardown of the client runtime.
+// gateway, 16 traced IMU samples up, the pose covering the last one back
+// — bit-equal to the local integrator's — Bye and teardown of the client
+// runtime.
 func (r *lifecycleRig) lifecycle(i int) error {
 	c := &Client{Addr: r.addr, Hello: wire.Hello{App: "churn", Seed: int64(i), IMURateHz: 500, CamRateHz: 15}}
 	if err := c.Start(); err != nil {
@@ -67,9 +108,13 @@ func (r *lifecycleRig) lifecycle(i int) error {
 	for {
 		select {
 		case ev := <-poses.C:
-			if ev.T >= last {
-				return nil
+			if ev.T < last {
+				continue
 			}
+			if got := ev.Value.(mathx.Pose); ev.T != last || got != r.want {
+				return fmt.Errorf("lifecycle %d: covering pose at t=%v is %+v, the local integrator's at t=%v %+v", i, ev.T, got, last, r.want)
+			}
+			return nil
 		case <-r.timer.C:
 			return fmt.Errorf("lifecycle %d: no pose covering t=%v (transport: %v)", i, last, c.Bridge.Err())
 		}
@@ -95,10 +140,12 @@ func (r *lifecycleRig) run(n, from int) error {
 }
 
 // lifecycleAllocBudget is the heap allocations one lifecycle may make,
-// client, gateway and replica together: 200.9 measured with pooled
+// client, gateway and replica together: 173.1 measured once the gateway
+// parks its replica leg after a Bye and the next lifecycle reuses it (no
+// dial, accept or connection buffers on the replica leg), + 10 %. Pooled
 // connection buffers, the index-free span store and the one-allocation
-// loader (PR 25), + 10 %. The tree before it measured 297.3.
-const lifecycleAllocBudget = 221
+// loader had brought it to 200.9; the tree before them measured 297.3.
+const lifecycleAllocBudget = 190
 
 // A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
 // connection buffers come from the wire free lists, the span collectors
@@ -109,7 +156,7 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 		t.Skip("alloc counting is skipped under -race")
 	}
 	const warmup, measured = 50, 200
-	r := newLifecycleRig(t)
+	r := newLifecycleRig(t, &Replica{})
 	if err := r.run(warmup, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +178,7 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 // BenchmarkSessionLifecycle prices one lifecycle end to end: allocs/op
 // and B/op count the client, the gateway and the replica together.
 func BenchmarkSessionLifecycle(b *testing.B) {
-	r := newLifecycleRig(b)
+	r := newLifecycleRig(b, &Replica{})
 	if err := r.run(20, 0); err != nil {
 		b.Fatal(err)
 	}

@@ -63,20 +63,28 @@ func closeCtx(t testing.TB) context.Context {
 	return ctx
 }
 
-// serve starts n and serves it on a loopback port until the test ends
-// (Close is idempotent, so a test that closes earlier is fine).
-func serve(t testing.TB, n interface {
+type servable interface {
 	Start() error
 	Serve(net.Listener) error
 	Close(context.Context) error
-}) string {
+}
+
+// serve starts n and serves it on a loopback port until the test ends
+// (Close is idempotent, so a test that closes earlier is fine).
+func serve(t testing.TB, n servable) string {
 	t.Helper()
-	if err := n.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	return serveOn(t, n, ln)
+}
+
+// serveOn is serve on a listener the test chose.
+func serveOn(t testing.TB, n servable, ln net.Listener) string {
+	t.Helper()
+	if err := n.Start(); err != nil {
+		t.Fatalf("start: %v", err)
 	}
 	go func() {
 		if err := n.Serve(ln); err != nil {
@@ -441,6 +449,13 @@ func TestCloseReturnsEverything(t *testing.T) {
 	// one session never makes a multi-tile batch: park the QoS pool's
 	// helpers the way a two-session flush would
 	reps[0].pool.ForTiles("warm", 8, 1, func(lo, hi int) {})
+
+	// a session that ends on both Byes leaves its replica leg parked at
+	// both ends: Close must take down the gateway's idle list and the
+	// replica's connection waiting for a Hello as well
+	if err := wireSession(addr, 0, nil, mathx.Pose{}); err != nil {
+		t.Fatal(err)
+	}
 
 	for i := 0; i < 2; i++ { // the second round must be a no-op
 		if err := d.Close(); err != nil {

@@ -21,8 +21,7 @@ type Options struct {
 	// Seed offsets the recorded Hello's dataset seed (fan-out clients
 	// can present distinct seeds without re-recording); 0 keeps it.
 	Seed int64
-	// Timeout bounds the handshake, the wait for a first pose before the
-	// Bye, and the post-Bye drain (0 = 5s).
+	// Timeout bounds the handshake and the post-Bye drain (0 = 5s).
 	Timeout time.Duration
 	// Sleep is the pacing primitive, injectable for tests; nil =
 	// time.Sleep.
@@ -82,10 +81,10 @@ func helloOf(l *binlog.Log) (wire.Hello, error) {
 // Replay drives one fresh-identity client from the recording over conn:
 // it handshakes with a resume-stripped restamped Hello, streams every
 // recorded uplink frame (QoE session ids rewritten to the new session),
-// paced against the recorded wall stamps, then says Bye (once its first
-// pose is back, if the recorded session received any) and drains the
-// downlink. The caller owns conn's lifetime on error paths; Replay
-// closes it on all paths before returning.
+// paced against the recorded wall stamps, then says Bye and drains the
+// downlink up to the server's answering Bye (a gateway half-closes the
+// relay, so what the replica still flushes arrives first). Replay
+// closes conn on all paths before returning.
 func Replay(conn net.Conn, l *binlog.Log, opt Options) Result {
 	opt = opt.withDefaults()
 	var res Result
@@ -138,7 +137,7 @@ func Replay(conn net.Conn, l *binlog.Log, opt Options) Result {
 
 	// downlink drain: count what comes back until Bye/close.
 	var downMu sync.Mutex
-	firstPose, downDone := make(chan struct{}), make(chan struct{})
+	downDone := make(chan struct{})
 	go func() {
 		defer close(downDone)
 		for {
@@ -149,9 +148,6 @@ func Replay(conn net.Conn, l *binlog.Log, opt Options) Result {
 			downMu.Lock()
 			res.Received++
 			if df.Type == wire.TypePose {
-				if res.Poses == 0 {
-					close(firstPose)
-				}
 				res.Poses++
 			}
 			downMu.Unlock()
@@ -208,20 +204,6 @@ func Replay(conn net.Conn, l *binlog.Log, opt Options) Result {
 		res.Sent++
 	}
 	if err == nil {
-		if recordedPoses(l) {
-			// A Bye severs a gateway relay at once: the downlink is closed
-			// under whatever the replica still had to flush. On a loaded
-			// machine the whole uplink can outrun the first pose, so a
-			// session recorded receiving poses holds its Bye until its own
-			// first one is back.
-			bound := time.NewTimer(opt.Timeout)
-			select {
-			case <-firstPose:
-			case <-downDone:
-			case <-bound.C:
-			}
-			bound.Stop()
-		}
 		if werr := w.WriteFrame(wire.Frame{Type: wire.TypeBye,
 			Payload: wire.AppendBye(nil, wire.Bye{Reason: "replay done"})}); werr == nil {
 			res.Sent++
@@ -233,16 +215,6 @@ func Replay(conn net.Conn, l *binlog.Log, opt Options) Result {
 	<-downDone
 	res.Err = err
 	return res
-}
-
-// recordedPoses reports whether the recorded session received a pose.
-func recordedPoses(l *binlog.Log) bool {
-	for _, rec := range l.Records {
-		if rec.Dir == binlog.DirDown && rec.Frame.Type == wire.TypePose {
-			return true
-		}
-	}
-	return false
 }
 
 // FanOut replays the recording as n concurrent fresh-identity clients

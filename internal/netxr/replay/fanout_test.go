@@ -208,61 +208,3 @@ func TestReplayPacingVirtualTime(t *testing.T) {
 		t.Fatalf("max pacing target %.4fs, want >= %.4fs (half the recorded span)", got, span*0.5)
 	}
 }
-
-// TestReplayHoldsByeForFirstPose: a peer that answers only after the
-// whole uplink has arrived (the loaded-machine schedule on which a Bye
-// used to sever the gateway relay before any pose was back) must see no
-// Bye until it has sent its first pose.
-func TestReplayHoldsByeForFirstPose(t *testing.T) {
-	const imuN = 9 // below the recording's first QoE: the uplink is IMU only
-	l := makeRecording(t, imuN)
-	client, server := net.Pipe()
-	peerErr := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		r, w := wire.NewReader(server), wire.NewWriter(server)
-		peerErr <- func() error {
-			if _, err := r.ReadFrame(); err != nil { // hello
-				return err
-			}
-			if err := w.WriteFrame(wire.Frame{Type: wire.TypeWelcome, Payload: wire.AppendWelcome(nil,
-				wire.Welcome{Proto: wire.Version, Session: 5, PoseEpoch: 1})}); err != nil {
-				return err
-			}
-			for got := 0; got < imuN; {
-				f, err := r.ReadFrame()
-				if err != nil {
-					return err
-				}
-				if f.Type == wire.TypeIMU {
-					got++
-				}
-			}
-			// the uplink is complete; the Bye must not come yet
-			_ = server.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-			if f, err := r.ReadFrame(); err == nil {
-				return errors.New("got " + f.Type.String() + " before the first pose was sent")
-			}
-			_ = server.SetReadDeadline(time.Time{})
-			if err := w.WriteFrame(wire.Frame{Type: wire.TypePose,
-				Payload: wire.AppendPose(nil, wire.Pose{T: 1})}); err != nil {
-				return err
-			}
-			f, err := r.ReadFrame()
-			if err != nil {
-				return err
-			}
-			if f.Type != wire.TypeBye {
-				return errors.New("after the pose: got " + f.Type.String() + ", want bye")
-			}
-			return w.WriteFrame(f)
-		}()
-	}()
-	res := replay.Replay(client, l, replay.Options{Timeout: 5 * time.Second})
-	if err := <-peerErr; err != nil {
-		t.Fatal(err)
-	}
-	if res.Err != nil || res.Lost != 0 || res.Poses != 1 {
-		t.Fatalf("result %+v, want a clean replay with exactly one pose", res)
-	}
-}

@@ -126,6 +126,7 @@ type Server struct {
 	closed   bool
 	ln       net.Listener
 	sessions map[uint64]*Session
+	waiting  map[net.Conn]struct{} // kept conns between sessions (awaitHello)
 
 	nextID     atomic.Uint64
 	active     atomic.Int64 // len(sessions), readable without mu
@@ -142,6 +143,7 @@ func NewServer(cfg Config, h Handler) *Server {
 		cfg:      cfg.withDefaults(),
 		handler:  h,
 		sessions: map[uint64]*Session{},
+		waiting:  map[net.Conn]struct{}{},
 		janitorC: make(chan struct{}),
 	}
 	s.m = newMetrics(s.cfg.Metrics)
@@ -199,54 +201,143 @@ func (s *Server) HandleConn(conn net.Conn) *Session {
 		full := !s.closed
 		s.mu.Unlock()
 		if full {
-			// best-effort refusal so the client sees why; the Retry-After
-			// hint makes it an admission-control push-back rather than a
-			// hard error — the client backs off and redials. Written off
-			// the accept path because synchronous transports (net.Pipe)
-			// block the write until the peer reads.
-			retryMs := uint32(retryAfter.Milliseconds())
+			// written off the accept path because synchronous transports
+			// (net.Pipe) block the write until the peer reads
 			s.m.refused.Inc()
-			go func() {
-				w := wire.NewWriter(conn)
-				_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-				_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
-					Payload: wire.AppendBye(nil, wire.Bye{Reason: "server full", RetryAfterMs: retryMs})})
-				w.Release()
-				_ = conn.Close()
-			}()
+			go refuseFull(conn)
 		} else {
 			_ = conn.Close()
 		}
 		return nil
 	}
-	id := s.nextID.Add(1)
-	sess := &Session{id: id, conn: conn, srv: s, created: time.Now()}
-	sess.cond = sync.NewCond(&sess.mu)
-	sess.slots = map[wire.Type]wire.Frame{}
 	// Register in the same critical section as the closed check: a racing
 	// Abort/Shutdown either sees this session in its sweep or refused it —
 	// and wg.Add must not race a wg.Wait going 0→1 (undefined per
 	// sync.WaitGroup). MaxSessions is exact for the same reason.
-	s.sessions[id] = sess
-	active := s.active.Add(1)
+	sess, active := s.addLocked(conn)
 	s.wg.Add(1)
 	s.mu.Unlock()
+	s.counted(active)
 
+	go s.serveConn(sess)
+	return sess
+}
+
+// refuseFull sends the capacity refusal, best-effort, and closes conn: the
+// client sees why, and the Retry-After hint makes it an admission-control
+// push-back rather than a hard error — it backs off and redials.
+func refuseFull(conn net.Conn) {
+	w := wire.NewWriter(conn)
+	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
+	_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
+		Payload: wire.AppendBye(nil, wire.Bye{Reason: "server full", RetryAfterMs: uint32(retryAfter.Milliseconds())})})
+	w.Release()
+	_ = conn.Close()
+}
+
+// addLocked registers a new session on conn. Caller holds mu and has
+// checked closed and MaxSessions; it calls counted(active) after the
+// unlock.
+func (s *Server) addLocked(conn net.Conn) (*Session, int64) {
+	id := s.nextID.Add(1)
+	sess := &Session{id: id, conn: conn, srv: s, created: time.Now()}
+	sess.cond = sync.NewCond(&sess.mu)
+	sess.slots = map[wire.Type]wire.Frame{}
+	s.sessions[id] = sess
+	return sess, s.active.Add(1)
+}
+
+func (s *Server) counted(active int64) {
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Set(float64(active))
+}
 
-	go s.run(sess)
+// serveConn owns one connection for as long as it is open: the session it
+// was accepted for and, each time a session ends on the peer's Bye, the
+// next one the peer opens on it. The reader outlives the sessions it
+// serves, so nothing buffered between them is lost.
+func (s *Server) serveConn(sess *Session) {
+	defer s.wg.Done()
+	r := wire.NewReader(sess.conn)
+	defer r.Release()
+	for sess != nil && s.run(sess, r) {
+		sess = s.awaitHello(sess.conn, r)
+	}
+}
+
+// readHello waits up to timeout (<= 0: no bound) for the frame that opens
+// a session, which must decode as a Hello. Accepted and kept connections
+// both start a session here.
+func (s *Server) readHello(conn net.Conn, r *wire.Reader, timeout time.Duration) (wire.Hello, error) {
+	if timeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(timeout))
+		defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
+	}
+	f, err := r.ReadFrame()
+	if err != nil {
+		return wire.Hello{}, fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	if f.Type != wire.TypeHello {
+		return wire.Hello{}, fmt.Errorf("%w: first frame is %v, want hello", ErrHandshake, f.Type)
+	}
+	h, err := wire.DecodeHello(f.Payload)
+	if err != nil {
+		return wire.Hello{}, fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	if s.cfg.Capture != nil {
+		_ = s.cfg.Capture.Record(binlog.DirUp, f)
+	}
+	return h, nil
+}
+
+// awaitHello holds a kept connection until the peer's next Hello, for at
+// most IdleTimeout. A waiting connection is not a session: it is outside
+// the table, Len() and the session metrics, and the handler never hears
+// of it. The Hello that ends the wait is admitted under the same closed
+// and MaxSessions check as an accepted connection. nil means the
+// connection was closed instead: idle, torn, refused, or the server
+// stopped (stopAccepting closes waiting connections).
+func (s *Server) awaitHello(conn net.Conn, r *wire.Reader) *Session {
+	s.lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return nil
+	}
+	s.waiting[conn] = struct{}{}
+	s.mu.Unlock()
+
+	h, err := s.readHello(conn, r, s.cfg.IdleTimeout)
+
+	s.lock()
+	delete(s.waiting, conn)
+	if err != nil || s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return nil
+	}
+	if len(s.sessions) >= s.cfg.MaxSessions {
+		s.mu.Unlock()
+		s.m.refused.Inc()
+		refuseFull(conn)
+		return nil
+	}
+	sess, active := s.addLocked(conn)
+	sess.hello, sess.helloRead = h, true
+	s.mu.Unlock()
+	s.counted(active)
 	return sess
 }
 
 // run owns one session's lifecycle: spawn the writer, drive the reader,
-// tear down, notify the handler, unregister.
-func (s *Server) run(sess *Session) {
-	defer s.wg.Done()
+// tear down, unregister, notify the handler. It reports whether the
+// connection was kept for another session; SessionEnd then runs on its
+// own goroutine, so the peer's next Hello does not wait for it.
+func (s *Server) run(sess *Session, r *wire.Reader) bool {
 	writerDone := make(chan struct{})
 	go sess.writeLoop(writerDone)
 
-	err := sess.readLoop()
+	err := sess.readLoop(r)
 	if err != nil {
 		// terminal error: flush what's queued and tell the peer why —
 		// every write is deadline-bounded, so a stalled peer cannot pin
@@ -271,7 +362,18 @@ func (s *Server) run(sess *Session) {
 	s.mu.Unlock()
 	s.m.sessionsActive.Set(float64(active))
 
-	s.handler.SessionEnd(sess, err)
+	if !sess.kept { // written by the writer before writerDone closed
+		s.handler.SessionEnd(sess, err)
+		return false
+	}
+	// this goroutine still holds its own wg count, so the Add cannot
+	// race a Wait that has seen zero
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.handler.SessionEnd(sess, err)
+	}()
+	return true
 }
 
 // startJanitor launches the idle reaper on first use.
@@ -345,8 +447,9 @@ func (s *Server) Sessions() []Info {
 	return out
 }
 
-// stopAccepting marks the server closed and stops the listener and the
-// janitor. false means an earlier Shutdown/Abort already did.
+// stopAccepting marks the server closed and stops the listener, the
+// janitor and every kept connection waiting for a Hello. false means an
+// earlier Shutdown/Abort already did.
 func (s *Server) stopAccepting() bool {
 	s.lock()
 	if s.closed {
@@ -355,10 +458,17 @@ func (s *Server) stopAccepting() bool {
 	}
 	s.closed = true
 	ln := s.ln
+	waiting := make([]net.Conn, 0, len(s.waiting))
+	for c := range s.waiting {
+		waiting = append(waiting, c)
+	}
 	s.mu.Unlock()
 	close(s.janitorC)
 	if ln != nil {
 		_ = ln.Close()
+	}
+	for _, c := range waiting {
+		_ = c.Close()
 	}
 	return true
 }

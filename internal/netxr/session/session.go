@@ -133,6 +133,10 @@ type Session struct {
 	byeSent  bool   // terminal Bye already handed to the writer
 	byeWhy   string // reason carried by the terminal Bye
 	byeRetry uint32 // Retry-After hint carried by the terminal Bye (ms)
+	peerBye  bool   // the peer's Bye ended the session: keep the conn
+	kept     bool   // closed with both Byes on the wire, the conn left open
+
+	helloRead bool // hello arrived before the session existed (awaitHello)
 
 	lastRecv atomic.Int64 // unix nanos of the last decoded frame
 
@@ -335,9 +339,7 @@ func (s *Session) writeLoop(done chan<- struct{}) {
 		var ok, terminal bool
 		batch, ok, terminal = s.nextBatch(batch[:0])
 		if !ok {
-			if s.drained() {
-				s.Close(nil)
-			}
+			s.closeDrained()
 			return
 		}
 		timeout := writeTimeout
@@ -374,17 +376,28 @@ func (s *Session) writeLoop(done chan<- struct{}) {
 	}
 }
 
-func (s *Session) drained() bool {
+// closeDrained closes a drained session once its terminal Bye is on the
+// wire (the queues are empty by then). The connection closes with it
+// unless the session ended on the peer's Bye: then both ends have said
+// Bye on a frame boundary and the connection is kept for the peer's next
+// Hello (Server.awaitHello). A Close that got here first owns the conn.
+func (s *Session) closeDrained() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainReq && !s.closed
+	if !s.drainReq || s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed, s.kept = true, s.peerBye
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if !s.kept {
+		_ = s.conn.Close()
+	}
 }
 
-// readLoop performs the handshake and then decodes frames into the
-// handler until the connection ends.
-func (s *Session) readLoop() error {
-	r := wire.NewReader(s.conn)
-	defer r.Release()
+// readLoop performs the handshake and then decodes frames from r into
+// the handler until the connection ends or the peer says Bye.
+func (s *Session) readLoop(r *wire.Reader) error {
 	if err := s.handshake(r); err != nil {
 		return err
 	}
@@ -425,6 +438,9 @@ func (s *Session) readLoop() error {
 			}
 			_ = s.sendScratch(wire.TypePong, wire.AppendPing(recycle.Bytes.Get(32)[:0], p))
 		case wire.TypeBye:
+			s.mu.Lock()
+			s.peerBye = true
+			s.mu.Unlock()
 			return nil
 		default:
 			if err := s.srv.handler.SessionFrame(s, f); err != nil {
@@ -440,28 +456,18 @@ func (s *Session) isClosed() bool {
 	return s.closed
 }
 
-// handshake expects a Hello as the very first frame and answers Welcome.
-// When an Admission is configured it decides the Welcome — issuing resume
-// tokens, restoring snapshots for reconnecting clients, or refusing with
-// a Retry-After hint (the refusal rides the terminal drain Bye).
+// handshake expects a Hello as the very first frame (unless awaitHello
+// already read it) and answers Welcome. When an Admission is configured
+// it decides the Welcome — issuing resume tokens, restoring snapshots for
+// reconnecting clients, or refusing with a Retry-After hint (the refusal
+// rides the terminal drain Bye).
 func (s *Session) handshake(r *wire.Reader) error {
-	if s.srv.cfg.HandshakeTimeout > 0 {
-		_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.HandshakeTimeout))
-		defer func() { _ = s.conn.SetReadDeadline(time.Time{}) }()
-	}
-	f, err := r.ReadFrame()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if f.Type != wire.TypeHello {
-		return fmt.Errorf("%w: first frame is %v, want hello", ErrHandshake, f.Type)
-	}
-	h, err := wire.DecodeHello(f.Payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if s.srv.cfg.Capture != nil {
-		_ = s.srv.cfg.Capture.Record(binlog.DirUp, f)
+	h := s.hello
+	if !s.helloRead {
+		var err error
+		if h, err = s.srv.readHello(s.conn, r, s.srv.cfg.HandshakeTimeout); err != nil {
+			return err
+		}
 	}
 	if h.Proto != wire.Version {
 		// the drain Bye the server sends on teardown carries this reason

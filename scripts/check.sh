@@ -5,7 +5,19 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./..."
+# stage NAME starts a stage; each stage's wall time prints when the next
+# one starts, and the last one's before "check: OK"
+stage_name="" stage_t0=0
+stage() {
+	if [ -n "$stage_name" ]; then
+		echo "   $stage_name: $(($(date +%s) - stage_t0)) s"
+	fi
+	stage_name=$1
+	stage_t0=$(date +%s)
+	[ -z "$1" ] || echo "== $1"
+}
+
+stage "go vet ./..."
 go vet ./...
 # a seed corpus file must never match .gitignore (it once swallowed the
 # binlog corpus and turned tier-1 red on a fresh clone)
@@ -22,12 +34,13 @@ if grep -nE 'session\.NewServer|fleet\.NewCoordinator|fleet\.NewScraper|qos\.New
 	echo "composition in package main (above): build it in internal/netxr/node" >&2
 	exit 1
 fi
-echo "== go build ./..."
+stage "go build ./..."
 go build ./...
-echo "== go test -race ./..."
+stage "go test -race ./..."
 # race instrumentation slows the heavy numeric packages ~10-20x, so the
 # per-package timeout must be far above go test's 10m default
 go test -race -timeout 60m ./...
+stage "repeated-count stress stages"
 # the downlink stop/reader ordering is a narrow window: many rounds
 go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge >/dev/null
 # pooled connection buffers: a released reader or writer reissued to the
@@ -64,14 +77,20 @@ go test -race -count=50 -run TestPoolCloseRacesDispatch ./internal/parallel >/de
 # the filter's arena hands the same memory to every stage of every frame:
 # the bit-exact fixtures, once more on their own so a failure names them
 go test -race -run TestGoldenFilter ./internal/vio >/dev/null
+# a replica leg outlives its session: Shutdown racing a relay that is
+# parking a leg, and a Hello racing IdleTimeout on a waiting connection,
+# must close every connection exactly once and never strand a session
+go test -race -count=20 -run 'TestGatewayParksLegAfterBothByes|TestGatewayClosesLegOnOtherEndings|TestParkedLegsCloseOnDownAndShutdown|TestShutdownRacesParking' ./internal/netxr/fleet >/dev/null
+go test -race -count=20 -run 'TestKeptConnWaitsOutsideTheTable|TestKeptConnHelloRacesIdleTimeout|TestKeptConnHelloDoesNotWaitForSessionEnd' ./internal/netxr/session >/dev/null
+go test -race -count=20 -run 'TestSequentialLifecyclesShareOneLeg|TestIdledOutLegIsRedialled' ./internal/netxr/node >/dev/null
 
-echo "== determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
+stage "determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
 # independent of how many OS threads actually back the pool
 GOMAXPROCS=2 go test -run Determinism -count=2 ./internal/... >/dev/null
 GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/... >/dev/null
 
-echo "== fuzz smokes (5s each)"
+stage "fuzz smokes (5s each)"
 # Summarize first: its Min <= Mean <= Max invariant once failed one smoke
 # in three, so a regression there should be the first thing to trip
 go test -run='^$' -fuzz=FuzzSummarize -fuzztime=5s ./internal/telemetry >/dev/null
@@ -81,7 +100,7 @@ go test -run='^$' -fuzz=FuzzSSIMWindow -fuzztime=5s ./internal/quality >/dev/nul
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/netxr/wire >/dev/null
 go test -run='^$' -fuzz=FuzzBinlogDecode -fuzztime=5s ./internal/netxr/binlog >/dev/null
 
-echo "== observability smoke test"
+stage "observability smoke test"
 # a one-second instrumented run must export a well-formed Chrome trace
 # and a non-empty metrics dump
 TMP="$(mktemp -d)"
@@ -96,7 +115,7 @@ grep -q '^illixr_' "$TMP/metrics.txt" || {
 	exit 1
 }
 
-echo "== command flags: names, defaults and help text as captured at PR 22"
+stage "command flags: names, defaults and help text against scripts/testdata/help"
 for c in illixr-serve illixr-gateway illixr-client; do
 	go build -o "$TMP/$c" ./cmd/$c
 	# line 1 names the binary's path; flag prints the rest to stderr
@@ -106,7 +125,7 @@ for c in illixr-serve illixr-gateway illixr-client; do
 	}
 done
 
-echo "== bench smokes: each experiment runs, then benchcheck gates its report"
+stage "bench smokes: each experiment runs, then benchcheck gates its report"
 # a typo in the loop below must fail, not pass as an empty run
 if "$TMP/illixr-bench" -exp bogus >/dev/null 2>&1; then
 	echo "illixr-bench accepted an unknown experiment id" >&2
@@ -135,7 +154,7 @@ for e in parallel network fleet fleetobs replay qos scale; do
 	"$TMP/benchcheck" $e "$TMP/BENCH_$e.json"
 done
 
-echo "== zero-allocation regression tests"
+stage "zero-allocation regression tests"
 # the only allocation gate: every pooled hot path has a TestZeroAlloc*
 # beside it, and ./internal/... finds one a new package gains.
 # AllocsPerRun needs real allocation counts, so this pass runs without
@@ -144,7 +163,7 @@ echo "== zero-allocation regression tests"
 # allocates a mesh per frame fails here
 go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget' ./internal/... >/dev/null
 
-echo "== per-package benchmarks (run, not gated, so they cannot rot)"
+stage "per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
 go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime >/dev/null
 go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
@@ -158,4 +177,5 @@ go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock' -benchmem
 go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
 go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
 
+stage ""
 echo "check: OK"
