@@ -12,12 +12,8 @@ import (
 
 	"illixr/internal/bench"
 	"illixr/internal/core"
-	"illixr/internal/eyetrack"
-	"illixr/internal/hologram"
 	"illixr/internal/perfmodel"
-	"illixr/internal/reconstruct"
 	"illixr/internal/render"
-	"illixr/internal/sensors"
 )
 
 // ---- static tables (Tables I-III, Fig 8) -------------------------------
@@ -100,44 +96,11 @@ func BenchmarkTable5ImageQuality_DesktopSponza(b *testing.B) {
 }
 
 // ---- standalone component workloads (Tables VI-VII) --------------------
-// Table VI's VIO row and the §V-E fast-parameter ablation live with their
-// package: BenchmarkVIORun/{default,fast} in internal/vio. So do Table
-// VII's reprojection (BenchmarkReproject1280x720) and audio rows
-// (BenchmarkEncodeBlock, BenchmarkPlaybackBlock in internal/audio) and the
-// application frame (BenchmarkRenderSponza in internal/render).
-
-func BenchmarkTable6Recon_Frame(b *testing.B) {
-	cam := sensors.CameraModel{Width: 80, Height: 60, Fx: 40, Fy: 40, Cx: 40, Cy: 30}
-	world := sensors.NewRoomWorld(40, 3)
-	traj := sensors.DefaultTrajectory()
-	r := reconstruct.New(reconstruct.DefaultParams(), cam, traj.Pose(0))
-	depth, rgb := world.RenderDepth(cam, traj.Pose(0))
-	pose := traj.Pose(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ProcessFrame(depth, rgb, &pose)
-	}
-}
-
-func BenchmarkTable7Hologram_GSW(b *testing.B) {
-	p := hologram.DefaultParams()
-	p.Width, p.Height = 128, 128
-	p.Iterations = 3
-	spots := hologram.SpotsFromDepthPlanes(2, 4, 6e-4, 0.02)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hologram.Generate(p, spots)
-	}
-}
-
-func BenchmarkEyeTracking_Inference(b *testing.B) {
-	tr := eyetrack.NewTracker()
-	img := eyetrack.SynthEyeImage(160, 120, 0.1, 0, 0.02, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Track(img.Img)
-	}
-}
+// These live with their packages: Table VI's VIO row and the §V-E
+// ablation (BenchmarkVIORun/{default,fast}, internal/vio) and its scene
+// reconstruction (BenchmarkTable6Recon_Frame, internal/reconstruct);
+// Table VII's reprojection (BenchmarkReproject1280x720), audio
+// (BenchmarkEncodeBlock, BenchmarkPlaybackBlock) and hologram
+// (BenchmarkTable7Hologram_GSW) rows; eye tracking
+// (BenchmarkEyeTracking_Inference, internal/eyetrack); and the
+// application frame (BenchmarkRenderSponza, internal/render).

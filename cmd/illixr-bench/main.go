@@ -9,9 +9,9 @@
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 // fig3 fig4 fig5 fig6 fig7 fig8 ablation-vio faults observability
-// parallel network fleet fleetobs replay qos scale all
+// parallel network fleet fleetobs qos all
 //
-// The last eight also write BENCH_<exp>.json into -out-dir;
+// The last six also write BENCH_<exp>.json into -out-dir;
 // scripts/benchcheck gates those files. An id that names no experiment
 // exits 2 with the list of valid ones.
 package main

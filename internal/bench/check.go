@@ -28,9 +28,7 @@ var checkKinds = map[string]func() checker{
 	"network":  func() checker { return new(NetworkReport) },
 	"fleet":    func() checker { return new(FleetReport) },
 	"fleetobs": func() checker { return new(FleetObsReport) },
-	"replay":   func() checker { return new(ReplayReport) },
 	"qos":      func() checker { return new(QoSReport) },
-	"scale":    func() checker { return new(ScaleReport) },
 	"trace":    func() checker { return new(Trace) },
 }
 

@@ -14,26 +14,14 @@ import (
 // checkedIn is the path of a checked-in report, seen from this package.
 func checkedIn(name string) string { return "../../BENCH_" + name + ".json" }
 
-// stripWall drops the wall_* lines of an encoded report: everything a
-// report measures on the host's clock or scheduler carries that prefix,
-// and everything else is byte-identical for a given seed.
-func stripWall(b []byte) []byte {
-	var out []byte
-	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
-		if !bytes.HasPrefix(bytes.TrimLeft(line, " "), []byte(`"wall_`)) {
-			out = append(out, line...)
-		}
-	}
-	return out
-}
-
-func encodeNoWall(t *testing.T, rep any) []byte {
+// encode is a report's BENCH_*.json encoding.
+func encode(t *testing.T, rep any) []byte {
 	t.Helper()
 	b, err := marshalReport(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stripWall(b)
+	return b
 }
 
 // load decodes a checked-in report into its real type, strictly.
@@ -48,9 +36,11 @@ func load[T any](t *testing.T, name string) *T {
 
 // TestCheckedInReportsReproduce regenerates every seed-deterministic
 // report through the experiment table — default sizes, seed 42 — and
-// requires the checked-in file back byte for byte, wall_* lines aside.
+// requires the checked-in file back byte for byte. None may carry a
+// wall_* field: a host measurement belongs in a package test or in
+// benchmark/, not in a report that must reproduce.
 func TestCheckedInReportsReproduce(t *testing.T) {
-	deterministic := map[string]bool{"network": true, "fleet": true, "fleetobs": true, "qos": true, "scale": true}
+	deterministic := map[string]bool{"network": true, "fleet": true, "fleetobs": true, "qos": true}
 	for _, e := range experiments {
 		if !deterministic[e.name] {
 			continue
@@ -63,8 +53,12 @@ func TestCheckedInReportsReproduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeNoWall(t, rep); !bytes.Equal(got, stripWall(want)) {
-			t.Errorf("%s: regenerated report differs from %s outside its wall_* lines", e.name, checkedIn(e.name))
+		got := encode(t, rep)
+		if bytes.Contains(got, []byte(`"wall_`)) {
+			t.Errorf("%s: a seed-deterministic report carries a wall_* field", e.name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: regenerated report differs from %s", e.name, checkedIn(e.name))
 		}
 		delete(deterministic, e.name)
 	}
@@ -119,12 +113,12 @@ func TestCheckedInReportsPassCheck(t *testing.T) {
 }
 
 func TestCheckFileRejects(t *testing.T) {
-	if _, err := CheckFile("scael", checkedIn("scale")); err == nil || !strings.Contains(err.Error(), "valid:") {
+	if _, err := CheckFile("qso", checkedIn("qos")); err == nil || !strings.Contains(err.Error(), "valid:") {
 		t.Errorf("unknown kind: err = %v, want the list of valid kinds", err)
 	}
 	// the right kind for the wrong file is schema drift, not an empty pass
-	if _, err := CheckFile("fleet", checkedIn("scale")); err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Errorf("scale report read as fleet: err = %v, want an unknown-field error", err)
+	if _, err := CheckFile("fleet", checkedIn("qos")); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("qos report read as fleet: err = %v, want an unknown-field error", err)
 	}
 }
 
@@ -159,14 +153,8 @@ func TestChecksCanFail(t *testing.T) {
 	obs := func(f func(*FleetObsReport)) func() []error {
 		return func() []error { r := load[FleetObsReport](t, "fleetobs"); f(r); return r.Check() }
 	}
-	scale := func(f func(*ScaleReport)) func() []error {
-		return func() []error { r := load[ScaleReport](t, "scale"); f(r); return r.Check() }
-	}
 	qos := func(f func(*QoSReport)) func() []error {
 		return func() []error { r := load[QoSReport](t, "qos"); f(r); return r.Check() }
-	}
-	replay := func(f func(*ReplayReport)) func() []error {
-		return func() []error { r := load[ReplayReport](t, "replay"); f(r); return r.Check() }
 	}
 	parallel := func(f func(*ParallelReport)) func() []error {
 		return func() []error { r := load[ParallelReport](t, "parallel"); f(r); return r.Check() }
@@ -234,9 +222,6 @@ func TestChecksCanFail(t *testing.T) {
 		{"fleet/resumed nowhere", fleet(func(r *FleetReport) { displaced(r).ResumedOn = -1 }), "resumed on replica -1"},
 		{"fleet/no poses", fleet(func(r *FleetReport) { displaced(r).PosesDelivered = 0 }), "delivered no poses"},
 		{"fleet/no refusals", fleet(func(r *FleetReport) { r.AdmissionRefusals = 0 }), "zero admission refusals"},
-		{"fleet/soak lost", fleet(func(r *FleetReport) { r.Soak.Lost = 1 }), "soak lost 1 sessions"},
-		{"fleet/soak dirty", fleet(func(r *FleetReport) { r.Soak.CleanShutdown = false }), "soak shutdown was not clean"},
-		{"fleet/soak unresumed", fleet(func(r *FleetReport) { r.Soak.WallDisplaced, r.Soak.WallResumed = 2, 1 }), "soak resumed 1 of 2"},
 
 		// fleetobs
 		{"fleetobs/2 replicas", obs(func(r *FleetObsReport) { r.Replicas = 2 }), "2 replicas, need >= 3"},
@@ -260,15 +245,6 @@ func TestChecksCanFail(t *testing.T) {
 		{"fleetobs/inf burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = math.Inf(1) }), "burn rate +Inf is not"},
 		{"fleetobs/no events", obs(func(r *FleetObsReport) { r.Events.Recorded = 0 }), "recorded no events"},
 		{"fleetobs/admit missing", obs(func(r *FleetObsReport) { r.Events.ByKind["admit"]-- }), "saw 29 admit events for 30 sessions"},
-
-		// scale
-		{"scale/no fingerprint", scale(func(r *ScaleReport) { r.Fingerprints.Fingerprint = "" }), "no decision fingerprint"},
-		{"scale/1024 decisions", scale(func(r *ScaleReport) { r.Fingerprints.Decisions = 1024 }), ""},
-		{"scale/1023 decisions", scale(func(r *ScaleReport) { r.Fingerprints.Decisions = 1023 }), "only 1023 decisions"},
-		{"scale/soak refused", scale(func(r *ScaleReport) { r.Soak.Admitted-- }), "soak admitted 1023 of 1024"},
-		{"scale/soak lost", scale(func(r *ScaleReport) { r.Soak.Lost = 1 }), "soak lost 1 frames"},
-		{"scale/soak dirty", scale(func(r *ScaleReport) { r.Soak.CleanShutdown = false }), "soak shutdown was not clean"},
-		{"scale/soak silent", scale(func(r *ScaleReport) { r.Soak.WallPoses = 0 }), "soak delivered no poses"},
 
 		// qos (ramp cell 3, 24 sessions, is the saturated one)
 		{"qos/2 cells", qos(func(r *QoSReport) { r.Ramp = r.Ramp[2:] }), "ramp has 2 cells, need >= 3"},
@@ -297,25 +273,6 @@ func TestChecksCanFail(t *testing.T) {
 		{"qos/fingerprint drift", qos(func(r *QoSReport) { r.Drift.FingerprintB = "0" }), "re-run not reproducible"},
 		{"qos/p99 drift", qos(func(r *QoSReport) { r.Drift.P99BitsB = "0" }), "re-run not reproducible"},
 		{"qos/no fingerprint", qos(func(r *QoSReport) { r.Drift.FingerprintA, r.Drift.FingerprintB = "", "" }), "no decision-log fingerprint"},
-		{"qos/soak frame lost", qos(func(r *QoSReport) { r.Soak.FramesDelivered-- }), "soak delivered 99 of 100"},
-		{"qos/soak idle", qos(func(r *QoSReport) { r.Soak.FramesSent, r.Soak.FramesDelivered = 0, 0 }), "soak delivered 0 of 0"},
-		{"qos/never flushed", qos(func(r *QoSReport) { r.Soak.WallFlushes = 0 }), "over 0 flushes — the batcher was bypassed"},
-		{"qos/never batched", qos(func(r *QoSReport) { r.Soak.BatchedFrames = 0 }), "batched 0 frames"},
-
-		// replay
-		{"replay/alloc delta 0.05", replay(func(r *ReplayReport) { r.Capture.AllocDeltaPerFrame = 0.05 }), ""},
-		{"replay/alloc delta 0.06", replay(func(r *ReplayReport) { r.Capture.AllocDeltaPerFrame = 0.06 }), "0.060/frame amortized, budget is 0.05"},
-		{"replay/budget 2.99%", replay(func(r *ReplayReport) { r.Capture.FrameBudgetPct = 2.99 }), ""},
-		{"replay/budget 3%", replay(func(r *ReplayReport) { r.Capture.FrameBudgetPct = 3 }), "costs 3.00% of the 8.33 ms frame budget"},
-		{"replay/empty recording", replay(func(r *ReplayReport) { r.Fidelity.Records = 0 }), "empty recording"},
-		{"replay/not bit exact", replay(func(r *ReplayReport) { r.Fidelity.BitExact = false }), "not bit-identical"},
-		{"replay/round trip", replay(func(r *ReplayReport) { r.Fidelity.FileRoundTrip = false }), "round trip failed"},
-		{"replay/torn tail", replay(func(r *ReplayReport) { r.Fidelity.TornRecovered = false }), "torn-tail recovery failed"},
-		{"replay/no ramp", replay(func(r *ReplayReport) { r.Ramp = nil }), "no fan-out ramp"},
-		{"replay/refused", replay(func(r *ReplayReport) { r.Ramp[1].Admitted-- }), "ramp step 2 admitted 1/2"},
-		{"replay/lost frame", replay(func(r *ReplayReport) { r.Ramp[0].Lost = 1 }), "lost 1 uplink frames"},
-		{"replay/no poses", replay(func(r *ReplayReport) { r.Ramp[2].Poses = 0 }), "ramp step 4 saw no poses"},
-		{"replay/fan-out 4", replay(func(r *ReplayReport) { r.Ramp = r.Ramp[:3] }), "largest fan-out step is 4 clients, want >= 8"},
 
 		// parallel
 		{"parallel/no kernels", parallel(func(r *ParallelReport) { r.Kernels = nil }), "no kernels in report"},
@@ -372,19 +329,19 @@ func TestChecksCanFail(t *testing.T) {
 // TestWriteReportRejectsNonFinite: a measurement JSON cannot carry must
 // surface as an error, not as a truncated or missing-but-unnoticed file.
 func TestWriteReportRejectsNonFinite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	rep := &ScaleReport{Soak: ScaleSoakResult{WallSec: math.Inf(1)}}
+	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
+	rep := &ParallelReport{Kernels: []ParallelKernelResult{{Name: "ssim", WallSpeedup: math.Inf(1)}}}
 	if err := writeReport(path, rep); err == nil {
 		t.Fatal("a report holding +Inf was written without error")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a file was left behind: stat err = %v", err)
 	}
-	rep.Soak.WallSec = 2
+	rep.Kernels[0].WallSpeedup = 2
 	if err := writeReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if failed, err := CheckFile("scale", path); err != nil || len(failed) == 0 {
+	if failed, err := CheckFile("parallel", path); err != nil || len(failed) == 0 {
 		t.Fatalf("written report did not decode and fail its gate: %v, %v", failed, err)
 	}
 }

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"illixr/internal/faults"
 	"illixr/internal/netxr/bridge"
@@ -15,7 +11,6 @@ import (
 	"illixr/internal/netxr/netsim"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/sensors"
 )
 
 // The fleet experiment (-exp fleet) is the survivability chaos cell of
@@ -24,18 +19,12 @@ import (
 // replica-crash fault scenario, every displaced session reconnecting
 // through the coordinator's admission control (resume-burst limiter and
 // Retry-After push-back included) under the production backoff policy.
-// Two halves, mirroring -exp network:
-//
-//   - A deterministic discrete-event simulation in virtual time: the
-//     crash instant comes from the seeded fault schedule, reconnect
-//     attempts are processed fleet-wide in timestamp order, and every
-//     message crosses the real codec and the seeded netsim delay
-//     process. Same seed, byte-identical report.
-//
-//   - A real concurrency soak: raw wire clients behind the actual
-//     fleet.Gateway and three live session servers, one of which is
-//     Abort()ed mid-stream; clients redial with their resume tokens.
-//     Scheduler-dependent observations live in wall_* fields.
+// It is a discrete-event simulation in virtual time: the crash instant
+// comes from the seeded fault schedule, reconnect attempts are processed
+// fleet-wide in timestamp order, and every message crosses the real
+// codec and the seeded netsim delay process. Same seed, byte-identical
+// report. Live clients racing their resumes onto the survivors of a
+// killed replica are fleet.TestGatewayCrashResumeHerd.
 //
 // The survivability contract FleetReport.Check enforces: zero lost
 // sessions, every displaced session resumed, recovery p99 within
@@ -61,10 +50,6 @@ const (
 	// on recovery p99: detection + a resume storm spread over the burst
 	// windows + the backoff schedule all must land inside it.
 	fleetRecoveryBoundMs = 1500.0
-	// fleetSoakSessions / fleetSoakFrames size the real-concurrency half.
-	fleetSoakSessions = 18
-	fleetSoakFrames   = 150
-	fleetSoakCapacity = 12
 )
 
 // FleetSessionResult is one simulated session's row.
@@ -83,20 +68,6 @@ type FleetSessionResult struct {
 	IMUSent        int      `json:"imu_sent"`
 	PosesDelivered int      `json:"poses_delivered"`
 	MTP            MTPStats `json:"mtp"`
-}
-
-// FleetSoakResult is the real-concurrency half. wall_* fields depend on
-// the host scheduler; Lost and CleanShutdown are invariants.
-type FleetSoakResult struct {
-	Sessions         int     `json:"sessions"`
-	FramesPerSession int     `json:"frames_per_session"`
-	Lost             int     `json:"lost"`
-	CleanShutdown    bool    `json:"clean_shutdown"`
-	WallDisplaced    int     `json:"wall_displaced"`
-	WallResumed      int     `json:"wall_resumed"`
-	WallFramesRecv   uint64  `json:"wall_frames_received"`
-	WallRedials      int     `json:"wall_redials"`
-	WallMs           float64 `json:"wall_ms"`
 }
 
 // FleetReport is the BENCH_fleet.json document.
@@ -126,7 +97,6 @@ type FleetReport struct {
 	MTP      MTPStats             `json:"aggregate_mtp"`
 	Note     string               `json:"note"`
 	Per      []FleetSessionResult `json:"sessions_detail"`
-	Soak     FleetSoakResult      `json:"soak"`
 }
 
 const fleetNote = "deterministic replica-crash chaos cell: sessions placed by " +
@@ -134,7 +104,6 @@ const fleetNote = "deterministic replica-crash chaos cell: sessions placed by " 
 	"schedule's instant, displaced sessions resume through admission " +
 	"control (burst limiter + Retry-After) under the production backoff " +
 	"policy, all in virtual time; recovery is crash-to-first-fresh-pose. " +
-	"wall_* fields come from the live gateway soak and vary run to run " +
 	"(DESIGN.md §11)."
 
 // Check is the survivability gate: the replica-crash chaos cell must
@@ -193,17 +162,6 @@ func (rep *FleetReport) Check() []error {
 	// inert and the cell proves nothing about admission control
 	if rep.AdmissionRefusals == 0 {
 		f.addf("resume storm saw zero admission refusals — burst limiter untested")
-	}
-
-	// soak invariants
-	if rep.Soak.Lost != 0 {
-		f.addf("soak lost %d sessions", rep.Soak.Lost)
-	}
-	if !rep.Soak.CleanShutdown {
-		f.addf("soak shutdown was not clean")
-	}
-	if rep.Soak.WallResumed < rep.Soak.WallDisplaced {
-		f.addf("soak resumed %d of %d displaced clients", rep.Soak.WallResumed, rep.Soak.WallDisplaced)
 	}
 	return f
 }
@@ -281,88 +239,7 @@ func runResumeStorm(coord *fleet.Coordinator, displaced []fleet.Record,
 	return out, refusals, totalAttempts
 }
 
-// runFleetSoak drives real clients through a live gateway and kills one
-// replica mid-stream; every client carries its resume token and redials.
-func runFleetSoak() FleetSoakResult {
-	res := FleetSoakResult{Sessions: fleetSoakSessions, FramesPerSession: fleetSoakFrames}
-	f := pipeFleet(fleetReplicas,
-		fleet.Config{ReplicaCapacity: fleetSoakCapacity,
-			TokenSeed: 1, RetryAfter: 5 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1},
-		session.Config{IdleTimeout: -1, MaxSessions: fleetSoakSessions}, soakHandler{})
-	coord := f.gw.Coord
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	var displacedN, resumedN, redials, lost atomic.Int64
-	var framesRecv atomic.Uint64
-	for i := 0; i < fleetSoakSessions; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			var token uint64
-			sent := 0
-			bo := bridge.NewBackoff(int64(idx))
-			bo.Base, bo.Cap = 2*time.Millisecond, 50*time.Millisecond
-			for attempt := 0; sent < fleetSoakFrames; attempt++ {
-				if attempt > 64 {
-					lost.Add(1)
-					return
-				}
-				if attempt > 0 {
-					time.Sleep(bo.Delay(attempt - 1))
-				}
-				base := sent
-				var buf []byte
-				wel, wrote, poses, ok := streamFrames(f.dial(),
-					wire.Hello{App: "fleet-soak", IMURateHz: fleetIMUHz, ResumeToken: token},
-					fleetSoakFrames-base, func(i int) wire.Frame {
-						if i > 0 {
-							time.Sleep(200 * time.Microsecond)
-						}
-						buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(base+i) / fleetIMUHz})
-						return wire.Frame{Type: wire.TypeIMU, Payload: buf}
-					})
-				if !ok {
-					continue // refused or severed: back off and redial
-				}
-				token = wel.ResumeToken
-				if wel.Resumed {
-					resumedN.Add(1)
-				}
-				framesRecv.Add(poses)
-				if sent += wrote; sent == fleetSoakFrames {
-					return
-				}
-				displacedN.Add(1)
-				redials.Add(1)
-			}
-		}(i)
-	}
-
-	// let streams establish, then crash the busiest replica
-	time.Sleep(10 * time.Millisecond)
-	victim := 0
-	for i := 1; i < fleetReplicas; i++ {
-		if coord.Sessions(i) > coord.Sessions(victim) {
-			victim = i
-		}
-	}
-	f.crash(victim)
-
-	wg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res.CleanShutdown = f.stop(ctx)
-	res.Lost = int(lost.Load())
-	res.WallDisplaced = int(displacedN.Load())
-	res.WallResumed = int(resumedN.Load())
-	res.WallRedials = int(redials.Load())
-	res.WallFramesRecv = framesRecv.Load()
-	res.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	return res
-}
-
-// FleetExperiment runs the chaos cell and the soak and prints the summary.
+// FleetExperiment runs the chaos cell and prints the summary.
 func FleetExperiment(w io.Writer, nSessions int, seed int64) (*FleetReport, error) {
 	if nSessions > fleetCapacity*(fleetReplicas-1) {
 		// the survivors must be able to absorb everyone, or zero-loss is
@@ -486,13 +363,6 @@ func FleetExperiment(w io.Writer, nSessions int, seed int64) (*FleetReport, erro
 		rep.RecoveryBoundMs)
 	fmt.Fprintf(w, "  mtp ms: mean %.2f  p99 %.2f  max %.2f over %d vsyncs\n",
 		rep.MTP.MeanMs, rep.MTP.P99Ms, rep.MTP.MaxMs, rep.MTP.N)
-
-	fmt.Fprintf(w, "\nlive gateway soak: %d clients x %d frames, one replica killed mid-stream\n",
-		fleetSoakSessions, fleetSoakFrames)
-	rep.Soak = runFleetSoak()
-	fmt.Fprintf(w, "  displaced %d  resumed %d  lost %d  redials %d  clean shutdown %v (%.0f ms wall)\n",
-		rep.Soak.WallDisplaced, rep.Soak.WallResumed, rep.Soak.Lost,
-		rep.Soak.WallRedials, rep.Soak.CleanShutdown, rep.Soak.WallMs)
 
 	return rep, nil
 }

@@ -18,7 +18,7 @@ func TestFleetExperimentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, b)) {
+	if !bytes.Equal(encode(t, a), encode(t, b)) {
 		t.Fatal("same seed produced different fleet reports")
 	}
 
@@ -26,7 +26,7 @@ func TestFleetExperimentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, c)) {
+	if bytes.Equal(encode(t, a), encode(t, c)) {
 		t.Fatal("different seeds produced identical fleet reports")
 	}
 }

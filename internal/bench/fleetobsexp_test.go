@@ -18,14 +18,14 @@ func TestFleetObsExperimentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, b)) {
+	if !bytes.Equal(encode(t, a), encode(t, b)) {
 		t.Fatal("same seed produced different fleetobs reports")
 	}
 	c, err := FleetObsExperiment(io.Discard, 30, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(encodeNoWall(t, a), encodeNoWall(t, c)) {
+	if bytes.Equal(encode(t, a), encode(t, c)) {
 		t.Fatal("different seeds produced identical fleetobs reports")
 	}
 }

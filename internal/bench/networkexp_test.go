@@ -15,17 +15,17 @@ func TestNetworkExperimentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
-	b1 := encodeNoWall(t, r1)
-	b2 := encodeNoWall(t, r2)
+	b1 := encode(t, r1)
+	b2 := encode(t, r2)
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("same seed produced different reports (after stripping wall_* fields)")
+		t.Fatal("same seed produced different reports")
 	}
 
 	r3, err := NetworkExperiment(io.Discard, 8, 43)
 	if err != nil {
 		t.Fatalf("run 3: %v", err)
 	}
-	if bytes.Equal(b1, encodeNoWall(t, r3)) {
+	if bytes.Equal(b1, encode(t, r3)) {
 		t.Fatal("different seeds produced identical reports — the seed is not reaching the links")
 	}
 }

@@ -1,23 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"illixr/internal/faults"
-	"illixr/internal/netxr/session"
-	"illixr/internal/netxr/wire"
-	"illixr/internal/parallel"
 	"illixr/internal/qos"
-	"illixr/internal/sensors"
-	"illixr/internal/telemetry"
 )
 
 // The QoS experiment (-exp qos) proves the adaptive controller of
@@ -47,10 +37,7 @@ import (
 //     decision-log fingerprints and the bit patterns of the MTP p99
 //     must match exactly (drift = 0).
 //
-//   - Soak: the real pipeline — session.Server + BatchingHandler +
-//     qos.Batcher over a live parallel.Pool, N clients over net.Pipe —
-//     delivering every batched camera frame (wall-clock, not gated on
-//     timing).
+// The real batching pipeline is node.TestReplicaQoSBatchesAcrossSessions.
 //
 // QoSReport.Check gates the report: adaptive p99 <= static p99 *
 // QoSAdaptiveMarginFrac in the saturated ramp cells, fewer deadline
@@ -212,17 +199,6 @@ type QoSDriftCell struct {
 	Drift        int    `json:"drift"`
 }
 
-// QoSSoakCell is the real-pipeline half (wall-clock, not gated on time).
-// How many flush ticks the frames spread over depends on the scheduler.
-type QoSSoakCell struct {
-	Sessions        int     `json:"sessions"`
-	FramesSent      int     `json:"frames_sent"`
-	FramesDelivered int     `json:"frames_delivered"`
-	BatchedFrames   uint64  `json:"batched_frames"`
-	WallFlushes     uint64  `json:"wall_flushes"`
-	WallMs          float64 `json:"wall_ms"`
-}
-
 // QoSReport is the BENCH_qos.json document.
 type QoSReport struct {
 	Seed               int64         `json:"seed"`
@@ -236,7 +212,6 @@ type QoSReport struct {
 	Batching           QoSBatchCell  `json:"batching"`
 	Fault              QoSFaultCell  `json:"fault"`
 	Drift              QoSDriftCell  `json:"drift"`
-	Soak               QoSSoakCell   `json:"soak"`
 	Note               string        `json:"note"`
 }
 
@@ -246,7 +221,7 @@ const qosNote = "adaptive QoS cells (DESIGN.md §14): per-kernel multi-server FI
 	"worker split at full quality. Batching cell amortizes the fixed dispatch " +
 	"cost across sessions per flush window. Fault cell drives a faults.Generate " +
 	"cost spike through the knob hysteresis. Sim cells are virtual-time and " +
-	"seed-deterministic; soak drives the real session.Server + BatchingHandler."
+	"seed-deterministic."
 
 // Check is the adaptive-QoS gate: the loop must demonstrably close —
 // deadline pressure driving worker reallocation and quality degradation,
@@ -349,17 +324,6 @@ func (rep *QoSReport) Check() []error {
 	}
 	if d.FingerprintA == "" {
 		f.addf("drift cell has no decision-log fingerprint")
-	}
-
-	// real-pipeline soak
-	s := rep.Soak
-	if s.FramesSent == 0 || s.FramesDelivered != s.FramesSent {
-		f.addf("soak delivered %d of %d frames through the batching pipeline",
-			s.FramesDelivered, s.FramesSent)
-	}
-	if s.BatchedFrames == 0 || s.WallFlushes == 0 {
-		f.addf("soak batched %d frames over %d flushes — the batcher was bypassed",
-			s.BatchedFrames, s.WallFlushes)
 	}
 	return f
 }
@@ -548,80 +512,6 @@ func qosAbs(v int) int {
 	return v
 }
 
-// qosSoakHandler counts delivered frames on the far side of the batcher.
-type qosSoakHandler struct {
-	delivered atomic.Int64
-	ended     atomic.Int64
-}
-
-func (h *qosSoakHandler) SessionStart(*session.Session) error { return nil }
-func (h *qosSoakHandler) SessionFrame(_ *session.Session, f wire.Frame) error {
-	if f.Type == wire.TypeCamera {
-		if _, err := wire.DecodeCamera(f.Payload); err != nil {
-			return err
-		}
-		h.delivered.Add(1)
-	}
-	return nil
-}
-func (h *qosSoakHandler) SessionEnd(*session.Session, error) { h.ended.Add(1) }
-
-// runQoSSoak drives the real batching pipeline: clients over net.Pipe →
-// session.Server → BatchingHandler → qos.Batcher flushing onto a live
-// parallel.Pool.
-func runQoSSoak(nSessions, framesPer int) (QoSSoakCell, error) {
-	cell := QoSSoakCell{Sessions: nSessions, FramesSent: nSessions * framesPer}
-	reg := telemetry.NewRegistry()
-	pool := parallel.New(2)
-	defer pool.Close()
-	batcher := qos.NewBatcher(pool)
-	batcher.Instrument(reg)
-	inner := &qosSoakHandler{}
-	bh := &session.BatchingHandler{Inner: inner, Batcher: batcher,
-		Types: map[wire.Type]string{wire.TypeCamera: "imgproc"}}
-	bh.Instrument(reg)
-	srv := session.NewServer(session.Config{MaxSessions: nSessions, Metrics: reg}, bh)
-	stopFlush := batcher.AutoFlush(qosFlushMs * time.Millisecond)
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for i := 0; i < nSessions; i++ {
-		client, server := net.Pipe()
-		if srv.HandleConn(server) == nil {
-			client.Close()
-			continue
-		}
-		wg.Add(1)
-		go func(conn net.Conn) {
-			defer wg.Done()
-			var buf []byte
-			streamFrames(conn, wire.Hello{App: "qos-soak", CamRateHz: 15},
-				framesPer, func(j int) wire.Frame {
-					buf = wire.AppendCamera(buf[:0], sensors.CameraFrame{T: float64(j) / 15})
-					return wire.Frame{Type: wire.TypeCamera, Payload: buf}
-				})
-		}(client)
-	}
-	wg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		stopFlush()
-		return cell, err
-	}
-	stopFlush()
-	batcher.Flush() // anything parked between the last tick and shutdown
-	cell.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	cell.FramesDelivered = int(inner.delivered.Load())
-	snap := reg.Snapshot()
-	cell.BatchedFrames = snap.Counters["illixr_qos_batch_frames_total"]
-	cell.WallFlushes = snap.Counters["illixr_qos_batch_flushes_total"]
-	if errs := bh.DeferredErrors(); len(errs) != 0 {
-		return cell, fmt.Errorf("bench: qos soak deferred errors: %v", errs[0])
-	}
-	return cell, nil
-}
-
 // QoSExperiment runs the adaptive-QoS cells and prints the summary table.
 func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 	rep := &QoSReport{Seed: seed, TotalWorkers: qosTotalWorkers,
@@ -714,14 +604,6 @@ func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 	rep.Drift = drift
 	fmt.Fprintf(w, "  drift: fingerprint %s vs %s, p99 bits %s vs %s → %d\n",
 		drift.FingerprintA, drift.FingerprintB, drift.P99BitsA, drift.P99BitsB, drift.Drift)
-
-	soak, err := runQoSSoak(4, 25)
-	if err != nil {
-		return nil, err
-	}
-	rep.Soak = soak
-	fmt.Fprintf(w, "  soak: %d/%d camera frames delivered through the real batcher (%d batched, %d flushes) in %.1f ms\n",
-		soak.FramesDelivered, soak.FramesSent, soak.BatchedFrames, soak.WallFlushes, soak.WallMs)
 
 	return rep, nil
 }

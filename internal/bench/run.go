@@ -28,8 +28,6 @@ const (
 	networkSessions  = 8
 	fleetSessions    = 120
 	fleetObsSessions = 30
-	replayFanout     = 8
-	scaleSessions    = 1024
 )
 
 type runFunc func(w io.Writer, o Options, m *Matrix) (report any, err error)
@@ -95,14 +93,8 @@ var experiments = []experiment{
 	{name: "fleetobs", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return FleetObsExperiment(w, fleetObsSessions, o.Seed)
 	}},
-	{name: "replay", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return ReplayExperiment(w, replayFanout, o.Seed)
-	}},
 	{name: "qos", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return QoSExperiment(w, o.Seed)
-	}},
-	{name: "scale", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return ScaleExperiment(w, scaleSessions, o.Seed)
 	}},
 }
 

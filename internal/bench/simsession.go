@@ -12,7 +12,7 @@ import (
 // samples go up a link, the server answers each with a pose after its
 // turnaround, the pose comes down a link, and the client displays the
 // newest delivered pose at every vsync. Every experiment that models a
-// session (network, fleet, fleetobs, scale) fills one of these in.
+// session (network, fleet, fleetobs) fills one of these in.
 type sessionSpec struct {
 	startSec, endSec float64
 	imuHz, vsyncHz   float64

@@ -8,9 +8,11 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"illixr/internal/netxr/bridge"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
 	"illixr/internal/sensors"
@@ -303,6 +305,143 @@ func TestGatewayCrashResume(t *testing.T) {
 	if f, err := r2.ReadFrame(); err != nil || f.Type != wire.TypePose {
 		t.Fatalf("post-resume downlink = %v err %v, want pose", f.Type, err)
 	}
+}
+
+// TestGatewayCrashResumeHerd is TestGatewayCrashResume with company: 18
+// clients stream through the gateway into three replicas of capacity 12,
+// the busiest replica is killed while every session is live, and each
+// severed client redials with its resume token under jittered backoff,
+// so resumes race each other onto the survivors. No client may give up,
+// every displaced client must come back resumed, and the fleet must
+// still shut down clean.
+func TestGatewayCrashResumeHerd(t *testing.T) {
+	const clients, frames = 18, 150
+	tf := newTestFleet(t, 3, 12)
+	crashed := make(chan struct{})
+	var displaced, resumed, lost atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			bo := bridge.NewBackoff(int64(idx))
+			bo.Base, bo.Cap = 2*time.Millisecond, 50*time.Millisecond
+			var token uint64
+			sent := 0
+			for attempt := 0; sent < frames; attempt++ {
+				if attempt > 64 {
+					lost.Add(1)
+					return
+				}
+				if attempt > 0 {
+					time.Sleep(bo.Delay(attempt - 1))
+				}
+				wel, wrote, ok := tf.streamIMU(wire.Hello{App: "herd", IMURateHz: 500, ResumeToken: token},
+					sent, frames, crashed)
+				if !ok {
+					continue // refused: back off and redial
+				}
+				token = wel.ResumeToken
+				if wel.Resumed {
+					resumed.Add(1)
+				}
+				if sent += wrote; sent < frames {
+					displaced.Add(1)
+				}
+			}
+		}(i)
+	}
+
+	// once every session is placed (none can finish before the crash),
+	// kill the busiest replica
+	placed := func() (n, busiest int) {
+		for id := range tf.srvs {
+			n += tf.coord.Sessions(id)
+			if tf.coord.Sessions(id) > tf.coord.Sessions(busiest) {
+				busiest = id
+			}
+		}
+		return n, busiest
+	}
+	n, victim := placed()
+	for deadline := time.Now().Add(10 * time.Second); n < clients && time.Now().Before(deadline); n, victim = placed() {
+		time.Sleep(time.Millisecond)
+	}
+	onVictim := tf.coord.Sessions(victim)
+	tf.kill(victim)
+	close(crashed)
+	wg.Wait()
+	if n < clients {
+		t.Fatalf("%d of %d sessions placed before the crash", n, clients)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tf.gw.Shutdown(ctx); err != nil {
+		t.Errorf("gateway shutdown: %v", err)
+	}
+	for id, s := range tf.srvs {
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("replica %d shutdown: %v", id, err)
+		}
+	}
+	if n := lost.Load(); n != 0 {
+		t.Errorf("%d clients gave up redialing", n)
+	}
+	if d := displaced.Load(); d == 0 || d != int64(onVictim) {
+		t.Errorf("%d clients displaced, replica %d held %d", d, victim, onVictim)
+	}
+	if r, d := resumed.Load(), displaced.Load(); r < d {
+		t.Errorf("resumed %d of %d displaced clients", r, d)
+	}
+}
+
+// streamIMU is one connection of a wire client: handshake, drain the
+// downlink, write IMU samples from..to-1 — holding before sample to/2
+// until hold is closed — then say Bye. wrote < to-from means the stream
+// was severed under it; ok is false when no Welcome came back.
+func (tf *testFleet) streamIMU(hello wire.Hello, from, to int, hold <-chan struct{}) (wel wire.Welcome, wrote int, ok bool) {
+	c, g := net.Pipe()
+	tf.gw.HandleConn(g)
+	defer c.Close()
+	r, w := wire.NewReader(c), wire.NewWriter(c)
+	hello.Proto = wire.Version
+	if w.WriteFrame(wire.Frame{Type: wire.TypeHello, Payload: wire.AppendHello(nil, hello)}) != nil {
+		return wel, 0, false
+	}
+	f, err := r.ReadFrame()
+	if err != nil || f.Type != wire.TypeWelcome {
+		return wel, 0, false
+	}
+	if wel, err = wire.DecodeWelcome(f.Payload); err != nil {
+		return wel, 0, false
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			if _, err := r.ReadFrame(); err != nil {
+				return
+			}
+		}
+	}()
+	var buf []byte
+	for i := from; i < to; i++ {
+		if i == to/2 {
+			<-hold
+		}
+		buf = wire.AppendIMU(buf[:0], sensors.IMUSample{T: float64(i) / 500})
+		if w.WriteFrame(wire.Frame{Type: wire.TypeIMU, Payload: buf}) != nil {
+			break
+		}
+		wrote++
+	}
+	if from+wrote == to {
+		_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye, Payload: wire.AppendBye(nil, wire.Bye{Reason: "done"})})
+	}
+	_ = c.Close()
+	<-drained
+	return wel, wrote, true
 }
 
 func TestGatewayFleetFullRefusesWithRetryAfter(t *testing.T) {

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -57,49 +58,56 @@ func makeRecording(t *testing.T, imuN int) *binlog.Log {
 	return l
 }
 
-// TestFanOutSoakEightClients is the N× load-generation soak: one
-// recording fanned out as 8 concurrent fresh-identity clients through
-// the gateway into a live 2-replica fleet. Run under -race in CI; the
-// cell must admit all 8 with zero lost uplink frames and poses flowing
-// back to every client.
-func TestFanOutSoakEightClients(t *testing.T) {
-	const clients = 8
-	const imuN = 40
-	gf := newGoldenFleet(t, 2, clients, nil)
-	l := makeRecording(t, imuN)
+// TestFanOutSoak is the N× load-generation soak: one recording fanned
+// out as concurrent fresh-identity clients through the gateway into a
+// live fleet — 8 clients on 2 replicas, and the kilo-session cell, 1024
+// on 8. Run under -race in CI; every client must be admitted with zero
+// lost uplink frames and poses flowing back to it. Pick is read-only, so
+// a herd can land on one replica before an AdmitOn commits: coordinator
+// capacity and server MaxSessions each hold the whole population.
+func TestFanOutSoak(t *testing.T) {
+	for _, c := range []struct{ clients, replicas, imuN int }{
+		{8, 2, 40},
+		{1024, 8, 30},
+	} {
+		t.Run(fmt.Sprintf("clients=%d", c.clients), func(t *testing.T) {
+			gf := newGoldenFleet(t, c.replicas, c.clients, c.clients, nil)
+			l := makeRecording(t, c.imuN)
 
-	results := replay.FanOut(clients, func(int) (net.Conn, error) {
-		c, g := net.Pipe()
-		gf.gw.HandleConn(g)
-		return c, nil
-	}, l, replay.Options{Timeout: 10 * time.Second})
+			results := replay.FanOut(c.clients, func(int) (net.Conn, error) {
+				cc, g := net.Pipe()
+				gf.gw.HandleConn(g)
+				return cc, nil
+			}, l, replay.Options{Timeout: 60 * time.Second})
 
-	admitted, lost, poses, firstErr := replay.Tally(results)
-	if firstErr != nil {
-		t.Fatalf("first error: %v", firstErr)
-	}
-	if admitted != clients || lost != 0 {
-		t.Fatalf("admitted %d/%d, lost %d; want all admitted, 0 lost", admitted, clients, lost)
-	}
-	if poses == 0 {
-		t.Fatal("no poses flowed back during the soak")
-	}
-	// recorded uplink = hello + 40 IMU + 4 QoE + bye; the replayer skips
-	// the recorded hello/bye and synthesizes its own pair
-	const wantSent = 1 + imuN + imuN/10 + 1
-	for i, r := range results {
-		if r.Session == 0 {
-			t.Fatalf("client %d: no session id", i)
-		}
-		if r.Resumed || r.PoseEpoch != 1 {
-			t.Fatalf("client %d: fan-out identity resumed: %+v", i, r)
-		}
-		if r.Sent != wantSent || r.Skipped != 2 {
-			t.Fatalf("client %d: sent %d skipped %d, want %d/2", i, r.Sent, r.Skipped, wantSent)
-		}
-		if r.Poses == 0 {
-			t.Fatalf("client %d: no poses received", i)
-		}
+			admitted, lost, poses, firstErr := replay.Tally(results)
+			if firstErr != nil {
+				t.Fatalf("first error: %v", firstErr)
+			}
+			if admitted != c.clients || lost != 0 {
+				t.Fatalf("admitted %d/%d, lost %d; want all admitted, 0 lost", admitted, c.clients, lost)
+			}
+			if poses == 0 {
+				t.Fatal("no poses flowed back during the soak")
+			}
+			// recorded uplink = hello + imuN IMU + imuN/10 QoE + bye; the
+			// replayer skips the recorded hello/bye and synthesizes its own
+			wantSent := uint64(1 + c.imuN + c.imuN/10 + 1)
+			for i, r := range results {
+				if r.Session == 0 {
+					t.Fatalf("client %d: no session id", i)
+				}
+				if r.Resumed || r.PoseEpoch != 1 {
+					t.Fatalf("client %d: fan-out identity resumed: %+v", i, r)
+				}
+				if r.Sent != wantSent || r.Skipped != 2 {
+					t.Fatalf("client %d: sent %d skipped %d, want %d/2", i, r.Sent, r.Skipped, wantSent)
+				}
+				if r.Poses == 0 {
+					t.Fatalf("client %d: no poses received", i)
+				}
+			}
+		})
 	}
 }
 
@@ -112,7 +120,7 @@ func TestFanOutSoakEightClients(t *testing.T) {
 // replays prove nothing: each is over in microseconds, so whether the
 // later ones find a free slot is a scheduling accident.)
 func TestFanOutAdmissionRefusal(t *testing.T) {
-	gf := newGoldenFleet(t, 1, 2, nil)
+	gf := newGoldenFleet(t, 1, 2, 0, nil)
 	l := makeRecording(t, 10)
 	dial := func(int) (net.Conn, error) {
 		c, g := net.Pipe()
@@ -181,7 +189,7 @@ func TestFanOutAdmissionRefusal(t *testing.T) {
 // replayer asks to sleep until each frame's recorded offset, so the
 // largest requested target approaches the recording's uplink span.
 func TestReplayPacingVirtualTime(t *testing.T) {
-	gf := newGoldenFleet(t, 1, 4, nil)
+	gf := newGoldenFleet(t, 1, 4, 0, nil)
 	const imuN = 20
 	l := makeRecording(t, imuN)
 	span := 0.002 * float64(imuN) // first IMU at 2ms, last at 40ms

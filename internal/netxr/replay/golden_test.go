@@ -55,13 +55,16 @@ type goldenFleet struct {
 	down map[int]bool
 }
 
-func newGoldenFleet(t *testing.T, n, capacity int, record *binlog.Writer) *goldenFleet {
+// newGoldenFleet starts n replicas of the given coordinator capacity;
+// maxSessions is each server's own cap (0: the default). A server that
+// refuses a conn reads as a failed dial, which marks its replica Down.
+func newGoldenFleet(t *testing.T, n, capacity, maxSessions int, record *binlog.Writer) *goldenFleet {
 	t.Helper()
 	gf := &goldenFleet{down: map[int]bool{}}
 	gf.coord = fleet.NewCoordinator(fleet.Config{ReplicaCapacity: capacity, TokenSeed: 1,
 		RetryAfter: 50 * time.Millisecond, ResumeBurst: 64, ResumeWindowSec: 1})
 	for i := 0; i < n; i++ {
-		srv := session.NewServer(session.Config{IdleTimeout: -1}, poseEcho{})
+		srv := session.NewServer(session.Config{IdleTimeout: -1, MaxSessions: maxSessions}, poseEcho{})
 		gf.srvs = append(gf.srvs, srv)
 		gf.coord.AddReplica(i, nil)
 	}
@@ -189,7 +192,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf := newGoldenFleet(t, 2, 8, gwCap)
+	gf := newGoldenFleet(t, 2, 8, 0, gwCap)
 
 	var bufA, bufB bytes.Buffer
 	capA, err := binlog.NewWriter(&bufA, binlog.Meta{App: "sponza", Seed: 42, IMURateHz: 500, CamRateHz: 15, Label: "client-a"}, nil)

@@ -5,7 +5,7 @@
 //
 // Usage: benchcheck <kind> <file>
 //
-// Kinds: parallel network fleet fleetobs replay qos scale trace.
+// Kinds: parallel network fleet fleetobs qos trace.
 package main
 
 import (
