@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"illixr/internal/core"
-	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/node"
 	"illixr/internal/netxr/wire"
 	"illixr/internal/sensors"
@@ -111,6 +110,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *record != "" {
-		fmt.Printf("recorded %d frames into %s (+%s)\n", c.Recorded(), *record, binlog.IndexSuffix)
+		fmt.Printf("recorded %d frames into %s\n", c.Recorded(), *record)
 	}
 }

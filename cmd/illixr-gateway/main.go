@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"illixr/internal/config"
-	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/fleet"
 	"illixr/internal/netxr/node"
 )
@@ -67,8 +66,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "",
 		"on shutdown, write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	record := flag.String("record", "",
-		"capture all client-facing relayed frames into this binlog file "+
-			"(sidecar index written on shutdown; DESIGN.md §13)")
+		"capture all client-facing relayed frames into this binlog file (DESIGN.md §13)")
 	flag.Parse()
 
 	backends := strings.Split(*replicas, ",")
@@ -124,7 +122,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *record != "" {
-		fmt.Printf("recorded %d frames into %s (+%s)\n", g.Recorded(), *record, binlog.IndexSuffix)
+		fmt.Printf("recorded %d frames into %s\n", g.Recorded(), *record)
 	}
 	fmt.Println("gateway stopped")
 }

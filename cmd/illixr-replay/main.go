@@ -45,23 +45,34 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	l, ix, err := binlog.ReadFile(*logPath, nil)
+	raw, err := os.ReadFile(*logPath)
 	if err != nil {
 		log.Fatalf("read %s: %v", *logPath, err)
 	}
+	l, err := binlog.DecodeLog(raw, nil)
+	if err != nil {
+		log.Fatalf("read %s: %v", *logPath, err)
+	}
+	up := 0
+	for _, r := range l.Records {
+		if r.Dir == binlog.DirUp {
+			up++
+		}
+	}
 	fmt.Printf("%s: %d records (%d up / %d down), %d bytes, session %d app %q seed %d label %q\n",
-		*logPath, ix.Records, ix.Up, ix.Down, ix.LogBytes,
-		ix.Meta.Session, ix.Meta.App, ix.Meta.Seed, ix.Meta.Label)
+		*logPath, len(l.Records), up, len(l.Records)-up, len(raw)-l.TornBytes,
+		l.Meta.Session, l.Meta.App, l.Meta.Seed, l.Meta.Label)
 	if l.Torn > 0 {
 		fmt.Printf("  torn tail: %d record(s), %d bytes skipped\n", l.Torn, l.TornBytes)
 	}
-	types := make([]int, 0, len(ix.ByType))
-	for t := range ix.ByType {
+	byType := l.CountByType()
+	types := make([]int, 0, len(byType))
+	for t := range byType {
 		types = append(types, int(t))
 	}
 	sort.Ints(types)
 	for _, t := range types {
-		fmt.Printf("  %-12v %d\n", wire.Type(t), ix.ByType[wire.Type(t)])
+		fmt.Printf("  %-12v %d\n", wire.Type(t), byType[wire.Type(t)])
 	}
 
 	if *addr != "" {

@@ -22,7 +22,6 @@ import (
 	"syscall"
 
 	"illixr/internal/config"
-	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/node"
 )
 
@@ -43,8 +42,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "",
 		"on shutdown, write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	record := flag.String("record", "",
-		"capture every session frame (uplink+downlink) into this binlog file; "+
-			"a sidecar index is written alongside on shutdown (DESIGN.md §13)")
+		"capture every session frame (uplink+downlink) into this binlog file (DESIGN.md §13)")
 	qosOn := flag.Bool("qos", false,
 		"adaptive QoS: batch camera/QoE work across sessions and run the "+
 			"deadline controller over it (/qos on the debug endpoint; DESIGN.md §14)")
@@ -81,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *record != "" {
-		fmt.Printf("recorded %d frames into %s (+%s)\n", r.Recorded(), *record, binlog.IndexSuffix)
+		fmt.Printf("recorded %d frames into %s\n", r.Recorded(), *record)
 	}
 	fmt.Println("server stopped")
 }

@@ -1,6 +1,6 @@
 // Package binlog is the binary session record/replay substrate
-// (DESIGN.md §13): an indexed, length-prefixed, CRC-framed, versioned
-// capture format for every netxr wire frame crossing a tap point — the
+// (DESIGN.md §13): a length-prefixed, CRC-framed, versioned capture
+// format for every netxr wire frame crossing a tap point — the
 // session layer, the bridge client, or the gateway relay. A recording
 // turns any interesting run (fault storm, resume storm, loop-closure
 // spike) into a permanent scenario: replayed at 1× it is a bit-exact
@@ -45,7 +45,7 @@
 // serialize into the file in receipt order no matter which goroutine
 // carried them. The component that opened the capture (the Capture /
 // Record hook owner) closes it after the last tap point has quiesced;
-// Close flushes the log and writes the sidecar index.
+// Close flushes the log and closes the file.
 package binlog
 
 import (
@@ -59,12 +59,8 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// Magic opens every binlog file ("XRBL"); IndexMagic opens the sidecar
-// index ("XRBI").
-var (
-	Magic      = [4]byte{'X', 'R', 'B', 'L'}
-	IndexMagic = [4]byte{'X', 'R', 'B', 'I'}
-)
+// Magic opens every binlog file ("XRBL").
+var Magic = [4]byte{'X', 'R', 'B', 'L'}
 
 // FormatVersion is the capture format this build reads and writes. A
 // decoder receiving any other version returns ErrFormatVersion instead
@@ -76,11 +72,8 @@ const FormatVersion = 1
 // therefore never drive an unbounded allocation.
 const MaxRecord = wire.MaxPayload + 1<<12
 
-// Suffix and IndexSuffix are the conventional file extensions.
-const (
-	Suffix      = ".binlog"
-	IndexSuffix = ".idx"
-)
+// Suffix is the conventional file extension.
+const Suffix = ".binlog"
 
 // Dir is the direction a captured frame travelled at the tap point.
 type Dir uint8
@@ -112,13 +105,11 @@ var (
 	ErrCorrupt       = errors.New("binlog: corrupt record")
 	ErrTooLarge      = errors.New("binlog: record exceeds MaxRecord")
 	ErrClosed        = errors.New("binlog: writer closed")
-	ErrIndexMismatch = errors.New("binlog: index does not match log")
 )
 
 // Meta is the session metadata header of a capture: who was recorded,
 // under which seed and rates, and where the tap sat. It rides at the
-// front of the log and is echoed into the sidecar index so tools can
-// list recordings without reading frame data.
+// front of the log.
 type Meta struct {
 	// Session is the transport session id at the tap (0 if unknown at
 	// capture-open time, e.g. a client that has not completed handshake).
@@ -397,7 +388,6 @@ type metrics struct {
 	records *telemetry.Counter
 	bytes   *telemetry.Counter
 	torn    *telemetry.Counter
-	rebuilt *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry) metrics {
@@ -406,6 +396,5 @@ func newMetrics(reg *telemetry.Registry) metrics {
 		records: reg.Counter(n("records_total")),
 		bytes:   reg.Counter(n("bytes_total")),
 		torn:    reg.Counter(n("torn_total")),
-		rebuilt: reg.Counter(n("index_rebuilt_total")),
 	}
 }

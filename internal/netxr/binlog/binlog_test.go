@@ -3,6 +3,8 @@ package binlog
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"illixr/internal/netxr/wire"
@@ -41,33 +43,38 @@ func testFrames(n int) []wire.Frame {
 }
 
 // record encodes a full in-memory log with alternating directions and
-// returns the raw bytes plus the writer's index.
-func record(t *testing.T, frames []wire.Frame) ([]byte, *Index) {
+// returns the raw bytes plus each record's offset, read from
+// Writer.Bytes before the record was appended.
+func record(t *testing.T, frames []wire.Frame) ([]byte, []uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, testMeta(), nil)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
+	offs := make([]uint64, 0, len(frames))
 	for i, f := range frames {
 		dir := DirUp
 		if i%2 == 1 {
 			dir = DirDown
 		}
+		offs = append(offs, w.Bytes())
 		if err := w.RecordAt(dir, float64(i)*0.01, f); err != nil {
 			t.Fatalf("RecordAt %d: %v", i, err)
 		}
 	}
-	ix := w.Index()
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	return buf.Bytes(), ix
+	if w.Count() != uint64(len(frames)) || w.Bytes() != uint64(buf.Len()) {
+		t.Fatalf("writer totals %d/%d, want %d/%d", w.Count(), w.Bytes(), len(frames), buf.Len())
+	}
+	return buf.Bytes(), offs
 }
 
 func TestRoundTrip(t *testing.T) {
 	frames := testFrames(30)
-	raw, ix := record(t, frames)
+	raw, _ := record(t, frames)
 
 	l, err := DecodeLog(raw, nil)
 	if err != nil {
@@ -97,9 +104,6 @@ func TestRoundTrip(t *testing.T) {
 			!bytes.Equal(r.Frame.Payload, frames[i].Payload) {
 			t.Fatalf("record %d: frame mismatch", i)
 		}
-	}
-	if ix.Records != uint64(len(frames)) || ix.LogBytes != uint64(len(raw)) {
-		t.Fatalf("index totals %d/%d, want %d/%d", ix.Records, ix.LogBytes, len(frames), len(raw))
 	}
 }
 
@@ -165,14 +169,10 @@ func TestTornCorruptFinalRecordSkipped(t *testing.T) {
 }
 
 func TestMidLogCorruptionIsAnError(t *testing.T) {
-	raw, ix := record(t, testFrames(12))
+	raw, offs := record(t, testFrames(12))
 	// corrupt record 3's body: data follows, so this is NOT a torn tail
-	off, ok := ix.SeekSeq(3)
-	if !ok {
-		t.Fatal("seek 3")
-	}
 	bad := append([]byte(nil), raw...)
-	bad[off+8] ^= 0x55
+	bad[offs[3]+8] ^= 0x55
 	_, err := DecodeLog(bad, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-log corruption: err = %v, want ErrCorrupt", err)
@@ -227,4 +227,105 @@ func TestMetaDefaultsCreatedStamp(t *testing.T) {
 		t.Fatal("CreatedUnixNano not defaulted")
 	}
 	_ = w.Close()
+}
+
+// TestFileRoundTrip: a Created capture closes to exactly one file — the
+// log is the whole capture — and decoding it gives back what was
+// recorded, per direction and per message type.
+func TestFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run"+Suffix)
+	w, err := Create(path, testMeta(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := testFrames(20)
+	want := map[wire.Type]uint64{}
+	for i, f := range frames {
+		d := DirUp
+		if i%4 == 3 {
+			d = DirDown
+		}
+		if err := w.RecordAt(d, float64(i), f); err != nil {
+			t.Fatal(err)
+		}
+		want[f.Type]++
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("capture left %d files (%v), want 1", len(ents), err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(raw)) != w.Bytes() {
+		t.Fatalf("file holds %d bytes, writer produced %d", len(raw), w.Bytes())
+	}
+	l, err := DecodeLog(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Meta != testMeta() || l.Torn != 0 || uint64(len(l.Records)) != w.Count() {
+		t.Fatalf("read back %d records (torn %d), writer counted %d", len(l.Records), l.Torn, w.Count())
+	}
+	down := 0
+	for _, r := range l.Records {
+		if r.Dir == DirDown {
+			down++
+		}
+	}
+	if down != len(frames)/4 {
+		t.Fatalf("%d down records, want %d", down, len(frames)/4)
+	}
+	got := l.CountByType()
+	if len(got) != len(want) {
+		t.Fatalf("type buckets %v, want %v", got, want)
+	}
+	for typ, n := range want {
+		if got[typ] != n {
+			t.Fatalf("count[%v] = %d, want %d", typ, got[typ], n)
+		}
+	}
+}
+
+// TestFileTornTail: a crash mid-append leaves a file whose final record
+// is torn. Decoding skips it, and the clean byte count derived from the
+// log (file size minus TornBytes) ends exactly where that record began.
+func TestFileTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crash"+Suffix)
+	w, err := Create(path, testMeta(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastOff uint64
+	for i, f := range testFrames(10) {
+		lastOff = w.Bytes()
+		if err := w.RecordAt(DirUp, float64(i), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(w.Bytes())-5); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := DecodeLog(torn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Torn != 1 || len(l.Records) != 9 {
+		t.Fatalf("torn=%d records=%d, want 1/9", l.Torn, len(l.Records))
+	}
+	if clean := uint64(len(torn) - l.TornBytes); clean != lastOff {
+		t.Fatalf("clean bytes %d, want %d (the torn record's offset)", clean, lastOff)
+	}
 }

@@ -3,7 +3,6 @@ package binlog
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 
 	"illixr/internal/netxr/wire"
 	"illixr/internal/telemetry"
@@ -15,8 +14,6 @@ import (
 type Log struct {
 	Meta    Meta
 	Records []Record
-	// Offsets[i] is the byte offset of Records[i]'s length prefix.
-	Offsets []uint64
 	// Torn counts tail records skipped by torn-write recovery (0 or 1:
 	// a crash mid-append tears at most the final record). TornBytes is
 	// the size of the skipped tail region.
@@ -41,7 +38,6 @@ func DecodeLog(b []byte, reg *telemetry.Registry) (*Log, error) {
 		rec, n, err := decodeRecord(b[off:])
 		if err == nil {
 			l.Records = append(l.Records, rec)
-			l.Offsets = append(l.Offsets, uint64(off))
 			off += n
 			continue
 		}
@@ -72,58 +68,11 @@ func isTornTail(rest []byte, err error) bool {
 	return vlen+int(n)+4 == len(rest)
 }
 
-// CountByType tallies the decoded records per message type (the same
-// shape the sidecar stores).
+// CountByType tallies the decoded records per message type.
 func (l *Log) CountByType() map[wire.Type]uint64 {
 	out := map[wire.Type]uint64{}
 	for _, r := range l.Records {
 		out[r.Frame.Type]++
 	}
 	return out
-}
-
-// indexOf builds a sidecar-equivalent index from an already-decoded
-// log. cleanBytes is the log size minus any torn tail.
-func indexOf(l *Log, cleanBytes uint64) *Index {
-	ix := &Index{
-		Meta:     l.Meta,
-		Records:  uint64(len(l.Records)),
-		LogBytes: cleanBytes,
-		ByType:   map[wire.Type]uint64{},
-		Entries:  make([]Entry, 0, len(l.Records)),
-	}
-	for i, r := range l.Records {
-		ix.Entries = append(ix.Entries, Entry{
-			Seq: r.Seq, Off: l.Offsets[i], Type: r.Frame.Type, Dir: r.Dir})
-		ix.ByType[r.Frame.Type]++
-		if r.Dir == DirUp {
-			ix.Up++
-		} else {
-			ix.Down++
-		}
-	}
-	return ix
-}
-
-// ReadFile loads a capture and its sidecar index. If the sidecar is
-// missing, unreadable, or fails Validate against the log (stale or
-// swapped), the index is rebuilt from the log bytes and the rebuild is
-// counted into illixr_binlog_index_rebuilt_total. reg may be nil.
-func ReadFile(path string, reg *telemetry.Registry) (*Log, *Index, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := DecodeLog(b, reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	cleanBytes := uint64(len(b) - l.TornBytes)
-	if ib, err := os.ReadFile(path + IndexSuffix); err == nil {
-		if ix, err := DecodeIndex(ib); err == nil && ix.Validate(cleanBytes) == nil {
-			return l, ix, nil
-		}
-	}
-	newMetrics(reg).rebuilt.Inc()
-	return l, indexOf(l, cleanBytes), nil
 }

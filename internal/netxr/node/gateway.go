@@ -25,8 +25,8 @@ import (
 // load, folds the scraped MTP p99 into an SLO and stitches the replicas'
 // span dumps into its own (DESIGN.md §12).
 type Gateway struct {
-	// Backends lists one replica address per fleet slot; the addresses
-	// are read only by the default Dial.
+	// Backends lists one replica address per fleet slot; each relay leg
+	// dials its replica's address over TCP.
 	Backends []string
 	// MetricURLs, when non-nil, lists each replica's debughttp base URL,
 	// aligned with Backends; nil places on this gateway's own counts.
@@ -46,9 +46,6 @@ type Gateway struct {
 	// DebugAddr serves /metrics /fleet /spans /events /slo /debug/pprof/
 	// there; Start replaces it with the bound address.
 	DebugAddr string
-	// Dial opens the relay leg to replica id; nil dials Backends[id] over
-	// TCP. The in-process fleets of internal/bench dial pipes here.
-	Dial func(id int) (net.Conn, error)
 
 	// Set by Start.
 	Registry *telemetry.Registry
@@ -98,14 +95,11 @@ func (g *Gateway) Start() error {
 	if err := g.open(g.Record, binlog.Meta{Label: "gateway"}, g.Registry); err != nil {
 		return err
 	}
-	dial := g.Dial
-	if dial == nil {
-		dial = func(id int) (net.Conn, error) {
-			return net.DialTimeout("tcp", g.Backends[id], 5*time.Second)
-		}
-	}
 	g.spans = telemetry.NewSpanCollector(0)
-	g.gw = &fleet.Gateway{Coord: g.Coord, Dial: dial,
+	g.gw = &fleet.Gateway{Coord: g.Coord,
+		Dial: func(id int) (net.Conn, error) {
+			return net.DialTimeout("tcp", g.Backends[id], 5*time.Second)
+		},
 		Metrics: g.Registry, Spans: g.spans, Record: g.capture}
 
 	if g.SLOBoundMs > 0 {

@@ -42,8 +42,8 @@ func (r *recording) open(path string, meta binlog.Meta, reg *telemetry.Registry)
 	return nil
 }
 
-// close writes the sidecar index; late records are refused, never lost
-// mid-file. Idempotent, as binlog.Writer.Close is.
+// close flushes and closes the capture file; late records are refused,
+// never lost mid-file. Idempotent, as binlog.Writer.Close is.
 func (r *recording) close() error {
 	if r.capture == nil {
 		return nil

@@ -37,7 +37,7 @@ type Replica struct {
 	// (at least 2; DESIGN.md §14). 0 = every frame handled inline.
 	QoSWorkers int
 	// Record captures every session frame, uplink and downlink, into this
-	// binlog file; the sidecar index is written by Close (DESIGN.md §13).
+	// binlog file, flushed and closed by Close (DESIGN.md §13).
 	Record string
 	// Node labels this process in stitched traces and span dumps.
 	Node string
