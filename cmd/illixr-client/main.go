@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"illixr/internal/core"
@@ -35,6 +36,18 @@ func main() {
 		"capture this client's traffic (Hello/Welcome included) into this binlog file "+
 			"for later illixr-replay runs (DESIGN.md §13)")
 	flag.Parse()
+	// a zero rate stamps its one sample 0/0 and a zero or negative length
+	// records nothing: refuse them as flag's own parse errors are refused
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"duration", *duration}, {"imu-rate", *imuRate}, {"cam-rate", *camRate}} {
+		if !(f.v > 0) {
+			fmt.Fprintf(flag.CommandLine.Output(), "invalid value %v for flag -%s: must be positive\n", f.v, f.name)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	dcfg := sensors.DefaultDatasetConfig()
 	dcfg.Duration = *duration

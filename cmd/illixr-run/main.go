@@ -48,6 +48,11 @@ func main() {
 	debugAddr := flag.String("debug-addr", "",
 		"serve /metrics /health /spans /debug/pprof/ on this address (e.g. :8080); keeps running after the run until interrupted")
 	flag.Parse()
+	if !(*duration > 0) {
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid value %v for flag -duration: must be positive\n", *duration)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	plat, ok := perfmodel.PlatformByName(*platName)
 	if !ok {

@@ -53,3 +53,15 @@ func BenchmarkPlaybackBlock(b *testing.B) {
 		play.Process(enc.EncodeBlock(), pose)
 	}
 }
+
+// BenchmarkSpeechLikeSource synthesizes the live pipeline's lecturer clip:
+// two seconds at 48 kHz, built once per set-up.
+func BenchmarkSpeechLikeSource(b *testing.B) {
+	dir := DirectionFromAzEl(0.5, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkSource = SpeechLikeSource("lecturer", 48000, 2, dir, 7)
+	}
+}
+
+var sinkSource Source

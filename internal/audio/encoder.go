@@ -165,9 +165,15 @@ func SineSource(name string, freqHz, sampleRate float64, seconds float64, dir Di
 	return Source{Name: name, Dir: dir, Gain: 1, PCM: pcm}
 }
 
+// speechTile is the sample-tile size SpeechLikeSource synthesizes on.
+const speechTile = 4096
+
 // SpeechLikeSource synthesizes a speech-like signal (amplitude-modulated
 // harmonics with formant-ish band emphasis) — the stand-in for the
-// "Science Teacher Lecturing" Freesound clip (§III-D).
+// "Science Teacher Lecturing" Freesound clip (§III-D). The random phases
+// are drawn first, in order; each sample is then a pure function of its
+// index, computed on fixed tiles of the core pool, so the clip is
+// bit-identical at any GOMAXPROCS.
 func SpeechLikeSource(name string, sampleRate float64, seconds float64, dir Direction, seed int64) Source {
 	n := int(seconds * sampleRate)
 	pcm := make([]int16, n)
@@ -178,24 +184,31 @@ func SpeechLikeSource(name string, sampleRate float64, seconds float64, dir Dire
 		return float64(rngState>>11) / float64(1<<53)
 	}
 	f0 := 120 + 40*next() // fundamental
-	phases := make([]float64, 8)
+	var phases, omega, amp [8]float64
 	for i := range phases {
 		phases[i] = 2 * math.Pi * next()
 	}
-	for i := 0; i < n; i++ {
-		t := float64(i) / sampleRate
-		// syllable-rate envelope ~4 Hz
-		env := 0.5 + 0.5*math.Sin(2*math.Pi*4*t+1.3)
-		env *= 0.6 + 0.4*math.Sin(2*math.Pi*0.7*t)
-		s := 0.0
-		for h := 1; h <= 8; h++ {
-			amp := 1.0 / float64(h)
-			if h == 3 || h == 4 { // crude formant emphasis
-				amp *= 2
-			}
-			s += amp * math.Sin(2*math.Pi*f0*float64(h)*t+phases[h-1])
+	for h := 1; h <= 8; h++ {
+		omega[h-1] = 2 * math.Pi * f0 * float64(h)
+		amp[h-1] = 1.0 / float64(h)
+		if h == 3 || h == 4 { // crude formant emphasis
+			amp[h-1] *= 2
 		}
-		pcm[i] = int16(6000 * env * s / 4)
 	}
+	pool := parallel.New(0)
+	defer pool.Close()
+	pool.ForTiles("audio_speech", n, speechTile, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := float64(i) / sampleRate
+			// syllable-rate envelope ~4 Hz
+			env := 0.5 + 0.5*math.Sin(2*math.Pi*4*t+1.3)
+			env *= 0.6 + 0.4*math.Sin(2*math.Pi*0.7*t)
+			s := 0.0
+			for h := range omega {
+				s += amp[h] * math.Sin(omega[h]*t+phases[h])
+			}
+			pcm[i] = int16(6000 * env * s / 4)
+		}
+	})
 	return Source{Name: name, Dir: dir, Gain: 1, PCM: pcm}
 }

@@ -1,7 +1,11 @@
 package audio
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"illixr/internal/mathx"
@@ -68,5 +72,47 @@ func TestDeterminismAudioChain(t *testing.T) {
 					workers, i, gotL[i], gotR[i], refL[i], refR[i])
 			}
 		}
+	}
+}
+
+// pcmHash is an FNV-64a over a source's samples, length first.
+func pcmHash(pcm []int16) uint64 {
+	h := fnv.New64a()
+	buf := make([]byte, 8, 8+2*len(pcm))
+	binary.LittleEndian.PutUint64(buf, uint64(len(pcm)))
+	for _, v := range pcm {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(v))
+	}
+	h.Write(buf)
+	return h.Sum64()
+}
+
+// TestSourcePCMGolden pins the synthesized clips themselves, sample for
+// sample, at GOMAXPROCS 1 and at the process default: the encode/playback
+// golden would notice a change only through the mix.
+func TestSourcePCMGolden(t *testing.T) {
+	dir := DirectionFromAzEl(0.5, 0)
+	golden := []struct {
+		name string
+		src  func() Source
+		want uint64
+	}{
+		{"speech 2 s seed 7", func() Source { return SpeechLikeSource("s", 48000, 2, dir, 7) }, 0x197db3eba1246c9d},
+		{"speech 1 s seed 1", func() Source { return SpeechLikeSource("s", 48000, 1, dir, 1) }, 0x7a59f4e8c4bf0e01},
+		{"speech 0.01 s seed 3", func() Source { return SpeechLikeSource("s", 44100, 0.01, dir, 3) }, 0xc6171098d5366231},
+		{"speech empty", func() Source { return SpeechLikeSource("s", 48000, 0, dir, 7) }, 0xa8c7f832281a39c5},
+		{"sine 440 Hz 2 s", func() Source { return SineSource("r", 440, 48000, 2, dir) }, 0x4981890b4852d8b9},
+		{"sine 500 Hz 0.2 s", func() Source { return SineSource("r", 500, 48000, 0.2, dir) }, 0xaa7cd8e36ef4ef42},
+	}
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			for _, g := range golden {
+				if got := pcmHash(g.src().PCM); got != g.want {
+					t.Errorf("%s: hash %#016x, want %#016x", g.name, got, g.want)
+				}
+			}
+		})
 	}
 }

@@ -69,25 +69,23 @@ func (c CameraModel) FovX() float64 {
 	return 2 * math.Atan2(float64(c.Width)/2, c.Fx)
 }
 
+// camFromBody is CamFromBody's value, derived once: the columns of R map
+// body axes to camera axes — body X (forward) -> camera Z; body Y (left)
+// -> camera -X; body Z (up) -> camera -Y.
+var camFromBody = mathx.Mat3{
+	0, -1, 0,
+	0, 0, -1,
+	1, 0, 0,
+}.Quat()
+
 // CamFromBody is the fixed transform from the body/IMU frame to the camera
 // frame used throughout ILLIXR-Go. The body frame is X-forward, Y-left,
 // Z-up (robotics convention); the camera frame is Z-forward, X-right,
 // Y-down (vision convention).
-func CamFromBody() mathx.Quat {
-	// columns of R map body axes to camera axes:
-	// body X (forward) -> camera Z; body Y (left) -> camera -X;
-	// body Z (up) -> camera -Y.
-	m := mathx.Mat3{
-		0, -1, 0,
-		0, 0, -1,
-		1, 0, 0,
-	}
-	return m.Quat()
-}
+func CamFromBody() mathx.Quat { return camFromBody }
 
 // WorldPointToCam converts a world point into the camera frame given the
 // body pose in the world.
 func WorldPointToCam(bodyPose mathx.Pose, pw mathx.Vec3) mathx.Vec3 {
-	pBody := bodyPose.Inverse().Apply(pw)
-	return CamFromBody().Rotate(pBody)
+	return camFromBody.Rotate(bodyPose.Inverse().Apply(pw))
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"illixr/internal/mathx"
+	"illixr/internal/parallel"
 )
 
 // TimedPose is a ground-truth pose sample.
@@ -67,28 +69,75 @@ func DefaultDatasetConfig() DatasetConfig {
 	}
 }
 
+// Tile sizes for GenerateDataset's parallel stages: IMU samples and camera
+// frames per tile. Tiles depend only on these and the recording length.
+const (
+	imuTile   = 256
+	frameTile = 16
+)
+
 // GenerateDataset synthesizes a full recording from the config.
+//
+// Everything a recording holds except its noise is a pure function of the
+// sample time, so the IMU truth, the ground truth and each frame's landmark
+// projection are computed on fixed tiles of the core pool. Every random
+// draw (IMU noise and bias walk, pixel noise) happens in one serial pass
+// in time order, so the recording is bit-identical at any GOMAXPROCS.
 func GenerateDataset(cfg DatasetConfig) *Dataset {
 	traj := DefaultTrajectory()
 	world := NewRoomWorld(cfg.Landmarks, cfg.Seed)
 	cam := VGACamera()
 	imu := NewIMU(traj, cfg.IMUNoise, cfg.IMURateHz, cfg.Seed+1)
 	featRng := rand.New(rand.NewSource(cfg.Seed + 2))
+	pool := parallel.New(0)
+	defer pool.Close()
 
-	ds := &Dataset{Name: cfg.Name, Cam: cam, World: world, Traj: traj}
-	nIMU := int(cfg.Duration * cfg.IMURateHz)
-	for i := 0; i <= nIMU; i++ {
-		t := float64(i) / cfg.IMURateHz
-		ds.IMU = append(ds.IMU, imu.Sample(t))
-		ds.GroundTruth = append(ds.GroundTruth, TimedPose{T: t, Pose: traj.Pose(t)})
+	nIMU := stamps(cfg.Duration, cfg.IMURateHz)
+	nCam := stamps(cfg.Duration, cfg.CamRateHz)
+	ds := &Dataset{
+		Name: cfg.Name, Cam: cam, World: world, Traj: traj,
+		IMU:         make([]IMUSample, nIMU),
+		GroundTruth: make([]TimedPose, nIMU),
+		Frames:      make([]CameraFrame, nCam),
 	}
-	nCam := int(cfg.Duration * cfg.CamRateHz)
-	for i := 0; i <= nCam; i++ {
-		t := float64(i) / cfg.CamRateHz
-		feats := world.VisibleFeatures(cam, traj.Pose(t), cfg.PixelNoise, cfg.MaxFeats, featRng)
-		ds.Frames = append(ds.Frames, CameraFrame{Seq: i, T: t, Features: feats})
+	pool.ForTiles("sensors_truth", nIMU, imuTile, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := float64(i) / cfg.IMURateHz
+			q, gyro, accel := imu.truth(t)
+			ds.IMU[i] = IMUSample{T: t, Gyro: gyro, Accel: accel}
+			ds.GroundTruth[i] = TimedPose{T: t, Pose: mathx.Pose{Pos: traj.Position(t), Rot: q}}
+		}
+	})
+	cands := make([][]featureCand, nCam)
+	pool.ForTiles("sensors_project", nCam, frameTile, func(lo, hi int) {
+		// one landmark-sized buffer per tile; each frame keeps an
+		// exact-size copy until its noise is drawn
+		scratch := make([]featureCand, 0, len(world.Landmarks))
+		for i := lo; i < hi; i++ {
+			t := float64(i) / cfg.CamRateHz
+			cands[i] = slices.Clone(world.project(scratch, cam, traj.Pose(t)))
+		}
+	})
+	for i := range ds.IMU {
+		ds.IMU[i] = imu.measure(ds.IMU[i])
 	}
+	for i := range cands {
+		cands[i] = addPixelNoise(cands[i], cam, cfg.PixelNoise, featRng)
+	}
+	pool.ForTiles("sensors_select", nCam, frameTile, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := float64(i) / cfg.CamRateHz
+			ds.Frames[i] = CameraFrame{Seq: i, T: t, Features: nearest(cands[i], cfg.MaxFeats)}
+		}
+	})
 	return ds
+}
+
+// stamps is how many samples a channel at rateHz gets over duration: one
+// at each i/rateHz for i = 0 … int(duration·rateHz), none when that bound
+// is negative.
+func stamps(duration, rateHz float64) int {
+	return max(int(duration*rateHz)+1, 0)
 }
 
 // ViconRoom1Medium returns the standard 30-second characterization

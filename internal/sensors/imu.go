@@ -61,24 +61,36 @@ func NewIMU(traj *Trajectory, noise IMUNoise, rateHz float64, seed int64) *IMU {
 // Sample produces the measurement at time t and advances the bias random
 // walk by one sample period. Samples should be requested in time order.
 func (imu *IMU) Sample(t float64) IMUSample {
+	_, gyro, accel := imu.truth(t)
+	return imu.measure(IMUSample{T: t, Gyro: gyro, Accel: accel})
+}
+
+// truth is the noise-free kinematics at time t: the orientation, the
+// body-frame angular velocity and the body-frame specific force (what an
+// accelerometer measures). It draws nothing, so any goroutine may compute
+// it for any t.
+func (imu *IMU) truth(t float64) (q mathx.Quat, wBody, fBody mathx.Vec3) {
+	q = imu.Traj.Orientation(t)
+	wBody = imu.Traj.AngularVelocityBody(t)
+	aWorld := imu.Traj.Acceleration(t)
+	fBody = q.Inverse().Rotate(aWorld.Sub(Gravity))
+	return q, wBody, fBody
+}
+
+// measure turns a noise-free sample into a measurement: bias plus white
+// noise, then one sample period of bias random walk. It makes four draws
+// in a fixed order, so samples must be measured in time order.
+func (imu *IMU) measure(s IMUSample) IMUSample {
 	dt := 1 / imu.RateHz
 	sqrtRate := 1 / math.Sqrt(dt) // discrete noise sigma = density * sqrt(rate)
 
-	// true kinematics
-	q := imu.Traj.Orientation(t)
-	wBody := imu.Traj.AngularVelocityBody(t)
-	aWorld := imu.Traj.Acceleration(t)
-	// accelerometer measures specific force in the body frame
-	fBody := q.Inverse().Rotate(aWorld.Sub(Gravity))
-
-	gyro := wBody.Add(imu.gyroBias).Add(imu.gaussVec(imu.Noise.GyroNoiseDensity * sqrtRate))
-	accel := fBody.Add(imu.accelBias).Add(imu.gaussVec(imu.Noise.AccelNoiseDensity * sqrtRate))
+	s.Gyro = s.Gyro.Add(imu.gyroBias).Add(imu.gaussVec(imu.Noise.GyroNoiseDensity * sqrtRate))
+	s.Accel = s.Accel.Add(imu.accelBias).Add(imu.gaussVec(imu.Noise.AccelNoiseDensity * sqrtRate))
 
 	// advance bias random walk
 	imu.gyroBias = imu.gyroBias.Add(imu.gaussVec(imu.Noise.GyroBiasWalk * math.Sqrt(dt)))
 	imu.accelBias = imu.accelBias.Add(imu.gaussVec(imu.Noise.AccelBiasWalk * math.Sqrt(dt)))
-
-	return IMUSample{T: t, Gyro: gyro, Accel: accel}
+	return s
 }
 
 // Biases returns the current (true) bias state, useful for tests.

@@ -309,3 +309,16 @@ func TestGroundTruthCSVWrites(t *testing.T) {
 		t.Error("empty ground-truth CSV")
 	}
 }
+
+// BenchmarkGenerateDataset synthesizes a 25-second recording at the
+// paper's tuned rates (500 Hz IMU, 15 Hz camera), as one live set-up does.
+func BenchmarkGenerateDataset(b *testing.B) {
+	cfg := DefaultDatasetConfig()
+	cfg.Duration = 25
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDataset = GenerateDataset(cfg)
+	}
+}
+
+var sinkDataset *Dataset

@@ -1,8 +1,10 @@
 package sensors
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 
 	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
@@ -81,34 +83,61 @@ func NewRoomWorld(n int, seed int64) *World {
 // VisibleFeatures projects all landmarks into the camera at the given body
 // pose, adds pixel noise, and returns the observations. maxFeatures limits
 // the count (0 = unlimited); nearest (smallest depth) features win.
+// GenerateDataset takes the same three steps, one frame per call of each.
 func (w *World) VisibleFeatures(cam CameraModel, bodyPose mathx.Pose, pixelNoise float64, maxFeatures int, rng *rand.Rand) []FeatureObs {
-	type cand struct {
-		obs   FeatureObs
-		depth float64
-	}
-	var cands []cand
+	cands := w.project(nil, cam, bodyPose)
+	cands = addPixelNoise(cands, cam, pixelNoise, rng)
+	return nearest(cands, maxFeatures)
+}
+
+// featureCand is a landmark seen in one frame, with the depth that decides
+// whether it survives the frame's feature cap.
+type featureCand struct {
+	obs   FeatureObs
+	depth float64
+}
+
+// project appends to dst, in landmark order, every landmark that projects
+// into the image at bodyPose. The pose is inverted once for the frame. It
+// draws nothing, so frames may be projected on any goroutine.
+func (w *World) project(dst []featureCand, cam CameraModel, bodyPose mathx.Pose) []featureCand {
+	inv := bodyPose.Inverse()
 	for _, lm := range w.Landmarks {
-		pc := WorldPointToCam(bodyPose, lm.Pos)
+		pc := camFromBody.Rotate(inv.Apply(lm.Pos))
 		u, v, ok := cam.Project(pc)
 		if !ok {
 			continue
 		}
-		if pixelNoise > 0 && rng != nil {
-			u += rng.NormFloat64() * pixelNoise
-			v += rng.NormFloat64() * pixelNoise
-		}
-		if u < 0 || v < 0 || u >= float64(cam.Width) || v >= float64(cam.Height) {
+		dst = append(dst, featureCand{FeatureObs{ID: lm.ID, U: u, V: v}, pc.Z})
+	}
+	return dst
+}
+
+// addPixelNoise perturbs each candidate by two draws from rng, in order,
+// and keeps (in place) those still inside the image. Without noise it
+// returns cands as they are: project kept only in-image pixels.
+func addPixelNoise(cands []featureCand, cam CameraModel, pixelNoise float64, rng *rand.Rand) []featureCand {
+	if !(pixelNoise > 0) || rng == nil {
+		return cands
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		c.obs.U += rng.NormFloat64() * pixelNoise
+		c.obs.V += rng.NormFloat64() * pixelNoise
+		if c.obs.U < 0 || c.obs.V < 0 || c.obs.U >= float64(cam.Width) || c.obs.V >= float64(cam.Height) {
 			continue
 		}
-		cands = append(cands, cand{FeatureObs{ID: lm.ID, U: u, V: v}, pc.Z})
+		kept = append(kept, c)
 	}
+	return kept
+}
+
+// nearest returns the observations, capped at the maxFeatures nearest
+// (0 = all; they carry the most parallax information). Equal depths keep
+// landmark order.
+func nearest(cands []featureCand, maxFeatures int) []FeatureObs {
 	if maxFeatures > 0 && len(cands) > maxFeatures {
-		// keep nearest features (they carry the most parallax information)
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].depth < cands[j-1].depth; j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
+		slices.SortStableFunc(cands, func(a, b featureCand) int { return cmp.Compare(a.depth, b.depth) })
 		cands = cands[:maxFeatures]
 	}
 	out := make([]FeatureObs, len(cands))

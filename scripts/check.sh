@@ -89,6 +89,10 @@ stage "determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # independent of how many OS threads actually back the pool
 GOMAXPROCS=2 go test -run Determinism -count=2 ./internal/... >/dev/null
 GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/... >/dev/null
+# and so must the synthesized inputs: the recording and the clips are
+# computed on tiles with every random draw in one serial pass
+GOMAXPROCS=2 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio >/dev/null
+GOMAXPROCS=8 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio >/dev/null
 
 stage "fuzz smokes (5s each)"
 # Summarize first: its Min <= Mean <= Max invariant once failed one smoke
@@ -159,7 +163,8 @@ go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./i
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
 go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
 go test -run='^$' -bench='BenchmarkReproject320x180|BenchmarkReproject1280x720' -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
-go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock' -benchmem -benchtime=100ms -cpu 1,2 ./internal/audio >/dev/null
+go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock|BenchmarkSpeechLikeSource' -benchmem -benchtime=100ms -cpu 1,2 ./internal/audio >/dev/null
+go test -run='^$' -bench=BenchmarkGenerateDataset -benchmem -benchtime=100ms -cpu 1,2 ./internal/sensors >/dev/null
 go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
 go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
 go test -run='^$' -bench=BenchmarkTable6Recon_Frame -benchmem -benchtime=100ms ./internal/reconstruct >/dev/null
