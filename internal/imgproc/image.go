@@ -176,42 +176,6 @@ func (im *RGB) LuminanceInto(dst *Gray) {
 	}
 }
 
-// BilinearChannel samples channel c (0=R, 1=G, 2=B) at real-valued
-// coordinates with bilinear interpolation and clamp-to-edge boundary
-// handling.
-func (im *RGB) BilinearChannel(x, y float64, c int) float32 {
-	x0 := int(math.Floor(x))
-	y0 := int(math.Floor(y))
-	fx := float32(x - float64(x0))
-	fy := float32(y - float64(y0))
-	x1, y1 := clampIndex(x0+1, im.W), clampIndex(y0+1, im.H)
-	x0, y0 = clampIndex(x0, im.W), clampIndex(y0, im.H)
-	row0, row1 := 3*y0*im.W+c, 3*y1*im.W+c
-	v00 := im.Pix[row0+3*x0]
-	v10 := im.Pix[row0+3*x1]
-	v01 := im.Pix[row1+3*x0]
-	v11 := im.Pix[row1+3*x1]
-	top := v00 + (v10-v00)*fx
-	bot := v01 + (v11-v01)*fx
-	return top + (bot-top)*fy
-}
-
-// clampIndex clamps i to [0, n-1].
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// BilinearRGB samples all three channels at real-valued coordinates.
-func (im *RGB) BilinearRGB(x, y float64) (r, g, b float32) {
-	return im.BilinearChannel(x, y, 0), im.BilinearChannel(x, y, 1), im.BilinearChannel(x, y, 2)
-}
-
 // Planar converts the interleaved RGB_RGB layout into planar RR_GG_BB
 // (three contiguous channel planes). Scene reconstruction performs this
 // conversion when moving data between GPU-compute and GPU-graphics style

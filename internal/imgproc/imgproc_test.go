@@ -323,55 +323,6 @@ func TestRGBChannelRoundTrip(t *testing.T) {
 	}
 }
 
-// refBilinear is the textbook sampler the channel sampler must equal bit
-// for bit: each tap clamped on its own through RGB.At, weights taken from
-// the unclamped cell origin.
-func refBilinear(im *RGB, x, y float64, c int) float32 {
-	x0 := int(math.Floor(x))
-	y0 := int(math.Floor(y))
-	fx := float32(x - float64(x0))
-	fy := float32(y - float64(y0))
-	at := func(xx, yy int) float32 {
-		px := [3]float32{}
-		px[0], px[1], px[2] = im.At(xx, yy)
-		return px[c]
-	}
-	top := at(x0, y0) + (at(x0+1, y0)-at(x0, y0))*fx
-	bot := at(x0, y0+1) + (at(x0+1, y0+1)-at(x0, y0+1))*fx
-	return top + (bot-top)*fy
-}
-
-func TestBilinearChannelBitEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	im := NewRGB(9, 7)
-	for i := range im.Pix {
-		im.Pix[i] = float32(rng.Float64())
-	}
-	coords := [][2]float64{
-		{-0.5, -0.5}, {-3.25, 2.5}, {4.75, -2}, // negative: clamped to the first row/column
-		{8, 3.3}, {8.6, 6.9}, {3.1, 6}, {12, 11}, // last row/column and beyond
-		{0, 0}, {3, 4}, {8, 6}, // exact integers
-		{7.999, 5.999}, {0.001, 0.001},
-	}
-	for i := 0; i < 200; i++ {
-		coords = append(coords, [2]float64{rng.Float64()*11 - 1, rng.Float64()*9 - 1})
-	}
-	for _, xy := range coords {
-		x, y := xy[0], xy[1]
-		var rgb [3]float32
-		rgb[0], rgb[1], rgb[2] = im.BilinearRGB(x, y)
-		for c := 0; c < 3; c++ {
-			want := math.Float32bits(refBilinear(im, x, y, c))
-			if got := math.Float32bits(im.BilinearChannel(x, y, c)); got != want {
-				t.Fatalf("BilinearChannel(%v, %v, %d) = %08x, reference %08x", x, y, c, got, want)
-			}
-			if got := math.Float32bits(rgb[c]); got != want {
-				t.Fatalf("BilinearRGB(%v, %v)[%d] = %08x, reference %08x", x, y, c, got, want)
-			}
-		}
-	}
-}
-
 func TestPlanarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := NewRGB(7, 5)

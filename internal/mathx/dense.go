@@ -97,7 +97,19 @@ func (m *Mat) MulMat(n *Mat) *Mat {
 	return out
 }
 
+// mulSpanRows is how many rows of the right operand MulMatInto takes at a
+// time: their nonzero column ranges fit a fixed array on the stack, so a
+// product of any size allocates nothing.
+const mulSpanRows = 128
+
 // MulMatInto writes m * n into dst (m.Rows×n.Cols), allocating nothing.
+//
+// It skips the zeros of both operands: an entry of m that is zero, and the
+// columns of a row of n before its first and after its last nonzero (the
+// filter's unit rows of (I−KH)ᵀ, the upper-triangular R of its QR). This is
+// exact for finite operands: every element of dst is summed in ascending k
+// from +0, and such a sum is never −0, so adding a ±0 product changes
+// nothing.
 func (m *Mat) MulMatInto(dst, n *Mat) {
 	if m.Cols != n.Rows || dst.Rows != m.Rows || dst.Cols != n.Cols {
 		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d * %dx%d -> %dx%d",
@@ -106,16 +118,36 @@ func (m *Mat) MulMatInto(dst, n *Mat) {
 	mustNotAlias(dst.Data, m.Data)
 	mustNotAlias(dst.Data, n.Data)
 	clear(dst.Data)
-	for r := 0; r < m.Rows; r++ {
-		mrow := m.Data[r*m.Cols : (r+1)*m.Cols]
-		orow := dst.Data[r*n.Cols : (r+1)*n.Cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
+	var span [mulSpanRows][2]int32 // [first, last+1) nonzero column per row of n
+	// rows of n in blocks, each block over every row of m: each element of
+	// dst still receives its products in ascending k
+	for k0 := 0; k0 < n.Rows; k0 += mulSpanRows {
+		k1 := min(k0+mulSpanRows, n.Rows)
+		for k := k0; k < k1; k++ {
 			nrow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			for c, nv := range nrow {
-				orow[c] += mv * nv
+			lo, hi := 0, len(nrow)
+			for lo < hi && nrow[lo] == 0 {
+				lo++
+			}
+			for hi > lo && nrow[hi-1] == 0 {
+				hi--
+			}
+			span[k-k0] = [2]int32{int32(lo), int32(hi)}
+		}
+		for r := 0; r < m.Rows; r++ {
+			mrow := m.Data[r*m.Cols+k0 : r*m.Cols+k1]
+			orow := dst.Data[r*n.Cols : (r+1)*n.Cols]
+			for j, mv := range mrow {
+				if mv == 0 {
+					continue
+				}
+				lo, hi := int(span[j][0]), int(span[j][1])
+				nrow := n.Data[(k0+j)*n.Cols+lo : (k0+j)*n.Cols+hi]
+				o := orow[lo:hi]
+				o = o[:len(nrow)]
+				for c, nv := range nrow {
+					o[c] += mv * nv
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,6 +274,85 @@ func TestMulMatIntoBitEqual(t *testing.T) {
 		a.MulMatInto(dst, b)
 		bitEqual(t, "MulMatInto", dst, want)
 	}
+	// right operands shaped like the filter's, whose rows MulMatInto walks
+	// only between their first and last nonzero; 150 crosses a block of
+	// mulSpanRows rows
+	for _, n := range []int{1, 2, 7, 33, 150} {
+		for _, op := range rightOperands(rng, n) {
+			name, b := op.name, op.m
+			for _, a := range []*Mat{sparseMat(rng, n, n), sparseMat(rng, 3, n), negMat(rng, n, n)} {
+				want := refMulMat(a, b)
+				dst := dirtyMat(a.Rows, n)
+				a.MulMatInto(dst, b)
+				bitEqual(t, fmt.Sprintf("MulMatInto %dx%d · %s %d", a.Rows, n, name, n), dst, want)
+			}
+		}
+	}
+}
+
+// rightOperands are n×n right operands of the kinds the filter multiplies
+// by: (I−KH)ᵀ, whose rows for the states H does not touch are unit rows;
+// the upper-triangular R of a QR; all-zero rows; rows whose one nonzero is
+// their first or their last column; and −0 at the edges of a row's range,
+// inside it and alone.
+func rightOperands(rng *rand.Rand, n int) []struct {
+	name string
+	m    *Mat
+} {
+	ikhT := Eye(n)
+	for r := 0; r < n; r += 3 { // the states H touches: dense rows
+		for c := 0; c < n; c++ {
+			ikhT.Set(r, c, rng.NormFloat64())
+		}
+	}
+	_, upper := randMat(rng, n+2, n).QR()
+	zeroRows := sparseMat(rng, n, n)
+	edges := NewMat(n, n)
+	negZero := sparseMat(rng, n, n)
+	neg0 := math.Copysign(0, -1)
+	for r := 0; r < n; r++ {
+		if r%2 == 0 {
+			clear(zeroRows.Data[r*n : (r+1)*n])
+		}
+		if r%2 == 0 {
+			edges.Set(r, 0, rng.NormFloat64())
+		} else {
+			edges.Set(r, n-1, rng.NormFloat64())
+		}
+		row := negZero.Data[r*n : (r+1)*n]
+		switch r % 4 {
+		case 0: // −0 at both ends, a nonzero inside
+			row[0], row[n-1] = neg0, neg0
+		case 1: // −0 just inside the range, at both ends of it
+			row[0], row[n-1] = 1.5, -2.5
+			if n > 2 {
+				row[1], row[n-2] = neg0, neg0
+			}
+		case 2: // a row of −0 only
+			for c := range row {
+				row[c] = neg0
+			}
+		case 3: // +0 and −0 mixed at the edges
+			row[0] = 0
+			if n > 1 {
+				row[1] = neg0
+			}
+		}
+	}
+	return []struct {
+		name string
+		m    *Mat
+	}{{"(I-KH)T", ikhT}, {"R", upper}, {"zero rows", zeroRows}, {"edge columns", edges}, {"-0 edges", negZero}}
+}
+
+// negMat is sparseMat with every entry negative or −0: its products with
+// the right operand's zeros are −0, the sums the skip must not change.
+func negMat(rng *rand.Rand, rows, cols int) *Mat {
+	m := sparseMat(rng, rows, cols)
+	for i, v := range m.Data {
+		m.Data[i] = -math.Abs(v)
+	}
+	return m
 }
 
 func TestTIntoBitEqual(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
 	"illixr/internal/parallel"
+	"illixr/internal/sensors"
 	"illixr/internal/testutil"
 )
 
@@ -118,9 +119,11 @@ func TestZeroAllocRenderFrame(t *testing.T) {
 	}
 }
 
-// BenchmarkRenderSponza is the live pipeline's application frame: Sponza at
-// the benchmark's resolution on the renderer's own GOMAXPROCS-sized pool
-// (run with -cpu 1,2).
+// BenchmarkRenderSponza is Sponza at the live pipeline's resolution on the
+// renderer's own GOMAXPROCS-sized pool (run with -cpu 1,2), posed on the
+// walking loop. Its views are not live_pipeline's: before row spans they
+// tested about 3.4 bounding-box pixels per screen pixel, the live
+// trajectory's about 11.6 (BenchmarkRenderLive renders those).
 func BenchmarkRenderSponza(b *testing.B) {
 	s := BuildScene(AppSponza, 42)
 	r := NewRenderer(320, 180)
@@ -129,5 +132,24 @@ func BenchmarkRenderSponza(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tm := float64(i%240) / 120
 		r.RenderFrame(s, loopPose(tm), tm)
+	}
+}
+
+// BenchmarkRenderLive is the live pipeline's application frame: Sponza as
+// live_pipeline builds it (seed 1) at 320×180, posed along the ground truth
+// of the recording it replays (500 Hz IMU, 15 Hz camera, seed 1) at the
+// 120 Hz display rate, on the renderer's own pool (run with -cpu 1,2).
+func BenchmarkRenderLive(b *testing.B) {
+	cfg := sensors.DefaultDatasetConfig()
+	cfg.IMURateHz, cfg.CamRateHz, cfg.Seed = 500, 15, 1
+	ds := sensors.GenerateDataset(cfg)
+	s := BuildScene(AppSponza, 1)
+	r := NewRenderer(320, 180)
+	frames := int(cfg.Duration * 120)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm := float64(i%frames) / 120
+		r.RenderFrame(s, ds.GroundTruth[int(tm*cfg.IMURateHz)].Pose, tm)
 	}
 }

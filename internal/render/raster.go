@@ -237,6 +237,8 @@ type setupTri struct {
 	minX, maxX, minY, maxY int // pixel bounding box, clipped to the framebuffer
 	va, vb, vc             *Vertex
 	mat                    *Material
+	slope                  [3]float64 // dx/dy of edges B→C, C→A, A→B, where spans has their bit
+	spans                  uint8      // the edges that narrow each row's span (rowSpan)
 }
 
 // frameLight is a scene light with its per-frame constants worked out.
@@ -303,41 +305,120 @@ func (r *Renderer) setUpMesh(inst *Instance, vp mathx.Mat4) {
 		if a.w < r.Near || b.w < r.Near || c.w < r.Near {
 			continue
 		}
-		ax, ay, bx, by, cx, cy := a.x, a.y, b.x, b.y, c.x, c.y
-		// backface cull (counter-clockwise front faces in screen space)
-		area := (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
-		if area >= 0 {
+		r.tris = append(r.tris, setupTri{})
+		t := &r.tris[len(r.tris)-1]
+		if !t.place(a.x, a.y, b.x, b.y, c.x, c.y, r.W, r.H) {
+			r.tris = r.tris[:len(r.tris)-1]
 			continue
 		}
-		// bounding box
-		minX := int(math.Floor(math.Min(ax, math.Min(bx, cx))))
-		maxX := int(math.Ceil(math.Max(ax, math.Max(bx, cx))))
-		minY := int(math.Floor(math.Min(ay, math.Min(by, cy))))
-		maxY := int(math.Ceil(math.Max(ay, math.Max(by, cy))))
-		if minX < 0 {
-			minX = 0
-		}
-		if minY < 0 {
-			minY = 0
-		}
-		if maxX > r.W-1 {
-			maxX = r.W - 1
-		}
-		if maxY > r.H-1 {
-			maxY = r.H - 1
-		}
-		if minX > maxX || minY > maxY {
-			continue
-		}
-		r.tris = append(r.tris, setupTri{
-			ax: ax, ay: ay, bx: bx, by: by, cx: cx, cy: cy,
-			za: a.z, zb: b.z, zc: c.z,
-			invArea: 1 / area,
-			minX:    minX, maxX: maxX, minY: minY, maxY: maxY,
-			va: &mesh.Vertices[tri[0]], vb: &mesh.Vertices[tri[1]], vc: &mesh.Vertices[tri[2]],
-			mat: &inst.Material,
-		})
+		t.za, t.zb, t.zc = a.z, b.z, c.z
+		t.va, t.vb, t.vc = &mesh.Vertices[tri[0]], &mesh.Vertices[tri[1]], &mesh.Vertices[tri[2]]
+		t.mat = &inst.Material
 	}
+}
+
+// The row span: rasterBand tests, on each row of a wide triangle, only the
+// pixels whose centres lie within spanSlack of the inner side of every edge
+// that is not near-horizontal, instead of the whole width of the bounding
+// box. A pixel it skips would have failed the barycentric test, so the
+// frame is the same bit for bit (DESIGN.md §8).
+const (
+	// spanMinWidth is the narrowest bounding box whose rows are narrowed:
+	// on a narrower one the span arithmetic costs about what it saves.
+	spanMinWidth = 8
+	// spanMinDy is the least height, in pixels, of an edge that narrows the
+	// span: a flatter edge bounds at most two rows, and the rounding of its
+	// crossing grows as 1/|dy|.
+	spanMinDy = 1
+	// spanMaxCoord bounds the vertex coordinates, in pixels, of a narrowed
+	// triangle: within it the crossings and the edge tests round by less
+	// than 2⁻¹⁰ px (DESIGN.md §8), far inside spanSlack.
+	spanMaxCoord = 1 << 18
+	// spanSlack widens each side of the span, in pixels, past the exact
+	// crossing, so that the rounding of both can only add a pixel to test.
+	spanSlack = 1.0 / 16
+)
+
+// place sets t's screen-space vertices, 1/area, bounding box clipped to a
+// w×h framebuffer and row-span slopes, and reports false for a triangle
+// set-up drops: back-facing, or outside the framebuffer.
+func (t *setupTri) place(ax, ay, bx, by, cx, cy float64, w, h int) bool {
+	// backface cull (counter-clockwise front faces in screen space)
+	area := (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
+	if area >= 0 {
+		return false
+	}
+	// bounding box
+	minX := int(math.Floor(math.Min(ax, math.Min(bx, cx))))
+	maxX := int(math.Ceil(math.Max(ax, math.Max(bx, cx))))
+	minY := int(math.Floor(math.Min(ay, math.Min(by, cy))))
+	maxY := int(math.Ceil(math.Max(ay, math.Max(by, cy))))
+	if minX < 0 {
+		minX = 0
+	}
+	if minY < 0 {
+		minY = 0
+	}
+	if maxX > w-1 {
+		maxX = w - 1
+	}
+	if maxY > h-1 {
+		maxY = h - 1
+	}
+	if minX > maxX || minY > maxY {
+		return false
+	}
+	*t = setupTri{
+		ax: ax, ay: ay, bx: bx, by: by, cx: cx, cy: cy,
+		invArea: 1 / area,
+		minX:    minX, maxX: maxX, minY: minY, maxY: maxY,
+	}
+	extent := max(math.Abs(ax), math.Abs(ay), math.Abs(bx), math.Abs(by), math.Abs(cx), math.Abs(cy))
+	if maxX-minX+1 < spanMinWidth || !(extent <= spanMaxCoord) {
+		return true
+	}
+	// the edges in rasterBand's order, as it computes them: B→C (w0), C→A
+	// (w1), A→B (w2)
+	for i, e := range [3][2]float64{{cx - bx, cy - by}, {ax - cx, ay - cy}, {bx - ax, by - ay}} {
+		if math.Abs(e[1]) >= spanMinDy {
+			t.spans |= 1 << i
+			t.slope[i] = e[0] / e[1]
+		}
+	}
+	return true
+}
+
+// rowSpan is the columns rasterBand tests on the row through fy: the
+// bounding box, narrowed by each edge in t.spans to the pixels whose
+// centres lie within spanSlack of its inner side. The inner side of edge
+// i is to the right of its crossing where its dy is positive (the weight
+// opposite it rises with x there, as the area is negative).
+func (t *setupTri) rowSpan(fy float64) (lo, hi int) {
+	lo, hi = t.minX, t.maxX
+	if t.spans&1 != 0 {
+		lo, hi = narrow(lo, hi, t.bx+t.slope[0]*(fy-t.by), t.cy > t.by)
+	}
+	if t.spans&2 != 0 {
+		lo, hi = narrow(lo, hi, t.cx+t.slope[1]*(fy-t.cy), t.ay > t.cy)
+	}
+	if t.spans&4 != 0 {
+		lo, hi = narrow(lo, hi, t.ax+t.slope[2]*(fy-t.ay), t.by > t.ay)
+	}
+	return lo, hi
+}
+
+// narrow clips [lo, hi] to the pixels whose centres px+0.5 lie right of
+// x−spanSlack (left: x bounds the span from the left) or left of
+// x+spanSlack.
+func narrow(lo, hi int, x float64, left bool) (int, int) {
+	if left {
+		if l := x - 0.5 - spanSlack; l > float64(lo) {
+			lo = int(math.Ceil(l))
+		}
+	} else if r := x - 0.5 + spanSlack; r < float64(hi) {
+		hi = int(math.Floor(r))
+	}
+	return lo, hi
 }
 
 // rasterBand clears rows [lo, hi) and rasterizes and shades every set-up
@@ -375,14 +456,18 @@ func (r *Renderer) rasterBand(lo, hi int) {
 		dx0, dy0 := cx-bx, cy-by
 		dx1, dy1 := ax-cx, t.ay-cy
 		za, zb, zc, invArea := t.za, t.zb, t.zc, t.invArea
-		minX, maxX := t.minX, t.maxX
+		minX, maxX, spans := t.minX, t.maxX, t.spans
 		shaded := 0
 		for py := y0; py <= y1; py++ {
 			fy := float64(py) + 0.5
 			// the row-constant halves of the two edge functions
 			e0 := dx0 * (fy - by)
 			e1 := dx1 * (fy - cy)
-			for px := minX; px <= maxX; px++ {
+			x0, x1 := minX, maxX
+			if spans != 0 {
+				x0, x1 = t.rowSpan(fy)
+			}
+			for px := x0; px <= x1; px++ {
 				fx := float64(px) + 0.5
 				// barycentric
 				w0 := (e0 - dy0*(fx-bx)) * invArea

@@ -268,14 +268,15 @@ func (r *Reprojector) warpTile(lo, hi int) {
 	dR, dPos := r.warpDR, r.warpDPos
 	tanHalf, aspect := r.warpTanHalf, r.warpAspect
 	translate := r.P.Translational && r.P.PlaneDepth > 0
-	fw, fh := float64(src.W), float64(src.H)
-	row := 6 * src.W
+	pix, w, h := src.Pix, src.W, src.H
+	fw, fh := float64(w), float64(h)
+	row := 6 * w
 	for py := lo; py < hi; py++ {
 		y0, ay := meshCell((float64(py)+0.5)/fh, r.meshH)
 		top := r.xblend[y0*row : (y0+1)*row]
 		bot := r.xblend[(y0+1)*row : (y0+2)*row]
-		o := 3 * py * src.W
-		for px := 0; px < src.W; px++ {
+		o := 3 * py * w
+		for px := 0; px < w; px++ {
 			t, b := top[6*px:6*px+6], bot[6*px:6*px+6]
 			// per-channel distorted tangent-space direction in the fresh
 			// view (display space): the y half of the mesh blend
@@ -306,10 +307,36 @@ func (r *Reprojector) warpTile(lo, hi int) {
 				if fx < 0 || fy < 0 || fx >= fw || fy >= fh {
 					continue
 				}
-				rgb[c] = src.BilinearChannel(fx-0.5, fy-0.5, c)
+				x0, x1, ax := cell(fx-0.5, w)
+				y0, y1, ay := cell(fy-0.5, h)
+				rgb[c] = blend(pix, 3*y0*w+c, 3*y1*w+c, 3*x0, 3*x1, ax, ay)
 			}
 			out.Pix[o], out.Pix[o+1], out.Pix[o+2] = rgb[0], rgb[1], rgb[2]
 			o += 3
 		}
 	}
+}
+
+// cell is the two clamped taps of coordinate x on an axis of n pixels, and
+// the weight of the second, for x in [−0.5, n−0.5): the cell origin ⌊x⌋ is
+// int(x) or −1, so a tap clamps only at −1 (both onto pixel 0) or past the
+// far edge (the second onto pixel n−1). The weight comes from the
+// unclamped origin, as in the textbook sampler.
+func cell(x float64, n int) (i0, i1 int, f float32) {
+	i := int(x)
+	if x < 0 {
+		i = -1
+	}
+	return max(i, 0), min(i+1, n-1), float32(x - float64(i))
+}
+
+// blend is the bilinear blend of one channel's four taps: columns x0 and x1
+// (as Pix offsets) of the rows starting at Pix offsets row0 and row1,
+// weighted fx across and fy down, in the textbook sampler's order.
+func blend(pix []float32, row0, row1, x0, x1 int, fx, fy float32) float32 {
+	v00, v10 := pix[row0+x0], pix[row0+x1]
+	v01, v11 := pix[row1+x0], pix[row1+x1]
+	top := v00 + (v10-v00)*fx
+	bot := v01 + (v11-v01)*fx
+	return top + (bot-top)*fy
 }
