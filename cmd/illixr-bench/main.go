@@ -5,13 +5,13 @@
 //	illixr-bench -exp all            # everything (≈ a few minutes)
 //	illixr-bench -exp fig3           # one experiment
 //	illixr-bench -exp table5 -duration 10
-//	illixr-bench -exp network,fleet -out-dir /tmp/bench
+//	illixr-bench -exp network,qos -out-dir /tmp/bench
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 // fig3 fig4 fig5 fig6 fig7 fig8 ablation-vio faults observability
-// parallel network fleet fleetobs qos all
+// parallel network qos all
 //
-// The last six also write BENCH_<exp>.json into -out-dir;
+// The last four also write BENCH_<exp>.json into -out-dir;
 // scripts/benchcheck gates those files. An id that names no experiment
 // exits 2 with the list of valid ones.
 package main
@@ -29,7 +29,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or all (an unknown id lists them)")
 	var o bench.Options
 	flag.Float64Var(&o.Duration, "duration", 30, "virtual seconds per integrated run (the paper uses ~30)")
-	flag.Int64Var(&o.Seed, "seed", 42, "seed for every link process, fault schedule, placement and controller")
+	flag.Int64Var(&o.Seed, "seed", 42, "seed for every link process, fault schedule and controller")
 	flag.StringVar(&o.OutDir, "out-dir", ".", "directory the BENCH_<exp>.json reports are written to")
 	flag.StringVar(&o.FaultScenario, "fault-scenario", "light", "fault scenario for -exp faults (vio-stall|light|stress)")
 	flag.Parse()

@@ -26,8 +26,6 @@ type checker interface{ Check() []error }
 var checkKinds = map[string]func() checker{
 	"parallel": func() checker { return new(ParallelReport) },
 	"network":  func() checker { return new(NetworkReport) },
-	"fleet":    func() checker { return new(FleetReport) },
-	"fleetobs": func() checker { return new(FleetObsReport) },
 	"qos":      func() checker { return new(QoSReport) },
 	"trace":    func() checker { return new(Trace) },
 }

@@ -40,7 +40,7 @@ func load[T any](t *testing.T, name string) *T {
 // wall_* field: a host measurement belongs in a package test or in
 // benchmark/, not in a report that must reproduce.
 func TestCheckedInReportsReproduce(t *testing.T) {
-	deterministic := map[string]bool{"network": true, "fleet": true, "fleetobs": true, "qos": true}
+	deterministic := map[string]bool{"network": true, "qos": true}
 	for _, e := range experiments {
 		if !deterministic[e.name] {
 			continue
@@ -117,8 +117,8 @@ func TestCheckFileRejects(t *testing.T) {
 		t.Errorf("unknown kind: err = %v, want the list of valid kinds", err)
 	}
 	// the right kind for the wrong file is schema drift, not an empty pass
-	if _, err := CheckFile("fleet", checkedIn("qos")); err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Errorf("qos report read as fleet: err = %v, want an unknown-field error", err)
+	if _, err := CheckFile("network", checkedIn("qos")); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("qos report read as network: err = %v, want an unknown-field error", err)
 	}
 }
 
@@ -147,12 +147,6 @@ func TestChecksCanFail(t *testing.T) {
 	network := func(f func(*NetworkReport)) func() []error {
 		return func() []error { r := load[NetworkReport](t, "network"); f(r); return r.Check() }
 	}
-	fleet := func(f func(*FleetReport)) func() []error {
-		return func() []error { r := load[FleetReport](t, "fleet"); f(r); return r.Check() }
-	}
-	obs := func(f func(*FleetObsReport)) func() []error {
-		return func() []error { r := load[FleetObsReport](t, "fleetobs"); f(r); return r.Check() }
-	}
 	qos := func(f func(*QoSReport)) func() []error {
 		return func() []error { r := load[QoSReport](t, "qos"); f(r); return r.Check() }
 	}
@@ -161,16 +155,6 @@ func TestChecksCanFail(t *testing.T) {
 	}
 	trace := func(doc string) func() []error {
 		return func() []error { return checkTrace(t, doc) }
-	}
-	// displaced returns the first displaced session of the chaos cell
-	displaced := func(r *FleetReport) *FleetSessionResult {
-		for i := range r.Per {
-			if r.Per[i].Displaced {
-				return &r.Per[i]
-			}
-		}
-		t.Fatal("checked-in fleet report has no displaced session")
-		return nil
 	}
 	kernel := func(r *ParallelReport, name string) *ParallelKernelResult {
 		for i := range r.Kernels {
@@ -202,49 +186,6 @@ func TestChecksCanFail(t *testing.T) {
 				r.Cells[i].Aggregate.MeanMs = 9
 			}
 		}), "MTP does not grow with RTT"},
-
-		// fleet
-		{"fleet/100 sessions", fleet(func(r *FleetReport) { r.Sessions = 100 }), ""},
-		{"fleet/99 sessions", fleet(func(r *FleetReport) { r.Sessions = 99 }), "99 sessions, need >= 100"},
-		{"fleet/2 replicas", fleet(func(r *FleetReport) { r.Replicas = 2 }), "2 replicas, need >= 3"},
-		{"fleet/inert", fleet(func(r *FleetReport) { r.Displaced = 0 }), "chaos cell is inert"},
-		{"fleet/early crash", fleet(func(r *FleetReport) { r.CrashTimeSec = 0.29 * r.VirtualSec }), "outside the middle window"},
-		{"fleet/late crash", fleet(func(r *FleetReport) { r.CrashTimeSec = 0.71 * r.VirtualSec }), "outside the middle window"},
-		{"fleet/lost", fleet(func(r *FleetReport) { r.Lost = 1 }), "lost 1 sessions"},
-		{"fleet/not all resumed", fleet(func(r *FleetReport) { r.Resumed-- }), "displaced sessions"},
-		{"fleet/recovery n", fleet(func(r *FleetReport) { r.Recovery.N++ }), "recovery distribution has"},
-		{"fleet/recovery at bound", fleet(func(r *FleetReport) { r.Recovery.P99Ms, r.Recovery.MaxMs = r.RecoveryBoundMs, r.RecoveryBoundMs }), ""},
-		{"fleet/recovery p99 over", fleet(func(r *FleetReport) { r.Recovery.P99Ms = r.RecoveryBoundMs + 1 }), "recovery p99 1501.0ms outside"},
-		{"fleet/recovery p99 zero", fleet(func(r *FleetReport) { r.Recovery.P99Ms = 0 }), "recovery p99 0.0ms outside"},
-		{"fleet/recovery max over", fleet(func(r *FleetReport) { r.Recovery.MaxMs = r.RecoveryBoundMs + 1 }), "recovery max 1501.0ms exceeds bound"},
-		{"fleet/no recovery", fleet(func(r *FleetReport) { displaced(r).RecoveryMs = 0 }), "displaced but recovery"},
-		{"fleet/resumed on corpse", fleet(func(r *FleetReport) { displaced(r).ResumedOn = r.CrashedReplica }), "resumed on replica"},
-		{"fleet/resumed nowhere", fleet(func(r *FleetReport) { displaced(r).ResumedOn = -1 }), "resumed on replica -1"},
-		{"fleet/no poses", fleet(func(r *FleetReport) { displaced(r).PosesDelivered = 0 }), "delivered no poses"},
-		{"fleet/no refusals", fleet(func(r *FleetReport) { r.AdmissionRefusals = 0 }), "zero admission refusals"},
-
-		// fleetobs
-		{"fleetobs/2 replicas", obs(func(r *FleetObsReport) { r.Replicas = 2 }), "2 replicas, need >= 3"},
-		{"fleetobs/empty mtp", obs(func(r *FleetObsReport) { r.Balanced.Live.MTP.N = 0 }), "balanced cell has empty MTP"},
-		{"fleetobs/no hidden load", obs(func(r *FleetObsReport) { r.Skewed.Background = []int{0, 0, 0} }), "no hidden background load"},
-		{"fleetobs/balanced at eps", obs(func(r *FleetObsReport) { r.Balanced.Static.MTP.P99Ms, r.Balanced.Live.MTP.P99Ms = 10, 10.5 }), ""},
-		{"fleetobs/balanced over eps", obs(func(r *FleetObsReport) { r.Balanced.Static.MTP.P99Ms, r.Balanced.Live.MTP.P99Ms = 10, 10.51 }), "balanced cell: live p99"},
-		{"fleetobs/skewed p99 tie", obs(func(r *FleetObsReport) { r.Skewed.Live.MTP.P99Ms = r.Skewed.Static.MTP.P99Ms }), "skewed cell: live p99"},
-		{"fleetobs/skewed mean tie", obs(func(r *FleetObsReport) { r.Skewed.Live.MTP.MeanMs = r.Skewed.Static.MTP.MeanMs }), "skewed cell: live mean"},
-		{"fleetobs/probe inert", obs(func(r *FleetObsReport) { r.Skewed.Live.PerReplica[0] = r.Skewed.Static.PerReplica[0] }), "the probe changed nothing"},
-		{"fleetobs/2 nodes", obs(func(r *FleetObsReport) { r.Stitch.Nodes = 2 }), "merged 2 nodes, want 3"},
-		{"fleetobs/no spans", obs(func(r *FleetObsReport) { r.Stitch.Spans = 0 }), "stitch cell is empty"},
-		{"fleetobs/bound relaxed", obs(func(r *FleetObsReport) { r.AttrBoundMs = 1.5 }), "attr_bound_ms 1.500 outside (0, 1]"},
-		{"fleetobs/bound zero", obs(func(r *FleetObsReport) { r.AttrBoundMs = 0 }), "outside (0, 1]"},
-		{"fleetobs/attribution at bound", obs(func(r *FleetObsReport) { r.Stitch.MaxAttrErrMs = r.AttrBoundMs }), ""},
-		{"fleetobs/attribution over bound", obs(func(r *FleetObsReport) { r.Stitch.MaxAttrErrMs = r.AttrBoundMs + 0.1 }), "max attribution error 1.1000ms exceeds bound"},
-		{"fleetobs/one objective", obs(func(r *FleetObsReport) { r.SLO = r.SLO[:1] }), "has 1 objectives"},
-		{"fleetobs/slo saw nothing", obs(func(r *FleetObsReport) { r.SLO[0].Good, r.SLO[0].Bad = 0, 0 }), "observed no events"},
-		{"fleetobs/negative burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = -1 }), "burn rate -1 is not"},
-		{"fleetobs/nan burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = math.NaN() }), "burn rate NaN is not"},
-		{"fleetobs/inf burn", obs(func(r *FleetObsReport) { r.SLO[1].BurnRate = math.Inf(1) }), "burn rate +Inf is not"},
-		{"fleetobs/no events", obs(func(r *FleetObsReport) { r.Events.Recorded = 0 }), "recorded no events"},
-		{"fleetobs/admit missing", obs(func(r *FleetObsReport) { r.Events.ByKind["admit"]-- }), "saw 29 admit events for 30 sessions"},
 
 		// qos (ramp cell 3, 24 sessions, is the saturated one)
 		{"qos/2 cells", qos(func(r *QoSReport) { r.Ramp = r.Ramp[2:] }), "ramp has 2 cells, need >= 3"},
@@ -350,9 +291,9 @@ func TestWriteReportRejectsNonFinite(t *testing.T) {
 // before anything runs, not pass as an empty or partial success.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	dir := t.TempDir()
-	for _, ids := range []string{"bogus", "scael,fleetobs", ""} {
+	for _, ids := range []string{"bogus", "scael,network", ""} {
 		err := Run(io.Discard, ids, Options{Duration: 1, Seed: 42, OutDir: dir})
-		if !errors.Is(err, ErrUnknownExperiment) || !strings.Contains(err.Error(), "fleetobs") {
+		if !errors.Is(err, ErrUnknownExperiment) || !strings.Contains(err.Error(), "network") {
 			t.Errorf("-exp %q: err = %v, want ErrUnknownExperiment listing the valid ids", ids, err)
 		}
 	}

@@ -22,12 +22,10 @@ type Options struct {
 }
 
 const (
-	qualityFrames    = 8
-	parallelWorkers  = 4
-	parallelIters    = 5
-	networkSessions  = 8
-	fleetSessions    = 120
-	fleetObsSessions = 30
+	qualityFrames   = 8
+	parallelWorkers = 4
+	parallelIters   = 5
+	networkSessions = 8
 )
 
 type runFunc func(w io.Writer, o Options, m *Matrix) (report any, err error)
@@ -86,12 +84,6 @@ var experiments = []experiment{
 	}},
 	{name: "network", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return NetworkExperiment(w, networkSessions, o.Seed)
-	}},
-	{name: "fleet", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return FleetExperiment(w, fleetSessions, o.Seed)
-	}},
-	{name: "fleetobs", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return FleetObsExperiment(w, fleetObsSessions, o.Seed)
 	}},
 	{name: "qos", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
 		return QoSExperiment(w, o.Seed)

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math"
-
 	"illixr/internal/netxr/netsim"
 	"illixr/internal/netxr/wire"
 	"illixr/internal/sensors"
@@ -11,35 +9,24 @@ import (
 // sessionSpec is the physics of one simulated offload session: IMU
 // samples go up a link, the server answers each with a pose after its
 // turnaround, the pose comes down a link, and the client displays the
-// newest delivered pose at every vsync. Every experiment that models a
-// session (network, fleet, fleetobs) fills one of these in.
+// newest delivered pose at every vsync. The session runs from t = 0 to
+// endSec; the network experiment fills one of these in per session.
 type sessionSpec struct {
-	startSec, endSec float64
-	imuHz, vsyncHz   float64
+	endSec         float64
+	imuHz, vsyncHz float64
 	// turnaroundSec is the server's integrate+publish time per sample.
 	turnaroundSec float64
 	up, down      *netsim.Link
-	// outage, when set, is a server loss: the session is dark during
-	// [startSec, endSec), everything in flight at startSec dies with the
-	// server, and afterwards the stream runs over the replacement links.
-	outage *sessionOutage
 }
 
-type sessionOutage struct {
-	startSec, endSec float64
-	up, down         *netsim.Link
-}
-
-// sessionResult carries everything any caller reports about one session.
+// sessionResult carries everything the network experiment reports about
+// one session.
 type sessionResult struct {
 	imuSent, poses, displayed int
 	bytesUp, bytesDown        int64
 	decodeErrors              int
 	maxInflight               int
 	repeatVsyncs              int
-	// firstResumeArrival is when the first pose sampled after the outage
-	// reached the client (-1 when there was none).
-	firstResumeArrival float64
 	// mtp holds one sample per vsync that had a pose to show: display
 	// time minus the IMU timestamp of the pose shown, in ms.
 	mtp []float64
@@ -50,7 +37,7 @@ type sessionResult struct {
 // wall clock is read and each link draws from its own seeded stream in a
 // fixed order, so the result is a pure function of the spec.
 func simulateSession(s sessionSpec) sessionResult {
-	res := sessionResult{firstResumeArrival: -1}
+	var res sessionResult
 	type poseArrival struct {
 		recvT   float64 // virtual arrival at the client
 		sampleT float64 // IMU timestamp the pose answers
@@ -59,20 +46,9 @@ func simulateSession(s sessionSpec) sessionResult {
 	var inflight []float64 // uplink arrival times not yet reached
 	var encBuf []byte
 
-	n := int((s.endSec - s.startSec) * s.imuHz)
+	n := int(s.endSec * s.imuHz)
 	for i := 0; i < n; i++ {
-		t := s.startSec + float64(i)/s.imuHz
-		up, down := s.up, s.down
-		dying, resumed := false, false
-		if o := s.outage; o != nil {
-			if t >= o.startSec && t < o.endSec {
-				continue // disconnected: nothing to send
-			}
-			dying, resumed = t < o.startSec, t >= o.endSec
-			if resumed {
-				up, down = o.up, o.down
-			}
-		}
+		t := float64(i) / s.imuHz
 
 		// uplink: encode, frame, decode — the real codec in the loop
 		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
@@ -90,7 +66,7 @@ func simulateSession(s sessionSpec) sessionResult {
 		}
 		res.imuSent++
 
-		serverT := up.Arrive(t)
+		serverT := s.up.Arrive(t)
 		// in-flight accounting: how many uplink messages were still in
 		// the pipe when this one was sent
 		keep := inflight[:0]
@@ -106,9 +82,6 @@ func simulateSession(s sessionSpec) sessionResult {
 
 		// downlink: the server integrates and answers with a pose frame
 		sendT := serverT + s.turnaroundSec
-		if dying && sendT >= s.outage.startSec {
-			continue // the server died before it could answer
-		}
 		encBuf = wire.AppendFrame(encBuf[:0], wire.Frame{
 			Type:    wire.TypePose,
 			Payload: wire.AppendPose(nil, wire.Pose{T: t}),
@@ -122,21 +95,13 @@ func simulateSession(s sessionSpec) sessionResult {
 			res.decodeErrors++
 			continue
 		}
-		recvT := down.Arrive(sendT)
-		if dying && recvT >= s.outage.startSec {
-			continue // the pose was on the wire when the server died
-		}
-		arrivals = append(arrivals, poseArrival{recvT: recvT, sampleT: t})
-		if resumed && res.firstResumeArrival < 0 {
-			res.firstResumeArrival = recvT
-		}
+		arrivals = append(arrivals, poseArrival{recvT: s.down.Arrive(sendT), sampleT: t})
 	}
 	res.poses = len(arrivals)
 
 	// display loop: at every vsync the newest delivered pose wins
 	ptr, newest, shown := 0, -1, -1
-	first := int(math.Ceil(s.startSec*s.vsyncHz)) + 1
-	for v := first; v <= int(s.endSec*s.vsyncHz); v++ {
+	for v := 1; v <= int(s.endSec*s.vsyncHz); v++ {
 		tv := float64(v) / s.vsyncHz
 		advanced := false
 		for ptr < len(arrivals) && arrivals[ptr].recvT <= tv {

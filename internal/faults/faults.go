@@ -29,19 +29,14 @@ type Kind string
 // path of an offloaded session for the window (internal/netxr): the
 // netsim link defers delivery past the window end plus a retransmission
 // penalty, and a severed live connection is restarted by the session
-// supervisor. A replica crash kills an entire session-server replica
-// (internal/netxr/fleet) instantaneously — every session placed on it
-// is severed at once and must resume on a survivor; like PluginPanic
-// the window is a point in time (Start == End), with Component naming
-// the replica ("replica-1").
+// supervisor.
 const (
-	CameraDrop   Kind = "camera_drop"
-	IMUDrop      Kind = "imu_drop"
-	VIOStall     Kind = "vio_stall"
-	PluginPanic  Kind = "plugin_panic"
-	CostSpike    Kind = "cost_spike"
-	LinkDrop     Kind = "link_drop"
-	ReplicaCrash Kind = "replica_crash"
+	CameraDrop  Kind = "camera_drop"
+	IMUDrop     Kind = "imu_drop"
+	VIOStall    Kind = "vio_stall"
+	PluginPanic Kind = "plugin_panic"
+	CostSpike   Kind = "cost_spike"
+	LinkDrop    Kind = "link_drop"
 )
 
 // Window is one scheduled fault: Kind strikes Component during
@@ -99,19 +94,12 @@ type Config struct {
 	LinkDrops       int
 	LinkDropMeanSec float64
 	LinkComponents  []string
-
-	// ReplicaCrashes kills whole fleet replicas mid-run; CrashReplicas
-	// names the candidates ("replica-1"). Crashes land in the middle 40 %
-	// of the run so a recovery phase always follows.
-	ReplicaCrashes int
-	CrashReplicas  []string
 }
 
 // Scenario returns a named preset config. Known names: "none",
 // "vio-stall" (one mid-run stall >= 500 ms), "light" (one dropout, one
 // stall, one spike), "stress" (multiple overlapping faults plus live
-// plugin panics), "flaky-link" (two network outages), "replica-crash"
-// (one fleet replica killed mid-run).
+// plugin panics), "flaky-link" (two network outages).
 func Scenario(name string, seed int64, duration float64) (Config, error) {
 	c := Config{Seed: seed, Duration: duration}
 	switch name {
@@ -147,9 +135,6 @@ func Scenario(name string, seed int64, duration float64) (Config, error) {
 		c.LinkDrops = 2
 		c.LinkDropMeanSec = 0.4
 		c.LinkComponents = []string{"uplink", "downlink"}
-	case "replica-crash":
-		c.ReplicaCrashes = 1
-		c.CrashReplicas = []string{"replica-1"}
 	default:
 		return c, fmt.Errorf("faults: unknown scenario %q", name)
 	}
@@ -158,7 +143,7 @@ func Scenario(name string, seed int64, duration float64) (Config, error) {
 
 // ScenarioNames lists the preset names accepted by Scenario.
 func ScenarioNames() []string {
-	return []string{"none", "vio-stall", "light", "stress", "flaky-link", "replica-crash"}
+	return []string{"none", "vio-stall", "light", "stress", "flaky-link"}
 }
 
 // Schedule is a generated, immutable fault plan: windows sorted by start
@@ -242,16 +227,6 @@ func Generate(cfg Config) *Schedule {
 		}
 		at := r.uniform(0.1*cfg.Duration, 0.9*cfg.Duration)
 		s.Windows = append(s.Windows, Window{Kind: PluginPanic, Component: plugin, Start: at, End: at})
-	}
-	// replica crashes draw last so adding the fault class left every
-	// pre-existing scenario's schedule (and fingerprint) untouched
-	for i := 0; i < cfg.ReplicaCrashes; i++ {
-		repl := ""
-		if len(cfg.CrashReplicas) > 0 {
-			repl = cfg.CrashReplicas[i%len(cfg.CrashReplicas)]
-		}
-		at := r.uniform(0.3*cfg.Duration, 0.7*cfg.Duration)
-		s.Windows = append(s.Windows, Window{Kind: ReplicaCrash, Component: repl, Start: at, End: at})
 	}
 	sort.SliceStable(s.Windows, func(i, j int) bool {
 		if s.Windows[i].Start != s.Windows[j].Start {

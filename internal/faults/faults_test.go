@@ -181,48 +181,31 @@ func TestLinkDropsDoNotPerturbExistingSchedules(t *testing.T) {
 	}
 }
 
-func TestReplicaCrashScenario(t *testing.T) {
-	cfg, err := Scenario("replica-crash", 42, 10)
-	if err != nil {
-		t.Fatal(err)
+// TestScenarioFingerprintGolden pins every preset's schedule at seed 7
+// over 30 s: a change to Generate's draw order or to a preset moves the
+// fault windows every faults report and fault-scenario test replays.
+func TestScenarioFingerprintGolden(t *testing.T) {
+	golden := map[string]uint64{
+		"vio-stall":  0x10bf2255086801dc,
+		"light":      0xff4a7e9ef39cb2cf,
+		"stress":     0x2e4e1f2e33dc1485,
+		"flaky-link": 0xf68c9dc3dac9e601,
 	}
-	s := Generate(cfg)
-	if len(s.Windows) != 1 {
-		t.Fatalf("windows = %d, want 1", len(s.Windows))
-	}
-	w := s.Windows[0]
-	if w.Kind != ReplicaCrash {
-		t.Fatalf("kind = %v, want ReplicaCrash", w.Kind)
-	}
-	if w.Component != "replica-1" {
-		t.Fatalf("component = %q, want replica-1", w.Component)
-	}
-	if w.Start != w.End {
-		t.Fatalf("crash window not instantaneous: %v", w)
-	}
-	if w.Start < 0.3*cfg.Duration || w.Start > 0.7*cfg.Duration {
-		t.Fatalf("crash at %.3fs, want middle 40%% of a %.0fs run", w.Start, cfg.Duration)
-	}
-
-	// golden fingerprint: the replica-crash schedule for this seed is
-	// pinned — bench reports and the fleet gate replay it exactly,
-	// so silent drift in the generator would invalidate archived results
-	const golden = uint64(0x3c5a5cce5d51c009)
-	if got := s.Fingerprint(); got != golden {
-		t.Fatalf("fingerprint = %#x, want %#x", got, golden)
-	}
-}
-
-func TestReplicaCrashesDoNotPerturbExistingSchedules(t *testing.T) {
-	// the ReplicaCrashes stage draws last: configs without it keep their
-	// schedules bit-for-bit, so archived scenario fingerprints survive
-	for _, name := range []string{"vio-stall", "light", "stress", "flaky-link"} {
-		cfg, _ := Scenario(name, 7, 30)
-		base := Generate(cfg).Fingerprint()
-		cfg2 := cfg
-		cfg2.ReplicaCrashes = 0
-		if Generate(cfg2).Fingerprint() != base {
-			t.Fatalf("%s: zero ReplicaCrashes changed the schedule", name)
+	for _, name := range ScenarioNames() {
+		if name == "none" {
+			continue
+		}
+		cfg, err := Scenario(name, 7, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := golden[name]
+		if !ok {
+			t.Errorf("%s: no golden fingerprint", name)
+			continue
+		}
+		if got := Generate(cfg).Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint = %#x, want %#x", name, got, want)
 		}
 	}
 }

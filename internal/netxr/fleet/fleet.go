@@ -13,8 +13,9 @@
 // backs off and redials rather than erroring out.
 //
 // Time enters as an explicit float64 (seconds); the caller chooses wall
-// or virtual time, so the deterministic chaos bench (internal/bench
-// -exp fleet) drives the same coordinator code under the netsim clock.
+// or virtual time, so the package's virtual-clock tests (the resume
+// storm, the refusal ratio, scraper-fed placement) drive the same
+// coordinator code the gateway runs.
 package fleet
 
 import (

@@ -115,6 +115,120 @@ func TestResumeBurstLimiter(t *testing.T) {
 	}
 }
 
+// TestResumeStormAfterKill kills one of three replicas sharing 120
+// sessions and replays every displaced session's redial fleet-wide in
+// timestamp order under a virtual clock: the production backoff per
+// session, the coordinator's Retry-After honoured, ties broken by
+// session index, fixed detection and round-trip offsets. The burst
+// limiter is global state, so the dials must interleave across sessions
+// as they would live. Contract: nobody is lost, everyone lands on a
+// survivor, the limiter pushes back at least once, and the last
+// displaced session is back within 1.5 s of the crash.
+func TestResumeStormAfterKill(t *testing.T) {
+	const (
+		replicas, capacity, sessions = 3, 64, 120
+		seed                         = 42
+		crashed                      = 1
+		crashT                       = 5.0   // s
+		rtt                          = 0.010 // s, the Wi-Fi profile's round trip
+		detect                       = 0.010 // s, missed-heartbeat allowance
+		bound                        = 1.5   // s, crash to last admission
+	)
+	c := NewCoordinator(Config{ReplicaCapacity: capacity, TokenSeed: seed})
+	for id := 0; id < replicas; id++ {
+		c.AddReplica(id, nil)
+	}
+	index := map[uint64]int{} // resume token -> session index
+	for i := 0; i < sessions; i++ {
+		h := wire.Hello{App: "xr", Seed: seed + int64(i), IMURateHz: 250}
+		id, err := c.Pick(0, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := c.AdmitOn(0, id, uint64(i+1), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index[w.ResumeToken] = i
+	}
+	placed := c.Sessions(crashed)
+	displaced := c.KillReplica(crashed)
+	if placed == 0 || len(displaced) != placed {
+		t.Fatalf("killing replica %d displaced %d records, %d were placed there", crashed, len(displaced), placed)
+	}
+
+	type dial struct {
+		t   float64 // virtual s
+		idx int     // session index, the tie-break
+		n   int     // 0-based attempt
+		h   wire.Hello
+		bo  *bridge.Backoff
+	}
+	var pending []dial
+	for _, rec := range displaced {
+		h := rec.Hello
+		h.ResumeToken = rec.Token
+		idx := index[rec.Token]
+		pending = append(pending, dial{t: crashT + rtt/2 + detect, idx: idx, h: h,
+			bo: bridge.NewBackoff(seed + int64(idx)*7919)})
+	}
+	var resumed, refusals int
+	last := crashT
+	for len(pending) > 0 {
+		next := 0
+		for i := range pending {
+			if pending[i].t < pending[next].t ||
+				(pending[i].t == pending[next].t && pending[i].idx < pending[next].idx) {
+				next = i
+			}
+		}
+		d := pending[next]
+		pending = append(pending[:next], pending[next+1:]...)
+		// the decision lands one-way propagation after the dial
+		now := d.t + rtt/2
+		id, err := c.Pick(now, d.h)
+		if err == nil {
+			if _, err = c.AdmitOn(now, id, uint64(1000+d.idx), d.h); err == nil {
+				resumed++
+				last = max(last, now)
+				continue
+			}
+		}
+		var ae *session.AdmissionError
+		if !errors.As(err, &ae) || !ae.Retryable() {
+			t.Errorf("session %d lost: terminal refusal %v", d.idx, err)
+			continue
+		}
+		if ae.Reason == "resume burst" {
+			refusals++
+		}
+		// the refusal Bye reaches the client, which then waits
+		wait := d.bo.Delay(d.n)
+		if ae.RetryAfter > wait {
+			wait = ae.RetryAfter
+		}
+		d.t = now + rtt/2 + wait.Seconds()
+		d.n++
+		pending = append(pending, d)
+	}
+	t.Logf("%d displaced, %d resumed, %d resume-burst refusals, last back %.3f s after the crash",
+		len(displaced), resumed, refusals, last-crashT)
+	if resumed != len(displaced) {
+		t.Errorf("resumed %d of %d displaced", resumed, len(displaced))
+	}
+	if refusals == 0 {
+		t.Error("no resume-burst refusal: the storm never reached the limiter")
+	}
+	if last-crashT > bound {
+		t.Errorf("last admission %.3f s after the crash, bound %.1f s", last-crashT, bound)
+	}
+	for _, rec := range displaced {
+		if now, ok := c.Lookup(rec.Token); !ok || now.Replica == crashed {
+			t.Errorf("session %d: record %+v (found %v), want it on a survivor", index[rec.Token], now, ok)
+		}
+	}
+}
+
 func TestAdmitOnDownReplicaRefused(t *testing.T) {
 	c := NewCoordinator(Config{})
 	c.AddReplica(0, nil)

@@ -181,8 +181,8 @@ func (rc *recordedClient) sendQoE(t *testing.T, i int) {
 }
 
 // TestGoldenRecordReplay is the end-to-end regression gate: a seeded
-// 2-session run through a live gateway fleet — including a
-// replica-crash resume — is captured client-side, replayed at 1× via
+// 2-session run through a live gateway fleet — including a resume
+// after its replica is aborted — is captured client-side, replayed at 1× via
 // replay.Compute, and the fingerprints must be bit-identical to the
 // checked-in goldens. Regenerate with ILLIXR_UPDATE_GOLDEN=1 after an
 // intentional wire/integrator change.

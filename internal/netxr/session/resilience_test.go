@@ -226,7 +226,7 @@ func TestAdmissionRefusalRetryAfter(t *testing.T) {
 	}
 }
 
-// TestAbortSeversSessions: Abort is the replica-crash primitive — every
+// TestAbortSeversSessions: Abort is the replica crash primitive — every
 // session dies with no Bye, exactly like a killed process.
 func TestAbortSeversSessions(t *testing.T) {
 	h := newCollect()

@@ -505,9 +505,8 @@ var ErrAborted = errors.New("session: server aborted")
 // Abort kills the server the way a process crash would: the listener
 // closes and every session dies immediately — no drain, no Bye, queued
 // frames abandoned. Clients see a severed connection, exactly as they
-// would from a dead replica. This is the chaos hook behind the
-// replica-crash fault scenario (internal/faults); graceful teardown is
-// Shutdown.
+// would from a dead replica. The fleet's crash-resume tests kill
+// replicas with it; graceful teardown is Shutdown.
 func (s *Server) Abort(cause error) {
 	if cause == nil {
 		cause = ErrAborted

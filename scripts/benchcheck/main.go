@@ -5,7 +5,7 @@
 //
 // Usage: benchcheck <kind> <file>
 //
-// Kinds: parallel network fleet fleetobs qos trace.
+// Kinds: parallel network qos trace.
 package main
 
 import (

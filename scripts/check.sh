@@ -137,7 +137,7 @@ if "$TMP/illixr-bench" -exp bogus >/dev/null 2>&1; then
 fi
 # parallel: the 4-worker run must show the modeled parallelism and must
 #   not regress the quality kernels against serial (its wall_* fields).
-# network, fleet, fleetobs and qos are seed-deterministic: tier-1's
+# network and qos are seed-deterministic: tier-1's
 # TestCheckedInReportsReproduce regenerates each at -duration 30 -seed 42
 # and requires the checked-in file byte for byte, and
 # TestCheckedInReportsPassCheck gates it.
