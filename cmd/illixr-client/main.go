@@ -38,15 +38,10 @@ func main() {
 	flag.Parse()
 	// a zero rate stamps its one sample 0/0 and a zero or negative length
 	// records nothing: refuse them as flag's own parse errors are refused
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"duration", *duration}, {"imu-rate", *imuRate}, {"cam-rate", *camRate}} {
-		if !(f.v > 0) {
-			fmt.Fprintf(flag.CommandLine.Output(), "invalid value %v for flag -%s: must be positive\n", f.v, f.name)
-			flag.Usage()
-			os.Exit(2)
-		}
+	if err := node.CheckPositive(flag.CommandLine, "duration", "imu-rate", "cam-rate"); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	dcfg := sensors.DefaultDatasetConfig()

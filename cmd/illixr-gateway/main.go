@@ -68,6 +68,12 @@ func main() {
 	record := flag.String("record", "",
 		"capture all client-facing relayed frames into this binlog file (DESIGN.md §13)")
 	flag.Parse()
+	if err := node.CheckPositive(flag.CommandLine,
+		"capacity", "resume-burst", "retry-after", "scrape-interval"); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	backends := strings.Split(*replicas, ",")
 	for i := range backends {

@@ -48,6 +48,11 @@ func main() {
 			"deadline controller over it (/qos on the debug endpoint; DESIGN.md §14)")
 	qosWorkers := flag.Int("qos-workers", 4, "worker pool split by the QoS controller")
 	flag.Parse()
+	if err := node.CheckPositive(flag.CommandLine, "max-sessions", "queue-len"); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	r := &node.Replica{
 		Net: config.NetParams{MaxSessions: *maxSessions, QueueLen: *queueLen,

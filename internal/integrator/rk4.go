@@ -31,13 +31,12 @@ type deriv struct {
 	dRot mathx.Quat // quaternion derivative (non-unit)
 }
 
-func evalDeriv(rot mathx.Quat, vel mathx.Vec3, gyro, accel mathx.Vec3) deriv {
-	aWorld := rot.Rotate(accel).Add(sensors.Gravity)
-	return deriv{
-		dPos: vel,
-		dVel: aWorld,
-		dRot: mathx.DerivQuat(rot, gyro),
-	}
+// evalDeriv fills k in place: returned by value, the 80-byte deriv is
+// copied out of each of a step's four calls.
+func evalDeriv(k *deriv, rot mathx.Quat, vel mathx.Vec3, gyro, accel mathx.Vec3) {
+	k.dPos = vel
+	k.dVel = rot.Rotate(accel).Add(sensors.Gravity)
+	k.dRot = mathx.DerivQuat(rot, gyro)
 }
 
 func addScaledQuat(q mathx.Quat, d mathx.Quat, s float64) mathx.Quat {
@@ -54,9 +53,19 @@ func addScaledQuat(q mathx.Quat, d mathx.Quat, s float64) mathx.Quat {
 // step. prev and cur are consecutive IMU samples; the step length is
 // cur.T - prev.T.
 func RK4Step(s State, prev, cur sensors.IMUSample) State {
+	rk4Step(&s, &prev, &cur)
+	return s
+}
+
+// rk4Step is RK4Step on s in place: the Integrator's per-sample path
+// steps its own state through the pointer instead of copying the 128-byte
+// State in and out. Every field is updated from its own old value and the
+// four slopes, which are all taken before the first update, so the
+// arithmetic — and every bit of the result — is RK4Step's.
+func rk4Step(s *State, prev, cur *sensors.IMUSample) {
 	dt := cur.T - prev.T
 	if dt <= 0 {
-		return s
+		return
 	}
 	// bias-corrected measurements at step start, midpoint, end
 	g0 := prev.Gyro.Sub(s.BiasG)
@@ -66,33 +75,30 @@ func RK4Step(s State, prev, cur sensors.IMUSample) State {
 	a1 := cur.Accel.Sub(s.BiasA)
 	am := a0.Lerp(a1, 0.5)
 
-	k1 := evalDeriv(s.Rot, s.Vel, g0, a0)
+	var k1, k2, k3, k4 deriv
+	evalDeriv(&k1, s.Rot, s.Vel, g0, a0)
 
 	rot2 := addScaledQuat(s.Rot, k1.dRot, dt/2).Normalized()
 	vel2 := s.Vel.Add(k1.dVel.Scale(dt / 2))
-	k2 := evalDeriv(rot2, vel2, gm, am)
+	evalDeriv(&k2, rot2, vel2, gm, am)
 
 	rot3 := addScaledQuat(s.Rot, k2.dRot, dt/2).Normalized()
 	vel3 := s.Vel.Add(k2.dVel.Scale(dt / 2))
-	k3 := evalDeriv(rot3, vel3, gm, am)
+	evalDeriv(&k3, rot3, vel3, gm, am)
 
 	rot4 := addScaledQuat(s.Rot, k3.dRot, dt).Normalized()
 	vel4 := s.Vel.Add(k3.dVel.Scale(dt))
-	k4 := evalDeriv(rot4, vel4, g1, a1)
+	evalDeriv(&k4, rot4, vel4, g1, a1)
 
-	combine := func(a, b, c, d mathx.Vec3) mathx.Vec3 {
-		return a.Add(b.Scale(2)).Add(c.Scale(2)).Add(d).Scale(dt / 6)
-	}
-	out := s
-	out.T = cur.T
-	out.Pos = s.Pos.Add(combine(k1.dPos, k2.dPos, k3.dPos, k4.dPos))
-	out.Vel = s.Vel.Add(combine(k1.dVel, k2.dVel, k3.dVel, k4.dVel))
+	h := dt / 6
+	s.T = cur.T
+	s.Pos = s.Pos.Add(k1.dPos.Add(k2.dPos.Scale(2)).Add(k3.dPos.Scale(2)).Add(k4.dPos).Scale(h))
+	s.Vel = s.Vel.Add(k1.dVel.Add(k2.dVel.Scale(2)).Add(k3.dVel.Scale(2)).Add(k4.dVel).Scale(h))
 	dq := addScaledQuat(mathx.Quat{}, k1.dRot, 1)
 	dq = addScaledQuat(dq, k2.dRot, 2)
 	dq = addScaledQuat(dq, k3.dRot, 2)
 	dq = addScaledQuat(dq, k4.dRot, 1)
-	out.Rot = addScaledQuat(s.Rot, dq, dt/6).Normalized()
-	return out
+	s.Rot = addScaledQuat(s.Rot, dq, h).Normalized()
 }
 
 // Integrator maintains the latest anchor state from VIO and a buffer of
@@ -114,11 +120,11 @@ func New(anchor State) *Integrator {
 }
 
 // doStep applies the configured integration scheme.
-func (in *Integrator) doStep(prev, cur sensors.IMUSample) {
+func (in *Integrator) doStep(prev, cur *sensors.IMUSample) {
 	if in.step != nil {
-		in.state = in.step(in.state, prev, cur)
+		in.state = in.step(in.state, *prev, *cur)
 	} else {
-		in.state = RK4Step(in.state, prev, cur)
+		rk4Step(&in.state, prev, cur)
 	}
 }
 
@@ -141,14 +147,14 @@ func (in *Integrator) Feed(s sensors.IMUSample) {
 		// Treat the anchor as holding the same measurement since state.T.
 		prev := s
 		prev.T = in.state.T
-		in.doStep(prev, s)
+		in.doStep(&prev, &s)
 		in.Steps++
 		return
 	}
 	if s.T <= in.lastIMU.T {
 		return
 	}
-	in.doStep(in.lastIMU, s)
+	in.doStep(&in.lastIMU, &s)
 	in.Steps++
 	in.lastIMU = s
 }

@@ -92,11 +92,16 @@ type Pipeline struct {
 	sendRetry *telemetry.Counter
 }
 
+// pipeState is one session's back half. SessionStart hands it to
+// SessionFrame through the session's handler value, so the per-frame path
+// takes no pipeline lock and looks no topic up.
 type pipeState struct {
 	loader  *runtime.Loader
 	tracer  *telemetry.SpanCollector
 	poseSub *runtime.Subscription
 	fwdDone chan struct{}
+	imu     *runtime.Topic
+	cam     *runtime.Topic // resolved on the first camera frame: most sessions send none
 }
 
 // SessionStart implements session.Handler.
@@ -149,6 +154,7 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 		tracer:  tracer,
 		poseSub: ctx.Switchboard.GetTopic(runtime.TopicFastPose).Subscribe(1024),
 		fwdDone: make(chan struct{}),
+		imu:     ctx.Switchboard.GetTopic(runtime.TopicIMU),
 	}
 	p.mu.Lock()
 	if p.states == nil {
@@ -156,14 +162,31 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 	}
 	p.states[s.ID()] = st
 	p.mu.Unlock()
+	s.SetHandlerValue(st)
 
 	// downlink forwarder: every fast pose goes back latest-wins — if the
 	// link is slower than the IMU rate, unsent stale poses are displaced,
-	// never queued.
+	// never queued. The displacing starts here, at the source: this
+	// goroutine is the subscription's only consumer, so before it spends a
+	// span and an encode on a pose it skips to the newest one already
+	// queued. The skipped poses are exactly the ones the session's
+	// LatestWins slot would have displaced, and are counted as such.
 	go func() {
 		defer close(st.fwdDone)
 		var buf []byte
 		for ev := range st.poseSub.C {
+			skipped := 0
+			for len(st.poseSub.C) > 0 {
+				next, open := <-st.poseSub.C
+				if !open {
+					break
+				}
+				ev = next
+				skipped++
+			}
+			if skipped > 0 {
+				s.CountDisplaced(skipped)
+			}
 			mp, ok := ev.Value.(mathx.Pose)
 			if !ok {
 				continue
@@ -192,11 +215,10 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 // republished onto the session's private switchboard with a net_uplink
 // span bridging the remote lineage.
 func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
-	st := p.state(s.ID())
+	st, _ := s.HandlerValue().(*pipeState)
 	if st == nil {
 		return fmt.Errorf("bridge: session %d: frame before start", s.ID())
 	}
-	ctx := st.loader.Context()
 	switch f.Type {
 	case wire.TypeIMU:
 		sample, err := wire.DecodeIMU(f.Payload)
@@ -204,14 +226,17 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 			return fmt.Errorf("bridge: session %d: imu: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(CompNetUp, f.Trace.Trace, sample.T, sample.T, f.Trace.Span)
-		ctx.Switchboard.GetTopic(runtime.TopicIMU).Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
+		st.imu.Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
 	case wire.TypeCamera:
 		frame, err := wire.DecodeCamera(f.Payload)
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: camera: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(CompNetUp, f.Trace.Trace, frame.T, frame.T, f.Trace.Span)
-		ctx.Switchboard.GetTopic(runtime.TopicCamera).Publish(runtime.Event{T: frame.T, Value: frame, Trace: ref})
+		if st.cam == nil {
+			st.cam = st.loader.Context().Switchboard.GetTopic(runtime.TopicCamera)
+		}
+		st.cam.Publish(runtime.Event{T: frame.T, Value: frame, Trace: ref})
 	case wire.TypeQoE:
 		q, err := wire.DecodeQoE(f.Payload)
 		if err != nil {
@@ -272,12 +297,6 @@ func (p *Pipeline) Dumps(node string) []stitch.Dump {
 		d.Dropped += c.Dropped()
 	}
 	return []stitch.Dump{d}
-}
-
-func (p *Pipeline) state(id uint64) *pipeState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.states[id]
 }
 
 var _ session.Handler = (*Pipeline)(nil)

@@ -67,6 +67,13 @@ func startRig(t *testing.T, pipe *Pipeline, duration float64) *offloadRig {
 	return rig
 }
 
+// stateOf returns a live session's back half from the pipeline's table.
+func (p *Pipeline) stateOf(id uint64) *pipeState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.states[id]
+}
+
 // pumpAndAwaitPose advances playback to t and waits for a downlinked pose.
 func (r *offloadRig) pumpAndAwaitPose(t *testing.T, virtualT float64) mathx.Pose {
 	t.Helper()
@@ -129,7 +136,7 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 	rig.pumpAndAwaitPose(t, 0.5)
 
 	// server half: net_uplink spans parented on client sensor spans
-	st := pipe.state(rig.client.Session())
+	st := pipe.stateOf(rig.client.Session())
 	if st == nil {
 		t.Fatal("no server state for session")
 	}
@@ -199,7 +206,7 @@ func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var restarted bool
 	for time.Now().Before(deadline) && !restarted {
-		if st := pipe.state(rig.client.Session()); st != nil {
+		if st := pipe.stateOf(rig.client.Session()); st != nil {
 			health := st.loader.Context().Health.Snapshot()
 			if h, ok := health["integrator.rk4"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
 				restarted = true
@@ -216,4 +223,73 @@ func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
 
 	// and poses keep flowing afterwards
 	rig.pumpAndAwaitPose(t, 1.0)
+}
+
+// A burst of poses published faster than the session writer drains them
+// reaches the client latest-wins: strictly increasing in T, ending with
+// the burst's last pose, and every pose of the burst either sent or
+// counted as displaced — at the source or in the session's slot.
+func TestPoseBurstIsLatestWinsAndAccounted(t *testing.T) {
+	const n = 500 // under the subscription's bound: the topic displaces none
+	reg := telemetry.NewRegistry()
+	pipe := &Pipeline{Metrics: reg}
+	srv := session.NewServer(session.Config{Metrics: reg}, pipe)
+	cConn, sConn := netsim.Pipe()
+	sess := srv.HandleConn(sConn)
+	if sess == nil {
+		t.Fatal("conn refused")
+	}
+	defer func() {
+		_ = cConn.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	w, r := wire.NewWriter(cConn), wire.NewReader(cConn)
+	if err := w.WriteFrame(wire.Frame{Type: wire.TypeHello,
+		Payload: wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "burst"})}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypeWelcome {
+		t.Fatalf("awaiting welcome: %v %v", f.Type, err)
+	}
+	var st *pipeState
+	for deadline := time.Now().Add(5 * time.Second); st == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("session never started")
+		}
+		st = pipe.stateOf(sess.ID())
+	}
+
+	// the client reads nothing until the whole burst is published: the
+	// writer blocks on the pipe and the forwarder runs ahead of it
+	topic := st.loader.Context().Switchboard.GetTopic(runtime.TopicFastPose)
+	for i := 1; i <= n; i++ {
+		topic.Publish(runtime.Event{T: float64(i), Value: mathx.Pose{Pos: mathx.Vec3{X: float64(i)}}})
+	}
+	received, lastT := 0, 0.0
+	for lastT < n {
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatalf("after %d poses: %v", received, err)
+		}
+		p, err := wire.DecodePose(f.Payload)
+		if err != nil || f.Type != wire.TypePose {
+			t.Fatalf("frame %v: %v", f.Type, err)
+		}
+		if p.T <= lastT || p.Pose.Pos.X != p.T {
+			t.Fatalf("pose T=%v (X=%v) after T=%v: not latest-wins order", p.T, p.Pose.Pos.X, lastT)
+		}
+		received, lastT = received+1, p.T
+	}
+	_, dropped, _, _ := sess.Stats()
+	if received+int(dropped) != n {
+		t.Fatalf("%d poses sent + %d displaced = %d, want the burst's %d", received, dropped, received+int(dropped), n)
+	}
+	if dropped == 0 {
+		t.Fatal("no pose displaced: the burst never outran the writer")
+	}
+	if got := reg.Counter(telemetry.MetricName("netxr", "send_dropped_total")).Value(); got != dropped {
+		t.Fatalf("send_dropped_total %d, session dropped %d", got, dropped)
+	}
 }

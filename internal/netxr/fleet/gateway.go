@@ -237,7 +237,7 @@ func (g *Gateway) refuse(conn net.Conn, w *wire.Writer, reason string, retry tim
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 	buf := recycle.Bytes.Get(64)[:0]
 	bye := wire.Frame{Type: wire.TypeBye,
-		Payload: wire.AppendBye(buf, wire.Bye{Reason: reason, RetryAfterMs: uint32(retry.Milliseconds())})}
+		Payload: wire.AppendBye(buf, wire.Bye{Reason: reason, RetryAfterMs: wire.RetryAfterMs(retry)})}
 	if err := w.WriteFrame(bye); err == nil && g.Record != nil {
 		_ = g.Record.Record(binlog.DirDown, bye)
 	}
@@ -413,7 +413,7 @@ func (g *Gateway) relay(client net.Conn) {
 		// push-back as-is — the hint tells the client when to come back.
 		b, _ := wire.DecodeBye(bf.Payload)
 		if b.RetryAfterMs == 0 {
-			b.RetryAfterMs = uint32(g.Coord.cfg.RetryAfter.Milliseconds())
+			b.RetryAfterMs = wire.RetryAfterMs(g.Coord.cfg.RetryAfter)
 		}
 		g.refuse(client, cw, b.Reason, time.Duration(b.RetryAfterMs)*time.Millisecond)
 		return
@@ -586,7 +586,7 @@ func (g *Gateway) relay(client net.Conn) {
 			if g.Record != nil {
 				// tap at queue time, after the rewrite: the capture holds the
 				// bytes as delivered (QueueRaw copied them, so the alias into
-				// the reader's scratch is safe)
+				// the reader's buffer is safe)
 				_ = g.Record.RecordRaw(binlog.DirDown, raw)
 			}
 		}

@@ -14,9 +14,11 @@ package node
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -94,6 +96,24 @@ func every(interval time.Duration, tick func()) (stop func()) {
 		close(done)
 		<-exited
 	})
+}
+
+// CheckPositive returns a usage error for the first named flag of fs
+// whose value is not a number > 0. A command prints it with its usage and
+// exits 2, as flag does for a value it cannot parse: a negative cap,
+// queue or hint passes flag's own parse and then refuses every session
+// it meets, or wraps into a ~49.7-day reconnect hint.
+func CheckPositive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		f := fs.Lookup(name)
+		if f == nil {
+			return fmt.Errorf("no flag -%s", name)
+		}
+		if v, err := strconv.ParseFloat(f.Value.String(), 64); err != nil || !(v > 0) {
+			return fmt.Errorf("invalid value %s for flag -%s: must be positive", f.Value, name)
+		}
+	}
+	return nil
 }
 
 // drainBound is how long Run lets sessions and relays finish on their

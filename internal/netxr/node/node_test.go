@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -517,5 +518,40 @@ func TestCloseHandlesParkedFrameBeforeCaptureCloses(t *testing.T) {
 	}
 	if n := decodeCapture(t, path).CountByType()[wire.TypePing]; n != 1 {
 		t.Fatalf("capture holds %d ping records, want 1", n)
+	}
+}
+
+// The commands refuse a cap, queue, burst or interval that is not > 0
+// before they build anything; flag's own parse accepts every one.
+func TestCheckPositive(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		bad  string // the flag named in the error; "" for none
+	}{
+		{nil, ""},
+		{[]string{"-n", "1", "-d", "0.25"}, ""},
+		{[]string{"-n", "0"}, "-n"},
+		{[]string{"-n", "-1"}, "-n"},
+		{[]string{"-d", "-1"}, "-d"},
+		{[]string{"-d", "0"}, "-d"},
+		{[]string{"-d", "NaN"}, "-d"},
+		{[]string{"-n", "-1", "-d", "-1"}, "-n"}, // the first named flag wins
+	} {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		fs.Int("n", 16, "")
+		fs.Float64("d", 1, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		err := CheckPositive(fs, "n", "d")
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), "flag "+c.bad+":")):
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.bad)
+		}
+	}
+	if err := CheckPositive(flag.NewFlagSet("cmd", flag.ContinueOnError), "missing"); err == nil {
+		t.Error("an undefined flag passed")
 	}
 }

@@ -230,7 +230,7 @@ func refuseFull(conn net.Conn) {
 	w := wire.NewWriter(conn)
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 	_ = w.WriteFrame(wire.Frame{Type: wire.TypeBye,
-		Payload: wire.AppendBye(nil, wire.Bye{Reason: "server full", RetryAfterMs: uint32(retryAfter.Milliseconds())})})
+		Payload: wire.AppendBye(nil, wire.Bye{Reason: "server full", RetryAfterMs: wire.RetryAfterMs(retryAfter)})})
 	w.Release()
 	_ = conn.Close()
 }
@@ -345,7 +345,7 @@ func (s *Server) run(sess *Session, r *wire.Reader) bool {
 		// onto the Bye so a refused client knows to come back.
 		var ae *AdmissionError
 		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			sess.DrainRetry(err.Error(), uint32(ae.RetryAfter.Milliseconds()))
+			sess.DrainRetry(err.Error(), wire.RetryAfterMs(ae.RetryAfter))
 		} else {
 			sess.Drain(err.Error())
 		}
@@ -482,7 +482,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	for _, sess := range s.snapshotSessions() {
 		// a drained session is invited back: the fleet will re-place it
-		sess.DrainRetry("server shutdown", uint32(retryAfter.Milliseconds()))
+		sess.DrainRetry("server shutdown", wire.RetryAfterMs(retryAfter))
 	}
 
 	done := make(chan struct{})

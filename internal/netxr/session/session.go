@@ -138,7 +138,9 @@ type Session struct {
 
 	helloRead bool // hello arrived before the session existed (awaitHello)
 
-	lastRecv atomic.Int64 // unix nanos of the last decoded frame
+	lastRecv atomic.Int64 // unix nanos of the last socket read that decoded a frame
+
+	handlerValue any // the Handler's own per-session value (SetHandlerValue)
 
 	sent         atomic.Uint64
 	dropped      atomic.Uint64
@@ -158,6 +160,25 @@ func (s *Session) RemoteAddr() string {
 		return a.String()
 	}
 	return ""
+}
+
+// SetHandlerValue stores the Handler's own per-session value, so
+// SessionFrame can reach the session's state without a lookup of its
+// own. SessionStart sets it; SessionStart and SessionFrame both run on
+// the session's reader goroutine, so neither call takes a lock.
+func (s *Session) SetHandlerValue(v any) { s.handlerValue = v }
+
+// HandlerValue returns what SetHandlerValue stored (nil before it). Call
+// it from SessionStart or SessionFrame only.
+func (s *Session) HandlerValue() any { return s.handlerValue }
+
+// CountDisplaced accounts n LatestWins frames the caller superseded
+// before handing them to Send — the displacements the session's slot
+// would otherwise have counted — in the session's dropped stat and in
+// illixr_netxr_send_dropped_total.
+func (s *Session) CountDisplaced(n int) {
+	s.dropped.Add(uint64(n))
+	s.srv.m.sendDropped.Add(n)
 }
 
 // Uptime is the session age.
@@ -404,8 +425,9 @@ func (s *Session) readLoop(r *wire.Reader) error {
 	if err := s.srv.handler.SessionStart(s); err != nil {
 		return err
 	}
+	batch := recvBatch{mark: r.Bytes()}
+	defer s.countRecv(&batch, r) // every exit path: the totals stay exact
 	for {
-		before := r.Bytes()
 		f, err := r.ReadFrame()
 		if err != nil {
 			if err == io.EOF {
@@ -418,10 +440,12 @@ func (s *Session) readLoop(r *wire.Reader) error {
 			s.srv.m.decodeErrors.Inc()
 			return fmt.Errorf("session %d: decode: %w", s.id, err)
 		}
-		s.lastRecv.Store(time.Now().UnixNano())
-		s.received.Add(1)
-		s.srv.m.recvFrames.Inc()
-		s.srv.m.bytesIn.Add(int(r.Bytes() - before))
+		batch.frames++
+		if !r.FrameBuffered() {
+			// the last frame this socket read delivered: the next
+			// ReadFrame goes back to the socket
+			s.countRecv(&batch, r)
+		}
 		if s.srv.cfg.Capture != nil {
 			// uplink tap: f.Payload aliases the reader's buffer, but Record
 			// copies synchronously before returning, so the alias is safe.
@@ -448,6 +472,29 @@ func (s *Session) readLoop(r *wire.Reader) error {
 			}
 		}
 	}
+}
+
+// recvBatch is the receive bookkeeping readLoop has not published yet:
+// the frames decoded since the last countRecv and r.Bytes() at that call.
+type recvBatch struct {
+	frames int
+	mark   uint64
+}
+
+// countRecv publishes a batch once per socket read rather than once per
+// frame: one clock read for lastRecv and one add per counter. The idle
+// reaper's resolution is seconds, so stamping a read's last frame instead
+// of its first moves nothing it can see.
+func (s *Session) countRecv(b *recvBatch, r *wire.Reader) {
+	if b.frames == 0 {
+		return
+	}
+	s.lastRecv.Store(time.Now().UnixNano())
+	s.received.Add(uint64(b.frames))
+	s.srv.m.recvFrames.Add(b.frames)
+	n := r.Bytes()
+	s.srv.m.bytesIn.Add(int(n - b.mark))
+	b.frames, b.mark = 0, n
 }
 
 func (s *Session) isClosed() bool {

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"illixr/internal/mathx"
 	"illixr/internal/sensors"
@@ -390,6 +391,14 @@ type Bye struct {
 
 // Retryable reports whether the peer invited a reconnect.
 func (b Bye) Retryable() bool { return b.RetryAfterMs > 0 }
+
+// RetryAfterMs converts a reconnect hint to a Bye's RetryAfterMs: whole
+// milliseconds clamped to [0, MaxUint32]. A negative hint becomes 0 (the
+// close is final) instead of wrapping to ~49.7 days; an hour-scale one
+// saturates instead of wrapping to a short one.
+func RetryAfterMs(d time.Duration) uint32 {
+	return uint32(min(max(d.Milliseconds(), 0), math.MaxUint32))
+}
 
 // AppendBye encodes a Bye.
 func AppendBye(dst []byte, b Bye) []byte {

@@ -13,7 +13,8 @@ import (
 // and CRC — exactly as it arrived. Forwarding a Raw skips the payload
 // decode and the re-encode CRC pass a Frame round trip would pay.
 //
-// Ownership: a Raw returned by ReadRaw aliases the reader's scratch and
+// Ownership: a Raw returned by ReadRaw aliases the reader's buffers (its
+// bufio buffer when the frame arrived whole, its scratch otherwise) and
 // is valid only until the next ReadFrame/ReadRaw or Release on that
 // reader. Anyone who needs the bytes beyond that point must copy them
 // before the next read — Writer.QueueRaw and binlog's RecordRaw both copy
@@ -39,7 +40,7 @@ func (r *Raw) SetTrace(ref telemetry.SpanRef) {
 // ReadRaw reads and verifies the next frame without slicing out the
 // payload: same validation as ReadFrame (magic, version, length bound,
 // CRC), but the caller gets the whole encoded frame for pass-through.
-// The returned Raw aliases the reader's scratch (see Raw).
+// The returned Raw aliases the reader's buffers (see Raw).
 func (r *Reader) ReadRaw() (Raw, error) {
 	typ, trace, full, _, err := r.readRaw()
 	if err != nil {
@@ -96,7 +97,7 @@ func (w *Writer) Queue(f Frame) {
 }
 
 // QueueRaw appends an already-encoded frame to the pending buffer
-// (copying it, so the Raw's scratch may be reused immediately).
+// (copying it, so the buffer the Raw aliases may be reused immediately).
 func (w *Writer) QueueRaw(r Raw) {
 	w.buf = append(w.buf, r.Bytes...)
 	w.queued++

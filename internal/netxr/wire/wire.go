@@ -150,9 +150,7 @@ func Decode(b []byte) (Frame, int, error) {
 	if b[2] != Version {
 		return f, 0, fmt.Errorf("%w: got %d want %d", ErrVersion, b[2], Version)
 	}
-	f.Type = Type(b[3])
-	f.Trace.Trace = telemetry.TraceID(binary.LittleEndian.Uint64(b[4:12]))
-	f.Trace.Span = telemetry.SpanID(binary.LittleEndian.Uint64(b[12:20]))
+	f.Type, f.Trace = header(b)
 	n, vlen := binary.Uvarint(b[headerLen:])
 	if vlen <= 0 {
 		return f, 0, ErrTruncated
@@ -171,6 +169,15 @@ func Decode(b []byte) (Frame, int, error) {
 	}
 	f.Payload = b[headerLen+vlen : total-4]
 	return f, total, nil
+}
+
+// header reads the message type and trace reference out of a fixed
+// header whose magic and version have been checked.
+func header(b []byte) (Type, telemetry.SpanRef) {
+	return Type(b[3]), telemetry.SpanRef{
+		Trace: telemetry.TraceID(binary.LittleEndian.Uint64(b[4:12])),
+		Span:  telemetry.SpanID(binary.LittleEndian.Uint64(b[12:20])),
+	}
 }
 
 // Reader decodes frames from a byte stream, buffering internally. Not
@@ -260,10 +267,17 @@ func (r *Reader) ReadFrame() (Frame, error) {
 	return Frame{Type: typ, Trace: trace, Payload: full[payStart : len(full)-4]}, nil
 }
 
-// readRaw reads one verified frame into the reader's scratch, returning
-// the header peeks, the full encoded frame, and the payload offset. The
-// shared body of ReadFrame and ReadRaw.
+// readRaw reads one verified frame, returning the header peeks, the full
+// encoded frame, and the payload offset. The shared body of ReadFrame and
+// ReadRaw. A frame already whole in the bufio buffer is verified and
+// returned from there (inBuffer); anything else — a frame split across
+// reads, one larger than the buffer, or one that fails any check — is
+// read into the scratch, which reports the error.
 func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
+	if full, payStart, ok := r.inBuffer(); ok {
+		typ, trace := header(full)
+		return typ, trace, full, payStart, nil
+	}
 	var typ Type
 	var trace telemetry.SpanRef
 	hdr := r.grow(headerLen)
@@ -279,9 +293,7 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 	if hdr[2] != Version {
 		return typ, trace, nil, 0, fmt.Errorf("%w: got %d want %d", ErrVersion, hdr[2], Version)
 	}
-	typ = Type(hdr[3])
-	trace.Trace = telemetry.TraceID(binary.LittleEndian.Uint64(hdr[4:12]))
-	trace.Span = telemetry.SpanID(binary.LittleEndian.Uint64(hdr[12:20]))
+	typ, trace = header(hdr)
 
 	// varint payload length, byte at a time so we never over-read
 	var vbuf [binary.MaxVarintLen64]byte
@@ -321,6 +333,37 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 	r.frames++
 	r.bytes += uint64(len(rest))
 	return typ, trace, rest, headerLen + vlen, nil
+}
+
+// inBuffer is readRaw's fast path: when the next frame is already whole
+// in the bufio buffer and passes every check, it is consumed (Discard)
+// and returned in place — the bytes stay where the last fill put them
+// until the next read, which is exactly the aliasing contract the
+// scratch copy gave. ok=false consumes nothing, so the scratch path
+// reads the same bytes and reports whatever is wrong with them in its
+// own order. Raw.SetTrace may patch the returned bytes: they are
+// consumed, and nothing reads them again.
+func (r *Reader) inBuffer() (full []byte, payStart int, ok bool) {
+	b, _ := r.br.Peek(r.br.Buffered()) // never fills: n <= Buffered
+	if len(b) < headerLen+1 || b[0] != Magic0 || b[1] != Magic1 || b[2] != Version {
+		return nil, 0, false
+	}
+	n, vlen := binary.Uvarint(b[headerLen:])
+	if vlen <= 0 || n > MaxPayload {
+		return nil, 0, false
+	}
+	total := headerLen + vlen + int(n) + 4
+	if len(b) < total {
+		return nil, 0, false
+	}
+	full = b[:total:total]
+	if crc32.ChecksumIEEE(full[:total-4]) != binary.LittleEndian.Uint32(full[total-4:]) {
+		return nil, 0, false
+	}
+	_, _ = r.br.Discard(total)
+	r.frames++
+	r.bytes += uint64(total)
+	return full, headerLen + vlen, true
 }
 
 // grow returns the reader's scratch buffer resized to n bytes. Contents

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"time"
 
 	"illixr/internal/mathx"
 	"illixr/internal/sensors"
@@ -256,6 +257,30 @@ func TestPingByeRoundTrip(t *testing.T) {
 	rout, err := DecodeBye(AppendBye(nil, rin))
 	if err != nil || rout != rin || !rout.Retryable() {
 		t.Fatalf("retryable bye: %+v err %v", rout, err)
+	}
+}
+
+// A reconnect hint reaches the Bye clamped, never wrapped: a negative
+// duration is a final close, not a ~49.7-day wait.
+func TestRetryAfterMsClamps(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want uint32
+	}{
+		{-time.Second, 0},
+		{-time.Millisecond, 0},
+		{math.MinInt64, 0},
+		{0, 0},
+		{999 * time.Microsecond, 0},
+		{time.Millisecond, 1},
+		{250 * time.Millisecond, 250},
+		{time.Duration(math.MaxUint32) * time.Millisecond, math.MaxUint32},
+		{time.Duration(math.MaxUint32+1) * time.Millisecond, math.MaxUint32},
+		{math.MaxInt64, math.MaxUint32},
+	} {
+		if got := RetryAfterMs(c.d); got != c.want {
+			t.Errorf("RetryAfterMs(%v) = %d, want %d", c.d, got, c.want)
+		}
 	}
 }
 

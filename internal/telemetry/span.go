@@ -59,19 +59,26 @@ const DefaultSpanCap = 1 << 18
 // Retained spans are stored in ascending id order — Emit draws the id
 // under the same lock that appends the span — so Get and Lineage
 // binary-search the slice and no per-span index exists (DESIGN.md §7).
+// Once the cap is reached a dropped span takes no lock: it draws its id
+// and counts itself with two atomic adds.
 type SpanCollector struct {
-	dropped atomic.Uint64
+	full atomic.Bool // the cap is reached: every later span drops
 
-	mu     sync.Mutex
-	nextID uint64 // the last id handed out
-	cap    int
-	spans  []Span
+	mu    sync.Mutex
+	cap   int
+	spans []Span
 	// slab is the block retained spans' Parents are carved from, so Emit
 	// does not heap-allocate a slice per span. The collector owns every
 	// block for its own lifetime and only ever appends to the current one;
 	// a span's Parents is a full-capacity (three-index) window of it, so an
 	// append by a caller reallocates instead of reaching the next span's.
 	slab []SpanID
+
+	// every span writes these two, so they sit a cache line away from
+	// full, which every span reads
+	_       [64]byte
+	nextID  atomic.Uint64 // the last id handed out
+	dropped atomic.Uint64
 }
 
 // Slab blocks double from slabMin to slabMax IDs (128 B to 32 KB): a
@@ -98,14 +105,18 @@ func NewSpanCollector(cap int) *SpanCollector {
 // two ends of a network offload (internal/netxr) each run their own
 // collector while sharing trace lineage over the wire; giving the server
 // a high, per-session-disjoint base keeps ids unique when client and
-// server traces are merged. Never lowers the floor; safe on nil.
+// server traces are merged. Never lowers the floor, even against
+// concurrent Emits (a CAS max); safe on nil.
 func (c *SpanCollector) SetIDBase(base uint64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.nextID = max(c.nextID, base)
-	c.mu.Unlock()
+	for {
+		cur := c.nextID.Load()
+		if cur >= base || c.nextID.CompareAndSwap(cur, base) {
+			return
+		}
+	}
 }
 
 // Emit records one completed span and returns its ref. A zero trace
@@ -116,19 +127,23 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	if c == nil {
 		return SpanRef{}
 	}
+	if c.full.Load() {
+		return c.drop(trace)
+	}
 	c.mu.Lock()
-	c.nextID++
-	id := SpanID(c.nextID)
+	// cap first: a dropped span must cost nothing but its id and the count
+	if len(c.spans) >= c.cap {
+		c.full.Store(true)
+		c.mu.Unlock()
+		return c.drop(trace)
+	}
+	// drawn under mu, so retained spans append in id order; ids a lock-free
+	// drop draws in between are simply never retained
+	id := SpanID(c.nextID.Add(1))
 	if trace == 0 {
 		trace = TraceID(id)
 	}
 	ref := SpanRef{Trace: trace, Span: id}
-	// cap first: a dropped span must cost nothing but the counter
-	if len(c.spans) >= c.cap {
-		c.mu.Unlock()
-		c.dropped.Add(1)
-		return ref
-	}
 	n := 0
 	for _, p := range parents {
 		if p != 0 {
@@ -155,6 +170,16 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	c.spans = append(c.spans, Span{ID: id, Trace: trace, Name: name, Start: start, End: end, Parents: ps})
 	c.mu.Unlock()
 	return ref
+}
+
+// drop is Emit past the cap: a unique id, the drop count, no lock.
+func (c *SpanCollector) drop(trace TraceID) SpanRef {
+	id := SpanID(c.nextID.Add(1))
+	if trace == 0 {
+		trace = TraceID(id)
+	}
+	c.dropped.Add(1)
+	return SpanRef{Trace: trace, Span: id}
 }
 
 // Len returns the number of retained spans.

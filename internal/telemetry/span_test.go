@@ -296,6 +296,67 @@ func TestConcurrentEmitKeepsIDOrder(t *testing.T) {
 	}
 }
 
+// Past the cap a drop takes no lock: concurrent emitters and SetIDBase
+// callers racing it must still get unique ids, count every span exactly
+// once as retained or dropped, keep the retained ones in id order, and
+// never see the floor lowered. Run with -race.
+func TestEmitPastCapIsLockFreeAndExact(t *testing.T) {
+	const workers, perWorker, limit = 8, 5_000, 1_000
+	c := NewSpanCollector(limit)
+	ids := make([][]SpanID, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := make([]SpanID, 0, perWorker)
+			for i := 0; i < perWorker; i++ {
+				if i%1000 == 999 {
+					// a lower floor must never take effect; a higher one may
+					c.SetIDBase(uint64(w * i))
+				}
+				ref := c.Emit("s", 0, 0, 1, 7)
+				if ref.Trace != TraceID(ref.Span) {
+					t.Errorf("a root span's trace %d is not its id %d", ref.Trace, ref.Span)
+				}
+				own = append(own, ref.Span)
+			}
+			ids[w] = own
+		}()
+	}
+	wg.Wait()
+	seen := map[SpanID]bool{}
+	for _, own := range ids {
+		for _, id := range own {
+			if seen[id] {
+				t.Fatalf("span id %d handed out twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if got := uint64(c.Len()) + c.Dropped(); got != workers*perWorker {
+		t.Fatalf("Len %d + Dropped %d = %d, want %d emitted", c.Len(), c.Dropped(), got, workers*perWorker)
+	}
+	if c.Len() != limit {
+		t.Fatalf("Len %d, want the cap %d", c.Len(), limit)
+	}
+	spans := c.Spans()
+	for i := 1; i < len(spans); i++ {
+		if spans[i].ID <= spans[i-1].ID {
+			t.Fatalf("spans[%d].ID %d after %d: not ascending", i, spans[i].ID, spans[i-1].ID)
+		}
+	}
+	last := c.Emit("s", 0, 0, 1).Span
+	c.SetIDBase(1)
+	if next := c.Emit("s", 0, 0, 1).Span; next != last+1 {
+		t.Fatalf("after SetIDBase(1) the next id is %d, want %d", next, last+1)
+	}
+	c.SetIDBase(1 << 40)
+	if next := c.Emit("s", 0, 0, 1).Span; next != 1<<40+1 {
+		t.Fatalf("after SetIDBase(1<<40) the next id is %d, want %d", next, uint64(1<<40+1))
+	}
+}
+
 func benchEmit(b *testing.B, c *SpanCollector) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -304,8 +365,19 @@ func benchEmit(b *testing.B, c *SpanCollector) {
 }
 
 // BenchmarkSpanEmit prices one single-parent Emit (the per-frame span of
-// the offload path) while spans are retained and after the cap.
+// the offload path) while spans are retained and after the cap, and
+// after the cap with every core emitting into one collector.
 func BenchmarkSpanEmit(b *testing.B) {
 	b.Run("below_cap", func(b *testing.B) { benchEmit(b, NewSpanCollector(b.N+1)) })
 	b.Run("at_cap", func(b *testing.B) { benchEmit(b, NewSpanCollector(1)) })
+	b.Run("at_cap_parallel", func(b *testing.B) {
+		c := NewSpanCollector(1)
+		c.Emit("net_uplink", 1, 0, 0)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				c.Emit("net_uplink", 1, 0, 0, 7)
+			}
+		})
+	})
 }

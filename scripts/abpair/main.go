@@ -14,8 +14,10 @@
 // Each run's steal and idle shares of CPU time, from /proc/stat, print
 // beside it.
 //
-// For each claimed metric abpair prints the median paired ratio B/A, the
-// pairs B wins, and the exact one-sided sign-test p; the claim holds at
+// For each claimed metric abpair prints the median paired ratio B/A with
+// the smallest and largest ratio, the pairs B wins, the exact one-sided
+// sign-test p, and the spread of A's own runs: A's p25–p75 as a share of
+// A's median, the noise a median gain has to clear. The claim holds at
 // p ≤ 0.011 (9 of 10 pairs). Every other metric in the line prints as
 // description only. The exit status is 0 when every claim holds, 1 when
 // one does not, 2 on a usage, build or run error.
@@ -278,6 +280,9 @@ func directions(path string) (map[string]bool, error) {
 type verdict struct {
 	valid, wins, ties int
 	medianRatio       float64 // median of B/A over the valid pairs
+	minRatio          float64
+	maxRatio          float64
+	aIQR              float64 // A's p25–p75 over A's median
 	p                 float64 // one-sided sign test: P(wins ≥ observed | no effect), ties dropped
 }
 
@@ -285,7 +290,7 @@ type verdict struct {
 // whether a higher value is better.
 func judge(ps []pair, metric string, higher bool) verdict {
 	var v verdict
-	var ratios []float64
+	var ratios, as []float64
 	for _, p := range ps {
 		if p.void() {
 			continue
@@ -297,6 +302,7 @@ func judge(ps []pair, metric string, higher bool) verdict {
 		}
 		v.valid++
 		ratios = append(ratios, b.Value/a.Value)
+		as = append(as, a.Value)
 		switch {
 		case b.Value == a.Value:
 			v.ties++
@@ -305,8 +311,35 @@ func judge(ps []pair, metric string, higher bool) verdict {
 		}
 	}
 	v.medianRatio = median(ratios)
+	v.minRatio, v.maxRatio = math.NaN(), math.NaN()
+	if len(ratios) > 0 {
+		v.minRatio, v.maxRatio = slices.Min(ratios), slices.Max(ratios)
+	}
+	q1, q2, q3 := quartiles(as)
+	v.aIQR = (q3 - q1) / q2
 	v.p = signTestP(v.wins, v.valid-v.ties)
 	return v
+}
+
+// quartiles are the 25th, 50th and 75th percentiles by the benchmark's
+// own definition (Python's statistics.quantiles, method "exclusive"); NaN
+// with no values.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	m := len(s)
+	switch m {
+	case 0:
+		return math.NaN(), math.NaN(), math.NaN()
+	case 1:
+		return s[0], s[0], s[0]
+	}
+	q := func(i int) float64 {
+		j := min(max(i*(m+1)/4, 1), m-1)
+		delta := i*(m+1) - j*4
+		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return q(1), q(2), q(3)
 }
 
 // signTestP is the exact one-sided sign-test p: the chance of k or more
@@ -364,8 +397,8 @@ func report(w io.Writer, ps []pair, claims []string, better map[string]bool) int
 		} else {
 			code = 1
 		}
-		fmt.Fprintf(w, "CLAIM %s: median B/A %.4f, B better in %d of %d valid pairs (%d ties), sign-test p = %.5f: claim %s (p ≤ %g)\n",
-			m, v.medianRatio, v.wins, v.valid, v.ties, v.p, word, claimAlpha)
+		fmt.Fprintf(w, "CLAIM %s: median B/A %.4f (min %.4f, max %.4f), A's p25–p75 %.2f%% of its median, B better in %d of %d valid pairs (%d ties), sign-test p = %.5f: claim %s (p ≤ %g)\n",
+			m, v.medianRatio, v.minRatio, v.maxRatio, 100*v.aIQR, v.wins, v.valid, v.ties, v.p, word, claimAlpha)
 	}
 	var others []string
 	for _, p := range ps {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -87,5 +88,54 @@ func TestCPUShare(t *testing.T) {
 	}
 	if _, err := parseCPU("cpu0 1 2 3"); err == nil {
 		t.Error("a per-CPU line parsed as the aggregate")
+	}
+}
+
+// The CLAIM line carries the spread: the extreme paired ratios and A's
+// p25–p75 over A's median, on the valid pairs only.
+func TestClaimSpread(t *testing.T) {
+	run := func(v string) result {
+		return line(t, `{"correct":true,"attempted":9,"failed":0,"metrics":{"throughput_per_s":{"value":`+v+`,"unit":"1/s"}}}`)
+	}
+	ps := []pair{
+		{run("100"), run("110")},   // 1.10
+		{run("96"), run("120")},    // 1.25
+		{run("104"), run("104")},   // 1.00
+		{run("98"), run("107.8")},  // 1.10
+		{run("102"), run("112.2")}, // 1.10
+		{run("50"), result{}},      // void: A's 50 must not widen the spread
+	}
+	v := judge(ps, "throughput_per_s", true)
+	if v.valid != 5 || v.minRatio != 1 || v.maxRatio != 1.25 || math.Abs(v.medianRatio-1.1) > 1e-12 {
+		t.Fatalf("judge = %+v, want 5 valid pairs, ratios 1 .. 1.25, median 1.1", v)
+	}
+	// A sorted: 96 98 100 102 104; exclusive quartiles 97, 100, 103
+	if want := 6.0 / 100; math.Abs(v.aIQR-want) > 1e-12 {
+		t.Fatalf("A's IQR share = %v, want %v", v.aIQR, want)
+	}
+	var b strings.Builder
+	report(&b, ps, []string{"throughput_per_s"}, map[string]bool{"throughput_per_s": true})
+	want := "CLAIM throughput_per_s: median B/A 1.1000 (min 1.0000, max 1.2500), A's p25–p75 6.00% of its median, B better in 4 of 5 valid pairs (1 ties)"
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("report:\n%s\nwant a line starting %q", b.String(), want)
+	}
+}
+
+// The quartiles are the benchmark's (Python's statistics.quantiles,
+// method "exclusive").
+func TestQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		xs         []float64
+		q1, q2, q3 float64
+	}{
+		{[]float64{1, 2, 3, 4}, 1.25, 2.5, 3.75},
+		{[]float64{5, 1, 4, 2, 3}, 1.5, 3, 4.5},
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{1, 2}, 0.75, 1.5, 2.25}, // extrapolates, as Python does
+	} {
+		q1, q2, q3 := quartiles(c.xs)
+		if q1 != c.q1 || q2 != c.q2 || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v %v %v, want %v %v %v", c.xs, q1, q2, q3, c.q1, c.q2, c.q3)
+		}
 	}
 }

@@ -102,6 +102,9 @@ go test -run='^$' -fuzz=FuzzQuatNormalize -fuzztime=5s ./internal/mathx >/dev/nu
 go test -run='^$' -fuzz=FuzzSE3 -fuzztime=5s ./internal/mathx >/dev/null
 go test -run='^$' -fuzz=FuzzSSIMWindow -fuzztime=5s ./internal/quality >/dev/null
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/netxr/wire >/dev/null
+# the in-place parse against the scratch path, frame for frame and error
+# for error
+go test -run='^$' -fuzz=FuzzReaderStream -fuzztime=5s ./internal/netxr/wire >/dev/null
 go test -run='^$' -fuzz=FuzzBinlogDecode -fuzztime=5s ./internal/netxr/binlog >/dev/null
 
 stage "observability smoke test"
@@ -158,6 +161,7 @@ go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/
 go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime >/dev/null
 go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
+go test -run='^$' -bench=BenchmarkRK4Step -benchtime=100ms ./internal/integrator >/dev/null
 go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./internal/netxr/node >/dev/null
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
