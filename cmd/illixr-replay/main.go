@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"illixr/internal/netxr/binlog"
+	"illixr/internal/netxr/node"
 	"illixr/internal/netxr/replay"
 	"illixr/internal/netxr/wire"
 )
@@ -40,6 +41,11 @@ func main() {
 	timeout := flag.Float64("timeout", 5, "handshake/drain timeout seconds")
 	app := flag.String("app", "", "override the recorded application label")
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine, *speed); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *logPath == "" {
 		flag.Usage()
@@ -109,6 +115,21 @@ func main() {
 		return
 	}
 	fmt.Println(string(out))
+}
+
+// checkFlags refuses the values flag parses but the command cannot run
+// with, as flag's own parse errors are refused: a negative -fanout panics
+// sizing the results, zero reports "0/0 admitted" as a success, a
+// -timeout <= 0 fails every dial at once, and a negative -speed is no
+// pace at all.
+func checkFlags(fs *flag.FlagSet, speed float64) error {
+	if err := node.CheckPositive(fs, "fanout", "timeout"); err != nil {
+		return err
+	}
+	if speed < 0 {
+		return fmt.Errorf("invalid value %v for flag -speed: must not be negative", speed)
+	}
+	return nil
 }
 
 func runFanOut(l *binlog.Log, addr string, n int, speed, timeoutSec float64, app string) {

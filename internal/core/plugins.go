@@ -112,11 +112,24 @@ var _ runtime.Plugin = (*DatasetPlayerPlugin)(nil)
 // IntegratorPlugin per session.
 var (
 	integratorSamplesTotal = telemetry.MetricName(CompIntegrator, "samples_total")
+	integratorPosesTotal   = telemetry.MetricName(CompIntegrator, "poses_total")
 	integratorFeedNs       = telemetry.MetricName(CompIntegrator, "feed_ns")
 )
 
+// poseBatchMax is the most samples the integrator integrates between two
+// fast-pose publishes. It is the deepest in-flight window any workload
+// keeps (64 IMU samples per session on offload_saturate); without a bound
+// an integrator that never catches up would never find its channel empty
+// and would starve the fast-pose stream.
+const poseBatchMax = 64
+
 // IntegratorPlugin subscribes synchronously to the IMU topic and publishes
-// fast poses (the IMU-integrator role of Fig 2).
+// fast poses (the IMU-integrator role of Fig 2). The fast-pose stream is
+// latest-wins from its source (DESIGN.md §9.2): every sample is
+// integrated, but of a backlog the integrator finds queued only the
+// newest sample's pose is published — when the channel runs empty, or
+// after poseBatchMax samples. A consumer that keeps up sees one pose per
+// sample, and the last sample of any burst always gets its pose.
 type IntegratorPlugin struct {
 	Initial integrator.State
 	in      *integrator.Integrator
@@ -149,24 +162,42 @@ func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
 	tracer := tracerFrom(ctx)
 	reg := metricsFrom(ctx)
 	samples := reg.Counter(integratorSamplesTotal)
+	poses := reg.Counter(integratorPosesTotal)
 	feedNs := reg.Histogram(integratorFeedNs)
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
+		// newest is the last integrated sample's event; pending counts the
+		// samples integrated since the last publish
+		var newest runtime.Event
+		pending := 0
+		publish := func() {
+			ref := tracer.Emit(CompIntegrator, newest.Trace.Trace, newest.T, newest.T, newest.Trace.Span)
+			poses.Inc() // before the pose is out, so whoever sees it sees the count
+			pending = 0
+			fastTopic.Publish(runtime.Event{T: newest.T, Value: p.in.FastPose(), Trace: ref})
+		}
 		for ev := range p.sub.C {
-			sample, ok := ev.Value.(sensors.IMUSample)
-			if !ok {
-				continue
+			if sample, ok := ev.Value.(sensors.IMUSample); ok {
+				if inj.ShouldPanic(p.Name(), sample.T) {
+					// the restart resumes from the last integrated sample
+					if pending > 0 {
+						publish()
+					}
+					panic(fmt.Sprintf("injected fault at t=%.3f", sample.T))
+				}
+				wall := time.Now()
+				p.in.Feed(sample)
+				feedNs.Observe(float64(time.Since(wall).Nanoseconds()))
+				samples.Inc()
+				newest = runtime.Event{T: sample.T, Trace: ev.Trace}
+				pending++
 			}
-			if inj.ShouldPanic(p.Name(), sample.T) {
-				panic(fmt.Sprintf("injected fault at t=%.3f", sample.T))
+			if pending > 0 && (len(p.sub.C) == 0 || pending >= poseBatchMax) {
+				publish()
 			}
-			wall := time.Now()
-			p.in.Feed(sample)
-			pose := p.in.FastPose()
-			feedNs.Observe(float64(time.Since(wall).Nanoseconds()))
-			samples.Inc()
-			ref := tracer.Emit(CompIntegrator, ev.Trace.Trace, sample.T, sample.T, ev.Trace.Span)
-			fastTopic.Publish(runtime.Event{T: sample.T, Value: pose, Trace: ref})
+		}
+		if pending > 0 {
+			publish()
 		}
 	})
 	return nil

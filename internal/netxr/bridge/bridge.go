@@ -606,13 +606,12 @@ func (p *uplinkPlugin) Name() string { return "netxr.uplink" }
 // while either channel holds another event the frame is only queued, and
 // the moment both are empty the batch goes out in one write — a lone
 // sample is on the wire immediately, a burst costs one syscall per
-// wire.FlushWindow frames, and nothing waits on a timer. An empty channel
-// is all the forwarder can see: once it is more than a subscription fast
-// tier (64 events) behind, the rest of the backlog reaches the channel
-// through a pump goroutine (DESIGN.md §4), the channel can run empty with
-// events still queued, and that backlog goes out in shorter writes than
-// one per window. No benchmark workload gets there, so the cost of it is
-// unmeasured.
+// wire.FlushWindow frames, and nothing waits on a timer. Once the
+// forwarder is more than a subscription fast tier (64 events) behind,
+// the rest of the backlog reaches the channel through a pump goroutine
+// (DESIGN.md §4), and the channel can run empty with events still
+// queued; Drained tells that pause from the end of the burst, so a
+// deep backlog still goes out one whole window per write.
 func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)
@@ -644,8 +643,10 @@ func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 				}
 			}
 			// this goroutine is the only consumer, so a non-empty channel
-			// means the next receive cannot block
-			exhausted := len(imuC) == 0 && len(camC) == 0
+			// means the next receive cannot block; an empty one may only
+			// be waiting for the pump to refill it
+			exhausted := len(imuC) == 0 && len(camC) == 0 &&
+				p.imuSub.Drained() && p.camSub.Drained()
 			var err error
 			if f.Type != wire.TypeInvalid {
 				err = p.c.queue(f, true, exhausted)

@@ -278,7 +278,10 @@ func TestUplinkWriteErrorKeepsQueuedFramesForResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := attachUplink(t, cl, legs[0])
-	first.burst(func() { first.publishIMU(1, 40) })
+	// more than two windows: the good flush and the failed one are both
+	// whole windows (or the first sample alone), with samples left over
+	const burst = 2*wire.FlushWindow + wire.FlushWindow/2
+	first.burst(func() { first.publishIMU(1, burst) })
 	waitCond(t, func() bool { return cl.Err() != nil })
 	failure := cl.Err()
 	if !errors.Is(failure, errInjected) || !strings.HasPrefix(failure.Error(), "uplink imu") {
@@ -377,7 +380,7 @@ func TestUplinkCaptureOrderEqualsWireOrder(t *testing.T) {
 // per batch, order kept.
 func TestRetransmitCoalesces(t *testing.T) {
 	win := NewSendWindow(0)
-	const gap = 40
+	const gap = 2*wire.FlushWindow + wire.FlushWindow/2
 	for i := 1; i <= gap; i++ {
 		win.Push(imuFrame(float64(i)))
 	}

@@ -22,8 +22,9 @@ import (
 //     (a newer pose displaces an unsent older one, never reorders);
 //   - delivered + displaced == sent, so displacement accounting holds.
 func TestCoalesceOrderingAtFlushWindow(t *testing.T) {
-	const reliableN = 200
-	const poseN = 300
+	// many windows deep: 12.5 and 18.5 of them
+	const reliableN = 12*wire.FlushWindow + wire.FlushWindow/2
+	const poseN = 18*wire.FlushWindow + wire.FlushWindow/2
 
 	h := newCollect()
 	srv := NewServer(Config{

@@ -85,8 +85,10 @@ func (r *Reader) FrameBuffered() bool {
 // directions and the client uplink all queue while more frames are
 // already waiting and flush on exhaustion or at this bound (DESIGN.md
 // §15.3), so a lone frame never waits and a burst costs one Write per
-// window.
-const FlushWindow = 16
+// window. It is one whole in-flight window: the deepest any workload
+// keeps is 64 IMU samples per session, so a saturated session's backlog
+// rides a single Write rather than four.
+const FlushWindow = 64
 
 // Queue encodes f onto the writer's pending buffer without writing.
 // Call Flush to put the whole batch on the wire in one Write — the

@@ -193,14 +193,14 @@ type Reader struct {
 // readBufSize is the Reader's bufio buffer. Every connection end pays it
 // (client, both gateway legs, replica), so it is sized from the traffic,
 // not for it. What can be waiting on a connection is what the peer keeps
-// in flight: the benchmark's deepest window is 64 IMU samples, ~5.4 KB of
-// the 148 B/frame uplink mix, written a FlushWindow (16 frames, ~2.4 KB)
-// at a time; a payload larger than the buffer bypasses it (bufio reads
-// straight into the frame scratch). It was 64 KiB: 256 KiB zeroed per
-// session. 4 KiB measured the same end to end but tore that 64-sample
-// window, so the gateway's coalescing loop flushed short
-// (fleet.frames_per_write_up 13.2 -> 11.3 on offload_saturate); at 8 KiB
-// it reads 13.1-13.2 (DESIGN.md §9.1 has the A/B).
+// in flight: the benchmark's deepest window is 64 IMU samples, ~5.4 KB,
+// and a writer puts up to a FlushWindow (64 frames) on the wire at once,
+// so the whole window fits; a payload larger than the buffer bypasses it
+// (bufio reads straight into the frame scratch). It was 64 KiB: 256 KiB
+// zeroed per session. 4 KiB measured the same end to end but tore that
+// 64-sample window, so the gateway's coalescing loop flushed short
+// (fleet.frames_per_write_up 13.2 -> 11.3 on offload_saturate; DESIGN.md
+// §9.1 has the A/B).
 const readBufSize = 8 << 10
 
 // scratchFloor is the smallest frame scratch a Reader allocates: room for
@@ -399,10 +399,12 @@ type Writer struct {
 	bytes  uint64
 }
 
-// writeBufSize pre-sizes a Writer's pending buffer: one FlushWindow of
-// the ~148 B/frame uplink mix is ~2.4 KB, so a coalesced batch never
-// regrows it (a nil buffer doubled through its first 16 frames).
-const writeBufSize = 4 << 10
+// writeBufSize pre-sizes a Writer's pending buffer to one FlushWindow of
+// uplink traffic: 64 IMU frames are ~5.4 KB, so a coalesced batch never
+// regrows it (a nil buffer doubled through its first frames). A window
+// that carries a camera frame grows it once, and the writer keeps the
+// grown buffer up to pooledMax.
+const writeBufSize = 8 << 10
 
 // NewWriter wraps w for frame encoding, on a buffer from the free list.
 func NewWriter(w io.Writer) *Writer {

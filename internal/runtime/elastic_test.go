@@ -115,6 +115,44 @@ func TestStalledConsumerDisplacesExactlyOverflow(t *testing.T) {
 	}
 }
 
+// TestDrainedMarksTheEndNotAPause: a sole consumer that takes an empty C
+// that is also Drained as the end of a burst (the uplink forwarder
+// flushes there) sees that end only at the burst's last event, or one
+// before it while the pump is still handing the last one over — never in
+// the middle of a backlog the pump is still moving.
+func TestDrainedMarksTheEndNotAPause(t *testing.T) {
+	const published = 3 * fastTier
+	for round := 0; round < 20; round++ {
+		sub, _ := stalledSub(t, deep, published)
+		if sub.Drained() {
+			t.Fatal("a subscription two fast tiers behind reports Drained")
+		}
+		var ends []int
+		timeout := time.After(5 * time.Second)
+		for i := 0; i < published; i++ {
+			select {
+			case ev := <-sub.C:
+				if ev.T != float64(i) {
+					t.Fatalf("event %d has T=%g", i, ev.T)
+				}
+			case <-timeout:
+				t.Fatalf("received %d of %d events", i, published)
+			}
+			if len(sub.C) == 0 && sub.Drained() {
+				ends = append(ends, i)
+			}
+		}
+		if len(ends) == 0 || ends[len(ends)-1] != published-1 || ends[0] < published-2 {
+			t.Fatalf("round %d: burst of %d ended at %v, want at %d (and at most once before it)",
+				round, published, ends, published-1)
+		}
+		sub.Cancel()
+		if !sub.Drained() {
+			t.Fatal("a cancelled, emptied subscription is not Drained")
+		}
+	}
+}
+
 // TestFastTierPlusOneStaysAllChannel pins the one depth that gets no ring:
 // a ring of one could never displace anything but the in-flight event.
 func TestFastTierPlusOneStaysAllChannel(t *testing.T) {

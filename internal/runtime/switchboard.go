@@ -135,6 +135,20 @@ func (s *Subscription) Cancel() {
 	close(s.C)
 }
 
+// Drained reports whether C is empty with nothing behind it in the
+// overflow ring. A sole consumer that finds len(C) == 0 cannot tell the
+// end of a burst from a pause while the pump refills C; Drained can. It
+// leaves out the one event the pump may be handing over at that moment,
+// so true can mean one more event is on its way — an extra end of burst,
+// never a missed one.
+func (s *Subscription) Drained() bool {
+	s.life.Lock()
+	defer s.life.Unlock()
+	// the pump advances only under life, so it can land at most its
+	// in-flight event in C while this looks
+	return len(s.C) == 0 && (s.n <= 1 || s.closed)
+}
+
 // deliver sends one event with latest-wins backpressure, skipping the
 // send entirely if the subscription has been cancelled. Reports whether
 // an older event was displaced to make room, and the queue depth after.

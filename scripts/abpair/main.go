@@ -12,7 +12,7 @@
 // its own tree's root. A run prints one JSON line last; a pair in which
 // either run has failed > 0 or correct=false, or printed no line, is void.
 // Each run's steal and idle shares of CPU time, from /proc/stat, print
-// beside it.
+// beside it, and the failed checks of a run that has any below it.
 //
 // For each claimed metric abpair prints the median paired ratio B/A with
 // the smallest and largest ratio, the pairs B wins, the exact one-sided
@@ -136,6 +136,9 @@ type result struct {
 	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+	// Checks are the run's first failure messages: they say why a pair
+	// is void.
+	Checks      []string `json:"failed_checks"`
 	steal, idle float64
 }
 
@@ -166,6 +169,9 @@ func (r result) describe(err error) string {
 	fmt.Fprintf(&b, "correct=%v failed=%d steal=%.1f%% idle=%.1f%%", r.Correct, r.Failed, 100*r.steal, 100*r.idle)
 	for _, k := range names {
 		fmt.Fprintf(&b, " %s=%.6g", k, r.Metrics[k].Value)
+	}
+	for _, c := range r.Checks {
+		fmt.Fprintf(&b, "\n    failed check: %s", c)
 	}
 	return b.String()
 }

@@ -70,6 +70,11 @@ func TestVoidPairs(t *testing.T) {
 	if v := judge(ps, "throughput_per_s", false); v.wins != 1 {
 		t.Errorf("lower-is-better wins = %d, want 1", v.wins)
 	}
+	// a void run says why
+	why := line(t, `{"correct":false,"attempted":9,"failed":1,"failed_checks":["lifecycle 7: no pose covering t=0.03 within 5s"],"metrics":{}}`)
+	if d := why.describe(nil); !strings.Contains(d, "failed check: lifecycle 7: no pose covering") {
+		t.Errorf("describe = %q, want the failed check", d)
+	}
 }
 
 func TestCPUShare(t *testing.T) {

@@ -57,7 +57,12 @@ go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
 # the elastic subscription hands events channel -> ring -> pump -> channel
 # while Cancel and publishers race it: order, the displaced count and
 # no-send-on-closed must hold across many interleavings
-go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|TestCancelReleasesBlockedPump|TestSwitchboardPublishCancelStress' ./internal/runtime >/dev/null
+# and an empty C that is Drained must be the end of a burst, not a pause
+# while the pump refills it (the uplink flushes there)
+go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|TestCancelReleasesBlockedPump|TestSwitchboardPublishCancelStress|TestDrainedMarksTheEndNotAPause' ./internal/runtime >/dev/null
+# the integrator publishes the newest pose of a backlog: bounded, ending
+# on the burst's last sample, and flushed before an injected panic
+go test -race -count=20 -run 'TestIntegratorBurst|TestIntegratorSpaced|TestIntegratorPanicMidBatch' ./internal/core >/dev/null
 # and a consumer that pairs two topics (VIO: IMU up to each camera frame)
 # must get the same answer however far behind the pump finds it
 go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core >/dev/null
@@ -162,6 +167,7 @@ go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|Bench
 go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
 go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
 go test -run='^$' -bench=BenchmarkRK4Step -benchtime=100ms ./internal/integrator >/dev/null
+go test -run='^$' -bench=BenchmarkIntegratorPluginBurst -benchmem -benchtime=100ms ./internal/core >/dev/null
 go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./internal/netxr/node >/dev/null
 go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
 go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
