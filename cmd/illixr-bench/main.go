@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"illixr/internal/bench"
+	"illixr/internal/netxr/node"
 )
 
 func main() {
@@ -33,6 +34,13 @@ func main() {
 	flag.StringVar(&o.OutDir, "out-dir", ".", "directory the BENCH_<exp>.json reports are written to")
 	flag.StringVar(&o.FaultScenario, "fault-scenario", "light", "fault scenario for -exp faults (vio-stall|light|stress)")
 	flag.Parse()
+	// a run of zero or negative length panics drawing its bars, or prints
+	// a table from nothing: refuse it as flag's own parse errors are refused
+	if err := node.CheckPositive(flag.CommandLine, "duration"); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := bench.Run(os.Stdout, *exp, o); err != nil {
 		fmt.Fprintln(os.Stderr, "illixr-bench:", err)

@@ -11,11 +11,18 @@ import (
 	"os"
 
 	"illixr/internal/bench"
+	"illixr/internal/netxr/node"
 )
 
 func main() {
 	duration := flag.Float64("duration", 15, "VIO dataset length (virtual seconds)")
 	flag.Parse()
+	// a zero or negative length panics drawing Table VI's bars
+	if err := node.CheckPositive(flag.CommandLine, "duration"); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	w := os.Stdout
 	fmt.Fprintln(w, "ILLIXR-Go standalone component characterization (ILLIXR v1 analogue)")

@@ -34,9 +34,9 @@ func New(name render.AppName, session *openxr.Session, w, h int, seed int64) *Ap
 	}
 }
 
-// Step runs one iteration of the OpenXR frame loop and returns the
+// step runs one iteration of the OpenXR frame loop and returns the
 // composited display image.
-func (a *Application) Step() (*imgproc.RGB, error) {
+func (a *Application) step() (*imgproc.RGB, error) {
 	state := a.Session.WaitFrame()
 	if err := a.Session.BeginFrame(); err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (a *Application) Step() (*imgproc.RGB, error) {
 // Run executes n frame-loop iterations.
 func (a *Application) Run(n int) error {
 	for i := 0; i < n; i++ {
-		if _, err := a.Step(); err != nil {
+		if _, err := a.step(); err != nil {
 			return err
 		}
 	}

@@ -39,7 +39,7 @@ func TestAllAppsRenderFrames(t *testing.T) {
 
 func TestAppStepReturnsDisplayedImage(t *testing.T) {
 	a := New(render.AppARDemo, session(t, 48, 48), 48, 48, 1)
-	img, err := a.Step()
+	img, err := a.step()
 	if err != nil {
 		t.Fatal(err)
 	}

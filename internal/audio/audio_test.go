@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"illixr/internal/mathx"
+	"illixr/internal/recycle"
 )
 
 func TestChannelCount(t *testing.T) {
 	for order, want := range map[int]int{0: 1, 1: 4, 2: 9, 3: 16} {
-		if got := ChannelCount(order); got != want {
+		if got := channelCount(order); got != want {
 			t.Errorf("order %d: %d channels, want %d", order, got, want)
 		}
 	}
@@ -20,7 +21,7 @@ func TestEncodeSHOrder0Constant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
 		d := DirectionFromAzEl(rng.Float64()*2*math.Pi, rng.Float64()*math.Pi-math.Pi/2)
-		if c := EncodeSH(2, d); c[0] != 1 {
+		if c := encodeSH(2, d); c[0] != 1 {
 			t.Fatalf("W channel = %v", c[0])
 		}
 	}
@@ -28,12 +29,12 @@ func TestEncodeSHOrder0Constant(t *testing.T) {
 
 func TestEncodeSHAxes(t *testing.T) {
 	// Front (+X): ACN3 (X) should be 1, ACN1 (Y) and ACN2 (Z) zero.
-	c := EncodeSH(1, Direction{X: 1})
+	c := encodeSH(1, direction{X: 1})
 	if math.Abs(c[3]-1) > 1e-12 || math.Abs(c[1]) > 1e-12 || math.Abs(c[2]) > 1e-12 {
 		t.Errorf("front encode = %v", c)
 	}
 	// Up (+Z): ACN2 = 1.
-	c = EncodeSH(2, Direction{Z: 1})
+	c = encodeSH(2, direction{Z: 1})
 	if math.Abs(c[2]-1) > 1e-12 {
 		t.Errorf("up encode = %v", c)
 	}
@@ -55,10 +56,10 @@ func TestSHRotationMatchesDirectEncoding(t *testing.T) {
 				Y: rng.NormFloat64(), Z: rng.NormFloat64(),
 			}.Normalized()
 			d := DirectionFromAzEl(rng.Float64()*2*math.Pi, rng.Float64()*math.Pi-math.Pi/2)
-			coeffs := EncodeSH(order, d)
-			rot := NewSHRotation(order, q)
+			coeffs := encodeSH(order, d)
+			rot := newSHRotation(order, q)
 			rot.Apply(coeffs)
-			want := EncodeSH(order, q.Rotate(d))
+			want := encodeSH(order, q.Rotate(d))
 			for i := range coeffs {
 				if math.Abs(coeffs[i]-want[i]) > 1e-9 {
 					t.Fatalf("order %d trial %d: channel %d = %v, want %v",
@@ -70,7 +71,7 @@ func TestSHRotationMatchesDirectEncoding(t *testing.T) {
 }
 
 func TestSHRotationIdentity(t *testing.T) {
-	rot := NewSHRotation(2, mathx.QuatIdentity())
+	rot := newSHRotation(2, mathx.QuatIdentity())
 	coeffs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	orig := append([]float64(nil), coeffs...)
 	rot.Apply(coeffs)
@@ -98,7 +99,7 @@ func TestSHRotationPreservesEnergy(t *testing.T) {
 		for i := 4; i < 9; i++ {
 			e2 += coeffs[i] * coeffs[i]
 		}
-		NewSHRotation(2, q).Apply(coeffs)
+		newSHRotation(2, q).Apply(coeffs)
 		f1 := coeffs[1]*coeffs[1] + coeffs[2]*coeffs[2] + coeffs[3]*coeffs[3]
 		f2 := 0.0
 		for i := 4; i < 9; i++ {
@@ -110,16 +111,8 @@ func TestSHRotationPreservesEnergy(t *testing.T) {
 	}
 }
 
-func TestNormalizeInt16(t *testing.T) {
-	out := make([]float64, 3)
-	NormalizeInt16([]int16{-32768, 0, 16384}, out)
-	if out[0] != -1 || out[1] != 0 || math.Abs(out[2]-0.5) > 1e-12 {
-		t.Errorf("normalize = %v", out)
-	}
-}
-
 func TestEncoderBlockShape(t *testing.T) {
-	src := SineSource("tone", 440, 48000, 0.1, Direction{X: 1})
+	src := SineSource("tone", 440, 48000, 0.1, direction{X: 1})
 	e := NewEncoder(2, 1024, []Source{src})
 	b := e.EncodeBlock()
 	if len(b) != 9 || len(b[0]) != 1024 {
@@ -139,8 +132,8 @@ func TestEncoderBlockShape(t *testing.T) {
 
 func TestEncoderSummation(t *testing.T) {
 	// Two identical sources double the W channel amplitude.
-	s1 := SineSource("a", 440, 48000, 0.1, Direction{X: 1})
-	s2 := SineSource("b", 440, 48000, 0.1, Direction{Y: 1})
+	s1 := SineSource("a", 440, 48000, 0.1, direction{X: 1})
+	s2 := SineSource("b", 440, 48000, 0.1, direction{Y: 1})
 	single := NewEncoder(1, 256, []Source{s1})
 	double := NewEncoder(1, 256, []Source{s1, s2})
 	b1 := single.EncodeBlock()
@@ -151,7 +144,7 @@ func TestEncoderSummation(t *testing.T) {
 }
 
 func TestEncoderLoops(t *testing.T) {
-	src := SineSource("tone", 440, 48000, 0.01, Direction{X: 1}) // 480 samples
+	src := SineSource("tone", 440, 48000, 0.01, direction{X: 1}) // 480 samples
 	e := NewEncoder(1, 1024, []Source{src})
 	b := e.EncodeBlock() // requires wrap-around
 	if RMS(b[0]) == 0 {
@@ -160,7 +153,7 @@ func TestEncoderLoops(t *testing.T) {
 }
 
 func TestSpeechLikeSourceNonTrivial(t *testing.T) {
-	src := SpeechLikeSource("speech", 48000, 0.5, Direction{X: 1}, 7)
+	src := SpeechLikeSource("speech", 48000, 0.5, direction{X: 1}, 7)
 	if len(src.PCM) != 24000 {
 		t.Fatalf("pcm length %d", len(src.PCM))
 	}
@@ -172,7 +165,7 @@ func TestSpeechLikeSourceNonTrivial(t *testing.T) {
 		t.Error("silent speech source")
 	}
 	// deterministic
-	src2 := SpeechLikeSource("speech", 48000, 0.5, Direction{X: 1}, 7)
+	src2 := SpeechLikeSource("speech", 48000, 0.5, direction{X: 1}, 7)
 	for i := range src.PCM {
 		if src.PCM[i] != src2.PCM[i] {
 			t.Fatal("speech source not deterministic")
@@ -199,7 +192,7 @@ func TestPlaybackProducesStereo(t *testing.T) {
 
 func TestPlaybackRotationFollowsHead(t *testing.T) {
 	// Source in front; head turned 90° left → source is to the right ear.
-	src := SineSource("tone", 500, 48000, 0.2, Direction{X: 1})
+	src := SineSource("tone", 500, 48000, 0.2, direction{X: 1})
 	e := NewEncoder(2, 1024, []Source{src})
 	p := NewPlayback(2, 1024, 48000)
 	pose := mathx.Pose{Rot: mathx.QuatFromAxisAngle(mathx.Vec3{Z: 1}, math.Pi/2)}
@@ -213,7 +206,7 @@ func TestPlaybackRotationFollowsHead(t *testing.T) {
 }
 
 func TestPlaybackBlockCount(t *testing.T) {
-	src := SineSource("tone", 440, 48000, 0.1, Direction{X: 1})
+	src := SineSource("tone", 440, 48000, 0.1, direction{X: 1})
 	e := NewEncoder(2, 512, []Source{src})
 	p := NewPlayback(2, 512, 48000)
 	for i := 0; i < 3; i++ {
@@ -227,7 +220,7 @@ func TestPlaybackBlockCount(t *testing.T) {
 func TestSynthHRTFITD(t *testing.T) {
 	// A left-side source should reach the left ear earlier: the left FIR's
 	// energy centroid must be earlier than the right's.
-	l, r := SynthHRTF(Direction{Y: 1}, 48000)
+	l, r := synthHRTF(direction{Y: 1}, 48000)
 	centroid := func(h []float64) float64 {
 		num, den := 0.0, 0.0
 		for i, v := range h {
@@ -247,8 +240,9 @@ func TestDecodingMatrixRecoversPlaneWave(t *testing.T) {
 	speakers := speakerRig()
 	dm := decodingMatrix(2, speakers)
 	d := DirectionFromAzEl(0, 0) // front
-	coeffs := EncodeSH(2, d)
-	gains := dm.MulVecN(coeffs)
+	coeffs := encodeSH(2, d)
+	gains := make([]float64, dm.Rows)
+	dm.MulVecNInto(gains, coeffs)
 	best, bestG := -1, -1e9
 	for i, g := range gains {
 		if g > bestG {
@@ -258,4 +252,11 @@ func TestDecodingMatrixRecoversPlaneWave(t *testing.T) {
 	if speakers[best].Dot(d) < 0.9 {
 		t.Errorf("loudest speaker %v not aligned with source %v", speakers[best], d)
 	}
+}
+
+// Apply rotates a full ACN coefficient vector in place.
+func (r *shRotation) Apply(coeffs []float64) {
+	scratch := recycle.F64.Get(2*r.Order + 1)
+	r.applyWith(coeffs, scratch)
+	recycle.F64.Put(scratch)
 }

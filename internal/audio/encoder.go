@@ -12,7 +12,7 @@ const audioTile = 256
 // Source is one monophonic sound source to be spatialized.
 type Source struct {
 	Name string
-	Dir  Direction
+	Dir  direction
 	Gain float64
 	// Samples as signed 16-bit integers, the on-disk format of the
 	// Freesound clips the paper uses (§III-D): the encoder's first task is
@@ -68,19 +68,12 @@ func NewEncoder(order, blockSize int, sources []Source) *Encoder {
 	return &Encoder{Order: order, BlockSize: blockSize, Sources: sources}
 }
 
-// NormalizeInt16 converts PCM samples to float in [-1, 1).
-func NormalizeInt16(pcm []int16, out []float64) {
-	for i, v := range pcm {
-		out[i] = float64(v) / 32768.0
-	}
-}
-
 // ensureBuffers builds the encoder's persistent block state on first use.
 func (e *Encoder) ensureBuffers() {
 	if e.field != nil && len(e.monos) == len(e.Sources) {
 		return
 	}
-	nCh := ChannelCount(e.Order)
+	nCh := channelCount(e.Order)
 	e.field = make([][]float64, nCh)
 	for c := range e.field {
 		e.field[c] = make([]float64, e.BlockSize)
@@ -120,7 +113,7 @@ func (e *Encoder) ensureBuffers() {
 // it is overwritten by the next EncodeBlock call.
 func (e *Encoder) EncodeBlock() [][]float64 {
 	e.ensureBuffers()
-	nCh := ChannelCount(e.Order)
+	nCh := channelCount(e.Order)
 	// Task 1 + 2 per source: normalization (INT16 -> FP64) over disjoint
 	// sample tiles, and the SH encoding coefficients Y[j][i] = D × X[j].
 	e.active = e.active[:0]
@@ -134,7 +127,7 @@ func (e *Encoder) EncodeBlock() [][]float64 {
 		if gain == 0 {
 			gain = 1
 		}
-		EncodeSHInto(e.Order, src.Dir.Normalized(), e.coeffs[si])
+		encodeSHInto(e.Order, src.Dir.Normalized(), e.coeffs[si])
 		e.active = append(e.active, encodedSource{
 			mono:   e.monos[si],
 			coeffs: e.coeffs[si],
@@ -152,11 +145,8 @@ func (e *Encoder) EncodeBlock() [][]float64 {
 	return e.field
 }
 
-// Reset rewinds all source cursors.
-func (e *Encoder) Reset() { e.cursor = 0 }
-
 // SineSource builds a looping pure-tone source (test signal).
-func SineSource(name string, freqHz, sampleRate float64, seconds float64, dir Direction) Source {
+func SineSource(name string, freqHz, sampleRate float64, seconds float64, dir direction) Source {
 	n := int(seconds * sampleRate)
 	pcm := make([]int16, n)
 	for i := range pcm {
@@ -174,7 +164,7 @@ const speechTile = 4096
 // are drawn first, in order; each sample is then a pure function of its
 // index, computed on fixed tiles of the core pool, so the clip is
 // bit-identical at any GOMAXPROCS.
-func SpeechLikeSource(name string, sampleRate float64, seconds float64, dir Direction, seed int64) Source {
+func SpeechLikeSource(name string, sampleRate float64, seconds float64, dir direction, seed int64) Source {
 	n := int(seconds * sampleRate)
 	pcm := make([]int16, n)
 	// deterministic pseudo-random phases from the seed

@@ -18,7 +18,7 @@ type Playback struct {
 	SampleRate float64
 
 	psychoFilters []*dsp.OverlapAdd // one per ambisonic channel
-	speakers      []Direction
+	speakers      []direction
 	decode        *mathx.Mat        // speakers × channels decoding matrix
 	hrtfL         []*dsp.OverlapAdd // per speaker
 	hrtfR         []*dsp.OverlapAdd
@@ -37,7 +37,7 @@ type Playback struct {
 	// output pair, and the four stage kernels (DESIGN.md §10). Process is
 	// not safe for concurrent use on one Playback (it never was: the
 	// overlap-add filters carry state).
-	rot         *SHRotation
+	rot         *shRotation
 	spk         [][]float64 // per-speaker decode scratch
 	ls, rs      [][]float64 // per-speaker HRTF outputs (aliases convolver scratch)
 	left, right []float64
@@ -61,7 +61,7 @@ func NewPlayback(order, blockSize int, sampleRate float64) *Playback {
 		Order: order, BlockSize: blockSize, SampleRate: sampleRate,
 		ZoomStrength: 0.3,
 	}
-	nCh := ChannelCount(order)
+	nCh := channelCount(order)
 	// Psychoacoustic optimization filter: a gentle high-shelf compensating
 	// the perceptual dullness of ambisonic reproduction. Applied per
 	// channel in the frequency domain (FFT → multiply → IFFT), as in
@@ -79,11 +79,11 @@ func NewPlayback(order, blockSize int, sampleRate float64) *Playback {
 	p.hrtfL = make([]*dsp.OverlapAdd, len(p.speakers))
 	p.hrtfR = make([]*dsp.OverlapAdd, len(p.speakers))
 	for i, dir := range p.speakers {
-		hl, hr := SynthHRTF(dir, sampleRate)
+		hl, hr := synthHRTF(dir, sampleRate)
 		p.hrtfL[i] = dsp.NewOverlapAdd(hl, blockSize)
 		p.hrtfR[i] = dsp.NewOverlapAdd(hr, blockSize)
 	}
-	p.rot = NewSHRotation(order, mathx.QuatIdentity())
+	p.rot = newSHRotation(order, mathx.QuatIdentity())
 	nSpk := len(p.speakers)
 	p.spk = make([][]float64, nSpk)
 	for i := range p.spk {
@@ -111,7 +111,7 @@ func NewPlayback(order, blockSize int, sampleRate float64) *Playback {
 	}
 	p.binauralFn = func(lo, hi int) {
 		field := p.curField
-		nc := ChannelCount(p.Order)
+		nc := channelCount(p.Order)
 		for s := lo; s < hi; s++ {
 			spk := p.spk[s]
 			for i := range spk {
@@ -134,8 +134,8 @@ func NewPlayback(order, blockSize int, sampleRate float64) *Playback {
 }
 
 // speakerRig returns the 12 virtual speaker directions.
-func speakerRig() []Direction {
-	var out []Direction
+func speakerRig() []direction {
+	var out []direction
 	// horizontal square
 	for i := 0; i < 4; i++ {
 		az := float64(i) * math.Pi / 2
@@ -154,12 +154,12 @@ func speakerRig() []Direction {
 // decodingMatrix builds a mode-matching ambisonic decoder: D = pinv(Y)
 // approximated by Yᵀ scaled per band (sampling decoder), which is exact
 // for uniform rigs.
-func decodingMatrix(order int, speakers []Direction) *mathx.Mat {
-	nCh := ChannelCount(order)
+func decodingMatrix(order int, speakers []direction) *mathx.Mat {
+	nCh := channelCount(order)
 	d := mathx.NewMat(len(speakers), nCh)
 	norm := 1.0 / float64(len(speakers))
 	for s, dir := range speakers {
-		y := EncodeSH(order, dir)
+		y := encodeSH(order, dir)
 		for c := 0; c < nCh; c++ {
 			// per-band weighting (2l+1) recovers plane-wave amplitude
 			l := bandOf(c)
@@ -198,10 +198,10 @@ func designShelfFIR(taps int, sampleRate float64) []float64 {
 	return h
 }
 
-// SynthHRTF returns left/right FIR approximations of a head-related
+// synthHRTF returns left/right FIR approximations of a head-related
 // transfer function for a source direction: interaural time difference as
 // fractional delay plus a head-shadow lowpass on the far ear.
-func SynthHRTF(dir Direction, sampleRate float64) (left, right []float64) {
+func synthHRTF(dir direction, sampleRate float64) (left, right []float64) {
 	const taps = 64
 	const headRadius = 0.0875 // meters
 	const c = 343.0
@@ -266,7 +266,7 @@ func fractionalDelayFIR(taps int, delay, gain, shadow, sampleRate float64) []flo
 // stereo buffers are playback-owned scratch, overwritten by the next
 // Process call.
 func (p *Playback) Process(field [][]float64, listener mathx.Pose) (left, right []float64) {
-	nCh := ChannelCount(p.Order)
+	nCh := channelCount(p.Order)
 	if len(field) < nCh {
 		panic("audio: field channel count below playback order")
 	}
@@ -275,8 +275,8 @@ func (p *Playback) Process(field [][]float64, listener mathx.Pose) (left, right 
 	// OverlapAdd state, so channels parallelize with disjoint writes.
 	p.pool.ForTiles("audio_psycho", nCh, 1, p.psychoFn)
 	// 2) rotation: counter-rotate the field by the listener orientation
-	p.rot.SetQuat(listener.Rot.Inverse())
-	p.rot.ApplyBlockPool(p.pool, field)
+	p.rot.setQuat(listener.Rot.Inverse())
+	p.rot.applyBlockPool(p.pool, field)
 	// 3) zoom: forward emphasis mixing W with X (ACN 3)
 	if p.ZoomStrength > 0 && p.Order >= 1 {
 		p.zoomZ = p.ZoomStrength

@@ -15,32 +15,32 @@ import (
 )
 
 // ACN channel count for a given ambisonic order.
-func ChannelCount(order int) int { return (order + 1) * (order + 1) }
+func channelCount(order int) int { return (order + 1) * (order + 1) }
 
-// Direction is a unit vector pointing from the listener toward the source
+// direction is a unit vector pointing from the listener toward the source
 // (world frame: X forward, Y left, Z up).
-type Direction = mathx.Vec3
+type direction = mathx.Vec3
 
 // DirectionFromAzEl builds a direction from azimuth (rad, counterclockwise
 // from +X) and elevation (rad, up from the horizontal plane).
-func DirectionFromAzEl(az, el float64) Direction {
+func DirectionFromAzEl(az, el float64) direction {
 	ce := math.Cos(el)
-	return Direction{X: ce * math.Cos(az), Y: ce * math.Sin(az), Z: math.Sin(el)}
+	return direction{X: ce * math.Cos(az), Y: ce * math.Sin(az), Z: math.Sin(el)}
 }
 
-// EncodeSH evaluates the real spherical harmonics up to the given order in
+// encodeSH evaluates the real spherical harmonics up to the given order in
 // ACN channel ordering with SN3D normalization (the ambiX convention used
 // by libspatialaudio) for a unit direction.
-func EncodeSH(order int, d Direction) []float64 {
-	out := make([]float64, ChannelCount(order))
-	EncodeSHInto(order, d, out)
+func encodeSH(order int, d direction) []float64 {
+	out := make([]float64, channelCount(order))
+	encodeSHInto(order, d, out)
 	return out
 }
 
-// EncodeSHInto is EncodeSH writing into a caller-provided buffer of length
-// ChannelCount(order), allocating nothing.
-func EncodeSHInto(order int, d Direction, out []float64) {
-	if len(out) < ChannelCount(order) {
+// encodeSHInto is encodeSH writing into a caller-provided buffer of length
+// channelCount(order), allocating nothing.
+func encodeSHInto(order int, d direction, out []float64) {
+	if len(out) < channelCount(order) {
 		panic("audio: EncodeSHInto buffer too short")
 	}
 	x, y, z := d.X, d.Y, d.Z
@@ -76,29 +76,29 @@ func EncodeSHInto(order int, d Direction, out []float64) {
 	}
 }
 
-// SHRotation is a block-diagonal rotation of SH coefficients, one matrix
+// shRotation is a block-diagonal rotation of SH coefficients, one matrix
 // per band, computed with the Ivanic–Ruedenberg recursion.
-type SHRotation struct {
+type shRotation struct {
 	Order int
 	Bands []*mathx.Mat // Bands[l] is (2l+1)×(2l+1)
 }
 
-// NewSHRotation builds the SH-domain rotation corresponding to the spatial
+// newSHRotation builds the SH-domain rotation corresponding to the spatial
 // rotation q (the rotation that maps source directions d to q.Rotate(d)).
-func NewSHRotation(order int, q mathx.Quat) *SHRotation {
-	rot := &SHRotation{Order: order, Bands: make([]*mathx.Mat, order+1)}
+func newSHRotation(order int, q mathx.Quat) *shRotation {
+	rot := &shRotation{Order: order, Bands: make([]*mathx.Mat, order+1)}
 	rot.Bands[0] = mathx.Eye(1)
 	for l := 1; l <= order; l++ {
 		rot.Bands[l] = mathx.NewMat(2*l+1, 2*l+1)
 	}
-	rot.SetQuat(q)
+	rot.setQuat(q)
 	return rot
 }
 
-// SetQuat recomputes the rotation in place for a new spatial rotation q,
+// setQuat recomputes the rotation in place for a new spatial rotation q,
 // reusing the band matrices. The per-block playback path keeps one
-// SHRotation alive and re-targets it with the listener pose each block.
-func (rot *SHRotation) SetQuat(q mathx.Quat) {
+// shRotation alive and re-targets it with the listener pose each block.
+func (rot *shRotation) setQuat(q mathx.Quat) {
 	if rot.Order == 0 {
 		return
 	}
@@ -192,17 +192,10 @@ func abs(x int) int {
 	return x
 }
 
-// Apply rotates a full ACN coefficient vector in place.
-func (r *SHRotation) Apply(coeffs []float64) {
-	scratch := recycle.F64.Get(2*r.Order + 1)
-	r.applyWith(coeffs, scratch)
-	recycle.F64.Put(scratch)
-}
-
-// applyWith is Apply with caller-provided per-band scratch of length at
-// least 2*Order+1.
-func (r *SHRotation) applyWith(coeffs, scratch []float64) {
-	if len(coeffs) < ChannelCount(r.Order) {
+// applyWith rotates a full ACN coefficient vector in place, using
+// caller-provided per-band scratch of length at least 2*Order+1.
+func (r *shRotation) applyWith(coeffs, scratch []float64) {
+	if len(coeffs) < channelCount(r.Order) {
 		panic("audio: coefficient vector too short for rotation order")
 	}
 	idx := 0
@@ -216,15 +209,11 @@ func (r *SHRotation) applyWith(coeffs, scratch []float64) {
 	}
 }
 
-// ApplyBlock rotates every sample of a multichannel block (channels ×
-// samples) in place.
-func (r *SHRotation) ApplyBlock(block [][]float64) { r.ApplyBlockPool(nil, block) }
-
 // rotBlockCtx carries one block rotation for the persistent tile closure.
 // Each tile draws its own coefficient and band scratch from the shared
 // pool, so concurrent tiles never share mutable state.
 type rotBlockCtx struct {
-	r     *SHRotation
+	r     *shRotation
 	block [][]float64
 	fn    func(lo, hi int)
 }
@@ -233,7 +222,7 @@ var rotBlockCtxPool = sync.Pool{New: func() any {
 	c := &rotBlockCtx{}
 	c.fn = func(lo, hi int) {
 		r, block := c.r, c.block
-		nCh := ChannelCount(r.Order)
+		nCh := channelCount(r.Order)
 		coeffs := recycle.F64.Get(nCh)
 		scratch := recycle.F64.Get(2*r.Order + 1)
 		for s := lo; s < hi; s++ {
@@ -251,12 +240,13 @@ var rotBlockCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// ApplyBlockPool is ApplyBlock with samples tiled over a worker pool. Each
+// applyBlockPool rotates every sample of a multichannel block (channels ×
+// samples) in place, with samples tiled over a worker pool. Each
 // tile uses its own coefficient scratch vector and every sample column is
 // independent, so the rotated block is bitwise identical for every worker
 // count.
-func (r *SHRotation) ApplyBlockPool(pool *parallel.Pool, block [][]float64) {
-	nCh := ChannelCount(r.Order)
+func (r *shRotation) applyBlockPool(pool *parallel.Pool, block [][]float64) {
+	nCh := channelCount(r.Order)
 	if len(block) < nCh {
 		panic("audio: block has too few channels for rotation order")
 	}

@@ -14,12 +14,12 @@ import (
 
 var (
 	matrixOnce sync.Once
-	matrix     *Matrix
+	matrix     *evalMatrix
 )
 
 // sharedMatrix runs the 12-cell evaluation once for all shape tests.
-func sharedMatrix() *Matrix {
-	matrixOnce.Do(func() { matrix = RunMatrix(6) })
+func sharedMatrix() *evalMatrix {
+	matrixOnce.Do(func() { matrix = runMatrix(6) })
 	return matrix
 }
 
@@ -42,14 +42,14 @@ func TestStaticTablesRender(t *testing.T) {
 func TestFig3Shapes(t *testing.T) {
 	m := sharedMatrix()
 	var buf bytes.Buffer
-	Fig3(&buf, m)
+	fig3(&buf, m)
 	if !strings.Contains(buf.String(), "Fig 3 (jetson-lp)") {
 		t.Fatal("missing jetson-lp section")
 	}
 	// audio meets target everywhere
 	for _, plat := range perfmodel.Platforms {
 		for _, app := range render.AllApps {
-			res := m.Get(plat.Name, app)
+			res := m.get(plat.Name, app)
 			if res.FrameRateHz["audio_encoding"] < 0.97*48 {
 				t.Errorf("%s/%s: audio encoding %.1f Hz", plat.Name, app, res.FrameRateHz["audio_encoding"])
 			}
@@ -61,9 +61,9 @@ func TestTable4Shapes(t *testing.T) {
 	m := sharedMatrix()
 	// Table IV: MTP increases monotonically desktop -> HP -> LP for every app
 	for _, app := range render.AllApps {
-		d := m.Get("desktop", app).MTPSummary().Mean
-		hp := m.Get("jetson-hp", app).MTPSummary().Mean
-		lp := m.Get("jetson-lp", app).MTPSummary().Mean
+		d := m.get("desktop", app).MTPSummary().Mean
+		hp := m.get("jetson-hp", app).MTPSummary().Mean
+		lp := m.get("jetson-lp", app).MTPSummary().Mean
 		if !(d < hp && hp < lp) {
 			t.Errorf("%s: MTP not monotone: %.1f %.1f %.1f", app, d, hp, lp)
 		}
@@ -72,7 +72,7 @@ func TestTable4Shapes(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	Table4(&buf, m)
+	table4(&buf, m)
 	if !strings.Contains(buf.String(), "±") {
 		t.Error("Table IV not rendered")
 	}
@@ -81,10 +81,10 @@ func TestTable4Shapes(t *testing.T) {
 func TestFig5Fig6Fig7Render(t *testing.T) {
 	m := sharedMatrix()
 	var buf bytes.Buffer
-	Fig4(&buf, m)
-	Fig5(&buf, m)
-	Fig6(&buf, m)
-	Fig7(&buf, m)
+	fig4(&buf, m)
+	fig5(&buf, m)
+	fig6(&buf, m)
+	fig7(&buf, m)
 	out := buf.String()
 	for _, want := range []string{"Fig 4", "Fig 5", "Fig 6", "Fig 7", "Gap vs AR ideal"} {
 		if !strings.Contains(out, want) {
@@ -94,7 +94,7 @@ func TestFig5Fig6Fig7Render(t *testing.T) {
 }
 
 func TestTable6VIOShares(t *testing.T) {
-	sharesV, perFrame, ate := VIOStandalone(8, vio.DefaultParams())
+	sharesV, perFrame, ate := vioStandalone(8, vio.DefaultParams())
 	if len(sharesV) != 7 {
 		t.Fatalf("VIO tasks = %d", len(sharesV))
 	}
@@ -131,7 +131,7 @@ func TestTable6VIOShares(t *testing.T) {
 }
 
 func TestTable6ReconGrowthAndSpikes(t *testing.T) {
-	sharesR, series, loops := ReconStandalone(56)
+	sharesR, series, loops := reconStandalone(56)
 	if len(sharesR) != 5 {
 		t.Fatalf("recon tasks = %d", len(sharesR))
 	}
@@ -155,19 +155,19 @@ func TestTable6ReconGrowthAndSpikes(t *testing.T) {
 }
 
 func TestTable7Shares(t *testing.T) {
-	reproj := ReprojectionStandalone()
+	reproj := reprojectionStandalone()
 	// Paper: OpenGL state update is the biggest reprojection task (54 %).
 	if !(reproj[1].Share > reproj[0].Share) {
 		t.Error("OpenGL state update not above FBO")
 	}
-	enc, play := AudioStandalone()
+	enc, play := audioStandalone()
 	if enc[1].Task != "Encoding" || enc[1].Share < 0.7 {
 		t.Errorf("encoding share %.2f (paper: 81%%)", enc[1].Share)
 	}
 	if play[3].Task != "Binauralization" || play[3].Share < 0.5 {
 		t.Errorf("binauralization share %.2f (paper: 60%%)", play[3].Share)
 	}
-	holo, res := HologramStandalone()
+	holo, res := hologramStandalone()
 	if holo[0].Share < holo[2].Share {
 		t.Error("hologram-to-depth should exceed depth-to-hologram (57% vs 43%)")
 	}
@@ -199,7 +199,7 @@ func TestTable5QualityOrdering(t *testing.T) {
 		t.Skip("quality pipeline is expensive")
 	}
 	var buf bytes.Buffer
-	res := Table5(&buf, 6, 4)
+	res := table5(&buf, 6, 4)
 	d := res["desktop"].SSIM.Mean
 	lp := res["jetson-lp"].SSIM.Mean
 	if !(d > lp) {

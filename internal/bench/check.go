@@ -24,10 +24,10 @@ type checker interface{ Check() []error }
 
 // checkKinds maps a benchcheck kind to a fresh report of its type.
 var checkKinds = map[string]func() checker{
-	"parallel": func() checker { return new(ParallelReport) },
-	"network":  func() checker { return new(NetworkReport) },
-	"qos":      func() checker { return new(QoSReport) },
-	"trace":    func() checker { return new(Trace) },
+	"parallel": func() checker { return new(parallelReport) },
+	"network":  func() checker { return new(networkReport) },
+	"qos":      func() checker { return new(qosReport) },
+	"trace":    func() checker { return new(trace) },
 }
 
 // CheckFile decodes the document of the given kind (an experiment name,
@@ -68,9 +68,9 @@ func readReport(path string, into any, strict bool) error {
 	return nil
 }
 
-// Trace is the part of a Chrome trace_event file (illixr-run -trace-out)
+// trace is the part of a Chrome trace_event file (illixr-run -trace-out)
 // the smoke check reads. Pointer fields tell a missing key from a zero.
-type Trace struct {
+type trace struct {
 	TraceEvents []struct {
 		Name string   `json:"name"`
 		Ph   string   `json:"ph"`
@@ -84,7 +84,7 @@ type Trace struct {
 // Check requires a non-empty trace whose every event carries ph, name,
 // pid and tid, with non-negative timestamps on the complete (ph=X)
 // events and at least one of those. It stops at the first bad event.
-func (tr *Trace) Check() []error {
+func (tr *trace) Check() []error {
 	var f failures
 	if len(tr.TraceEvents) == 0 {
 		f.addf("trace has no traceEvents")

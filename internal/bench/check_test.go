@@ -94,7 +94,7 @@ func TestCheckedInReportsPassCheck(t *testing.T) {
 		if kind == "observability" {
 			// no gate: a snapshot of one run's registry claims nothing to
 			// check, but it must not drift from its type either
-			load[ObservabilitySnapshot](t, kind)
+			load[observabilitySnapshot](t, kind)
 			continue
 		}
 		failed, err := CheckFile(kind, path)
@@ -144,19 +144,19 @@ func checkTrace(t *testing.T, doc string) []error {
 // empty want sits exactly on a threshold and must still pass: together
 // the two pin each comparison and its constant.
 func TestChecksCanFail(t *testing.T) {
-	network := func(f func(*NetworkReport)) func() []error {
-		return func() []error { r := load[NetworkReport](t, "network"); f(r); return r.Check() }
+	network := func(f func(*networkReport)) func() []error {
+		return func() []error { r := load[networkReport](t, "network"); f(r); return r.Check() }
 	}
-	qos := func(f func(*QoSReport)) func() []error {
-		return func() []error { r := load[QoSReport](t, "qos"); f(r); return r.Check() }
+	qos := func(f func(*qosReport)) func() []error {
+		return func() []error { r := load[qosReport](t, "qos"); f(r); return r.Check() }
 	}
-	parallel := func(f func(*ParallelReport)) func() []error {
-		return func() []error { r := load[ParallelReport](t, "parallel"); f(r); return r.Check() }
+	parallel := func(f func(*parallelReport)) func() []error {
+		return func() []error { r := load[parallelReport](t, "parallel"); f(r); return r.Check() }
 	}
 	trace := func(doc string) func() []error {
 		return func() []error { return checkTrace(t, doc) }
 	}
-	kernel := func(r *ParallelReport, name string) *ParallelKernelResult {
+	kernel := func(r *parallelReport, name string) *parallelKernelResult {
 		for i := range r.Kernels {
 			if r.Kernels[i].Name == name {
 				return &r.Kernels[i]
@@ -172,73 +172,73 @@ func TestChecksCanFail(t *testing.T) {
 		want string
 	}{
 		// network
-		{"network/no cells", network(func(r *NetworkReport) { r.Cells = nil }), "no sweep cells"},
-		{"network/7 sessions", network(func(r *NetworkReport) { r.Cells[0].Sessions = r.Cells[0].Sessions[:7] }), "7 sessions, need >= 8"},
-		{"network/decode error", network(func(r *NetworkReport) { r.Cells[1].Sessions[2].DecodeErrors = 1 }), "session 2: 1 decode errors"},
-		{"network/no mtp", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MTP.N = 0 }), "no MTP samples"},
-		{"network/queue at bound", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound }), ""},
-		{"network/queue over bound", network(func(r *NetworkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound + 1 }), "in-flight queue hit 129 (bound 128)"},
-		{"network/faulted queue exempt", network(func(r *NetworkReport) { r.Cells[len(r.Cells)-1].Sessions[0].MaxInflight = r.QueueBound + 1 }), ""},
-		{"network/faulted lost pose", network(func(r *NetworkReport) { r.Cells[len(r.Cells)-1].Sessions[0].PosesDelivered-- }), "poses delivered after outages"},
-		{"network/no loopback", network(func(r *NetworkReport) { r.Cells[0].Profile.Name = "lo" }), "missing the loopback or regional cell"},
-		{"network/flat rtt", network(func(r *NetworkReport) {
+		{"network/no cells", network(func(r *networkReport) { r.Cells = nil }), "no sweep cells"},
+		{"network/7 sessions", network(func(r *networkReport) { r.Cells[0].Sessions = r.Cells[0].Sessions[:7] }), "7 sessions, need >= 8"},
+		{"network/decode error", network(func(r *networkReport) { r.Cells[1].Sessions[2].DecodeErrors = 1 }), "session 2: 1 decode errors"},
+		{"network/no mtp", network(func(r *networkReport) { r.Cells[0].Sessions[0].MTP.N = 0 }), "no MTP samples"},
+		{"network/queue at bound", network(func(r *networkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound }), ""},
+		{"network/queue over bound", network(func(r *networkReport) { r.Cells[0].Sessions[0].MaxInflight = r.QueueBound + 1 }), "in-flight queue hit 129 (bound 128)"},
+		{"network/faulted queue exempt", network(func(r *networkReport) { r.Cells[len(r.Cells)-1].Sessions[0].MaxInflight = r.QueueBound + 1 }), ""},
+		{"network/faulted lost pose", network(func(r *networkReport) { r.Cells[len(r.Cells)-1].Sessions[0].PosesDelivered-- }), "poses delivered after outages"},
+		{"network/no loopback", network(func(r *networkReport) { r.Cells[0].Profile.Name = "lo" }), "missing the loopback or regional cell"},
+		{"network/flat rtt", network(func(r *networkReport) {
 			for i := range r.Cells {
 				r.Cells[i].Aggregate.MeanMs = 9
 			}
 		}), "MTP does not grow with RTT"},
 
 		// qos (ramp cell 3, 24 sessions, is the saturated one)
-		{"qos/2 cells", qos(func(r *QoSReport) { r.Ramp = r.Ramp[2:] }), "ramp has 2 cells, need >= 3"},
-		{"qos/margin 1", qos(func(r *QoSReport) { r.AdaptiveMarginFrac = 1 }), "adaptive_margin_frac 1.00 outside (0, 1)"},
-		{"qos/margin 0", qos(func(r *QoSReport) { r.AdaptiveMarginFrac = 0 }), "outside (0, 1)"},
-		{"qos/empty mtp", qos(func(r *QoSReport) { r.Ramp[0].Static.MTP.N = 0 }), "static variant has an empty MTP"},
-		{"qos/worker leak", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.FinalWorkers["audio"]++ }), "9 workers allocated, want 8"},
-		{"qos/violation", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.Violations = 1 }), "1 controller invariant violations"},
-		{"qos/idle +0.5", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.5 }), ""},
-		{"qos/idle +0.6", qos(func(r *QoSReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.6 }), "with no pressure"},
-		{"qos/at margin", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * r.AdaptiveMarginFrac }), ""},
-		{"qos/over margin", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * 0.86 }), "not within 85% of static"},
-		{"qos/no fewer misses", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.DeadlineMisses = r.Ramp[3].Static.DeadlineMisses }), "no improvement"},
-		{"qos/no moves", qos(func(r *QoSReport) { r.Ramp[3].Adaptive.WorkerMoves = 0 }), "never moved a worker"},
-		{"qos/nothing saturated", qos(func(r *QoSReport) { r.Ramp[3].Static.DeadlineMisses = 0 }), "the ramp proves nothing"},
-		{"qos/nothing saved", qos(func(r *QoSReport) { r.Batching.DispatchSavedMs = 0 }), "amortization did not happen"},
-		{"qos/nothing batched", qos(func(r *QoSReport) { r.Batching.Dispatches = r.Batching.Items }), "nothing was batched"},
-		{"qos/batched no better", qos(func(r *QoSReport) { r.Batching.Batched.MTP.P99Ms = r.Batching.Unbatched.MTP.P99Ms }), "not better than unbatched"},
-		{"qos/batching violation", qos(func(r *QoSReport) { r.Batching.Unbatched.Violations = 1 }), "batching unbatched variant reported 1"},
-		{"qos/no windows", qos(func(r *QoSReport) { r.Fault.Windows = nil }), "no fault windows"},
-		{"qos/not degraded", qos(func(r *QoSReport) { r.Fault.Degraded = false }), "never degraded pyramid_levels"},
-		{"qos/degraded to full", qos(func(r *QoSReport) { r.Fault.MostDegraded = r.Fault.FullValue }), "never degraded pyramid_levels"},
-		{"qos/not restored", qos(func(r *QoSReport) { r.Fault.Restored = false }), "restored after the spike"},
-		{"qos/ended degraded", qos(func(r *QoSReport) { r.Fault.FinalValue = 2 }), "ended with pyramid_levels=2"},
-		{"qos/drift 1", qos(func(r *QoSReport) { r.Drift.Drift = 1 }), "(drift 1) — re-run not reproducible"},
-		{"qos/fingerprint drift", qos(func(r *QoSReport) { r.Drift.FingerprintB = "0" }), "re-run not reproducible"},
-		{"qos/p99 drift", qos(func(r *QoSReport) { r.Drift.P99BitsB = "0" }), "re-run not reproducible"},
-		{"qos/no fingerprint", qos(func(r *QoSReport) { r.Drift.FingerprintA, r.Drift.FingerprintB = "", "" }), "no decision-log fingerprint"},
+		{"qos/2 cells", qos(func(r *qosReport) { r.Ramp = r.Ramp[2:] }), "ramp has 2 cells, need >= 3"},
+		{"qos/margin 1", qos(func(r *qosReport) { r.AdaptiveMarginFrac = 1 }), "adaptive_margin_frac 1.00 outside (0, 1)"},
+		{"qos/margin 0", qos(func(r *qosReport) { r.AdaptiveMarginFrac = 0 }), "outside (0, 1)"},
+		{"qos/empty mtp", qos(func(r *qosReport) { r.Ramp[0].Static.MTP.N = 0 }), "static variant has an empty MTP"},
+		{"qos/worker leak", qos(func(r *qosReport) { r.Ramp[0].Adaptive.FinalWorkers["audio"]++ }), "9 workers allocated, want 8"},
+		{"qos/violation", qos(func(r *qosReport) { r.Ramp[3].Adaptive.Violations = 1 }), "1 controller invariant violations"},
+		{"qos/idle +0.5", qos(func(r *qosReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.5 }), ""},
+		{"qos/idle +0.6", qos(func(r *qosReport) { r.Ramp[0].Adaptive.MTP.P99Ms = r.Ramp[0].Static.MTP.P99Ms + 0.6 }), "with no pressure"},
+		{"qos/at margin", qos(func(r *qosReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * r.AdaptiveMarginFrac }), ""},
+		{"qos/over margin", qos(func(r *qosReport) { r.Ramp[3].Adaptive.MTP.P99Ms = r.Ramp[3].Static.MTP.P99Ms * 0.86 }), "not within 85% of static"},
+		{"qos/no fewer misses", qos(func(r *qosReport) { r.Ramp[3].Adaptive.DeadlineMisses = r.Ramp[3].Static.DeadlineMisses }), "no improvement"},
+		{"qos/no moves", qos(func(r *qosReport) { r.Ramp[3].Adaptive.WorkerMoves = 0 }), "never moved a worker"},
+		{"qos/nothing saturated", qos(func(r *qosReport) { r.Ramp[3].Static.DeadlineMisses = 0 }), "the ramp proves nothing"},
+		{"qos/nothing saved", qos(func(r *qosReport) { r.Batching.DispatchSavedMs = 0 }), "amortization did not happen"},
+		{"qos/nothing batched", qos(func(r *qosReport) { r.Batching.Dispatches = r.Batching.Items }), "nothing was batched"},
+		{"qos/batched no better", qos(func(r *qosReport) { r.Batching.Batched.MTP.P99Ms = r.Batching.Unbatched.MTP.P99Ms }), "not better than unbatched"},
+		{"qos/batching violation", qos(func(r *qosReport) { r.Batching.Unbatched.Violations = 1 }), "batching unbatched variant reported 1"},
+		{"qos/no windows", qos(func(r *qosReport) { r.Fault.Windows = nil }), "no fault windows"},
+		{"qos/not degraded", qos(func(r *qosReport) { r.Fault.Degraded = false }), "never degraded pyramid_levels"},
+		{"qos/degraded to full", qos(func(r *qosReport) { r.Fault.MostDegraded = r.Fault.FullValue }), "never degraded pyramid_levels"},
+		{"qos/not restored", qos(func(r *qosReport) { r.Fault.Restored = false }), "restored after the spike"},
+		{"qos/ended degraded", qos(func(r *qosReport) { r.Fault.FinalValue = 2 }), "ended with pyramid_levels=2"},
+		{"qos/drift 1", qos(func(r *qosReport) { r.Drift.Drift = 1 }), "(drift 1) — re-run not reproducible"},
+		{"qos/fingerprint drift", qos(func(r *qosReport) { r.Drift.FingerprintB = "0" }), "re-run not reproducible"},
+		{"qos/p99 drift", qos(func(r *qosReport) { r.Drift.P99BitsB = "0" }), "re-run not reproducible"},
+		{"qos/no fingerprint", qos(func(r *qosReport) { r.Drift.FingerprintA, r.Drift.FingerprintB = "", "" }), "no decision-log fingerprint"},
 
 		// parallel
-		{"parallel/no kernels", parallel(func(r *ParallelReport) { r.Kernels = nil }), "no kernels in report"},
-		{"parallel/three at 2x", parallel(func(r *ParallelReport) {
+		{"parallel/no kernels", parallel(func(r *parallelReport) { r.Kernels = nil }), "no kernels in report"},
+		{"parallel/three at 2x", parallel(func(r *parallelReport) {
 			for i := range r.Kernels {
 				r.Kernels[i].Speedup = 1.99
 			}
 			r.Kernels[0].Speedup, r.Kernels[1].Speedup, r.Kernels[2].Speedup = 2, 2, 2
 		}), ""},
-		{"parallel/two at 2x", parallel(func(r *ParallelReport) {
+		{"parallel/two at 2x", parallel(func(r *parallelReport) {
 			for i := range r.Kernels {
 				r.Kernels[i].Speedup = 1.99
 			}
 			r.Kernels[0].Speedup, r.Kernels[1].Speedup = 2, 2
 		}), "only 2 kernels reach 2x modeled speedup"},
-		{"parallel/ssim at +10%", parallel(func(r *ParallelReport) {
+		{"parallel/ssim at +10%", parallel(func(r *parallelReport) {
 			k := kernel(r, "ssim")
 			k.ModeledParallelMs, k.WallParallelMsMean = 1.10*k.SerialMsMean, 1.10*k.SerialMsMean
 		}), ""},
-		{"parallel/ssim at +11%", parallel(func(r *ParallelReport) {
+		{"parallel/ssim at +11%", parallel(func(r *parallelReport) {
 			k := kernel(r, "ssim")
 			k.ModeledParallelMs, k.WallParallelMsMean = 1.11*k.SerialMsMean, 1.11*k.SerialMsMean
 		}), "ssim: parallel"},
-		{"parallel/flip wall 1.5x", parallel(func(r *ParallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.5 * k.SerialMsMean }), ""},
-		{"parallel/flip wall 1.6x", parallel(func(r *ParallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.6 * k.SerialMsMean }), "flip: wall parallel"},
+		{"parallel/flip wall 1.5x", parallel(func(r *parallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.5 * k.SerialMsMean }), ""},
+		{"parallel/flip wall 1.6x", parallel(func(r *parallelReport) { k := kernel(r, "flip"); k.WallParallelMsMean = 1.6 * k.SerialMsMean }), "flip: wall parallel"},
 
 		// trace
 		{"trace/good", trace(goodTrace), ""},
@@ -271,7 +271,7 @@ func TestChecksCanFail(t *testing.T) {
 // surface as an error, not as a truncated or missing-but-unnoticed file.
 func TestWriteReportRejectsNonFinite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	rep := &ParallelReport{Kernels: []ParallelKernelResult{{Name: "ssim", WallSpeedup: math.Inf(1)}}}
+	rep := &parallelReport{Kernels: []parallelKernelResult{{Name: "ssim", WallSpeedup: math.Inf(1)}}}
 	if err := writeReport(path, rep); err == nil {
 		t.Fatal("a report holding +Inf was written without error")
 	}

@@ -16,16 +16,16 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// Matrix holds the 4-app × 3-platform integrated results that Figs 3–7
+// evalMatrix holds the 4-app × 3-platform integrated results that Figs 3–7
 // and Table IV are derived from.
-type Matrix struct {
+type evalMatrix struct {
 	Duration float64
 	Results  map[string]map[string]*core.RunResult // platform → app → result
 }
 
-// RunMatrix executes the full evaluation matrix (12 integrated runs).
-func RunMatrix(duration float64) *Matrix {
-	m := &Matrix{Duration: duration, Results: map[string]map[string]*core.RunResult{}}
+// runMatrix executes the full evaluation matrix (12 integrated runs).
+func runMatrix(duration float64) *evalMatrix {
+	m := &evalMatrix{Duration: duration, Results: map[string]map[string]*core.RunResult{}}
 	for _, plat := range perfmodel.Platforms {
 		m.Results[plat.Name] = map[string]*core.RunResult{}
 		for _, app := range render.AllApps {
@@ -37,8 +37,8 @@ func RunMatrix(duration float64) *Matrix {
 	return m
 }
 
-// Get returns one cell.
-func (m *Matrix) Get(platform string, app render.AppName) *core.RunResult {
+// get returns one cell.
+func (m *evalMatrix) get(platform string, app render.AppName) *core.RunResult {
 	return m.Results[platform][string(app)]
 }
 
@@ -104,8 +104,8 @@ func Table3(w io.Writer) {
 	t.Render(w)
 }
 
-// Fig3 renders the per-component achieved frame rates (Fig 3).
-func Fig3(w io.Writer, m *Matrix) {
+// fig3 renders the per-component achieved frame rates (Fig 3).
+func fig3(w io.Writer, m *evalMatrix) {
 	for _, plat := range perfmodel.Platforms {
 		t := &telemetry.Table{
 			Title:  fmt.Sprintf("Fig 3 (%s): average frame rate per component (achieved / target Hz)", plat.Name),
@@ -115,7 +115,7 @@ func Fig3(w io.Writer, m *Matrix) {
 			row := []string{c}
 			var target float64
 			for _, app := range render.AllApps {
-				res := m.Get(plat.Name, app)
+				res := m.get(plat.Name, app)
 				row = append(row, fmt.Sprintf("%.1f", res.FrameRateHz[c]))
 				target = res.TargetHz[c]
 			}
@@ -127,10 +127,10 @@ func Fig3(w io.Writer, m *Matrix) {
 	}
 }
 
-// Fig4 renders the per-frame execution-time timeline summary for
+// fig4 renders the per-frame execution-time timeline summary for
 // Platformer on the desktop (Fig 4), plus a CSV-ready series count.
-func Fig4(w io.Writer, m *Matrix) {
-	res := m.Get(perfmodel.Desktop.Name, render.AppPlatformer)
+func fig4(w io.Writer, m *evalMatrix) {
+	res := m.get(perfmodel.Desktop.Name, render.AppPlatformer)
 	t := &telemetry.Table{
 		Title:  "Fig 4: per-frame execution time, Platformer on desktop (ms)",
 		Header: []string{"Component", "mean", "std", "min", "max", "CoV", "frames"},
@@ -146,8 +146,8 @@ func Fig4(w io.Writer, m *Matrix) {
 	t.Render(w)
 }
 
-// Fig5 renders the CPU-cycle contribution per component (Fig 5).
-func Fig5(w io.Writer, m *Matrix) {
+// fig5 renders the CPU-cycle contribution per component (Fig 5).
+func fig5(w io.Writer, m *evalMatrix) {
 	t := &telemetry.Table{
 		Title:  "Fig 5: contribution to CPU time per component (%)",
 		Header: []string{"Platform", "App", "Cam", "VIO", "IMU", "Integ", "App.", "Reproj", "Play", "Enc"},
@@ -158,7 +158,7 @@ func Fig5(w io.Writer, m *Matrix) {
 	}
 	for _, plat := range perfmodel.Platforms {
 		for _, app := range render.AllApps {
-			res := m.Get(plat.Name, app)
+			res := m.get(plat.Name, app)
 			row := []string{plat.Name, appLabel(app)}
 			for _, c := range order {
 				row = append(row, fmt.Sprintf("%.1f", 100*res.CPUShare[c]))
@@ -169,15 +169,15 @@ func Fig5(w io.Writer, m *Matrix) {
 	t.Render(w)
 }
 
-// Fig6 renders total power and the rail breakdown (Fig 6a/6b).
-func Fig6(w io.Writer, m *Matrix) {
+// fig6 renders total power and the rail breakdown (Fig 6a/6b).
+func fig6(w io.Writer, m *evalMatrix) {
 	t := &telemetry.Table{
 		Title:  "Fig 6: total power and rail breakdown",
 		Header: []string{"Platform", "App", "Total W", "CPU%", "GPU%", "DDR%", "SoC%", "Sys%", "Gap vs AR ideal"},
 	}
 	for _, plat := range perfmodel.Platforms {
 		for _, app := range render.AllApps {
-			res := m.Get(plat.Name, app)
+			res := m.get(plat.Name, app)
 			cpu, gpu, ddr, soc, sys := res.Power.Shares()
 			t.AddRow(plat.Name, appLabel(app),
 				fmt.Sprintf("%.1f", res.Power.Total()),
@@ -188,23 +188,23 @@ func Fig6(w io.Writer, m *Matrix) {
 	t.Render(w)
 }
 
-// Fig7 renders the per-frame MTP timeline summaries for Platformer across
+// fig7 renders the per-frame MTP timeline summaries for Platformer across
 // platforms (Fig 7).
-func Fig7(w io.Writer, m *Matrix) {
+func fig7(w io.Writer, m *evalMatrix) {
 	t := &telemetry.Table{
 		Title:  "Fig 7: motion-to-photon latency per frame, Platformer (ms)",
 		Header: []string{"Platform", "mean", "std", "min", "max", "p99", "samples"},
 	}
 	for _, plat := range perfmodel.Platforms {
-		res := m.Get(plat.Name, render.AppPlatformer)
+		res := m.get(plat.Name, render.AppPlatformer)
 		s := res.MTPSummary()
 		t.AddRow(plat.Name, f2(s.Mean), f2(s.Std), f2(s.Min), f2(s.Max), f2(s.P99), fmt.Sprint(s.N))
 	}
 	t.Render(w)
 }
 
-// Table4 renders MTP mean±std for every app and platform (Table IV).
-func Table4(w io.Writer, m *Matrix) {
+// table4 renders MTP mean±std for every app and platform (Table IV).
+func table4(w io.Writer, m *evalMatrix) {
 	t := &telemetry.Table{
 		Title:  "Table IV: motion-to-photon latency (ms, mean±std; VR target 20, AR target 5)",
 		Header: []string{"Platform", "Sponza", "Materials", "Platformer", "AR Demo"},
@@ -212,16 +212,16 @@ func Table4(w io.Writer, m *Matrix) {
 	for _, plat := range perfmodel.Platforms {
 		row := []string{plat.Name}
 		for _, app := range render.AllApps {
-			row = append(row, m.Get(plat.Name, app).MTPSummary().String())
+			row = append(row, m.get(plat.Name, app).MTPSummary().String())
 		}
 		t.AddRow(row...)
 	}
 	t.Render(w)
 }
 
-// Table5 runs the offline image-quality pipeline for Sponza on all
+// table5 runs the offline image-quality pipeline for Sponza on all
 // platforms (Table V). Separate from the matrix because it is expensive.
-func Table5(w io.Writer, duration float64, frames int) map[string]*core.RunResult {
+func table5(w io.Writer, duration float64, frames int) map[string]*core.RunResult {
 	t := &telemetry.Table{
 		Title:  "Table V: image-quality metrics for Sponza (mean±std)",
 		Header: []string{"Metric", "Desktop", "Jetson-HP", "Jetson-LP"},

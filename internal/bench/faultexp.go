@@ -12,12 +12,12 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// FaultScenario runs one integrated run under a named, seeded fault
+// faultScenario runs one integrated run under a named, seeded fault
 // scenario and renders the graceful-degradation measurements: per-window
 // MTP before/during/after, displayed-pose staleness peak, and recovery
 // time — the robustness companion to the paper's steady-state evaluation
 // (§IV). Returns the run for programmatic assertions.
-func FaultScenario(w io.Writer, scenario string, duration float64, seed int64) (*core.RunResult, error) {
+func faultScenario(w io.Writer, scenario string, duration float64, seed int64) (*core.RunResult, error) {
 	fc, err := faults.Scenario(scenario, seed, duration)
 	if err != nil {
 		return nil, err

@@ -10,11 +10,11 @@ import (
 // byte-identical across runs (seeded schedule + deterministic scheduler).
 func TestFaultScenarioRendersAndIsDeterministic(t *testing.T) {
 	var a, b strings.Builder
-	resA, err := FaultScenario(&a, "vio-stall", 6, 11)
+	resA, err := faultScenario(&a, "vio-stall", 6, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FaultScenario(&b, "vio-stall", 6, 11); err != nil {
+	if _, err := faultScenario(&b, "vio-stall", 6, 11); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -36,7 +36,7 @@ func TestFaultScenarioRendersAndIsDeterministic(t *testing.T) {
 // TestFaultScenarioRejectsUnknownName checks the error path surfaces.
 func TestFaultScenarioRejectsUnknownName(t *testing.T) {
 	var sb strings.Builder
-	if _, err := FaultScenario(&sb, "no-such-scenario", 5, 1); err == nil {
+	if _, err := faultScenario(&sb, "no-such-scenario", 5, 1); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

@@ -44,8 +44,8 @@ const (
 	networkQueueBound = 128
 )
 
-// MTPStats is a deterministic latency summary in milliseconds.
-type MTPStats struct {
+// mtpSummary is a deterministic latency summary in milliseconds.
+type mtpSummary struct {
 	MeanMs float64 `json:"mean_ms"`
 	P50Ms  float64 `json:"p50_ms"`
 	P99Ms  float64 `json:"p99_ms"`
@@ -53,9 +53,9 @@ type MTPStats struct {
 	N      int     `json:"n"`
 }
 
-func mtpStats(samples []float64) MTPStats {
+func mtpStats(samples []float64) mtpSummary {
 	if len(samples) == 0 {
-		return MTPStats{}
+		return mtpSummary{}
 	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
@@ -70,7 +70,7 @@ func mtpStats(samples []float64) MTPStats {
 		}
 		return sorted[i]
 	}
-	return MTPStats{
+	return mtpSummary{
 		MeanMs: sum / float64(len(sorted)),
 		P50Ms:  q(0.50),
 		P99Ms:  q(0.99),
@@ -79,8 +79,8 @@ func mtpStats(samples []float64) MTPStats {
 	}
 }
 
-// NetworkSessionResult is one simulated session's row.
-type NetworkSessionResult struct {
+// networkSessionResult is one simulated session's row.
+type networkSessionResult struct {
 	Session        int    `json:"session"`
 	IMUSent        int    `json:"imu_sent"`
 	PosesDelivered int    `json:"poses_delivered"`
@@ -94,23 +94,23 @@ type NetworkSessionResult struct {
 	// StaleDrops counts delivered poses never displayed: a newer pose
 	// superseded them before the next vsync (latest-wins working as
 	// intended — at 500 Hz IMU against 120 Hz vsync, most poses drop).
-	StaleDrops   int      `json:"stale_drops"`
-	RepeatVsyncs int      `json:"repeat_vsyncs"`
-	MTP          MTPStats `json:"mtp"`
+	StaleDrops   int        `json:"stale_drops"`
+	RepeatVsyncs int        `json:"repeat_vsyncs"`
+	MTP          mtpSummary `json:"mtp"`
 }
 
-// NetworkCellResult is one sweep cell: a link profile (possibly with
+// networkCellResult is one sweep cell: a link profile (possibly with
 // fault-scenario outages) crossed with N concurrent sessions.
-type NetworkCellResult struct {
+type networkCellResult struct {
 	Profile   netsim.Profile         `json:"profile"`
 	Faulted   bool                   `json:"faulted"`
 	RTTMs     float64                `json:"rtt_ms"`
-	Sessions  []NetworkSessionResult `json:"sessions"`
-	Aggregate MTPStats               `json:"aggregate_mtp"`
+	Sessions  []networkSessionResult `json:"sessions"`
+	Aggregate mtpSummary             `json:"aggregate_mtp"`
 }
 
-// NetworkReport is the BENCH_network.json document.
-type NetworkReport struct {
+// networkReport is the BENCH_network.json document.
+type networkReport struct {
 	Seed       int64               `json:"seed"`
 	SessionsN  int                 `json:"sessions_per_cell"`
 	VirtualSec float64             `json:"virtual_sec"`
@@ -118,7 +118,7 @@ type NetworkReport struct {
 	VsyncHz    float64             `json:"vsync_hz"`
 	QueueBound int                 `json:"queue_bound"`
 	Note       string              `json:"note"`
-	Cells      []NetworkCellResult `json:"cells"`
+	Cells      []networkCellResult `json:"cells"`
 }
 
 const networkNote = "deterministic virtual-time sweep: MTP measured at " +
@@ -128,7 +128,7 @@ const networkNote = "deterministic virtual-time sweep: MTP measured at " +
 
 // Check is the offload gate: the server must sustain the required
 // session count with a clean wire and bounded queues.
-func (rep *NetworkReport) Check() []error {
+func (rep *networkReport) Check() []error {
 	var f failures
 	const minSessions = 8
 	if len(rep.Cells) == 0 {
@@ -181,9 +181,9 @@ func (rep *NetworkReport) Check() []error {
 	return f
 }
 
-// NetworkExperiment runs the sweep and prints the RTT-vs-MTP table.
-func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, error) {
-	rep := &NetworkReport{
+// networkExperiment runs the sweep and prints the RTT-vs-MTP table.
+func networkExperiment(w io.Writer, nSessions int, seed int64) (*networkReport, error) {
+	rep := &networkReport{
 		Seed:       seed,
 		SessionsN:  nSessions,
 		VirtualSec: networkVirtualSec,
@@ -224,7 +224,7 @@ func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, 
 		"link", "rtt ms", "mtp mean", "mtp p99", "stale/s", "lost", "errors")
 
 	for ci, spec := range cells {
-		cell := NetworkCellResult{Profile: spec.profile, Faulted: spec.faulted, RTTMs: spec.profile.RTTMs()}
+		cell := networkCellResult{Profile: spec.profile, Faulted: spec.faulted, RTTMs: spec.profile.RTTMs()}
 		var agg []float64
 		for si := 0; si < nSessions; si++ {
 			linkSeed := seed + int64(ci)*10_000 + int64(si)*2
@@ -237,7 +237,7 @@ func NetworkExperiment(w io.Writer, nSessions int, seed int64) (*NetworkReport, 
 			sim := simulateSession(sessionSpec{endSec: networkVirtualSec,
 				imuHz: networkIMUHz, vsyncHz: networkVsyncHz,
 				turnaroundSec: networkServerProcMs / 1000, up: up, down: down})
-			sres := NetworkSessionResult{Session: si, IMUSent: sim.imuSent,
+			sres := networkSessionResult{Session: si, IMUSent: sim.imuSent,
 				PosesDelivered: sim.poses, PosesDisplayed: sim.displayed,
 				BytesUp: sim.bytesUp, BytesDown: sim.bytesDown,
 				DecodeErrors: sim.decodeErrors, LostUp: up.Lost(), LostDown: down.Lost(),

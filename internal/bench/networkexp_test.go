@@ -7,11 +7,11 @@ import (
 )
 
 func TestNetworkExperimentDeterministic(t *testing.T) {
-	r1, err := NetworkExperiment(io.Discard, 8, 42)
+	r1, err := networkExperiment(io.Discard, 8, 42)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	r2, err := NetworkExperiment(io.Discard, 8, 42)
+	r2, err := networkExperiment(io.Discard, 8, 42)
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
@@ -21,7 +21,7 @@ func TestNetworkExperimentDeterministic(t *testing.T) {
 		t.Fatal("same seed produced different reports")
 	}
 
-	r3, err := NetworkExperiment(io.Discard, 8, 43)
+	r3, err := networkExperiment(io.Discard, 8, 43)
 	if err != nil {
 		t.Fatalf("run 3: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestNetworkExperimentDeterministic(t *testing.T) {
 }
 
 func TestNetworkExperimentShape(t *testing.T) {
-	rep, err := NetworkExperiment(io.Discard, 8, 7)
+	rep, err := networkExperiment(io.Discard, 8, 7)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

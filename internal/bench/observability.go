@@ -18,8 +18,8 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// ObservabilitySnapshot is the BENCH_observability.json schema.
-type ObservabilitySnapshot struct {
+// observabilitySnapshot is the BENCH_observability.json schema.
+type observabilitySnapshot struct {
 	App      string  `json:"app"`
 	Platform string  `json:"platform"`
 	Duration float64 `json:"duration_s"`
@@ -41,8 +41,8 @@ type ObservabilitySnapshot struct {
 	Registry telemetry.RegistrySnapshot `json:"registry"`
 }
 
-// Observability runs the experiment; the summary renders to w.
-func Observability(w io.Writer, duration float64) *ObservabilitySnapshot {
+// observability runs the experiment; the summary renders to w.
+func observability(w io.Writer, duration float64) *observabilitySnapshot {
 	app, plat := render.AppPlatformer, perfmodel.Desktop
 
 	base := core.DefaultRunConfig(app, plat)
@@ -59,7 +59,7 @@ func Observability(w io.Writer, duration float64) *ObservabilitySnapshot {
 	core.Run(inst)
 	instWall := time.Since(t1)
 
-	snap := &ObservabilitySnapshot{
+	snap := &observabilitySnapshot{
 		App:                string(app),
 		Platform:           plat.Name,
 		Duration:           duration,

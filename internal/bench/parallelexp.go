@@ -18,8 +18,8 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// ParallelKernelResult is one kernel's row of BENCH_parallel.json.
-type ParallelKernelResult struct {
+// parallelKernelResult is one kernel's row of BENCH_parallel.json.
+type parallelKernelResult struct {
 	Name string `json:"name"`
 	// TilesPerIter is the total tile count one kernel invocation schedules.
 	TilesPerIter int `json:"tiles_per_iter"`
@@ -40,13 +40,13 @@ type ParallelKernelResult struct {
 	WallSpeedup        float64 `json:"wall_speedup"`
 }
 
-// ParallelReport is the BENCH_parallel.json document.
-type ParallelReport struct {
+// parallelReport is the BENCH_parallel.json document.
+type parallelReport struct {
 	Workers    int                    `json:"workers"`
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Iters      int                    `json:"iters"`
 	Note       string                 `json:"note"`
-	Kernels    []ParallelKernelResult `json:"kernels"`
+	Kernels    []parallelKernelResult `json:"kernels"`
 }
 
 const parallelNote = "modeled_parallel_ms applies the pool's tile-order " +
@@ -63,7 +63,7 @@ const parallelNote = "modeled_parallel_ms applies the pool's tile-order " +
 // Check is the parallel-kernel gate: the work-span model must show the
 // required parallelism, and the quality kernels must not regress
 // against serial.
-func (rep *ParallelReport) Check() []error {
+func (rep *parallelReport) Check() []error {
 	var f failures
 	if len(rep.Kernels) == 0 {
 		f.addf("no kernels in report")
@@ -235,8 +235,8 @@ func listScheduleMakespan(tileMs []float64, workers int) float64 {
 
 // measureKernel benchmarks one kernel serially (collecting per-tile times
 // for the work-span model) and with the N-worker pool.
-func measureKernel(k parallelKernel, workers, iters int) ParallelKernelResult {
-	res := ParallelKernelResult{Name: k.name}
+func measureKernel(k parallelKernel, workers, iters int) parallelKernelResult {
+	res := parallelKernelResult{Name: k.name}
 
 	// Serial pass with tile-time collection.
 	sp := parallel.New(1)
@@ -288,11 +288,11 @@ func measureKernel(k parallelKernel, workers, iters int) ParallelKernelResult {
 	return res
 }
 
-// ParallelExperiment runs `illixr-bench -exp parallel`: serial vs N-worker
+// parallelExperiment runs `illixr-bench -exp parallel`: serial vs N-worker
 // throughput and tail latency for the hot-path kernels, with the
 // work-span model providing the N-ideal-core makespan.
-func ParallelExperiment(w io.Writer, workers, iters int) *ParallelReport {
-	rep := &ParallelReport{
+func parallelExperiment(w io.Writer, workers, iters int) *parallelReport {
+	rep := &parallelReport{
 		Workers:    workers,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Iters:      iters,

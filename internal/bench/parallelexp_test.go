@@ -33,7 +33,7 @@ func TestListScheduleMakespan(t *testing.T) {
 func TestParallelExperimentShape(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var buf bytes.Buffer
-	rep := ParallelExperiment(&buf, 4, 1)
+	rep := parallelExperiment(&buf, 4, 1)
 	// every kernel's two pools are closed when its measurement returns (an
 	// exited goroutine leaves the count a moment after its last statement)
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {

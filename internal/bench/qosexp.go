@@ -39,8 +39,8 @@ import (
 //
 // The real batching pipeline is node.TestReplicaQoSBatchesAcrossSessions.
 //
-// QoSReport.Check gates the report: adaptive p99 <= static p99 *
-// QoSAdaptiveMarginFrac in the saturated ramp cells, fewer deadline
+// qosReport.Check gates the report: adaptive p99 <= static p99 *
+// qosAdaptiveMarginFrac in the saturated ramp cells, fewer deadline
 // misses, batching wins with positive dispatch savings, the fault cell
 // degraded AND restored, drift == 0, and zero controller invariant
 // violations.
@@ -60,9 +60,9 @@ const (
 	qosFlushMs = 2.0
 	// qosJitterFrac spreads per-item service times ±10% (seeded).
 	qosJitterFrac = 0.2
-	// QoSAdaptiveMarginFrac is the ramp gate: in saturated cells the
+	// qosAdaptiveMarginFrac is the ramp gate: in saturated cells the
 	// adaptive p99 must be at most this fraction of the static p99.
-	QoSAdaptiveMarginFrac = 0.85
+	qosAdaptiveMarginFrac = 0.85
 	// qosBatchSessions puts the unbatched variant just past saturation so
 	// dispatch amortization is the difference between diverging and not.
 	qosBatchSessions = 22
@@ -141,10 +141,10 @@ func qosControllerConfig(seed int64) qos.Config {
 	return cfg
 }
 
-// QoSVariantRow is one simulated configuration's outcome.
-type QoSVariantRow struct {
+// qosVariantRow is one simulated configuration's outcome.
+type qosVariantRow struct {
 	Mode           string         `json:"mode"` // "static" | "adaptive"
-	MTP            MTPStats       `json:"mtp"`
+	MTP            mtpSummary     `json:"mtp"`
 	DeadlineMisses int            `json:"deadline_misses"`
 	Frames         int            `json:"frames"`
 	FinalWorkers   map[string]int `json:"final_workers"`
@@ -155,20 +155,20 @@ type QoSVariantRow struct {
 	Violations     int            `json:"violations"`
 }
 
-// QoSRampCell compares static vs adaptive at one session count.
-type QoSRampCell struct {
+// qosRampCell compares static vs adaptive at one session count.
+type qosRampCell struct {
 	Sessions int           `json:"sessions"`
-	Static   QoSVariantRow `json:"static"`
-	Adaptive QoSVariantRow `json:"adaptive"`
+	Static   qosVariantRow `json:"static"`
+	Adaptive qosVariantRow `json:"adaptive"`
 	// AdaptiveP99AdvantageMs = static p99 - adaptive p99 (positive: win).
 	AdaptiveP99AdvantageMs float64 `json:"adaptive_p99_advantage_ms"`
 }
 
-// QoSBatchCell compares per-item vs cross-session batched dispatch.
-type QoSBatchCell struct {
+// qosBatchCell compares per-item vs cross-session batched dispatch.
+type qosBatchCell struct {
 	Sessions  int           `json:"sessions"`
-	Unbatched QoSVariantRow `json:"unbatched"`
-	Batched   QoSVariantRow `json:"batched"`
+	Unbatched qosVariantRow `json:"unbatched"`
+	Batched   qosVariantRow `json:"batched"`
 	// DispatchSavedMs is total dispatch overhead amortized away.
 	DispatchSavedMs       float64 `json:"dispatch_saved_ms"`
 	Items                 int     `json:"items"`
@@ -176,21 +176,21 @@ type QoSBatchCell struct {
 	BatchedP99AdvantageMs float64 `json:"batched_p99_advantage_ms"`
 }
 
-// QoSFaultCell is the degrade-then-restore behavioral check.
-type QoSFaultCell struct {
-	Sessions     int      `json:"sessions"`
-	Windows      []string `json:"windows"`
-	Knob         string   `json:"knob"`
-	FullValue    int      `json:"full_value"`
-	MostDegraded int      `json:"most_degraded"`
-	FinalValue   int      `json:"final_value"`
-	Degraded     bool     `json:"degraded"`
-	Restored     bool     `json:"restored"`
-	MTP          MTPStats `json:"mtp"`
+// qosFaultCell is the degrade-then-restore behavioral check.
+type qosFaultCell struct {
+	Sessions     int        `json:"sessions"`
+	Windows      []string   `json:"windows"`
+	Knob         string     `json:"knob"`
+	FullValue    int        `json:"full_value"`
+	MostDegraded int        `json:"most_degraded"`
+	FinalValue   int        `json:"final_value"`
+	Degraded     bool       `json:"degraded"`
+	Restored     bool       `json:"restored"`
+	MTP          mtpSummary `json:"mtp"`
 }
 
-// QoSDriftCell is the re-run determinism audit.
-type QoSDriftCell struct {
+// qosDriftCell is the re-run determinism audit.
+type qosDriftCell struct {
 	Sessions     int    `json:"sessions"`
 	FingerprintA string `json:"fingerprint_a"`
 	FingerprintB string `json:"fingerprint_b"`
@@ -199,8 +199,8 @@ type QoSDriftCell struct {
 	Drift        int    `json:"drift"`
 }
 
-// QoSReport is the BENCH_qos.json document.
-type QoSReport struct {
+// qosReport is the BENCH_qos.json document.
+type qosReport struct {
 	Seed               int64         `json:"seed"`
 	TotalWorkers       int           `json:"total_workers"`
 	VirtualSec         float64       `json:"virtual_sec"`
@@ -208,10 +208,10 @@ type QoSReport struct {
 	VsyncHz            float64       `json:"vsync_hz"`
 	BudgetMs           float64       `json:"budget_ms"`
 	AdaptiveMarginFrac float64       `json:"adaptive_margin_frac"`
-	Ramp               []QoSRampCell `json:"ramp"`
-	Batching           QoSBatchCell  `json:"batching"`
-	Fault              QoSFaultCell  `json:"fault"`
-	Drift              QoSDriftCell  `json:"drift"`
+	Ramp               []qosRampCell `json:"ramp"`
+	Batching           qosBatchCell  `json:"batching"`
+	Fault              qosFaultCell  `json:"fault"`
+	Drift              qosDriftCell  `json:"drift"`
 	Note               string        `json:"note"`
 }
 
@@ -227,7 +227,7 @@ const qosNote = "adaptive QoS cells (DESIGN.md §14): per-kernel multi-server FI
 // deadline pressure driving worker reallocation and quality degradation,
 // cross-session batching amortizing dispatch cost, and every decision
 // reproducible bit-for-bit.
-func (rep *QoSReport) Check() []error {
+func (rep *qosReport) Check() []error {
 	var f failures
 	// cell shape
 	if len(rep.Ramp) < 3 {
@@ -237,7 +237,7 @@ func (rep *QoSReport) Check() []error {
 		f.addf("adaptive_margin_frac %.2f outside (0, 1) — the bench relaxed the contract",
 			rep.AdaptiveMarginFrac)
 	}
-	checkSplit := func(where string, v QoSVariantRow) {
+	checkSplit := func(where string, v qosVariantRow) {
 		if v.MTP.N == 0 {
 			f.addf("%s %s variant has an empty MTP distribution", where, v.Mode)
 		}
@@ -358,8 +358,8 @@ type qosSimState struct {
 // runQoSSim runs one configuration through the virtual-time queue model.
 // Everything is deterministic in (sessions, seed, adaptive, batched,
 // sched): fixed iteration order, seeded jitter, integer controller.
-func runQoSSim(sessions int, seed int64, adaptive, batched bool, sched *faults.Schedule) (QoSVariantRow, *qosSimExtras, error) {
-	row := QoSVariantRow{Mode: "static", FinalWorkers: map[string]int{}}
+func runQoSSim(sessions int, seed int64, adaptive, batched bool, sched *faults.Schedule) (qosVariantRow, *qosSimExtras, error) {
+	row := qosVariantRow{Mode: "static", FinalWorkers: map[string]int{}}
 	extra := &qosSimExtras{mostDegraded: map[string]int{}}
 	var ctl *qos.Controller
 	if adaptive {
@@ -512,11 +512,11 @@ func qosAbs(v int) int {
 	return v
 }
 
-// QoSExperiment runs the adaptive-QoS cells and prints the summary table.
-func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
-	rep := &QoSReport{Seed: seed, TotalWorkers: qosTotalWorkers,
+// qosExperiment runs the adaptive-QoS cells and prints the summary table.
+func qosExperiment(w io.Writer, seed int64) (*qosReport, error) {
+	rep := &qosReport{Seed: seed, TotalWorkers: qosTotalWorkers,
 		VirtualSec: qosVirtualSec, EpochMs: qosEpochMs, VsyncHz: qosVsyncHz,
-		BudgetMs: qosBudgetMs, AdaptiveMarginFrac: QoSAdaptiveMarginFrac,
+		BudgetMs: qosBudgetMs, AdaptiveMarginFrac: qosAdaptiveMarginFrac,
 		Note: qosNote}
 
 	fmt.Fprintf(w, "QoS experiment: %d workers, %.0f Hz vsync (budget %.2f ms), seed %d\n",
@@ -531,7 +531,7 @@ func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		cell := QoSRampCell{Sessions: n, Static: st, Adaptive: ad,
+		cell := qosRampCell{Sessions: n, Static: st, Adaptive: ad,
 			AdaptiveP99AdvantageMs: st.MTP.P99Ms - ad.MTP.P99Ms}
 		rep.Ramp = append(rep.Ramp, cell)
 		fmt.Fprintf(w, "  ramp %2d sessions: static p99 %8.2f ms (%4d misses)  adaptive p99 %8.2f ms (%4d misses, %d moves, %d knob steps)\n",
@@ -548,7 +548,7 @@ func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 		return nil, err
 	}
 	un.Mode, ba.Mode = "unbatched", "batched"
-	rep.Batching = QoSBatchCell{Sessions: qosBatchSessions, Unbatched: un, Batched: ba,
+	rep.Batching = qosBatchCell{Sessions: qosBatchSessions, Unbatched: un, Batched: ba,
 		DispatchSavedMs:       unx.dispatchMs - bax.dispatchMs,
 		Items:                 bax.items,
 		Dispatches:            bax.dispatches,
@@ -564,7 +564,7 @@ func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fault := QoSFaultCell{Sessions: qosFaultSessions, Knob: "pyramid_levels",
+	fault := qosFaultCell{Sessions: qosFaultSessions, Knob: "pyramid_levels",
 		FullValue: 3, MTP: fa.MTP}
 	for _, win := range sched.Windows {
 		fault.Windows = append(fault.Windows, win.String())
@@ -591,7 +591,7 @@ func QoSExperiment(w io.Writer, seed int64) (*QoSReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	drift := QoSDriftCell{Sessions: heaviest,
+	drift := qosDriftCell{Sessions: heaviest,
 		FingerprintA: dr1.Fingerprint, FingerprintB: dr2.Fingerprint,
 		P99BitsA: fmt.Sprintf("%016x", dx1.p99Bits),
 		P99BitsB: fmt.Sprintf("%016x", dx2.p99Bits)}

@@ -33,9 +33,9 @@ func TestQoSSimDeterminism(t *testing.T) {
 }
 
 // TestQoSExperimentGates runs the full experiment and asserts the
-// QoSReport.Check contract on the in-memory report.
+// qosReport.Check contract on the in-memory report.
 func TestQoSExperimentGates(t *testing.T) {
-	rep, err := QoSExperiment(io.Discard, 42)
+	rep, err := qosExperiment(io.Discard, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ const (
 	networkSessions = 8
 )
 
-type runFunc func(w io.Writer, o Options, m *Matrix) (report any, err error)
+type runFunc func(w io.Writer, o Options, m *evalMatrix) (report any, err error)
 
 // experiment is one row of the harness: run renders to w, and a non-nil
 // report is written to BENCH_<name>.json.
@@ -40,53 +40,53 @@ type experiment struct {
 }
 
 func static(f func(io.Writer)) runFunc {
-	return func(w io.Writer, _ Options, _ *Matrix) (any, error) { f(w); return nil, nil }
+	return func(w io.Writer, _ Options, _ *evalMatrix) (any, error) { f(w); return nil, nil }
 }
 
-func figure(f func(io.Writer, *Matrix)) runFunc {
-	return func(w io.Writer, _ Options, m *Matrix) (any, error) { f(w, m); return nil, nil }
+func figure(f func(io.Writer, *evalMatrix)) runFunc {
+	return func(w io.Writer, _ Options, m *evalMatrix) (any, error) { f(w, m); return nil, nil }
 }
 
 var experiments = []experiment{
 	{name: "table1", run: static(Table1)},
 	{name: "table2", run: static(Table2)},
 	{name: "table3", run: static(Table3)},
-	{name: "fig3", run: figure(Fig3), matrix: true, noGap: true},
-	{name: "fig4", run: figure(Fig4), matrix: true},
-	{name: "fig5", run: figure(Fig5), matrix: true},
-	{name: "fig6", run: figure(Fig6), matrix: true},
-	{name: "fig7", run: figure(Fig7), matrix: true},
-	{name: "table4", run: figure(Table4), matrix: true},
-	{name: "table5", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
+	{name: "fig3", run: figure(fig3), matrix: true, noGap: true},
+	{name: "fig4", run: figure(fig4), matrix: true},
+	{name: "fig5", run: figure(fig5), matrix: true},
+	{name: "fig6", run: figure(fig6), matrix: true},
+	{name: "fig7", run: figure(fig7), matrix: true},
+	{name: "table4", run: figure(table4), matrix: true},
+	{name: "table5", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
 		fmt.Fprintln(w, "Running the offline image-quality pipeline (Table V)...")
-		Table5(w, o.Duration, qualityFrames)
+		table5(w, o.Duration, qualityFrames)
 		return nil, nil
 	}},
-	{name: "table6", noGap: true, run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
+	{name: "table6", noGap: true, run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
 		Table6(w, o.Duration)
 		return nil, nil
 	}},
 	{name: "table7", run: static(Table7)},
 	{name: "fig8", run: static(Fig8)},
-	{name: "ablation-vio", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
+	{name: "ablation-vio", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
 		AblationVIO(w, o.Duration)
 		return nil, nil
 	}},
-	{name: "faults", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		_, err := FaultScenario(w, o.FaultScenario, o.Duration, o.Seed)
+	{name: "faults", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
+		_, err := faultScenario(w, o.FaultScenario, o.Duration, o.Seed)
 		return nil, err
 	}},
-	{name: "observability", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return Observability(w, o.Duration), nil
+	{name: "observability", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
+		return observability(w, o.Duration), nil
 	}},
-	{name: "parallel", run: func(w io.Writer, _ Options, _ *Matrix) (any, error) {
-		return ParallelExperiment(w, parallelWorkers, parallelIters), nil
+	{name: "parallel", run: func(w io.Writer, _ Options, _ *evalMatrix) (any, error) {
+		return parallelExperiment(w, parallelWorkers, parallelIters), nil
 	}},
-	{name: "network", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return NetworkExperiment(w, networkSessions, o.Seed)
+	{name: "network", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
+		return networkExperiment(w, networkSessions, o.Seed)
 	}},
-	{name: "qos", run: func(w io.Writer, o Options, _ *Matrix) (any, error) {
-		return QoSExperiment(w, o.Seed)
+	{name: "qos", run: func(w io.Writer, o Options, _ *evalMatrix) (any, error) {
+		return qosExperiment(w, o.Seed)
 	}},
 }
 
@@ -113,11 +113,11 @@ func Run(w io.Writer, ids string, o Options) error {
 
 	selected := func(e experiment) bool { return wants["all"] || wants[e.name] }
 
-	var m *Matrix
+	var m *evalMatrix
 	for _, e := range experiments {
 		if e.matrix && m == nil && selected(e) {
 			fmt.Fprintf(w, "Running the 4-app x 3-platform evaluation matrix (%.0f s virtual each)...\n\n", o.Duration)
-			m = RunMatrix(o.Duration)
+			m = runMatrix(o.Duration)
 		}
 	}
 	for _, e := range experiments {

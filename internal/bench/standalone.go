@@ -27,10 +27,10 @@ var reconTaskOrder = []string{
 	"Surfel Prediction", "Map Fusion",
 }
 
-// VIOStandalone runs VIO by itself on the Vicon-Room-1-Medium-style
+// vioStandalone runs VIO by itself on the Vicon-Room-1-Medium-style
 // dataset (§III-D) and returns the averaged per-task breakdown plus the
 // per-frame cost series (for the variability analysis of §IV-B1).
-func VIOStandalone(duration float64, p vio.Params) ([]TaskShare, []float64, float64) {
+func vioStandalone(duration float64, p vio.Params) ([]TaskShare, []float64, float64) {
 	cfg := sensors.DefaultDatasetConfig()
 	cfg.Name = "vicon_room_1_medium"
 	cfg.Duration = duration
@@ -53,11 +53,11 @@ func VIOStandalone(duration float64, p vio.Params) ([]TaskShare, []float64, floa
 	return shares(acc, vioTaskOrder), perFrame, r.ATE(ds)
 }
 
-// ReconStandalone runs scene reconstruction on the dyson-lab-style RGB-D
+// reconStandalone runs scene reconstruction on the dyson-lab-style RGB-D
 // sequence and returns the averaged task breakdown plus the per-frame
 // total cost series (which grows with map size and spikes on loop
 // closures).
-func ReconStandalone(frames int) ([]TaskShare, []float64, int) {
+func reconStandalone(frames int) ([]TaskShare, []float64, int) {
 	cam := sensors.CameraModel{Width: 96, Height: 72, Fx: 48, Fy: 48, Cx: 48, Cy: 36}
 	world := sensors.NewRoomWorld(60, 11)
 	traj := sensors.DefaultTrajectory()
@@ -98,22 +98,22 @@ func ReconStandalone(frames int) ([]TaskShare, []float64, int) {
 
 // Table6 renders the task breakdowns of VIO and scene reconstruction.
 func Table6(w io.Writer, duration float64) ([]TaskShare, []TaskShare) {
-	vioShares, vioSeries, ate := VIOStandalone(duration, vio.DefaultParams())
+	vioShares, vioSeries, ate := vioStandalone(duration, vio.DefaultParams())
 	renderShares(w, "Table VI (VIO): task breakdown, Vicon Room 1 Medium (synthetic)", vioShares)
 	cov := mathx.CoefficientOfVariation(vioSeries)
 	fmt.Fprintf(w, "VIO per-frame cost CoV: %.0f%%  (paper: 17-26%%)  ATE: %.1f cm\n\n",
 		100*cov, 100*ate)
 
-	reconShares, reconSeries, loops := ReconStandalone(56)
+	reconShares, reconSeries, loops := reconStandalone(56)
 	renderShares(w, "Table VI (Scene Reconstruction): task breakdown, dyson_lab (synthetic)", reconShares)
 	fmt.Fprintf(w, "Recon cost trend: first-frame %.1f ms -> last-frame %.1f ms; loop closures: %d (spikes)\n\n",
 		reconSeries[0], reconSeries[len(reconSeries)-1], loops)
 	return vioShares, reconShares
 }
 
-// ReprojectionStandalone reprojects 2560×1440 frames (§III-D: VR Museum of
+// reprojectionStandalone reprojects 2560×1440 frames (§III-D: VR Museum of
 // Fine Art frames) and returns the Table VII task breakdown.
-func ReprojectionStandalone() []TaskShare {
+func reprojectionStandalone() []TaskShare {
 	st := reprojection.Stats{
 		StateOps:     3,
 		Pixels:       2560 * 1440,
@@ -123,8 +123,8 @@ func ReprojectionStandalone() []TaskShare {
 	return shares(c.Tasks, []string{"FBO", "OpenGL State Update", "Reprojection"})
 }
 
-// HologramStandalone generates a hologram and returns the task breakdown.
-func HologramStandalone() ([]TaskShare, hologram.Result) {
+// hologramStandalone generates a hologram and returns the task breakdown.
+func hologramStandalone() ([]TaskShare, hologram.Result) {
 	p := hologram.DefaultParams()
 	p.Width, p.Height = 128, 128
 	p.Iterations = 8
@@ -134,18 +134,18 @@ func HologramStandalone() ([]TaskShare, hologram.Result) {
 	return shares(c.Tasks, []string{"Hologram-to-depth", "Sum", "Depth-to-hologram"}), res
 }
 
-// AudioStandalone returns the encoding and playback task breakdowns
+// audioStandalone returns the encoding and playback task breakdowns
 // (48 kHz clips, §III-D).
-func AudioStandalone() (enc, play []TaskShare) {
+func audioStandalone() (enc, play []TaskShare) {
 	encC := perfmodel.AudioEncodeCost(2)
 	playC := perfmodel.AudioPlaybackCost(12)
 	return shares(encC.Tasks, []string{"Normalization", "Encoding", "Summation"}),
 		shares(playC.Tasks, []string{"Psychoacoustic filter", "Rotation", "Zoom", "Binauralization"})
 }
 
-// EyeTrackingStandalone runs the CNN on OpenEDS-style images and reports
+// eyeTrackingStandalone runs the CNN on OpenEDS-style images and reports
 // the memory-traffic character the paper highlights.
-func EyeTrackingStandalone(w io.Writer) eyetrack.Stats {
+func eyeTrackingStandalone(w io.Writer) eyetrack.Stats {
 	tr := eyetrack.NewTracker()
 	img := eyetrack.SynthEyeImage(320, 240, 0.1, -0.05, 0.02, 3)
 	resL := tr.Track(img.Img)
@@ -164,21 +164,21 @@ func EyeTrackingStandalone(w io.Writer) eyetrack.Stats {
 
 // Table7 renders the visual and audio pipeline task breakdowns.
 func Table7(w io.Writer) {
-	renderShares(w, "Table VII (Reprojection): task breakdown, 2560x1440 frames", ReprojectionStandalone())
-	holo, res := HologramStandalone()
+	renderShares(w, "Table VII (Reprojection): task breakdown, 2560x1440 frames", reprojectionStandalone())
+	holo, res := hologramStandalone()
 	renderShares(w, "Table VII (Hologram): task breakdown (weighted Gerchberg-Saxton)", holo)
 	fmt.Fprintf(w, "Hologram uniformity: %.2f  efficiency: %.2f\n\n", res.Uniformity, res.Efficiency)
-	enc, play := AudioStandalone()
+	enc, play := audioStandalone()
 	renderShares(w, "Table VII (Audio Encoding): task breakdown", enc)
 	renderShares(w, "Table VII (Audio Playback): task breakdown", play)
-	EyeTrackingStandalone(w)
+	eyeTrackingStandalone(w)
 }
 
 // AblationVIO reproduces the §V-E accuracy/performance trade-off: two VIO
 // parameter sets, trajectory error vs per-frame execution time.
 func AblationVIO(w io.Writer, duration float64) (ateFull, ateFast, costRatio float64) {
-	_, fullSeries, fullATE := VIOStandalone(duration, vio.DefaultParams())
-	_, fastSeries, fastATE := VIOStandalone(duration, vio.FastParams())
+	_, fullSeries, fullATE := vioStandalone(duration, vio.DefaultParams())
+	_, fastSeries, fastATE := vioStandalone(duration, vio.FastParams())
 	fullMean := mathx.Mean(fullSeries)
 	fastMean := mathx.Mean(fastSeries)
 	ratio := fullMean / fastMean

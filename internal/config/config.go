@@ -107,8 +107,6 @@ func Requirements() []Requirement {
 const (
 	TargetMTPVRMs = 20.0
 	TargetMTPARMs = 5.0
-	// IdealPowerVRW and IdealPowerARW are the power goals of Table I.
-	IdealPowerVRW = 1.5
 	IdealPowerARW = 0.15
 )
 

@@ -128,8 +128,8 @@ type RunResult struct {
 	Faults *FaultReport
 }
 
-// MTPTotals extracts the total MTP milliseconds per sample.
-func (r *RunResult) MTPTotals() []float64 {
+// mtpTotals extracts the total MTP milliseconds per sample.
+func (r *RunResult) mtpTotals() []float64 {
 	out := make([]float64, len(r.MTP))
 	for i, m := range r.MTP {
 		out[i] = m.Total()
@@ -139,5 +139,5 @@ func (r *RunResult) MTPTotals() []float64 {
 
 // MTPSummary summarizes Table IV's cell for this run.
 func (r *RunResult) MTPSummary() telemetry.Summary {
-	return telemetry.Summarize(r.MTPTotals())
+	return telemetry.Summarize(r.mtpTotals())
 }

@@ -160,24 +160,4 @@ func (p *VIOPlugin) Stop() error {
 	return nil
 }
 
-// Estimates returns a copy of the published estimates so far.
-func (p *VIOPlugin) Estimates() []vio.Estimate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]vio.Estimate, len(p.estimates))
-	copy(out, p.estimates)
-	return out
-}
-
 var _ runtime.Plugin = (*VIOPlugin)(nil)
-
-// RegisterVIO adds the two interchangeable VIO configurations to a
-// registry under the "slow_pose" role.
-func RegisterVIO(reg *runtime.Registry, ds *sensors.Dataset) {
-	_ = reg.Register("slow_pose", "openvins", func() runtime.Plugin {
-		return &VIOPlugin{Params: vio.DefaultParams(), Dataset: ds}
-	})
-	_ = reg.Register("slow_pose", "fast", func() runtime.Plugin {
-		return &VIOPlugin{Params: vio.FastParams(), Dataset: ds}
-	})
-}

@@ -68,13 +68,13 @@ type Server struct {
 	QoS QoSSource
 }
 
-// ShutdownGrace bounds how long Serve's stop function waits for in-flight
+// shutdownGrace bounds how long Serve's stop function waits for in-flight
 // handlers before forcing connections closed.
-const ShutdownGrace = 5 * time.Second
+const shutdownGrace = 5 * time.Second
 
-// Handler returns the route table: /metrics, /health, /spans, /sessions,
+// handler returns the route table: /metrics, /health, /spans, /sessions,
 // /fleet, /events, /slo, /debug/pprof/*, and an index at /.
-func (s *Server) Handler() http.Handler {
+func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.index)
 	mux.HandleFunc("/metrics", s.metrics)
@@ -97,16 +97,16 @@ func (s *Server) Handler() http.Handler {
 // address (useful with ":0") and a stop function. The stop function shuts
 // down gracefully: it stops accepting, lets in-flight handlers finish (a
 // response mid-write — a long /spans export, a pprof profile — is not cut
-// off), and only force-closes connections still open after ShutdownGrace.
+// off), and only force-closes connections still open after shutdownGrace.
 func (s *Server) Serve(addr string) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.handler()}
 	go func() { _ = srv.Serve(ln) }()
 	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), ShutdownGrace)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			_ = srv.Close() // grace expired: cut the stragglers

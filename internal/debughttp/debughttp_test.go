@@ -29,10 +29,10 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	root := spans.Emit("imu", 0, 0, 0.001)
 	spans.Emit("integrator", root.Trace, 0.001, 0.002, root.Span)
 	board := runtime.NewHealthBoard()
-	board.Set("vio.msckf", runtime.Degraded)
+	board.Set("vio.msckf", runtime.Restarting)
 	board.IncrementRestart("vio.msckf")
 	s := &Server{Metrics: reg, Spans: spans, Health: board}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
@@ -73,7 +73,7 @@ func TestHealthEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("health is not JSON: %v", err)
 	}
-	if doc.Plugins["vio.msckf"] != "degraded" || doc.Worst != "degraded" {
+	if doc.Plugins["vio.msckf"] != "restarting" || doc.Worst != "restarting" {
 		t.Errorf("health doc = %+v", doc)
 	}
 	if doc.Restarts["vio.msckf"] != 1 {
@@ -108,7 +108,7 @@ func TestPprofIndexServed(t *testing.T) {
 
 func TestMissingSourcesReturn404(t *testing.T) {
 	s := &Server{}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	for _, path := range []string{"/metrics", "/health", "/spans"} {
 		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
@@ -140,7 +140,7 @@ func TestSessionsEndpoint(t *testing.T) {
 		{ID: 1, Remote: "10.0.0.2:4000", App: "sponza", UptimeSec: 12.5, QueueDepth: 3, Sent: 100, Dropped: 7, Received: 5000},
 		{ID: 2, Remote: "10.0.0.3:4001", App: "ar_demo", UptimeSec: 1.25},
 	}}}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
 	code, body := get(t, ts.URL+"/sessions")
@@ -158,7 +158,7 @@ func TestSessionsEndpoint(t *testing.T) {
 
 func TestSessionsEndpointEmptyIsArray(t *testing.T) {
 	s := &Server{Sessions: fakeLister{}}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/sessions")
 	if code != http.StatusOK {
@@ -171,7 +171,7 @@ func TestSessionsEndpointEmptyIsArray(t *testing.T) {
 
 func TestSessionsMissingSourceReturns404(t *testing.T) {
 	s := &Server{}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/sessions")
 	if code != http.StatusNotFound {
@@ -193,7 +193,7 @@ func TestStopWaitsForInFlightHandlers(t *testing.T) {
 
 	handlerEntered := make(chan struct{})
 	releaseHandler := make(chan struct{})
-	base := s.Handler()
+	base := s.handler()
 	wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		close(handlerEntered)
 		<-releaseHandler
@@ -207,7 +207,7 @@ func TestStopWaitsForInFlightHandlers(t *testing.T) {
 	srv := &http.Server{Handler: wrapped}
 	go func() { _ = srv.Serve(ln) }()
 	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), ShutdownGrace)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			_ = srv.Close()
@@ -421,7 +421,7 @@ func TestSpansRawFormatAndStitchedPeers(t *testing.T) {
 
 func TestFleetEndpoint(t *testing.T) {
 	s := &Server{Fleet: fakeFleet{doc: map[string]int{"up": 3}}}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/fleet")
 	if code != http.StatusOK {
@@ -440,7 +440,7 @@ func TestEventsEndpoint(t *testing.T) {
 	fr := telemetry.NewFlightRecorder(8)
 	fr.RecordAt(1.5, telemetry.EventAdmit, "replica-0", "session 1")
 	s := &Server{Events: fr}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/events")
 	if code != http.StatusOK {
@@ -469,7 +469,7 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 	eng.Observe("mtp_p99", 1.0, 50)
 	s := &Server{SLO: eng}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/slo")
 	if code != http.StatusOK {
@@ -489,7 +489,7 @@ func TestSLOEndpoint(t *testing.T) {
 
 func TestNewEndpointsMissingSourcesReturn404(t *testing.T) {
 	s := &Server{}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	for _, path := range []string{"/fleet", "/events", "/slo"} {
 		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {

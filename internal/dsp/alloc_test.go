@@ -15,8 +15,8 @@ func TestZeroAllocFFT(t *testing.T) {
 		x[i] = complex(float64(i%13)/13, 0)
 	}
 	testutil.MustZeroAllocs(t, "FFT+IFFT", func() {
-		FFT(x)
-		IFFT(x)
+		fft(x)
+		ifft(x)
 	})
 }
 

@@ -1,57 +1,5 @@
 package dsp
 
-import "illixr/internal/recycle"
-
-// ConvolveDirect computes the full linear convolution of x and h by the
-// direct O(N·M) method. Used as the reference implementation and for very
-// short kernels.
-func ConvolveDirect(x, h []float64) []float64 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	out := make([]float64, len(x)+len(h)-1)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		for j, hv := range h {
-			out[i+j] += xv * hv
-		}
-	}
-	return out
-}
-
-// ConvolveFFT computes the full linear convolution of x and h with a single
-// zero-padded FFT (frequency-domain multiplication).
-func ConvolveFFT(x, h []float64) []float64 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	outLen := len(x) + len(h) - 1
-	n := NextPowerOfTwo(outLen)
-	xs := recycle.C128.Get(n)
-	hs := recycle.C128.Get(n)
-	for i, v := range x {
-		xs[i] = complex(v, 0)
-	}
-	for i, v := range h {
-		hs[i] = complex(v, 0)
-	}
-	FFT(xs)
-	FFT(hs)
-	for i := range xs {
-		xs[i] *= hs[i]
-	}
-	IFFT(xs)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(xs[i])
-	}
-	recycle.C128.Put(xs)
-	recycle.C128.Put(hs)
-	return out
-}
-
 // OverlapAdd is a streaming FFT convolver: it convolves a long signal,
 // presented block by block, with a fixed FIR kernel. This is the structure
 // the audio playback component uses for HRTF binauralization and the
@@ -73,12 +21,12 @@ type OverlapAdd struct {
 // NewOverlapAdd creates a convolver for the given FIR kernel and input
 // block size.
 func NewOverlapAdd(kernel []float64, blockSize int) *OverlapAdd {
-	fftSize := NextPowerOfTwo(blockSize + len(kernel) - 1)
+	fftSize := nextPowerOfTwo(blockSize + len(kernel) - 1)
 	spec := make([]complex128, fftSize)
 	for i, v := range kernel {
 		spec[i] = complex(v, 0)
 	}
-	FFT(spec)
+	fft(spec)
 	return &OverlapAdd{
 		kernelSpec: spec,
 		blockSize:  blockSize,
@@ -89,9 +37,6 @@ func NewOverlapAdd(kernel []float64, blockSize int) *OverlapAdd {
 		tailNext:   make([]float64, fftSize-blockSize),
 	}
 }
-
-// BlockSize returns the expected input block length.
-func (o *OverlapAdd) BlockSize() int { return o.blockSize }
 
 // Process convolves one block (len must equal BlockSize) and returns one
 // output block of the same length. Convolution tails are carried into
@@ -132,7 +77,7 @@ func (o *OverlapAdd) transform(block []float64) {
 			o.buf[i] = 0
 		}
 	}
-	FFT(o.buf)
+	fft(o.buf)
 }
 
 // finish multiplies the scratch spectrum by the kernel's, transforms back,
@@ -141,7 +86,7 @@ func (o *OverlapAdd) finish() []float64 {
 	for i := range o.buf {
 		o.buf[i] *= o.kernelSpec[i]
 	}
-	IFFT(o.buf)
+	ifft(o.buf)
 	out := o.out
 	for i := 0; i < o.blockSize; i++ {
 		out[i] = real(o.buf[i])
@@ -160,11 +105,4 @@ func (o *OverlapAdd) finish() []float64 {
 	}
 	o.tail, o.tailNext = newTail, o.tail
 	return out
-}
-
-// Reset clears the carried convolution tail.
-func (o *OverlapAdd) Reset() {
-	for i := range o.tail {
-		o.tail[i] = 0
-	}
 }

@@ -6,14 +6,13 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
-// IsPowerOfTwo reports whether n is a positive power of two.
-func IsPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+// isPowerOfTwo reports whether n is a positive power of two.
+func isPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// NextPowerOfTwo returns the smallest power of two >= n (n must be > 0).
-func NextPowerOfTwo(n int) int {
+// nextPowerOfTwo returns the smallest power of two >= n (n must be > 0).
+func nextPowerOfTwo(n int) int {
 	p := 1
 	for p < n {
 		p <<= 1
@@ -21,15 +20,15 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT computes the in-place radix-2 decimation-in-time FFT of x.
+// fft computes the in-place radix-2 decimation-in-time FFT of x.
 // len(x) must be a power of two.
-func FFT(x []complex128) {
+func fft(x []complex128) {
 	fftInternal(x, false)
 }
 
-// IFFT computes the in-place inverse FFT of x (including the 1/N scaling).
+// ifft computes the in-place inverse FFT of x (including the 1/N scaling).
 // len(x) must be a power of two.
-func IFFT(x []complex128) {
+func ifft(x []complex128) {
 	fftInternal(x, true)
 	scale := complex(1/float64(len(x)), 0)
 	for i := range x {
@@ -39,7 +38,7 @@ func IFFT(x []complex128) {
 
 func fftInternal(x []complex128, inverse bool) {
 	n := len(x)
-	if !IsPowerOfTwo(n) {
+	if !isPowerOfTwo(n) {
 		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
 	}
 	// The bit-reversal pairs and twiddle factors depend only on n, so they
@@ -63,52 +62,6 @@ func fftInternal(x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// FFTReal computes the FFT of a real signal, returning the full complex
-// spectrum. len(x) must be a power of two.
-func FFTReal(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	FFT(out)
-	return out
-}
-
-// IFFTReal computes the inverse FFT and returns the real part of the
-// result (the caller asserts the spectrum is conjugate-symmetric).
-func IFFTReal(spec []complex128) []float64 {
-	buf := make([]complex128, len(spec))
-	copy(buf, spec)
-	IFFT(buf)
-	out := make([]float64, len(buf))
-	for i, v := range buf {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// Magnitude returns |spec[i]| for each bin.
-func Magnitude(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, v := range spec {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
 }
 
 // Hamming returns an n-point Hamming window.

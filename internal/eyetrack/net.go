@@ -9,9 +9,6 @@
 package eyetrack
 
 import (
-	"math"
-	"math/rand"
-
 	"illixr/internal/imgproc"
 )
 
@@ -21,20 +18,20 @@ type Tensor struct {
 	Data    []float32
 }
 
-// NewTensor allocates a zeroed tensor.
-func NewTensor(c, h, w int) *Tensor {
+// newTensor allocates a zeroed tensor.
+func newTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
-// At returns element (c, y, x).
-func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
+// at returns element (c, y, x).
+func (t *Tensor) at(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
 
-// Set stores v at (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
+// set stores v at (c, y, x).
+func (t *Tensor) set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
 
-// FromGray wraps a grayscale image as a 1-channel tensor.
-func FromGray(g *imgproc.Gray) *Tensor {
-	t := NewTensor(1, g.H, g.W)
+// fromGray wraps a grayscale image as a 1-channel tensor.
+func fromGray(g *imgproc.Gray) *Tensor {
+	t := newTensor(1, g.H, g.W)
 	copy(t.Data, g.Pix)
 	return t
 }
@@ -55,8 +52,8 @@ type Stats struct {
 	WeightBytes     int
 }
 
-// Conv2D is a 2-D convolution with 'same' padding and stride 1.
-type Conv2D struct {
+// conv2D is a 2-D convolution with 'same' padding and stride 1.
+type conv2D struct {
 	InC, OutC, K int
 	// W[o][i][ky][kx] flattened; B per output channel.
 	W []float32
@@ -65,9 +62,9 @@ type Conv2D struct {
 	ReLU bool
 }
 
-// NewConv2D allocates a zero-weight convolution.
-func NewConv2D(inC, outC, k int, relu bool) *Conv2D {
-	return &Conv2D{
+// newConv2D allocates a zero-weight convolution.
+func newConv2D(inC, outC, k int, relu bool) *conv2D {
+	return &conv2D{
 		InC: inC, OutC: outC, K: k,
 		W:    make([]float32, outC*inC*k*k),
 		B:    make([]float32, outC),
@@ -75,20 +72,20 @@ func NewConv2D(inC, outC, k int, relu bool) *Conv2D {
 	}
 }
 
-// SetW stores a kernel weight.
-func (c *Conv2D) SetW(o, i, ky, kx int, v float32) {
+// setW stores a kernel weight.
+func (c *conv2D) setW(o, i, ky, kx int, v float32) {
 	c.W[((o*c.InC+i)*c.K+ky)*c.K+kx] = v
 }
 
 // WeightCount implements Layer.
-func (c *Conv2D) WeightCount() int { return len(c.W) + len(c.B) }
+func (c *conv2D) WeightCount() int { return len(c.W) + len(c.B) }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(in *Tensor, stats *Stats) *Tensor {
+func (c *conv2D) Forward(in *Tensor, stats *Stats) *Tensor {
 	if in.C != c.InC {
 		panic("eyetrack: conv channel mismatch")
 	}
-	out := NewTensor(c.OutC, in.H, in.W)
+	out := newTensor(c.OutC, in.H, in.W)
 	pad := c.K / 2
 	for o := 0; o < c.OutC; o++ {
 		bias := c.B[o]
@@ -108,7 +105,7 @@ func (c *Conv2D) Forward(in *Tensor, stats *Stats) *Tensor {
 							}
 							w := c.W[((o*c.InC+i)*c.K+ky)*c.K+kx]
 							if w != 0 {
-								acc += w * in.At(i, sy, sx)
+								acc += w * in.at(i, sy, sx)
 							}
 						}
 					}
@@ -116,7 +113,7 @@ func (c *Conv2D) Forward(in *Tensor, stats *Stats) *Tensor {
 				if c.ReLU && acc < 0 {
 					acc = 0
 				}
-				out.Set(o, y, x, acc)
+				out.set(o, y, x, acc)
 			}
 		}
 	}
@@ -126,30 +123,30 @@ func (c *Conv2D) Forward(in *Tensor, stats *Stats) *Tensor {
 	return out
 }
 
-// MaxPool2 halves spatial resolution with 2×2 max pooling.
-type MaxPool2 struct{}
+// maxPool2 halves spatial resolution with 2×2 max pooling.
+type maxPool2 struct{}
 
 // WeightCount implements Layer.
-func (MaxPool2) WeightCount() int { return 0 }
+func (maxPool2) WeightCount() int { return 0 }
 
 // Forward implements Layer.
-func (MaxPool2) Forward(in *Tensor, stats *Stats) *Tensor {
+func (maxPool2) Forward(in *Tensor, stats *Stats) *Tensor {
 	h2, w2 := in.H/2, in.W/2
-	out := NewTensor(in.C, h2, w2)
+	out := newTensor(in.C, h2, w2)
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < h2; y++ {
 			for x := 0; x < w2; x++ {
-				m := in.At(c, 2*y, 2*x)
-				if v := in.At(c, 2*y, 2*x+1); v > m {
+				m := in.at(c, 2*y, 2*x)
+				if v := in.at(c, 2*y, 2*x+1); v > m {
 					m = v
 				}
-				if v := in.At(c, 2*y+1, 2*x); v > m {
+				if v := in.at(c, 2*y+1, 2*x); v > m {
 					m = v
 				}
-				if v := in.At(c, 2*y+1, 2*x+1); v > m {
+				if v := in.at(c, 2*y+1, 2*x+1); v > m {
 					m = v
 				}
-				out.Set(c, y, x, m)
+				out.set(c, y, x, m)
 			}
 		}
 	}
@@ -157,19 +154,19 @@ func (MaxPool2) Forward(in *Tensor, stats *Stats) *Tensor {
 	return out
 }
 
-// Upsample2 doubles spatial resolution by nearest-neighbor replication.
-type Upsample2 struct{}
+// upsample2 doubles spatial resolution by nearest-neighbor replication.
+type upsample2 struct{}
 
 // WeightCount implements Layer.
-func (Upsample2) WeightCount() int { return 0 }
+func (upsample2) WeightCount() int { return 0 }
 
 // Forward implements Layer.
-func (Upsample2) Forward(in *Tensor, stats *Stats) *Tensor {
-	out := NewTensor(in.C, in.H*2, in.W*2)
+func (upsample2) Forward(in *Tensor, stats *Stats) *Tensor {
+	out := newTensor(in.C, in.H*2, in.W*2)
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < out.H; y++ {
 			for x := 0; x < out.W; x++ {
-				out.Set(c, y, x, in.At(c, y/2, x/2))
+				out.set(c, y, x, in.at(c, y/2, x/2))
 			}
 		}
 	}
@@ -182,46 +179,12 @@ type Net struct {
 	Layers []Layer
 }
 
-// Forward runs the network and returns the final feature map plus stats.
-func (n *Net) Forward(in *Tensor) (*Tensor, Stats) {
+// forward runs the network and returns the final feature map plus stats.
+func (n *Net) forward(in *Tensor) (*Tensor, Stats) {
 	var stats Stats
 	cur := in
 	for _, l := range n.Layers {
 		cur = l.Forward(cur, &stats)
 	}
 	return cur, stats
-}
-
-// WeightCount sums all layer parameters.
-func (n *Net) WeightCount() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += l.WeightCount()
-	}
-	return total
-}
-
-// NewRandomNet builds a RITnet-scale encoder-decoder with seeded random
-// weights, used by benchmarks to reproduce the compute/memory shape of the
-// real model (weights ≪ activations).
-func NewRandomNet(seed int64, width int) *Net {
-	rng := rand.New(rand.NewSource(seed))
-	randomize := func(c *Conv2D) *Conv2D {
-		scale := float32(math.Sqrt(2 / float64(c.InC*c.K*c.K)))
-		for i := range c.W {
-			c.W[i] = float32(rng.NormFloat64()) * scale
-		}
-		return c
-	}
-	return &Net{Layers: []Layer{
-		randomize(NewConv2D(1, width, 3, true)),
-		MaxPool2{},
-		randomize(NewConv2D(width, 2*width, 3, true)),
-		MaxPool2{},
-		randomize(NewConv2D(2*width, 2*width, 3, true)),
-		Upsample2{},
-		randomize(NewConv2D(2*width, width, 3, true)),
-		Upsample2{},
-		randomize(NewConv2D(width, 4, 1, false)),
-	}}
 }

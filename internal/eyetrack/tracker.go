@@ -9,10 +9,10 @@ import (
 
 // Segmentation classes.
 const (
-	ClassBackground = 0 // skin / eyelid
-	ClassSclera     = 1
-	ClassIris       = 2
-	ClassPupil      = 3
+	classBackground = 0 // skin / eyelid
+	classSclera     = 1
+	classIris       = 2
+	classPupil      = 3
 )
 
 // Nominal per-class intensities of the synthetic eye images.
@@ -54,16 +54,16 @@ func SynthEyeImage(w, h int, gazeX, gazeY, noise float64, seed int64) *EyeImage 
 			switch {
 			case fy < lid || fy > float64(h)-lid:
 				v = intensitySkin
-				cls = ClassBackground
+				cls = classBackground
 			case d < pupilR:
 				v = intensityPupil
-				cls = ClassPupil
+				cls = classPupil
 			case d < irisR:
 				v = intensityIris
-				cls = ClassIris
+				cls = classIris
 			default:
 				v = intensitySclera
-				cls = ClassSclera
+				cls = classSclera
 			}
 			if noise > 0 {
 				v += rng.NormFloat64() * noise
@@ -75,49 +75,49 @@ func SynthEyeImage(w, h int, gazeX, gazeY, noise float64, seed int64) *EyeImage 
 	return &EyeImage{Img: img, GazeX: cx, GazeY: cy, Truth: truth}
 }
 
-// BuildSegNet constructs the analytic segmentation network: a smoothing
+// buildSegNet constructs the analytic segmentation network: a smoothing
 // encoder producing threshold features g(t) = relu(s − t), a pooled stage
 // (the encoder bottleneck), a decoder upsample, and a 1×1 classification
 // head whose linear combinations implement intensity binning into the four
 // classes.
-func BuildSegNet() *Net {
+func buildSegNet() *Net {
 	// conv1: 1→4 channels, 3×3 box smoothing with biases (0, −0.3, −0.6,
 	// −0.85) + ReLU ⇒ channels carry s, g(.3), g(.6), g(.85).
-	conv1 := NewConv2D(1, 4, 3, true)
+	conv1 := newConv2D(1, 4, 3, true)
 	thresh := []float32{0, -0.3, -0.6, -0.85}
 	for o := 0; o < 4; o++ {
 		for ky := 0; ky < 3; ky++ {
 			for kx := 0; kx < 3; kx++ {
-				conv1.SetW(o, 0, ky, kx, 1.0/9.0)
+				conv1.setW(o, 0, ky, kx, 1.0/9.0)
 			}
 		}
 		conv1.B[o] = thresh[o]
 	}
 	// conv2: 4→8 identity pass-through in the pooled domain (extra
 	// capacity channels are zero), ReLU.
-	conv2 := NewConv2D(4, 8, 3, true)
+	conv2 := newConv2D(4, 8, 3, true)
 	for o := 0; o < 4; o++ {
-		conv2.SetW(o, o, 1, 1, 1)
+		conv2.setW(o, o, 1, 1, 1)
 	}
 	// head: 1×1 conv 8→4 class scores via intensity binning.
-	head := NewConv2D(8, 4, 1, false)
+	head := newConv2D(8, 4, 1, false)
 	// scores: background(skin), sclera, iris, pupil
 	// pupil  = 1 − 30·g(.3)
-	head.B[ClassPupil] = 1
-	head.SetW(ClassPupil, 1, 0, 0, -30)
+	head.B[classPupil] = 1
+	head.setW(classPupil, 1, 0, 0, -30)
 	// iris   = 30·g(.3) − 60·g(.6)
-	head.SetW(ClassIris, 1, 0, 0, 30)
-	head.SetW(ClassIris, 2, 0, 0, -60)
+	head.setW(classIris, 1, 0, 0, 30)
+	head.setW(classIris, 2, 0, 0, -60)
 	// skin   = 32·g(.6) − 64·g(.85)
-	head.SetW(ClassBackground, 2, 0, 0, 32)
-	head.SetW(ClassBackground, 3, 0, 0, -64)
+	head.setW(classBackground, 2, 0, 0, 32)
+	head.setW(classBackground, 3, 0, 0, -64)
 	// sclera = 160·g(.85)
-	head.SetW(ClassSclera, 3, 0, 0, 160)
+	head.setW(classSclera, 3, 0, 0, 160)
 	return &Net{Layers: []Layer{
 		conv1,
-		MaxPool2{},
+		maxPool2{},
 		conv2,
-		Upsample2{},
+		upsample2{},
 		head,
 	}}
 }
@@ -139,24 +139,24 @@ type Tracker struct {
 }
 
 // NewTracker builds the default analytic tracker.
-func NewTracker() *Tracker { return &Tracker{Net: BuildSegNet()} }
+func NewTracker() *Tracker { return &Tracker{Net: buildSegNet()} }
 
 // Track segments one eye image and extracts the gaze point.
 func (t *Tracker) Track(img *imgproc.Gray) Result {
-	scores, stats := t.Net.Forward(FromGray(img))
+	scores, stats := t.Net.forward(fromGray(img))
 	res := Result{Classes: make([]uint8, img.W*img.H), Stats: stats}
 	var sumX, sumY, n float64
 	for y := 0; y < img.H && y < scores.H; y++ {
 		for x := 0; x < img.W && x < scores.W; x++ {
 			best := 0
-			bestV := scores.At(0, y, x)
+			bestV := scores.at(0, y, x)
 			for c := 1; c < scores.C; c++ {
-				if v := scores.At(c, y, x); v > bestV {
+				if v := scores.at(c, y, x); v > bestV {
 					best, bestV = c, v
 				}
 			}
 			res.Classes[y*img.W+x] = uint8(best)
-			if best == ClassPupil {
+			if best == classPupil {
 				sumX += float64(x)
 				sumY += float64(y)
 				n++
@@ -174,24 +174,4 @@ func (t *Tracker) Track(img *imgproc.Gray) Result {
 // TrackBoth runs inference for both eyes (batch size 2, as in the paper).
 func (t *Tracker) TrackBoth(left, right *imgproc.Gray) (Result, Result) {
 	return t.Track(left), t.Track(right)
-}
-
-// IoU computes the intersection-over-union of the predicted segmentation
-// against ground truth for one class.
-func IoU(pred, truth []uint8, class uint8) float64 {
-	inter, union := 0, 0
-	for i := range pred {
-		p := pred[i] == class
-		q := truth[i] == class
-		if p && q {
-			inter++
-		}
-		if p || q {
-			union++
-		}
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }

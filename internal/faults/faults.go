@@ -36,7 +36,7 @@ const (
 	VIOStall    Kind = "vio_stall"
 	PluginPanic Kind = "plugin_panic"
 	CostSpike   Kind = "cost_spike"
-	LinkDrop    Kind = "link_drop"
+	linkDrop    Kind = "link_drop"
 )
 
 // Window is one scheduled fault: Kind strikes Component during
@@ -218,7 +218,7 @@ func Generate(cfg Config) *Schedule {
 		if len(cfg.LinkComponents) > 0 {
 			comp = cfg.LinkComponents[i%len(cfg.LinkComponents)]
 		}
-		place(LinkDrop, comp, cfg.LinkDropMeanSec, 0)
+		place(linkDrop, comp, cfg.LinkDropMeanSec, 0)
 	}
 	for i := 0; i < cfg.PluginPanics; i++ {
 		plugin := ""

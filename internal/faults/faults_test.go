@@ -152,7 +152,7 @@ func TestFlakyLinkScenarioGeneratesLinkDrops(t *testing.T) {
 	}
 	comps := map[string]bool{}
 	for _, w := range s.Windows {
-		if w.Kind != LinkDrop {
+		if w.Kind != linkDrop {
 			t.Fatalf("kind = %v, want LinkDrop", w.Kind)
 		}
 		if w.End <= w.Start {

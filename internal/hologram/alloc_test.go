@@ -3,7 +3,6 @@ package hologram
 import (
 	"testing"
 
-	"illixr/internal/imgproc"
 	"illixr/internal/testutil"
 )
 
@@ -18,22 +17,5 @@ func TestZeroAllocGSW(t *testing.T) {
 	testutil.MustZeroAllocs(t, "GeneratePool", func() {
 		r := GeneratePool(nil, p, spots)
 		ReleaseResult(&r)
-	})
-}
-
-// TestZeroAllocFresnel pins the Fresnel propagation path at zero
-// steady-state allocations: the transfer function comes from the
-// params-keyed cache and every field/spectrum buffer is recycled.
-func TestZeroAllocFresnel(t *testing.T) {
-	p := DefaultFresnelParams()
-	p.Width, p.Height = 64, 64
-	p.Iterations = 3
-	target := imgproc.NewGray(64, 64)
-	for i := range target.Pix {
-		target.Pix[i] = float32(i%17) / 17
-	}
-	testutil.MustZeroAllocs(t, "GenerateFresnel", func() {
-		r := GenerateFresnel(p, target, 0.15)
-		ReleaseFresnelResult(&r)
 	})
 }

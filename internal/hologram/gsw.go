@@ -60,9 +60,8 @@ type Stats struct {
 	Iterations   int
 }
 
-// Result is the generated hologram. Phase and SpotAmplitude are recycled
-// buffers: release them with ReleaseResult when the hologram is no longer
-// needed (optional — an unreleased Result is simply garbage-collected).
+// Result is the generated hologram. Phase and SpotAmplitude come from the
+// recycle pools; a Result nobody puts back is simply garbage-collected.
 type Result struct {
 	Phase []float64 // per-pixel SLM phase in [-π, π]
 	// SpotAmplitude is |V_m| for each target after the final iteration.
@@ -72,14 +71,6 @@ type Result struct {
 	// Efficiency = Σ|V_m|² (relative diffraction efficiency).
 	Efficiency float64
 	Stats      Stats
-}
-
-// ReleaseResult returns the hologram's buffers to the shared pools. The
-// Result must not be used afterwards (DESIGN.md §10).
-func ReleaseResult(r *Result) {
-	recycle.F64.Put(r.Phase)
-	recycle.F64.Put(r.SpotAmplitude)
-	r.Phase, r.SpotAmplitude = nil, nil
 }
 
 // deltaPhase computes Δ_mj: the phase a pixel j contributes toward spot m

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"illixr/internal/recycle"
 )
 
 func smallParams(iters int) Params {
@@ -144,4 +146,12 @@ func TestGenerateGivesWorkersBack(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("8 Generate calls at Workers=4 left %d goroutines over a baseline of %d", got, base)
 	}
+}
+
+// ReleaseResult returns the hologram's buffers to the shared pools. The
+// Result must not be used afterwards (DESIGN.md §10).
+func ReleaseResult(r *Result) {
+	recycle.F64.Put(r.Phase)
+	recycle.F64.Put(r.SpotAmplitude)
+	r.Phase, r.SpotAmplitude = nil, nil
 }

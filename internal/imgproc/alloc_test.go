@@ -34,7 +34,7 @@ func TestZeroAllocKernels(t *testing.T) {
 	})
 	t.Run("Downsample2", func(t *testing.T) {
 		testutil.MustZeroAllocs(t, "Downsample2Pool", func() {
-			PutGray(Downsample2Pool(nil, g))
+			PutGray(downsample2Pool(nil, g))
 		})
 	})
 	t.Run("Pyramid", func(t *testing.T) {

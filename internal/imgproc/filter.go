@@ -15,8 +15,7 @@ import (
 const filterTileRows = 16
 
 // gaussianKernels caches normalized kernel weights by sigma. The cached
-// slices are shared and read-only; GaussianKernel hands out copies, the
-// blur paths use them in place.
+// slices are shared and read-only; the blur paths use them in place.
 var (
 	gaussianKernelMu sync.RWMutex
 	gaussianKernels  = map[float64][]float64{}
@@ -55,16 +54,6 @@ func computeGaussianKernel(sigma float64) []float64 {
 		k[i] /= sum
 	}
 	return k
-}
-
-// GaussianKernel returns a normalized 1-D Gaussian kernel with the given
-// standard deviation, with radius ceil(3σ). The weights come from the
-// sigma-keyed cache; the returned slice is the caller's to mutate.
-func GaussianKernel(sigma float64) []float64 {
-	k := gaussianKernelCached(sigma)
-	out := make([]float64, len(k))
-	copy(out, k)
-	return out
 }
 
 // gaussCtx carries one blur invocation's state so the tile closures can be
@@ -106,14 +95,9 @@ var gaussCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// GaussianBlur applies a separable Gaussian blur and returns a new image.
-func GaussianBlur(g *Gray, sigma float64) *Gray {
-	return GaussianBlurPool(nil, g, sigma)
-}
-
-// GaussianBlurPool is GaussianBlur with the convolution scanlines tiled
-// over a worker pool (nil pool = serial; output is bitwise identical for
-// every worker count). The returned image is pooled — the caller owns it
+// GaussianBlurPool applies a separable Gaussian blur, the convolution
+// scanlines tiled over a worker pool (nil pool = serial; output is bitwise
+// identical for every worker count). The returned image is pooled — the caller owns it
 // and may PutGray it when done.
 func GaussianBlurPool(p *parallel.Pool, g *Gray, sigma float64) *Gray {
 	k := gaussianKernelCached(sigma)
@@ -126,37 +110,6 @@ func GaussianBlurPool(p *parallel.Pool, g *Gray, sigma float64) *Gray {
 	p.ForTiles("gaussian_v", g.H, filterTileRows, c.vFn)
 	c.src, c.tmp, c.dst, c.k = nil, nil, nil, nil
 	gaussCtxPool.Put(c)
-	PutGray(tmp)
-	return out
-}
-
-// BoxBlur applies an unnormalized-radius box filter (radius r means a
-// (2r+1)² window).
-func BoxBlur(g *Gray, r int) *Gray {
-	if r <= 0 {
-		return g.Clone()
-	}
-	tmp := GetGray(g.W, g.H)
-	out := GetGray(g.W, g.H)
-	inv := float32(1.0 / float64(2*r+1))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var s float32
-			for i := -r; i <= r; i++ {
-				s += g.At(x+i, y)
-			}
-			tmp.Pix[y*g.W+x] = s * inv
-		}
-	}
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var s float32
-			for i := -r; i <= r; i++ {
-				s += tmp.At(x, y+i)
-			}
-			out.Pix[y*g.W+x] = s * inv
-		}
-	}
 	PutGray(tmp)
 	return out
 }
@@ -189,12 +142,9 @@ var sobelCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// Sobel computes image gradients with the 3×3 Sobel operator, returning
-// the horizontal (gx) and vertical (gy) derivative images.
-func Sobel(g *Gray) (gx, gy *Gray) { return SobelPool(nil, g) }
-
-// SobelPool is Sobel with scanlines tiled over a worker pool. Both
-// returned images are pooled and owned by the caller.
+// SobelPool computes image gradients with the 3×3 Sobel operator, returning
+// the horizontal (gx) and vertical (gy) derivative images, with scanlines
+// tiled over a worker pool. Both are pooled and owned by the caller.
 func SobelPool(p *parallel.Pool, g *Gray) (gx, gy *Gray) {
 	gx = GetGray(g.W, g.H)
 	gy = GetGray(g.W, g.H)
@@ -266,12 +216,10 @@ var downCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// Downsample2 halves the image size by averaging 2×2 blocks.
-func Downsample2(g *Gray) *Gray { return Downsample2Pool(nil, g) }
-
-// Downsample2Pool is Downsample2 with scanlines tiled over a worker pool.
-// The returned image is pooled and owned by the caller.
-func Downsample2Pool(p *parallel.Pool, g *Gray) *Gray {
+// downsample2Pool halves the image size by averaging 2×2 blocks, with
+// scanlines tiled over a worker pool. The returned image is pooled and
+// owned by the caller.
+func downsample2Pool(p *parallel.Pool, g *Gray) *Gray {
 	w2 := g.W / 2
 	h2 := g.H / 2
 	if w2 < 1 {
@@ -316,7 +264,7 @@ func BuildPyramidPool(pool *parallel.Pool, g *Gray, levels int) *Pyramid {
 			break
 		}
 		blurred := GaussianBlurPool(pool, cur, 1.0)
-		cur = Downsample2Pool(pool, blurred)
+		cur = downsample2Pool(pool, blurred)
 		PutGray(blurred)
 		p.Levels = append(p.Levels, cur)
 	}

@@ -36,9 +36,9 @@ func sampleGray(gs ...*Gray) []float64 {
 
 func TestGoldenFilters(t *testing.T) {
 	g := patternGray(96, 64)
-	blur := GaussianBlur(g, 1.5)
-	gx, gy := Sobel(g)
-	down := Downsample2(g)
+	blur := GaussianBlurPool(nil, g, 1.5)
+	gx, gy := SobelPool(nil, g)
+	down := downsample2Pool(nil, g)
 	testutil.CheckGolden(t, "testdata/filters_96x64.golden", sampleGray(blur, gx, gy, down), 0)
 }
 

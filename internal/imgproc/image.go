@@ -50,16 +50,9 @@ func (g *Gray) Set(x, y int, v float32) {
 	g.Pix[y*g.W+x] = v
 }
 
-// Clone returns a deep copy.
-func (g *Gray) Clone() *Gray {
-	out := NewGray(g.W, g.H)
-	copy(out.Pix, g.Pix)
-	return out
-}
-
-// Bilinear samples the image at real-valued coordinates with bilinear
+// bilinear samples the image at real-valued coordinates with bilinear
 // interpolation and clamp-to-edge boundary handling.
-func (g *Gray) Bilinear(x, y float64) float32 {
+func (g *Gray) bilinear(x, y float64) float32 {
 	x0 := int(math.Floor(x))
 	y0 := int(math.Floor(y))
 	fx := float32(x - float64(x0))
@@ -73,9 +66,9 @@ func (g *Gray) Bilinear(x, y float64) float32 {
 	return top + (bot-top)*fy
 }
 
-// InBounds reports whether (x, y) lies inside the image with the given
+// inBounds reports whether (x, y) lies inside the image with the given
 // margin.
-func (g *Gray) InBounds(x, y float64, margin int) bool {
+func (g *Gray) inBounds(x, y float64, margin int) bool {
 	m := float64(margin)
 	return x >= m && y >= m && x < float64(g.W)-m-1 && y < float64(g.H)-m-1
 }
@@ -138,35 +131,16 @@ func (im *RGB) Clone() *RGB {
 	return out
 }
 
-// Channel extracts one channel (0=R, 1=G, 2=B) as a Gray image.
-func (im *RGB) Channel(c int) *Gray {
-	out := NewGray(im.W, im.H)
-	for i := 0; i < im.W*im.H; i++ {
-		out.Pix[i] = im.Pix[3*i+c]
-	}
-	return out
-}
-
-// SetChannel overwrites one channel from a Gray image of the same size.
-func (im *RGB) SetChannel(c int, g *Gray) {
-	if g.W != im.W || g.H != im.H {
-		panic("imgproc: SetChannel size mismatch")
-	}
-	for i := 0; i < im.W*im.H; i++ {
-		im.Pix[3*i+c] = g.Pix[i]
-	}
-}
-
 // Luminance converts to grayscale with Rec. 709 weights. The returned
 // image is pooled (caller may PutGray it when done).
 func (im *RGB) Luminance() *Gray {
 	out := GetGray(im.W, im.H)
-	im.LuminanceInto(out)
+	im.luminanceInto(out)
 	return out
 }
 
-// LuminanceInto writes the Rec. 709 luminance into dst (same size).
-func (im *RGB) LuminanceInto(dst *Gray) {
+// luminanceInto writes the Rec. 709 luminance into dst (same size).
+func (im *RGB) luminanceInto(dst *Gray) {
 	if dst.W != im.W || dst.H != im.H {
 		panic("imgproc: LuminanceInto size mismatch")
 	}
@@ -189,35 +163,4 @@ func (im *RGB) Planar() []float32 {
 		out[2*n+i] = im.Pix[3*i+2]
 	}
 	return out
-}
-
-// RGBFromPlanar rebuilds an interleaved image from planar data.
-func RGBFromPlanar(w, h int, planar []float32) *RGB {
-	if len(planar) != 3*w*h {
-		panic("imgproc: planar length mismatch")
-	}
-	out := NewRGB(w, h)
-	n := w * h
-	for i := 0; i < n; i++ {
-		out.Pix[3*i] = planar[i]
-		out.Pix[3*i+1] = planar[n+i]
-		out.Pix[3*i+2] = planar[2*n+i]
-	}
-	return out
-}
-
-// Histogram computes an n-bin histogram of pixel values assumed in [0, 1].
-func (g *Gray) Histogram(bins int) []int {
-	h := make([]int, bins)
-	for _, v := range g.Pix {
-		b := int(float64(v) * float64(bins))
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h[b]++
-	}
-	return h
 }

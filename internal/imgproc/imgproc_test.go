@@ -35,20 +35,20 @@ func TestBilinearInterpolation(t *testing.T) {
 	g.Set(1, 0, 1)
 	g.Set(0, 1, 2)
 	g.Set(1, 1, 3)
-	if v := g.Bilinear(0.5, 0.5); math.Abs(float64(v)-1.5) > 1e-6 {
+	if v := g.bilinear(0.5, 0.5); math.Abs(float64(v)-1.5) > 1e-6 {
 		t.Errorf("center = %v", v)
 	}
-	if v := g.Bilinear(0, 0); v != 0 {
+	if v := g.bilinear(0, 0); v != 0 {
 		t.Errorf("corner = %v", v)
 	}
-	if v := g.Bilinear(1, 1); v != 3 {
+	if v := g.bilinear(1, 1); v != 3 {
 		t.Errorf("corner = %v", v)
 	}
 }
 
 func TestGaussianKernelNormalized(t *testing.T) {
 	for _, sigma := range []float64{0.5, 1, 2.5} {
-		k := GaussianKernel(sigma)
+		k := computeGaussianKernel(sigma)
 		s := 0.0
 		for _, v := range k {
 			s += v
@@ -60,7 +60,7 @@ func TestGaussianKernelNormalized(t *testing.T) {
 			t.Errorf("sigma %v: even kernel", sigma)
 		}
 	}
-	if k := GaussianKernel(0); len(k) != 1 || k[0] != 1 {
+	if k := computeGaussianKernel(0); len(k) != 1 || k[0] != 1 {
 		t.Error("sigma=0 should be identity")
 	}
 }
@@ -70,7 +70,7 @@ func TestGaussianBlurPreservesConstant(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = 0.7
 	}
-	b := GaussianBlur(g, 1.5)
+	b := GaussianBlurPool(nil, g, 1.5)
 	for i, v := range b.Pix {
 		if math.Abs(float64(v)-0.7) > 1e-5 {
 			t.Fatalf("pixel %d = %v", i, v)
@@ -84,7 +84,7 @@ func TestGaussianBlurReducesVariance(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = float32(rng.Float64())
 	}
-	b := GaussianBlur(g, 1.0)
+	b := GaussianBlurPool(nil, g, 1.0)
 	variance := func(im *Gray) float64 {
 		m := im.Mean()
 		s := 0.0
@@ -107,7 +107,7 @@ func TestSobelOnRamp(t *testing.T) {
 			g.Set(x, y, float32(x)*0.1)
 		}
 	}
-	gx, gy := Sobel(g)
+	gx, gy := SobelPool(nil, g)
 	for y := 1; y < 7; y++ {
 		for x := 1; x < 7; x++ {
 			if math.Abs(float64(gx.At(x, y))-0.1) > 1e-5 {
@@ -129,7 +129,7 @@ func TestBilateralPreservesEdge(t *testing.T) {
 		}
 	}
 	bi := Bilateral(g, 2, 0.1)
-	ga := GaussianBlur(g, 2)
+	ga := GaussianBlurPool(nil, g, 2)
 	// measure edge sharpness at the transition
 	biStep := float64(bi.At(9, 8) - bi.At(6, 8))
 	gaStep := float64(ga.At(9, 8) - ga.At(6, 8))
@@ -146,7 +146,7 @@ func TestDownsample2(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = float32(i)
 	}
-	d := Downsample2(g)
+	d := downsample2Pool(nil, g)
 	if d.W != 2 || d.H != 2 {
 		t.Fatalf("size %dx%d", d.W, d.H)
 	}
@@ -252,14 +252,14 @@ func synthTexture(rng *rand.Rand, w, h int) *Gray {
 	for i := range g.Pix {
 		g.Pix[i] = float32(rng.Float64())
 	}
-	return GaussianBlur(g, 1.2)
+	return GaussianBlurPool(nil, g, 1.2)
 }
 
 func shiftImage(g *Gray, dx, dy float64) *Gray {
 	out := NewGray(g.W, g.H)
 	for y := 0; y < g.H; y++ {
 		for x := 0; x < g.W; x++ {
-			out.Set(x, y, g.Bilinear(float64(x)-dx, float64(y)-dy))
+			out.Set(x, y, g.bilinear(float64(x)-dx, float64(y)-dy))
 		}
 	}
 	return out
@@ -305,34 +305,18 @@ func TestKLTRejectsOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestRGBChannelRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	im := NewRGB(8, 6)
-	for i := range im.Pix {
-		im.Pix[i] = float32(rng.Float64())
-	}
-	for c := 0; c < 3; c++ {
-		ch := im.Channel(c)
-		clone := NewRGB(8, 6)
-		clone.SetChannel(c, ch)
-		for i := 0; i < 8*6; i++ {
-			if clone.Pix[3*i+c] != im.Pix[3*i+c] {
-				t.Fatalf("channel %d mismatch", c)
-			}
-		}
-	}
-}
-
 func TestPlanarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := NewRGB(7, 5)
 	for i := range im.Pix {
 		im.Pix[i] = float32(rng.Float64())
 	}
-	back := RGBFromPlanar(7, 5, im.Planar())
-	for i := range im.Pix {
-		if back.Pix[i] != im.Pix[i] {
-			t.Fatal("planar roundtrip mismatch")
+	planar := im.Planar()
+	for i := 0; i < 7*5; i++ {
+		for c := 0; c < 3; c++ {
+			if planar[c*7*5+i] != im.Pix[3*i+c] {
+				t.Fatalf("planar[%d] of channel %d mismatch", i, c)
+			}
 		}
 	}
 }
@@ -343,24 +327,6 @@ func TestLuminanceWeights(t *testing.T) {
 	l := im.Luminance()
 	if math.Abs(float64(l.At(0, 0))-1) > 1e-5 {
 		t.Errorf("white luminance = %v", l.At(0, 0))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	g := NewGray(2, 2)
-	g.Pix = []float32{0, 0.26, 0.51, 0.99}
-	h := g.Histogram(4)
-	want := []int{1, 1, 1, 1}
-	for i := range h {
-		if h[i] != want[i] {
-			t.Fatalf("hist = %v", h)
-		}
-	}
-	// out-of-range values clamp into end bins
-	g.Pix = []float32{-1, 2, 0.5, 0.5}
-	h = g.Histogram(2)
-	if h[0] != 1 || h[1] != 3 {
-		t.Fatalf("clamped hist = %v", h)
 	}
 }
 

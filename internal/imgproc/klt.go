@@ -90,7 +90,7 @@ func trackOne(prev, next *Pyramid, x, y float64, levels int, p KLTParams) TrackR
 // target image.
 func lkRefine(src, dst *Gray, sx, sy, tx, ty float64, p KLTParams) (outX, outY, residual float64, ok bool) {
 	r := p.WindowRadius
-	if !src.InBounds(sx, sy, r+1) {
+	if !src.inBounds(sx, sy, r+1) {
 		return 0, 0, 0, false
 	}
 	n := (2*r + 1) * (2*r + 1)
@@ -117,10 +117,10 @@ func lkRefineBuf(src, dst *Gray, sx, sy, tx, ty float64, p KLTParams, tvals []fl
 		for dx := -r; dx <= r; dx++ {
 			px := sx + float64(dx)
 			py := sy + float64(dy)
-			tvals[idx] = src.Bilinear(px, py)
+			tvals[idx] = src.bilinear(px, py)
 			// central-difference gradient on the source image
-			gx := 0.5 * float64(src.Bilinear(px+1, py)-src.Bilinear(px-1, py))
-			gy := 0.5 * float64(src.Bilinear(px, py+1)-src.Bilinear(px, py-1))
+			gx := 0.5 * float64(src.bilinear(px+1, py)-src.bilinear(px-1, py))
+			gy := 0.5 * float64(src.bilinear(px, py+1)-src.bilinear(px, py-1))
 			gxs[idx] = gx
 			gys[idx] = gy
 			a11 += gx * gx
@@ -137,14 +137,14 @@ func lkRefineBuf(src, dst *Gray, sx, sy, tx, ty float64, p KLTParams, tvals []fl
 	inv12 := -a12 / det
 	inv22 := a11 / det
 	for iter := 0; iter < p.MaxIterations; iter++ {
-		if !dst.InBounds(tx, ty, r+1) {
+		if !dst.inBounds(tx, ty, r+1) {
 			return 0, 0, 0, false
 		}
 		var b1, b2, resSum float64
 		idx = 0
 		for dy := -r; dy <= r; dy++ {
 			for dx := -r; dx <= r; dx++ {
-				diff := float64(dst.Bilinear(tx+float64(dx), ty+float64(dy)) - tvals[idx])
+				diff := float64(dst.bilinear(tx+float64(dx), ty+float64(dy)) - tvals[idx])
 				b1 += diff * gxs[idx]
 				b2 += diff * gys[idx]
 				resSum += math.Abs(diff)
@@ -160,7 +160,7 @@ func lkRefineBuf(src, dst *Gray, sx, sy, tx, ty float64, p KLTParams, tvals []fl
 			break
 		}
 	}
-	if !dst.InBounds(tx, ty, r+1) {
+	if !dst.inBounds(tx, ty, r+1) {
 		return 0, 0, 0, false
 	}
 	return tx, ty, residual, true

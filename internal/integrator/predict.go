@@ -13,7 +13,7 @@ import "illixr/internal/mathx"
 // bias-corrected gyro sample).
 func PredictPose(s State, wBody mathx.Vec3, dt float64) mathx.Pose {
 	if dt <= 0 {
-		return s.Pose()
+		return s.pose()
 	}
 	return mathx.Pose{
 		Pos: s.Pos.Add(s.Vel.Scale(dt)),

@@ -22,7 +22,7 @@ func TestPredictPoseConstantVelocity(t *testing.T) {
 		t.Errorf("predicted rot off by %v", p.Rot.AngleTo(want))
 	}
 	// zero/negative dt is the identity
-	if PredictPose(s, mathx.Vec3{}, 0) != s.Pose() {
+	if PredictPose(s, mathx.Vec3{}, 0) != s.pose() {
 		t.Error("dt=0 should return current pose")
 	}
 }

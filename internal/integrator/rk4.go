@@ -21,8 +21,8 @@ type State struct {
 	BiasA mathx.Vec3
 }
 
-// Pose returns the pose part of the state.
-func (s State) Pose() mathx.Pose { return mathx.Pose{Pos: s.Pos, Rot: s.Rot} }
+// pose returns the pose part of the state.
+func (s State) pose() mathx.Pose { return mathx.Pose{Pos: s.Pos, Rot: s.Rot} }
 
 // deriv is the continuous-time state derivative under constant IMU input.
 type deriv struct {
@@ -107,8 +107,6 @@ type Integrator struct {
 	state   State
 	lastIMU sensors.IMUSample
 	hasIMU  bool
-	// step is the integration scheme; nil means RK4Step.
-	step Stepper
 	// Steps counts integration steps performed since the last reset (used
 	// by the performance model as the work metric).
 	Steps int
@@ -117,22 +115,6 @@ type Integrator struct {
 // New creates an integrator anchored at the given state, using RK4.
 func New(anchor State) *Integrator {
 	return &Integrator{state: anchor}
-}
-
-// doStep applies the configured integration scheme.
-func (in *Integrator) doStep(prev, cur *sensors.IMUSample) {
-	if in.step != nil {
-		in.state = in.step(in.state, *prev, *cur)
-	} else {
-		rk4Step(&in.state, prev, cur)
-	}
-}
-
-// Reset re-anchors the integrator on a new VIO estimate. IMU samples
-// received after the anchor time must be replayed by the caller.
-func (in *Integrator) Reset(anchor State) {
-	in.state = anchor
-	in.hasIMU = false
 }
 
 // Feed advances the state with one IMU sample. Samples older than the
@@ -147,14 +129,14 @@ func (in *Integrator) Feed(s sensors.IMUSample) {
 		// Treat the anchor as holding the same measurement since state.T.
 		prev := s
 		prev.T = in.state.T
-		in.doStep(&prev, &s)
+		rk4Step(&in.state, &prev, &s)
 		in.Steps++
 		return
 	}
 	if s.T <= in.lastIMU.T {
 		return
 	}
-	in.doStep(&in.lastIMU, &s)
+	rk4Step(&in.state, &in.lastIMU, &s)
 	in.Steps++
 	in.lastIMU = s
 }
@@ -163,4 +145,4 @@ func (in *Integrator) Feed(s sensors.IMUSample) {
 func (in *Integrator) State() State { return in.state }
 
 // FastPose returns the current high-rate pose estimate.
-func (in *Integrator) FastPose() mathx.Pose { return in.state.Pose() }
+func (in *Integrator) FastPose() mathx.Pose { return in.state.pose() }

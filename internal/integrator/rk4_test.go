@@ -152,3 +152,10 @@ func TestStepsCounter(t *testing.T) {
 		t.Errorf("steps = %d", in.Steps)
 	}
 }
+
+// Reset re-anchors the integrator on a new VIO estimate. IMU samples
+// received after the anchor time must be replayed by the caller.
+func (in *Integrator) Reset(anchor State) {
+	in.state = anchor
+	in.hasIMU = false
+}

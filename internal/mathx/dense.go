@@ -21,15 +21,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatFrom builds a matrix from row-major data. The slice is used
-// directly (not copied).
-func NewMatFrom(rows, cols int, data []float64) *Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mathx: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
-}
-
 // Eye returns the n×n identity matrix.
 func Eye(n int) *Mat {
 	m := NewMat(n, n)
@@ -63,20 +54,6 @@ func (m *Mat) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 // Set stores v at element (r, c).
 func (m *Mat) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Mat) T() *Mat {
-	out := NewMat(m.Cols, m.Rows)
-	m.TInto(out)
-	return out
-}
-
 // TInto writes the transpose of m into dst (Cols×Rows).
 func (m *Mat) TInto(dst *Mat) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
@@ -88,13 +65,6 @@ func (m *Mat) TInto(dst *Mat) {
 			dst.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
 		}
 	}
-}
-
-// MulMat returns m * n (GEMM).
-func (m *Mat) MulMat(n *Mat) *Mat {
-	out := NewMat(m.Rows, n.Cols)
-	m.MulMatInto(out, n)
-	return out
 }
 
 // mulSpanRows is how many rows of the right operand MulMatInto takes at a
@@ -153,13 +123,6 @@ func (m *Mat) MulMatInto(dst, n *Mat) {
 	}
 }
 
-// MulVecN returns m * v for a length-Cols vector.
-func (m *Mat) MulVecN(v []float64) []float64 {
-	out := make([]float64, m.Rows)
-	m.MulVecNInto(out, v)
-	return out
-}
-
 // MulVecNInto writes m * v into dst (length Rows), allocating nothing.
 func (m *Mat) MulVecNInto(dst, v []float64) {
 	if len(v) != m.Cols || len(dst) != m.Rows {
@@ -185,18 +148,6 @@ func (m *Mat) AddInPlace(n *Mat) {
 	}
 }
 
-// SubMat returns m - n.
-func (m *Mat) SubMat(n *Mat) *Mat {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		panic("mathx: sub shape mismatch")
-	}
-	out := NewMat(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - n.Data[i]
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Mat) ScaleInPlace(s float64) {
 	for i := range m.Data {
@@ -215,13 +166,6 @@ func (m *Mat) SetBlock(r0, c0 int, src *Mat) {
 	}
 }
 
-// Block extracts the rows×cols sub-matrix at (r0, c0) as a copy.
-func (m *Mat) Block(r0, c0, rows, cols int) *Mat {
-	out := NewMat(rows, cols)
-	m.BlockInto(out, r0, c0)
-	return out
-}
-
 // BlockInto copies the sub-matrix of dst's shape at (r0, c0) into dst.
 func (m *Mat) BlockInto(dst *Mat, r0, c0 int) {
 	rows, cols := dst.Rows, dst.Cols
@@ -232,15 +176,6 @@ func (m *Mat) BlockInto(dst *Mat, r0, c0 int) {
 	for r := 0; r < rows; r++ {
 		copy(dst.Data[r*cols:(r+1)*cols],
 			m.Data[(r0+r)*m.Cols+c0:(r0+r)*m.Cols+c0+cols])
-	}
-}
-
-// SetMat3 copies a Mat3 into m at (r0, c0).
-func (m *Mat) SetMat3(r0, c0 int, src Mat3) {
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			m.Set(r0+r, c0+c, src[3*r+c])
-		}
 	}
 }
 
@@ -260,31 +195,10 @@ func (m *Mat) Symmetrize() {
 	}
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Mat) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// Cholesky computes the lower-triangular factor L with m = L Lᵀ.
-// Returns false if m is not (numerically) positive definite.
-func (m *Mat) Cholesky() (*Mat, bool) {
-	l := NewMat(m.Rows, m.Cols)
-	if !m.CholeskyInto(l) {
-		return nil, false
-	}
-	return l, true
-}
-
-// CholeskyInto writes the lower-triangular factor L with m = L Lᵀ into l
+// choleskyInto writes the lower-triangular factor L with m = L Lᵀ into l
 // (upper triangle zero). Returns false, with l half written, if m is not
 // (numerically) positive definite.
-func (m *Mat) CholeskyInto(l *Mat) bool {
+func (m *Mat) choleskyInto(l *Mat) bool {
 	if m.Rows != m.Cols || l.Rows != m.Rows || l.Cols != m.Cols {
 		panic("mathx: Cholesky requires square matrices of one size")
 	}
@@ -331,7 +245,7 @@ func (m *Mat) CholeskySolveInto(x, b []float64, ws *Arena) bool {
 	}
 	mustNotAlias(x, b)
 	l := ws.Mat(m.Rows, m.Cols)
-	if !m.CholeskyInto(l) {
+	if !m.choleskyInto(l) {
 		return false
 	}
 	choleskySubst(l, b, ws.Vec(m.Rows), x)
@@ -360,18 +274,6 @@ func choleskySubst(l *Mat, b, y, x []float64) {
 	}
 }
 
-// CholeskySolveMat solves m X = B: m is factored once and each column of B
-// is substituted through the factor, so every column equals the
-// CholeskySolve of that column bit for bit.
-func (m *Mat) CholeskySolveMat(b *Mat) (*Mat, bool) {
-	out := NewMat(b.Rows, b.Cols)
-	var ws Arena
-	if !m.CholeskySolveMatInto(out, b, &ws) {
-		return nil, false
-	}
-	return out, true
-}
-
 // CholeskySolveMatInto solves m X = B into dst (B's shape), taking the
 // factor and the column scratch from ws.
 func (m *Mat) CholeskySolveMatInto(dst, b *Mat, ws *Arena) bool {
@@ -381,7 +283,7 @@ func (m *Mat) CholeskySolveMatInto(dst, b *Mat, ws *Arena) bool {
 	mustNotAlias(dst.Data, b.Data)
 	mustNotAlias(dst.Data, m.Data)
 	l := ws.Mat(m.Rows, m.Cols)
-	if !m.CholeskyInto(l) {
+	if !m.choleskyInto(l) {
 		return false
 	}
 	n := b.Rows
@@ -396,68 +298,6 @@ func (m *Mat) CholeskySolveMatInto(dst, b *Mat, ws *Arena) bool {
 		}
 	}
 	return true
-}
-
-// LUSolve solves m x = b by Gaussian elimination with partial pivoting.
-func (m *Mat) LUSolve(b []float64) ([]float64, bool) {
-	if m.Rows != m.Cols || len(b) != m.Rows {
-		panic("mathx: LUSolve shape mismatch")
-	}
-	n := m.Rows
-	a := m.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// pivot
-		p, pmax := col, math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > pmax {
-				p, pmax = r, v
-			}
-		}
-		if pmax < 1e-300 {
-			return nil, false
-		}
-		if p != col {
-			for c := 0; c < n; c++ {
-				a.Data[col*n+c], a.Data[p*n+c] = a.Data[p*n+c], a.Data[col*n+c]
-			}
-			x[col], x[p] = x[p], x[col]
-		}
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a.Data[r*n+c] -= f * a.Data[col*n+c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for c := i + 1; c < n; c++ {
-			s -= a.At(i, c) * x[c]
-		}
-		x[i] = s / a.At(i, i)
-	}
-	return x, true
-}
-
-// QR computes the thin QR decomposition m = Q R via Householder
-// reflections, with Q of shape rows×cols and R of shape cols×cols
-// (requires rows >= cols).
-func (m *Mat) QR() (q, r *Mat) {
-	q, r = NewMat(m.Rows, m.Cols), NewMat(m.Cols, m.Cols)
-	var ws Arena
-	m.QRInto(q, r, &ws)
-	return q, r
 }
 
 // QRInto writes the thin QR decomposition of m into q (rows×cols) and r
@@ -562,109 +402,6 @@ func reflectUnitColumns(dst *Mat, first int, vs *Mat, vnorm2 []float64, ws *Aren
 			dst.Set(i, c, e[i])
 		}
 	}
-}
-
-// SVD computes the singular value decomposition m = U diag(s) Vᵀ using
-// one-sided Jacobi rotations. Suitable for the small/medium matrices in
-// triangulation and nullspace projection. U is rows×cols, V is cols×cols,
-// and s holds the cols singular values in decreasing order.
-func (m *Mat) SVD() (u *Mat, s []float64, v *Mat) {
-	rows, cols := m.Rows, m.Cols
-	if rows < cols {
-		// Work on the transpose and swap the factors.
-		vt, sv, ut := m.T().SVD()
-		return ut, sv, vt
-	}
-	a := m.Clone()
-	v = Eye(cols)
-	const maxSweeps = 60
-	eps := 1e-14
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for p := 0; p < cols-1; p++ {
-			for q := p + 1; q < cols; q++ {
-				// compute [alpha gamma; gamma beta] = submatrix of AᵀA
-				var alpha, beta, gamma float64
-				for i := 0; i < rows; i++ {
-					ap := a.At(i, p)
-					aq := a.At(i, q)
-					alpha += ap * ap
-					beta += aq * aq
-					gamma += ap * aq
-				}
-				off += gamma * gamma
-				if math.Abs(gamma) < eps*math.Sqrt(alpha*beta)+1e-300 {
-					continue
-				}
-				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
-				sn := c * t
-				for i := 0; i < rows; i++ {
-					ap := a.At(i, p)
-					aq := a.At(i, q)
-					a.Set(i, p, c*ap-sn*aq)
-					a.Set(i, q, sn*ap+c*aq)
-				}
-				for i := 0; i < cols; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-sn*vq)
-					v.Set(i, q, sn*vp+c*vq)
-				}
-			}
-		}
-		if off < eps {
-			break
-		}
-	}
-	// singular values are column norms of a
-	s = make([]float64, cols)
-	u = NewMat(rows, cols)
-	type cs struct {
-		sv  float64
-		idx int
-	}
-	order := make([]cs, cols)
-	for c := 0; c < cols; c++ {
-		norm := 0.0
-		for i := 0; i < rows; i++ {
-			norm += a.At(i, c) * a.At(i, c)
-		}
-		order[c] = cs{math.Sqrt(norm), c}
-	}
-	// sort descending by singular value (insertion sort; cols is small)
-	for i := 1; i < cols; i++ {
-		for j := i; j > 0 && order[j].sv > order[j-1].sv; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	vOrdered := NewMat(cols, cols)
-	for newc, o := range order {
-		s[newc] = o.sv
-		for i := 0; i < rows; i++ {
-			if o.sv > 1e-300 {
-				u.Set(i, newc, a.At(i, o.idx)/o.sv)
-			}
-		}
-		for i := 0; i < cols; i++ {
-			vOrdered.Set(i, newc, v.At(i, o.idx))
-		}
-	}
-	return u, s, vOrdered
-}
-
-// Nullspace returns an orthonormal basis (rows×k) for the left nullspace
-// of m, i.e. the columns N with Nᵀ m = 0, using the full QR of m. Used by
-// the MSCKF update to project out feature-position dependence.
-func (m *Mat) Nullspace() *Mat {
-	if m.Rows <= m.Cols {
-		return NewMat(m.Rows, 0)
-	}
-	out := NewMat(m.Rows, m.Rows-m.Cols)
-	var ws Arena
-	m.NullspaceInto(out, &ws)
-	return out
 }
 
 // NullspaceInto writes the left-nullspace basis of m (rows > cols) into dst

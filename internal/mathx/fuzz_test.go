@@ -12,8 +12,8 @@ func FuzzQuatNormalize(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, 4.0)
 	f.Add(0.0, 0.0, 0.0, 0.0)
 	f.Add(math.NaN(), 1.0, 0.0, 0.0)
-	f.Add(1e308, 1e308, 1e308, 1e308) // NormSq overflows
-	f.Add(5e-324, 0.0, 0.0, 0.0)      // NormSq underflows
+	f.Add(1e308, 1e308, 1e308, 1e308) // normSq overflows
+	f.Add(5e-324, 0.0, 0.0, 0.0)      // normSq underflows
 	f.Add(math.Inf(1), 1.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, w, x, y, z float64) {
 		q := Quat{W: w, X: x, Y: y, Z: z}.Normalized()
@@ -50,7 +50,7 @@ func FuzzSE3(f *testing.F) {
 		}
 		p := Pose{Pos: Vec3{X: px, Y: py, Z: pz}, Rot: q}
 		scale := 1.0 + math.Abs(px) + math.Abs(py) + math.Abs(pz)
-		round := p.Compose(p.Inverse())
+		round := p.compose(p.Inverse())
 		if d := round.Pos.Norm(); d > 1e-6*scale {
 			t.Fatalf("p∘p⁻¹ translation %v exceeds tolerance (pose %+v)", d, p)
 		}

@@ -408,7 +408,7 @@ func TestCholeskySolveIntoBitEqual(t *testing.T) {
 
 		wantL, _ := refCholesky(spd)
 		l := dirtyMat(n, n)
-		if !spd.CholeskyInto(l) {
+		if !spd.choleskyInto(l) {
 			t.Fatalf("n=%d: CholeskyInto rejected an SPD matrix", n)
 		}
 		bitEqual(t, "CholeskyInto", l, wantL)
@@ -427,7 +427,7 @@ func TestCholeskySolveIntoBitEqual(t *testing.T) {
 	indefinite := NewMatFrom(2, 2, []float64{1, 2, 2, 1})
 	if indefinite.CholeskySolveInto(make([]float64, 2), []float64{1, 1}, ws) ||
 		indefinite.CholeskySolveMatInto(NewMat(2, 2), Eye(2), ws) ||
-		indefinite.CholeskyInto(NewMat(2, 2)) {
+		indefinite.choleskyInto(NewMat(2, 2)) {
 		t.Error("indefinite matrix accepted")
 	}
 }
@@ -492,7 +492,7 @@ func TestIntoPanics(t *testing.T) {
 	mustPanic(t, "MulMatInto dst=n", func() { a.MulMatInto(b, b) })
 	mustPanic(t, "TInto dst=m", func() { a.TInto(a) })
 	mustPanic(t, "BlockInto dst=m", func() { a.BlockInto(a, 0, 0) })
-	mustPanic(t, "CholeskyInto l=m", func() { a.CholeskyInto(a) })
+	mustPanic(t, "CholeskyInto l=m", func() { a.choleskyInto(a) })
 	mustPanic(t, "CholeskySolveInto x=b", func() { a.CholeskySolveInto(v, v, &ws) })
 	mustPanic(t, "CholeskySolveMatInto dst=b", func() { a.CholeskySolveMatInto(b, b, &ws) })
 	mustPanic(t, "QRInto q=m", func() { a.QRInto(a, b, &ws) })
@@ -503,7 +503,7 @@ func TestIntoPanics(t *testing.T) {
 	mustPanic(t, "TInto shape", func() { NewMat(2, 3).TInto(NewMat(2, 3)) })
 	mustPanic(t, "BlockInto range", func() { a.BlockInto(NewMat(2, 2), 2, 2) })
 	mustPanic(t, "SetIdentity shape", func() { NewMat(2, 3).SetIdentity() })
-	mustPanic(t, "CholeskyInto shape", func() { a.CholeskyInto(NewMat(2, 2)) })
+	mustPanic(t, "CholeskyInto shape", func() { a.choleskyInto(NewMat(2, 2)) })
 	mustPanic(t, "CholeskySolveInto shape", func() { a.CholeskySolveInto(make([]float64, 2), v, &ws) })
 	mustPanic(t, "CholeskySolveMatInto shape", func() { a.CholeskySolveMatInto(NewMat(3, 2), b, &ws) })
 	mustPanic(t, "QRInto shape", func() { a.QRInto(NewMat(3, 3), NewMat(2, 2), &ws) })
@@ -615,4 +615,11 @@ func BenchmarkMulMatInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.MulMatInto(dst, n)
 	}
+}
+
+// Clone returns a deep copy of m.
+func (m *Mat) Clone() *Mat {
+	out := NewMat(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
 }

@@ -14,9 +14,6 @@ func Mat3Identity() Mat3 { return Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1} }
 // At returns element (r, c).
 func (m Mat3) At(r, c int) float64 { return m[3*r+c] }
 
-// Set stores v at element (r, c).
-func (m *Mat3) Set(r, c int, v float64) { m[3*r+c] = v }
-
 // Mul returns m * n.
 func (m Mat3) Mul(n Mat3) Mat3 {
 	var out Mat3
@@ -125,22 +122,6 @@ func (m Mat3) Quat() Quat {
 	return q.Normalized()
 }
 
-// Mat4Identity returns the 4×4 identity.
-func Mat4Identity() Mat4 {
-	return Mat4{
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// At returns element (r, c).
-func (m Mat4) At(r, c int) float64 { return m[4*r+c] }
-
-// Set stores v at element (r, c).
-func (m *Mat4) Set(r, c int, v float64) { m[4*r+c] = v }
-
 // Mul returns m * n.
 func (m Mat4) Mul(n Mat4) Mat4 {
 	var out Mat4
@@ -166,27 +147,6 @@ func (m Mat4) MulVec(v Vec4) Vec4 {
 	}
 }
 
-// MulPoint transforms a 3D point (w=1) and performs perspective division.
-func (m Mat4) MulPoint(p Vec3) Vec3 {
-	return m.MulVec(Vec4{p.X, p.Y, p.Z, 1}).PerspectiveDivide()
-}
-
-// MulDir transforms a direction (w=0).
-func (m Mat4) MulDir(d Vec3) Vec3 {
-	return m.MulVec(Vec4{d.X, d.Y, d.Z, 0}).Vec3()
-}
-
-// Transpose returns mᵀ.
-func (m Mat4) Transpose() Mat4 {
-	var out Mat4
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			out[4*c+r] = m[4*r+c]
-		}
-	}
-	return out
-}
-
 // Perspective builds a right-handed OpenGL-style projection matrix.
 // fovY is the vertical field of view in radians.
 func Perspective(fovY, aspect, near, far float64) Mat4 {
@@ -209,17 +169,6 @@ func LookAt(eye, center, up Vec3) Mat4 {
 		s.X, s.Y, s.Z, -s.Dot(eye),
 		u.X, u.Y, u.Z, -u.Dot(eye),
 		-f.X, -f.Y, -f.Z, f.Dot(eye),
-		0, 0, 0, 1,
-	}
-}
-
-// Mat4FromRotTrans assembles a rigid transform matrix from rotation R and
-// translation t.
-func Mat4FromRotTrans(r Mat3, t Vec3) Mat4 {
-	return Mat4{
-		r[0], r[1], r[2], t.X,
-		r[3], r[4], r[5], t.Y,
-		r[6], r[7], r[8], t.Z,
 		0, 0, 0, 1,
 	}
 }

@@ -36,25 +36,25 @@ func (q Quat) Mul(p Quat) Quat {
 	}
 }
 
-// Conj returns the conjugate (inverse for unit quaternions).
-func (q Quat) Conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
+// conj returns the conjugate (inverse for unit quaternions).
+func (q Quat) conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
 
 // Inverse returns the rotation inverse. For unit quaternions this equals
 // the conjugate.
 func (q Quat) Inverse() Quat {
-	n := q.NormSq()
+	n := q.normSq()
 	if n == 0 {
 		return QuatIdentity()
 	}
-	c := q.Conj()
+	c := q.conj()
 	return Quat{c.W / n, c.X / n, c.Y / n, c.Z / n}
 }
 
-// NormSq returns the squared norm.
-func (q Quat) NormSq() float64 { return q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z }
+// normSq returns the squared norm.
+func (q Quat) normSq() float64 { return q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z }
 
 // Norm returns the quaternion norm.
-func (q Quat) Norm() float64 { return math.Sqrt(q.NormSq()) }
+func (q Quat) Norm() float64 { return math.Sqrt(q.normSq()) }
 
 // Normalized returns q scaled to unit norm. The sign of the quaternion is
 // preserved: integrators rely on the quaternion path being continuous, so
@@ -69,7 +69,7 @@ func (q Quat) Normalized() Quat {
 		return QuatIdentity()
 	}
 	if n == 0 || math.IsInf(n, 1) {
-		// NormSq over/underflowed. Dividing by the largest component
+		// normSq over/underflowed. Dividing by the largest component
 		// magnitude brings the components into [-1, 1] without touching the
 		// numerics of the common path above.
 		m := math.Max(math.Max(math.Abs(q.W), math.Abs(q.X)),
@@ -83,9 +83,9 @@ func (q Quat) Normalized() Quat {
 	return Quat{q.W * inv, q.X * inv, q.Y * inv, q.Z * inv}
 }
 
-// Canonical returns the unit quaternion with W >= 0 representing the same
+// canonical returns the unit quaternion with W >= 0 representing the same
 // rotation — a canonical representative for comparisons and hashing.
-func (q Quat) Canonical() Quat {
+func (q Quat) canonical() Quat {
 	n := q.Normalized()
 	if n.W < 0 {
 		return Quat{-n.W, -n.X, -n.Y, -n.Z}
@@ -111,8 +111,8 @@ func (q Quat) RotationMatrix() Mat3 {
 	}
 }
 
-// Slerp spherically interpolates from q (t=0) to p (t=1).
-func (q Quat) Slerp(p Quat, t float64) Quat {
+// slerp spherically interpolates from q (t=0) to p (t=1).
+func (q Quat) slerp(p Quat, t float64) Quat {
 	cosTheta := q.W*p.W + q.X*p.X + q.Y*p.Y + q.Z*p.Z
 	if cosTheta < 0 { // take the short path
 		p = Quat{-p.W, -p.X, -p.Y, -p.Z}
@@ -157,7 +157,7 @@ func ExpMap(w Vec3) Quat {
 // LogMap converts a unit quaternion to its rotation vector (the smallest
 // rotation, i.e. the sign-canonical branch).
 func (q Quat) LogMap() Vec3 {
-	qn := q.Canonical()
+	qn := q.canonical()
 	v := Vec3{qn.X, qn.Y, qn.Z}
 	s := v.Norm()
 	if s < 1e-12 {
@@ -165,17 +165,6 @@ func (q Quat) LogMap() Vec3 {
 	}
 	angle := 2 * math.Atan2(s, qn.W)
 	return v.Scale(angle / s)
-}
-
-// Omega returns the 4×4 Ω(ω) matrix used in quaternion kinematics
-// q̇ = ½ Ω(ω) q with q stored as (w, x, y, z).
-func Omega(w Vec3) Mat4 {
-	return Mat4{
-		0, -w.X, -w.Y, -w.Z,
-		w.X, 0, w.Z, -w.Y,
-		w.Y, -w.Z, 0, w.X,
-		w.Z, w.Y, -w.X, 0,
-	}
 }
 
 // DerivQuat computes q̇ = ½ Ω(ω) q as a (non-unit) quaternion.

@@ -65,9 +65,9 @@ func TestMat3QuatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 200; i++ {
 		q := randomQuat(rng)
-		q2 := q.RotationMatrix().Quat().Canonical()
+		q2 := q.RotationMatrix().Quat().canonical()
 		// q and -q represent the same rotation; Canonical() fixes sign.
-		d := q.Canonical()
+		d := q.canonical()
 		if !approx(d.W, q2.W, 1e-8) || !approx(d.X, q2.X, 1e-8) ||
 			!approx(d.Y, q2.Y, 1e-8) || !approx(d.Z, q2.Z, 1e-8) {
 			t.Fatalf("roundtrip %v -> %v", d, q2)
@@ -78,13 +78,13 @@ func TestMat3QuatRoundTrip(t *testing.T) {
 func TestSlerpEndpointsAndMidpoint(t *testing.T) {
 	a := QuatIdentity()
 	b := QuatFromAxisAngle(Vec3{Z: 1}, math.Pi/2)
-	if got := a.Slerp(b, 0); got.AngleTo(a) > 1e-9 {
+	if got := a.slerp(b, 0); got.AngleTo(a) > 1e-9 {
 		t.Errorf("slerp 0 = %v", got)
 	}
-	if got := a.Slerp(b, 1); got.AngleTo(b) > 1e-9 {
+	if got := a.slerp(b, 1); got.AngleTo(b) > 1e-9 {
 		t.Errorf("slerp 1 = %v", got)
 	}
-	mid := a.Slerp(b, 0.5)
+	mid := a.slerp(b, 0.5)
 	want := QuatFromAxisAngle(Vec3{Z: 1}, math.Pi/4)
 	if mid.AngleTo(want) > 1e-9 {
 		t.Errorf("slerp 0.5 = %v", mid)
@@ -95,7 +95,7 @@ func TestSlerpShortPath(t *testing.T) {
 	a := QuatFromAxisAngle(Vec3{Z: 1}, 0.1)
 	b := QuatFromAxisAngle(Vec3{Z: 1}, 0.2)
 	bNeg := Quat{-b.W, -b.X, -b.Y, -b.Z} // same rotation, opposite sign
-	mid := a.Slerp(bNeg, 0.5)
+	mid := a.slerp(bNeg, 0.5)
 	want := QuatFromAxisAngle(Vec3{Z: 1}, 0.15)
 	if mid.AngleTo(want) > 1e-9 {
 		t.Errorf("short path violated: %v", mid)
@@ -150,7 +150,7 @@ func TestQuatNormalizedProperty(t *testing.T) {
 	f := func(w, x, y, z float64) bool {
 		q := Quat{clampInput(w), clampInput(x), clampInput(y), clampInput(z)}
 		n := q.Normalized()
-		c := q.Canonical()
+		c := q.canonical()
 		return approx(n.Norm(), 1, 1e-9) && c.W >= 0 && approx(c.Norm(), 1, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -166,3 +166,17 @@ func TestQuatFromEuler(t *testing.T) {
 		t.Errorf("yaw90 x = %v", got)
 	}
 }
+
+// Omega returns the 4×4 Ω(ω) matrix used in quaternion kinematics
+// q̇ = ½ Ω(ω) q with q stored as (w, x, y, z).
+func Omega(w Vec3) Mat4 {
+	return Mat4{
+		0, -w.X, -w.Y, -w.Z,
+		w.X, 0, w.Z, -w.Y,
+		w.Y, -w.Z, 0, w.X,
+		w.Z, w.Y, -w.X, 0,
+	}
+}
+
+// Scale returns v * s.
+func (v Vec4) Scale(s float64) Vec4 { return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s} }

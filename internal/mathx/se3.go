@@ -23,8 +23,8 @@ func (p Pose) Inverse() Pose {
 	return Pose{Pos: ri.Rotate(p.Pos.Neg()), Rot: ri}
 }
 
-// Compose returns p ∘ q: the transform that applies q first, then p.
-func (p Pose) Compose(q Pose) Pose {
+// compose returns p ∘ q: the transform that applies q first, then p.
+func (p Pose) compose(q Pose) Pose {
 	return Pose{
 		Pos: p.Rot.Rotate(q.Pos).Add(p.Pos),
 		Rot: p.Rot.Mul(q.Rot).Normalized(),
@@ -32,23 +32,14 @@ func (p Pose) Compose(q Pose) Pose {
 }
 
 // Delta returns the relative transform from p to q: p.Compose(Delta) == q.
-func (p Pose) Delta(q Pose) Pose { return p.Inverse().Compose(q) }
-
-// Matrix returns the 4×4 homogeneous matrix of the transform.
-func (p Pose) Matrix() Mat4 {
-	return Mat4FromRotTrans(p.Rot.RotationMatrix(), p.Pos)
-}
-
-// ViewMatrix returns the world→body matrix (the inverse transform), the
-// conventional "view matrix" when the pose is a camera/head pose.
-func (p Pose) ViewMatrix() Mat4 { return p.Inverse().Matrix() }
+func (p Pose) Delta(q Pose) Pose { return p.Inverse().compose(q) }
 
 // Interpolate blends two poses: position by linear interpolation, rotation
 // by slerp. t=0 yields p, t=1 yields q.
 func (p Pose) Interpolate(q Pose, t float64) Pose {
 	return Pose{
 		Pos: p.Pos.Lerp(q.Pos, t),
-		Rot: p.Rot.Slerp(q.Rot, t),
+		Rot: p.Rot.slerp(q.Rot, t),
 	}
 }
 

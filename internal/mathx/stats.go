@@ -97,18 +97,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// RMSE returns the root-mean-square of xs.
-func RMSE(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Chi2Threshold95 returns the 95 % quantile of the chi-squared distribution
 // with dof degrees of freedom, via the Wilson–Hilferty approximation. The
 // MSCKF update uses it as the Mahalanobis gating threshold.

@@ -1,35 +1,17 @@
 // Package mathx provides the mathematical substrate shared by all ILLIXR
 // components: small fixed-size vectors and matrices for geometry,
 // quaternions and SE(3) transforms for poses, and general dense linear
-// algebra (LU, Cholesky, QR, Jacobi SVD, Gauss-Newton) used by the VIO and
+// algebra (Cholesky, QR, nullspace) used by the VIO and
 // scene-reconstruction components.
 package mathx
 
 import "math"
-
-// Vec2 is a 2-component double-precision vector.
-type Vec2 struct{ X, Y float64 }
 
 // Vec3 is a 3-component double-precision vector.
 type Vec3 struct{ X, Y, Z float64 }
 
 // Vec4 is a 4-component double-precision vector.
 type Vec4 struct{ X, Y, Z, W float64 }
-
-// Add returns v + u.
-func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
-
-// Sub returns v - u.
-func (v Vec2) Sub(u Vec2) Vec2 { return Vec2{v.X - u.X, v.Y - u.Y} }
-
-// Scale returns v * s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec2) Dot(u Vec2) float64 { return v.X*u.X + v.Y*u.Y }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
 // Add returns v + u.
 func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
@@ -39,9 +21,6 @@ func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
 
 // Scale returns v * s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
-
-// Mul returns the component-wise product of v and u.
-func (v Vec3) Mul(u Vec3) Vec3 { return Vec3{v.X * u.X, v.Y * u.Y, v.Z * u.Z} }
 
 // Dot returns the dot product of v and u.
 func (v Vec3) Dot(u Vec3) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z }
@@ -58,7 +37,7 @@ func (v Vec3) Cross(u Vec3) Vec3 {
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// NormSq returns the squared Euclidean length of v.
+// normSq returns the squared Euclidean length of v.
 func (v Vec3) NormSq() float64 { return v.Dot(v) }
 
 // Normalized returns v scaled to unit length. The zero vector is returned
@@ -76,33 +55,6 @@ func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 
 // Lerp linearly interpolates between v (t=0) and u (t=1).
 func (v Vec3) Lerp(u Vec3, t float64) Vec3 { return v.Add(u.Sub(v).Scale(t)) }
-
-// Elem returns the i-th component (0=X, 1=Y, 2=Z).
-func (v Vec3) Elem(i int) float64 {
-	switch i {
-	case 0:
-		return v.X
-	case 1:
-		return v.Y
-	default:
-		return v.Z
-	}
-}
-
-// XY returns the X and Y components as a Vec2.
-func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }
-
-// Add returns v + u.
-func (v Vec4) Add(u Vec4) Vec4 { return Vec4{v.X + u.X, v.Y + u.Y, v.Z + u.Z, v.W + u.W} }
-
-// Scale returns v * s.
-func (v Vec4) Scale(s float64) Vec4 { return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec4) Dot(u Vec4) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z + v.W*u.W }
-
-// Vec3 drops the W component.
-func (v Vec4) Vec3() Vec3 { return Vec3{v.X, v.Y, v.Z} }
 
 // PerspectiveDivide returns the XYZ components divided by W.
 func (v Vec4) PerspectiveDivide() Vec3 {
@@ -125,6 +77,3 @@ func Clamp(x, lo, hi float64) float64 {
 
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
-
-// Rad2Deg converts radians to degrees.
-func Rad2Deg(r float64) float64 { return r * 180 / math.Pi }

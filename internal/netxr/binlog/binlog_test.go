@@ -174,7 +174,7 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 	bad := append([]byte(nil), raw...)
 	bad[offs[3]+8] ^= 0x55
 	_, err := DecodeLog(bad, nil)
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, errCorrupt) {
 		t.Fatalf("mid-log corruption: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -186,11 +186,11 @@ func TestHeaderErrors(t *testing.T) {
 		mutate func([]byte) []byte
 		want   error
 	}{
-		{"empty", func(b []byte) []byte { return nil }, ErrHeader},
-		{"short", func(b []byte) []byte { return b[:3] }, ErrHeader},
-		{"magic", func(b []byte) []byte { b[0] = 'Y'; return b }, ErrMagic},
-		{"version", func(b []byte) []byte { b[4] = FormatVersion + 9; return b }, ErrFormatVersion},
-		{"crc", func(b []byte) []byte { b[6] ^= 0x80; return b }, ErrHeader},
+		{"empty", func(b []byte) []byte { return nil }, errHeader},
+		{"short", func(b []byte) []byte { return b[:3] }, errHeader},
+		{"magic", func(b []byte) []byte { b[0] = 'Y'; return b }, errMagic},
+		{"version", func(b []byte) []byte { b[4] = formatVersion + 9; return b }, errFormatVersion},
+		{"crc", func(b []byte) []byte { b[6] ^= 0x80; return b }, errHeader},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,7 +212,7 @@ func TestWriterClosedRefusesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.Record(DirUp, wire.Frame{Type: wire.TypePing, Payload: wire.AppendPing(nil, wire.Ping{})})
-	if !errors.Is(err, ErrClosed) {
+	if !errors.Is(err, errClosed) {
 		t.Fatalf("record after close: %v, want ErrClosed", err)
 	}
 }
@@ -328,4 +328,26 @@ func TestFileTornTail(t *testing.T) {
 	if clean := uint64(len(torn) - l.TornBytes); clean != lastOff {
 		t.Fatalf("clean bytes %d, want %d (the torn record's offset)", clean, lastOff)
 	}
+}
+
+// Suffix is the conventional file extension.
+const Suffix = ".binlog"
+
+// Bytes returns the number of log bytes produced so far (header included).
+func (w *Writer) Bytes() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.off
+}
+
+// Meta returns the capture's metadata header.
+func (w *Writer) Meta() Meta { return w.meta }
+
+// SetClock overrides the wall-receipt clock (seconds since capture
+// start). Deterministic tests and virtual-time captures install their
+// own; production taps keep the default monotonic clock.
+func (w *Writer) SetClock(now func() float64) {
+	w.mu.Lock()
+	w.now = now
+	w.mu.Unlock()
 }

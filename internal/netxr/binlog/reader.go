@@ -25,7 +25,7 @@ type Log struct {
 // CRC-corrupt FINAL record — the signature of a crash mid-append — is
 // skipped and counted (Log.Torn, illixr_binlog_torn_total), never a
 // panic or a silent misparse. Corruption with more records following
-// is unrecoverable for a length-prefixed format and returns ErrCorrupt.
+// is unrecoverable for a length-prefixed format and returns errCorrupt.
 // reg may be nil.
 func DecodeLog(b []byte, reg *telemetry.Registry) (*Log, error) {
 	m := newMetrics(reg)
@@ -62,7 +62,7 @@ func isTornTail(rest []byte, err error) bool {
 		return true
 	}
 	n, vlen := binary.Uvarint(rest)
-	if vlen <= 0 || n > MaxRecord {
+	if vlen <= 0 || n > maxRecord {
 		return false
 	}
 	return vlen+int(n)+4 == len(rest)

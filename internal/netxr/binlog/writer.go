@@ -76,18 +76,6 @@ func newWriter(bw *bufio.Writer, meta Meta, reg *telemetry.Registry) (*Writer, e
 	return w, nil
 }
 
-// Meta returns the capture's metadata header.
-func (w *Writer) Meta() Meta { return w.meta }
-
-// SetClock overrides the wall-receipt clock (seconds since capture
-// start). Deterministic tests and virtual-time captures install their
-// own; production taps keep the default monotonic clock.
-func (w *Writer) SetClock(now func() float64) {
-	w.mu.Lock()
-	w.now = now
-	w.mu.Unlock()
-}
-
 // Record appends one frame stamped with the current clock.
 func (w *Writer) Record(dir Dir, f wire.Frame) error {
 	w.mu.Lock()
@@ -105,7 +93,7 @@ func (w *Writer) RecordAt(dir Dir, wall float64, f wire.Frame) error {
 
 func (w *Writer) recordLocked(dir Dir, wall float64, f wire.Frame) error {
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if w.err != nil {
 		return w.err
@@ -125,7 +113,7 @@ func (w *Writer) RecordRaw(dir Dir, raw wire.Raw) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if w.err != nil {
 		return w.err
@@ -153,13 +141,6 @@ func (w *Writer) Count() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
-}
-
-// Bytes returns the number of log bytes produced so far (header included).
-func (w *Writer) Bytes() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.off
 }
 
 // Close flushes the log and, for file-backed captures, closes the

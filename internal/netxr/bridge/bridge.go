@@ -36,11 +36,11 @@ import (
 	"illixr/internal/vio"
 )
 
-// CompNetUp and CompNetDown name the wire-crossing trace stages: a span
+// compNetUp and compNetDown name the wire-crossing trace stages: a span
 // of either name marks the hop between the client and server collectors.
 const (
-	CompNetUp   = "net_uplink"
-	CompNetDown = "net_downlink"
+	compNetUp   = "net_uplink"
+	compNetDown = "net_downlink"
 )
 
 // serverIDBase spreads per-session span-id ranges: session N allocates
@@ -191,7 +191,7 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 			if !ok {
 				continue
 			}
-			ref := st.tracer.Emit(CompNetDown, ev.Trace.Trace, ev.T, ev.T, ev.Trace.Span)
+			ref := st.tracer.Emit(compNetDown, ev.Trace.Trace, ev.T, ev.T, ev.Trace.Span)
 			buf = wire.AppendPose(buf[:0], wire.Pose{T: ev.T, Pose: mp})
 			err := s.Send(wire.Frame{Type: wire.TypePose, Trace: ref, Payload: buf}, session.LatestWins)
 			switch {
@@ -225,14 +225,14 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: imu: %w", s.ID(), err)
 		}
-		ref := st.tracer.Emit(CompNetUp, f.Trace.Trace, sample.T, sample.T, f.Trace.Span)
+		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, sample.T, sample.T, f.Trace.Span)
 		st.imu.Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
 	case wire.TypeCamera:
 		frame, err := wire.DecodeCamera(f.Payload)
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: camera: %w", s.ID(), err)
 		}
-		ref := st.tracer.Emit(CompNetUp, f.Trace.Trace, frame.T, frame.T, f.Trace.Span)
+		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, frame.T, frame.T, f.Trace.Span)
 		if st.cam == nil {
 			st.cam = st.loader.Context().Switchboard.GetTopic(runtime.TopicCamera)
 		}
@@ -328,14 +328,14 @@ type Client struct {
 	lastPose atomic64
 }
 
-// RefusedError is returned by DialWith when the server answers the Hello
+// refusedError is returned by DialWith when the server answers the Hello
 // with a Bye instead of a Welcome. A Retry-After hint on the Bye marks
 // the refusal transient: back off and redial (Redialer does this).
-type RefusedError struct {
+type refusedError struct {
 	Bye wire.Bye
 }
 
-func (e *RefusedError) Error() string {
+func (e *refusedError) Error() string {
 	if e.Bye.RetryAfterMs > 0 {
 		return fmt.Sprintf("bridge: refused: %s (retry after %dms)", e.Bye.Reason, e.Bye.RetryAfterMs)
 	}
@@ -343,7 +343,7 @@ func (e *RefusedError) Error() string {
 }
 
 // Retryable reports whether the server invited the client back.
-func (e *RefusedError) Retryable() bool { return e.Bye.Retryable() }
+func (e *refusedError) Retryable() bool { return e.Bye.Retryable() }
 
 // atomic64 stores a float64 bit pattern without pulling sync/atomic into
 // the struct literal noise.
@@ -417,7 +417,7 @@ func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error
 	case wire.TypeBye:
 		b, _ := wire.DecodeBye(f.Payload)
 		c.abandon()
-		return nil, &RefusedError{Bye: b}
+		return nil, &refusedError{Bye: b}
 	default:
 		c.abandon()
 		return nil, fmt.Errorf("bridge: unexpected %v before welcome", f.Type)
@@ -439,9 +439,9 @@ func (c *Client) Session() uint64 { return c.welcome.Session }
 // reconnect and, on a resumed session, the restored snapshot.
 func (c *Client) Welcome() wire.Welcome { return c.welcome }
 
-// RecvSeq returns the number of downlink frames this client has seen —
+// lastRecvSeq returns the number of downlink frames this client has seen —
 // the LastSeq a resume Hello should carry.
-func (c *Client) RecvSeq() uint64 {
+func (c *Client) lastRecvSeq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.recvSeq
@@ -477,7 +477,7 @@ func (c *Client) queueLocked(f wire.Frame, tracked, flush bool) error {
 		_ = c.capture.Record(binlog.DirUp, f)
 	}
 	if tracked && c.window != nil && f.Type != wire.TypeHello && f.Type != wire.TypeBye {
-		c.window.Push(f)
+		c.window.push(f)
 	}
 	if flush || c.w.Queued() >= wire.FlushWindow {
 		return c.w.Flush()
@@ -713,7 +713,7 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 				// bridge the server's lineage into the local collector: the
 				// parent span id lives in the server's id range, disjoint by
 				// construction.
-				ref := c.tracer.Emit(CompNetDown, f.Trace.Trace, pm.T, pm.T, f.Trace.Span)
+				ref := c.tracer.Emit(compNetDown, f.Trace.Trace, pm.T, pm.T, f.Trace.Span)
 				if !ref.Valid() {
 					ref = f.Trace
 				}

@@ -141,7 +141,7 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 		t.Fatal("no server state for session")
 	}
 	serverTr := st.tracer
-	ups := serverTr.Find(CompNetUp)
+	ups := serverTr.Find(compNetUp)
 	if len(ups) == 0 {
 		t.Fatal("no net_uplink spans on the server")
 	}
@@ -165,7 +165,7 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 	}
 
 	// client half: net_downlink spans parented on server integrator spans
-	downs := rig.tracer.Find(CompNetDown)
+	downs := rig.tracer.Find(compNetDown)
 	if len(downs) == 0 {
 		t.Fatal("no net_downlink spans on the client")
 	}
@@ -175,7 +175,7 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 			if parent > base {
 				// resolves in the server collector: the lineage crosses the
 				// wire and back
-				if psp, ok := serverTr.Get(parent); ok && psp.Name == CompNetDown {
+				if psp, ok := serverTr.Get(parent); ok && psp.Name == compNetDown {
 					found = true
 				}
 			}

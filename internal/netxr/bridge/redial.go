@@ -85,8 +85,8 @@ func splitmix64(s *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ErrGaveUp wraps the last failure when a Redialer exhausts maxAttempts.
-var ErrGaveUp = errors.New("bridge: reconnect attempts exhausted")
+// errGaveUp wraps the last failure when a Redialer exhausts maxAttempts.
+var errGaveUp = errors.New("bridge: reconnect attempts exhausted")
 
 // maxAttempts bounds one Connect call.
 const maxAttempts = 8
@@ -162,7 +162,7 @@ func (r *Redialer) Connect() (*Client, error) {
 		if r.haveW {
 			hello.ResumeToken = r.welcome.ResumeToken
 			if r.last != nil {
-				hello.LastSeq = r.last.RecvSeq()
+				hello.LastSeq = r.last.lastRecvSeq()
 			}
 		}
 		cl, err := DialWith(conn, hello, DialOptions{
@@ -170,7 +170,7 @@ func (r *Redialer) Connect() (*Client, error) {
 		})
 		if err == nil {
 			if w := cl.Welcome(); w.Resumed && r.Window != nil {
-				if _, _, rerr := r.Window.RetransmitTo(cl, w.LastAckSeq); rerr != nil {
+				if _, _, rerr := r.Window.retransmitTo(cl, w.LastAckSeq); rerr != nil {
 					// the fresh link died mid-retransmit: unacked frames stay
 					// queued in the window, so the next attempt replays them
 					_ = cl.Close()
@@ -182,17 +182,17 @@ func (r *Redialer) Connect() (*Client, error) {
 			return cl, nil
 		}
 		lastErr = err
-		var re *RefusedError
+		var re *refusedError
 		if errors.As(err, &re) && !re.Retryable() {
 			return nil, err // terminal refusal: retrying cannot help
 		}
 	}
-	return nil, fmt.Errorf("%w after %d attempts: %v", ErrGaveUp, maxAttempts, lastErr)
+	return nil, fmt.Errorf("%w after %d attempts: %v", errGaveUp, maxAttempts, lastErr)
 }
 
 // retryAfter extracts a server Retry-After hint from a dial error.
 func retryAfter(err error) time.Duration {
-	var re *RefusedError
+	var re *refusedError
 	if errors.As(err, &re) {
 		return time.Duration(re.Bye.RetryAfterMs) * time.Millisecond
 	}

@@ -182,7 +182,7 @@ func TestRedialerTerminalRefusalFailsFast(t *testing.T) {
 		Sleep: func(time.Duration) {},
 	}
 	_, err := r.Connect()
-	var re *RefusedError
+	var re *refusedError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RefusedError", err)
 	}
@@ -201,7 +201,7 @@ func TestRedialerGivesUpAfterMaxAttempts(t *testing.T) {
 		Sleep: func(time.Duration) {},
 	}
 	_, err := r.Connect()
-	if !errors.Is(err, ErrGaveUp) {
+	if !errors.Is(err, errGaveUp) {
 		t.Fatalf("err = %v, want ErrGaveUp", err)
 	}
 	if r.Attempts() != maxAttempts {

@@ -51,19 +51,9 @@ func NewSendWindow(capacity int) *SendWindow {
 	return &SendWindow{cap: capacity}
 }
 
-// Instrument attaches retransmit/truncation counters and a depth gauge.
-func (w *SendWindow) Instrument(reg *telemetry.Registry) {
-	if w == nil || reg == nil {
-		return
-	}
-	w.retransC = reg.Counter(telemetry.MetricName("netxr", "uplink_retransmit_total"))
-	w.truncC = reg.Counter(telemetry.MetricName("netxr", "uplink_window_truncated_total"))
-	w.depthG = reg.Gauge(telemetry.MetricName("netxr", "uplink_window_depth"))
-}
-
-// Push records one sent frame (payload copied). Called by Client.queue
+// push records one sent frame (payload copied). Called by Client.queue
 // for every tracked frame as it is queued for the wire.
-func (w *SendWindow) Push(f wire.Frame) {
+func (w *SendWindow) push(f wire.Frame) {
 	w.mu.Lock()
 	w.head++
 	cp := f
@@ -86,28 +76,6 @@ func (w *SendWindow) Push(f wire.Frame) {
 	w.mu.Unlock()
 	w.truncC.Add(truncated)
 	w.depthG.Set(float64(depth))
-}
-
-// Head returns the client sequence number of the last pushed frame.
-func (w *SendWindow) Head() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.head
-}
-
-// Len returns the number of retained (unacked) frames.
-func (w *SendWindow) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.entries)
-}
-
-// Lost returns how many frames were evicted before they could be
-// retransmitted — permanently lost to the server.
-func (w *SendWindow) Lost() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.offset
 }
 
 // resume maps a server ack onto client sequence space, drops everything
@@ -149,12 +117,12 @@ func (w *SendWindow) resume(lastAckSeq uint64) (frames []wire.Frame, lost uint64
 	return frames, lost
 }
 
-// RetransmitTo replays the unacked gap [lastAckSeq+1, head] onto a
+// retransmitTo replays the unacked gap [lastAckSeq+1, head] onto a
 // freshly resumed client connection. Returns the number of frames
 // retransmitted and how many were permanently lost to window
 // truncation; a write error leaves the window intact (the frames stay
 // queued for the next resume).
-func (w *SendWindow) RetransmitTo(c *Client, lastAckSeq uint64) (sent int, lost uint64, err error) {
+func (w *SendWindow) retransmitTo(c *Client, lastAckSeq uint64) (sent int, lost uint64, err error) {
 	frames, lost := w.resume(lastAckSeq)
 	for i, f := range frames {
 		if err := c.queue(f, false, i == len(frames)-1); err != nil {

@@ -24,7 +24,7 @@ func imuFrame(t float64) wire.Frame {
 func TestSendWindowResumeMapping(t *testing.T) {
 	w := NewSendWindow(8)
 	for i := 1; i <= 5; i++ {
-		w.Push(imuFrame(float64(i)))
+		w.push(imuFrame(float64(i)))
 	}
 	if w.Head() != 5 || w.Len() != 5 {
 		t.Fatalf("head=%d len=%d", w.Head(), w.Len())
@@ -44,7 +44,7 @@ func TestSendWindowResumeMapping(t *testing.T) {
 	// truncation: capacity 2, five pushes → only 4,5 retained
 	w = NewSendWindow(2)
 	for i := 1; i <= 5; i++ {
-		w.Push(imuFrame(float64(i)))
+		w.push(imuFrame(float64(i)))
 	}
 	frames, lost = w.resume(0)
 	if lost != 3 || len(frames) != 2 {
@@ -190,4 +190,36 @@ func waitCond(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// Head returns the client sequence number of the last pushed frame.
+func (w *SendWindow) Head() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.head
+}
+
+// Instrument attaches retransmit/truncation counters and a depth gauge.
+func (w *SendWindow) Instrument(reg *telemetry.Registry) {
+	if w == nil || reg == nil {
+		return
+	}
+	w.retransC = reg.Counter(telemetry.MetricName("netxr", "uplink_retransmit_total"))
+	w.truncC = reg.Counter(telemetry.MetricName("netxr", "uplink_window_truncated_total"))
+	w.depthG = reg.Gauge(telemetry.MetricName("netxr", "uplink_window_depth"))
+}
+
+// Len returns the number of retained (unacked) frames.
+func (w *SendWindow) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.entries)
+}
+
+// Lost returns how many frames were evicted before they could be
+// retransmitted — permanently lost to the server.
+func (w *SendWindow) Lost() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.offset
 }

@@ -376,17 +376,17 @@ func TestUplinkCaptureOrderEqualsWireOrder(t *testing.T) {
 	}
 }
 
-// RetransmitTo replays the gap through the coalescing path: one write
+// retransmitTo replays the gap through the coalescing path: one write
 // per batch, order kept.
 func TestRetransmitCoalesces(t *testing.T) {
 	win := NewSendWindow(0)
 	const gap = 2*wire.FlushWindow + wire.FlushWindow/2
 	for i := 1; i <= gap; i++ {
-		win.Push(imuFrame(float64(i)))
+		win.push(imuFrame(float64(i)))
 	}
 	rig := newUplinkRig(t, DialOptions{}, 0)
 	base := rig.conn.writes.Load()
-	sent, lost, err := win.RetransmitTo(rig.cl, 0)
+	sent, lost, err := win.retransmitTo(rig.cl, 0)
 	if err != nil || sent != gap || lost != 0 {
 		t.Fatalf("RetransmitTo = %d sent, %d lost, err %v; want %d, 0, nil", sent, lost, err, gap)
 	}

@@ -33,25 +33,25 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// Status is a replica's lifecycle state.
-type Status int
+// status is a replica's lifecycle state.
+type status int
 
 // Replica states: Up takes placements and resumes; Draining finishes
 // what it has but takes nothing new (graceful restart); Down is crashed
 // or unreachable — its sessions are displaced and resume elsewhere.
 const (
-	Up Status = iota
-	Draining
-	Down
+	Up status = iota
+	draining
+	down
 )
 
-func (s Status) String() string {
+func (s status) String() string {
 	switch s {
 	case Up:
 		return "up"
-	case Draining:
+	case draining:
 		return "draining"
-	case Down:
+	case down:
 		return "down"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
@@ -64,9 +64,9 @@ func (s Status) String() string {
 // counts, which track sessions but not queue depth.
 type LoadProbe func() (sessions int, queueDepth float64)
 
-// Record is one session's fleet-side state: everything needed to resume
+// record is one session's fleet-side state: everything needed to resume
 // it on a different replica than the one it was placed on.
-type Record struct {
+type record struct {
 	// Token is the resume token the client presents on reconnect.
 	Token uint64
 	// Hello is the original handshake (rates, seed, app).
@@ -123,15 +123,15 @@ func (c Config) withDefaults() Config {
 // a warm body.
 const queueWeight = 4
 
-// ErrUnknownToken refuses a resume Hello whose token was never issued
+// errUnknownToken refuses a resume Hello whose token was never issued
 // (or was ended): terminal, not retryable — retrying cannot help.
-var ErrUnknownToken = errors.New("fleet: unknown resume token")
+var errUnknownToken = errors.New("fleet: unknown resume token")
 
-// ErrNoReplica means Pick found no Up replica with headroom.
-var ErrNoReplica = errors.New("fleet: no replica available")
+// errNoReplica means Pick found no Up replica with headroom.
+var errNoReplica = errors.New("fleet: no replica available")
 
 type replica struct {
-	status Status
+	status status
 	probe  LoadProbe
 	count  int    // sessions placed here by this coordinator
 	node   string // flight-event name, built once (replicaNode)
@@ -177,7 +177,7 @@ type Coordinator struct {
 	mu        sync.Mutex
 	replicas  map[int]*replica
 	ids       []int              // replica ids ascending: Pick's scan order
-	records   map[uint64]*Record // resume registry, by token
+	records   map[uint64]*record // resume registry, by token
 	window    []float64          // admit times of recent resumes (sliding window)
 	tokState  uint64             // splitmix64 state for token issuance
 	decisions uint64             // committed admission decisions
@@ -193,7 +193,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:      cfg,
 		replicas: map[int]*replica{},
-		records:  map[uint64]*Record{},
+		records:  map[uint64]*record{},
 		tokState: uint64(cfg.TokenSeed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		fp:       0x9e3779b97f4a7c15,
 		m: fleetMetrics{
@@ -248,23 +248,6 @@ func (c *Coordinator) decide(kind, reason uint8, replicaID int, token, epoch uin
 	c.fp = h
 }
 
-// DecisionFingerprint is the hash of every admission decision committed
-// so far, in commit order. Equal fingerprints mean equal decision
-// streams: the pinned goldens in the fleet and bench tests are how a
-// change to this file proves it altered no decision.
-func (c *Coordinator) DecisionFingerprint() uint64 {
-	c.lock()
-	defer c.mu.Unlock()
-	return c.fp
-}
-
-// Decisions returns how many admission decisions have been committed.
-func (c *Coordinator) Decisions() uint64 {
-	c.lock()
-	defer c.mu.Unlock()
-	return c.decisions
-}
-
 // AddReplica registers replica id as Up. probe may be nil (placement
 // then scores by the coordinator's own counts alone).
 func (c *Coordinator) AddReplica(id int, probe LoadProbe) {
@@ -278,8 +261,8 @@ func (c *Coordinator) AddReplica(id int, probe LoadProbe) {
 	c.gaugeUpLocked()
 }
 
-// SetStatus transitions a replica's lifecycle state.
-func (c *Coordinator) SetStatus(id int, st Status) {
+// setStatus transitions a replica's lifecycle state.
+func (c *Coordinator) setStatus(id int, st status) {
 	c.lock()
 	changed, node := false, ""
 	if r, ok := c.replicas[id]; ok && r.status != st {
@@ -288,7 +271,7 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 	}
 	c.gaugeUpLocked()
 	var hooks []func(int)
-	if changed && st == Down {
+	if changed && st == down {
 		hooks = c.downHooks
 	}
 	c.mu.Unlock()
@@ -298,9 +281,9 @@ func (c *Coordinator) SetStatus(id int, st Status) {
 	if changed {
 		kind := telemetry.EventReplicaUp
 		switch st {
-		case Draining:
+		case draining:
 			kind = telemetry.EventDraining
-		case Down:
+		case down:
 			kind = telemetry.EventDown
 		}
 		c.cfg.Events.Record(kind, node, "")
@@ -328,13 +311,13 @@ func (c *Coordinator) nodeLocked(id int) string {
 }
 
 // StatusOf returns a replica's state (Down for unknown ids).
-func (c *Coordinator) StatusOf(id int) Status {
+func (c *Coordinator) StatusOf(id int) status {
 	c.lock()
 	defer c.mu.Unlock()
 	if r, ok := c.replicas[id]; ok {
 		return r.status
 	}
-	return Down
+	return down
 }
 
 func (c *Coordinator) gaugeUpLocked() {
@@ -395,7 +378,7 @@ func (c *Coordinator) Pick(now float64, h wire.Hello) (int, error) {
 		}
 	}
 	if best == -1 {
-		return -1, ErrNoReplica
+		return -1, errNoReplica
 	}
 	return best, nil
 }
@@ -426,7 +409,7 @@ func (c *Coordinator) admitFresh(now float64, replicaID int, sessionID uint64, h
 	for tok == 0 || c.records[tok] != nil {
 		tok = splitmix64(&c.tokState)
 	}
-	c.records[tok] = &Record{Token: tok, Hello: h, Replica: replicaID, Epoch: 1}
+	c.records[tok] = &record{Token: tok, Hello: h, Replica: replicaID, Epoch: 1}
 	c.decide(decAdmit, 0, replicaID, tok, 1)
 	node := c.replicas[replicaID].node
 	c.mu.Unlock()
@@ -447,7 +430,7 @@ func (c *Coordinator) admitResume(now float64, replicaID int, sessionID uint64, 
 		c.mu.Unlock()
 		c.m.refused.Inc()
 		c.cfg.Events.RecordAt(now, telemetry.EventRefuse, node, "unknown resume token")
-		return wire.Welcome{}, fmt.Errorf("%w: %#x", ErrUnknownToken, h.ResumeToken)
+		return wire.Welcome{}, fmt.Errorf("%w: %#x", errUnknownToken, h.ResumeToken)
 	}
 	if err := c.validateReplicaLocked(now, replicaID, rec.Token, rec.Epoch); err != nil {
 		c.mu.Unlock()
@@ -522,9 +505,9 @@ func (c *Coordinator) validateReplicaLocked(now float64, replicaID int, token, e
 	return nil
 }
 
-// Ack records uplink progress for a session so a later resume can tell
+// ack records uplink progress for a session so a later resume can tell
 // the client how much of its stream survived.
-func (c *Coordinator) Ack(token, seq uint64) {
+func (c *Coordinator) ack(token, seq uint64) {
 	c.lock()
 	defer c.mu.Unlock()
 	if rec, ok := c.records[token]; ok && seq > rec.LastAckSeq {
@@ -553,13 +536,13 @@ func (c *Coordinator) End(token uint64) {
 }
 
 // Lookup returns a copy of a token's record.
-func (c *Coordinator) Lookup(token uint64) (Record, bool) {
+func (c *Coordinator) Lookup(token uint64) (record, bool) {
 	c.lock()
 	defer c.mu.Unlock()
 	if rec, ok := c.records[token]; ok {
 		return *rec, true
 	}
-	return Record{}, false
+	return record{}, false
 }
 
 // Sessions returns how many sessions the coordinator has placed on a
@@ -573,11 +556,11 @@ func (c *Coordinator) Sessions(replicaID int) int {
 	return 0
 }
 
-// Placed returns copies of every record currently placed on a replica —
+// placed returns copies of every record currently placed on a replica —
 // the displaced population when that replica dies or drains.
-func (c *Coordinator) Placed(replicaID int) []Record {
+func (c *Coordinator) placed(replicaID int) []record {
 	c.lock()
-	var out []Record
+	var out []record
 	for _, rec := range c.records {
 		if rec.Replica == replicaID {
 			out = append(out, *rec)
@@ -590,7 +573,7 @@ func (c *Coordinator) Placed(replicaID int) []Record {
 
 // KillReplica marks a replica Down and returns the displaced records.
 // Their resume tokens stay valid — that is the survivability contract.
-func (c *Coordinator) KillReplica(replicaID int) []Record {
-	c.SetStatus(replicaID, Down)
-	return c.Placed(replicaID)
+func (c *Coordinator) KillReplica(replicaID int) []record {
+	c.setStatus(replicaID, down)
+	return c.placed(replicaID)
 }

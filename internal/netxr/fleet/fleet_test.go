@@ -28,12 +28,12 @@ func TestPickLeastLoadedWeighsQueueDepth(t *testing.T) {
 		t.Fatalf("pick = %d, %v; want replica 0", id, err)
 	}
 
-	c.SetStatus(0, Draining)
+	c.setStatus(0, draining)
 	if id, _ = c.Pick(0, wire.Hello{}); id != 1 {
 		t.Fatalf("pick = %d, want 1 (0 draining, 2 full)", id)
 	}
-	c.SetStatus(1, Down)
-	if _, err = c.Pick(0, wire.Hello{}); !errors.Is(err, ErrNoReplica) {
+	c.setStatus(1, down)
+	if _, err = c.Pick(0, wire.Hello{}); !errors.Is(err, errNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestAdmitFreshThenResumeAfterKill(t *testing.T) {
 	if c.Sessions(0) != 1 {
 		t.Fatalf("placement count = %d, want 1", c.Sessions(0))
 	}
-	c.Ack(w.ResumeToken, 640)
+	c.ack(w.ResumeToken, 640)
 
 	displaced := c.KillReplica(0)
 	if len(displaced) != 1 || displaced[0].Token != w.ResumeToken {
@@ -78,7 +78,7 @@ func TestAdmitFreshThenResumeAfterKill(t *testing.T) {
 
 	// terminal departure forgets the token
 	c.End(w.ResumeToken)
-	if _, err := c.AdmitOn(2, 1, 13, wire.Hello{ResumeToken: w.ResumeToken}); !errors.Is(err, ErrUnknownToken) {
+	if _, err := c.AdmitOn(2, 1, 13, wire.Hello{ResumeToken: w.ResumeToken}); !errors.Is(err, errUnknownToken) {
 		t.Fatalf("err = %v, want ErrUnknownToken", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestResumeStormAfterKill(t *testing.T) {
 func TestAdmitOnDownReplicaRefused(t *testing.T) {
 	c := NewCoordinator(Config{})
 	c.AddReplica(0, nil)
-	c.SetStatus(0, Down)
+	c.setStatus(0, down)
 	_, err := c.AdmitOn(0, 0, 1, wire.Hello{})
 	var ae *session.AdmissionError
 	if !errors.As(err, &ae) || !ae.Retryable() {
@@ -595,8 +595,8 @@ func TestGatewayDrainMigration(t *testing.T) {
 
 	// graceful drain: the replica's Bye (Retry-After attached) relays to
 	// the client — an invitation to resume, not an error
-	tf.coord.SetStatus(placedOn, Draining)
-	displaced := tf.coord.Placed(placedOn)
+	tf.coord.setStatus(placedOn, draining)
+	displaced := tf.coord.placed(placedOn)
 	if len(displaced) != 1 {
 		t.Fatalf("displaced = %d, want 1", len(displaced))
 	}

@@ -32,18 +32,18 @@ const dialAttempts = 3
 const maxIdleLegs = 16
 
 // Gateway trace-stitching constants: the gateway's span collector
-// allocates ids from GatewayIDBase — disjoint from the client's low
+// allocates ids from gatewayIDBase — disjoint from the client's low
 // range and from every replica session's sessionID<<40 range (which
 // stays below 1<<62 for the first ~4M sessions) — so gateway hop spans
 // merge collision-free into a stitched cross-node trace
 // (internal/telemetry/stitch, DESIGN.md §12).
 const (
-	// CompGatewayUp and CompGatewayDown name the gateway's relay hop
+	// CompGatewayUp and compGatewayDown name the gateway's relay hop
 	// spans in stitched traces.
 	CompGatewayUp   = "gw_uplink"
-	CompGatewayDown = "gw_downlink"
-	// GatewayIDBase is the gateway collector's span-id floor.
-	GatewayIDBase = uint64(1) << 62
+	compGatewayDown = "gw_downlink"
+	// gatewayIDBase is the gateway collector's span-id floor.
+	gatewayIDBase = uint64(1) << 62
 )
 
 // Gateway fronts the fleet: clients dial it, it places each session on
@@ -79,7 +79,7 @@ type Gateway struct {
 	// frame (gw_uplink / gw_downlink), parenting the incoming frame's
 	// span and rewriting the relayed frame's trace ref — so a stitched
 	// trace shows the gateway hop between client and replica. The
-	// collector's id base is raised to GatewayIDBase on first use.
+	// collector's id base is raised to gatewayIDBase on first use.
 	Spans *telemetry.SpanCollector
 	// Record, when non-nil, captures the gateway's client-facing
 	// traffic — every frame read from (DirUp) or written to (DirDown)
@@ -126,7 +126,7 @@ func (g *Gateway) init() {
 		g.protoErrs = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_protocol_errors_total"))
 		g.reused = g.Metrics.Counter(telemetry.MetricName("fleet", "gateway_legs_reused_total"))
 		g.Coord.onDown(g.dropLegs)
-		g.Spans.SetIDBase(GatewayIDBase) // nil-safe
+		g.Spans.SetIDBase(gatewayIDBase) // nil-safe
 		if g.HandshakeTimeout == 0 {
 			g.HandshakeTimeout = 5 * time.Second
 		}
@@ -283,7 +283,7 @@ func (g *Gateway) place(now float64, h wire.Hello, hello wire.Frame) (id int, l 
 			// Down so placement stops routing there, and try the next one.
 			g.dialFail.Inc()
 			g.Coord.cfg.Events.RecordAt(now, telemetry.EventDialFail, replicaNode(id), err.Error())
-			g.Coord.SetStatus(id, Down)
+			g.Coord.setStatus(id, down)
 			lastErr = fmt.Errorf("fleet: dial replica %d: %w", id, err)
 			continue
 		}
@@ -394,7 +394,7 @@ func (g *Gateway) relay(client net.Conn) {
 	replicaID, l, bf, err := g.place(g.now(), hello, wire.Frame{Type: wire.TypeHello, Trace: f.Trace, Payload: hbuf})
 	recycle.Bytes.Put(hbuf)
 	if err != nil {
-		if errors.Is(err, ErrNoReplica) {
+		if errors.Is(err, errNoReplica) {
 			g.refuse(client, cw, "fleet full", g.Coord.cfg.RetryAfter)
 		} else {
 			g.refuse(client, cw, "fleet unavailable", g.Coord.cfg.RetryAfter)
@@ -498,7 +498,7 @@ func (g *Gateway) relay(client net.Conn) {
 			g.relayed.Add(int(queued - flushed))
 			flushed = queued
 			if flushed-lastAcked >= ackEvery {
-				g.Coord.Ack(token, baseSeq+flushed)
+				g.Coord.ack(token, baseSeq+flushed)
 				lastAcked = flushed
 			}
 			return true
@@ -510,7 +510,7 @@ func (g *Gateway) relay(client net.Conn) {
 					g.relayed.Add(int(queued - flushed))
 					flushed = queued
 				}
-				g.Coord.Ack(token, baseSeq+flushed)
+				g.Coord.ack(token, baseSeq+flushed)
 				once.Do(closeBoth)
 				return
 			}
@@ -549,7 +549,7 @@ func (g *Gateway) relay(client net.Conn) {
 			// hold a frame while the client has nothing more in flight
 			if bw.Queued() >= wire.FlushWindow || !cr.FrameBuffered() {
 				if !flush() {
-					g.Coord.Ack(token, baseSeq+flushed)
+					g.Coord.ack(token, baseSeq+flushed)
 					once.Do(closeBoth)
 					return
 				}
@@ -571,7 +571,7 @@ func (g *Gateway) relay(client net.Conn) {
 				g.relayed.Add(int(dnQueued - dnFlushed))
 			}
 			if !severed.Load() && !halfClosed.Load() {
-				g.Coord.SetStatus(replicaID, Down)
+				g.Coord.setStatus(replicaID, down)
 			}
 			break
 		}
@@ -579,7 +579,7 @@ func (g *Gateway) relay(client net.Conn) {
 		if !clientGone {
 			if g.Spans != nil && raw.Trace.Valid() && !isBye {
 				t := g.now()
-				raw.SetTrace(g.Spans.Emit(CompGatewayDown, raw.Trace.Trace, t, t, raw.Trace.Span))
+				raw.SetTrace(g.Spans.Emit(compGatewayDown, raw.Trace.Trace, t, t, raw.Trace.Span))
 			}
 			cw.QueueRaw(raw)
 			dnQueued++

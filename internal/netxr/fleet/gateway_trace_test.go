@@ -181,7 +181,7 @@ func TestGatewayHopSpansReparentRelayedFrames(t *testing.T) {
 	if up.Trace != clientRef.Trace {
 		t.Errorf("uplink trace id changed: %+v", up)
 	}
-	if uint64(up.Span) < GatewayIDBase {
+	if uint64(up.Span) < gatewayIDBase {
 		t.Errorf("uplink span %#x not from the gateway id range", uint64(up.Span))
 	}
 	gwUp, ok := gwSpans.Get(up.Span)
@@ -194,11 +194,11 @@ func TestGatewayHopSpansReparentRelayedFrames(t *testing.T) {
 
 	// downlink: the pose the client received must be re-parented onto a
 	// gw_downlink span whose parent is the replica's integrator span
-	if uint64(pf.Trace.Span) < GatewayIDBase {
+	if uint64(pf.Trace.Span) < gatewayIDBase {
 		t.Fatalf("downlink span %#x not from the gateway id range", uint64(pf.Trace.Span))
 	}
 	gwDown, ok := gwSpans.Get(pf.Trace.Span)
-	if !ok || gwDown.Name != CompGatewayDown {
+	if !ok || gwDown.Name != compGatewayDown {
 		t.Fatalf("gateway downlink span = %+v (ok=%v)", gwDown, ok)
 	}
 	integ := replicaTracer.Find("integrator")

@@ -237,13 +237,13 @@ func TestParkedLegsCloseOnDownAndShutdown(t *testing.T) {
 	sr := newScriptedReplica(t, &wire.Bye{Reason: "eof"})
 	g, _ := legGateway(t, sr, 5*time.Second)
 	dialLeg(t, g).end(t, true)
-	g.Coord.SetStatus(0, Down)
+	g.Coord.setStatus(0, down)
 	sr.awaitClosed(t, "the replica was marked Down")
 	if n := g.parkedLegs(0); n != 0 {
 		t.Fatalf("%d legs still parked on a Down replica", n)
 	}
 
-	g.Coord.SetStatus(0, Up)
+	g.Coord.setStatus(0, Up)
 	dialLeg(t, g).end(t, true)
 	if n := g.parkedLegs(0); n != 1 {
 		t.Fatalf("%d legs parked, want 1", n)

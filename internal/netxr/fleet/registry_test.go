@@ -60,7 +60,7 @@ func driveAdmissionScript(t *testing.T, s admissionScript) (fingerprint, decisio
 	}
 	// acks advance
 	for i, tok := range tokens {
-		c.Ack(tok, uint64(100+i))
+		c.ack(tok, uint64(100+i))
 	}
 	// terminal ends for half the population — frees the headroom the
 	// displaced sessions below resume into
@@ -283,7 +283,7 @@ func TestAckEndStorm(t *testing.T) {
 			defer wg.Done()
 			for seq := uint64(1); seq <= 500; seq++ {
 				for _, tok := range tokens {
-					c.Ack(tok, seq*uint64(g+1))
+					c.ack(tok, seq*uint64(g+1))
 					if seq%64 == 0 {
 						c.Lookup(tok)
 					}
@@ -350,7 +350,7 @@ func BenchmarkCoordinatorCycle(b *testing.B) {
 			b.Error(err)
 			return
 		}
-		c.Ack(w.ResumeToken, 64)
+		c.ack(w.ResumeToken, 64)
 		c.End(w.ResumeToken)
 	}
 	b.Run("serial", func(b *testing.B) {
@@ -371,4 +371,21 @@ func BenchmarkCoordinatorCycle(b *testing.B) {
 		})
 		b.ReportMetric(float64(c.Contention())/float64(b.N), "contended/op")
 	})
+}
+
+// DecisionFingerprint is the hash of every admission decision committed
+// so far, in commit order. Equal fingerprints mean equal decision
+// streams: the pinned goldens in the fleet and bench tests are how a
+// change to this file proves it altered no decision.
+func (c *Coordinator) DecisionFingerprint() uint64 {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.fp
+}
+
+// Decisions returns how many admission decisions have been committed.
+func (c *Coordinator) Decisions() uint64 {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.decisions
 }

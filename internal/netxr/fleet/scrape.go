@@ -30,11 +30,11 @@ import (
 // (emitted by internal/netxr/session and internal/netxr/bridge). Exported
 // so the bench can synthesize replica snapshots against the same names.
 const (
-	ScrapeSessionsGauge = "illixr_netxr_sessions_active"
-	ScrapeQueueGauge    = "illixr_netxr_queue_depth"
-	ScrapeMTPHist       = "illixr_netxr_qoe_mtp_ms"
-	ScrapeResumedCtr    = "illixr_netxr_sessions_resumed_total"
-	ScrapeRefusedCtr    = "illixr_netxr_admission_refused_total"
+	scrapeSessionsGauge = "illixr_netxr_sessions_active"
+	scrapeQueueGauge    = "illixr_netxr_queue_depth"
+	scrapeMTPHist       = "illixr_netxr_qoe_mtp_ms"
+	scrapeResumedCtr    = "illixr_netxr_sessions_resumed_total"
+	scrapeRefusedCtr    = "illixr_netxr_admission_refused_total"
 )
 
 // ReplicaStats is one replica's last-scraped view, exported in the
@@ -228,13 +228,13 @@ func (s *Scraper) scrapeTarget(id int, now float64) {
 		st.stats.Scrapes++
 		st.consecFails = 0
 		st.stats.Live = true
-		st.stats.Sessions = snap.Gauges[ScrapeSessionsGauge]
-		st.stats.QueueDepth = snap.Gauges[ScrapeQueueGauge]
-		if h, ok := snap.Histograms[ScrapeMTPHist]; ok {
+		st.stats.Sessions = snap.Gauges[scrapeSessionsGauge]
+		st.stats.QueueDepth = snap.Gauges[scrapeQueueGauge]
+		if h, ok := snap.Histograms[scrapeMTPHist]; ok {
 			st.stats.MTPP50Ms, st.stats.MTPP99Ms = h.P50, h.P99
 		}
-		st.stats.Resumed = snap.Counters[ScrapeResumedCtr]
-		st.stats.Refused = snap.Counters[ScrapeRefusedCtr]
+		st.stats.Resumed = snap.Counters[scrapeResumedCtr]
+		st.stats.Refused = snap.Counters[scrapeRefusedCtr]
 		st.sessionsG.Set(st.stats.Sessions)
 		st.queueG.Set(st.stats.QueueDepth)
 		st.mtpP99G.Set(st.stats.MTPP99Ms)
@@ -249,10 +249,10 @@ func (s *Scraper) scrapeTarget(id int, now float64) {
 	}
 	s.mu.Unlock()
 	if markDown && s.coord.StatusOf(id) == Up {
-		s.coord.SetStatus(id, Down)
+		s.coord.setStatus(id, down)
 	}
-	if markUp && s.coord.StatusOf(id) == Down {
-		s.coord.SetStatus(id, Up)
+	if markUp && s.coord.StatusOf(id) == down {
+		s.coord.setStatus(id, Up)
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 // serve for a given load.
 func synthSnapshot(sessions, queue float64) telemetry.RegistrySnapshot {
 	reg := telemetry.NewRegistry()
-	reg.Gauge(ScrapeSessionsGauge).Set(sessions)
-	reg.Gauge(ScrapeQueueGauge).Set(queue)
-	h := reg.Histogram(ScrapeMTPHist)
+	reg.Gauge(scrapeSessionsGauge).Set(sessions)
+	reg.Gauge(scrapeQueueGauge).Set(queue)
+	h := reg.Histogram(scrapeMTPHist)
 	h.Observe(10)
 	h.Observe(20)
-	reg.Counter(ScrapeResumedCtr).Add(2)
+	reg.Counter(scrapeResumedCtr).Add(2)
 	return reg.Snapshot()
 }
 
@@ -157,7 +157,7 @@ func TestScraperDownMarkingAndRecovery(t *testing.T) {
 		t.Fatal("two failures must not mark Down yet")
 	}
 	s.ScrapeOnce(3)
-	if coord.StatusOf(0) != Down {
+	if coord.StatusOf(0) != down {
 		t.Fatal("three consecutive failures must mark the replica Down")
 	}
 
@@ -188,9 +188,9 @@ func TestScraperDoesNotRevertExternalDown(t *testing.T) {
 	coord.AddReplica(0, s.Probe(0))
 	// the gateway marked it Down (dial failure) — the scraper scraping
 	// its still-running metrics endpoint must not resurrect it
-	coord.SetStatus(0, Down)
+	coord.setStatus(0, down)
 	s.ScrapeOnce(1)
-	if coord.StatusOf(0) != Down {
+	if coord.StatusOf(0) != down {
 		t.Fatal("scraper must only undo its own Down-marks")
 	}
 }
@@ -207,7 +207,7 @@ func TestCoordinatorRecordsFlightEvents(t *testing.T) {
 		t.Fatal("over-capacity admission must refuse")
 	}
 	coord.End(w.ResumeToken)
-	coord.SetStatus(0, Down)
+	coord.setStatus(0, down)
 
 	kinds := map[string]int{}
 	for _, ev := range events.Events() {

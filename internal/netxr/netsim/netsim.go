@@ -98,9 +98,6 @@ func NewLink(p Profile, seed int64) *Link {
 // retransmission penalty — the link is dead, the transport retries.
 func (l *Link) SetOutages(ws []faults.Window) { l.outages = ws }
 
-// Sent returns the number of messages pushed through the link.
-func (l *Link) Sent() uint64 { return l.sent }
-
 // Lost returns how many of them drew a retransmission.
 func (l *Link) Lost() uint64 { return l.lost }
 
@@ -147,11 +144,11 @@ type Conn struct {
 	mu        sync.Mutex
 }
 
-// ErrInjectedLinkFailure is returned by writes after the failure budget.
-var ErrInjectedLinkFailure = fmt.Errorf("netsim: injected link failure")
+// errInjectedLinkFailure is returned by writes after the failure budget.
+var errInjectedLinkFailure = fmt.Errorf("netsim: injected link failure")
 
-// Wrap decorates an existing conn (e.g. one end of net.Pipe).
-func Wrap(c net.Conn) *Conn {
+// wrap decorates an existing conn (e.g. one end of net.Pipe).
+func wrap(c net.Conn) *Conn {
 	w := &Conn{Conn: c}
 	w.failAfter.Store(-1)
 	return w
@@ -161,24 +158,18 @@ func Wrap(c net.Conn) *Conn {
 // instrumentation, in (client, server) order.
 func Pipe() (*Conn, *Conn) {
 	a, b := net.Pipe()
-	return Wrap(a), Wrap(b)
+	return wrap(a), wrap(b)
 }
 
 // FailAfter arms an injected link failure after n more written bytes.
 func (c *Conn) FailAfter(n int64) { c.failAfter.Store(n) }
-
-// BytesWritten returns the total bytes successfully written.
-func (c *Conn) BytesWritten() int64 { return c.wrote.Load() }
-
-// BytesRead returns the total bytes read.
-func (c *Conn) BytesRead() int64 { return c.read.Load() }
 
 // Write implements net.Conn with failure injection.
 func (c *Conn) Write(p []byte) (int, error) {
 	if budget := c.failAfter.Load(); budget >= 0 {
 		if budget == 0 || c.failAfter.Add(-int64(len(p))) < 0 {
 			_ = c.Conn.Close()
-			return 0, ErrInjectedLinkFailure
+			return 0, errInjectedLinkFailure
 		}
 	}
 	c.mu.Lock()

@@ -118,7 +118,7 @@ func TestConnFailAfter(t *testing.T) {
 	var failed bool
 	for i := 0; i < 10; i++ {
 		if _, err := client.Write(msg); err != nil {
-			if !errors.Is(err, ErrInjectedLinkFailure) {
+			if !errors.Is(err, errInjectedLinkFailure) {
 				t.Fatalf("wrong failure: %v", err)
 			}
 			failed = true
@@ -129,7 +129,7 @@ func TestConnFailAfter(t *testing.T) {
 		t.Fatal("link never failed after budget")
 	}
 	// the conn is severed, not just erroring: the peer sees EOF
-	if _, err := client.Write(msg); !errors.Is(err, ErrInjectedLinkFailure) && !errors.Is(err, io.ErrClosedPipe) {
+	if _, err := client.Write(msg); !errors.Is(err, errInjectedLinkFailure) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("post-failure write: %v", err)
 	}
 }
@@ -154,3 +154,12 @@ func TestConnCounters(t *testing.T) {
 		t.Fatalf("counters: wrote %d read %d", client.BytesWritten(), server.BytesRead())
 	}
 }
+
+// BytesRead returns the total bytes read.
+func (c *Conn) BytesRead() int64 { return c.read.Load() }
+
+// BytesWritten returns the total bytes successfully written.
+func (c *Conn) BytesWritten() int64 { return c.wrote.Load() }
+
+// Sent returns the number of messages pushed through the link.
+func (l *Link) Sent() uint64 { return l.sent }

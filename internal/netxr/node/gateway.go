@@ -61,7 +61,7 @@ type Gateway struct {
 	stopDebug  func()
 }
 
-// Start builds the gateway; Serve or HandleConn then feed it clients. A
+// Start builds the gateway; Serve then feeds it clients. A
 // failed Start has already closed what it had opened.
 func (g *Gateway) Start() error {
 	if g.MetricURLs != nil && len(g.MetricURLs) != len(g.Backends) {
@@ -177,9 +177,6 @@ func (g *Gateway) replicaDumps() []stitch.Dump {
 
 // Serve accepts clients on ln until Close (or a listener error). It blocks.
 func (g *Gateway) Serve(ln net.Listener) error { return g.gw.Serve(ln) }
-
-// HandleConn adopts one client connection and relays it asynchronously.
-func (g *Gateway) HandleConn(conn net.Conn) { g.gw.HandleConn(conn) }
 
 // Close takes the gateway down: stop accepting and sever every relay,
 // waiting for the relay goroutines up to ctx's deadline → stop the

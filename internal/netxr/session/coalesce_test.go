@@ -101,7 +101,7 @@ func TestCoalesceOrderingAtFlushWindow(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	sess.Drain("test done")
+	sess.drain("test done")
 	select {
 	case <-readDone:
 	case <-time.After(10 * time.Second):

@@ -113,7 +113,7 @@ func TestIdleJanitorTable(t *testing.T) {
 				t.Fatalf("SessionEnd ran %d times, want 1", len(h.ended))
 			}
 			for _, err := range h.ended {
-				if !errors.Is(err, ErrIdleTimeout) {
+				if !errors.Is(err, errIdleTimeout) {
 					t.Fatalf("end err = %v, want ErrIdleTimeout", err)
 				}
 			}

@@ -24,9 +24,9 @@ func TestDrainIdempotent(t *testing.T) {
 	sess := srv.HandleConn(server)
 	r, _, _ := clientHandshake(t, client)
 
-	sess.Drain("first")
-	sess.Drain("second")          // idempotent: first reason wins
-	sess.DrainRetry("third", 999) // and no late retry hint either
+	sess.drain("first")
+	sess.drain("second")          // idempotent: first reason wins
+	sess.drainRetry("third", 999) // and no late retry hint either
 
 	byes := 0
 	var got wire.Bye
@@ -50,9 +50,9 @@ func TestDrainIdempotent(t *testing.T) {
 	// after the session is fully down, drain and close again: both must
 	// be no-ops, not panics or double-sends
 	waitFor(t, func() bool { return srv.Len() == 0 })
-	sess.Drain("late")
-	sess.Close(errors.New("late close"))
-	sess.Drain("later still")
+	sess.drain("late")
+	sess.close(errors.New("late close"))
+	sess.drain("later still")
 }
 
 // TestCloseThenDrainIdempotent covers the other ordering: a session
@@ -67,9 +67,9 @@ func TestCloseThenDrainIdempotent(t *testing.T) {
 	sess := srv.HandleConn(server)
 	clientHandshake(t, client)
 
-	sess.Close(errors.New("deadline"))
-	sess.Drain("after close") // must not panic or send anything
-	sess.Close(nil)           // double close: no-op
+	sess.close(errors.New("deadline"))
+	sess.drain("after close") // must not panic or send anything
+	sess.close(nil)           // double close: no-op
 
 	waitFor(t, func() bool { return srv.Len() == 0 })
 	if h.endedCount() != 1 {
@@ -78,7 +78,7 @@ func TestCloseThenDrainIdempotent(t *testing.T) {
 }
 
 // TestBackpressureTypedError verifies satellite semantics: a full
-// reliable queue returns a typed, retryable *BackpressureError — not a
+// reliable queue returns a typed, retryable *backpressureError — not a
 // silent drop — and bumps illixr_netxr_backpressure_total.
 func TestBackpressureTypedError(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -102,11 +102,11 @@ func TestBackpressureTypedError(t *testing.T) {
 	if last == nil {
 		t.Fatal("reliable queue never pushed back")
 	}
-	var bp *BackpressureError
+	var bp *backpressureError
 	if !errors.As(last, &bp) {
 		t.Fatalf("err = %T %v, want *BackpressureError", last, last)
 	}
-	if !errors.Is(last, ErrBackpressure) {
+	if !errors.Is(last, errBackpressure) {
 		t.Fatal("BackpressureError does not unwrap to ErrBackpressure")
 	}
 	if !IsRetryable(last) {
@@ -254,7 +254,7 @@ func TestAbortSeversSessions(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, err := range h.ended {
-		if !errors.Is(err, ErrAborted) {
+		if !errors.Is(err, errAborted) {
 			t.Fatalf("end err = %v, want ErrAborted", err)
 		}
 	}

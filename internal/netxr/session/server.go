@@ -67,8 +67,8 @@ func (e *AdmissionError) Error() string {
 	return fmt.Sprintf("session: admission refused: %s (retry after %s)", e.Reason, e.RetryAfter)
 }
 
-// Unwrap lets errors.Is(err, ErrAdmission) hold.
-func (e *AdmissionError) Unwrap() error { return ErrAdmission }
+// Unwrap lets errors.Is(err, errAdmission) hold.
+func (e *AdmissionError) Unwrap() error { return errAdmission }
 
 // Retryable marks the refusal transient when a retry hint is present.
 func (e *AdmissionError) Retryable() bool { return e.RetryAfter > 0 }
@@ -275,14 +275,14 @@ func (s *Server) readHello(conn net.Conn, r *wire.Reader, timeout time.Duration)
 	}
 	f, err := r.ReadFrame()
 	if err != nil {
-		return wire.Hello{}, fmt.Errorf("%w: %v", ErrHandshake, err)
+		return wire.Hello{}, fmt.Errorf("%w: %v", errHandshake, err)
 	}
 	if f.Type != wire.TypeHello {
-		return wire.Hello{}, fmt.Errorf("%w: first frame is %v, want hello", ErrHandshake, f.Type)
+		return wire.Hello{}, fmt.Errorf("%w: first frame is %v, want hello", errHandshake, f.Type)
 	}
 	h, err := wire.DecodeHello(f.Payload)
 	if err != nil {
-		return wire.Hello{}, fmt.Errorf("%w: %v", ErrHandshake, err)
+		return wire.Hello{}, fmt.Errorf("%w: %v", errHandshake, err)
 	}
 	if s.cfg.Capture != nil {
 		_ = s.cfg.Capture.Record(binlog.DirUp, f)
@@ -345,16 +345,16 @@ func (s *Server) run(sess *Session, r *wire.Reader) bool {
 		// onto the Bye so a refused client knows to come back.
 		var ae *AdmissionError
 		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			sess.DrainRetry(err.Error(), wire.RetryAfterMs(ae.RetryAfter))
+			sess.drainRetry(err.Error(), wire.RetryAfterMs(ae.RetryAfter))
 		} else {
-			sess.Drain(err.Error())
+			sess.drain(err.Error())
 		}
 	} else {
 		// clean end-of-stream: flush what's queued, then close
-		sess.Drain("eof")
+		sess.drain("eof")
 	}
 	<-writerDone
-	sess.Close(err) // no-op if the writer already closed it
+	sess.close(err) // no-op if the writer already closed it
 
 	s.lock()
 	delete(s.sessions, sess.id)
@@ -407,7 +407,7 @@ func (s *Server) reapIdle() {
 	cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
 	for _, sess := range s.snapshotSessions() {
 		if last := sess.lastRecv.Load(); last > 0 && last < cutoff {
-			sess.Close(fmt.Errorf("%w after %s", ErrIdleTimeout, s.cfg.IdleTimeout))
+			sess.close(fmt.Errorf("%w after %s", errIdleTimeout, s.cfg.IdleTimeout))
 		}
 	}
 }
@@ -433,10 +433,10 @@ func (s *Server) Sessions() []Info {
 		sent, dropped, recvd, decErrs := sess.Stats()
 		out = append(out, Info{
 			ID:           sess.ID(),
-			Remote:       sess.RemoteAddr(),
+			Remote:       sess.remoteAddr(),
 			App:          sess.Hello().App,
-			UptimeSec:    sess.Uptime().Seconds(),
-			QueueDepth:   sess.QueueDepth(),
+			UptimeSec:    sess.uptime().Seconds(),
+			QueueDepth:   sess.queueDepth(),
 			Sent:         sent,
 			Dropped:      dropped,
 			Received:     recvd,
@@ -482,7 +482,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	for _, sess := range s.snapshotSessions() {
 		// a drained session is invited back: the fleet will re-place it
-		sess.DrainRetry("server shutdown", wire.RetryAfterMs(retryAfter))
+		sess.drainRetry("server shutdown", wire.RetryAfterMs(retryAfter))
 	}
 
 	done := make(chan struct{})
@@ -492,15 +492,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		for _, sess := range s.snapshotSessions() {
-			sess.Close(ctx.Err())
+			sess.close(ctx.Err())
 		}
 		<-done
 		return ctx.Err()
 	}
 }
 
-// ErrAborted is the cause sessions observe when their server crashes.
-var ErrAborted = errors.New("session: server aborted")
+// errAborted is the cause sessions observe when their server crashes.
+var errAborted = errors.New("session: server aborted")
 
 // Abort kills the server the way a process crash would: the listener
 // closes and every session dies immediately — no drain, no Bye, queued
@@ -509,13 +509,13 @@ var ErrAborted = errors.New("session: server aborted")
 // replicas with it; graceful teardown is Shutdown.
 func (s *Server) Abort(cause error) {
 	if cause == nil {
-		cause = ErrAborted
+		cause = errAborted
 	}
 	if !s.stopAccepting() {
 		return
 	}
 	for _, sess := range s.snapshotSessions() {
-		sess.Close(cause)
+		sess.close(cause)
 	}
 	s.wg.Wait()
 }

@@ -27,7 +27,7 @@ type Class int
 
 const (
 	// Reliable frames (handshake, QoE, pings, bye) queue FIFO; when the
-	// queue is full the *new* frame is rejected with ErrBackpressure so
+	// queue is full the *new* frame is rejected with errBackpressure so
 	// the producer — not the consumer — absorbs the overload.
 	Reliable Class = iota
 	// LatestWins frames (poses, reprojected frames) keep one slot per
@@ -40,35 +40,35 @@ const (
 // Session errors.
 var (
 	ErrClosed       = errors.New("session: closed")
-	ErrBackpressure = errors.New("session: reliable send queue full")
-	ErrIdleTimeout  = errors.New("session: idle timeout")
-	ErrHandshake    = errors.New("session: handshake failed")
-	ErrAdmission    = errors.New("session: admission refused")
+	errBackpressure = errors.New("session: reliable send queue full")
+	errIdleTimeout  = errors.New("session: idle timeout")
+	errHandshake    = errors.New("session: handshake failed")
+	errAdmission    = errors.New("session: admission refused")
 )
 
-// BackpressureError is the typed, retryable rejection of a reliable Send
+// backpressureError is the typed, retryable rejection of a reliable Send
 // when the queue is full: the producer should back off and retry (or drop
 // deliberately), never treat it as session death. errors.Is matches both
-// ErrBackpressure and the generic retryable test below.
-type BackpressureError struct {
+// errBackpressure and the generic retryable test below.
+type backpressureError struct {
 	Session uint64
 	Queued  int // frames waiting when the send was refused
 }
 
-func (e *BackpressureError) Error() string {
+func (e *backpressureError) Error() string {
 	return fmt.Sprintf("session %d: reliable send queue full (%d queued)", e.Session, e.Queued)
 }
 
-// Unwrap lets errors.Is(err, ErrBackpressure) hold.
-func (e *BackpressureError) Unwrap() error { return ErrBackpressure }
+// Unwrap lets errors.Is(err, errBackpressure) hold.
+func (e *backpressureError) Unwrap() error { return errBackpressure }
 
 // Retryable marks the error transient.
-func (e *BackpressureError) Retryable() bool { return true }
+func (e *backpressureError) Retryable() bool { return true }
 
 // IsRetryable reports whether a send/admission failure is transient: the
 // caller should retry (after backoff) instead of tearing the session down.
 func IsRetryable(err error) bool {
-	if errors.Is(err, ErrBackpressure) {
+	if errors.Is(err, errBackpressure) {
 		return true
 	}
 	var r interface{ Retryable() bool }
@@ -154,8 +154,8 @@ func (s *Session) ID() uint64 { return s.id }
 // Hello returns the client's handshake message.
 func (s *Session) Hello() wire.Hello { return s.hello }
 
-// RemoteAddr reports the peer address.
-func (s *Session) RemoteAddr() string {
+// remoteAddr reports the peer address.
+func (s *Session) remoteAddr() string {
 	if a := s.conn.RemoteAddr(); a != nil {
 		return a.String()
 	}
@@ -181,16 +181,16 @@ func (s *Session) CountDisplaced(n int) {
 	s.srv.m.sendDropped.Add(n)
 }
 
-// Uptime is the session age.
-func (s *Session) Uptime() time.Duration { return time.Since(s.created) }
+// uptime is the session age.
+func (s *Session) uptime() time.Duration { return time.Since(s.created) }
 
 // Stats returns the cumulative send/receive accounting.
 func (s *Session) Stats() (sent, dropped, received, decodeErrs uint64) {
 	return s.sent.Load(), s.dropped.Load(), s.received.Load(), s.decodeErrors.Load()
 }
 
-// QueueDepth returns the current number of queued outbound frames.
-func (s *Session) QueueDepth() int {
+// queueDepth returns the current number of queued outbound frames.
+func (s *Session) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.fifo) + len(s.slotSeq)
@@ -207,7 +207,7 @@ func (s *Session) Send(f wire.Frame, class Class) error {
 		s.dropped.Add(1)
 		s.srv.m.sendDropped.Inc()
 		s.srv.m.backpressure.Inc()
-		return &BackpressureError{Session: s.id, Queued: len(s.fifo)}
+		return &backpressureError{Session: s.id, Queued: len(s.fifo)}
 	}
 	// The payload escapes to the writer goroutine: copy it into a recycled
 	// buffer so callers may reuse their encode buffers. The writer returns
@@ -237,19 +237,19 @@ func (s *Session) Send(f wire.Frame, class Class) error {
 	return nil
 }
 
-// Drain asks the writer to flush everything queued, send a terminal Bye,
+// drain asks the writer to flush everything queued, send a terminal Bye,
 // and then close the connection. Used by graceful shutdown. Drain is
 // idempotent: the first call wins the reason; later Drain or Close calls —
 // including after the drain deadline has force-closed the session — are
 // no-ops and can never re-arm a second Bye (the byeSent latch is checked
 // by the writer, never reset).
-func (s *Session) Drain(reason string) { s.DrainRetry(reason, 0) }
+func (s *Session) drain(reason string) { s.drainRetry(reason, 0) }
 
-// DrainRetry is Drain with a Retry-After hint: a non-zero retryMs tells
+// drainRetry is Drain with a Retry-After hint: a non-zero retryMs tells
 // the client the disconnect is transient (replica drain, admission
 // refusal) and it should reconnect with its resume token after at least
 // that many milliseconds. Same idempotence contract as Drain.
-func (s *Session) DrainRetry(reason string, retryMs uint32) {
+func (s *Session) drainRetry(reason string, retryMs uint32) {
 	s.mu.Lock()
 	if s.closed || s.drainReq {
 		// already draining or gone: the first reason and hint stand
@@ -263,10 +263,10 @@ func (s *Session) DrainRetry(reason string, retryMs uint32) {
 	s.mu.Unlock()
 }
 
-// Close terminates the session immediately, abandoning queued frames.
+// close terminates the session immediately, abandoning queued frames.
 // Abandoned payloads go back to the buffer pool: the writer can no longer
 // take them once closed is set.
-func (s *Session) Close(cause error) {
+func (s *Session) close(cause error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -289,8 +289,8 @@ func (s *Session) Close(cause error) {
 	_ = s.conn.Close()
 }
 
-// Err returns the terminal error after close (nil for a clean close).
-func (s *Session) Err() error {
+// err returns the terminal error after close (nil for a clean close).
+func (s *Session) err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closeErr
@@ -388,7 +388,7 @@ func (s *Session) writeLoop(done chan<- struct{}) {
 			batch[i] = wire.Frame{}
 		}
 		if err != nil {
-			s.Close(fmt.Errorf("session %d: write: %w", s.id, err))
+			s.close(fmt.Errorf("session %d: write: %w", s.id, err))
 			return
 		}
 		s.sent.Add(uint64(len(batch)))
@@ -434,7 +434,7 @@ func (s *Session) readLoop(r *wire.Reader) error {
 				return nil // clean close on a frame boundary
 			}
 			if errors.Is(err, net.ErrClosed) || s.isClosed() {
-				return s.Err()
+				return s.err()
 			}
 			s.decodeErrors.Add(1)
 			s.srv.m.decodeErrors.Inc()
@@ -518,7 +518,7 @@ func (s *Session) handshake(r *wire.Reader) error {
 	}
 	if h.Proto != wire.Version {
 		// the drain Bye the server sends on teardown carries this reason
-		return fmt.Errorf("%w: client speaks v%d, server v%d", ErrHandshake, h.Proto, wire.Version)
+		return fmt.Errorf("%w: client speaks v%d, server v%d", errHandshake, h.Proto, wire.Version)
 	}
 	s.hello = h
 	s.lastRecv.Store(time.Now().UnixNano())

@@ -186,7 +186,7 @@ func TestHandshakeFirstFrameNotHello(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, err := range h.ended {
-		if !errors.Is(err, ErrHandshake) {
+		if !errors.Is(err, errHandshake) {
 			t.Fatalf("end err = %v, want ErrHandshake", err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestLatestWinsDisplacement(t *testing.T) {
 	if err := sess.Send(wire.Frame{Type: wire.TypePong}, Reliable); err != nil {
 		t.Fatal(err)
 	}
-	for sess.QueueDepth() != 0 {
+	for sess.queueDepth() != 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 
@@ -257,7 +257,7 @@ func TestReliableBackpressure(t *testing.T) {
 	payload := wire.AppendPing(nil, wire.Ping{})
 	for i := 0; i < 16; i++ {
 		err := sess.Send(wire.Frame{Type: wire.TypeQoE, Payload: payload}, Reliable)
-		if errors.Is(err, ErrBackpressure) {
+		if errors.Is(err, errBackpressure) {
 			rejected = true
 			break
 		}
@@ -290,7 +290,7 @@ func TestIdleTimeoutReapsSession(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, err := range h.ended {
-		if !errors.Is(err, ErrIdleTimeout) {
+		if !errors.Is(err, errIdleTimeout) {
 			t.Fatalf("end err = %v, want ErrIdleTimeout", err)
 		}
 	}

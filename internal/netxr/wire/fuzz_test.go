@@ -36,7 +36,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: TypeCamera,
 		Payload: AppendCamera(nil, sensors.CameraFrame{Seq: 1, T: 0.1,
 			Features: []sensors.FeatureObs{{ID: 1, U: 2, V: 3}}})}))
-	f.Add([]byte{Magic0, Magic1})
+	f.Add([]byte{magic0, magic1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := Decode(data)
@@ -92,7 +92,7 @@ func readAll(r *Reader) ([]Frame, error) {
 
 // errClass names the kind of error that ended a stream.
 func errClass(err error) string {
-	for _, e := range []error{ErrMagic, ErrVersion, ErrTooLarge, ErrCRC} {
+	for _, e := range []error{errMagic, errVersion, errTooLarge, errCRC} {
 		if errors.Is(err, e) {
 			return e.Error()
 		}

@@ -28,7 +28,7 @@ type dec struct {
 
 func (d *dec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrShortPay, what, d.off)
+		d.err = fmt.Errorf("%w: %s at offset %d", errShortPay, what, d.off)
 	}
 }
 
@@ -92,7 +92,7 @@ func (d *dec) finish() error {
 		return d.err
 	}
 	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.b)-d.off)
+		return fmt.Errorf("%w: %d bytes", errTrailing, len(d.b)-d.off)
 	}
 	return nil
 }
@@ -207,7 +207,7 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	w.ResumeToken = d.uvarint()
 	resumed := d.uvarint()
 	if d.err == nil && resumed > 1 {
-		return w, fmt.Errorf("%w: resumed flag %d", ErrShortPay, resumed)
+		return w, fmt.Errorf("%w: resumed flag %d", errShortPay, resumed)
 	}
 	w.Resumed = resumed == 1
 	w.LastAckSeq = d.uvarint()
@@ -255,13 +255,13 @@ func DecodeCamera(p []byte) (sensors.CameraFrame, error) {
 	f := sensors.CameraFrame{Seq: int(d.varint()), T: d.f64()}
 	n := d.uvarint()
 	if d.err == nil && n > maxCameraFeatures {
-		return f, fmt.Errorf("%w: %d features", ErrTooLarge, n)
+		return f, fmt.Errorf("%w: %d features", errTooLarge, n)
 	}
 	// cap the preallocation by what the payload could actually hold
 	// (>= 10 bytes per feature) so a lying count cannot balloon memory
 	if d.err == nil {
 		if room := uint64(len(p)-d.off) / 10; n > room+1 {
-			return f, fmt.Errorf("%w: feature count %d exceeds payload", ErrShortPay, n)
+			return f, fmt.Errorf("%w: feature count %d exceeds payload", errShortPay, n)
 		}
 		f.Features = make([]sensors.FeatureObs, 0, n)
 	}
@@ -413,7 +413,7 @@ func DecodeBye(p []byte) (Bye, error) {
 	b := Bye{Reason: string(d.bytes())}
 	retry := d.uvarint()
 	if d.err == nil && retry > math.MaxUint32 {
-		return b, fmt.Errorf("%w: retry_after %d ms", ErrTooLarge, retry)
+		return b, fmt.Errorf("%w: retry_after %d ms", errTooLarge, retry)
 	}
 	b.RetryAfterMs = uint32(retry)
 	return b, d.finish()

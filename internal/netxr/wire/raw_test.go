@@ -96,7 +96,7 @@ func TestReadRawErrors(t *testing.T) {
 	good := AppendFrame(nil, Frame{Type: TypeIMU, Payload: []byte{1, 2, 3}})
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	if _, err := NewReader(bytes.NewReader(corrupt)).ReadRaw(); err != ErrCRC {
+	if _, err := NewReader(bytes.NewReader(corrupt)).ReadRaw(); err != errCRC {
 		t.Fatalf("corrupt CRC: err=%v, want ErrCRC", err)
 	}
 	if _, err := NewReader(bytes.NewReader(good[:5])).ReadRaw(); err != io.ErrUnexpectedEOF {
@@ -104,7 +104,7 @@ func TestReadRawErrors(t *testing.T) {
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 'Z'
-	if _, err := NewReader(bytes.NewReader(bad)).ReadRaw(); err != ErrMagic {
+	if _, err := NewReader(bytes.NewReader(bad)).ReadRaw(); err != errMagic {
 		t.Fatalf("bad magic: err=%v, want ErrMagic", err)
 	}
 }

@@ -37,12 +37,12 @@ import (
 
 // Magic bytes opening every frame ("XR").
 const (
-	Magic0 = 0x58
-	Magic1 = 0x52
+	magic0 = 0x58
+	magic1 = 0x52
 )
 
 // Version is the protocol version this build speaks. A decoder receiving
-// any other version returns ErrVersion — the session layer then refuses
+// any other version returns errVersion — the session layer then refuses
 // the peer instead of misparsing its stream. v2 added session resume:
 // Hello carries a resume token and the client's last-seen downlink seq,
 // Welcome answers with the token to present on reconnect plus the resume
@@ -103,16 +103,16 @@ func (t Type) String() string {
 	}
 }
 
-// Decode errors. ErrTruncated wraps io.ErrUnexpectedEOF semantics for
+// Decode errors. errTruncated wraps io.ErrUnexpectedEOF semantics for
 // slice-based decoding; the streaming Reader returns io errors directly.
 var (
-	ErrMagic     = errors.New("wire: bad magic")
-	ErrVersion   = errors.New("wire: protocol version mismatch")
-	ErrTooLarge  = errors.New("wire: payload length exceeds MaxPayload")
-	ErrCRC       = errors.New("wire: CRC mismatch")
-	ErrTruncated = errors.New("wire: truncated frame")
-	ErrShortPay  = errors.New("wire: payload too short")
-	ErrTrailing  = errors.New("wire: trailing bytes after payload")
+	errMagic     = errors.New("wire: bad magic")
+	errVersion   = errors.New("wire: protocol version mismatch")
+	errTooLarge  = errors.New("wire: payload length exceeds MaxPayload")
+	errCRC       = errors.New("wire: CRC mismatch")
+	errTruncated = errors.New("wire: truncated frame")
+	errShortPay  = errors.New("wire: payload too short")
+	errTrailing  = errors.New("wire: trailing bytes after payload")
 )
 
 // Frame is one decoded protocol frame: the message type, the causal-trace
@@ -128,7 +128,7 @@ type Frame struct {
 // payload is copied, so f.Payload may be reused immediately.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
-	dst = append(dst, Magic0, Magic1, Version, byte(f.Type))
+	dst = append(dst, magic0, magic1, Version, byte(f.Type))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Trace.Trace))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Trace.Span))
 	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
@@ -142,30 +142,30 @@ func AppendFrame(dst []byte, f Frame) []byte {
 func Decode(b []byte) (Frame, int, error) {
 	var f Frame
 	if len(b) < headerLen+1 {
-		return f, 0, ErrTruncated
+		return f, 0, errTruncated
 	}
-	if b[0] != Magic0 || b[1] != Magic1 {
-		return f, 0, ErrMagic
+	if b[0] != magic0 || b[1] != magic1 {
+		return f, 0, errMagic
 	}
 	if b[2] != Version {
-		return f, 0, fmt.Errorf("%w: got %d want %d", ErrVersion, b[2], Version)
+		return f, 0, fmt.Errorf("%w: got %d want %d", errVersion, b[2], Version)
 	}
 	f.Type, f.Trace = header(b)
 	n, vlen := binary.Uvarint(b[headerLen:])
 	if vlen <= 0 {
-		return f, 0, ErrTruncated
+		return f, 0, errTruncated
 	}
 	if n > MaxPayload {
-		return f, 0, ErrTooLarge
+		return f, 0, errTooLarge
 	}
 	total := headerLen + vlen + int(n) + 4
 	if len(b) < total {
-		return f, 0, ErrTruncated
+		return f, 0, errTruncated
 	}
 	body := b[:total-4]
 	want := binary.LittleEndian.Uint32(b[total-4 : total])
 	if crc32.ChecksumIEEE(body) != want {
-		return f, 0, ErrCRC
+		return f, 0, errCRC
 	}
 	f.Payload = b[headerLen+vlen : total-4]
 	return f, total, nil
@@ -249,9 +249,6 @@ func (r *Reader) Release() {
 	readers.Put(r)
 }
 
-// Frames returns the number of frames successfully decoded.
-func (r *Reader) Frames() uint64 { return r.frames }
-
 // Bytes returns the number of stream bytes consumed by decoded frames.
 func (r *Reader) Bytes() uint64 { return r.bytes }
 
@@ -287,11 +284,11 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 		}
 		return typ, trace, nil, 0, err
 	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return typ, trace, nil, 0, ErrMagic
+	if hdr[0] != magic0 || hdr[1] != magic1 {
+		return typ, trace, nil, 0, errMagic
 	}
 	if hdr[2] != Version {
-		return typ, trace, nil, 0, fmt.Errorf("%w: got %d want %d", ErrVersion, hdr[2], Version)
+		return typ, trace, nil, 0, fmt.Errorf("%w: got %d want %d", errVersion, hdr[2], Version)
 	}
 	typ, trace = header(hdr)
 
@@ -310,13 +307,13 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 			break
 		}
 		if vlen == len(vbuf) {
-			return typ, trace, nil, 0, ErrTooLarge
+			return typ, trace, nil, 0, errTooLarge
 		}
 	}
 	var consumed int
 	n, consumed = binary.Uvarint(vbuf[:vlen])
 	if consumed <= 0 || n > MaxPayload {
-		return typ, trace, nil, 0, ErrTooLarge
+		return typ, trace, nil, 0, errTooLarge
 	}
 
 	rest := r.grow(headerLen + vlen + int(n) + 4)
@@ -328,7 +325,7 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 	body := rest[:len(rest)-4]
 	want := binary.LittleEndian.Uint32(rest[len(rest)-4:])
 	if crc32.ChecksumIEEE(body) != want {
-		return typ, trace, nil, 0, ErrCRC
+		return typ, trace, nil, 0, errCRC
 	}
 	r.frames++
 	r.bytes += uint64(len(rest))
@@ -345,7 +342,7 @@ func (r *Reader) readRaw() (Type, telemetry.SpanRef, []byte, int, error) {
 // consumed, and nothing reads them again.
 func (r *Reader) inBuffer() (full []byte, payStart int, ok bool) {
 	b, _ := r.br.Peek(r.br.Buffered()) // never fills: n <= Buffered
-	if len(b) < headerLen+1 || b[0] != Magic0 || b[1] != Magic1 || b[2] != Version {
+	if len(b) < headerLen+1 || b[0] != magic0 || b[1] != magic1 || b[2] != Version {
 		return nil, 0, false
 	}
 	n, vlen := binary.Uvarint(b[headerLen:])
@@ -427,9 +424,6 @@ func (w *Writer) Release() {
 	w.frames, w.bytes = 0, 0
 	writers.Put(w)
 }
-
-// Frames returns the number of frames written.
-func (w *Writer) Frames() uint64 { return w.frames }
 
 // Bytes returns the number of stream bytes written.
 func (w *Writer) Bytes() uint64 { return w.bytes }

@@ -51,26 +51,26 @@ func TestDecodeErrors(t *testing.T) {
 
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] = 'Y'
-	if _, _, err := Decode(badMagic); !errors.Is(err, ErrMagic) {
+	if _, _, err := Decode(badMagic); !errors.Is(err, errMagic) {
 		t.Fatalf("magic: %v", err)
 	}
 
 	skew := append([]byte(nil), valid...)
 	skew[2] = Version + 1
-	if _, _, err := Decode(skew); !errors.Is(err, ErrVersion) {
+	if _, _, err := Decode(skew); !errors.Is(err, errVersion) {
 		t.Fatalf("version: %v", err)
 	}
 
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-6] ^= 0x40 // payload byte: CRC must catch it
-	if _, _, err := Decode(flip); !errors.Is(err, ErrCRC) {
+	if _, _, err := Decode(flip); !errors.Is(err, errCRC) {
 		t.Fatalf("crc: %v", err)
 	}
 
 	// hostile length prefix: claims more than MaxPayload
 	huge := AppendFrame(nil, testFrame(TypeIMU, nil))[:headerLen]
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // ~34 GiB varint
-	if _, _, err := Decode(huge); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := Decode(huge); !errors.Is(err, errTooLarge) {
 		t.Fatalf("too large: %v", err)
 	}
 }
@@ -356,3 +356,9 @@ func TestFrameTraceRefStreamRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Frames returns the number of frames successfully decoded.
+func (r *Reader) Frames() uint64 { return r.frames }
+
+// Frames returns the number of frames written.
+func (w *Writer) Frames() uint64 { return w.frames }

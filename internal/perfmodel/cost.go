@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"illixr/internal/eyetrack"
 	"illixr/internal/hologram"
 	"illixr/internal/reconstruct"
 	"illixr/internal/render"
@@ -42,8 +41,7 @@ const (
 	appPerTriangleMs  = 8e-5    // vertex + setup (CPU side)
 	appPerKFragMs     = 0.00053 // GPU per 1000 cost-weighted fragments
 	appGPUBaseMs      = 0.7     // render-pass fixed overhead
-	appDisplayPixels  = 2560.0 * 1440.0
-	appProbePixelNorm = 1.0 // probe renders are pre-scaled by system/core
+	appProbePixelNorm = 1.0     // probe renders are pre-scaled by system/core
 
 	// --- reprojection (per vsync) ---
 	reprojCPUStateMs = 0.45 // FBO + OpenGL state updates (driver-bound)
@@ -55,10 +53,6 @@ const (
 	audioEncodePerSrcMs  = 0.11  // normalize+encode+sum per source
 	audioPlaybackBaseMs  = 0.35  // rotation + zoom
 	audioPlaybackPerSpMs = 0.055 // per virtual speaker HRTF convolution
-
-	// --- eye tracking (per inference, batch of 2) ---
-	eyePerMMACMs = 0.0022
-	eyeBaseMs    = 0.8
 
 	// --- scene reconstruction (per frame) ---
 	reconPerKDepthMs  = 0.08  // bilateral filter per 1000 depth px
@@ -166,11 +160,6 @@ func AudioPlaybackCost(nSpeakers int) Cost {
 			"Binauralization":       0.60 * total,
 		},
 	}
-}
-
-// EyeTrackingCost models one binocular inference.
-func EyeTrackingCost(st eyetrack.Stats) Cost {
-	return Cost{GPUms: eyeBaseMs + eyePerMMACMs*float64(st.MACs)/1e6}
 }
 
 // ReconstructionCost models one RGB-D fusion frame with the Table VI task

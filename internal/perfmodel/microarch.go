@@ -15,16 +15,6 @@ type MicroarchStats struct {
 	BackendPct  float64
 }
 
-// Microarch returns the Fig 8 row for a component (by canonical name).
-func Microarch(component string) (MicroarchStats, bool) {
-	for _, m := range MicroarchAll() {
-		if m.Component == component {
-			return m, true
-		}
-	}
-	return MicroarchStats{}, false
-}
-
 // MicroarchAll returns the Fig 8 dataset in presentation order. Anchored
 // values from the paper's text: VIO IPC 2.2, reprojection 0.3 (frontend-
 // stall-bound from GPU-driver instruction footprint), audio encoding 2.5
@@ -38,47 +28,5 @@ func MicroarchAll() []MicroarchStats {
 		{Component: "Hologram", IPC: 1.8, RetiringPct: 45, BadSpecPct: 3, FrontendPct: 7, BackendPct: 45},
 		{Component: "Audio Encoding", IPC: 2.5, RetiringPct: 69, BadSpecPct: 3, FrontendPct: 5, BackendPct: 23},
 		{Component: "Audio Playback", IPC: 3.5, RetiringPct: 86, BadSpecPct: 2, FrontendPct: 4, BackendPct: 8},
-	}
-}
-
-// TaskCharacter describes the computation and memory pattern of one
-// algorithmic task (the descriptive columns of Tables VI and VII).
-type TaskCharacter struct {
-	Component string
-	Task      string
-	Compute   string
-	Memory    string
-}
-
-// TaskCharacters reproduces the descriptive content of Tables VI/VII for
-// documentation output (illixr-bench -exp table6/table7 prints measured
-// time shares next to these descriptions).
-func TaskCharacters() []TaskCharacter {
-	return []TaskCharacter{
-		{"VIO", "Feature detection", "KLT; FAST", "mixed dense/sparse image accesses; local stencils"},
-		{"VIO", "Feature matching", "KLT; GEMM; linear algebra", "dense+sparse image and feature-map accesses"},
-		{"VIO", "Feature initialization", "SVD; Gauss-Newton; Jacobian; nullspace projection; GEMM", "dense feature maps; mixed state-matrix accesses"},
-		{"VIO", "MSCKF update", "SVD; Gauss-Newton; Cholesky; QR; Jacobian; chi2; GEMM", "dense feature maps; mixed state-matrix accesses"},
-		{"VIO", "SLAM update", "identical to MSCKF update", "similar to MSCKF update"},
-		{"VIO", "Marginalization", "Cholesky; matrix arithmetic", "dense feature-map and state-matrix accesses"},
-		{"VIO", "Other", "Gaussian filter; histogram", "globally dense image stencils"},
-		{"Scene Reconstruction", "Camera Processing", "bilateral filter; invalid depth rejection", "locally dense image stencil"},
-		{"Scene Reconstruction", "Image Processing", "vertex/normal/intensity maps; undistortion; pose transform", "dense image accesses; RGB_RGB→RR_GG_BB layout change"},
-		{"Scene Reconstruction", "Pose Estimation", "ICP; photometric error; reduction", "mixed dense/sparse image accesses"},
-		{"Scene Reconstruction", "Surfel Prediction", "Gauss-Newton; Cholesky; fern encoding/matching", "dense deformation graph; sparse image accesses"},
-		{"Scene Reconstruction", "Map Fusion", "binary search; nearest neighbor; matrix transforms", "sparse graph accesses; locally dense surfel list"},
-		{"Reprojection", "FBO", "framebuffer bind and clear", "driver calls; CPU-GPU synchronization"},
-		{"Reprojection", "OpenGL State Update", "OpenGL state updates; one drawcall per eye", "driver calls; CPU-GPU synchronization"},
-		{"Reprojection", "Reprojection", "6 matrix-vector MULs/vertex", "dense uniform/vertex/fragment buffers; sparse texture accesses"},
-		{"Hologram", "Hologram-to-depth", "transcendentals; FMADDs; tree reduction", "globally dense hologram phases"},
-		{"Hologram", "Sum", "tree reduction", "globally dense partial sums"},
-		{"Hologram", "Depth-to-hologram", "transcendentals; FMADDs; thread-local reduction", "globally dense depth phases"},
-		{"Audio Encoding", "Normalization", "element-wise FP32 division", "globally dense audio samples"},
-		{"Audio Encoding", "Encoding", "Y[j][i] = D × X[j]", "dense column-major soundfield accesses"},
-		{"Audio Encoding", "Summation", "Y[i][j] += Xk[i][j] ∀k", "dense row-major soundfield accesses"},
-		{"Audio Playback", "Psychoacoustic filter", "FFT; frequency-domain convolution; IFFT", "butterfly pattern; dense FFT output"},
-		{"Audio Playback", "Rotation", "transcendentals; FMADDs", "globally dense soundfield"},
-		{"Audio Playback", "Zoom", "FMADDs", "dense column-major soundfield"},
-		{"Audio Playback", "Binauralization", "identical to psychoacoustic filter", "identical to psychoacoustic filter"},
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"illixr/internal/eyetrack"
 	"illixr/internal/reconstruct"
 	"illixr/internal/render"
 	"illixr/internal/reprojection"
@@ -116,26 +115,19 @@ func TestAppCostMonotone(t *testing.T) {
 	}
 }
 
-func TestEyeTrackingCostUsesGPU(t *testing.T) {
-	c := EyeTrackingCost(eyetrack.Stats{MACs: 50_000_000})
-	if c.GPUms <= 0 || c.CPUms != 0 {
-		t.Errorf("eye tracking cost %+v", c)
-	}
-}
-
 func TestMicroarchAnchors(t *testing.T) {
 	// Fig 8 anchored values straight from the paper's text.
 	anchors := map[string]float64{
 		"VIO": 2.2, "Reprojection": 0.3, "Audio Encoding": 2.5, "Audio Playback": 3.5,
 	}
-	for name, want := range anchors {
-		m, ok := Microarch(name)
-		if !ok || m.IPC != want {
-			t.Errorf("%s IPC = %v, want %v", name, m.IPC, want)
+	for _, m := range MicroarchAll() {
+		if want, ok := anchors[m.Component]; ok && m.IPC != want {
+			t.Errorf("%s IPC = %v, want %v", m.Component, m.IPC, want)
 		}
+		delete(anchors, m.Component)
 	}
-	if _, ok := Microarch("nope"); ok {
-		t.Error("phantom component")
+	if len(anchors) != 0 {
+		t.Errorf("components missing: %v", anchors)
 	}
 	// breakdowns sum to 100
 	for _, m := range MicroarchAll() {
@@ -152,21 +144,5 @@ func TestMicroarchAnchors(t *testing.T) {
 	}
 	if lo != 0.3 || hi != 3.5 {
 		t.Errorf("IPC range [%v, %v]", lo, hi)
-	}
-}
-
-func TestTaskCharactersCoverTables(t *testing.T) {
-	byComp := map[string]int{}
-	for _, tc := range TaskCharacters() {
-		byComp[tc.Component]++
-	}
-	want := map[string]int{
-		"VIO": 7, "Scene Reconstruction": 5, "Reprojection": 3,
-		"Hologram": 3, "Audio Encoding": 3, "Audio Playback": 4,
-	}
-	for comp, n := range want {
-		if byComp[comp] != n {
-			t.Errorf("%s: %d tasks, want %d", comp, byComp[comp], n)
-		}
 	}
 }

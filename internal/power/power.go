@@ -98,11 +98,3 @@ func Estimate(p perfmodel.Platform, u Utilization) Breakdown {
 		Sys: r.sys,
 	}
 }
-
-// GapVsIdeal returns total power divided by the Table I ideal (VR: 1.5 W).
-func GapVsIdeal(b Breakdown, idealWatts float64) float64 {
-	if idealWatts <= 0 {
-		return 0
-	}
-	return b.Total() / idealWatts
-}

@@ -86,16 +86,6 @@ func TestUnknownPlatform(t *testing.T) {
 	}
 }
 
-func TestGapVsIdeal(t *testing.T) {
-	b := Breakdown{CPU: 150}
-	if g := GapVsIdeal(b, 1.5); math.Abs(g-100) > 1e-12 {
-		t.Errorf("gap %v", g)
-	}
-	if GapVsIdeal(b, 0) != 0 {
-		t.Error("zero ideal should return 0")
-	}
-}
-
 func TestEstimateNonNegativeProperty(t *testing.T) {
 	f := func(cpu, gpu float64) bool {
 		if math.IsNaN(cpu) || math.IsNaN(gpu) || math.IsInf(cpu, 0) || math.IsInf(gpu, 0) {

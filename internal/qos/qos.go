@@ -34,10 +34,10 @@ import (
 	"illixr/internal/telemetry"
 )
 
-// Unit is the fixed-point scale of pressures and rates (Q10): a
+// unit is the fixed-point scale of pressures and rates (Q10): a
 // pressure of Unit means the kernel's windowed p99 exactly consumes its
 // deadline budget.
-const Unit = 1024
+const unit = 1024
 
 // KnobSpec declares one quality knob the controller owns. Full is the
 // full-quality value, Floor the most-degraded one; the degrade
@@ -226,10 +226,10 @@ func NewController(cfg Config) (*Controller, error) {
 		cfg.DampEpochs = 3
 	}
 	if cfg.HighWater <= 0 {
-		cfg.HighWater = Unit
+		cfg.HighWater = unit
 	}
 	if cfg.LowWater <= 0 {
-		cfg.LowWater = 7 * Unit / 10
+		cfg.LowWater = 7 * unit / 10
 	}
 	if cfg.MaxWorkerMoves <= 0 {
 		cfg.MaxWorkerMoves = 1
@@ -266,7 +266,7 @@ func NewController(cfg Config) (*Controller, error) {
 	// initial apportionment: weights only (no pressure yet)
 	demands := make([]int64, len(c.kernels))
 	for i, ks := range c.kernels {
-		demands[i] = int64(ks.spec.weight()) * Unit
+		demands[i] = int64(ks.spec.weight()) * unit
 	}
 	for i, w := range apportion(demands, c.mins(), cfg.TotalWorkers) {
 		c.kernels[i].workers = w
@@ -384,9 +384,9 @@ func (c *Controller) Step(stats []KernelStats) Decision {
 	totalMisses := 0
 	for _, ks := range c.kernels {
 		s := byK[ks.spec.ID]
-		p := int(s.P99Us * Unit / c.cfg.BudgetUs)
+		p := int(s.P99Us * unit / c.cfg.BudgetUs)
 		if s.Frames > 0 {
-			p += s.Misses * Unit / s.Frames
+			p += s.Misses * unit / s.Frames
 		}
 		ks.pressureQ = p
 		totalMisses += s.Misses
@@ -421,7 +421,7 @@ func (c *Controller) Step(stats []KernelStats) Decision {
 		id := ks.spec.ID
 		if c.workersG != nil {
 			c.workersG[id].Set(float64(ks.workers))
-			c.pressureG[id].Set(float64(ks.pressureQ) / Unit)
+			c.pressureG[id].Set(float64(ks.pressureQ) / unit)
 			for i, kn := range ks.spec.Knobs {
 				c.knobG[id+"."+kn.Name].Set(float64(ks.knobs[i]))
 			}
@@ -444,11 +444,11 @@ func (c *Controller) stepWorkers() bool {
 		// clamp so one exploding kernel cannot starve the rest to their
 		// floors in a single reallocation burst, and an idle kernel
 		// still weighs something
-		if p < Unit/4 {
-			p = Unit / 4
+		if p < unit/4 {
+			p = unit / 4
 		}
-		if p > 4*Unit {
-			p = 4 * Unit
+		if p > 4*unit {
+			p = 4 * unit
 		}
 		demands[i] = int64(ks.spec.weight()) * p
 	}
@@ -597,21 +597,6 @@ func (c *Controller) appendLog(d Decision) {
 	}
 }
 
-// Log returns the retained decision lines (oldest first).
-func (c *Controller) Log() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.log...)
-}
-
-// LogBytes returns the retained log as one newline-joined blob — the
-// byte-identical artifact the determinism tests compare.
-func (c *Controller) LogBytes() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return []byte(strings.Join(c.log, "\n"))
-}
-
 // LogFingerprint folds every record ever appended (retained or not)
 // into one 64-bit fingerprint.
 func (c *Controller) LogFingerprint() uint64 {
@@ -623,8 +608,8 @@ func (c *Controller) LogFingerprint() uint64 {
 // ---------------------------------------------------------------------------
 // /qos document
 
-// KernelDoc is one kernel's row in the /qos debug document.
-type KernelDoc struct {
+// kernelDoc is one kernel's row in the /qos debug document.
+type kernelDoc struct {
 	Kernel   string         `json:"kernel"`
 	Workers  int            `json:"workers"`
 	Pressure float64        `json:"pressure"`
@@ -638,7 +623,7 @@ type Doc struct {
 	BudgetUs       int64       `json:"budget_us"`
 	Violations     int         `json:"violations"`
 	LogFingerprint string      `json:"log_fingerprint"`
-	Kernels        []KernelDoc `json:"kernels"`
+	Kernels        []kernelDoc `json:"kernels"`
 	RecentLog      []string    `json:"recent_log"`
 }
 
@@ -655,8 +640,8 @@ func (c *Controller) QoSDoc() any {
 	}
 	doc.LogFingerprint = fmt.Sprintf("%016x", c.fprint)
 	for _, ks := range c.kernels {
-		kd := KernelDoc{Kernel: ks.spec.ID, Workers: ks.workers,
-			Pressure: float64(ks.pressureQ) / Unit, Knobs: map[string]int{}}
+		kd := kernelDoc{Kernel: ks.spec.ID, Workers: ks.workers,
+			Pressure: float64(ks.pressureQ) / unit, Knobs: map[string]int{}}
 		for i, kn := range ks.spec.Knobs {
 			kd.Knobs[kn.Name] = ks.knobs[i]
 		}

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -403,4 +404,12 @@ func TestPoolSetWorkersDeterminism(t *testing.T) {
 	if p.Workers() != 1 {
 		t.Fatalf("SetWorkers(0) did not clamp to 1: %d", p.Workers())
 	}
+}
+
+// LogBytes returns the retained log as one newline-joined blob — the
+// byte-identical artifact the determinism tests compare.
+func (c *Controller) LogBytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return []byte(strings.Join(c.log, "\n"))
 }

@@ -8,7 +8,7 @@ import (
 	"illixr/internal/parallel"
 )
 
-// FLIP computes a perceptual difference map between a test and a reference
+// flip computes a perceptual difference map between a test and a reference
 // RGB image following the structure of FLIP (Andersson et al. 2020): a
 // contrast-sensitivity prefilter in an opponent color space, a hue-angle
 // weighted color difference, and a feature (edge/point) difference on
@@ -19,7 +19,7 @@ import (
 // This is a faithful structural reimplementation rather than a bit-exact
 // port (the original's CSF tables assume a calibrated display); see
 // DESIGN.md.
-func FLIP(test, ref *imgproc.RGB) float64 { return FLIPPool(nil, test, ref) }
+func flip(test, ref *imgproc.RGB) float64 { return FLIPPool(nil, test, ref) }
 
 // The FLIP stages run through pooled per-invocation contexts with
 // persistent tile closures — same pattern as SSIM — so a steady-state
@@ -177,7 +177,7 @@ func FLIPPool(p *parallel.Pool, test, ref *imgproc.RGB) float64 {
 }
 
 // OneMinusFLIP is the similarity form reported in Table V.
-func OneMinusFLIP(test, ref *imgproc.RGB) float64 { return 1 - FLIP(test, ref) }
+func OneMinusFLIP(test, ref *imgproc.RGB) float64 { return 1 - flip(test, ref) }
 
 // OneMinusFLIPPool is OneMinusFLIP over a worker pool.
 func OneMinusFLIPPool(p *parallel.Pool, test, ref *imgproc.RGB) float64 {

@@ -31,17 +31,17 @@ func FuzzSSIMWindow(f *testing.F) {
 			a.Pix[i] = float32(va) / 255
 			b.Pix[i] = float32(vb) / 255
 		}
-		s := SSIM(a, b)
+		s := SSIMPool(nil, a, b)
 		if math.IsNaN(s) || math.IsInf(s, 0) {
-			t.Fatalf("SSIM(%dx%d) = %v, want finite", w, h, s)
+			t.Fatalf("SSIMPool(nil, %dx%d) = %v, want finite", w, h, s)
 		}
 		// float32 moment rounding can push per-pixel scores marginally past
 		// the exact-arithmetic bound of |s| <= 1
 		if s > 1.001 || s < -1.001 {
-			t.Fatalf("SSIM(%dx%d) = %v outside [-1, 1]", w, h, s)
+			t.Fatalf("SSIMPool(nil, %dx%d) = %v outside [-1, 1]", w, h, s)
 		}
-		if self := SSIM(a, a); self != 1 {
-			t.Fatalf("SSIM(a, a) = %v, want exactly 1", self)
+		if self := SSIMPool(nil, a, a); self != 1 {
+			t.Fatalf("SSIMPool(nil, a, a) = %v, want exactly 1", self)
 		}
 		for _, workers := range []int{2, 7} {
 			par := SSIMPool(parallel.New(workers), a, b)

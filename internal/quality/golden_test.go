@@ -43,9 +43,9 @@ func TestGoldenSSIMAndFLIP(t *testing.T) {
 	ga, gb := testGrayPair(96, 64)
 	ra, rb := testRGBPair(96, 64)
 	vals := []float64{
-		SSIM(ga, gb),
-		SSIM(ga, ga),
-		FLIP(ra, rb),
+		SSIMPool(nil, ga, gb),
+		SSIMPool(nil, ga, ga),
+		flip(ra, rb),
 		OneMinusFLIP(ra, rb),
 	}
 	testutil.CheckGolden(t, "testdata/ssim_flip_96x64.golden", vals, 0)

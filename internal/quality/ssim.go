@@ -4,7 +4,6 @@
 package quality
 
 import (
-	"math"
 	"sync"
 
 	"illixr/internal/imgproc"
@@ -17,11 +16,6 @@ import (
 // order-stable: independent of worker count, and identical between the
 // serial and parallel paths (DESIGN.md §8).
 const sumTile = 8192
-
-// SSIM computes the mean Structural Similarity Index between two
-// same-sized grayscale images (Wang et al. 2004), using an 11×11 Gaussian
-// window with σ=1.5 and the standard constants for a [0,1] dynamic range.
-func SSIM(a, b *imgproc.Gray) float64 { return SSIMPool(nil, a, b) }
 
 // ssimCtx carries one SSIM invocation's intermediate images so the score
 // closure is built once and reused — per-call closure literals would heap
@@ -53,8 +47,11 @@ var ssimCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-// SSIMPool is SSIM with the Gaussian windows and the score reduction tiled
-// over a worker pool; output is bitwise identical for every worker count.
+// SSIMPool computes the mean Structural Similarity Index between two
+// same-sized grayscale images (Wang et al. 2004), using an 11×11 Gaussian
+// window with σ=1.5 and the standard constants for a [0,1] dynamic range.
+// The windows and the score reduction are tiled over a worker pool (nil =
+// serial); output is bitwise identical for every worker count.
 // All intermediates cycle through the image pools, so steady-state calls
 // allocate nothing.
 func SSIMPool(p *parallel.Pool, a, b *imgproc.Gray) float64 {
@@ -184,22 +181,4 @@ func mulImg(p *parallel.Pool, a, b *imgproc.Gray) *imgproc.Gray {
 	c.a, c.b, c.out = nil, nil, nil
 	mulCtxPool.Put(c)
 	return out
-}
-
-// PSNR computes peak signal-to-noise ratio (dB) between two gray images
-// with a [0,1] range.
-func PSNR(a, b *imgproc.Gray) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic("quality: PSNR size mismatch")
-	}
-	mse := 0.0
-	for i := range a.Pix {
-		d := float64(a.Pix[i] - b.Pix[i])
-		mse += d * d
-	}
-	mse /= float64(len(a.Pix))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return -10 * math.Log10(mse)
 }

@@ -38,7 +38,7 @@ type Stats struct {
 }
 
 // SlicePool is a size-bucketed free-list for []T. The zero value is not
-// usable; construct with NewSlicePool.
+// usable; construct with newSlicePool.
 type SlicePool[T any] struct {
 	name    string
 	buckets [maxBuckets]sync.Pool // bucket b holds *wrapper[T] with cap >= 1<<b
@@ -60,9 +60,9 @@ var (
 	pools   []interface{ instrument(*telemetry.Registry) }
 )
 
-// NewSlicePool creates a named free-list for []T. The name becomes the
+// newSlicePool creates a named free-list for []T. The name becomes the
 // telemetry suffix: illixr_recycle_<name>_{hit,miss,put}_total.
-func NewSlicePool[T any](name string) *SlicePool[T] {
+func newSlicePool[T any](name string) *SlicePool[T] {
 	p := &SlicePool[T]{name: name}
 	poolsMu.Lock()
 	pools = append(pools, p)
@@ -155,11 +155,11 @@ func (p *SlicePool[T]) Put(s []T) {
 // Shared pools for the element types that dominate the per-frame paths.
 var (
 	// F32 backs imgproc.Gray/RGB pixels and KLT template scratch.
-	F32 = NewSlicePool[float32]("f32")
+	F32 = newSlicePool[float32]("f32")
 	// F64 backs hologram phase planes, audio blocks and FFT real I/O.
-	F64 = NewSlicePool[float64]("f64")
+	F64 = newSlicePool[float64]("f64")
 	// C128 backs FFT spectra and hologram wavefront fields.
-	C128 = NewSlicePool[complex128]("c128")
+	C128 = newSlicePool[complex128]("c128")
 	// Bytes backs netxr wire/frame encode payloads.
-	Bytes = NewSlicePool[byte]("bytes")
+	Bytes = newSlicePool[byte]("bytes")
 )

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGetReturnsZeroedSlice(t *testing.T) {
-	p := NewSlicePool[float64]("test_zero")
+	p := newSlicePool[float64]("test_zero")
 	s := p.Get(100)
 	if len(s) != 100 {
 		t.Fatalf("len = %d, want 100", len(s))
@@ -30,7 +30,7 @@ func TestGetReturnsZeroedSlice(t *testing.T) {
 }
 
 func TestBucketCapacities(t *testing.T) {
-	p := NewSlicePool[byte]("test_bucket")
+	p := newSlicePool[byte]("test_bucket")
 	// A put slice must only be handed back to requests it can cover.
 	big := p.Get(1000) // bucket 10, cap 1024
 	p.Put(big)
@@ -48,7 +48,7 @@ func TestBucketCapacities(t *testing.T) {
 }
 
 func TestGetZeroAndNegative(t *testing.T) {
-	p := NewSlicePool[int]("test_empty")
+	p := newSlicePool[int]("test_empty")
 	if s := p.Get(0); s != nil {
 		t.Fatalf("Get(0) = %v, want nil", s)
 	}
@@ -68,7 +68,7 @@ func TestStatsAndInstrument(t *testing.T) {
 	// expected hit into a miss — hold it off for the window
 	prev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(prev)
-	p := NewSlicePool[float32]("test_stats")
+	p := newSlicePool[float32]("test_stats")
 	reg := telemetry.NewRegistry()
 	Instrument(reg)
 	s := p.Get(32) // miss
@@ -87,7 +87,7 @@ func TestSteadyStateGetPutAllocsZero(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	p := NewSlicePool[float64]("test_allocs")
+	p := newSlicePool[float64]("test_allocs")
 	// Warm up: one buffer and one husk in flight.
 	p.Put(p.Get(4096))
 	allocs := testing.AllocsPerRun(100, func() {

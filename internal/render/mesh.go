@@ -20,11 +20,11 @@ type Vertex struct {
 
 // Mesh is an indexed triangle mesh.
 //
-// Every constructor (Box, Sphere, Plane, Column, Transform, TransformInto)
+// Every constructor (Box, Sphere, Plane, Column, Transform, transformInto)
 // records a bounding sphere of the vertices it writes, and the renderer
 // skips a whole instance whose sphere cannot put a triangle on screen. A
 // Mesh built as a literal has no bound and is never skipped; code that
-// edits Vertices in place must rewrite them through TransformInto, which
+// edits Vertices in place must rewrite them through transformInto, which
 // refreshes the bound, or the stale bound may hide geometry. The bound is
 // computed eagerly, never on first use, so renderers may share a scene.
 type Mesh struct {
@@ -36,21 +36,21 @@ type Mesh struct {
 	bounded bool
 }
 
-// TriangleCount returns the number of triangles.
-func (m *Mesh) TriangleCount() int { return len(m.Triangles) }
+// triangleCount returns the number of triangles.
+func (m *Mesh) triangleCount() int { return len(m.Triangles) }
 
-// Transform returns a copy of the mesh with positions and normals mapped
+// transform returns a copy of the mesh with positions and normals mapped
 // through the pose and scaled.
-func (m *Mesh) Transform(pose mathx.Pose, scale mathx.Vec3) *Mesh {
+func (m *Mesh) transform(pose mathx.Pose, scale mathx.Vec3) *Mesh {
 	out := &Mesh{}
-	m.TransformInto(out, pose, scale)
+	m.transformInto(out, pose, scale)
 	return out
 }
 
-// TransformInto is Transform writing into dst: it rewrites dst.Vertices
+// transformInto is Transform writing into dst: it rewrites dst.Vertices
 // (reusing their storage), shares m's triangles and refreshes dst's bound.
 // An animated instance re-posed every frame this way allocates nothing.
-func (m *Mesh) TransformInto(dst *Mesh, pose mathx.Pose, scale mathx.Vec3) {
+func (m *Mesh) transformInto(dst *Mesh, pose mathx.Pose, scale mathx.Vec3) {
 	if cap(dst.Vertices) < len(m.Vertices) {
 		dst.Vertices = make([]Vertex, len(m.Vertices))
 	}
@@ -85,8 +85,8 @@ func (m *Mesh) bound() {
 	}
 }
 
-// Box builds a unit cube centered at the origin with per-face normals.
-func Box() *Mesh {
+// box builds a unit cube centered at the origin with per-face normals.
+func box() *Mesh {
 	m := &Mesh{}
 	faces := []struct {
 		n    mathx.Vec3
@@ -114,8 +114,8 @@ func Box() *Mesh {
 	return m
 }
 
-// Sphere builds a UV sphere with the given subdivision counts.
-func Sphere(stacks, slices int) *Mesh {
+// sphere builds a UV sphere with the given subdivision counts.
+func sphere(stacks, slices int) *Mesh {
 	if stacks < 2 {
 		stacks = 2
 	}
@@ -149,8 +149,8 @@ func Sphere(stacks, slices int) *Mesh {
 	return m
 }
 
-// Plane builds a subdivided quad in the XY plane facing +Z.
-func Plane(subdiv int) *Mesh {
+// plane builds a subdivided quad in the XY plane facing +Z.
+func plane(subdiv int) *Mesh {
 	if subdiv < 1 {
 		subdiv = 1
 	}
@@ -180,8 +180,8 @@ func Plane(subdiv int) *Mesh {
 	return m
 }
 
-// Column builds a fluted column (cylinder) mesh for the Sponza colonnade.
-func Column(segments int) *Mesh {
+// column builds a fluted column (cylinder) mesh for the Sponza colonnade.
+func column(segments int) *Mesh {
 	if segments < 3 {
 		segments = 3
 	}

@@ -12,15 +12,15 @@ import (
 type ShadingModel int
 
 const (
-	// ShadeFlat is ambient-only (cheapest).
-	ShadeFlat ShadingModel = iota
-	// ShadeLambert is diffuse-only.
-	ShadeLambert
-	// ShadeBlinnPhong adds a specular lobe.
-	ShadeBlinnPhong
-	// ShadePBR is the most expensive: GGX-style specular with Fresnel and
+	// shadeFlat is ambient-only (cheapest).
+	shadeFlat ShadingModel = iota
+	// shadeLambert is diffuse-only.
+	shadeLambert
+	// shadeBlinnPhong adds a specular lobe.
+	shadeBlinnPhong
+	// shadePBR is the most expensive: GGX-style specular with Fresnel and
 	// a displacement-ish normal perturbation (the Materials app workload).
-	ShadePBR
+	shadePBR
 )
 
 // Material describes the surface of an instance.
@@ -58,11 +58,11 @@ type Scene struct {
 	PhysicsCost int
 }
 
-// TriangleCount sums the triangles over all instances.
+// triangleCount sums the triangles over all instances.
 func (s *Scene) TriangleCount() int {
 	n := 0
 	for _, in := range s.Instances {
-		n += in.Mesh.TriangleCount()
+		n += in.Mesh.triangleCount()
 	}
 	return n
 }
@@ -150,9 +150,6 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 	}
 	return r.color
 }
-
-// Framebuffer returns the last rendered image.
-func (r *Renderer) Framebuffer() *imgproc.RGB { return r.color }
 
 // setUp is the serial pass: it turns the scene, as posed now, into this
 // frame's triangle list and light constants.
@@ -497,11 +494,11 @@ func (r *Renderer) rasterBand(lo, hi int) {
 
 func shadingCost(m ShadingModel) int {
 	switch m {
-	case ShadeFlat:
+	case shadeFlat:
 		return 1
-	case ShadeLambert:
+	case shadeLambert:
 		return 2
-	case ShadeBlinnPhong:
+	case shadeBlinnPhong:
 		return 4
 	default:
 		return 10
@@ -516,7 +513,7 @@ func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
 	col[0] = m.Albedo[0] * amb
 	col[1] = m.Albedo[1] * amb
 	col[2] = m.Albedo[2] * amb
-	if m.Model == ShadeFlat {
+	if m.Model == shadeFlat {
 		return col
 	}
 	n := t.va.Normal.Scale(w0).Add(t.vb.Normal.Scale(w1)).Add(t.vc.Normal.Scale(w2)).Normalized()
@@ -530,18 +527,18 @@ func (r *Renderer) shade(t *setupTri, w0, w1, w2 float64) [3]float32 {
 		col[0] += m.Albedo[0] * l.color[0] * diff
 		col[1] += m.Albedo[1] * l.color[1] * diff
 		col[2] += m.Albedo[2] * l.color[2] * diff
-		if m.Model == ShadeLambert {
+		if m.Model == shadeLambert {
 			continue
 		}
 		ndh := mathx.Clamp(n.Dot(l.half), 0, 1)
-		if m.Model == ShadeBlinnPhong {
+		if m.Model == shadeBlinnPhong {
 			spec := float32(pow32(ndh))
 			col[0] += 0.3 * spec * l.color[0]
 			col[1] += 0.3 * spec * l.color[1]
 			col[2] += 0.3 * spec * l.color[2]
 			continue
 		}
-		// ShadePBR: GGX distribution + Schlick Fresnel + a procedural
+		// shadePBR: GGX distribution + Schlick Fresnel + a procedural
 		// normal perturbation standing in for displacement mapping.
 		rough := mathx.Clamp(m.Roughness, 0.05, 1)
 		a2 := rough * rough * rough * rough

@@ -16,12 +16,12 @@ func headPose() mathx.Pose {
 }
 
 func TestMeshPrimitives(t *testing.T) {
-	if got := Box().TriangleCount(); got != 12 {
+	if got := box().triangleCount(); got != 12 {
 		t.Errorf("box tris = %d", got)
 	}
-	sp := Sphere(8, 12)
-	if sp.TriangleCount() != 8*12*2 {
-		t.Errorf("sphere tris = %d", sp.TriangleCount())
+	sp := sphere(8, 12)
+	if sp.triangleCount() != 8*12*2 {
+		t.Errorf("sphere tris = %d", sp.triangleCount())
 	}
 	// all sphere normals unit and radial
 	for _, v := range sp.Vertices {
@@ -32,16 +32,16 @@ func TestMeshPrimitives(t *testing.T) {
 			t.Fatal("sphere normal not radial")
 		}
 	}
-	if Plane(4).TriangleCount() != 32 {
-		t.Errorf("plane tris = %d", Plane(4).TriangleCount())
+	if plane(4).triangleCount() != 32 {
+		t.Errorf("plane tris = %d", plane(4).triangleCount())
 	}
-	if Column(16).TriangleCount() != 32 {
-		t.Errorf("column tris = %d", Column(16).TriangleCount())
+	if column(16).triangleCount() != 32 {
+		t.Errorf("column tris = %d", column(16).triangleCount())
 	}
 }
 
 func TestMeshTransform(t *testing.T) {
-	b := Box().Transform(at(1, 2, 3), mathx.Vec3{X: 2, Y: 2, Z: 2})
+	b := box().transform(at(1, 2, 3), mathx.Vec3{X: 2, Y: 2, Z: 2})
 	// centroid should be at (1,2,3)
 	var c mathx.Vec3
 	for _, v := range b.Vertices {
@@ -101,10 +101,10 @@ func TestZBufferOcclusion(t *testing.T) {
 		Name:    "ztest",
 		Ambient: 1,
 		Instances: []*Instance{
-			{Mesh: Box().Transform(at(3, 0, 1.6), mathx.Vec3{X: 1, Y: 1, Z: 1}),
-				Material: Material{Albedo: [3]float32{1, 0, 0}, Model: ShadeFlat}},
-			{Mesh: Box().Transform(at(6, 0, 1.6), mathx.Vec3{X: 1, Y: 3, Z: 3}),
-				Material: Material{Albedo: [3]float32{0, 1, 0}, Model: ShadeFlat}},
+			{Mesh: box().transform(at(3, 0, 1.6), mathx.Vec3{X: 1, Y: 1, Z: 1}),
+				Material: Material{Albedo: [3]float32{1, 0, 0}, Model: shadeFlat}},
+			{Mesh: box().transform(at(6, 0, 1.6), mathx.Vec3{X: 1, Y: 3, Z: 3}),
+				Material: Material{Albedo: [3]float32{0, 1, 0}, Model: shadeFlat}},
 		},
 	}
 	r := NewRenderer(64, 64)

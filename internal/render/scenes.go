@@ -55,16 +55,16 @@ func buildSponza(seed int64) *Scene {
 		},
 		PhysicsCost: 50,
 	}
-	stone := Material{Albedo: [3]float32{0.75, 0.68, 0.58}, Model: ShadeBlinnPhong}
-	floorMat := Material{Albedo: [3]float32{0.5, 0.45, 0.4}, Model: ShadeBlinnPhong}
+	stone := Material{Albedo: [3]float32{0.75, 0.68, 0.58}, Model: shadeBlinnPhong}
+	floorMat := Material{Albedo: [3]float32{0.5, 0.45, 0.4}, Model: shadeBlinnPhong}
 	// floor: finely subdivided plane (high vertex count)
-	floor := Plane(48).Transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
+	floor := plane(48).transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
 	s.Instances = append(s.Instances, &Instance{Mesh: floor, Material: floorMat, Name: "floor"})
 	// walls
 	for _, w := range []struct{ x, y, sx, sy float64 }{
 		{4.5, 0, 0.3, 9}, {-4.5, 0, 0.3, 9}, {0, 4.5, 9, 0.3}, {0, -4.5, 9, 0.3},
 	} {
-		wall := Box().Transform(at(w.x, w.y, 1.5), mathx.Vec3{X: w.sx, Y: w.sy, Z: 3})
+		wall := box().transform(at(w.x, w.y, 1.5), mathx.Vec3{X: w.sx, Y: w.sy, Z: 3})
 		s.Instances = append(s.Instances, &Instance{Mesh: wall, Material: stone, Name: "wall"})
 	}
 	// two stories of two rings of fluted columns (the atrium colonnade)
@@ -73,12 +73,12 @@ func buildSponza(seed int64) *Scene {
 			n := 12 + ring*6
 			for i := 0; i < n; i++ {
 				th := 2 * math.Pi * float64(i) / float64(n)
-				col := Column(32).Transform(
+				col := column(32).transform(
 					at(radius*math.Cos(th), radius*math.Sin(th), story),
 					mathx.Vec3{X: 0.25, Y: 0.25, Z: 2.8})
 				s.Instances = append(s.Instances, &Instance{Mesh: col, Material: stone, Name: "column"})
 				// capital (box) atop each column
-				cap := Box().Transform(
+				cap := box().transform(
 					at(radius*math.Cos(th), radius*math.Sin(th), story+1.45),
 					mathx.Vec3{X: 0.4, Y: 0.4, Z: 0.12})
 				s.Instances = append(s.Instances, &Instance{Mesh: cap, Material: stone, Name: "capital"})
@@ -88,7 +88,7 @@ func buildSponza(seed int64) *Scene {
 	// draped fabric between columns (finely subdivided planes)
 	for i := 0; i < 8; i++ {
 		th := 2 * math.Pi * float64(i) / 8
-		drape := Plane(24).Transform(
+		drape := plane(24).transform(
 			mathx.Pose{
 				Pos: mathx.Vec3{X: 3.3 * math.Cos(th), Y: 3.3 * math.Sin(th), Z: 2.4},
 				Rot: mathx.QuatFromAxisAngle(mathx.Vec3{X: 1}, math.Pi/2).Mul(
@@ -97,7 +97,7 @@ func buildSponza(seed int64) *Scene {
 			mathx.Vec3{X: 1.4, Y: 1.2, Z: 1})
 		s.Instances = append(s.Instances, &Instance{
 			Mesh:     drape,
-			Material: Material{Albedo: [3]float32{0.6, 0.15, 0.12}, Model: ShadeBlinnPhong},
+			Material: Material{Albedo: [3]float32{0.6, 0.15, 0.12}, Model: shadeBlinnPhong},
 			Name:     "drape",
 		})
 	}
@@ -108,12 +108,12 @@ func buildSponza(seed int64) *Scene {
 		if math.Hypot(x, y) < 2.2 {
 			continue // keep the walking loop clear
 		}
-		pot := Sphere(16, 20).Transform(at(x, y, 0.25), mathx.Vec3{X: 0.5, Y: 0.5, Z: 0.5})
+		pot := sphere(16, 20).transform(at(x, y, 0.25), mathx.Vec3{X: 0.5, Y: 0.5, Z: 0.5})
 		s.Instances = append(s.Instances, &Instance{
 			Mesh: pot,
 			Material: Material{
 				Albedo: [3]float32{0.4 + 0.4*float32(rng.Float64()), 0.3, 0.25},
-				Model:  ShadeBlinnPhong,
+				Model:  shadeBlinnPhong,
 			},
 			Name: "pot",
 		})
@@ -134,10 +134,10 @@ func buildMaterials(seed int64) *Scene {
 		},
 		PhysicsCost: 20,
 	}
-	floor := Plane(16).Transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
+	floor := plane(16).transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
 	s.Instances = append(s.Instances, &Instance{
 		Mesh:     floor,
-		Material: Material{Albedo: [3]float32{0.3, 0.3, 0.32}, Model: ShadeLambert},
+		Material: Material{Albedo: [3]float32{0.3, 0.3, 0.32}, Model: shadeLambert},
 		Name:     "floor",
 	})
 	rng := rand.New(rand.NewSource(seed))
@@ -145,14 +145,14 @@ func buildMaterials(seed int64) *Scene {
 	n := 9
 	for i := 0; i < n; i++ {
 		th := 2 * math.Pi * float64(i) / float64(n)
-		sp := Sphere(24, 32).Transform(
+		sp := sphere(24, 32).transform(
 			at(3.1*math.Cos(th), 3.1*math.Sin(th), 1.2),
 			mathx.Vec3{X: 0.9, Y: 0.9, Z: 0.9})
 		s.Instances = append(s.Instances, &Instance{
 			Mesh: sp,
 			Material: Material{
 				Albedo:    [3]float32{float32(0.4 + 0.5*rng.Float64()), float32(0.4 + 0.5*rng.Float64()), float32(0.4 + 0.5*rng.Float64())},
-				Model:     ShadePBR,
+				Model:     shadePBR,
 				Roughness: 0.1 + 0.8*rng.Float64(),
 				Metallic:  rng.Float64(),
 			},
@@ -174,10 +174,10 @@ func buildPlatformer(seed int64) *Scene {
 		},
 		PhysicsCost: 200, // physics/collision heavy
 	}
-	floor := Plane(8).Transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
+	floor := plane(8).transform(at(0, 0, 0), mathx.Vec3{X: 9, Y: 9, Z: 1})
 	s.Instances = append(s.Instances, &Instance{
 		Mesh:     floor,
-		Material: Material{Albedo: [3]float32{0.35, 0.4, 0.3}, Model: ShadeLambert},
+		Material: Material{Albedo: [3]float32{0.35, 0.4, 0.3}, Model: shadeLambert},
 		Name:     "floor",
 	})
 	// maze walls on a grid (leave the central loop clear)
@@ -191,10 +191,10 @@ func buildPlatformer(seed int64) *Scene {
 			if math.Hypot(x, y) < 2.8 {
 				continue
 			}
-			wall := Box().Transform(at(x, y, 0.5), mathx.Vec3{X: 0.9, Y: 0.9, Z: 1})
+			wall := box().transform(at(x, y, 0.5), mathx.Vec3{X: 0.9, Y: 0.9, Z: 1})
 			s.Instances = append(s.Instances, &Instance{
 				Mesh:     wall,
-				Material: Material{Albedo: [3]float32{0.55, 0.5, 0.45}, Model: ShadeLambert},
+				Material: Material{Albedo: [3]float32{0.55, 0.5, 0.45}, Model: shadeLambert},
 				Name:     "maze",
 			})
 		}
@@ -213,21 +213,21 @@ func buildPlatformer(seed int64) *Scene {
 			Z: 0.4,
 		}
 		inst := &Instance{
-			Mesh:     Sphere(10, 12).Transform(at(base.X, base.Y, base.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4}),
-			Material: Material{Albedo: [3]float32{0.8, 0.25, 0.2}, Model: ShadeBlinnPhong},
+			Mesh:     sphere(10, 12).transform(at(base.X, base.Y, base.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4}),
+			Material: Material{Albedo: [3]float32{0.8, 0.25, 0.2}, Model: shadeBlinnPhong},
 			Name:     "enemy",
 		}
 		s.Instances = append(s.Instances, inst)
 		enemies = append(enemies, enemy{inst: inst, base: base, phase: rng.Float64() * 2 * math.Pi})
 	}
-	proto := Sphere(10, 12)
+	proto := sphere(10, 12)
 	s.Update = func(sc *Scene, t float64) {
 		for i := range enemies {
 			e := &enemies[i]
 			p := e.base
 			p.X += 0.8 * math.Cos(t*1.3+e.phase)
 			p.Y += 0.8 * math.Sin(t*0.9+e.phase)
-			proto.TransformInto(e.inst.Mesh, at(p.X, p.Y, p.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4})
+			proto.transformInto(e.inst.Mesh, at(p.X, p.Y, p.Z), mathx.Vec3{X: 0.6, Y: 0.6, Z: 0.4})
 		}
 	}
 	return s
@@ -248,30 +248,30 @@ func buildARDemo(seed int64) *Scene {
 	for i, p := range []mathx.Vec3{
 		{X: 2.5, Y: 0.5, Z: 1.4}, {X: -1.5, Y: 2.0, Z: 1.1}, {X: 0.5, Y: -2.4, Z: 1.7},
 	} {
-		box := Box().Transform(mathx.Pose{Pos: p, Rot: mathx.QuatIdentity()},
+		box := box().transform(mathx.Pose{Pos: p, Rot: mathx.QuatIdentity()},
 			mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3})
 		s.Instances = append(s.Instances, &Instance{
 			Mesh: box,
 			Material: Material{
 				Albedo: [3]float32{0.2 + 0.2*float32(i), 0.5, 0.9 - 0.2*float32(i)},
-				Model:  ShadeLambert,
+				Model:  shadeLambert,
 			},
 			Name: "widget",
 		})
 	}
 	ball := &Instance{
-		Mesh:     Sphere(12, 16).Transform(at(1, 1, 1), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25}),
-		Material: Material{Albedo: [3]float32{0.95, 0.8, 0.2}, Model: ShadeBlinnPhong},
+		Mesh:     sphere(12, 16).transform(at(1, 1, 1), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25}),
+		Material: Material{Albedo: [3]float32{0.95, 0.8, 0.2}, Model: shadeBlinnPhong},
 		Name:     "ball",
 	}
 	s.Instances = append(s.Instances, ball)
-	proto := Sphere(12, 16)
+	proto := sphere(12, 16)
 	s.Update = func(sc *Scene, t float64) {
 		// bouncing ball
 		z := 0.4 + math.Abs(math.Sin(t*2.5))*1.1
 		x := 1 + 0.8*math.Cos(t*0.7)
 		y := 1 + 0.8*math.Sin(t*0.7)
-		proto.TransformInto(ball.Mesh, at(x, y, z), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25})
+		proto.transformInto(ball.Mesh, at(x, y, z), mathx.Vec3{X: 0.25, Y: 0.25, Z: 0.25})
 	}
 	_ = seed
 	return s

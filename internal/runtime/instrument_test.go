@@ -90,10 +90,15 @@ func TestHealthBoardMirrorsToRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := NewHealthBoard()
 	b.SetMetrics(reg)
-	b.Set("vio.msckf", Degraded)
-	if got := reg.Gauge("illixr_health_vio_msckf").Value(); got != float64(Degraded) {
-		t.Errorf("health gauge = %g, want %g", got, float64(Degraded))
+	b.Set("vio.msckf", Restarting)
+	if got := reg.Gauge("illixr_health_vio_msckf").Value(); got != 2 {
+		t.Errorf("health gauge = %g, want 2", got)
 	}
+	b.Set("vio.msckf", failed)
+	if got := reg.Gauge("illixr_health_vio_msckf").Value(); got != 3 {
+		t.Errorf("health gauge = %g, want 3", got)
+	}
+	b.Set("vio.msckf", Restarting)
 	b.IncrementRestart("vio.msckf")
 	b.IncrementRestart("vio.msckf")
 	if got := reg.Counter("illixr_supervisor_vio_msckf_restarts_total").Value(); got != 2 {
@@ -142,7 +147,7 @@ func TestHealthBoardNeverWritten(t *testing.T) {
 		if snap == nil || len(snap) != 0 || counts == nil || len(counts) != 0 {
 			t.Fatalf("%s: Snapshot %v, RestartCounts %v; want empty non-nil maps", name, snap, counts)
 		}
-		snap["x"], counts["x"] = Failed, 1 // copies: writing them leaves the board alone
+		snap["x"], counts["x"] = failed, 1 // copies: writing them leaves the board alone
 		if b.Get("x") != Healthy || b.Restarts("x") != 0 {
 			t.Errorf("%s: a snapshot write reached the board", name)
 		}

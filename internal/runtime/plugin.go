@@ -101,19 +101,6 @@ func (r *Registry) Create(role, name string) (Plugin, error) {
 	return f(), nil
 }
 
-// Implementations lists the registered implementation names for a role,
-// sorted.
-func (r *Registry) Implementations(role string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for name := range r.roles[role] {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Roles lists all roles, sorted.
 func (r *Registry) Roles() []string {
 	r.mu.Lock()

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestPublishConcurrency(t *testing.T) {
 }
 
 func TestPhonebook(t *testing.T) {
-	pb := NewPhonebook()
+	pb := &Phonebook{services: map[string]any{}}
 	if err := pb.Register("clock", 42); err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +197,17 @@ func TestLoaderSharedContext(t *testing.T) {
 	if l.Context().Switchboard == nil || l.Context().Phonebook == nil {
 		t.Fatal("empty context")
 	}
+}
+
+// Implementations lists the registered implementation names for a role,
+// sorted.
+func (r *Registry) Implementations(role string) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for name := range r.roles[role] {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -18,14 +18,13 @@ import (
 // Health is one plugin or stream condition.
 type Health int
 
-// Health states: Healthy (operating normally), Degraded (producing
-// stale or reduced-quality output), Restarting (crashed, backoff restart
-// pending), Failed (restart budget exhausted; permanently down).
+// Health states: Healthy (operating normally), Restarting (crashed,
+// backoff restart pending), failed (restart budget exhausted; permanently
+// down). The values are the illixr_health_<name> gauge's; 1 is unused.
 const (
-	Healthy Health = iota
-	Degraded
-	Restarting
-	Failed
+	Healthy    Health = 0
+	Restarting Health = 2
+	failed     Health = 3
 )
 
 // String renders the state name.
@@ -33,11 +32,9 @@ func (h Health) String() string {
 	switch h {
 	case Healthy:
 		return "healthy"
-	case Degraded:
-		return "degraded"
 	case Restarting:
 		return "restarting"
-	case Failed:
+	case failed:
 		return "failed"
 	}
 	return fmt.Sprintf("health(%d)", int(h))
@@ -57,20 +54,6 @@ type HealthBoard struct {
 // NewHealthBoard creates an empty board.
 func NewHealthBoard() *HealthBoard { return &HealthBoard{} }
 
-// SetMetrics mirrors every health transition and restart onto a metrics
-// registry: a gauge illixr_health_<name> holding the numeric state and a
-// counter illixr_supervisor_<name>_restarts_total. The supervision code
-// paths need no separate wiring — the board is the single observability
-// chokepoint for plugin condition.
-func (b *HealthBoard) SetMetrics(reg *telemetry.Registry) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.metrics = reg
-	b.mu.Unlock()
-}
-
 // Set records the health of a named plugin or stream.
 func (b *HealthBoard) Set(name string, h Health) {
 	if b == nil {
@@ -86,16 +69,6 @@ func (b *HealthBoard) Set(name string, h Health) {
 	if reg != nil { // an unmirrored board (one per offload session) builds no names
 		reg.Gauge(telemetry.MetricName("health", name)).Set(float64(h))
 	}
-}
-
-// Get returns the recorded health; unknown names report Healthy.
-func (b *HealthBoard) Get(name string) Health {
-	if b == nil {
-		return Healthy
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.states[name]
 }
 
 // IncrementRestart bumps and returns the restart counter for a plugin.
@@ -127,16 +100,6 @@ func (b *HealthBoard) RestartCounts() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Restarts returns the restart count for a plugin.
-func (b *HealthBoard) Restarts(name string) int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.restarts[name]
 }
 
 // Snapshot copies the current states.
@@ -184,10 +147,10 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	return o
 }
 
-// Backoff returns the deterministic delay before restart attempt n
+// backoff returns the deterministic delay before restart attempt n
 // (1-based): BaseBackoff * 2^(n-1) capped at MaxBackoff, plus seeded
 // jitter in [0, JitterFrac) of the capped delay.
-func (o SupervisorOptions) Backoff(n int) time.Duration {
+func (o SupervisorOptions) backoff(n int) time.Duration {
 	o = o.withDefaults()
 	if n < 1 {
 		n = 1
@@ -327,7 +290,7 @@ func (s *Supervisor) onCrash(gen int, err error) {
 		// behind a Healthy supervisor
 		s.startCrash = err
 	}
-	if s.stopped || gen != s.gen || s.state == Restarting || s.state == Failed {
+	if s.stopped || gen != s.gen || s.state == Restarting || s.state == failed {
 		s.mu.Unlock()
 		return
 	}
@@ -354,7 +317,7 @@ func (s *Supervisor) restartLoop(gen int) {
 			return
 		}
 		if s.rest >= s.opts.MaxRestarts {
-			s.setState(Failed)
+			s.setState(failed)
 			s.mu.Unlock()
 			return
 		}
@@ -362,7 +325,7 @@ func (s *Supervisor) restartLoop(gen int) {
 		attempt := s.rest
 		s.mu.Unlock()
 
-		time.Sleep(s.opts.Backoff(attempt))
+		time.Sleep(s.opts.backoff(attempt))
 
 		s.mu.Lock()
 		if s.stopped {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"illixr/internal/telemetry"
 )
 
 // crashyPlugin panics in its worker goroutine for the first panicFor
@@ -101,16 +103,16 @@ func TestSupervisorFailsAfterBudget(t *testing.T) {
 	if err := l.Load(sup); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "failed state", func() bool { return sup.Health() == Failed })
+	eventually(t, "failed state", func() bool { return sup.Health() == failed })
 	if got := sup.Restarts(); got != 3 {
 		t.Errorf("restarts = %d, want the full budget of 3", got)
 	}
-	if l.Context().Health.Get("doomed") != Failed {
+	if l.Context().Health.Get("doomed") != failed {
 		t.Errorf("board health = %v", l.Context().Health.Get("doomed"))
 	}
 	// stays failed: no further restarts happen
 	time.Sleep(20 * time.Millisecond)
-	if sup.Health() != Failed || sup.Restarts() != 3 {
+	if sup.Health() != failed || sup.Restarts() != 3 {
 		t.Error("failed supervisor resurrected itself")
 	}
 	if err := l.Shutdown(); err != nil {
@@ -162,8 +164,8 @@ func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
 	opts := SupervisorOptions{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, JitterFrac: 0.25, Seed: 9}
 	var prev time.Duration
 	for n := 1; n <= 8; n++ {
-		d := opts.Backoff(n)
-		if d != opts.Backoff(n) {
+		d := opts.backoff(n)
+		if d != opts.backoff(n) {
 			t.Fatalf("attempt %d: jitter not deterministic", n)
 		}
 		base := 10 * time.Millisecond << (n - 1)
@@ -182,7 +184,7 @@ func TestBackoffDeterministicBoundedGrowing(t *testing.T) {
 	other.Seed = 10
 	diff := false
 	for n := 1; n <= 8; n++ {
-		if opts.Backoff(n) != other.Backoff(n) {
+		if opts.backoff(n) != other.backoff(n) {
 			diff = true
 		}
 	}
@@ -250,4 +252,38 @@ func TestSupervisorBoardNeverBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// Get returns the recorded health; unknown names report Healthy.
+func (b *HealthBoard) Get(name string) Health {
+	if b == nil {
+		return Healthy
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.states[name]
+}
+
+// Restarts returns the restart count for a plugin.
+func (b *HealthBoard) Restarts(name string) int {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.restarts[name]
+}
+
+// SetMetrics mirrors every health transition and restart onto a metrics
+// registry: a gauge illixr_health_<name> holding the numeric state and a
+// counter illixr_supervisor_<name>_restarts_total. The supervision code
+// paths need no separate wiring — the board is the single observability
+// chokepoint for plugin condition.
+func (b *HealthBoard) SetMetrics(reg *telemetry.Registry) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.metrics = reg
+	b.mu.Unlock()
 }

@@ -324,9 +324,6 @@ func (t *Topic) Subscribe(buffer int) *Subscription {
 	return s
 }
 
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.name }
-
 // Switchboard is the topic directory.
 type Switchboard struct {
 	mu      sync.Mutex
@@ -401,9 +398,6 @@ type Phonebook struct {
 	mu       sync.Mutex
 	services map[string]any
 }
-
-// NewPhonebook creates an empty phonebook.
-func NewPhonebook() *Phonebook { return &Phonebook{services: map[string]any{}} }
 
 // Register stores a service under a name; duplicate registration is an
 // error (plugins must not silently shadow each other).

@@ -1,8 +1,6 @@
 package sensors
 
 import (
-	"math"
-
 	"illixr/internal/mathx"
 )
 
@@ -58,15 +56,10 @@ func (c CameraModel) Unproject(u, v, depth float64) mathx.Vec3 {
 	return mathx.Vec3{X: xn * depth, Y: yn * depth, Z: depth}
 }
 
-// NormalizedRay returns the unit ray through pixel (u, v).
-func (c CameraModel) NormalizedRay(u, v float64) mathx.Vec3 {
+// normalizedRay returns the unit ray through pixel (u, v).
+func (c CameraModel) normalizedRay(u, v float64) mathx.Vec3 {
 	p := c.Unproject(u, v, 1)
 	return p.Normalized()
-}
-
-// FovX returns the horizontal field of view in radians.
-func (c CameraModel) FovX() float64 {
-	return 2 * math.Atan2(float64(c.Width)/2, c.Fx)
 }
 
 // camFromBody is CamFromBody's value, derived once: the columns of R map

@@ -2,7 +2,6 @@ package sensors
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -140,14 +139,6 @@ func stamps(duration, rateHz float64) int {
 	return max(int(duration*rateHz)+1, 0)
 }
 
-// ViconRoom1Medium returns the standard 30-second characterization
-// sequence (the analogue of EuRoC V1_02_medium used throughout §IV).
-func ViconRoom1Medium() *Dataset {
-	cfg := DefaultDatasetConfig()
-	cfg.Name = "vicon_room_1_medium"
-	return GenerateDataset(cfg)
-}
-
 // GroundTruthAt linearly interpolates the ground-truth pose at time t.
 func (d *Dataset) GroundTruthAt(t float64) mathx.Pose {
 	gt := d.GroundTruth
@@ -197,70 +188,6 @@ func (d *Dataset) WriteIMUCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteGroundTruthCSV writes the ground-truth channel in EuRoC format:
-// timestamp_ns, px, py, pz, qw, qx, qy, qz.
-func (d *Dataset) WriteGroundTruthCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-	if err := cw.Write([]string{"#timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz"}); err != nil {
-		return err
-	}
-	for _, s := range d.GroundTruth {
-		rec := []string{
-			strconv.FormatInt(int64(s.T*1e9), 10),
-			fmtF(s.Pose.Pos.X), fmtF(s.Pose.Pos.Y), fmtF(s.Pose.Pos.Z),
-			fmtF(s.Pose.Rot.W), fmtF(s.Pose.Rot.X), fmtF(s.Pose.Rot.Y), fmtF(s.Pose.Rot.Z),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadIMUCSV parses an EuRoC-format IMU CSV stream.
-func ReadIMUCSV(r io.Reader) ([]IMUSample, error) {
-	cr := csv.NewReader(r)
-	var out []IMUSample
-	first := true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if first {
-			first = false
-			if len(rec) > 0 && len(rec[0]) > 0 && rec[0][0] == '#' {
-				continue // header
-			}
-		}
-		if len(rec) != 7 {
-			return nil, fmt.Errorf("sensors: IMU CSV wants 7 fields, got %d", len(rec))
-		}
-		ns, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, 6)
-		for i := 0; i < 6; i++ {
-			vals[i], err = strconv.ParseFloat(rec[i+1], 64)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, IMUSample{
-			T:     float64(ns) / 1e9,
-			Gyro:  mathx.Vec3{X: vals[0], Y: vals[1], Z: vals[2]},
-			Accel: mathx.Vec3{X: vals[3], Y: vals[4], Z: vals[5]},
-		})
-	}
-	return out, nil
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }

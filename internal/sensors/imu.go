@@ -93,9 +93,6 @@ func (imu *IMU) measure(s IMUSample) IMUSample {
 	return s
 }
 
-// Biases returns the current (true) bias state, useful for tests.
-func (imu *IMU) Biases() (gyro, accel mathx.Vec3) { return imu.gyroBias, imu.accelBias }
-
 func (imu *IMU) gaussVec(sigma float64) mathx.Vec3 {
 	return mathx.Vec3{
 		X: imu.rng.NormFloat64() * sigma,

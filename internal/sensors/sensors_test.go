@@ -2,8 +2,10 @@ package sensors
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"illixr/internal/mathx"
@@ -280,33 +282,26 @@ func TestIMUCSVRoundTrip(t *testing.T) {
 	if err := ds.WriteIMUCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIMUCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ds.IMU) {
-		t.Fatalf("count %d vs %d", len(got), len(ds.IMU))
+	if len(rows) != len(ds.IMU)+1 || rows[0][0] != "#timestamp_ns" {
+		t.Fatalf("%d rows for %d samples, header %q", len(rows), len(ds.IMU), rows[0])
 	}
-	for i := range got {
-		if got[i].Gyro.Sub(ds.IMU[i].Gyro).Norm() > 1e-12 {
-			t.Fatalf("sample %d gyro mismatch", i)
+	for i, row := range rows[1:] {
+		ns, err := strconv.ParseInt(row[0], 10, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(got[i].T-ds.IMU[i].T) > 1e-8 {
+		if math.Abs(float64(ns)/1e9-ds.IMU[i].T) > 1e-8 {
 			t.Fatalf("sample %d time mismatch", i)
 		}
-	}
-}
-
-func TestGroundTruthCSVWrites(t *testing.T) {
-	cfg := DefaultDatasetConfig()
-	cfg.Duration = 0.05
-	ds := GenerateDataset(cfg)
-	var buf bytes.Buffer
-	if err := ds.WriteGroundTruthCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("empty ground-truth CSV")
+		for k, want := range []float64{ds.IMU[i].Gyro.X, ds.IMU[i].Gyro.Y, ds.IMU[i].Gyro.Z} {
+			if got, err := strconv.ParseFloat(row[1+k], 64); err != nil || got != want {
+				t.Fatalf("sample %d gyro[%d] = %q, want %v", i, k, row[1+k], want)
+			}
+		}
 	}
 }
 
@@ -322,3 +317,6 @@ func BenchmarkGenerateDataset(b *testing.B) {
 }
 
 var sinkDataset *Dataset
+
+// Biases returns the current (true) bias state, useful for tests.
+func (imu *IMU) Biases() (gyro, accel mathx.Vec3) { return imu.gyroBias, imu.accelBias }

@@ -192,7 +192,7 @@ func (w *World) RenderDepth(cam CameraModel, bodyPose mathx.Pose) (*imgproc.Gray
 	camRot := CamFromBody().Inverse() // camera frame -> body frame
 	for y := 0; y < cam.Height; y++ {
 		for x := 0; x < cam.Width; x++ {
-			rayCam := cam.NormalizedRay(float64(x)+0.5, float64(y)+0.5)
+			rayCam := cam.normalizedRay(float64(x)+0.5, float64(y)+0.5)
 			rayWorld := bodyPose.ApplyDir(camRot.Rotate(rayCam))
 			origin := bodyPose.Pos
 			t, normal, material := w.castRay(origin, rayWorld)

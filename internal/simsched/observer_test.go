@@ -26,8 +26,8 @@ func TestObserverSeesLifecycle(t *testing.T) {
 		t.Errorf("observer completions = %d, stats = %d", counts[TaskCompleted], st.Completed)
 	}
 	// the final instance may start but not complete before the horizon
-	if counts[TaskStarted] < st.Completed || counts[TaskStarted] > st.Completed+1 {
-		t.Errorf("observer starts = %d, want %d or %d", counts[TaskStarted], st.Completed, st.Completed+1)
+	if counts[taskStarted] < st.Completed || counts[taskStarted] > st.Completed+1 {
+		t.Errorf("observer starts = %d, want %d or %d", counts[taskStarted], st.Completed, st.Completed+1)
 	}
 	if d := completedSpan.Finish - completedSpan.Start; d < 0.001-1e-9 || d > 0.001+1e-9 {
 		t.Errorf("completion span duration = %g, want 0.001", d)

@@ -58,7 +58,7 @@ const (
 	TaskReleased TaskEventKind = iota
 	TaskFaulted
 	TaskDropped
-	TaskStarted
+	taskStarted
 	TaskCompleted
 )
 
@@ -103,24 +103,6 @@ type Span struct {
 	K                        int
 	Release, Start, Finish   float64
 	CPUDuration, GPUDuration float64
-}
-
-// ResponseTimes returns finish−release per completed instance (seconds).
-func (ts TaskStats) ResponseTimes() []float64 {
-	out := make([]float64, len(ts.Spans))
-	for i, s := range ts.Spans {
-		out[i] = s.Finish - s.Release
-	}
-	return out
-}
-
-// ExecutionTimes returns CPU+GPU duration per completed instance.
-func (ts TaskStats) ExecutionTimes() []float64 {
-	out := make([]float64, len(ts.Spans))
-	for i, s := range ts.Spans {
-		out[i] = s.CPUDuration + s.GPUDuration
-	}
-	return out
 }
 
 type instance struct {
@@ -175,9 +157,6 @@ func (s *Sim) AddTask(t *Task) {
 	s.ordered = append(s.ordered, t)
 }
 
-// Task returns a registered task by name.
-func (s *Sim) Task(name string) *Task { return s.tasks[name] }
-
 // Stats returns the scheduling statistics of a task.
 func (s *Sim) Stats(name string) TaskStats {
 	if t, ok := s.tasks[name]; ok {
@@ -185,9 +164,6 @@ func (s *Sim) Stats(name string) TaskStats {
 	}
 	return TaskStats{}
 }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() float64 { return s.now }
 
 // Utilization returns the CPU (mean across cores) and GPU busy fractions
 // over the horizon that has been simulated.
@@ -274,7 +250,7 @@ func (s *Sim) dispatch() {
 		inst.task.queued = nil
 		inst.task.inFlight++
 		inst.start = s.now
-		s.observe(TaskEvent{Task: inst.task.Name, Kind: TaskStarted, K: inst.k, T: s.now})
+		s.observe(TaskEvent{Task: inst.task.Name, Kind: taskStarted, K: inst.k, T: s.now})
 		if inst.cpu <= 0 {
 			// skip straight to the GPU phase
 			inst.phase = 2

@@ -267,3 +267,21 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// ExecutionTimes returns CPU+GPU duration per completed instance.
+func (ts TaskStats) ExecutionTimes() []float64 {
+	out := make([]float64, len(ts.Spans))
+	for i, s := range ts.Spans {
+		out[i] = s.CPUDuration + s.GPUDuration
+	}
+	return out
+}
+
+// ResponseTimes returns finish−release per completed instance (seconds).
+func (ts TaskStats) ResponseTimes() []float64 {
+	out := make([]float64, len(ts.Spans))
+	for i, s := range ts.Spans {
+		out[i] = s.Finish - s.Release
+	}
+	return out
+}

@@ -72,18 +72,6 @@ func NewFlightRecorder(cap int) *FlightRecorder {
 	}
 }
 
-// SetClock replaces the recorder's fallback clock (Record without an
-// explicit time). The bench installs the virtual clock here so event
-// timestamps line up with the simulated timeline.
-func (r *FlightRecorder) SetClock(now func() float64) {
-	if r == nil || now == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
-
 // Record appends an event stamped with the recorder's clock.
 func (r *FlightRecorder) Record(kind, node, detail string) {
 	if r == nil {
@@ -131,16 +119,6 @@ func (r *FlightRecorder) Events() []FleetEvent {
 		out = append(out, r.buf[(start+i)%len(r.buf)])
 	}
 	return out
-}
-
-// Len returns the number of retained events.
-func (r *FlightRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }
 
 // Recorded returns the total number of events ever recorded.

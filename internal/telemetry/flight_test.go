@@ -51,3 +51,25 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 		t.Fatal("nil recorder must be inert")
 	}
 }
+
+// Len returns the number of retained events.
+func (r *FlightRecorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// SetClock replaces the recorder's fallback clock (Record without an
+// explicit time). The bench installs the virtual clock here so event
+// timestamps line up with the simulated timeline.
+func (r *FlightRecorder) SetClock(now func() float64) {
+	if r == nil || now == nil {
+		return
+	}
+	r.mu.Lock()
+	r.now = now
+	r.mu.Unlock()
+}

@@ -86,20 +86,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -224,21 +210,21 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the exact sum of observations.
-func (h *Histogram) Sum() float64 {
+// sum returns the exact sum of observations.
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Mean returns the exact mean (0 when empty).
-func (h *Histogram) Mean() float64 {
+// mean returns the exact mean (0 when empty).
+func (h *Histogram) mean() float64 {
 	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	return h.Sum() / float64(n)
+	return h.sum() / float64(n)
 }
 
 // Quantile estimates the p-th quantile (p in [0,1]) from the log buckets;
@@ -272,26 +258,26 @@ func (h *Histogram) Quantile(p float64) float64 {
 			if i == 0 {
 				// bucket 0 also holds zero/negative observations; its low
 				// bound is effectively 0
-				return math.Min(bucketMid(0), h.Max())
+				return math.Min(bucketMid(0), h.max())
 			}
 			mid := bucketMid(i)
 			// clamp to the exact observed range
-			return math.Max(h.Min(), math.Min(mid, h.Max()))
+			return math.Max(h.min(), math.Min(mid, h.max()))
 		}
 	}
-	return h.Max()
+	return h.max()
 }
 
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
+// min returns the smallest observation (0 when empty).
+func (h *Histogram) min() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
 	return math.Float64frombits(h.minBits.Load())
 }
 
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
+// max returns the largest observation (0 when empty).
+func (h *Histogram) max() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
@@ -312,9 +298,9 @@ type HistogramSnapshot struct {
 // Snapshot captures the histogram's summary.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	return HistogramSnapshot{
-		Count: h.Count(), Mean: h.Mean(),
+		Count: h.Count(), Mean: h.mean(),
 		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-		Min: h.Min(), Max: h.Max(),
+		Min: h.min(), Max: h.max(),
 	}
 }
 

@@ -19,8 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("counter not memoized by name")
 	}
 	g := r.Gauge("illixr_test_depth")
-	g.Set(3)
-	g.Add(-1.5)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -57,11 +56,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if got := h.Mean(); math.Abs(got-500.5) > 1e-9 {
+	if got := h.mean(); math.Abs(got-500.5) > 1e-9 {
 		t.Fatalf("mean = %g, want 500.5 exactly", got)
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min/max = %g/%g", h.Min(), h.Max())
+	if h.min() != 1 || h.max() != 1000 {
+		t.Fatalf("min/max = %g/%g", h.min(), h.max())
 	}
 	checks := []struct{ p, want float64 }{{0.50, 500}, {0.90, 900}, {0.99, 990}}
 	for _, c := range checks {
@@ -77,7 +76,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndDegenerate(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Quantile(0.5) != 0 || h.mean() != 0 || h.min() != 0 || h.max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(0) // zero lands in bucket 0, not a panic
@@ -106,8 +105,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d, want 8000", h.Count())
 	}
-	if h.Min() != 1 || h.Max() != 8000 {
-		t.Fatalf("min/max = %g/%g", h.Min(), h.Max())
+	if h.min() != 1 || h.max() != 8000 {
+		t.Fatalf("min/max = %g/%g", h.min(), h.max())
 	}
 }
 

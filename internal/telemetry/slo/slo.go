@@ -188,22 +188,6 @@ func (st *objState) ratesLocked(now float64) (burn, remaining float64) {
 	return burn, remaining
 }
 
-// BurnRate returns an objective's burn rate at now (0 for unknown names
-// or empty windows).
-func (e *Engine) BurnRate(name string, now float64) float64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.objs[name]
-	if !ok {
-		return 0
-	}
-	burn, _ := st.ratesLocked(now)
-	return burn
-}
-
 // Status is one objective's exported state.
 type Status struct {
 	Objective

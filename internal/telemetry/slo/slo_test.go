@@ -102,3 +102,19 @@ func TestNilAndUnknownSafe(t *testing.T) {
 		t.Errorf("unknown objective burn = %v", got)
 	}
 }
+
+// BurnRate returns an objective's burn rate at now (0 for unknown names
+// or empty windows).
+func (e *Engine) BurnRate(name string, now float64) float64 {
+	if e == nil {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st, ok := e.objs[name]
+	if !ok {
+		return 0
+	}
+	burn, _ := st.ratesLocked(now)
+	return burn
+}

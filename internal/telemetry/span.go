@@ -47,9 +47,9 @@ type Span struct {
 	Parents []SpanID `json:"parents,omitempty"`
 }
 
-// DefaultSpanCap bounds a collector when no explicit cap is given
+// defaultSpanCap bounds a collector when no explicit cap is given
 // (~262k spans ≈ a few minutes of a fully traced run).
-const DefaultSpanCap = 1 << 18
+const defaultSpanCap = 1 << 18
 
 // SpanCollector accumulates spans up to a cap; spans emitted beyond the
 // cap are counted in Dropped instead of growing memory without bound.
@@ -93,10 +93,10 @@ const (
 // slice doubling from one element reached in seven allocations.
 const spanBlock = 64
 
-// NewSpanCollector creates a collector; cap <= 0 selects DefaultSpanCap.
+// NewSpanCollector creates a collector; cap <= 0 selects defaultSpanCap.
 func NewSpanCollector(cap int) *SpanCollector {
 	if cap <= 0 {
-		cap = DefaultSpanCap
+		cap = defaultSpanCap
 	}
 	return &SpanCollector{cap: cap}
 }

@@ -171,7 +171,7 @@ func TestZeroAllocSpanEmitAmortised(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counting is skipped under -race")
 	}
-	const n = 100_000 // warm-up plus one measured run stay under DefaultSpanCap
+	const n = 100_000 // warm-up plus one measured run stay under defaultSpanCap
 	c := NewSpanCollector(0)
 	perEmit := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n; i++ {

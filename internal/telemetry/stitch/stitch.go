@@ -39,8 +39,8 @@ func CollectorDump(node string, c *telemetry.SpanCollector) Dump {
 	return Dump{Node: node, Dropped: c.Dropped(), Spans: c.Spans()}
 }
 
-// NodeSpan is a span annotated with the node it was collected on.
-type NodeSpan struct {
+// nodeSpan is a span annotated with the node it was collected on.
+type nodeSpan struct {
 	telemetry.Span
 	Node string `json:"node"`
 }
@@ -53,7 +53,7 @@ type Trace struct {
 	// nonzero, some lineages are incomplete.
 	Dropped uint64
 
-	spans []NodeSpan
+	spans []nodeSpan
 	index map[telemetry.SpanID]int
 }
 
@@ -72,138 +72,10 @@ func Stitch(dumps ...Dump) (*Trace, error) {
 					uint64(s.ID), t.spans[prev].Node, d.Node)
 			}
 			t.index[s.ID] = len(t.spans)
-			t.spans = append(t.spans, NodeSpan{Span: s, Node: d.Node})
+			t.spans = append(t.spans, nodeSpan{Span: s, Node: d.Node})
 		}
 	}
 	return t, nil
-}
-
-// Len returns the number of stitched spans.
-func (t *Trace) Len() int { return len(t.spans) }
-
-// Spans returns every stitched span (dump order, emission order within
-// each dump).
-func (t *Trace) Spans() []NodeSpan {
-	out := make([]NodeSpan, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
-// Get returns the stitched span with the given id.
-func (t *Trace) Get(id telemetry.SpanID) (NodeSpan, bool) {
-	i, ok := t.index[id]
-	if !ok {
-		return NodeSpan{}, false
-	}
-	return t.spans[i], true
-}
-
-// Find returns the stitched spans with the given stage name.
-func (t *Trace) Find(name string) []NodeSpan {
-	var out []NodeSpan
-	for _, s := range t.spans {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Lineage walks a span's ancestry breadth-first across node boundaries:
-// the cross-node generalization of SpanCollector.Lineage. The first
-// element is the span itself; parents missing from every dump (dropped
-// at a collector cap, or a node not federated) are silently skipped.
-func (t *Trace) Lineage(id telemetry.SpanID) []NodeSpan {
-	var out []NodeSpan
-	seen := map[telemetry.SpanID]bool{}
-	queue := []telemetry.SpanID{id}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		i, ok := t.index[cur]
-		if !ok {
-			continue
-		}
-		sp := t.spans[i]
-		out = append(out, sp)
-		queue = append(queue, sp.Parents...)
-	}
-	return out
-}
-
-// Segment is one slice of a frame's end-to-end latency, attributed to a
-// node and stage. Kind "span" is time inside a stage; kind "gap" is the
-// wait between a parent ending and its child starting — the inter-stage
-// scheduling/transport time BOXR identifies as the dominant MTP-outlier
-// source, attributed to the downstream (waiting) stage.
-type Segment struct {
-	Node  string  `json:"node"`
-	Stage string  `json:"stage"`
-	Kind  string  `json:"kind"` // "span" | "gap"
-	Ms    float64 `json:"ms"`
-}
-
-// SegmentsTotal sums an attribution in milliseconds.
-func SegmentsTotal(segs []Segment) float64 {
-	total := 0.0
-	for _, s := range segs {
-		total += s.Ms
-	}
-	return total
-}
-
-// Attribute decomposes a span's end-to-end latency along its critical
-// path: walking from the span back through its latest-ending parent at
-// each step to a root, then emitting one "span" segment per stage and
-// one "gap" segment per inter-stage wait. The segments telescope exactly
-// — their sum is (span.End − root.Start) in milliseconds — so cross-node
-// MTP attribution can be checked against the end-to-end MTPSample.
-// Negative gaps (parent and child overlapping in time) are kept as-is to
-// preserve the telescoping identity. Returns nil for unknown ids.
-func (t *Trace) Attribute(id telemetry.SpanID) []Segment {
-	i, ok := t.index[id]
-	if !ok {
-		return nil
-	}
-	// critical path, leaf to root
-	path := []NodeSpan{t.spans[i]}
-	seen := map[telemetry.SpanID]bool{id: true}
-	for {
-		cur := path[len(path)-1]
-		best := -1
-		bestEnd := 0.0
-		for _, p := range cur.Parents {
-			j, ok := t.index[p]
-			if !ok || seen[p] {
-				continue
-			}
-			if ps := t.spans[j]; best == -1 || ps.End > bestEnd {
-				best, bestEnd = j, ps.End
-			}
-		}
-		if best == -1 {
-			break
-		}
-		seen[t.spans[best].ID] = true
-		path = append(path, t.spans[best])
-	}
-	// emit root-first
-	segs := make([]Segment, 0, 2*len(path))
-	for k := len(path) - 1; k >= 0; k-- {
-		s := path[k]
-		if k < len(path)-1 {
-			parent := path[k+1]
-			segs = append(segs, Segment{Node: s.Node, Stage: s.Name, Kind: "gap",
-				Ms: (s.Start - parent.End) * 1000})
-		}
-		segs = append(segs, Segment{Node: s.Node, Stage: s.Name, Kind: "span",
-			Ms: (s.End - s.Start) * 1000})
-	}
-	return segs
 }
 
 // chrome trace_event types, multi-process: one pid per node, one tid per

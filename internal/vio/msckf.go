@@ -42,7 +42,7 @@ type Filter struct {
 	// state dimension seen: the covariance outlives every arena cycle.
 	cov, covSpare *mathx.Mat
 
-	tracks      map[int]*Track
+	tracks      map[int]*track
 	nextCloneID int
 
 	// arena holds every matrix temporary of one propagation step or one
@@ -52,7 +52,7 @@ type Filter struct {
 	// this frame, the candidate tracks of an update stage, and the clone
 	// poses and window indices of one track's observations.
 	live      map[int]bool
-	cands     []*Track
+	cands     []*track
 	poses     []mathx.Pose
 	cloneIdxs []int
 
@@ -77,7 +77,7 @@ func NewFilter(p Params, noise sensors.IMUNoise, init integrator.State) *Filter 
 		vel:    init.Vel,
 		bg:     init.BiasG,
 		ba:     init.BiasA,
-		tracks: map[int]*Track{},
+		tracks: map[int]*track{},
 		live:   map[int]bool{},
 	}
 	f.cov, f.covSpare = mathx.NewMat(imuDim, imuDim), mathx.NewMat(0, 0)
@@ -120,15 +120,8 @@ func (f *Filter) nextCov(n int) *mathx.Mat {
 // swapCov installs the buffer nextCov handed out as the covariance.
 func (f *Filter) swapCov() { f.cov, f.covSpare = f.covSpare, f.cov }
 
-// State returns the current inertial state.
-func (f *Filter) State() integrator.State {
-	return integrator.State{
-		T: f.t, Pos: f.pos, Vel: f.vel, Rot: f.rot, BiasG: f.bg, BiasA: f.ba,
-	}
-}
-
-// Pose returns the current pose estimate.
-func (f *Filter) Pose() mathx.Pose { return mathx.Pose{Pos: f.pos, Rot: f.rot} }
+// pose returns the current pose estimate.
+func (f *Filter) pose() mathx.Pose { return mathx.Pose{Pos: f.pos, Rot: f.rot} }
 
 // propagate advances nominal state and covariance through one IMU step.
 func (f *Filter) propagate(prev, cur sensors.IMUSample) {
@@ -260,7 +253,7 @@ func (f *Filter) augmentClone() {
 		}
 	}
 	f.swapCov()
-	f.clones = append(f.clones, clone{ID: f.nextCloneID, T: f.t, Pose: f.Pose()})
+	f.clones = append(f.clones, clone{ID: f.nextCloneID, T: f.t, Pose: f.pose()})
 	f.nextCloneID++
 }
 
@@ -315,7 +308,7 @@ func (f *Filter) removeRange(start, count int) {
 // obsJacobian computes the residual and Jacobian blocks of one observation
 // of a world point pf seen from clone ci.
 // Returns: residual (2), H_clone (2x6 over [δθ_c, δp_c]), H_f (2x3), ok.
-func (f *Filter) obsJacobian(ci int, pf mathx.Vec3, o Obs) (r [2]float64, hc [2][6]float64, hf [2][3]float64, ok bool) {
+func (f *Filter) obsJacobian(ci int, pf mathx.Vec3, o featureObs) (r [2]float64, hc [2][6]float64, hf [2][3]float64, ok bool) {
 	cl := f.clones[ci]
 	rwb := cl.Pose.Rot.RotationMatrix()
 	rcb := sensors.CamFromBody().RotationMatrix()

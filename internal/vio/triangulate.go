@@ -15,10 +15,10 @@ func camRay(body mathx.Pose, xn, yn float64) (origin, dir mathx.Vec3) {
 	return body.Pos, body.ApplyDir(dBody)
 }
 
-// TriangulateLinear solves the least-squares intersection of the
+// triangulateLinear solves the least-squares intersection of the
 // observation rays: argmin_p Σ ‖(I − dᵢdᵢᵀ)(p − oᵢ)‖². Returns ok=false
 // when the system is degenerate (insufficient parallax).
-func TriangulateLinear(poses []mathx.Pose, obs []Obs) (mathx.Vec3, bool) {
+func triangulateLinear(poses []mathx.Pose, obs []featureObs) (mathx.Vec3, bool) {
 	if len(poses) != len(obs) || len(obs) < 2 {
 		return mathx.Vec3{}, false
 	}
@@ -59,18 +59,11 @@ func projectToClone(body mathx.Pose, pw mathx.Vec3) (xn, yn float64, ok bool) {
 	return pc.X / pc.Z, pc.Y / pc.Z, true
 }
 
-// TriangulateGN refines a linear triangulation with Gauss-Newton on the
-// reprojection error. Returns the refined point, the mean residual (in
-// normalized units), and ok.
-func TriangulateGN(poses []mathx.Pose, obs []Obs, maxIter int) (mathx.Vec3, float64, bool) {
-	var a mathx.Arena
-	return triangulateGN(&a, poses, obs, maxIter)
-}
-
-// triangulateGN is TriangulateGN with its normal equations in the caller's
-// arena.
-func triangulateGN(a *mathx.Arena, poses []mathx.Pose, obs []Obs, maxIter int) (mathx.Vec3, float64, bool) {
-	p, ok := TriangulateLinear(poses, obs)
+// triangulateGN refines a linear triangulation with Gauss-Newton on the
+// reprojection error, its normal equations in the caller's arena. Returns
+// the refined point, the mean residual (in normalized units), and ok.
+func triangulateGN(a *mathx.Arena, poses []mathx.Pose, obs []featureObs, maxIter int) (mathx.Vec3, float64, bool) {
+	p, ok := triangulateLinear(poses, obs)
 	if !ok {
 		return mathx.Vec3{}, 0, false
 	}

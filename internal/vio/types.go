@@ -60,17 +60,17 @@ func FastParams() Params {
 	return p
 }
 
-// Obs is one feature observation: normalized image-plane coordinates at a
+// featureObs is one feature observation: normalized image-plane coordinates at a
 // given clone index.
-type Obs struct {
+type featureObs struct {
 	CloneID int // filter-assigned clone identifier
 	XN, YN  float64
 }
 
-// Track is the observation history of one feature.
-type Track struct {
+// track is the observation history of one feature.
+type track struct {
 	FeatureID int
-	Obs       []Obs
+	Obs       []featureObs
 	// InState marks the feature as a SLAM feature living in the filter
 	// state.
 	InState bool

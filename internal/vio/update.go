@@ -52,13 +52,13 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 		tr, ok := f.tracks[tf.ID]
 		if !ok {
 			// a track holds at most one observation per clone in the window
-			tr = &Track{FeatureID: tf.ID, Obs: make([]Obs, 0, f.P.MaxClones+1)}
+			tr = &track{FeatureID: tf.ID, Obs: make([]featureObs, 0, f.P.MaxClones+1)}
 			f.tracks[tf.ID] = tr
 			f.stats.DetectedFeatures++
 		} else {
 			f.stats.TrackedFeatures++
 		}
-		tr.Obs = append(tr.Obs, Obs{CloneID: curClone, XN: tf.XN, YN: tf.YN})
+		tr.Obs = append(tr.Obs, featureObs{CloneID: curClone, XN: tf.XN, YN: tf.YN})
 	}
 
 	// 4) SLAM update: state features observed in this frame, then prune
@@ -80,7 +80,7 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 
 	f.stats.StateDim = f.dim()
 	return Estimate{
-		T: f.t, Pose: f.Pose(), Vel: f.vel, BiasG: f.bg, BiasA: f.ba,
+		T: f.t, Pose: f.pose(), Vel: f.vel, BiasG: f.bg, BiasA: f.ba,
 		Stats: f.stats,
 	}
 }
@@ -88,7 +88,7 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 // clonePoses gathers the poses and window indices for a track's
 // observations, valid until the next call. Returns nil if any observation
 // references a clone no longer in the window.
-func (f *Filter) clonePoses(tr *Track) ([]mathx.Pose, []int) {
+func (f *Filter) clonePoses(tr *track) ([]mathx.Pose, []int) {
 	f.poses, f.cloneIdxs = f.poses[:0], f.cloneIdxs[:0]
 	for _, o := range tr.Obs {
 		ci := f.cloneIndex(o.CloneID)
@@ -103,7 +103,7 @@ func (f *Filter) clonePoses(tr *Track) ([]mathx.Pose, []int) {
 
 // longestFirst orders candidate tracks by observation count, longest
 // first, then by feature id: a total order, so any sort gives one result.
-func longestFirst(a, b *Track) int {
+func longestFirst(a, b *track) int {
 	if c := cmp.Compare(len(b.Obs), len(a.Obs)); c != 0 {
 		return c
 	}
@@ -112,7 +112,7 @@ func longestFirst(a, b *Track) int {
 
 // featureRows is the height of a track's nullspace-projected Jacobian when
 // every observation is usable.
-func featureRows(tr *Track) int { return max(2*len(tr.Obs)-3, 0) }
+func featureRows(tr *track) int { return max(2*len(tr.Obs)-3, 0) }
 
 // msckfUpdate triangulates dead tracks and applies the nullspace-projected
 // MSCKF measurement update.
@@ -180,7 +180,7 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 // featureResidual triangulates one track and produces its nullspace-
 // projected Jacobian and residual, chi-square gated. The results are the
 // arena's.
-func (f *Filter) featureResidual(tr *Track, sigma2 float64) (*mathx.Mat, []float64, bool) {
+func (f *Filter) featureResidual(tr *track, sigma2 float64) (*mathx.Mat, []float64, bool) {
 	poses, idx := f.clonePoses(tr)
 	if poses == nil || len(poses) < 2 {
 		return nil, nil, false
@@ -285,7 +285,7 @@ func (f *Filter) slamUpdate(live map[int]bool, curClone int) {
 			continue
 		}
 		// latest observation is the one at the current clone
-		var o Obs
+		var o featureObs
 		found := false
 		for i := len(tr.Obs) - 1; i >= 0; i-- {
 			if tr.Obs[i].CloneID == curClone {
@@ -412,9 +412,3 @@ func (f *Filter) promoteSLAM(live map[int]bool) {
 		f.stats.InitFeatures++
 	}
 }
-
-// SLAMFeatureCount returns the number of landmarks currently in the state.
-func (f *Filter) SLAMFeatureCount() int { return len(f.slam) }
-
-// CloneCount returns the number of stochastic clones in the window.
-func (f *Filter) CloneCount() int { return len(f.clones) }

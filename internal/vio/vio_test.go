@@ -22,13 +22,13 @@ func TestTriangulateLinearExact(t *testing.T) {
 	pf := mathx.Vec3{X: 3, Y: 0.5, Z: 1.5}
 	poseA := mathx.Pose{Pos: mathx.Vec3{X: 0, Y: 0, Z: 1.5}, Rot: mathx.QuatIdentity()}
 	poseB := mathx.Pose{Pos: mathx.Vec3{X: 0, Y: 1, Z: 1.5}, Rot: mathx.QuatIdentity()}
-	mkObs := func(p mathx.Pose) Obs {
+	mkObs := func(p mathx.Pose) featureObs {
 		pc := sensors.WorldPointToCam(p, pf)
-		return Obs{XN: pc.X / pc.Z, YN: pc.Y / pc.Z}
+		return featureObs{XN: pc.X / pc.Z, YN: pc.Y / pc.Z}
 	}
-	got, ok := TriangulateLinear(
+	got, ok := triangulateLinear(
 		[]mathx.Pose{poseA, poseB},
-		[]Obs{mkObs(poseA), mkObs(poseB)})
+		[]featureObs{mkObs(poseA), mkObs(poseB)})
 	if !ok {
 		t.Fatal("triangulation failed")
 	}
@@ -37,22 +37,10 @@ func TestTriangulateLinearExact(t *testing.T) {
 	}
 }
 
-func TestTriangulateDegenerate(t *testing.T) {
-	// Identical poses: rays are parallel, no parallax.
-	pose := mathx.Pose{Rot: mathx.QuatIdentity()}
-	obs := Obs{XN: 0.1, YN: 0.2}
-	if _, ok := TriangulateLinear([]mathx.Pose{pose, pose}, []Obs{obs, obs}); ok {
-		t.Error("degenerate triangulation accepted")
-	}
-	if _, ok := TriangulateLinear([]mathx.Pose{pose}, []Obs{obs}); ok {
-		t.Error("single observation accepted")
-	}
-}
-
 func TestTriangulateGNRefines(t *testing.T) {
 	pf := mathx.Vec3{X: 4, Y: -0.3, Z: 2}
 	var poses []mathx.Pose
-	var obs []Obs
+	var obs []featureObs
 	for i := 0; i < 6; i++ {
 		p := mathx.Pose{
 			Pos: mathx.Vec3{X: 0, Y: float64(i) * 0.3, Z: 1.5},
@@ -60,11 +48,12 @@ func TestTriangulateGNRefines(t *testing.T) {
 		}
 		pc := sensors.WorldPointToCam(p, pf)
 		// small noise
-		o := Obs{XN: pc.X/pc.Z + 0.001*float64(i%3-1), YN: pc.Y / pc.Z}
+		o := featureObs{XN: pc.X/pc.Z + 0.001*float64(i%3-1), YN: pc.Y / pc.Z}
 		poses = append(poses, p)
 		obs = append(obs, o)
 	}
-	got, res, ok := TriangulateGN(poses, obs, 5)
+	var a mathx.Arena
+	got, res, ok := triangulateGN(&a, poses, obs, 5)
 	if !ok {
 		t.Fatal("GN failed")
 	}
@@ -73,6 +62,18 @@ func TestTriangulateGNRefines(t *testing.T) {
 	}
 	if res > 0.01 {
 		t.Errorf("residual %v", res)
+	}
+}
+
+func TestTriangulateDegenerate(t *testing.T) {
+	// Identical poses: rays are parallel, no parallax.
+	pose := mathx.Pose{Rot: mathx.QuatIdentity()}
+	obs := featureObs{XN: 0.1, YN: 0.2}
+	if _, ok := triangulateLinear([]mathx.Pose{pose, pose}, []featureObs{obs, obs}); ok {
+		t.Error("degenerate triangulation accepted")
+	}
+	if _, ok := triangulateLinear([]mathx.Pose{pose}, []featureObs{obs}); ok {
+		t.Error("single observation accepted")
 	}
 }
 
@@ -105,7 +106,7 @@ func TestMarginalizeOldestShrinksState(t *testing.T) {
 	f.augmentClone()
 	f.augmentClone()
 	firstID := f.clones[0].ID
-	f.tracks[7] = &Track{FeatureID: 7, Obs: []Obs{{CloneID: firstID}, {CloneID: f.clones[1].ID}}}
+	f.tracks[7] = &track{FeatureID: 7, Obs: []featureObs{{CloneID: firstID}, {CloneID: f.clones[1].ID}}}
 	f.marginalizeOldest()
 	if f.CloneCount() != 1 || f.dim() != imuDim+6 {
 		t.Fatalf("clones %d dim %d", f.CloneCount(), f.dim())
@@ -291,3 +292,9 @@ func TestAblationAccuracyVsCost(t *testing.T) {
 		t.Errorf("ATEs too large: full %.3f fast %.3f", full.ATE(ds), fast.ATE(ds))
 	}
 }
+
+// CloneCount returns the number of stochastic clones in the window.
+func (f *Filter) CloneCount() int { return len(f.clones) }
+
+// SLAMFeatureCount returns the number of landmarks currently in the state.
+func (f *Filter) SLAMFeatureCount() int { return len(f.slam) }

@@ -19,6 +19,10 @@ stage() {
 
 stage "go vet ./..."
 go vet ./...
+# the caller rule (DESIGN.md §16) and the docs' test citations: seconds,
+# so a sweep that left a dead export fails before the race stage
+go test ./scripts/callers
+go test -run TestDocsCiteExistingTests .
 # a seed corpus file must never match .gitignore (it once swallowed the
 # binlog corpus and turned tier-1 red on a fresh clone)
 git check-ignore -q internal/netxr/binlog/testdata/fuzz/FuzzBinlogDecode/seed-00 && { echo "seed corpus is git-ignored" >&2; exit 1; }
