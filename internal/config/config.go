@@ -111,7 +111,8 @@ const (
 )
 
 // ComponentInfo is one row of Table II: algorithm and implementation per
-// component, including the interchangeable alternatives.
+// component, including the interchangeable alternatives this reproduction
+// builds.
 type ComponentInfo struct {
 	Pipeline  string
 	Component string
@@ -128,16 +129,13 @@ func Components() []ComponentInfo {
 		{"Perception", "VIO", "MSCKF w/ SLAM features (OpenVINS analogue)", true},
 		{"Perception", "VIO", "MSCKF fast profile (Kimera-VIO slot)", false},
 		{"Perception", "IMU Integrator", "RK4 (OpenVINS analogue)", true},
-		{"Perception", "IMU Integrator", "Midpoint/RK2 (GTSAM slot)", false},
 		{"Perception", "Eye Tracking", "CNN segmentation + pupil centroid (RITnet analogue)", true},
 		{"Perception", "Scene Reconstruction", "Surfel fusion + fern loop closure (ElasticFusion analogue)", true},
-		{"Perception", "Scene Reconstruction", "TSDF volume + raycasting (KinectFusion analogue)", false},
 		{"Visual", "Application", "Software rasterizer + Godot-scene analogues", true},
 		{"Visual", "Reprojection", "VP-matrix rotational/translational timewarp", true},
 		{"Visual", "Lens Distortion", "Mesh-based radial distortion", true},
 		{"Visual", "Chromatic Aberration", "Mesh-based per-channel radial distortion", true},
 		{"Visual", "Adaptive Display", "Weighted Gerchberg–Saxton hologram", true},
-		{"Visual", "Adaptive Display", "Fresnel FFT Gerchberg–Saxton (full-field)", false},
 		{"Audio", "Audio Encoding", "HOA ambisonic encoding (libspatialaudio analogue)", true},
 		{"Audio", "Audio Playback", "HOA rotation/zoom + HRTF binauralization", true},
 	}

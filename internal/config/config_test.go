@@ -69,3 +69,22 @@ func TestComponentsCoverAllPipelines(t *testing.T) {
 		t.Errorf("only %d detailed components", detailed)
 	}
 }
+
+// Table II lists what this reproduction builds: one algorithm per
+// component, and a second row only for VIO, whose fast profile
+// (vio.FastParams) is the one alternative the code carries.
+func TestComponentsListOnlyBuiltAlgorithms(t *testing.T) {
+	rows := map[string][]string{}
+	for _, c := range Components() {
+		rows[c.Component] = append(rows[c.Component], c.Algorithm)
+	}
+	for comp, algs := range rows {
+		want := 1
+		if comp == "VIO" {
+			want = 2
+		}
+		if len(algs) != want {
+			t.Errorf("%s lists %d algorithms %q, want %d", comp, len(algs), algs, want)
+		}
+	}
+}

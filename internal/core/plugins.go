@@ -108,8 +108,8 @@ func (p *DatasetPlayerPlugin) PumpUntil(t float64) int {
 
 var _ runtime.Plugin = (*DatasetPlayerPlugin)(nil)
 
-// The integrator's metric names, built once: an offload replica starts an
-// IntegratorPlugin per session.
+// The integrator's metric names, built once: an offload replica starts a
+// BatchIntegrator per session.
 var (
 	integratorSamplesTotal = telemetry.MetricName(CompIntegrator, "samples_total")
 	integratorPosesTotal   = telemetry.MetricName(CompIntegrator, "poses_total")
@@ -123,6 +123,71 @@ var (
 // and would starve the fast-pose stream.
 const poseBatchMax = 64
 
+// BatchIntegrator is the IMU-integrator role's per-sample work, shared by
+// IntegratorPlugin and the offload replica's session reader
+// (DESIGN.md §9.2): every sample is integrated and counted, but of a
+// backlog only the newest sample's pose is produced. The caller feeds
+// samples and asks Due whether more are already waiting; Flush ends the
+// batch. The first Feed of each batch is timed into
+// illixr_integrator_feed_ns, so a consumer that keeps up times every
+// sample and a backlog pays one clock pair per pose. Not safe for
+// concurrent use.
+type BatchIntegrator struct {
+	in      integrator.Integrator
+	tracer  *telemetry.SpanCollector
+	samples *telemetry.Counter
+	poses   *telemetry.Counter
+	feedNs  *telemetry.Histogram
+
+	newestT   float64
+	newestRef telemetry.SpanRef
+	pending   int // samples integrated since the last Flush
+}
+
+// NewBatchIntegrator starts an integrator at init that emits its spans
+// into tracer and counts into reg; either may be nil.
+func NewBatchIntegrator(init integrator.State, tracer *telemetry.SpanCollector, reg *telemetry.Registry) *BatchIntegrator {
+	return &BatchIntegrator{
+		in:      *integrator.New(init),
+		tracer:  tracer,
+		samples: reg.Counter(integratorSamplesTotal),
+		poses:   reg.Counter(integratorPosesTotal),
+		feedNs:  reg.Histogram(integratorFeedNs),
+	}
+}
+
+// Feed integrates one sample; ref is the span of the event that carried
+// it, the integrator span's parent should this sample end the batch.
+func (b *BatchIntegrator) Feed(s sensors.IMUSample, ref telemetry.SpanRef) {
+	if b.pending == 0 && b.feedNs != nil {
+		wall := time.Now()
+		b.in.Feed(s)
+		b.feedNs.Observe(float64(time.Since(wall).Nanoseconds()))
+	} else {
+		b.in.Feed(s)
+	}
+	b.samples.Inc()
+	b.newestT, b.newestRef = s.T, ref
+	b.pending++
+}
+
+// Due reports whether the batch should end now: a sample is pending, and
+// either no further sample is already waiting (more is false) or
+// poseBatchMax samples are pending.
+func (b *BatchIntegrator) Due(more bool) bool {
+	return b.pending > 0 && (!more || b.pending >= poseBatchMax)
+}
+
+// Flush ends the batch: it emits the integrator span under the newest
+// sample's, counts the pose and returns the newest sample's T, the pose
+// after it and the span.
+func (b *BatchIntegrator) Flush() (float64, mathx.Pose, telemetry.SpanRef) {
+	ref := b.tracer.Emit(CompIntegrator, b.newestRef.Trace, b.newestT, b.newestT, b.newestRef.Span)
+	b.poses.Inc() // before the pose is out, so whoever sees it sees the count
+	b.pending = 0
+	return b.newestT, b.in.FastPose(), ref
+}
+
 // IntegratorPlugin subscribes synchronously to the IMU topic and publishes
 // fast poses (the IMU-integrator role of Fig 2). The fast-pose stream is
 // latest-wins from its source (DESIGN.md §9.2): every sample is
@@ -132,7 +197,7 @@ const poseBatchMax = 64
 // sample, and the last sample of any burst always gets its pose.
 type IntegratorPlugin struct {
 	Initial integrator.State
-	in      *integrator.Integrator
+	in      *integrator.Integrator // the batch's integrator
 	sub     *runtime.Subscription
 	ctx     *runtime.Context
 	done    chan struct{}
@@ -154,49 +219,34 @@ func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
 			init.Pos, init.Rot = pose.Pos, pose.Rot
 		}
 	}
-	p.in = integrator.New(init)
+	batch := NewBatchIntegrator(init, tracerFrom(ctx), metricsFrom(ctx))
+	p.in = &batch.in
 	p.sub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(4096)
 	p.done = make(chan struct{})
 	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
 	inj := injectorFrom(ctx)
-	tracer := tracerFrom(ctx)
-	reg := metricsFrom(ctx)
-	samples := reg.Counter(integratorSamplesTotal)
-	poses := reg.Counter(integratorPosesTotal)
-	feedNs := reg.Histogram(integratorFeedNs)
+	publish := func() {
+		t, pose, ref := batch.Flush()
+		fastTopic.Publish(runtime.Event{T: t, Value: pose, Trace: ref})
+	}
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
-		// newest is the last integrated sample's event; pending counts the
-		// samples integrated since the last publish
-		var newest runtime.Event
-		pending := 0
-		publish := func() {
-			ref := tracer.Emit(CompIntegrator, newest.Trace.Trace, newest.T, newest.T, newest.Trace.Span)
-			poses.Inc() // before the pose is out, so whoever sees it sees the count
-			pending = 0
-			fastTopic.Publish(runtime.Event{T: newest.T, Value: p.in.FastPose(), Trace: ref})
-		}
 		for ev := range p.sub.C {
 			if sample, ok := ev.Value.(sensors.IMUSample); ok {
 				if inj.ShouldPanic(p.Name(), sample.T) {
 					// the restart resumes from the last integrated sample
-					if pending > 0 {
+					if batch.Due(false) {
 						publish()
 					}
 					panic(fmt.Sprintf("injected fault at t=%.3f", sample.T))
 				}
-				wall := time.Now()
-				p.in.Feed(sample)
-				feedNs.Observe(float64(time.Since(wall).Nanoseconds()))
-				samples.Inc()
-				newest = runtime.Event{T: sample.T, Trace: ev.Trace}
-				pending++
+				batch.Feed(sample, ev.Trace)
 			}
-			if pending > 0 && (len(p.sub.C) == 0 || pending >= poseBatchMax) {
+			if batch.Due(len(p.sub.C) > 0) {
 				publish()
 			}
 		}
-		if pending > 0 {
+		if batch.Due(false) {
 			publish()
 		}
 	})

@@ -24,7 +24,6 @@ import (
 	"illixr/internal/core"
 	"illixr/internal/faults"
 	"illixr/internal/integrator"
-	"illixr/internal/mathx"
 	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
@@ -51,12 +50,13 @@ func serverIDBase(sessionID uint64) uint64 { return sessionID << 40 }
 // ---------------------------------------------------------------------------
 // Server side: Pipeline runs one perception back half per session.
 
-// Pipeline implements session.Handler: per connected client it builds a
-// private runtime (switchboard + phonebook), loads the IMU integrator —
-// and optionally the VIO — under supervisors (PR1 semantics: an injected
-// panic restarts the plugin, the session survives), republishes uplink
-// frames onto the local topics, and forwards fast poses back downstream
-// with latest-wins semantics.
+// Pipeline implements session.Handler: per connected client it keeps an
+// IMU integrator and integrates each uplinked sample on the session's
+// reader goroutine, sending the newest pose back latest-wins
+// (DESIGN.md §9.2). With VIO it also builds a private runtime
+// (switchboard + phonebook), loads the MSCKF under a supervisor (an
+// injected panic restarts the plugin, the session survives) and
+// republishes the uplinked IMU and camera frames onto its topics.
 type Pipeline struct {
 	// Metrics is shared across sessions (the illixr_netxr_* registry);
 	// nil runs uninstrumented.
@@ -69,11 +69,11 @@ type Pipeline struct {
 	Cam func(h wire.Hello) sensors.CameraModel
 	// VIO additionally hosts the MSCKF on the uplinked camera frames.
 	VIO bool
-	// MaxRestarts is the per-plugin supervisor restart budget (0 = default).
+	// MaxRestarts is the VIO supervisor's restart budget (0 = default).
 	MaxRestarts int
-	// Inject installs a fault injector into every session's phonebook
-	// (PR1 integration: scheduled plugin panics exercise the per-session
-	// supervisors while the session itself stays connected).
+	// Inject installs a fault injector into every VIO session's phonebook
+	// (scheduled plugin panics exercise the per-session supervisor while
+	// the session itself stays connected).
 	Inject *faults.Injector
 	// RetainTracers keeps up to this many ended sessions' span
 	// collectors so Dumps (the /spans federation source and -trace-out)
@@ -85,76 +85,41 @@ type Pipeline struct {
 	states   map[uint64]*pipeState
 	retained []*telemetry.SpanCollector
 
-	// the instruments every session shares, resolved from Metrics by the
-	// first SessionStart (nil, and no-ops, when uninstrumented)
-	resolve   sync.Once
-	qoe       *telemetry.Histogram
-	sendRetry *telemetry.Counter
+	// the instrument every session shares, resolved from Metrics by the
+	// first SessionStart (nil, and a no-op, when uninstrumented)
+	resolve sync.Once
+	qoe     *telemetry.Histogram
 }
 
 // pipeState is one session's back half. SessionStart hands it to
 // SessionFrame through the session's handler value, so the per-frame path
 // takes no pipeline lock and looks no topic up.
 type pipeState struct {
-	loader  *runtime.Loader
-	tracer  *telemetry.SpanCollector
-	poseSub *runtime.Subscription
-	fwdDone chan struct{}
-	imu     *runtime.Topic
-	cam     *runtime.Topic // resolved on the first camera frame: most sessions send none
+	tracer *telemetry.SpanCollector
+	integ  *core.BatchIntegrator
+	pose   []byte // the pose encode scratch; Send copies it
+	// VIO sessions only: the runtime hosting the MSCKF and the topics it
+	// reads
+	loader   *runtime.Loader
+	imu, cam *runtime.Topic
 }
 
 // SessionStart implements session.Handler.
 func (p *Pipeline) SessionStart(s *session.Session) error {
 	p.resolve.Do(func() {
 		p.qoe = p.Metrics.Histogram(telemetry.MetricName("netxr", "qoe_mtp_ms"))
-		p.sendRetry = p.Metrics.Counter(telemetry.MetricName("netxr", "bridge_send_retry_total"))
 	})
-	loader := runtime.NewLoader()
-	ctx := loader.Context()
 	tracer := telemetry.NewSpanCollector(0)
 	tracer.SetIDBase(serverIDBase(s.ID()))
-	_ = ctx.Phonebook.Register(telemetry.TracerService, tracer)
-	if p.Metrics != nil {
-		_ = ctx.Phonebook.Register(telemetry.RegistryService, p.Metrics)
-	}
-	if p.Inject != nil {
-		_ = ctx.Phonebook.Register(faults.InjectorService, p.Inject)
-	}
-
 	var init integrator.State
 	if p.Init != nil {
 		init = p.Init(s.Hello())
 	}
-	opts := runtime.SupervisorOptions{MaxRestarts: p.MaxRestarts, Seed: int64(s.ID())}
-	sup := runtime.NewSupervisor("integrator.rk4", func() runtime.Plugin {
-		return &core.IntegratorPlugin{Initial: init}
-	}, opts)
-	if err := loader.Load(sup); err != nil {
-		_ = loader.Shutdown()
-		return fmt.Errorf("bridge: session %d: %w", s.ID(), err)
-	}
+	st := &pipeState{tracer: tracer, integ: core.NewBatchIntegrator(init, tracer, p.Metrics)}
 	if p.VIO {
-		if p.Cam == nil {
-			_ = loader.Shutdown()
-			return errors.New("bridge: VIO requires a Cam model source")
+		if err := p.startVIO(s, st, init); err != nil {
+			return err
 		}
-		cam := p.Cam(s.Hello())
-		vioSup := runtime.NewSupervisor("vio.msckf", func() runtime.Plugin {
-			return &core.VIOPlugin{Params: vio.DefaultParams(), Cam: &cam, Init: &init}
-		}, opts)
-		if err := loader.Load(vioSup); err != nil {
-			_ = loader.Shutdown()
-			return fmt.Errorf("bridge: session %d: %w", s.ID(), err)
-		}
-	}
-
-	st := &pipeState{
-		loader:  loader,
-		tracer:  tracer,
-		poseSub: ctx.Switchboard.GetTopic(runtime.TopicFastPose).Subscribe(1024),
-		fwdDone: make(chan struct{}),
-		imu:     ctx.Switchboard.GetTopic(runtime.TopicIMU),
 	}
 	p.mu.Lock()
 	if p.states == nil {
@@ -163,57 +128,43 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 	p.states[s.ID()] = st
 	p.mu.Unlock()
 	s.SetHandlerValue(st)
-
-	// downlink forwarder: every fast pose goes back latest-wins — if the
-	// link is slower than the IMU rate, unsent stale poses are displaced,
-	// never queued. The displacing starts here, at the source: this
-	// goroutine is the subscription's only consumer, so before it spends a
-	// span and an encode on a pose it skips to the newest one already
-	// queued. The skipped poses are exactly the ones the session's
-	// LatestWins slot would have displaced, and are counted as such.
-	go func() {
-		defer close(st.fwdDone)
-		var buf []byte
-		for ev := range st.poseSub.C {
-			skipped := 0
-			for len(st.poseSub.C) > 0 {
-				next, open := <-st.poseSub.C
-				if !open {
-					break
-				}
-				ev = next
-				skipped++
-			}
-			if skipped > 0 {
-				s.CountDisplaced(skipped)
-			}
-			mp, ok := ev.Value.(mathx.Pose)
-			if !ok {
-				continue
-			}
-			ref := st.tracer.Emit(compNetDown, ev.Trace.Trace, ev.T, ev.T, ev.Trace.Span)
-			buf = wire.AppendPose(buf[:0], wire.Pose{T: ev.T, Pose: mp})
-			err := s.Send(wire.Frame{Type: wire.TypePose, Trace: ref, Payload: buf}, session.LatestWins)
-			switch {
-			case err == nil:
-			case errors.Is(err, session.ErrClosed):
-				return
-			case session.IsRetryable(err):
-				// transient pushback (session.BackpressureError): the next
-				// pose supersedes this one anyway, so account for it and
-				// keep forwarding instead of killing the session.
-				p.sendRetry.Inc()
-			default:
-				return
-			}
-		}
-	}()
 	return nil
 }
 
-// SessionFrame implements session.Handler: uplink frames are decoded and
-// republished onto the session's private switchboard with a net_uplink
-// span bridging the remote lineage.
+// startVIO loads the session's supervised MSCKF into a private runtime.
+func (p *Pipeline) startVIO(s *session.Session, st *pipeState, init integrator.State) error {
+	if p.Cam == nil {
+		return errors.New("bridge: VIO requires a Cam model source")
+	}
+	loader := runtime.NewLoader()
+	ctx := loader.Context()
+	_ = ctx.Phonebook.Register(telemetry.TracerService, st.tracer)
+	if p.Metrics != nil {
+		_ = ctx.Phonebook.Register(telemetry.RegistryService, p.Metrics)
+	}
+	if p.Inject != nil {
+		_ = ctx.Phonebook.Register(faults.InjectorService, p.Inject)
+	}
+	cam := p.Cam(s.Hello())
+	sup := runtime.NewSupervisor("vio.msckf", func() runtime.Plugin {
+		return &core.VIOPlugin{Params: vio.DefaultParams(), Cam: &cam, Init: &init}
+	}, runtime.SupervisorOptions{MaxRestarts: p.MaxRestarts, Seed: int64(s.ID())})
+	if err := loader.Load(sup); err != nil {
+		_ = loader.Shutdown()
+		return fmt.Errorf("bridge: session %d: %w", s.ID(), err)
+	}
+	st.loader = loader
+	st.imu = ctx.Switchboard.GetTopic(runtime.TopicIMU)
+	st.cam = ctx.Switchboard.GetTopic(runtime.TopicCamera)
+	return nil
+}
+
+// SessionFrame implements session.Handler: uplink frames are decoded
+// with a net_uplink span bridging the remote lineage. An IMU sample is
+// integrated here, on the reader goroutine, and the newest pose goes
+// back once no further IMU frame is already buffered behind this one
+// (or a batch is full), so a saturated session sends one pose per socket
+// read and a paced one a pose per sample.
 func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 	st, _ := s.HandlerValue().(*pipeState)
 	if st == nil {
@@ -226,17 +177,22 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 			return fmt.Errorf("bridge: session %d: imu: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, sample.T, sample.T, f.Trace.Span)
-		st.imu.Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
+		if st.imu != nil {
+			st.imu.Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
+		}
+		st.integ.Feed(sample, ref)
+		if st.integ.Due(s.NextBuffered() == wire.TypeIMU) {
+			st.sendPose(s)
+		}
 	case wire.TypeCamera:
 		frame, err := wire.DecodeCamera(f.Payload)
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: camera: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, frame.T, frame.T, f.Trace.Span)
-		if st.cam == nil {
-			st.cam = st.loader.Context().Switchboard.GetTopic(runtime.TopicCamera)
+		if st.cam != nil {
+			st.cam.Publish(runtime.Event{T: frame.T, Value: frame, Trace: ref})
 		}
-		st.cam.Publish(runtime.Event{T: frame.T, Value: frame, Trace: ref})
 	case wire.TypeQoE:
 		q, err := wire.DecodeQoE(f.Payload)
 		if err != nil {
@@ -247,6 +203,17 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 		// unknown-but-well-framed types are ignored: forward compatibility
 	}
 	return nil
+}
+
+// sendPose ends the integrator's batch and offers its pose to the
+// session's latest-wins slot: if the link is slower than the poses, an
+// unsent stale one is displaced (and counted) there, never queued. A
+// LatestWins Send fails only on a session that is already ending.
+func (st *pipeState) sendPose(s *session.Session) {
+	t, pose, ref := st.integ.Flush()
+	down := st.tracer.Emit(compNetDown, ref.Trace, t, t, ref.Span)
+	st.pose = wire.AppendPose(st.pose[:0], wire.Pose{T: t, Pose: pose})
+	_ = s.Send(wire.Frame{Type: wire.TypePose, Trace: down, Payload: st.pose}, session.LatestWins)
 }
 
 // SessionEnd implements session.Handler.
@@ -261,12 +228,9 @@ func (p *Pipeline) SessionEnd(s *session.Session, _ error) {
 		}
 	}
 	p.mu.Unlock()
-	if st == nil {
-		return
+	if st != nil && st.loader != nil {
+		_ = st.loader.Shutdown()
 	}
-	st.poseSub.Cancel()
-	<-st.fwdDone
-	_ = st.loader.Shutdown()
 }
 
 // Dumps merges every session tracer — live ones plus the RetainTracers

@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"context"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -187,20 +188,23 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 }
 
 func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
-	// schedule one integrator panic at t>=0.2: the per-session supervisor
-	// must restart the plugin while the session stays connected
+	// schedule one VIO panic at t>=0.2, the plugin a replica still
+	// supervises: the per-session supervisor must restart it while the
+	// session stays connected and the reader keeps integrating
 	sched := &faults.Schedule{Windows: []faults.Window{
-		{Kind: faults.PluginPanic, Component: "integrator.rk4", Start: 0.2, End: 0.2},
+		{Kind: faults.PluginPanic, Component: "vio.msckf", Start: 0.2, End: 0.2},
 	}}
 	pipe := &Pipeline{
 		Metrics:     telemetry.NewRegistry(),
+		VIO:         true,
+		Cam:         func(wire.Hello) sensors.CameraModel { return sensors.VGACamera() },
 		Inject:      faults.NewInjector(sched),
 		MaxRestarts: 3,
 	}
 	rig := startRig(t, pipe, 3)
 
 	rig.pumpAndAwaitPose(t, 0.1)
-	// crossing t=0.2 trips the injected panic
+	// the first camera frame past t=0.2 trips the injected panic
 	rig.player.PumpUntil(0.5)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -208,14 +212,14 @@ func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
 	for time.Now().Before(deadline) && !restarted {
 		if st := pipe.stateOf(rig.client.Session()); st != nil {
 			health := st.loader.Context().Health.Snapshot()
-			if h, ok := health["integrator.rk4"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
+			if h, ok := health["vio.msckf"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
 				restarted = true
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !restarted {
-		t.Fatal("integrator never restarted after the injected panic")
+		t.Fatal("VIO never restarted after the injected panic")
 	}
 	if rig.srv.Len() != 1 {
 		t.Fatalf("session count = %d; the session must survive a plugin crash", rig.srv.Len())
@@ -225,50 +229,67 @@ func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
 	rig.pumpAndAwaitPose(t, 1.0)
 }
 
-// A burst of poses published faster than the session writer drains them
-// reaches the client latest-wins: strictly increasing in T, ending with
-// the burst's last pose, and every pose of the burst either sent or
-// counted as displaced — at the source or in the session's slot.
-func TestPoseBurstIsLatestWinsAndAccounted(t *testing.T) {
-	const n = 500 // under the subscription's bound: the topic displaces none
-	reg := telemetry.NewRegistry()
-	pipe := &Pipeline{Metrics: reg}
-	srv := session.NewServer(session.Config{Metrics: reg}, pipe)
+// openSession starts a wire-level session on srv: the client end of the
+// conn has said Hello and read its Welcome, and nothing else runs on it.
+func openSession(t *testing.T, srv *session.Server, app string) (*session.Session, *netsim.Conn, *wire.Reader, *wire.Writer) {
+	t.Helper()
 	cConn, sConn := netsim.Pipe()
 	sess := srv.HandleConn(sConn)
 	if sess == nil {
 		t.Fatal("conn refused")
 	}
-	defer func() {
-		_ = cConn.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
+	t.Cleanup(func() { _ = cConn.Close() })
 	w, r := wire.NewWriter(cConn), wire.NewReader(cConn)
 	if err := w.WriteFrame(wire.Frame{Type: wire.TypeHello,
-		Payload: wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "burst"})}); err != nil {
+		Payload: wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: app})}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypeWelcome {
 		t.Fatalf("awaiting welcome: %v %v", f.Type, err)
 	}
-	var st *pipeState
-	for deadline := time.Now().Add(5 * time.Second); st == nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("session never started")
-		}
-		st = pipe.stateOf(sess.ID())
-	}
+	return sess, cConn, r, w
+}
 
-	// the client reads nothing until the whole burst is published: the
-	// writer blocks on the pipe and the forwarder runs ahead of it
-	topic := st.loader.Context().Switchboard.GetTopic(runtime.TopicFastPose)
-	for i := 1; i <= n; i++ {
-		topic.Publish(runtime.Event{T: float64(i), Value: mathx.Pose{Pos: mathx.Vec3{X: float64(i)}}})
+// shutdownOnCleanup drains srv when the test ends.
+func shutdownOnCleanup(t *testing.T, srv *session.Server) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+}
+
+// A burst of IMU frames the client writes without reading reaches the
+// replica's integrator on the session reader, and its poses come back
+// latest-wins: strictly increasing in T, the last one bit-equal to
+// feeding every sample of the burst into a fresh integrator, fewer poses
+// than samples (one per socket read or poseBatchMax samples), and every
+// pose the integrator made either sent or counted as displaced in the
+// session's slot.
+func TestPoseBurstIsLatestWinsAndAccounted(t *testing.T) {
+	cfg := sensors.DefaultDatasetConfig()
+	cfg.Duration = 1.1
+	samples := sensors.GenerateDataset(cfg).IMU[:500]
+	init := integrator.State{Rot: mathx.QuatIdentity()}
+	reg := telemetry.NewRegistry()
+	pipe := &Pipeline{Metrics: reg, Init: func(wire.Hello) integrator.State { return init }}
+	srv := session.NewServer(session.Config{Metrics: reg}, pipe)
+	shutdownOnCleanup(t, srv)
+	sess, _, r, w := openSession(t, srv, "burst")
+
+	// one Write carries the whole burst; the client reads nothing until it
+	// is all on the pipe, so the session writer blocks on its first pose
+	// and the reader runs ahead of it
+	for _, s := range samples {
+		w.Queue(wire.Frame{Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, s)})
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	last := samples[len(samples)-1].T
 	received, lastT := 0, 0.0
-	for lastT < n {
+	var lastPose mathx.Pose
+	for lastT < last {
 		f, err := r.ReadFrame()
 		if err != nil {
 			t.Fatalf("after %d poses: %v", received, err)
@@ -277,14 +298,25 @@ func TestPoseBurstIsLatestWinsAndAccounted(t *testing.T) {
 		if err != nil || f.Type != wire.TypePose {
 			t.Fatalf("frame %v: %v", f.Type, err)
 		}
-		if p.T <= lastT || p.Pose.Pos.X != p.T {
-			t.Fatalf("pose T=%v (X=%v) after T=%v: not latest-wins order", p.T, p.Pose.Pos.X, lastT)
+		if p.T <= lastT {
+			t.Fatalf("pose T=%v after T=%v: not latest-wins order", p.T, lastT)
 		}
-		received, lastT = received+1, p.T
+		received, lastT, lastPose = received+1, p.T, p.Pose
 	}
+	in := integrator.New(init)
+	for _, s := range samples {
+		in.Feed(s)
+	}
+	if want := in.FastPose(); lastPose != want {
+		t.Fatalf("last pose %+v, want %+v (every sample fed one by one)", lastPose, want)
+	}
+	poses := reg.Counter(telemetry.MetricName(core.CompIntegrator, "poses_total")).Value()
 	_, dropped, _, _ := sess.Stats()
-	if received+int(dropped) != n {
-		t.Fatalf("%d poses sent + %d displaced = %d, want the burst's %d", received, dropped, received+int(dropped), n)
+	if uint64(received)+dropped != poses {
+		t.Fatalf("%d poses sent + %d displaced = %d, want poses_total %d", received, dropped, uint64(received)+dropped, poses)
+	}
+	if poses >= uint64(len(samples)) {
+		t.Fatalf("%d poses for a %d-sample burst: the reader never batched", poses, len(samples))
 	}
 	if dropped == 0 {
 		t.Fatal("no pose displaced: the burst never outran the writer")
@@ -292,4 +324,43 @@ func TestPoseBurstIsLatestWinsAndAccounted(t *testing.T) {
 	if got := reg.Counter(telemetry.MetricName("netxr", "send_dropped_total")).Value(); got != dropped {
 		t.Fatalf("send_dropped_total %d, session dropped %d", got, dropped)
 	}
+}
+
+// A replica session without VIO runs on the session's own two
+// goroutines, its reader and its writer: the integrator and the pose
+// path add none.
+func TestReplicaSessionRunsOnTwoGoroutines(t *testing.T) {
+	pipe := &Pipeline{Metrics: telemetry.NewRegistry()}
+	srv := session.NewServer(session.Config{IdleTimeout: -1}, pipe) // no idle reaper
+	shutdownOnCleanup(t, srv)
+	base := settledGoroutines()
+	_, _, r, w := openSession(t, srv, "count")
+	for i := 1; i <= 3; i++ {
+		s := sensors.IMUSample{T: float64(i) / 500}
+		if err := w.WriteFrame(wire.Frame{Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, s)}); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := r.ReadFrame(); err != nil || f.Type != wire.TypePose {
+			t.Fatalf("sample %d: %v %v, want its pose", i, f.Type, err)
+		}
+	}
+	if n := settledGoroutines(); n != base+2 {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("a live session added %d goroutines, want 2 (reader and writer):\n%s", n-base, buf[:goruntime.Stack(buf, true)])
+	}
+}
+
+// settledGoroutines is the goroutine count once it has held still for a
+// few milliseconds, so goroutines an earlier test left exiting are gone.
+func settledGoroutines() int {
+	n := goruntime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := goruntime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

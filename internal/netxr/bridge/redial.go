@@ -182,9 +182,11 @@ func (r *Redialer) Connect() (*Client, error) {
 			return cl, nil
 		}
 		lastErr = err
-		var re *refusedError
-		if errors.As(err, &re) && !re.Retryable() {
-			return nil, err // terminal refusal: retrying cannot help
+		// a terminal refusal says so (refusedError without a Retry-After):
+		// retrying cannot help
+		var r interface{ Retryable() bool }
+		if errors.As(err, &r) && !r.Retryable() {
+			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("%w after %d attempts: %v", errGaveUp, maxAttempts, lastErr)

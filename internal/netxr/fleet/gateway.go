@@ -355,6 +355,13 @@ func (g *Gateway) dropLegs(id int) {
 	}
 }
 
+// readDrained reports that r holds no further whole frame: the next read
+// goes back to the socket, so a relay flushes what it has queued.
+func readDrained(r *wire.Reader) bool {
+	_, more := r.FrameBuffered()
+	return !more
+}
+
 // relay runs one client's full lifecycle on the calling goroutine.
 func (g *Gateway) relay(client net.Conn) {
 	defer func() { _ = client.Close() }()
@@ -547,7 +554,7 @@ func (g *Gateway) relay(client net.Conn) {
 			queued++
 			// flush on window exhaustion or an empty read buffer: never
 			// hold a frame while the client has nothing more in flight
-			if bw.Queued() >= wire.FlushWindow || !cr.FrameBuffered() {
+			if bw.Queued() >= wire.FlushWindow || readDrained(cr) {
 				if !flush() {
 					g.Coord.ack(token, baseSeq+flushed)
 					once.Do(closeBoth)
@@ -602,7 +609,9 @@ func (g *Gateway) relay(client net.Conn) {
 				parked = g.park(replicaID, l)
 			}
 		}
-		if !clientGone && (isBye || cw.Queued() >= wire.FlushWindow || !br.FrameBuffered()) {
+		// after a Bye the leg may already be parked, its reader another
+		// relay's: the order of this test keeps br untouched then
+		if !clientGone && (isBye || cw.Queued() >= wire.FlushWindow || readDrained(br)) {
 			if err := cw.Flush(); err == nil {
 				g.relayed.Add(int(dnQueued - dnFlushed))
 				dnFlushed = dnQueued

@@ -140,12 +140,13 @@ func (r *lifecycleRig) run(n, from int) error {
 }
 
 // lifecycleAllocBudget is the heap allocations one lifecycle may make,
-// client, gateway and replica together: 173.1 measured once the gateway
-// parks its replica leg after a Bye and the next lifecycle reuses it (no
-// dial, accept or connection buffers on the replica leg), + 10 %. Pooled
+// client, gateway and replica together: 112.0 measured once the replica
+// integrates on the session reader (no per-session runtime, topics,
+// supervisor, integrator goroutine or pose forwarder; 157.9 before),
+// + 10 %. Parking the replica leg had brought it to 173.1, pooled
 // connection buffers, the index-free span store and the one-allocation
-// loader had brought it to 200.9; the tree before them measured 297.3.
-const lifecycleAllocBudget = 190
+// loader to 200.9; the tree before them measured 297.3.
+const lifecycleAllocBudget = 123
 
 // A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
 // connection buffers come from the wire free lists, the span collectors

@@ -11,6 +11,16 @@ import (
 	"illixr/internal/telemetry"
 )
 
+// IsRetryable reports whether a send/admission failure is transient: the
+// caller should retry (after backoff) instead of tearing the session down.
+func IsRetryable(err error) bool {
+	if errors.Is(err, errBackpressure) {
+		return true
+	}
+	var r interface{ Retryable() bool }
+	return errors.As(err, &r) && r.Retryable()
+}
+
 // TestDrainIdempotent is the regression test for the double-drain bug
 // class: a second Drain (or a Close racing the drain deadline) must not
 // panic and must not re-arm a second Bye.

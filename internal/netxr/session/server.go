@@ -99,9 +99,11 @@ const (
 	retryAfter = time.Second
 )
 
-// Handler reacts to session lifecycle events. SessionFrame runs on the
-// session's reader goroutine; returning an error terminates the session
-// (the supervisor owning the server may then restart its pipeline).
+// Handler reacts to session lifecycle events. SessionStart and
+// SessionFrame run on the session's reader goroutine; returning an error
+// terminates the session, and so does a panic, which the reader recovers
+// into the error the drain Bye carries: one session's handler cannot take
+// the server or any other session down.
 type Handler interface {
 	// SessionStart runs after a successful handshake.
 	SessionStart(s *Session) error

@@ -48,8 +48,8 @@ var (
 
 // backpressureError is the typed, retryable rejection of a reliable Send
 // when the queue is full: the producer should back off and retry (or drop
-// deliberately), never treat it as session death. errors.Is matches both
-// errBackpressure and the generic retryable test below.
+// deliberately), never treat it as session death. errors.Is matches
+// errBackpressure, and its Retryable method marks it transient.
 type backpressureError struct {
 	Session uint64
 	Queued  int // frames waiting when the send was refused
@@ -64,16 +64,6 @@ func (e *backpressureError) Unwrap() error { return errBackpressure }
 
 // Retryable marks the error transient.
 func (e *backpressureError) Retryable() bool { return true }
-
-// IsRetryable reports whether a send/admission failure is transient: the
-// caller should retry (after backoff) instead of tearing the session down.
-func IsRetryable(err error) bool {
-	if errors.Is(err, errBackpressure) {
-		return true
-	}
-	var r interface{ Retryable() bool }
-	return errors.As(err, &r) && r.Retryable()
-}
 
 // metrics bundles the per-server instruments (nil-safe when no registry
 // is installed).
@@ -140,7 +130,8 @@ type Session struct {
 
 	lastRecv atomic.Int64 // unix nanos of the last socket read that decoded a frame
 
-	handlerValue any // the Handler's own per-session value (SetHandlerValue)
+	handlerValue any       // the Handler's own per-session value (SetHandlerValue)
+	next         wire.Type // the whole frame buffered behind the one being handled (NextBuffered)
 
 	sent         atomic.Uint64
 	dropped      atomic.Uint64
@@ -172,14 +163,14 @@ func (s *Session) SetHandlerValue(v any) { s.handlerValue = v }
 // it from SessionStart or SessionFrame only.
 func (s *Session) HandlerValue() any { return s.handlerValue }
 
-// CountDisplaced accounts n LatestWins frames the caller superseded
-// before handing them to Send — the displacements the session's slot
-// would otherwise have counted — in the session's dropped stat and in
-// illixr_netxr_send_dropped_total.
-func (s *Session) CountDisplaced(n int) {
-	s.dropped.Add(uint64(n))
-	s.srv.m.sendDropped.Add(n)
-}
+// NextBuffered returns the type of the next frame when it is already
+// whole in the reader's buffer, so the reader will hand it over without
+// waiting on the socket, and wire.TypeInvalid when the next frame has
+// yet to arrive. A handler batching work across frames finishes the
+// batch when the next frame is not one it would add to. The reader
+// peeks once per frame; call it from SessionFrame on the reader
+// goroutine only (a BatchingHandler's deferred frames run elsewhere).
+func (s *Session) NextBuffered() wire.Type { return s.next }
 
 // uptime is the session age.
 func (s *Session) uptime() time.Duration { return time.Since(s.created) }
@@ -417,8 +408,15 @@ func (s *Session) closeDrained() {
 }
 
 // readLoop performs the handshake and then decodes frames from r into
-// the handler until the connection ends or the peer says Bye.
-func (s *Session) readLoop(r *wire.Reader) error {
+// the handler until the connection ends or the peer says Bye. A handler
+// panic ends this session the way a handler error does — the drain Bye
+// names it — and leaves every other session running.
+func (s *Session) readLoop(r *wire.Reader) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("session %d: handler panic: %v", s.id, v)
+		}
+	}()
 	if err := s.handshake(r); err != nil {
 		return err
 	}
@@ -441,7 +439,8 @@ func (s *Session) readLoop(r *wire.Reader) error {
 			return fmt.Errorf("session %d: decode: %w", s.id, err)
 		}
 		batch.frames++
-		if !r.FrameBuffered() {
+		var more bool
+		if s.next, more = r.FrameBuffered(); !more {
 			// the last frame this socket read delivered: the next
 			// ReadFrame goes back to the socket
 			s.countRecv(&batch, r)

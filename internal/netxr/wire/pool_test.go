@@ -22,7 +22,7 @@ func dirtyReader(t *testing.T, stream []byte) *Reader {
 	if _, err := r.ReadFrame(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.FrameBuffered() {
+	if _, ok := r.FrameBuffered(); !ok {
 		t.Fatal("the dirty reader holds no unread frame")
 	}
 	return r

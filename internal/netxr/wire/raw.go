@@ -50,14 +50,16 @@ func (r *Reader) ReadRaw() (Raw, error) {
 }
 
 // FrameBuffered reports whether a complete frame is already sitting in
-// the reader's buffer, so the next ReadFrame/ReadRaw cannot block. The
-// write-coalescing loops use it to drain a burst into one flush without
-// stalling on a quiet wire. Conservative: an unparseable length prefix
-// counts as buffered so the caller reads (and surfaces) the error now.
-func (r *Reader) FrameBuffered() bool {
+// the reader's buffer, so the next ReadFrame/ReadRaw cannot block, and
+// that frame's type. The write-coalescing loops use it to drain a burst
+// into one flush without stalling on a quiet wire; the replica's session
+// reader also tells its handler what comes next. Conservative: an
+// unparseable length prefix counts as buffered so the caller reads (and
+// surfaces) the error now.
+func (r *Reader) FrameBuffered() (Type, bool) {
 	n := r.br.Buffered()
 	if n < headerLen+1 {
-		return false
+		return TypeInvalid, false
 	}
 	peek := headerLen + binary.MaxVarintLen64
 	if peek > n {
@@ -65,19 +67,23 @@ func (r *Reader) FrameBuffered() bool {
 	}
 	b, err := r.br.Peek(peek)
 	if err != nil {
-		return false
+		return TypeInvalid, false
 	}
+	typ := Type(b[3])
 	ln, vlen := binary.Uvarint(b[headerLen:])
 	if vlen < 0 {
-		return true // overflowed varint: the next read errors immediately
+		return typ, true // overflowed varint: the next read errors immediately
 	}
 	if vlen == 0 {
-		return false // varint continues past what is buffered
+		return TypeInvalid, false // varint continues past what is buffered
 	}
 	if ln > MaxPayload {
-		return true // hostile length: the next read errors immediately
+		return typ, true // hostile length: the next read errors immediately
 	}
-	return n >= headerLen+vlen+int(ln)+4
+	if n < headerLen+vlen+int(ln)+4 {
+		return TypeInvalid, false
+	}
+	return typ, true
 }
 
 // FlushWindow is the most frames any writer in the offload stack lets sit

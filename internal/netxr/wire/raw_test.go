@@ -126,7 +126,8 @@ func (o *oneShotReader) Read(p []byte) (int, error) {
 }
 
 // TestFrameBuffered: with two whole frames and a torn third in the
-// buffer, exactly two non-blocking reads must be possible.
+// buffer, exactly two non-blocking reads must be possible, and the peek
+// names the type of the whole frame it finds.
 func TestFrameBuffered(t *testing.T) {
 	f1 := AppendFrame(nil, Frame{Type: TypeIMU, Payload: []byte{1}})
 	f2 := AppendFrame(nil, Frame{Type: TypePose, Payload: []byte{2, 3}})
@@ -134,20 +135,20 @@ func TestFrameBuffered(t *testing.T) {
 	stream := append(append(append([]byte(nil), f1...), f2...), f3[:len(f3)-3]...)
 
 	r := NewReader(&oneShotReader{data: stream})
-	if r.FrameBuffered() {
-		t.Fatal("nothing read yet: bufio buffer is empty, FrameBuffered must be false")
+	if typ, ok := r.FrameBuffered(); ok || typ != TypeInvalid {
+		t.Fatalf("nothing read yet: bufio buffer is empty, FrameBuffered = %v %v, want invalid false", typ, ok)
 	}
 	if _, err := r.ReadRaw(); err != nil { // fills the bufio buffer
 		t.Fatal(err)
 	}
-	if !r.FrameBuffered() {
-		t.Fatal("a complete second frame is buffered, FrameBuffered must be true")
+	if typ, ok := r.FrameBuffered(); !ok || typ != TypePose {
+		t.Fatalf("a complete pose frame is buffered, FrameBuffered = %v %v, want pose true", typ, ok)
 	}
 	if _, err := r.ReadRaw(); err != nil {
 		t.Fatal(err)
 	}
-	if r.FrameBuffered() {
-		t.Fatal("only a torn frame remains, FrameBuffered must be false")
+	if typ, ok := r.FrameBuffered(); ok || typ != TypeInvalid {
+		t.Fatalf("only a torn qoe frame remains, FrameBuffered = %v %v, want invalid false", typ, ok)
 	}
 }
 

@@ -128,7 +128,8 @@ func TestFrameBufferedCoversABurst(t *testing.T) {
 			if _, err := r.ReadRaw(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := r.FrameBuffered(), i < FlushWindow-1; got != want {
+			want := i < FlushWindow-1
+			if _, got := r.FrameBuffered(); got != want {
 				t.Fatalf("burst %d after frame %d: FrameBuffered=%v, want %v", burst, i, got, want)
 			}
 		}

@@ -4,23 +4,34 @@
 //
 // Usage, from the repository root:
 //
-//	go run ./scripts/abpair -rev HEAD~1 -workload live_pipeline -seed 7 \
-//	    -seconds 25 -claim throughput_per_s
+//	go run ./scripts/abpair -rev HEAD~1 -workload offload_paced -seed 7 \
+//	    -seconds 25 -claim allocs_per_op -guard latency.p99_us:0.10
 //
 // A is checked out with `git worktree add` into a temporary directory,
 // removed at exit, and each tree builds ./benchmark once. The N pairs run in ABBA order (AB, BA, AB, …), each binary from
-// its own tree's root. A run prints one JSON line last; a pair in which
-// either run has failed > 0 or correct=false, or printed no line, is void.
-// Each run's steal and idle shares of CPU time, from /proc/stat, print
-// beside it, and the failed checks of a run that has any below it.
+// its own tree's root. A run prints its `name value unit` rows and then
+// one JSON line last; a pair in which either run has failed > 0 or
+// correct=false, or printed no line, is void. Every row is a metric abpair
+// can judge — the three end-to-end ones the JSON line carries (at full
+// precision) and the detail rows above it — and a row printed as -1 was
+// not measured in that run. Each run's steal and idle shares of CPU time,
+// from /proc/stat, print beside it, and the failed checks of a run that
+// has any below it.
 //
-// For each claimed metric abpair prints the median paired ratio B/A with
-// the smallest and largest ratio, the pairs B wins, the exact one-sided
-// sign-test p, and the spread of A's own runs: A's p25–p75 as a share of
-// A's median, the noise a median gain has to clear. The claim holds at
-// p ≤ 0.011 (9 of 10 pairs). Every other metric in the line prints as
-// description only. The exit status is 0 when every claim holds, 1 when
-// one does not, 2 on a usage, build or run error.
+// -claim takes any printed row; -guard takes only metrics BENCHMARK.json
+// lists, under end_to_end or per_layer, and any other name is a usage
+// error. BENCHMARK.json says whether higher or lower is better; a claimed
+// row it does not list is better higher when its unit is 1/s and lower
+// otherwise, and a claimed name no run printed does not hold. For each
+// claimed metric abpair prints the
+// median paired ratio B/A with the smallest and largest ratio, the pairs
+// B wins, the exact one-sided sign-test p, and the spread of A's own runs:
+// A's p25–p75 as a share of A's median, the noise a median gain has to
+// clear. The claim holds at p ≤ 0.011 (9 of 10 pairs). A guard
+// metric:bound holds unless B's median over the valid pairs is worse than
+// A's by more than bound (a fraction: 0.10 is 10 %). Every other metric
+// prints as description only. The exit status is 0 when every claim and
+// guard holds, 1 when one does not, 2 on a usage, build or run error.
 package main
 
 import (
@@ -54,15 +65,16 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed of every run")
 		seconds  = flag.Float64("seconds", 25, "timed window of every run")
 		pairs    = flag.Int("pairs", 10, "number of ABBA pairs")
-		claim    = flag.String("claim", "", "comma-separated metrics the change claims to improve (required)")
+		claim    = flag.String("claim", "", "comma-separated metrics the change claims to improve")
+		guard    = flag.String("guard", "", "comma-separated metric:bound pairs B must not be worse on by more than bound (a fraction)")
 	)
 	flag.Parse()
-	if *claim == "" || *pairs < 1 || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: abpair -claim metric[,metric] [-rev REV] [-workload W] [-seed N] [-seconds S] [-pairs N]")
+	if (*claim == "" && *guard == "") || *pairs < 1 || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: abpair [-claim metric[,metric]] [-guard metric:bound[,metric:bound]] [-rev REV] [-workload W] [-seed N] [-seconds S] [-pairs N]")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	code, err := run(ctx, *rev, *workload, *seed, *seconds, *pairs, strings.Split(*claim, ","))
+	code, err := run(ctx, *rev, *workload, *seed, *seconds, *pairs, *claim, *guard)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abpair:", err)
@@ -71,15 +83,18 @@ func main() {
 	os.Exit(code)
 }
 
-func run(ctx context.Context, rev, workload string, seed int64, seconds float64, n int, claims []string) (int, error) {
+func run(ctx context.Context, rev, workload string, seed int64, seconds float64, n int, claimList, guardList string) (int, error) {
 	better, err := directions("BENCHMARK.json")
 	if err != nil {
 		return 0, err
 	}
-	for _, m := range claims {
-		if _, ok := better[m]; !ok {
-			return 0, fmt.Errorf("claimed metric %q is not an end-to-end metric of BENCHMARK.json", m)
-		}
+	var claims []string
+	if claimList != "" {
+		claims = strings.Split(claimList, ",")
+	}
+	guards, err := parseGuards(guardList, better)
+	if err != nil {
+		return 0, err
 	}
 	tmp, err := os.MkdirTemp("", "abpair-")
 	if err != nil {
@@ -105,8 +120,12 @@ func run(ctx context.Context, rev, workload string, seed int64, seconds float64,
 			return 0, fmt.Errorf("building %s: %v\n%s", tree, err, out)
 		}
 	}
-	fmt.Printf("abpair: %s seed %d, %g s, %d ABBA pairs; A = %s, B = %s; claim: %s\n",
-		workload, seed, seconds, n, treeA, treeB, strings.Join(claims, ", "))
+	judged := append([]string(nil), claims...)
+	for _, g := range guards {
+		judged = append(judged, g.metric)
+	}
+	fmt.Printf("abpair: %s seed %d, %g s, %d ABBA pairs; A = %s, B = %s; claim: %s; guard: %s\n",
+		workload, seed, seconds, n, treeA, treeB, strings.Join(claims, ", "), guardList)
 	args := []string{"--workload", workload, "--seed", strconv.FormatInt(seed, 10),
 		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0"}
 	ps := make([]pair, n)
@@ -121,26 +140,64 @@ func run(ctx context.Context, rev, workload string, seed int64, seconds float64,
 				return 0, ctx.Err()
 			}
 			ps[i][side] = r
-			fmt.Printf("pair %2d %s  %s\n", i+1, "AB"[side:side+1], r.describe(err))
+			fmt.Printf("pair %2d %s  %s\n", i+1, "AB"[side:side+1], r.describe(err, judged))
 		}
 	}
-	return report(os.Stdout, ps, claims, better), nil
+	return report(os.Stdout, ps, claims, guards, better), nil
 }
 
-// result is one run's last JSON line, plus its share of CPU time the
-// hypervisor stole and the CPUs spent idle while it ran.
+// guard is one -guard metric:bound: B's median may be worse than A's by
+// at most bound, a fraction of A's median.
+type guard struct {
+	metric string
+	bound  float64
+}
+
+// parseGuards reads the -guard list; every metric must be one
+// BENCHMARK.json gives a direction.
+func parseGuards(list string, better map[string]bool) ([]guard, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var gs []guard
+	for _, item := range strings.Split(list, ",") {
+		name, bound, ok := strings.Cut(item, ":")
+		b, err := strconv.ParseFloat(bound, 64)
+		if !ok || err != nil || b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+			return nil, fmt.Errorf("guard %q: want metric:bound with a bound >= 0", item)
+		}
+		if _, known := better[name]; !known {
+			return nil, fmt.Errorf("guarded metric %q is not a metric of BENCHMARK.json", name)
+		}
+		gs = append(gs, guard{metric: name, bound: b})
+	}
+	return gs, nil
+}
+
+// result is one run's output — its JSON line and the rows above it —
+// plus its share of CPU time the hypervisor stole and the CPUs spent idle
+// while it ran.
 type result struct {
 	ok      bool // the run printed its line
 	Correct bool `json:"correct"`
 	Failed  int  `json:"failed"`
 	Metrics map[string]struct {
 		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
 	} `json:"metrics"`
 	// Checks are the run's first failure messages: they say why a pair
 	// is void.
-	Checks      []string `json:"failed_checks"`
+	Checks []string `json:"failed_checks"`
+	// values holds every metric the run measured: the printed rows, with
+	// the JSON line's metrics at full precision over their rounded rows.
+	values      map[string]float64
+	units       map[string]string
 	steal, idle float64
 }
+
+// notMeasured is the value a row prints for a metric the run did not
+// measure.
+const notMeasured = -1
 
 // pair is A's run and B's run.
 type pair [2]result
@@ -156,7 +213,9 @@ func (p pair) void() bool {
 	return false
 }
 
-func (r result) describe(err error) string {
+// describe prints the run's verdict fields, its JSON-line metrics and the
+// judged metrics the JSON line does not carry.
+func (r result) describe(err error, judged []string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -164,11 +223,20 @@ func (r result) describe(err error) string {
 	for k := range r.Metrics {
 		names = append(names, k)
 	}
+	for _, k := range judged {
+		if _, ok := r.Metrics[k]; !ok && !slices.Contains(names, k) {
+			names = append(names, k)
+		}
+	}
 	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "correct=%v failed=%d steal=%.1f%% idle=%.1f%%", r.Correct, r.Failed, 100*r.steal, 100*r.idle)
 	for _, k := range names {
-		fmt.Fprintf(&b, " %s=%.6g", k, r.Metrics[k].Value)
+		if v, ok := r.values[k]; ok {
+			fmt.Fprintf(&b, " %s=%.6g", k, v)
+		} else {
+			fmt.Fprintf(&b, " %s=unmeasured", k)
+		}
 	}
 	for _, c := range r.Checks {
 		fmt.Fprintf(&b, "\n    failed check: %s", c)
@@ -176,7 +244,7 @@ func (r result) describe(err error) string {
 	return b.String()
 }
 
-// runOnce runs bin from dir and parses the last JSON line it prints.
+// runOnce runs bin from dir and parses what it prints.
 func runOnce(ctx context.Context, bin, dir string, args []string) (result, error) {
 	before, _ := readCPU()
 	cmd := exec.CommandContext(ctx, bin, args...)
@@ -184,7 +252,7 @@ func runOnce(ctx context.Context, bin, dir string, args []string) (result, error
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	after, _ := readCPU()
-	r, perr := parseLast(out)
+	r, perr := parseRun(out)
 	r.steal, r.idle = after.share(before)
 	if err == nil {
 		err = perr
@@ -192,8 +260,10 @@ func runOnce(ctx context.Context, bin, dir string, args []string) (result, error
 	return r, err
 }
 
-// parseLast decodes the last line of out that is a JSON object.
-func parseLast(out []byte) (result, error) {
+// parseRun decodes the last line of out that is a JSON object and every
+// `name value unit` row printed above it. A row whose value is
+// notMeasured, or a JSON metric that is, is left out.
+func parseRun(out []byte) (result, error) {
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	for i := len(lines) - 1; i >= 0; i-- {
 		line := bytes.TrimSpace(lines[i])
@@ -205,9 +275,54 @@ func parseLast(out []byte) (result, error) {
 			return result{}, fmt.Errorf("last JSON line: %v", err)
 		}
 		r.ok = true
+		r.values, r.units = map[string]float64{}, map[string]string{}
+		for _, row := range lines[:i] {
+			if name, v, unit, ok := parseRow(string(row)); ok {
+				r.values[name], r.units[name] = v, unit
+			}
+		}
+		for name, m := range r.Metrics {
+			if m.Value != notMeasured {
+				r.values[name], r.units[name] = m.Value, m.Unit
+			} else {
+				delete(r.values, name)
+			}
+		}
 		return r, nil
 	}
 	return result{}, errors.New("no JSON line in the output")
+}
+
+// parseRow reads one `name value unit` row; ok is false for any other
+// line (the header, the attempted/failed line) and for a row that was not
+// measured.
+func parseRow(line string) (name string, v float64, unit string, ok bool) {
+	f := strings.Fields(line)
+	if len(f) != 3 || strings.HasPrefix(f[0], "#") {
+		return "", 0, "", false
+	}
+	v, err := strconv.ParseFloat(f[1], 64)
+	if err != nil || v == notMeasured {
+		return "", 0, "", false
+	}
+	return f[0], v, f[2], true
+}
+
+// higherIsBetter is the direction of metric m: BENCHMARK.json's when it
+// lists m, else higher for a rate (unit 1/s) and lower for anything else,
+// by the unit the runs printed.
+func higherIsBetter(ps []pair, m string, better map[string]bool) bool {
+	if h, ok := better[m]; ok {
+		return h
+	}
+	for _, p := range ps {
+		for _, r := range p {
+			if u, ok := r.units[m]; ok {
+				return u == "1/s"
+			}
+		}
+	}
+	return false
 }
 
 // cpuTimes is the aggregate "cpu" line of /proc/stat, in clock ticks.
@@ -259,24 +374,26 @@ func (c cpuTimes) share(before cpuTimes) (steal, idle float64) {
 	return (c.steal - before.steal) / d, (c.idle - before.idle) / d
 }
 
-// directions maps every end-to-end metric BENCHMARK.json lists (the ones
-// a run's JSON line carries) to whether higher is better.
+// directions maps every metric BENCHMARK.json lists, end to end and per
+// layer, to whether higher is better.
 func directions(path string) (map[string]bool, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%v (run abpair from the repository root)", err)
 	}
+	type metric struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	}
 	var spec struct {
-		EndToEnd []struct {
-			Name   string `json:"name"`
-			Better string `json:"better"`
-		} `json:"end_to_end"`
+		EndToEnd []metric `json:"end_to_end"`
+		PerLayer []metric `json:"per_layer"`
 	}
 	if err := json.Unmarshal(b, &spec); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	m := map[string]bool{}
-	for _, x := range spec.EndToEnd {
+	for _, x := range append(spec.EndToEnd, spec.PerLayer...) {
 		m[x.Name] = x.Better == "higher"
 	}
 	return m, nil
@@ -289,6 +406,7 @@ type verdict struct {
 	minRatio          float64
 	maxRatio          float64
 	aIQR              float64 // A's p25–p75 over A's median
+	medianA, medianB  float64
 	p                 float64 // one-sided sign test: P(wins ≥ observed | no effect), ties dropped
 }
 
@@ -296,23 +414,26 @@ type verdict struct {
 // whether a higher value is better.
 func judge(ps []pair, metric string, higher bool) verdict {
 	var v verdict
-	var ratios, as []float64
+	var ratios, as, bs []float64
 	for _, p := range ps {
 		if p.void() {
 			continue
 		}
-		a, okA := p[0].Metrics[metric]
-		b, okB := p[1].Metrics[metric]
+		a, okA := p[0].values[metric]
+		b, okB := p[1].values[metric]
 		if !okA || !okB {
 			continue
 		}
 		v.valid++
-		ratios = append(ratios, b.Value/a.Value)
-		as = append(as, a.Value)
+		if a != 0 { // a ratio to zero is no measurement of the change
+			ratios = append(ratios, b/a)
+		}
+		as = append(as, a)
+		bs = append(bs, b)
 		switch {
-		case b.Value == a.Value:
+		case b == a:
 			v.ties++
-		case (b.Value > a.Value) == higher:
+		case (b > a) == higher:
 			v.wins++
 		}
 	}
@@ -323,6 +444,7 @@ func judge(ps []pair, metric string, higher bool) verdict {
 	}
 	q1, q2, q3 := quartiles(as)
 	v.aIQR = (q3 - q1) / q2
+	v.medianA, v.medianB = median(as), median(bs)
 	v.p = signTestP(v.wins, v.valid-v.ties)
 	return v
 }
@@ -381,9 +503,21 @@ func median(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// report prints the verdict on each claimed metric and the description of
-// every other metric, and returns the exit status.
-func report(w io.Writer, ps []pair, claims []string, better map[string]bool) int {
+// holds reports whether a guard holds on v: B's median is at most bound
+// worse than A's. A metric no valid pair measured does not hold.
+func (g guard) holds(v verdict, higher bool) bool {
+	if v.valid == 0 {
+		return false
+	}
+	if higher {
+		return v.medianB >= v.medianA*(1-g.bound)
+	}
+	return v.medianB <= v.medianA*(1+g.bound)
+}
+
+// report prints the verdict on each claimed and guarded metric and the
+// description of every other metric, and returns the exit status.
+func report(w io.Writer, ps []pair, claims []string, guards []guard, better map[string]bool) int {
 	void := 0
 	for _, p := range ps {
 		if p.void() {
@@ -392,10 +526,10 @@ func report(w io.Writer, ps []pair, claims []string, better map[string]bool) int
 	}
 	fmt.Fprintf(w, "void pairs: %d of %d\n", void, len(ps))
 	code := 0
-	claimed := map[string]bool{}
+	judged := map[string]bool{}
 	for _, m := range claims {
-		claimed[m] = true
-		v := judge(ps, m, better[m])
+		judged[m] = true
+		v := judge(ps, m, higherIsBetter(ps, m, better))
 		holds := v.valid > 0 && v.p <= claimAlpha
 		word := "does not hold"
 		if holds {
@@ -406,11 +540,25 @@ func report(w io.Writer, ps []pair, claims []string, better map[string]bool) int
 		fmt.Fprintf(w, "CLAIM %s: median B/A %.4f (min %.4f, max %.4f), A's p25–p75 %.2f%% of its median, B better in %d of %d valid pairs (%d ties), sign-test p = %.5f: claim %s (p ≤ %g)\n",
 			m, v.medianRatio, v.minRatio, v.maxRatio, 100*v.aIQR, v.wins, v.valid, v.ties, v.p, word, claimAlpha)
 	}
+	for _, g := range guards {
+		judged[g.metric] = true
+		v := judge(ps, g.metric, better[g.metric])
+		word := "holds"
+		if !g.holds(v, better[g.metric]) {
+			word, code = "does not hold", 1
+		}
+		dir := "lower"
+		if better[g.metric] {
+			dir = "higher"
+		}
+		fmt.Fprintf(w, "GUARD %s: median A %.6g, B %.6g (B/A of medians %.4f; %s is better), A's p25–p75 %.2f%% of its median, B better in %d of %d valid pairs: guard %s (at most %.4g worse)\n",
+			g.metric, v.medianA, v.medianB, v.medianB/v.medianA, dir, 100*v.aIQR, v.wins, v.valid, word, g.bound)
+	}
 	var others []string
 	for _, p := range ps {
 		for _, r := range p {
-			for m := range r.Metrics {
-				if !claimed[m] && !slices.Contains(others, m) {
+			for m := range r.values {
+				if !judged[m] && !slices.Contains(others, m) {
 					others = append(others, m)
 				}
 			}
@@ -418,7 +566,11 @@ func report(w io.Writer, ps []pair, claims []string, better map[string]bool) int
 	}
 	sort.Strings(others)
 	for _, m := range others {
-		v := judge(ps, m, better[m])
+		v := judge(ps, m, higherIsBetter(ps, m, better))
+		if _, known := better[m]; !known {
+			fmt.Fprintf(w, "describe %s: median B/A %.4f over %d valid pairs (not in BENCHMARK.json, not judged)\n", m, v.medianRatio, v.valid)
+			continue
+		}
 		fmt.Fprintf(w, "describe %s: median B/A %.4f, B better in %d of %d valid pairs (not judged)\n", m, v.medianRatio, v.wins, v.valid)
 	}
 	return code

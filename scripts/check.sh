@@ -67,6 +67,11 @@ go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|Tes
 # the integrator publishes the newest pose of a backlog: bounded, ending
 # on the burst's last sample, and flushed before an injected panic
 go test -race -count=20 -run 'TestIntegratorBurst|TestIntegratorSpaced|TestIntegratorPanicMidBatch' ./internal/core >/dev/null
+# the replica integrates on the session reader: a burst read in one go
+# comes back latest-wins and fully accounted, and a handler panic ends
+# its own session only
+go test -race -count=20 -run TestPoseBurstIsLatestWinsAndAccounted ./internal/netxr/bridge >/dev/null
+go test -race -count=20 -run TestHandlerPanicEndsOnlyItsSession ./internal/netxr/session >/dev/null
 # and a consumer that pairs two topics (VIO: IMU up to each camera frame)
 # must get the same answer however far behind the pump finds it
 go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core >/dev/null
