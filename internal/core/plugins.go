@@ -145,9 +145,10 @@ type BatchIntegrator struct {
 }
 
 // NewBatchIntegrator starts an integrator at init that emits its spans
-// into tracer and counts into reg; either may be nil.
-func NewBatchIntegrator(init integrator.State, tracer *telemetry.SpanCollector, reg *telemetry.Registry) *BatchIntegrator {
-	return &BatchIntegrator{
+// into tracer and counts into reg; either may be nil. It returns the value
+// so an owner can embed it in its own per-session state.
+func NewBatchIntegrator(init integrator.State, tracer *telemetry.SpanCollector, reg *telemetry.Registry) BatchIntegrator {
+	return BatchIntegrator{
 		in:      *integrator.New(init),
 		tracer:  tracer,
 		samples: reg.Counter(integratorSamplesTotal),

@@ -93,16 +93,28 @@ type Pipeline struct {
 
 // pipeState is one session's back half. SessionStart hands it to
 // SessionFrame through the session's handler value, so the per-frame path
-// takes no pipeline lock and looks no topic up.
+// takes no pipeline lock and looks no topic up. Everything a session keeps
+// for its whole life is embedded here: one allocation, not one per part.
 type pipeState struct {
 	tracer *telemetry.SpanCollector
-	integ  *core.BatchIntegrator
-	pose   []byte // the pose encode scratch; Send copies it
+	integ  core.BatchIntegrator
+	pose   [poseScratch]byte // the pose encode scratch; Send copies it
+	// camera is the frame a session without VIO decodes into: nothing on
+	// the replica keeps it past SessionFrame
+	camera sensors.CameraFrame
 	// VIO sessions only: the runtime hosting the MSCKF and the topics it
 	// reads
 	loader   *runtime.Loader
 	imu, cam *runtime.Topic
 }
+
+// poseScratch and imuScratch cover an encoded pose (64 bytes) and IMU
+// sample (56), so the encode buffers never grow; a camera frame grows the
+// uplink's once.
+const (
+	poseScratch = 64
+	imuScratch  = 64
+)
 
 // SessionStart implements session.Handler.
 func (p *Pipeline) SessionStart(s *session.Session) error {
@@ -185,7 +197,7 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 			st.sendPose(s)
 		}
 	case wire.TypeCamera:
-		frame, err := wire.DecodeCamera(f.Payload)
+		frame, err := st.decodeCamera(f.Payload)
 		if err != nil {
 			return fmt.Errorf("bridge: session %d: camera: %w", s.ID(), err)
 		}
@@ -205,6 +217,17 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 	return nil
 }
 
+// decodeCamera decodes a camera payload: into a fresh frame on a VIO
+// session, whose MSCKF keeps it, and otherwise into the session's scratch
+// frame, which the next camera frame overwrites.
+func (st *pipeState) decodeCamera(p []byte) (sensors.CameraFrame, error) {
+	if st.cam != nil {
+		return wire.DecodeCamera(p)
+	}
+	err := wire.DecodeCameraInto(&st.camera, p)
+	return st.camera, err
+}
+
 // sendPose ends the integrator's batch and offers its pose to the
 // session's latest-wins slot: if the link is slower than the poses, an
 // unsent stale one is displaced (and counted) there, never queued. A
@@ -212,8 +235,8 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 func (st *pipeState) sendPose(s *session.Session) {
 	t, pose, ref := st.integ.Flush()
 	down := st.tracer.Emit(compNetDown, ref.Trace, t, t, ref.Span)
-	st.pose = wire.AppendPose(st.pose[:0], wire.Pose{T: t, Pose: pose})
-	_ = s.Send(wire.Frame{Type: wire.TypePose, Trace: down, Payload: st.pose}, session.LatestWins)
+	buf := wire.AppendPose(st.pose[:0], wire.Pose{T: t, Pose: pose})
+	_ = s.Send(wire.Frame{Type: wire.TypePose, Trace: down, Payload: buf}, session.LatestWins)
 }
 
 // SessionEnd implements session.Handler.
@@ -288,7 +311,7 @@ type Client struct {
 	closed   bool
 	bye      wire.Bye
 	recvSeq  uint64
-	pongs    map[uint64]chan wire.Ping
+	pongs    map[uint64]chan wire.Ping // made by the first Ping
 	lastPose atomic64
 }
 
@@ -351,7 +374,6 @@ func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error
 		tracer:  opts.Tracer,
 		capture: opts.Capture,
 		window:  opts.Window,
-		pongs:   map[uint64]chan wire.Ping{},
 	}
 	cap := opts.Capture
 	hbuf := wire.AppendHello(recycle.Bytes.Get(128)[:0], hello)
@@ -525,6 +547,9 @@ func (c *Client) SendQoE(m telemetry.MTPSample) error {
 func (c *Client) Ping(seq uint64, t float64, timeout time.Duration) (wire.Ping, error) {
 	ch := make(chan wire.Ping, 1)
 	c.mu.Lock()
+	if c.pongs == nil {
+		c.pongs = map[uint64]chan wire.Ping{}
+	}
 	c.pongs[seq] = ch
 	c.mu.Unlock()
 	defer func() {
@@ -556,10 +581,11 @@ func (c *Client) Uplink() runtime.Plugin { return &uplinkPlugin{c: c} }
 func (c *Client) Downlink() runtime.Plugin { return &downlinkPlugin{c: c} }
 
 type uplinkPlugin struct {
-	c      *Client
-	imuSub *runtime.Subscription
-	camSub *runtime.Subscription
-	done   chan struct{}
+	c       *Client
+	imuSub  *runtime.Subscription
+	camSub  *runtime.Subscription
+	done    chan struct{}
+	scratch [imuScratch]byte // the encode buffer's first backing array
 }
 
 // Name implements runtime.Plugin.
@@ -582,7 +608,7 @@ func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.done = make(chan struct{})
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
-		var buf []byte
+		buf := p.scratch[:0]
 		imuC, camC := p.imuSub.C, p.camSub.C
 		for imuC != nil || camC != nil {
 			var f wire.Frame
@@ -646,7 +672,7 @@ func (p *downlinkPlugin) Name() string { return "netxr.downlink" }
 func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 	p.done = make(chan struct{})
 	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
-	warpTopic := ctx.Switchboard.GetTopic(runtime.TopicWarped)
+	var warpTopic *runtime.Topic // resolved by the first reprojected frame
 	c := p.c
 	ctx.Go(p.Name(), func() {
 		defer close(p.done)
@@ -688,6 +714,9 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 				if derr != nil {
 					c.fail(fmt.Errorf("downlink frame: %w", derr))
 					return
+				}
+				if warpTopic == nil {
+					warpTopic = ctx.Switchboard.GetTopic(runtime.TopicWarped)
 				}
 				warpTopic.Publish(runtime.Event{T: rf.T, Value: rf, Trace: f.Trace})
 			case wire.TypePong:

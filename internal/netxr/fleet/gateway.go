@@ -469,100 +469,26 @@ func (g *Gateway) relay(client net.Conn) {
 	if err != nil {
 		return
 	}
-	token := welcome.ResumeToken
-	baseSeq := welcome.LastAckSeq
 
 	// 4. relay, zero-copy (DESIGN.md §15): after the handshake the
 	// gateway never decodes a payload again. ReadRaw peeks type and
 	// trace from the fixed header and hands over the whole encoded
 	// frame; the only rewrite is the hop-span trace (SetTrace patches
-	// the header and CRC in place); QueueRaw passes the bytes through
-	// the writer's buffer, and up to wire.FlushWindow frames ride one
-	// buffered write. The binlog tap (RecordRaw) records exactly the
-	// bytes being forwarded. Handshake frames (Hello/Welcome/Bye above)
-	// stay on the decoded slow path — they are the frames the gateway
-	// must understand and rewrite.
+	// the header and CRC in place), and none once the hop collector is
+	// full; QueueRaw passes the bytes through the writer's buffer, and
+	// up to wire.FlushWindow frames ride one buffered write. The binlog
+	// tap (RecordRaw) records exactly the bytes being forwarded.
+	// Handshake frames (Hello/Welcome/Bye above) stay on the decoded slow
+	// path — they are the frames the gateway must understand and rewrite.
 	//
 	// The client's Bye half-closes the relay: the uplink forwards it and
 	// returns with both conns open, and the downlink goes on relaying
 	// what the replica still flushes until the replica's own terminal
 	// Bye, within HandshakeTimeout. Any other ending severs both conns.
-	var once sync.Once
-	var severed, halfClosed atomic.Bool
-	closeBoth := func() { severed.Store(true); _ = client.Close(); _ = backend.Close() }
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // uplink: client → replica
-		defer wg.Done()
-		var queued, flushed, lastAcked uint64
-		// flush returns false on a backend write error. Acks checkpoint
-		// only flushed frames: a resume retransmits from the last ack,
-		// so a frame that died in an unflushed batch must stay unacked.
-		flush := func() bool {
-			if err := bw.Flush(); err != nil {
-				return false
-			}
-			g.relayed.Add(int(queued - flushed))
-			flushed = queued
-			if flushed-lastAcked >= ackEvery {
-				g.Coord.ack(token, baseSeq+flushed)
-				lastAcked = flushed
-			}
-			return true
-		}
-		for {
-			raw, err := cr.ReadRaw()
-			if err != nil {
-				if bw.Queued() > 0 && bw.Flush() == nil {
-					g.relayed.Add(int(queued - flushed))
-					flushed = queued
-				}
-				g.Coord.ack(token, baseSeq+flushed)
-				once.Do(closeBoth)
-				return
-			}
-			if g.Record != nil {
-				// tap before the span rewrite: capture what the client sent
-				_ = g.Record.RecordRaw(binlog.DirUp, raw)
-			}
-			if raw.Type == wire.TypeBye {
-				// clean departure. Mark the half-close before the replica
-				// can answer, and bound the downlink's wait for that answer
-				// and its writes to a client that may have stopped reading.
-				halfClosed.Store(true)
-				bound := time.Now().Add(g.HandshakeTimeout)
-				_ = backend.SetDeadline(bound)
-				_ = client.SetWriteDeadline(bound)
-				bw.QueueRaw(raw)
-				err := bw.Flush()
-				if err == nil {
-					g.relayed.Add(int(queued - flushed))
-				}
-				g.Coord.End(token)
-				if err != nil {
-					once.Do(closeBoth)
-				}
-				return
-			}
-			if g.Spans != nil && raw.Trace.Valid() {
-				// hop span: parent the client's span, pass the gateway's
-				// on — the stitched trace then shows the relay hop.
-				t := g.now()
-				raw.SetTrace(g.Spans.Emit(CompGatewayUp, raw.Trace.Trace, t, t, raw.Trace.Span))
-			}
-			bw.QueueRaw(raw)
-			queued++
-			// flush on window exhaustion or an empty read buffer: never
-			// hold a frame while the client has nothing more in flight
-			if bw.Queued() >= wire.FlushWindow || readDrained(cr) {
-				if !flush() {
-					g.Coord.ack(token, baseSeq+flushed)
-					once.Do(closeBoth)
-					return
-				}
-			}
-		}
-	}()
+	rl := &relayLink{g: g, client: client, backend: backend, cr: cr, bw: bw,
+		token: welcome.ResumeToken, baseSeq: welcome.LastAckSeq}
+	rl.uplinkDone.Add(1)
+	go rl.uplink()
 	// downlink, on this goroutine: replica → client
 	var dnQueued, dnFlushed uint64
 	clientGone := false // a client write failed after its Bye: read on, relay nothing
@@ -577,16 +503,15 @@ func (g *Gateway) relay(client net.Conn) {
 			if !clientGone && cw.Queued() > 0 && cw.Flush() == nil {
 				g.relayed.Add(int(dnQueued - dnFlushed))
 			}
-			if !severed.Load() && !halfClosed.Load() {
+			if !rl.severed.Load() && !rl.halfClosed.Load() {
 				g.Coord.setStatus(replicaID, down)
 			}
 			break
 		}
 		isBye := raw.Type == wire.TypeBye
 		if !clientGone {
-			if g.Spans != nil && raw.Trace.Valid() && !isBye {
-				t := g.now()
-				raw.SetTrace(g.Spans.Emit(compGatewayDown, raw.Trace.Trace, t, t, raw.Trace.Span))
+			if !isBye {
+				g.hop(&raw, compGatewayDown)
 			}
 			cw.QueueRaw(raw)
 			dnQueued++
@@ -597,14 +522,14 @@ func (g *Gateway) relay(client net.Conn) {
 				_ = g.Record.RecordRaw(binlog.DirDown, raw)
 			}
 		}
-		if isBye && halfClosed.Load() && !drainBye(raw) {
+		if isBye && rl.halfClosed.Load() && !drainBye(raw) {
 			// the replica's answer to the client's Bye. Once the uplink has
 			// returned without severing (its Bye reached the replica), both
 			// peers have said Bye and the leg is clean: park it before the
 			// client hears the answer (queued above, so the leg's reader is
 			// free), so a client that waits for it finds the leg parked.
-			wg.Wait()
-			if !severed.Load() {
+			rl.uplinkDone.Wait()
+			if !rl.severed.Load() {
 				_ = backend.SetDeadline(time.Time{})
 				parked = g.park(replicaID, l)
 			}
@@ -615,7 +540,7 @@ func (g *Gateway) relay(client net.Conn) {
 			if err := cw.Flush(); err == nil {
 				g.relayed.Add(int(dnQueued - dnFlushed))
 				dnFlushed = dnQueued
-			} else if halfClosed.Load() {
+			} else if rl.halfClosed.Load() {
 				clientGone = true // it said Bye and hung up: fine
 			} else {
 				break
@@ -628,9 +553,108 @@ func (g *Gateway) relay(client net.Conn) {
 	if parked {
 		_ = client.Close()
 	} else {
-		once.Do(closeBoth)
+		rl.sever()
 	}
-	wg.Wait()
+	rl.uplinkDone.Wait()
+}
+
+// hop rewrites a relayed frame's trace onto a gateway hop span parenting
+// the incoming one, so a stitched trace shows the relay hop. An untraced
+// frame, and every frame once the hop collector is full (the span would
+// not be kept), passes with its bytes untouched: no clock read, no span
+// id and no CRC recompute, and the next node parents the sender's span.
+func (g *Gateway) hop(raw *wire.Raw, name string) {
+	if g.Spans == nil || !raw.Trace.Valid() || g.Spans.DropIfFull() {
+		return
+	}
+	t := g.now()
+	raw.SetTrace(g.Spans.Emit(name, raw.Trace.Trace, t, t, raw.Trace.Span))
+}
+
+// relayLink is what a relay's uplink goroutine shares with its downlink
+// loop, in one value per relay.
+type relayLink struct {
+	g               *Gateway
+	client, backend net.Conn
+	cr              *wire.Reader // client → gateway
+	bw              *wire.Writer // gateway → replica
+	token, baseSeq  uint64       // the resume token and its ack base
+	// severed is set by the first sever, before it closes both conns;
+	// halfClosed by the uplink when it forwards the client's Bye
+	severed, halfClosed atomic.Bool
+	uplinkDone          sync.WaitGroup
+}
+
+// sever closes both conns, once.
+func (rl *relayLink) sever() {
+	if rl.severed.CompareAndSwap(false, true) {
+		_ = rl.client.Close()
+		_ = rl.backend.Close()
+	}
+}
+
+// uplink relays client → replica until the client's Bye (a half-close:
+// both conns stay open) or an error (a sever). Acks checkpoint only
+// flushed frames: a resume retransmits from the last ack, so a frame that
+// died in an unflushed batch must stay unacked.
+func (rl *relayLink) uplink() {
+	defer rl.uplinkDone.Done()
+	g, cr, bw := rl.g, rl.cr, rl.bw
+	var queued, flushed, lastAcked uint64
+	for {
+		raw, err := cr.ReadRaw()
+		if err != nil {
+			if bw.Queued() > 0 && bw.Flush() == nil {
+				g.relayed.Add(int(queued - flushed))
+				flushed = queued
+			}
+			g.Coord.ack(rl.token, rl.baseSeq+flushed)
+			rl.sever()
+			return
+		}
+		if g.Record != nil {
+			// tap before the span rewrite: capture what the client sent
+			_ = g.Record.RecordRaw(binlog.DirUp, raw)
+		}
+		if raw.Type == wire.TypeBye {
+			// clean departure. Mark the half-close before the replica
+			// can answer, and bound the downlink's wait for that answer
+			// and its writes to a client that may have stopped reading.
+			rl.halfClosed.Store(true)
+			bound := time.Now().Add(g.HandshakeTimeout)
+			_ = rl.backend.SetDeadline(bound)
+			_ = rl.client.SetWriteDeadline(bound)
+			bw.QueueRaw(raw)
+			err := bw.Flush()
+			if err == nil {
+				g.relayed.Add(int(queued - flushed))
+			}
+			g.Coord.End(rl.token)
+			if err != nil {
+				rl.sever()
+			}
+			return
+		}
+		g.hop(&raw, CompGatewayUp)
+		bw.QueueRaw(raw)
+		queued++
+		// flush on window exhaustion or an empty read buffer: never
+		// hold a frame while the client has nothing more in flight
+		if bw.Queued() < wire.FlushWindow && !readDrained(cr) {
+			continue
+		}
+		if err := bw.Flush(); err != nil {
+			g.Coord.ack(rl.token, rl.baseSeq+flushed)
+			rl.sever()
+			return
+		}
+		g.relayed.Add(int(queued - flushed))
+		flushed = queued
+		if flushed-lastAcked >= ackEvery {
+			g.Coord.ack(rl.token, rl.baseSeq+flushed)
+			lastAcked = flushed
+		}
+	}
 }
 
 // drainBye reports whether a relayed Bye carries a Retry-After hint: the

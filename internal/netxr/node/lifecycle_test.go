@@ -140,13 +140,17 @@ func (r *lifecycleRig) run(n, from int) error {
 }
 
 // lifecycleAllocBudget is the heap allocations one lifecycle may make,
-// client, gateway and replica together: 112.0 measured once the replica
-// integrates on the session reader (no per-session runtime, topics,
-// supervisor, integrator goroutine or pose forwarder; 157.9 before),
-// + 10 %. Parking the replica leg had brought it to 173.1, pooled
-// connection buffers, the index-free span store and the one-allocation
-// loader to 200.9; the tree before them measured 297.3.
-const lifecycleAllocBudget = 123
+// client, gateway and replica together: 92.0 measured once encode
+// buffers are presized, per-session state is embedded in the session, the
+// pipeline state and the relay, and the client resolves the warped topic
+// and its pong table on first use (112.0 before), + 10 %. The replica
+// integrating on the session reader had brought it from 157.9 to 112.0;
+// parking the replica leg had brought it to 173.1, pooled connection
+// buffers, the index-free span store and the one-allocation loader to
+// 200.9; the tree before them measured 297.3. The replica's and the
+// gateway's own shares have budgets of their own
+// (TestReplicaLifecycleAllocBudget, TestGatewayRelayAllocBudget).
+const lifecycleAllocBudget = 101
 
 // A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
 // connection buffers come from the wire free lists, the span collectors

@@ -243,8 +243,8 @@ func refuseFull(conn net.Conn) {
 func (s *Server) addLocked(conn net.Conn) (*Session, int64) {
 	id := s.nextID.Add(1)
 	sess := &Session{id: id, conn: conn, srv: s, created: time.Now()}
-	sess.cond = sync.NewCond(&sess.mu)
-	sess.slots = map[wire.Type]wire.Frame{}
+	sess.cond.L = &sess.mu
+	sess.fifo = sess.fifoBuf[:0]
 	s.sessions[id] = sess
 	return sess, s.active.Add(1)
 }
@@ -336,8 +336,8 @@ func (s *Server) awaitHello(conn net.Conn, r *wire.Reader) *Session {
 // connection was kept for another session; SessionEnd then runs on its
 // own goroutine, so the peer's next Hello does not wait for it.
 func (s *Server) run(sess *Session, r *wire.Reader) bool {
-	writerDone := make(chan struct{})
-	go sess.writeLoop(writerDone)
+	sess.writer.Add(1)
+	go sess.writeLoop()
 
 	err := sess.readLoop(r)
 	if err != nil {
@@ -355,7 +355,7 @@ func (s *Server) run(sess *Session, r *wire.Reader) bool {
 		// clean end-of-stream: flush what's queued, then close
 		sess.drain("eof")
 	}
-	<-writerDone
+	sess.writer.Wait()
 	sess.close(err) // no-op if the writer already closed it
 
 	s.lock()
@@ -364,7 +364,7 @@ func (s *Server) run(sess *Session, r *wire.Reader) bool {
 	s.mu.Unlock()
 	s.m.sessionsActive.Set(float64(active))
 
-	if !sess.kept { // written by the writer before writerDone closed
+	if !sess.kept { // written by the writer before it returned
 		s.handler.SessionEnd(sess, err)
 		return false
 	}

@@ -37,6 +37,22 @@ const (
 	LatestWins
 )
 
+// latestWinsTypes is how many frame types may be sent LatestWins: a pose
+// and a reprojected frame, each with its own slot.
+const latestWinsTypes = 2
+
+// slotOf returns the latest-wins slot of frame type t, false for a type
+// that has none.
+func slotOf(t wire.Type) (int, bool) {
+	switch t {
+	case wire.TypePose:
+		return 0, true
+	case wire.TypeFrame:
+		return 1, true
+	}
+	return 0, false
+}
+
 // Session errors.
 var (
 	ErrClosed       = errors.New("session: closed")
@@ -44,6 +60,7 @@ var (
 	errIdleTimeout  = errors.New("session: idle timeout")
 	errHandshake    = errors.New("session: handshake failed")
 	errAdmission    = errors.New("session: admission refused")
+	errNoSlot       = errors.New("session: frame type has no latest-wins slot")
 )
 
 // backpressureError is the typed, retryable rejection of a reliable Send
@@ -112,11 +129,17 @@ type Session struct {
 	hello   wire.Hello
 	created time.Time
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	fifo     []wire.Frame
-	slots    map[wire.Type]wire.Frame
-	slotSeq  []wire.Type // arrival order of occupied slots (drain order)
+	mu   sync.Mutex
+	cond sync.Cond // on mu
+	fifo []wire.Frame
+	// the queues' storage lives in the session, so a lifecycle's handshake
+	// and poses queue without allocating: fifo starts on fifoBuf (a Welcome
+	// and a Pong fit), slots holds one frame per latest-wins type (indexed
+	// by slotOf) and slotSeq[:nslots] the occupied ones in arrival order
+	fifoBuf  [2]wire.Frame
+	slots    [latestWinsTypes]wire.Frame
+	slotSeq  [latestWinsTypes]int
+	nslots   int
 	closed   bool
 	closeErr error
 	drainReq bool   // close the connection once the queues are empty
@@ -127,6 +150,8 @@ type Session struct {
 	kept     bool   // closed with both Byes on the wire, the conn left open
 
 	helloRead bool // hello arrived before the session existed (awaitHello)
+
+	writer sync.WaitGroup // the writeLoop goroutine (Server.run waits for it)
 
 	lastRecv atomic.Int64 // unix nanos of the last socket read that decoded a frame
 
@@ -184,7 +209,7 @@ func (s *Session) Stats() (sent, dropped, received, decodeErrs uint64) {
 func (s *Session) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.fifo) + len(s.slotSeq)
+	return len(s.fifo) + s.nslots
 }
 
 // Send enqueues one outbound frame under the given class.
@@ -193,6 +218,10 @@ func (s *Session) Send(f wire.Frame, class Class) error {
 	defer s.mu.Unlock()
 	if s.closed || s.drainReq {
 		return ErrClosed
+	}
+	slot, ok := slotOf(f.Type)
+	if class == LatestWins && !ok {
+		return fmt.Errorf("%w: %v", errNoSlot, f.Type)
 	}
 	if class != LatestWins && len(s.fifo) >= s.srv.cfg.QueueLen {
 		s.dropped.Add(1)
@@ -211,19 +240,20 @@ func (s *Session) Send(f wire.Frame, class Class) error {
 	}
 	switch class {
 	case LatestWins:
-		if old, occupied := s.slots[f.Type]; occupied {
+		if old := &s.slots[slot]; old.Type != wire.TypeInvalid {
 			recycle.Bytes.Put(old.Payload) // displaced before reaching the wire
-			s.slots[f.Type] = f
+			*old = f
 			s.dropped.Add(1)
 			s.srv.m.sendDropped.Inc()
 		} else {
-			s.slots[f.Type] = f
-			s.slotSeq = append(s.slotSeq, f.Type)
+			*old = f
+			s.slotSeq[s.nslots] = slot
+			s.nslots++
 		}
 	default:
 		s.fifo = append(s.fifo, f)
 	}
-	s.srv.m.queueDepth.Set(float64(len(s.fifo) + len(s.slotSeq)))
+	s.srv.m.queueDepth.Set(float64(len(s.fifo) + s.nslots))
 	s.cond.Signal()
 	return nil
 }
@@ -270,11 +300,11 @@ func (s *Session) close(cause error) {
 		s.fifo[i] = wire.Frame{}
 	}
 	s.fifo = s.fifo[:0]
-	for t, f := range s.slots {
-		recycle.Bytes.Put(f.Payload)
-		delete(s.slots, t)
+	for _, i := range s.slotSeq[:s.nslots] {
+		recycle.Bytes.Put(s.slots[i].Payload)
+		s.slots[i] = wire.Frame{}
 	}
-	s.slotSeq = s.slotSeq[:0]
+	s.nslots = 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	_ = s.conn.Close()
@@ -312,18 +342,18 @@ func (s *Session) nextBatch(batch []wire.Frame) (out []wire.Frame, ok, terminal 
 			s.fifo[len(s.fifo)-1] = wire.Frame{}
 			s.fifo = s.fifo[:len(s.fifo)-1]
 		}
-		for len(batch) < wire.FlushWindow && len(s.slotSeq) > 0 {
-			t := s.slotSeq[0]
-			copy(s.slotSeq, s.slotSeq[1:])
-			s.slotSeq = s.slotSeq[:len(s.slotSeq)-1]
-			batch = append(batch, s.slots[t])
-			delete(s.slots, t)
+		for len(batch) < wire.FlushWindow && s.nslots > 0 {
+			i := s.slotSeq[0]
+			copy(s.slotSeq[:], s.slotSeq[1:s.nslots])
+			s.nslots--
+			batch = append(batch, s.slots[i])
+			s.slots[i] = wire.Frame{}
 		}
 		if s.drainReq && !s.byeSent && len(batch) < wire.FlushWindow {
 			// the queues are empty (or the batch is full — then the Bye
 			// waits for the next batch): append the terminal Bye, on a
 			// recycled payload the writer puts back like any other
-			if len(s.fifo) == 0 && len(s.slotSeq) == 0 {
+			if len(s.fifo) == 0 && s.nslots == 0 {
 				s.byeSent = true
 				batch = append(batch, wire.Frame{Type: wire.TypeBye,
 					Payload: wire.AppendBye(recycle.Bytes.Get(64)[:0], wire.Bye{Reason: s.byeWhy, RetryAfterMs: s.byeRetry})})
@@ -342,8 +372,8 @@ func (s *Session) nextBatch(batch []wire.Frame) (out []wire.Frame, ok, terminal 
 
 // writeLoop drains the queues onto the wire, up to wire.FlushWindow
 // frames per wakeup coalesced into one buffered write.
-func (s *Session) writeLoop(done chan<- struct{}) {
-	defer close(done)
+func (s *Session) writeLoop() {
+	defer s.writer.Done()
 	w := wire.NewWriter(s.conn)
 	defer w.Release()
 	batch := make([]wire.Frame, 0, wire.FlushWindow)

@@ -249,28 +249,40 @@ func AppendCamera(dst []byte, f sensors.CameraFrame) []byte {
 // hundred).
 const maxCameraFeatures = 1 << 16
 
-// DecodeCamera parses a Camera payload.
+// DecodeCamera parses a Camera payload into a fresh frame.
 func DecodeCamera(p []byte) (sensors.CameraFrame, error) {
+	var f sensors.CameraFrame
+	err := DecodeCameraInto(&f, p)
+	return f, err
+}
+
+// DecodeCameraInto parses a Camera payload into f, reusing the backing
+// array of f.Features when it is large enough: a consumer that is done
+// with the previous frame decodes the next one without allocating. On an
+// error f holds what was parsed before it.
+func DecodeCameraInto(f *sensors.CameraFrame, p []byte) error {
 	d := &dec{b: p}
-	f := sensors.CameraFrame{Seq: int(d.varint()), T: d.f64()}
+	*f = sensors.CameraFrame{Seq: int(d.varint()), T: d.f64(), Features: f.Features[:0]}
 	n := d.uvarint()
 	if d.err == nil && n > maxCameraFeatures {
-		return f, fmt.Errorf("%w: %d features", errTooLarge, n)
+		return fmt.Errorf("%w: %d features", errTooLarge, n)
 	}
 	// cap the preallocation by what the payload could actually hold
 	// (>= 10 bytes per feature) so a lying count cannot balloon memory
 	if d.err == nil {
 		if room := uint64(len(p)-d.off) / 10; n > room+1 {
-			return f, fmt.Errorf("%w: feature count %d exceeds payload", errShortPay, n)
+			return fmt.Errorf("%w: feature count %d exceeds payload", errShortPay, n)
 		}
-		f.Features = make([]sensors.FeatureObs, 0, n)
+		if f.Features == nil || uint64(cap(f.Features)) < n {
+			f.Features = make([]sensors.FeatureObs, 0, n)
+		}
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		f.Features = append(f.Features, sensors.FeatureObs{
 			ID: int(d.varint()), U: d.f64(), V: d.f64(),
 		})
 	}
-	return f, d.finish()
+	return d.finish()
 }
 
 // Pose is a timestamped pose estimate flowing downstream: T is the

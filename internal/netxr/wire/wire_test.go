@@ -12,6 +12,7 @@ import (
 	"illixr/internal/mathx"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
+	"illixr/internal/testutil"
 )
 
 func testFrame(t Type, payload []byte) Frame {
@@ -195,6 +196,37 @@ func TestCameraRoundTrip(t *testing.T) {
 			t.Fatalf("feature %d: %+v vs %+v", i, out.Features[i], in.Features[i])
 		}
 	}
+}
+
+// DecodeCameraInto decodes what DecodeCamera does, reusing the frame's
+// feature array: a smaller frame after a larger one decodes without
+// allocating and leaves nothing of the larger one behind.
+func TestDecodeCameraIntoReuses(t *testing.T) {
+	big := sensors.CameraFrame{Seq: 1, T: 0.5}
+	for i := 0; i < 40; i++ {
+		big.Features = append(big.Features, sensors.FeatureObs{ID: i, U: float64(i), V: -float64(i)})
+	}
+	small := sensors.CameraFrame{Seq: 2, T: 0.6, Features: big.Features[5:9]}
+	pb, ps := AppendCamera(nil, big), AppendCamera(nil, small)
+	var f sensors.CameraFrame
+	for _, p := range [][]byte{pb, ps} {
+		want, werr := DecodeCamera(p)
+		if err := DecodeCameraInto(&f, p); err != nil || werr != nil {
+			t.Fatalf("decode: %v / %v", err, werr)
+		}
+		if f.Seq != want.Seq || f.T != want.T || len(f.Features) != len(want.Features) {
+			t.Fatalf("into %+v, fresh %+v", f, want)
+		}
+		for i := range want.Features {
+			if f.Features[i] != want.Features[i] {
+				t.Fatalf("feature %d: into %+v, fresh %+v", i, f.Features[i], want.Features[i])
+			}
+		}
+	}
+	if err := DecodeCameraInto(&f, ps[:len(ps)-3]); err == nil {
+		t.Fatal("a truncated camera payload decoded")
+	}
+	testutil.MustZeroAllocs(t, "DecodeCameraInto", func() { _ = DecodeCameraInto(&f, ps) })
 }
 
 func TestCameraHostileCount(t *testing.T) {

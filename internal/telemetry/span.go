@@ -132,6 +132,7 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	}
 	c.mu.Lock()
 	// cap first: a dropped span must cost nothing but its id and the count
+	// (an Emit that raced the one filling the store lands here)
 	if len(c.spans) >= c.cap {
 		c.full.Store(true)
 		c.mu.Unlock()
@@ -168,8 +169,24 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 		c.spans = make([]Span, 0, min(spanBlock, c.cap))
 	}
 	c.spans = append(c.spans, Span{ID: id, Trace: trace, Name: name, Start: start, End: end, Parents: ps})
+	if len(c.spans) >= c.cap {
+		c.full.Store(true) // the span that fills the store sets it: DropIfFull is exact
+	}
 	c.mu.Unlock()
 	return ref
+}
+
+// DropIfFull reports whether the collector has reached its cap, counting
+// one dropped span when it has. A caller that emits a span only to pass
+// its ref on — a relay rewriting a frame's trace — skips the Emit, and the
+// work around it, for a span that would not be kept, and Dropped still
+// counts every span not retained. False on a nil collector.
+func (c *SpanCollector) DropIfFull() bool {
+	if c == nil || !c.full.Load() {
+		return false
+	}
+	c.dropped.Add(1)
+	return true
 }
 
 // drop is Emit past the cap: a unique id, the drop count, no lock.

@@ -185,9 +185,10 @@ type result struct {
 		Value float64 `json:"value"`
 		Unit  string  `json:"unit"`
 	} `json:"metrics"`
-	// Checks are the run's first failure messages: they say why a pair
-	// is void.
-	Checks []string `json:"failed_checks"`
+	// Checks are the run's first failure messages, its `FAILED CHECK:`
+	// rows (the JSON line does not carry them): they say why a pair is
+	// void.
+	Checks []string `json:"-"`
 	// values holds every metric the run measured: the printed rows, with
 	// the JSON line's metrics at full precision over their rounded rows.
 	values      map[string]float64
@@ -277,7 +278,9 @@ func parseRun(out []byte) (result, error) {
 		r.ok = true
 		r.values, r.units = map[string]float64{}, map[string]string{}
 		for _, row := range lines[:i] {
-			if name, v, unit, ok := parseRow(string(row)); ok {
+			if c, ok := strings.CutPrefix(string(row), "FAILED CHECK: "); ok {
+				r.Checks = append(r.Checks, c)
+			} else if name, v, unit, ok := parseRow(string(row)); ok {
 				r.values[name], r.units[name] = v, unit
 			}
 		}

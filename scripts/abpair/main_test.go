@@ -71,7 +71,11 @@ func TestVoidPairs(t *testing.T) {
 		t.Errorf("lower-is-better wins = %d, want 1", v.wins)
 	}
 	// a void run says why
-	why := line(t, `{"correct":false,"attempted":9,"failed":1,"failed_checks":["lifecycle 7: no pose covering t=0.03 within 5s"],"metrics":{}}`)
+	why, err := parseRun([]byte("attempted=9 failed=1 correct=false\nFAILED CHECK: lifecycle 7: no pose covering t=0.03 within 5s\n" +
+		`{"correct":false,"attempted":9,"failed":1,"metrics":{}}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := why.describe(nil, nil); !strings.Contains(d, "failed check: lifecycle 7: no pose covering") {
 		t.Errorf("describe = %q, want the failed check", d)
 	}

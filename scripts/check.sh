@@ -72,6 +72,10 @@ go test -race -count=20 -run 'TestIntegratorBurst|TestIntegratorSpaced|TestInteg
 # its own session only
 go test -race -count=20 -run TestPoseBurstIsLatestWinsAndAccounted ./internal/netxr/bridge >/dev/null
 go test -race -count=20 -run TestHandlerPanicEndsOnlyItsSession ./internal/netxr/session >/dev/null
+# the latest-wins slots are an array indexed by frame type: a producer
+# sending LatestWins and one sending Reliable, with the writer draining
+# between them, must lose no reliable frame and account every pose
+go test -race -count=20 -run TestSendLatestWinsAndReliableFromTwoGoroutines ./internal/netxr/session >/dev/null
 # and a consumer that pairs two topics (VIO: IMU up to each camera frame)
 # must get the same answer however far behind the pump finds it
 go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core >/dev/null
@@ -167,8 +171,10 @@ stage "zero-allocation regression tests"
 # AllocsPerRun needs real allocation counts, so this pass runs without
 # -race (the tests skip themselves when the detector is compiled in).
 # TestZeroAllocRenderFrame covers all four apps, so an animated scene that
-# allocates a mesh per frame fails here
-go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget' ./internal/... >/dev/null
+# allocates a mesh per frame fails here; a session lifecycle has a budget
+# end to end and one each for the replica and the gateway relay, so a
+# regression names its layer
+go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget|TestReplicaLifecycleAllocBudget|TestGatewayRelayAllocBudget' ./internal/... >/dev/null
 
 stage "per-package benchmarks (run, not gated, so they cannot rot)"
 go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
