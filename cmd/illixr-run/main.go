@@ -8,7 +8,7 @@
 //	illixr-run -app platformer -platform jetson-lp -quality
 //	illixr-run -app platformer -fault-scenario vio-stall -fault-seed 11
 //	illixr-run -app sponza -trace-out trace.json -metrics-out metrics.txt
-//	illixr-run -app sponza -debug-addr :8080   # /metrics /health /spans /debug/pprof/
+//	illixr-run -app sponza -debug-addr :8080   # /metrics /spans /debug/pprof/
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"illixr/internal/perfmodel"
 	"illixr/internal/recycle"
 	"illixr/internal/render"
-	"illixr/internal/runtime"
 	"illixr/internal/telemetry"
 )
 
@@ -46,7 +45,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write causal spans as Chrome trace JSON to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	debugAddr := flag.String("debug-addr", "",
-		"serve /metrics /health /spans /debug/pprof/ on this address (e.g. :8080); keeps running after the run until interrupted")
+		"serve /metrics /spans /debug/pprof/ on this address (e.g. :8080); keeps running after the run until interrupted")
 	flag.Parse()
 	if !(*duration > 0) {
 		fmt.Fprintf(flag.CommandLine.Output(), "invalid value %v for flag -duration: must be positive\n", *duration)
@@ -97,7 +96,6 @@ func main() {
 		srv := &debughttp.Server{
 			Metrics: cfg.Metrics,
 			Spans:   cfg.Spans,
-			Health:  runtime.NewHealthBoard(),
 			Mem:     telemetry.NewRuntimeMem(cfg.Metrics),
 		}
 		addr, stop, err := srv.Serve(*debugAddr)
@@ -105,7 +103,7 @@ func main() {
 			log.Fatalf("debug endpoint: %v", err)
 		}
 		stopDebug = stop
-		fmt.Printf("debug endpoint listening on http://%s (metrics, health, spans, pprof)\n", addr)
+		fmt.Printf("debug endpoint listening on http://%s (metrics, spans, pprof)\n", addr)
 	}
 
 	res := core.Run(cfg)

@@ -34,7 +34,7 @@ func main() {
 		"seconds of uplink silence before a session is reaped (<0 disables)")
 	vio := flag.Bool("vio", false, "host the MSCKF VIO per session (heavier; default hosts only the integrator)")
 	debugAddr := flag.String("debug-addr", "",
-		"serve /metrics /health /spans /sessions /debug/pprof/ on this address (e.g. :8080)")
+		"serve /metrics /spans /sessions /debug/pprof/ on this address (e.g. :8080)")
 	nodeName := flag.String("node", "replica",
 		"node label for this process in stitched traces and span dumps")
 	traceOut := flag.String("trace-out", "",

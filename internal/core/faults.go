@@ -67,8 +67,7 @@ type FaultReport struct {
 	// SensorDrops counts releases suppressed per sensor stream.
 	SensorDrops map[string]int
 	// Restarts counts component restarts: VIO stall timeout-restarts in
-	// the simulated run (live supervisor restarts surface on the health
-	// board instead).
+	// the simulated run.
 	Restarts map[string]int
 	// Windows reports each scheduled window in schedule order.
 	Windows []FaultWindowReport

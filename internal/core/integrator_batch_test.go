@@ -8,11 +8,9 @@ package core
 
 import (
 	goruntime "runtime"
-	"sync"
 	"testing"
 	"time"
 
-	"illixr/internal/faults"
 	"illixr/internal/integrator"
 	"illixr/internal/mathx"
 	"illixr/internal/runtime"
@@ -154,63 +152,6 @@ func TestIntegratorSpacedSamplesPublishEach(t *testing.T) {
 	}
 	if got := reg.Counter(integratorPosesTotal).Value(); got != n {
 		t.Errorf("poses_total = %d, want %d", got, n)
-	}
-}
-
-// An injected panic in the middle of a batch first publishes the pose of
-// the last sample integrated, so the supervisor's replacement resumes
-// from there rather than from the session origin.
-func TestIntegratorPanicMidBatchResumesFromLastSample(t *testing.T) {
-	const n, at = 3 * poseBatchMax, poseBatchMax / 2
-	samples, init := imuRecording(t, n)
-
-	loader := runtime.NewLoader()
-	inj := faults.NewInjector(&faults.Schedule{Windows: []faults.Window{
-		{Kind: faults.PluginPanic, Component: "integrator.rk4", Start: samples[at].T, End: samples[at].T},
-	}})
-	if err := loader.Context().Phonebook.Register(faults.InjectorService, inj); err != nil {
-		t.Fatal(err)
-	}
-	// the origin is a pose no sample leads to, so a replacement anchored
-	// there cannot pass for one anchored on the last integrated sample
-	origin := init
-	origin.Pos = mathx.Vec3{X: 9, Y: 9, Z: 9}
-	var (
-		mu        sync.Mutex
-		instances []*IntegratorPlugin
-	)
-	sup := runtime.NewSupervisor("fast_pose.supervised", func() runtime.Plugin {
-		p := &IntegratorPlugin{Initial: origin}
-		mu.Lock()
-		instances = append(instances, p)
-		mu.Unlock()
-		return p
-	}, runtime.SupervisorOptions{MaxRestarts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Seed: 1})
-	if err := loader.Load(sup); err != nil {
-		t.Fatal(err)
-	}
-	defer loader.Shutdown()
-
-	// the crashed instance integrated samples[:at] from its own origin
-	want := poseAfter(origin, samples[:at])
-	publishBurst(loader.Context().Switchboard.GetTopic(runtime.TopicIMU), samples)
-	waitFor(t, "supervisor restart", func() bool {
-		return sup.Restarts() == 1 && sup.Health() == runtime.Healthy
-	})
-	mu.Lock()
-	started := len(instances)
-	replacement := instances[started-1]
-	mu.Unlock()
-	if started != 2 {
-		t.Fatalf("%d integrator instances, want the crashed one and its replacement", started)
-	}
-	latest, ok := loader.Context().Switchboard.GetTopic(runtime.TopicFastPose).Latest()
-	if !ok || latest.T != samples[at-1].T {
-		t.Fatalf("latest fast pose at T=%v (published: %v), want the last integrated sample's T=%v", latest.T, ok, samples[at-1].T)
-	}
-	if got := replacement.in.State(); got.Pos != want.Pos || got.Rot != want.Rot {
-		t.Fatalf("replacement anchored at %+v / %+v, want the last integrated sample's pose %+v / %+v",
-			got.Pos, got.Rot, want.Pos, want.Rot)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"illixr/internal/audio"
-	"illixr/internal/faults"
 	"illixr/internal/integrator"
 	"illixr/internal/mathx"
 	"illixr/internal/parallel"
@@ -13,17 +12,6 @@ import (
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 )
-
-// injectorFrom fetches the fault injector, if the live runtime has one
-// registered (see faults.InjectorService).
-func injectorFrom(ctx *runtime.Context) *faults.Injector {
-	if v, ok := ctx.Phonebook.Lookup(faults.InjectorService); ok {
-		if in, ok2 := v.(*faults.Injector); ok2 {
-			return in
-		}
-	}
-	return nil
-}
 
 // metricsFrom fetches the metrics registry the host registered on the
 // phonebook (telemetry.RegistryService); nil — and therefore no-op
@@ -198,9 +186,7 @@ func (b *BatchIntegrator) Flush() (float64, mathx.Pose, telemetry.SpanRef) {
 // sample, and the last sample of any burst always gets its pose.
 type IntegratorPlugin struct {
 	Initial integrator.State
-	in      *integrator.Integrator // the batch's integrator
 	sub     *runtime.Subscription
-	ctx     *runtime.Context
 	done    chan struct{}
 }
 
@@ -209,38 +195,18 @@ func (p *IntegratorPlugin) Name() string { return "integrator.rk4" }
 
 // Start implements runtime.Plugin.
 func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
-	p.ctx = ctx
-	init := p.Initial
-	// On a supervisor restart the fast-pose topic still holds the last pose
-	// the crashed instance published; resume from it rather than snapping
-	// back to the session origin (graceful degradation: a brief fast-pose
-	// gap, no teleport).
-	if ev, ok := ctx.Switchboard.GetTopic(runtime.TopicFastPose).Latest(); ok {
-		if pose, ok2 := ev.Value.(mathx.Pose); ok2 {
-			init.Pos, init.Rot = pose.Pos, pose.Rot
-		}
-	}
-	batch := NewBatchIntegrator(init, tracerFrom(ctx), metricsFrom(ctx))
-	p.in = &batch.in
+	batch := NewBatchIntegrator(p.Initial, tracerFrom(ctx), metricsFrom(ctx))
 	p.sub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(4096)
 	p.done = make(chan struct{})
 	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
-	inj := injectorFrom(ctx)
 	publish := func() {
 		t, pose, ref := batch.Flush()
 		fastTopic.Publish(runtime.Event{T: t, Value: pose, Trace: ref})
 	}
-	ctx.Go(p.Name(), func() {
+	go func() {
 		defer close(p.done)
 		for ev := range p.sub.C {
 			if sample, ok := ev.Value.(sensors.IMUSample); ok {
-				if inj.ShouldPanic(p.Name(), sample.T) {
-					// the restart resumes from the last integrated sample
-					if batch.Due(false) {
-						publish()
-					}
-					panic(fmt.Sprintf("injected fault at t=%.3f", sample.T))
-				}
 				batch.Feed(sample, ev.Trace)
 			}
 			if batch.Due(len(p.sub.C) > 0) {
@@ -250,7 +216,7 @@ func (p *IntegratorPlugin) Start(ctx *runtime.Context) error {
 		if batch.Due(false) {
 			publish()
 		}
-	})
+	}()
 	return nil
 }
 

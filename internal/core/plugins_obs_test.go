@@ -7,12 +7,26 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"illixr/internal/runtime"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 	"illixr/internal/vio"
 )
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
 
 func TestLivePipelineLineageAndMetrics(t *testing.T) {
 	dcfg := sensors.DefaultDatasetConfig()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"illixr/internal/integrator"
@@ -12,6 +11,63 @@ import (
 	"illixr/internal/telemetry"
 	"illixr/internal/vio"
 )
+
+// VIOTracker is the head-tracking role's per-frame work, shared by
+// VIOPlugin and the offload replica's -vio sessions (DESIGN.md §9.3): IMU
+// samples are buffered as they arrive, and each camera frame hands the
+// filter the buffered samples up to the frame's time (the rest stay for
+// the next frame), runs the front end and the filter update, times and
+// counts the frame and emits the vio span. Not safe for concurrent use.
+type VIOTracker struct {
+	filter   *vio.Filter
+	frontend vio.Frontend
+	tracer   *telemetry.SpanCollector
+	frames   *telemetry.Counter
+	frameMs  *telemetry.Histogram
+	// imu holds the samples received and not yet consumed; use is the part
+	// of it handed to the filter for one frame. Both are reused.
+	imu, use []sensors.IMUSample
+}
+
+// NewVIOTracker starts a filter at init over a front end for cam that
+// emits its spans into tracer and counts into reg; either may be nil. It
+// returns the value so an owner can keep it in its own state.
+func NewVIOTracker(p vio.Params, cam sensors.CameraModel, init integrator.State, tracer *telemetry.SpanCollector, reg *telemetry.Registry) VIOTracker {
+	return VIOTracker{
+		filter:   vio.NewFilter(p, sensors.DefaultIMUNoise(), init),
+		frontend: vio.NewGeometricFrontend(cam, p.MaxFeatures),
+		tracer:   tracer,
+		frames:   reg.Counter(telemetry.MetricName(CompVIO, "frames_total")),
+		frameMs:  reg.Histogram(telemetry.MetricName(CompVIO, "frame_ms")),
+	}
+}
+
+// AddIMU buffers one sample for the frame that covers its time.
+func (v *VIOTracker) AddIMU(s sensors.IMUSample) { v.imu = append(v.imu, s) }
+
+// Frame processes one camera frame with every buffered sample at or
+// before its time; ref is the span of the event that carried the frame,
+// the vio span's parent. It returns the estimate and the vio span.
+func (v *VIOTracker) Frame(frame sensors.CameraFrame, ref telemetry.SpanRef) (vio.Estimate, telemetry.SpanRef) {
+	wall := time.Now()
+	// split the buffer at the frame time; what is left is compacted in
+	// place (the write index never passes the read index)
+	v.use = v.use[:0]
+	rest := v.imu[:0]
+	for _, s := range v.imu {
+		if s.T <= frame.T {
+			v.use = append(v.use, s)
+		} else {
+			rest = append(rest, s)
+		}
+	}
+	v.imu = rest
+	feats, _ := v.frontend.Process(frame)
+	est := v.filter.ProcessFrame(vio.FrameInput{T: frame.T, Features: feats, IMU: v.use})
+	v.frameMs.Observe(float64(time.Since(wall).Nanoseconds()) / 1e6)
+	v.frames.Inc()
+	return est, v.tracer.Emit(CompVIO, ref.Trace, frame.T, est.T, ref.Span)
+}
 
 // VIOPlugin is the head-tracking plugin: it reads the camera topic
 // synchronously (every frame matters) and the IMU topic for propagation,
@@ -22,48 +78,32 @@ import (
 type VIOPlugin struct {
 	Params  vio.Params
 	Dataset *sensors.Dataset // initialization pose + camera model
-	// Cam and Init configure the filter when no dataset is available —
-	// the edge-offload server (internal/netxr) hosts VIO for remote
-	// sessions whose recording lives on the client, so it starts from
-	// the negotiated camera model and an explicit initial state instead.
-	Cam  *sensors.CameraModel
-	Init *integrator.State
 
-	filter   *vio.Filter
-	frontend vio.Frontend
-	ctx      *runtime.Context
-	camSub   *runtime.Subscription
-	imuSub   *runtime.Subscription
-	done     chan struct{}
-
-	mu        sync.Mutex
-	estimates []vio.Estimate
+	tracker VIOTracker
+	camSub  *runtime.Subscription
+	imuSub  *runtime.Subscription
+	done    chan struct{}
 }
+
+// vioStarted, when set, sees every VIOPlugin's context at the end of
+// Start, before the plugin can publish an estimate: this package's tests
+// subscribe to the slow-pose topic there.
+var vioStarted func(*VIOPlugin, *runtime.Context)
 
 // Name implements runtime.Plugin.
 func (p *VIOPlugin) Name() string { return "vio.msckf" }
 
 // Start implements runtime.Plugin.
 func (p *VIOPlugin) Start(ctx *runtime.Context) error {
-	if p.Dataset == nil && (p.Cam == nil || p.Init == nil) {
-		return fmt.Errorf("vio plugin: dataset or explicit camera model + init required")
+	if p.Dataset == nil {
+		return fmt.Errorf("vio plugin: dataset required")
 	}
-	p.ctx = ctx
-	var init integrator.State
-	var cam sensors.CameraModel
-	if p.Dataset != nil {
-		init = integrator.State{
-			Pos: p.Dataset.Traj.Position(0),
-			Vel: p.Dataset.Traj.Velocity(0),
-			Rot: p.Dataset.Traj.Orientation(0),
-		}
-		cam = p.Dataset.Cam
-	} else {
-		init = *p.Init
-		cam = *p.Cam
+	init := integrator.State{
+		Pos: p.Dataset.Traj.Position(0),
+		Vel: p.Dataset.Traj.Velocity(0),
+		Rot: p.Dataset.Traj.Orientation(0),
 	}
-	p.filter = vio.NewFilter(p.Params, sensors.DefaultIMUNoise(), init)
-	p.frontend = vio.NewGeometricFrontend(cam, p.Params.MaxFeatures)
+	p.tracker = NewVIOTracker(p.Params, p.Dataset.Cam, init, tracerFrom(ctx), metricsFrom(ctx))
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(64)
 	imuTopic := ctx.Switchboard.GetTopic(runtime.TopicIMU)
 	p.imuSub = imuTopic.Subscribe(8192)
@@ -75,26 +115,17 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 	}
 	p.done = make(chan struct{})
 	slowTopic := ctx.Switchboard.GetTopic(runtime.TopicSlowPose)
-	inj := injectorFrom(ctx)
-	tracer := tracerFrom(ctx)
-	reg := metricsFrom(ctx)
-	frames := reg.Counter(telemetry.MetricName(CompVIO, "frames_total"))
-	frameMs := reg.Histogram(telemetry.MetricName(CompVIO, "frame_ms"))
+	if vioStarted != nil {
+		vioStarted(p, ctx)
+	}
 
-	ctx.Go(p.Name(), func() {
+	go func() {
 		defer close(p.done)
-		// imuBuf holds the samples received and not yet consumed; use is the
-		// part of it handed to the filter for one frame. Both are reused.
-		var imuBuf, use []sensors.IMUSample
 		for ev := range p.camSub.C {
 			frame, ok := ev.Value.(sensors.CameraFrame)
 			if !ok {
 				continue
 			}
-			if inj.ShouldPanic(p.Name(), frame.T) {
-				panic(fmt.Sprintf("injected fault at t=%.3f", frame.T))
-			}
-			wall := time.Now()
 			// take every IMU sample published before this camera frame (the
 			// streams are time-ordered). They are all queued on imuSub, but
 			// an empty C does not say so: past the subscription's fast tier
@@ -120,32 +151,13 @@ func (p *VIOPlugin) Start(ctx *runtime.Context) error {
 				}
 				imuSeen = imuEv.T
 				if s, ok2 := imuEv.Value.(sensors.IMUSample); ok2 {
-					imuBuf = append(imuBuf, s)
+					p.tracker.AddIMU(s)
 				}
 			}
-			// split the buffer at the frame time; what is left is compacted
-			// in place (the write index never passes the read index)
-			use = use[:0]
-			rest := imuBuf[:0]
-			for _, s := range imuBuf {
-				if s.T <= frame.T {
-					use = append(use, s)
-				} else {
-					rest = append(rest, s)
-				}
-			}
-			imuBuf = rest
-			feats, _ := p.frontend.Process(frame)
-			est := p.filter.ProcessFrame(vio.FrameInput{T: frame.T, Features: feats, IMU: use})
-			p.mu.Lock()
-			p.estimates = append(p.estimates, est)
-			p.mu.Unlock()
-			frameMs.Observe(float64(time.Since(wall).Nanoseconds()) / 1e6)
-			frames.Inc()
-			ref := tracer.Emit(CompVIO, ev.Trace.Trace, frame.T, est.T, ev.Trace.Span)
+			est, ref := p.tracker.Frame(frame, ev.Trace)
 			slowTopic.Publish(runtime.Event{T: est.T, Value: est, Trace: ref})
 		}
-	})
+	}()
 	return nil
 }
 

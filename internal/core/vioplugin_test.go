@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -154,11 +155,40 @@ func RegisterVIO(reg *runtime.Registry, ds *sensors.Dataset) {
 	})
 }
 
-// Estimates returns a copy of the published estimates so far.
+// estimateLogs holds, per plugin, the slow-pose subscription vioStarted
+// opens for it and the estimates received on it so far.
+var estimateLogs sync.Map // *VIOPlugin -> *estimateLog
+
+type estimateLog struct {
+	mu   sync.Mutex
+	sub  *runtime.Subscription
+	ests []vio.Estimate
+}
+
+func init() {
+	vioStarted = func(p *VIOPlugin, ctx *runtime.Context) {
+		estimateLogs.Store(p, &estimateLog{sub: ctx.Switchboard.GetTopic(runtime.TopicSlowPose).Subscribe(4096)})
+	}
+}
+
+// Estimates returns a copy of the estimates the plugin has published so
+// far, in order (none before it started).
 func (p *VIOPlugin) Estimates() []vio.Estimate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]vio.Estimate, len(p.estimates))
-	copy(out, p.estimates)
-	return out
+	v, ok := estimateLogs.Load(p)
+	if !ok {
+		return nil
+	}
+	l := v.(*estimateLog)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		select {
+		case ev := <-l.sub.C:
+			if est, ok := ev.Value.(vio.Estimate); ok {
+				l.ests = append(l.ests, est)
+			}
+		default:
+			return append([]vio.Estimate(nil), l.ests...)
+		}
+	}
 }

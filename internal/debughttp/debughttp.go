@@ -1,8 +1,8 @@
 // Package debughttp serves live runtime introspection over HTTP: the
 // metrics registry as JSON (or Prometheus text exposition via content
-// negotiation), the health board and restart counts as JSON, collected
-// causal spans as Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto) stitched across nodes when peer dumps are available, the
+// negotiation), collected causal spans as Chrome trace_event JSON (load
+// in chrome://tracing or Perfetto) stitched across nodes when peer dumps
+// are available, the
 // fleet placement table, the flight recorder, SLO burn rates, and the
 // stdlib pprof profiles. The endpoint is opt-in (-debug-addr) and
 // read-only; every data source is optional and reported as 404 when
@@ -16,12 +16,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"illixr/internal/netxr/session"
-	"illixr/internal/runtime"
 	"illixr/internal/telemetry"
 	"illixr/internal/telemetry/slo"
 	"illixr/internal/telemetry/stitch"
@@ -45,7 +43,6 @@ type QoSSource interface {
 type Server struct {
 	Metrics  *telemetry.Registry
 	Spans    *telemetry.SpanCollector
-	Health   *runtime.HealthBoard
 	Sessions session.Lister
 	// Mem, when installed, refreshes the illixr_runtime_* memory gauges
 	// and the GC-pause histogram on every /metrics scrape.
@@ -72,13 +69,12 @@ type Server struct {
 // handlers before forcing connections closed.
 const shutdownGrace = 5 * time.Second
 
-// handler returns the route table: /metrics, /health, /spans, /sessions,
+// handler returns the route table: /metrics, /spans, /sessions,
 // /fleet, /events, /slo, /debug/pprof/*, and an index at /.
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.index)
 	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/health", s.health)
 	mux.HandleFunc("/spans", s.spans)
 	mux.HandleFunc("/sessions", s.sessions)
 	mux.HandleFunc("/fleet", s.fleet)
@@ -120,7 +116,7 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprint(w, "illixr debug endpoint\n\n/metrics\n/health\n/spans\n/sessions\n/fleet\n/events\n/slo\n/qos\n/debug/pprof/\n")
+	fmt.Fprint(w, "illixr debug endpoint\n\n/metrics\n/spans\n/sessions\n/fleet\n/events\n/slo\n/qos\n/debug/pprof/\n")
 }
 
 // metricsDoc is the JSON /metrics shape: the registry snapshot inlined at
@@ -165,44 +161,6 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		doc.SpansRetained = len(s.Spans.Spans())
 		doc.SpansDropped = s.Spans.Dropped()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
-// healthDoc is the /health JSON shape.
-type healthDoc struct {
-	Plugins  map[string]string `json:"plugins"`
-	Restarts map[string]int    `json:"restarts"`
-	Worst    string            `json:"worst"`
-}
-
-func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
-	if s.Health == nil {
-		http.Error(w, "no health board installed", http.StatusNotFound)
-		return
-	}
-	doc := healthDoc{
-		Plugins:  map[string]string{},
-		Restarts: s.Health.RestartCounts(),
-		Worst:    runtime.Healthy.String(),
-	}
-	worst := runtime.Healthy
-	names := make([]string, 0)
-	snap := s.Health.Snapshot()
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap[name]
-		doc.Plugins[name] = h.String()
-		if h > worst {
-			worst = h
-		}
-	}
-	doc.Worst = worst.String()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

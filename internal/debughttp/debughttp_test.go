@@ -14,7 +14,6 @@ import (
 
 	"illixr/internal/netxr/session"
 	"illixr/internal/qos"
-	"illixr/internal/runtime"
 	"illixr/internal/telemetry"
 	"illixr/internal/telemetry/slo"
 	"illixr/internal/telemetry/stitch"
@@ -28,10 +27,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	spans := telemetry.NewSpanCollector(0)
 	root := spans.Emit("imu", 0, 0, 0.001)
 	spans.Emit("integrator", root.Trace, 0.001, 0.002, root.Span)
-	board := runtime.NewHealthBoard()
-	board.Set("vio.msckf", runtime.Restarting)
-	board.IncrementRestart("vio.msckf")
-	s := &Server{Metrics: reg, Spans: spans, Health: board}
+	s := &Server{Metrics: reg, Spans: spans}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -56,28 +52,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "illixr_test_hits_total") || !strings.Contains(body, "3") {
 		t.Errorf("metrics output missing counter: %q", body)
-	}
-}
-
-func TestHealthEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	code, body := get(t, ts.URL+"/health")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	var doc struct {
-		Plugins  map[string]string `json:"plugins"`
-		Restarts map[string]int    `json:"restarts"`
-		Worst    string            `json:"worst"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("health is not JSON: %v", err)
-	}
-	if doc.Plugins["vio.msckf"] != "restarting" || doc.Worst != "restarting" {
-		t.Errorf("health doc = %+v", doc)
-	}
-	if doc.Restarts["vio.msckf"] != 1 {
-		t.Errorf("restarts = %v, want vio.msckf: 1", doc.Restarts)
 	}
 }
 

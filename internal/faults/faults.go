@@ -1,9 +1,8 @@
 // Package faults provides the deterministic fault-injection layer shared
 // by both schedulers: a seeded, reproducible schedule of fault windows
 // (sensor dropout, VIO stall, plugin panic, transient cost spikes) that
-// the virtual-time simulator (internal/simsched via internal/core) and
-// the live runtime (internal/runtime supervisors and plugins) both
-// consume. The same seed always yields the same schedule, so fault
+// the virtual-time simulator (internal/simsched via internal/core)
+// consumes. The same seed always yields the same schedule, so fault
 // experiments are replayable bit-for-bit — the prerequisite for asserting
 // graceful-degradation behaviour (bounded MTP growth, measured recovery
 // time) in tests rather than eyeballing it.
@@ -14,7 +13,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Kind identifies one fault class.
@@ -22,10 +20,10 @@ type Kind string
 
 // Fault kinds. Sensor dropouts suppress event production for a window;
 // a VIO stall hangs the estimator until the window ends (the runtime
-// times it out and restarts it); a plugin panic crashes a live plugin
-// goroutine exactly once; a cost spike multiplies a component's compute
-// cost for the window (thermal throttling, background daemon, GC pause).
-// A link drop kills the network
+// times it out and restarts it); a plugin panic window is generated and
+// fingerprinted, but no execution mode consumes it; a cost spike
+// multiplies a component's compute cost for the window (thermal
+// throttling, background daemon, GC pause). A link drop kills the network
 // path of an offloaded session for the window (internal/netxr): the
 // netsim link defers delivery past the window end plus a retransmission
 // penalty, and a severed live connection is restarted by the session
@@ -34,16 +32,15 @@ const (
 	CameraDrop  Kind = "camera_drop"
 	IMUDrop     Kind = "imu_drop"
 	VIOStall    Kind = "vio_stall"
-	PluginPanic Kind = "plugin_panic"
+	pluginPanic Kind = "plugin_panic"
 	CostSpike   Kind = "cost_spike"
 	linkDrop    Kind = "link_drop"
 )
 
 // Window is one scheduled fault: Kind strikes Component during
 // [Start, End) in session seconds. Magnitude is the cost multiplier for
-// CostSpike windows and unused otherwise. PluginPanic windows are
-// instantaneous (Start == End): they fire on the first event at or after
-// Start.
+// CostSpike windows and unused otherwise. pluginPanic windows are
+// instantaneous (Start == End).
 type Window struct {
 	Kind      Kind
 	Component string
@@ -226,7 +223,7 @@ func Generate(cfg Config) *Schedule {
 			plugin = cfg.PanicPlugins[i%len(cfg.PanicPlugins)]
 		}
 		at := r.uniform(0.1*cfg.Duration, 0.9*cfg.Duration)
-		s.Windows = append(s.Windows, Window{Kind: PluginPanic, Component: plugin, Start: at, End: at})
+		s.Windows = append(s.Windows, Window{Kind: pluginPanic, Component: plugin, Start: at, End: at})
 	}
 	sort.SliceStable(s.Windows, func(i, j int) bool {
 		if s.Windows[i].Start != s.Windows[j].Start {
@@ -324,50 +321,4 @@ func (s *Schedule) Fingerprint() uint64 {
 		put(math.Float64bits(w.Magnitude))
 	}
 	return h.Sum64()
-}
-
-// InjectorService is the phonebook name under which the live runtime
-// exposes the fault injector to plugins.
-const InjectorService = "faults.injector"
-
-// Injector adapts a schedule for the live runtime: plugins ask it
-// whether they should crash now. Each panic window fires exactly once
-// per run (a restarted plugin instance does not re-crash on the same
-// window), so supervisor restart counts are deterministic.
-type Injector struct {
-	sched *Schedule
-	mu    sync.Mutex
-	fired map[int]bool
-}
-
-// NewInjector wraps a schedule (nil is allowed and injects nothing).
-func NewInjector(s *Schedule) *Injector {
-	return &Injector{sched: s, fired: map[int]bool{}}
-}
-
-// ShouldPanic reports whether the named plugin must panic at session
-// time t, consuming the matching panic window.
-func (in *Injector) ShouldPanic(plugin string, t float64) bool {
-	if in == nil || in.sched == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, w := range in.sched.Windows {
-		if w.Kind != PluginPanic || w.Component != plugin || in.fired[i] {
-			continue
-		}
-		if t >= w.Start {
-			in.fired[i] = true
-			return true
-		}
-	}
-	return false
-}
-
-// Fired returns how many panic windows have been consumed.
-func (in *Injector) Fired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.fired)
 }

@@ -101,35 +101,6 @@ func TestScheduleQueries(t *testing.T) {
 	}
 }
 
-func TestInjectorFiresOncePerWindow(t *testing.T) {
-	s := &Schedule{Windows: []Window{
-		{Kind: PluginPanic, Component: "integrator.rk4", Start: 0.5, End: 0.5},
-		{Kind: PluginPanic, Component: "integrator.rk4", Start: 2.0, End: 2.0},
-	}}
-	in := NewInjector(s)
-	if in.ShouldPanic("integrator.rk4", 0.2) {
-		t.Error("fired before window")
-	}
-	if !in.ShouldPanic("integrator.rk4", 0.6) {
-		t.Error("did not fire at window")
-	}
-	if in.ShouldPanic("integrator.rk4", 0.7) {
-		t.Error("window re-fired")
-	}
-	if in.ShouldPanic("vio.msckf", 3) {
-		t.Error("fired for wrong plugin")
-	}
-	if !in.ShouldPanic("integrator.rk4", 2.5) {
-		t.Error("second window did not fire")
-	}
-	if in.Fired() != 2 {
-		t.Errorf("fired = %d", in.Fired())
-	}
-	if NewInjector(nil).ShouldPanic("x", 10) {
-		t.Error("nil schedule injector fired")
-	}
-}
-
 func TestScenarioUnknown(t *testing.T) {
 	if _, err := Scenario("bogus", 1, 10); err == nil {
 		t.Error("unknown scenario accepted")

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"illixr/internal/core"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
 	"illixr/internal/sensors"
@@ -16,33 +17,47 @@ import (
 
 // replicaLifecycleAllocBudget is the heap allocations one session may
 // make on the replica alone — session.Server and Pipeline, from the
-// Hello to SessionEnd: 15.2 measured, + 10 %. About 6 of them are the
+// Hello to SessionEnd: 14.5 measured, + 10 % (15.2 before a span
+// collector's first parent slab block held 64 IDs). About 6 of them are the
 // net.Pipe's deadline timers (a TCP conn sets deadlines without
 // allocating); the rest are the session, its writer and SessionEnd
 // goroutines, the pipeline state and the span collector with its storage.
 // The client end is one net.Pipe kept across sessions, as the gateway
 // keeps its leg, writing frames encoded once.
-const replicaLifecycleAllocBudget = 17
+const replicaLifecycleAllocBudget = 16
+
+// vioReplicaLifecycleAllocBudget is the same for a -vio session that
+// also uplinks one camera frame and waits for VIO to take it: 57.4
+// measured, + 10 %. The rest over the plain budget is the session's VIO
+// goroutine, its inbox, the filter and front end, and the frame's decode
+// and update.
+const vioReplicaLifecycleAllocBudget = 64
 
 // replicaRig drives whole sessions through a replica over one kept
-// connection: Hello, replicaSamples traced IMU frames in one write, the
-// pose covering the last, Bye and the replica's Bye.
+// connection: Hello, replicaSamples traced IMU frames (and on a -vio
+// replica a camera frame at the last sample's time) in one write, the
+// pose covering the last sample, Bye and the replica's Bye.
 type replicaRig struct {
-	srv   *session.Server
-	pipe  *Pipeline
-	conn  net.Conn
-	r     *wire.Reader
-	hello []byte // encoded once
-	imu   []byte
-	bye   []byte
-	lastT float64
+	srv    *session.Server
+	pipe   *Pipeline
+	conn   net.Conn
+	r      *wire.Reader
+	hello  []byte // encoded once
+	imu    []byte
+	bye    []byte
+	lastT  float64
+	frames *telemetry.Counter // illixr_vio_frames_total
 }
 
 const replicaSamples = 16
 
-func newReplicaRig(t *testing.T) *replicaRig {
+func newReplicaRig(t *testing.T, withVIO bool) *replicaRig {
 	t.Helper()
 	pipe := &Pipeline{Metrics: telemetry.NewRegistry()}
+	if withVIO {
+		pipe.VIO = true
+		pipe.Cam = func(wire.Hello) sensors.CameraModel { return sensors.VGACamera() }
+	}
 	srv := session.NewServer(session.Config{Metrics: pipe.Metrics, IdleTimeout: -1}, pipe)
 	shutdownOnCleanup(t, srv)
 	c, s := net.Pipe()
@@ -60,6 +75,11 @@ func newReplicaRig(t *testing.T) *replicaRig {
 			Trace:   telemetry.SpanRef{Trace: telemetry.TraceID(i), Span: telemetry.SpanID(i)},
 			Payload: wire.AppendIMU(nil, s)})
 		rig.lastT = s.T
+	}
+	if withVIO {
+		rig.imu = wire.AppendFrame(rig.imu, wire.Frame{Type: wire.TypeCamera,
+			Payload: wire.AppendCamera(nil, sensors.CameraFrame{Seq: 1, T: rig.lastT})})
+		rig.frames = pipe.Metrics.Counter(telemetry.MetricName(core.CompVIO, "frames_total"))
 	}
 	rig.bye = wire.AppendFrame(nil, wire.Frame{Type: wire.TypeBye,
 		Payload: wire.AppendBye(nil, wire.Bye{Reason: "done"})})
@@ -89,6 +109,7 @@ func (rig *replicaRig) write(t *testing.T, b []byte) {
 
 func (rig *replicaRig) lifecycle(t *testing.T) {
 	t.Helper()
+	frames := rig.frames.Value()
 	rig.write(t, rig.hello)
 	rig.await(t, wire.TypeWelcome)
 	rig.write(t, rig.imu)
@@ -100,6 +121,9 @@ func (rig *replicaRig) lifecycle(t *testing.T) {
 		if p.T == rig.lastT {
 			break
 		}
+	}
+	for rig.frames != nil && rig.frames.Value() == frames {
+		runtime.Gosched()
 	}
 	rig.write(t, rig.bye)
 	rig.await(t, wire.TypeBye)
@@ -122,11 +146,27 @@ func (rig *replicaRig) quiesce(t *testing.T) {
 // names its layer. Skipped under -race, which allocates on its own
 // account.
 func TestReplicaLifecycleAllocBudget(t *testing.T) {
+	if perLife := lifecycleAllocs(t, false); perLife > replicaLifecycleAllocBudget {
+		t.Fatalf("%.1f allocs per replica lifecycle, budget %d", perLife, replicaLifecycleAllocBudget)
+	}
+}
+
+// The same for a -vio session that takes one camera frame.
+func TestVIOReplicaLifecycleAllocBudget(t *testing.T) {
+	if perLife := lifecycleAllocs(t, true); perLife > vioReplicaLifecycleAllocBudget {
+		t.Fatalf("%.1f allocs per -vio replica lifecycle, budget %d", perLife, vioReplicaLifecycleAllocBudget)
+	}
+}
+
+// lifecycleAllocs returns the heap allocations per replica lifecycle,
+// measured after a warm-up.
+func lifecycleAllocs(t *testing.T, withVIO bool) float64 {
+	t.Helper()
 	if testutil.RaceEnabled {
 		t.Skip("alloc counting is skipped under -race")
 	}
 	const warmup, measured = 50, 500
-	rig := newReplicaRig(t)
+	rig := newReplicaRig(t, withVIO)
 	for i := 0; i < warmup; i++ {
 		rig.lifecycle(t)
 	}
@@ -140,9 +180,7 @@ func TestReplicaLifecycleAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perLife := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.1f allocs, %.1f KB per replica lifecycle", perLife, float64(after.TotalAlloc-before.TotalAlloc)/measured/1024)
-	if perLife > replicaLifecycleAllocBudget {
-		t.Fatalf("%.1f allocs per replica lifecycle, budget %d", perLife, replicaLifecycleAllocBudget)
-	}
+	return perLife
 }
 
 // A session without VIO decodes its camera frames into the session's

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"illixr/internal/core"
-	"illixr/internal/faults"
 	"illixr/internal/integrator"
 	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/session"
@@ -32,7 +31,6 @@ import (
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 	"illixr/internal/telemetry/stitch"
-	"illixr/internal/vio"
 )
 
 // compNetUp and compNetDown name the wire-crossing trace stages: a span
@@ -53,10 +51,9 @@ func serverIDBase(sessionID uint64) uint64 { return sessionID << 40 }
 // Pipeline implements session.Handler: per connected client it keeps an
 // IMU integrator and integrates each uplinked sample on the session's
 // reader goroutine, sending the newest pose back latest-wins
-// (DESIGN.md §9.2). With VIO it also builds a private runtime
-// (switchboard + phonebook), loads the MSCKF under a supervisor (an
-// injected panic restarts the plugin, the session survives) and
-// republishes the uplinked IMU and camera frames onto its topics.
+// (DESIGN.md §9.2). With VIO the reader also hands each IMU sample and
+// camera frame to the session's MSCKF goroutine (vio.go), which a panic
+// resets without ending the session.
 type Pipeline struct {
 	// Metrics is shared across sessions (the illixr_netxr_* registry);
 	// nil runs uninstrumented.
@@ -69,12 +66,6 @@ type Pipeline struct {
 	Cam func(h wire.Hello) sensors.CameraModel
 	// VIO additionally hosts the MSCKF on the uplinked camera frames.
 	VIO bool
-	// MaxRestarts is the VIO supervisor's restart budget (0 = default).
-	MaxRestarts int
-	// Inject installs a fault injector into every VIO session's phonebook
-	// (scheduled plugin panics exercise the per-session supervisor while
-	// the session itself stays connected).
-	Inject *faults.Injector
 	// RetainTracers keeps up to this many ended sessions' span
 	// collectors so Dumps (the /spans federation source and -trace-out)
 	// still covers sessions that disconnected before the export
@@ -85,10 +76,15 @@ type Pipeline struct {
 	states   map[uint64]*pipeState
 	retained []*telemetry.SpanCollector
 
-	// the instrument every session shares, resolved from Metrics by the
+	// the instruments every session shares, resolved from Metrics by the
 	// first SessionStart (nil, and a no-op, when uninstrumented)
-	resolve sync.Once
-	qoe     *telemetry.Histogram
+	resolve   sync.Once
+	qoe       *telemetry.Histogram
+	vioResets *telemetry.Counter
+
+	// vioFault, when set, runs before each VIO frame of every session:
+	// this package's tests panic in it
+	vioFault func(t float64)
 }
 
 // pipeState is one session's back half. SessionStart hands it to
@@ -102,10 +98,7 @@ type pipeState struct {
 	// camera is the frame a session without VIO decodes into: nothing on
 	// the replica keeps it past SessionFrame
 	camera sensors.CameraFrame
-	// VIO sessions only: the runtime hosting the MSCKF and the topics it
-	// reads
-	loader   *runtime.Loader
-	imu, cam *runtime.Topic
+	vio    *vioSession // VIO sessions only
 }
 
 // poseScratch and imuScratch cover an encoded pose (64 bytes) and IMU
@@ -120,6 +113,9 @@ const (
 func (p *Pipeline) SessionStart(s *session.Session) error {
 	p.resolve.Do(func() {
 		p.qoe = p.Metrics.Histogram(telemetry.MetricName("netxr", "qoe_mtp_ms"))
+		if p.VIO {
+			p.vioResets = p.Metrics.Counter(telemetry.MetricName(core.CompVIO, "resets_total"))
+		}
 	})
 	tracer := telemetry.NewSpanCollector(0)
 	tracer.SetIDBase(serverIDBase(s.ID()))
@@ -129,9 +125,10 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 	}
 	st := &pipeState{tracer: tracer, integ: core.NewBatchIntegrator(init, tracer, p.Metrics)}
 	if p.VIO {
-		if err := p.startVIO(s, st, init); err != nil {
-			return err
+		if p.Cam == nil {
+			return errors.New("bridge: VIO requires a Cam model source")
 		}
+		st.vio = p.startVIOSession(p.Cam(s.Hello()), init, tracer)
 	}
 	p.mu.Lock()
 	if p.states == nil {
@@ -140,34 +137,6 @@ func (p *Pipeline) SessionStart(s *session.Session) error {
 	p.states[s.ID()] = st
 	p.mu.Unlock()
 	s.SetHandlerValue(st)
-	return nil
-}
-
-// startVIO loads the session's supervised MSCKF into a private runtime.
-func (p *Pipeline) startVIO(s *session.Session, st *pipeState, init integrator.State) error {
-	if p.Cam == nil {
-		return errors.New("bridge: VIO requires a Cam model source")
-	}
-	loader := runtime.NewLoader()
-	ctx := loader.Context()
-	_ = ctx.Phonebook.Register(telemetry.TracerService, st.tracer)
-	if p.Metrics != nil {
-		_ = ctx.Phonebook.Register(telemetry.RegistryService, p.Metrics)
-	}
-	if p.Inject != nil {
-		_ = ctx.Phonebook.Register(faults.InjectorService, p.Inject)
-	}
-	cam := p.Cam(s.Hello())
-	sup := runtime.NewSupervisor("vio.msckf", func() runtime.Plugin {
-		return &core.VIOPlugin{Params: vio.DefaultParams(), Cam: &cam, Init: &init}
-	}, runtime.SupervisorOptions{MaxRestarts: p.MaxRestarts, Seed: int64(s.ID())})
-	if err := loader.Load(sup); err != nil {
-		_ = loader.Shutdown()
-		return fmt.Errorf("bridge: session %d: %w", s.ID(), err)
-	}
-	st.loader = loader
-	st.imu = ctx.Switchboard.GetTopic(runtime.TopicIMU)
-	st.cam = ctx.Switchboard.GetTopic(runtime.TopicCamera)
 	return nil
 }
 
@@ -189,8 +158,8 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 			return fmt.Errorf("bridge: session %d: imu: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, sample.T, sample.T, f.Trace.Span)
-		if st.imu != nil {
-			st.imu.Publish(runtime.Event{T: sample.T, Value: sample, Trace: ref})
+		if st.vio != nil {
+			st.vio.addIMU(sample)
 		}
 		st.integ.Feed(sample, ref)
 		if st.integ.Due(s.NextBuffered() == wire.TypeIMU) {
@@ -202,8 +171,8 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 			return fmt.Errorf("bridge: session %d: camera: %w", s.ID(), err)
 		}
 		ref := st.tracer.Emit(compNetUp, f.Trace.Trace, frame.T, frame.T, f.Trace.Span)
-		if st.cam != nil {
-			st.cam.Publish(runtime.Event{T: frame.T, Value: frame, Trace: ref})
+		if st.vio != nil {
+			st.vio.addCamera(frame, ref)
 		}
 	case wire.TypeQoE:
 		q, err := wire.DecodeQoE(f.Payload)
@@ -218,10 +187,10 @@ func (p *Pipeline) SessionFrame(s *session.Session, f wire.Frame) error {
 }
 
 // decodeCamera decodes a camera payload: into a fresh frame on a VIO
-// session, whose MSCKF keeps it, and otherwise into the session's scratch
-// frame, which the next camera frame overwrites.
+// session, whose MSCKF inbox keeps it, and otherwise into the session's
+// scratch frame, which the next camera frame overwrites.
 func (st *pipeState) decodeCamera(p []byte) (sensors.CameraFrame, error) {
-	if st.cam != nil {
+	if st.vio != nil {
 		return wire.DecodeCamera(p)
 	}
 	err := wire.DecodeCameraInto(&st.camera, p)
@@ -251,8 +220,8 @@ func (p *Pipeline) SessionEnd(s *session.Session, _ error) {
 		}
 	}
 	p.mu.Unlock()
-	if st != nil && st.loader != nil {
-		_ = st.loader.Shutdown()
+	if st != nil && st.vio != nil {
+		st.vio.stop()
 	}
 }
 
@@ -606,7 +575,7 @@ func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)
 	p.done = make(chan struct{})
-	ctx.Go(p.Name(), func() {
+	go func() {
 		defer close(p.done)
 		buf := p.scratch[:0]
 		imuC, camC := p.imuSub.C, p.camSub.C
@@ -648,7 +617,7 @@ func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
 				return
 			}
 		}
-	})
+	}()
 	return nil
 }
 
@@ -674,7 +643,7 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
 	var warpTopic *runtime.Topic // resolved by the first reprojected frame
 	c := p.c
-	ctx.Go(p.Name(), func() {
+	go func() {
 		defer close(p.done)
 		// the reader is this goroutine's alone from here on: a Client's
 		// downlink runs once, and its exit is the reader's last use
@@ -741,7 +710,7 @@ func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
 				return
 			}
 		}
-	})
+	}()
 	return nil
 }
 

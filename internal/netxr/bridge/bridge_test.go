@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"illixr/internal/core"
-	"illixr/internal/faults"
 	"illixr/internal/integrator"
 	"illixr/internal/mathx"
 	"illixr/internal/netxr/netsim"
@@ -185,48 +184,6 @@ func TestOffloadTraceCrossesWire(t *testing.T) {
 	if !found {
 		t.Fatal("no client downlink span resolved to a server span")
 	}
-}
-
-func TestOffloadSupervisorRestartKeepsSession(t *testing.T) {
-	// schedule one VIO panic at t>=0.2, the plugin a replica still
-	// supervises: the per-session supervisor must restart it while the
-	// session stays connected and the reader keeps integrating
-	sched := &faults.Schedule{Windows: []faults.Window{
-		{Kind: faults.PluginPanic, Component: "vio.msckf", Start: 0.2, End: 0.2},
-	}}
-	pipe := &Pipeline{
-		Metrics:     telemetry.NewRegistry(),
-		VIO:         true,
-		Cam:         func(wire.Hello) sensors.CameraModel { return sensors.VGACamera() },
-		Inject:      faults.NewInjector(sched),
-		MaxRestarts: 3,
-	}
-	rig := startRig(t, pipe, 3)
-
-	rig.pumpAndAwaitPose(t, 0.1)
-	// the first camera frame past t=0.2 trips the injected panic
-	rig.player.PumpUntil(0.5)
-
-	deadline := time.Now().Add(5 * time.Second)
-	var restarted bool
-	for time.Now().Before(deadline) && !restarted {
-		if st := pipe.stateOf(rig.client.Session()); st != nil {
-			health := st.loader.Context().Health.Snapshot()
-			if h, ok := health["vio.msckf"]; ok && h == runtime.Healthy && pipe.Inject.Fired() > 0 {
-				restarted = true
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !restarted {
-		t.Fatal("VIO never restarted after the injected panic")
-	}
-	if rig.srv.Len() != 1 {
-		t.Fatalf("session count = %d; the session must survive a plugin crash", rig.srv.Len())
-	}
-
-	// and poses keep flowing afterwards
-	rig.pumpAndAwaitPose(t, 1.0)
 }
 
 // openSession starts a wire-level session on srv: the client end of the

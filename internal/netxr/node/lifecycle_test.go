@@ -140,17 +140,19 @@ func (r *lifecycleRig) run(n, from int) error {
 }
 
 // lifecycleAllocBudget is the heap allocations one lifecycle may make,
-// client, gateway and replica together: 92.0 measured once encode
-// buffers are presized, per-session state is embedded in the session, the
-// pipeline state and the relay, and the client resolves the warped topic
-// and its pong table on first use (112.0 before), + 10 %. The replica
+// client, gateway and replica together: 88.5 measured once a span
+// collector's first parent slab block holds 64 IDs, not 16 (91.7
+// before), + 10 %. Presized encode buffers, per-session state embedded
+// in the session, the pipeline state and the relay, and the client
+// resolving the warped topic and its pong table on first use had
+// brought it from 112.0 to 92.0. The replica
 // integrating on the session reader had brought it from 157.9 to 112.0;
 // parking the replica leg had brought it to 173.1, pooled connection
 // buffers, the index-free span store and the one-allocation loader to
 // 200.9; the tree before them measured 297.3. The replica's and the
 // gateway's own shares have budgets of their own
 // (TestReplicaLifecycleAllocBudget, TestGatewayRelayAllocBudget).
-const lifecycleAllocBudget = 101
+const lifecycleAllocBudget = 98
 
 // A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
 // connection buffers come from the wire free lists, the span collectors

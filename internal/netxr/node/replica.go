@@ -41,7 +41,7 @@ type Replica struct {
 	Record string
 	// Node labels this process in stitched traces and span dumps.
 	Node string
-	// DebugAddr serves /metrics /health /spans /sessions /qos
+	// DebugAddr serves /metrics /spans /sessions /qos
 	// /debug/pprof/ there; Start replaces it with the bound address.
 	DebugAddr string
 
@@ -138,7 +138,7 @@ func qosConfig(workers int) qos.Config {
 
 // startQoS interposes cross-session batching in front of the pipeline
 // and starts the adaptive controller over it. Both batched kernels —
-// camera decode + VIO publish ("imgproc") and QoE scoring ("ssim") —
+// camera decode + VIO hand-off ("imgproc") and QoE scoring ("ssim") —
 // dispatch on the one pool the batcher owns; the controller apportions
 // workers between the two from the pool's per-kernel latency histograms
 // and resizes that pool to the imgproc share every epoch. It also steps

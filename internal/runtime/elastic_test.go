@@ -15,6 +15,19 @@ import (
 	"illixr/internal/telemetry"
 )
 
+// eventually polls cond until it holds or the deadline passes.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
 // deep is a subscription depth well past the fast tier.
 const deep = 16 * fastTier
 

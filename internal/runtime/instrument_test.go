@@ -86,29 +86,6 @@ func TestEventCarriesTraceRef(t *testing.T) {
 	}
 }
 
-func TestHealthBoardMirrorsToRegistry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b := NewHealthBoard()
-	b.SetMetrics(reg)
-	b.Set("vio.msckf", Restarting)
-	if got := reg.Gauge("illixr_health_vio_msckf").Value(); got != 2 {
-		t.Errorf("health gauge = %g, want 2", got)
-	}
-	b.Set("vio.msckf", failed)
-	if got := reg.Gauge("illixr_health_vio_msckf").Value(); got != 3 {
-		t.Errorf("health gauge = %g, want 3", got)
-	}
-	b.Set("vio.msckf", Restarting)
-	b.IncrementRestart("vio.msckf")
-	b.IncrementRestart("vio.msckf")
-	if got := reg.Counter("illixr_supervisor_vio_msckf_restarts_total").Value(); got != 2 {
-		t.Errorf("restart counter = %d, want 2", got)
-	}
-	if got := b.RestartCounts()["vio.msckf"]; got != 2 {
-		t.Errorf("RestartCounts = %d, want 2", got)
-	}
-}
-
 func TestSubscribeCancelSnapshotIsolation(t *testing.T) {
 	// Publish reads the subscriber slice outside the lock; Subscribe and
 	// Cancel must replace (not mutate) it. Interleave them and verify
@@ -127,35 +104,6 @@ func TestSubscribeCancelSnapshotIsolation(t *testing.T) {
 		t.Fatalf("a received %d events before cancel, want 1", got)
 	}
 	b.Cancel()
-}
-
-// A board nobody writes makes no maps (an offload client's never does),
-// and reads as the map-backed board always did: every name Healthy, no
-// restarts, empty non-nil snapshots the caller may fill.
-func TestHealthBoardNeverWritten(t *testing.T) {
-	for name, b := range map[string]*HealthBoard{
-		"NewHealthBoard": NewHealthBoard(),
-		"NewLoader":      NewLoader().Context().Health,
-	} {
-		if got := b.Get("integrator.rk4"); got != Healthy {
-			t.Errorf("%s: Get = %v, want healthy", name, got)
-		}
-		if got := b.Restarts("integrator.rk4"); got != 0 {
-			t.Errorf("%s: Restarts = %d, want 0", name, got)
-		}
-		snap, counts := b.Snapshot(), b.RestartCounts()
-		if snap == nil || len(snap) != 0 || counts == nil || len(counts) != 0 {
-			t.Fatalf("%s: Snapshot %v, RestartCounts %v; want empty non-nil maps", name, snap, counts)
-		}
-		snap["x"], counts["x"] = failed, 1 // copies: writing them leaves the board alone
-		if b.Get("x") != Healthy || b.Restarts("x") != 0 {
-			t.Errorf("%s: a snapshot write reached the board", name)
-		}
-		b.Set("vio", Restarting)
-		if n := b.IncrementRestart("vio"); n != 1 || b.Get("vio") != Restarting {
-			t.Errorf("%s: first writes: restarts %d, state %v", name, n, b.Get("vio"))
-		}
-	}
 }
 
 // The last Cancel on a topic leaves no subscriber slice behind, and a

@@ -8,35 +8,10 @@ import (
 )
 
 // Context is handed to every plugin at start: the switchboard for event
-// streams, the phonebook for services, and the health board tracking
-// per-plugin and per-stream condition.
+// streams and the phonebook for services.
 type Context struct {
 	Switchboard *Switchboard
 	Phonebook   *Phonebook
-	Health      *HealthBoard
-
-	// crash routes a fatal plugin error to the owning supervisor. Nil for
-	// unsupervised plugins (a goroutine panic then propagates and crashes
-	// the process, as before supervision existed).
-	crash func(plugin string, err error)
-}
-
-// Go launches fn on a goroutine with panic recovery: a panic becomes a
-// crash report to the plugin's supervisor, which restarts the plugin with
-// backoff instead of taking the whole runtime down. Unsupervised plugins
-// re-panic, preserving fail-fast behaviour.
-func (c *Context) Go(plugin string, fn func()) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if c.crash == nil {
-					panic(r)
-				}
-				c.crash(plugin, fmt.Errorf("runtime: plugin %s panicked: %v", plugin, r))
-			}
-		}()
-		fn()
-	}()
 }
 
 // Plugin is a dynamically loadable ILLIXR component. In the original,
@@ -120,20 +95,18 @@ type Loader struct {
 }
 
 // NewLoader creates a loader over a fresh context. The loader, its
-// context, switchboard, phonebook and health board are one allocation:
-// an offload session builds a runtime per client on both ends of the
-// link and drops it with the session.
+// context, switchboard and phonebook are one allocation: an offload
+// client builds a runtime per session and drops it with the session.
 func NewLoader() *Loader {
 	rt := &struct {
 		l  Loader
 		c  Context
 		sb Switchboard
 		pb Phonebook
-		hb HealthBoard
 	}{}
 	rt.sb.topics = map[string]*Topic{}
 	rt.pb.services = map[string]any{}
-	rt.c = Context{Switchboard: &rt.sb, Phonebook: &rt.pb, Health: &rt.hb}
+	rt.c = Context{Switchboard: &rt.sb, Phonebook: &rt.pb}
 	rt.l.ctx = &rt.c
 	return &rt.l
 }

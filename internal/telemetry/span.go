@@ -81,17 +81,14 @@ type SpanCollector struct {
 	dropped atomic.Uint64
 }
 
-// Slab blocks double from slabMin to slabMax IDs (128 B to 32 KB): a
-// session that emits a handful of spans pays for a handful.
-const (
-	slabMin = 16
-	slabMax = 4096
-)
-
-// spanBlock is the span slice the first retained span allocates (~4.6 KB):
-// an offload lifecycle's collectors hold a few dozen spans each, which a
-// slice doubling from one element reached in seven allocations.
+// spanBlock is the span slice the first retained span allocates (~4.6 KB),
+// and the IDs of the first parent slab block (512 B): an offload
+// lifecycle's collectors hold a few dozen spans each, which a slice
+// doubling from one element reached in seven allocations.
 const spanBlock = 64
+
+// slabMax caps a parent slab block (32 KB); blocks double up to it.
+const slabMax = 4096
 
 // NewSpanCollector creates a collector; cap <= 0 selects defaultSpanCap.
 func NewSpanCollector(cap int) *SpanCollector {
@@ -154,7 +151,7 @@ func (c *SpanCollector) Emit(name string, trace TraceID, start, end float64, par
 	var ps []SpanID
 	if n > 0 {
 		if cap(c.slab)-len(c.slab) < n {
-			block := min(max(2*cap(c.slab), slabMin), slabMax)
+			block := min(max(2*cap(c.slab), spanBlock), slabMax)
 			c.slab = make([]SpanID, 0, max(block, n))
 		}
 		at := len(c.slab)

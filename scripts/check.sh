@@ -1,9 +1,24 @@
 #!/bin/sh
 # Full verification gate: vet, build, and the race-enabled test suite
-# (includes the switchboard concurrency stress test and the supervisor
-# restart tests). Run via `make check` or directly.
+# (includes the switchboard concurrency stress test), then repeated-count,
+# determinism, fuzz, allocation and benchmark smoke stages. Run via
+# `make check` or directly.
 set -eu
 cd "$(dirname "$0")/.."
+
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+# quiet CMD [ARG...] runs a command with its output kept in a file. On a
+# non-zero exit it prints the command line and that output, then returns
+# the command's status, which set -e turns into the end of the script.
+quiet() {
+	"$@" >"$TMP/quiet.out" 2>&1 && return 0
+	status=$?
+	echo "check: FAILED (exit $status): $*" >&2
+	cat "$TMP/quiet.out" >&2
+	return "$status"
+}
 
 # stage NAME starts a stage; each stage's wall time prints when the next
 # one starts, and the last one's before "check: OK"
@@ -46,94 +61,87 @@ stage "go test -race ./..."
 go test -race -timeout 60m ./...
 stage "repeated-count stress stages"
 # the downlink stop/reader ordering is a narrow window: many rounds
-go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge >/dev/null
+quiet go test -race -count=50 -run TestDownlinkStopLeavesNoError ./internal/netxr/bridge
 # pooled connection buffers: a released reader or writer reissued to the
 # next conn carries nothing over, and Close racing the uplink forwarder
 # must end its writes before the writer goes back to the pool
-go test -race -count=50 -run 'TestReaderReleaseReissueReadsOnlyTheNewConn|TestWriterReleaseDropsQueuedFrames' ./internal/netxr/wire >/dev/null
-go test -race -count=50 -run TestCloseRacesUplinkForwarder ./internal/netxr/bridge >/dev/null
+quiet go test -race -count=50 -run 'TestReaderReleaseReissueReadsOnlyTheNewConn|TestWriterReleaseDropsQueuedFrames' ./internal/netxr/wire
+quiet go test -race -count=50 -run TestCloseRacesUplinkForwarder ./internal/netxr/bridge
 # the span store is id-ordered with no index: concurrent emitters must
 # keep it so, or Get and Lineage miss spans
-go test -race -count=20 -run TestConcurrentEmitKeepsIDOrder ./internal/telemetry >/dev/null
+quiet go test -race -count=20 -run TestConcurrentEmitKeepsIDOrder ./internal/telemetry
 # so are admission racing teardown and the registry's ack/end storm
-go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session >/dev/null
-go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet >/dev/null
+quiet go test -race -count=20 -run TestHandleConnRacesTeardown ./internal/netxr/session
+quiet go test -race -count=20 -run TestAckEndStorm ./internal/netxr/fleet
 # the elastic subscription hands events channel -> ring -> pump -> channel
 # while Cancel and publishers race it: order, the displaced count and
 # no-send-on-closed must hold across many interleavings
 # and an empty C that is Drained must be the end of a burst, not a pause
 # while the pump refills it (the uplink flushes there)
-go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|TestCancelReleasesBlockedPump|TestSwitchboardPublishCancelStress|TestDrainedMarksTheEndNotAPause' ./internal/runtime >/dev/null
-# the integrator publishes the newest pose of a backlog: bounded, ending
-# on the burst's last sample, and flushed before an injected panic
-go test -race -count=20 -run 'TestIntegratorBurst|TestIntegratorSpaced|TestIntegratorPanicMidBatch' ./internal/core >/dev/null
+quiet go test -race -count=20 -run 'TestStalledConsumer|TestConsumerRacesPublisher|TestCancelReleasesBlockedPump|TestSwitchboardPublishCancelStress|TestDrainedMarksTheEndNotAPause' ./internal/runtime
+# the integrator publishes the newest pose of a backlog: bounded, and
+# ending on the burst's last sample
+quiet go test -race -count=20 -run 'TestIntegratorBurst|TestIntegratorSpaced' ./internal/core
 # the replica integrates on the session reader: a burst read in one go
 # comes back latest-wins and fully accounted, and a handler panic ends
 # its own session only
-go test -race -count=20 -run TestPoseBurstIsLatestWinsAndAccounted ./internal/netxr/bridge >/dev/null
-go test -race -count=20 -run TestHandlerPanicEndsOnlyItsSession ./internal/netxr/session >/dev/null
+quiet go test -race -count=20 -run TestPoseBurstIsLatestWinsAndAccounted ./internal/netxr/bridge
+quiet go test -race -count=20 -run TestHandlerPanicEndsOnlyItsSession ./internal/netxr/session
 # the latest-wins slots are an array indexed by frame type: a producer
 # sending LatestWins and one sending Reliable, with the writer draining
 # between them, must lose no reliable frame and account every pose
-go test -race -count=20 -run TestSendLatestWinsAndReliableFromTwoGoroutines ./internal/netxr/session >/dev/null
+quiet go test -race -count=20 -run TestSendLatestWinsAndReliableFromTwoGoroutines ./internal/netxr/session
 # and a consumer that pairs two topics (VIO: IMU up to each camera frame)
 # must get the same answer however far behind the pump finds it
-go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core >/dev/null
-# a supervisor transition must reach the health board before anyone can
-# read it off the supervisor: the window was a few instructions wide and
-# only showed on a busy host
-go test -race -count=2000 -run TestSupervisorRestartsPanickedPlugin ./internal/runtime >/dev/null
-go test -race -count=20 -run TestSupervisorBoardNeverBehind ./internal/runtime >/dev/null
+quiet go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/core
 # the band rasteriser shares one triangle list and one framebuffer between
 # workers: every band must stay inside its own rows
-go test -race -count=10 -run TestDeterminismRender ./internal/render >/dev/null
+quiet go test -race -count=10 -run TestDeterminismRender ./internal/render
 # a node must give back every goroutine it started, and handle a frame
 # still parked in the batcher before its capture closes; Pool.Close must
 # hold against kernels in flight
-go test -race -count=20 -run 'TestCloseReturnsEverything|TestCloseHandlesParkedFrameBeforeCaptureCloses' ./internal/netxr/node >/dev/null
-go test -race -count=50 -run TestPoolCloseRacesDispatch ./internal/parallel >/dev/null
+quiet go test -race -count=20 -run 'TestCloseReturnsEverything|TestCloseHandlesParkedFrameBeforeCaptureCloses' ./internal/netxr/node
+quiet go test -race -count=50 -run TestPoolCloseRacesDispatch ./internal/parallel
 # the filter's arena hands the same memory to every stage of every frame:
 # the bit-exact fixtures, once more on their own so a failure names them
-go test -race -run TestGoldenFilter ./internal/vio >/dev/null
+quiet go test -race -run TestGoldenFilter ./internal/vio
 # a replica leg outlives its session: Shutdown racing a relay that is
 # parking a leg, and a Hello racing IdleTimeout on a waiting connection,
 # must close every connection exactly once and never strand a session
-go test -race -count=20 -run 'TestGatewayParksLegAfterBothByes|TestGatewayClosesLegOnOtherEndings|TestParkedLegsCloseOnDownAndShutdown|TestShutdownRacesParking' ./internal/netxr/fleet >/dev/null
-go test -race -count=20 -run 'TestKeptConnWaitsOutsideTheTable|TestKeptConnHelloRacesIdleTimeout|TestKeptConnHelloDoesNotWaitForSessionEnd' ./internal/netxr/session >/dev/null
-go test -race -count=20 -run 'TestSequentialLifecyclesShareOneLeg|TestIdledOutLegIsRedialled' ./internal/netxr/node >/dev/null
+quiet go test -race -count=20 -run 'TestGatewayParksLegAfterBothByes|TestGatewayClosesLegOnOtherEndings|TestParkedLegsCloseOnDownAndShutdown|TestShutdownRacesParking' ./internal/netxr/fleet
+quiet go test -race -count=20 -run 'TestKeptConnWaitsOutsideTheTable|TestKeptConnHelloRacesIdleTimeout|TestKeptConnHelloDoesNotWaitForSessionEnd' ./internal/netxr/session
+quiet go test -race -count=20 -run 'TestSequentialLifecyclesShareOneLeg|TestIdledOutLegIsRedialled' ./internal/netxr/node
 
 stage "determinism tests at GOMAXPROCS=2 and GOMAXPROCS=8"
 # the parallel kernels must be bitwise identical for every worker count,
 # independent of how many OS threads actually back the pool
-GOMAXPROCS=2 go test -run Determinism -count=2 ./internal/... >/dev/null
-GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/... >/dev/null
+quiet env GOMAXPROCS=2 go test -run Determinism -count=2 ./internal/...
+quiet env GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/...
 # and so must the synthesized inputs: the recording and the clips are
 # computed on tiles with every random draw in one serial pass
-GOMAXPROCS=2 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio >/dev/null
-GOMAXPROCS=8 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio >/dev/null
+quiet env GOMAXPROCS=2 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio
+quiet env GOMAXPROCS=8 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio
 
 stage "fuzz smokes (5s each)"
 # Summarize first: its Min <= Mean <= Max invariant once failed one smoke
 # in three, so a regression there should be the first thing to trip
-go test -run='^$' -fuzz=FuzzSummarize -fuzztime=5s ./internal/telemetry >/dev/null
-go test -run='^$' -fuzz=FuzzQuatNormalize -fuzztime=5s ./internal/mathx >/dev/null
-go test -run='^$' -fuzz=FuzzSE3 -fuzztime=5s ./internal/mathx >/dev/null
-go test -run='^$' -fuzz=FuzzSSIMWindow -fuzztime=5s ./internal/quality >/dev/null
-go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/netxr/wire >/dev/null
+quiet go test -run='^$' -fuzz=FuzzSummarize -fuzztime=5s ./internal/telemetry
+quiet go test -run='^$' -fuzz=FuzzQuatNormalize -fuzztime=5s ./internal/mathx
+quiet go test -run='^$' -fuzz=FuzzSE3 -fuzztime=5s ./internal/mathx
+quiet go test -run='^$' -fuzz=FuzzSSIMWindow -fuzztime=5s ./internal/quality
+quiet go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/netxr/wire
 # the in-place parse against the scratch path, frame for frame and error
 # for error
-go test -run='^$' -fuzz=FuzzReaderStream -fuzztime=5s ./internal/netxr/wire >/dev/null
-go test -run='^$' -fuzz=FuzzBinlogDecode -fuzztime=5s ./internal/netxr/binlog >/dev/null
+quiet go test -run='^$' -fuzz=FuzzReaderStream -fuzztime=5s ./internal/netxr/wire
+quiet go test -run='^$' -fuzz=FuzzBinlogDecode -fuzztime=5s ./internal/netxr/binlog
 
 stage "observability smoke test"
 # a one-second instrumented run must export a well-formed Chrome trace
 # and a non-empty metrics dump
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/illixr-bench" ./cmd/illixr-bench
 go build -o "$TMP/benchcheck" ./scripts/benchcheck
-go run ./cmd/illixr-run -app platformer -duration 1 \
-	-trace-out "$TMP/trace.json" -metrics-out "$TMP/metrics.txt" >/dev/null
+quiet go run ./cmd/illixr-run -app platformer -duration 1 \
+	-trace-out "$TMP/trace.json" -metrics-out "$TMP/metrics.txt"
 "$TMP/benchcheck" trace "$TMP/trace.json"
 grep -q '^illixr_' "$TMP/metrics.txt" || {
 	echo "metrics dump has no illixr_ metrics" >&2
@@ -162,7 +170,7 @@ fi
 # TestCheckedInReportsReproduce regenerates each at -duration 30 -seed 42
 # and requires the checked-in file byte for byte, and
 # TestCheckedInReportsPassCheck gates it.
-"$TMP/illixr-bench" -exp parallel -out-dir "$TMP" >/dev/null
+quiet "$TMP/illixr-bench" -exp parallel -out-dir "$TMP"
 "$TMP/benchcheck" parallel "$TMP/BENCH_parallel.json"
 
 stage "zero-allocation regression tests"
@@ -172,30 +180,30 @@ stage "zero-allocation regression tests"
 # -race (the tests skip themselves when the detector is compiled in).
 # TestZeroAllocRenderFrame covers all four apps, so an animated scene that
 # allocates a mesh per frame fails here; a session lifecycle has a budget
-# end to end and one each for the replica and the gateway relay, so a
-# regression names its layer
-go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget|TestReplicaLifecycleAllocBudget|TestGatewayRelayAllocBudget' ./internal/... >/dev/null
+# end to end and one each for the replica (with and without -vio) and the
+# gateway relay, so a regression names its layer
+quiet go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget|TestReplicaLifecycleAllocBudget|TestVIOReplicaLifecycleAllocBudget|TestGatewayRelayAllocBudget' ./internal/...
 
 stage "per-package benchmarks (run, not gated, so they cannot rot)"
-go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge >/dev/null
-go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime >/dev/null
-go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire >/dev/null
-go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry >/dev/null
-go test -run='^$' -bench=BenchmarkRK4Step -benchtime=100ms ./internal/integrator >/dev/null
-go test -run='^$' -bench=BenchmarkIntegratorPluginBurst -benchmem -benchtime=100ms ./internal/core >/dev/null
-go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./internal/netxr/node >/dev/null
-go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet >/dev/null
-go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session >/dev/null
-go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
-go test -run='^$' -bench=BenchmarkRenderLive -benchmem -benchtime=100ms -cpu 1,2 ./internal/render >/dev/null
-go test -run='^$' -bench='BenchmarkReproject320x180|BenchmarkReproject1280x720' -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection >/dev/null
-go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock|BenchmarkSpeechLikeSource' -benchmem -benchtime=100ms -cpu 1,2 ./internal/audio >/dev/null
-go test -run='^$' -bench=BenchmarkGenerateDataset -benchmem -benchtime=100ms -cpu 1,2 ./internal/sensors >/dev/null
-go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx >/dev/null
-go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio >/dev/null
-go test -run='^$' -bench=BenchmarkTable6Recon_Frame -benchmem -benchtime=100ms ./internal/reconstruct >/dev/null
-go test -run='^$' -bench=BenchmarkTable7Hologram_GSW -benchmem -benchtime=100ms ./internal/hologram >/dev/null
-go test -run='^$' -bench=BenchmarkEyeTracking_Inference -benchmem -benchtime=100ms ./internal/eyetrack >/dev/null
+quiet go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge
+quiet go test -run='^$' -bench='BenchmarkSubscribeCancel|BenchmarkPublishDeliver|BenchmarkPublishOverflow' -benchmem -benchtime=100ms ./internal/runtime
+quiet go test -run='^$' -bench='BenchmarkNewReaderFirstFrame|BenchmarkReadFrameBurst' -benchmem -benchtime=100ms ./internal/netxr/wire
+quiet go test -run='^$' -bench=BenchmarkSpanEmit -benchmem -benchtime=100ms ./internal/telemetry
+quiet go test -run='^$' -bench=BenchmarkRK4Step -benchtime=100ms ./internal/integrator
+quiet go test -run='^$' -bench=BenchmarkIntegratorPluginBurst -benchmem -benchtime=100ms ./internal/core
+quiet go test -run='^$' -bench=BenchmarkSessionLifecycle -benchmem -benchtime=100ms ./internal/netxr/node
+quiet go test -run='^$' -bench=BenchmarkCoordinatorCycle -benchtime=100ms -cpu 1,2 ./internal/netxr/fleet
+quiet go test -run='^$' -bench=BenchmarkSessionTableChurn -benchtime=100ms -cpu 1,2 ./internal/netxr/session
+quiet go test -run='^$' -bench=BenchmarkRenderSponza -benchmem -benchtime=100ms -cpu 1,2 ./internal/render
+quiet go test -run='^$' -bench=BenchmarkRenderLive -benchmem -benchtime=100ms -cpu 1,2 ./internal/render
+quiet go test -run='^$' -bench='BenchmarkReproject320x180|BenchmarkReproject1280x720' -benchmem -benchtime=100ms -cpu 1,2 ./internal/reprojection
+quiet go test -run='^$' -bench='BenchmarkEncodeBlock|BenchmarkPlaybackBlock|BenchmarkSpeechLikeSource' -benchmem -benchtime=100ms -cpu 1,2 ./internal/audio
+quiet go test -run='^$' -bench=BenchmarkGenerateDataset -benchmem -benchtime=100ms -cpu 1,2 ./internal/sensors
+quiet go test -run='^$' -bench='BenchmarkCholeskySolveMat|BenchmarkMulMatInto' -benchmem -benchtime=100ms -cpu 1,2 ./internal/mathx
+quiet go test -run='^$' -bench=BenchmarkVIORun -benchmem -benchtime=100ms ./internal/vio
+quiet go test -run='^$' -bench=BenchmarkTable6Recon_Frame -benchmem -benchtime=100ms ./internal/reconstruct
+quiet go test -run='^$' -bench=BenchmarkTable7Hologram_GSW -benchmem -benchtime=100ms ./internal/hologram
+quiet go test -run='^$' -bench=BenchmarkEyeTracking_Inference -benchmem -benchtime=100ms ./internal/eyetrack
 
 stage ""
 echo "check: OK"
