@@ -9,12 +9,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"illixr/internal/app"
 	"illixr/internal/config"
 	"illixr/internal/core"
 	"illixr/internal/eyetrack"
+	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
 	"illixr/internal/openxr"
 	"illixr/internal/perfmodel"
@@ -23,31 +25,35 @@ import (
 )
 
 func main() {
-	tr := sensors.DefaultTrajectory()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	// AR frame loop with ground-truth poses (passthrough AR anchors
 	// virtual content to the real world).
-	const w, h = 256, 144
-	session, err := openxr.CreateInstance("ar_overlay").CreateSession(openxr.SessionConfig{
-		Width: w, Height: h, DisplayRateHz: 60, Reproject: true,
-		Poses: openxr.PoseFunc(func(t float64) mathx.Pose { return tr.Pose(t) }),
+	const width, height, frames = 256, 144, 30
+	scene := render.BuildScene(render.AppARDemo, 42)
+	renderer := render.NewRenderer(width, height)
+	_, err := openxr.RunFrames(openxr.SessionConfig{
+		Width: width, Height: height, DisplayRateHz: 60, Reproject: true,
+		Pose: sensors.DefaultTrajectory().Pose,
+	}, frames, func(pose mathx.Pose, t float64) *imgproc.RGB {
+		return renderer.RenderFrame(scene, pose, t)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	arApp := app.New(render.AppARDemo, session, w, h, 42)
-	if err := arApp.Run(30); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("AR demo: %d frames rendered (sparse scene: %d triangles)\n",
-		arApp.Frames, arApp.Scene.TriangleCount())
+	fmt.Fprintf(w, "AR demo: %d frames rendered (sparse scene: %d triangles)\n",
+		frames, scene.TriangleCount())
 
 	// Eye tracking runs alongside (batch of two eyes per frame).
 	tracker := eyetrack.NewTracker()
 	left := eyetrack.SynthEyeImage(160, 120, 0.2, -0.1, 0.03, 1)
 	right := eyetrack.SynthEyeImage(160, 120, 0.18, -0.1, 0.03, 2)
 	rl, rr := tracker.TrackBoth(left.Img, right.Img)
-	fmt.Printf("eye tracking: left gaze (%.0f,%.0f) right gaze (%.0f,%.0f) valid=%v/%v\n",
+	fmt.Fprintf(w, "eye tracking: left gaze (%.0f,%.0f) right gaze (%.0f,%.0f) valid=%v/%v\n",
 		rl.GazeX, rl.GazeY, rr.GazeX, rr.GazeY, rl.Valid, rr.Valid)
 
 	// The AR latency question (§IV-A3): run the integrated system on the
@@ -56,11 +62,12 @@ func main() {
 	cfg.Duration = 5
 	res := core.Run(cfg)
 	m := res.MTPSummary()
-	fmt.Printf("integrated AR demo on desktop: MTP %.1f±%.1f ms (AR target %.0f ms)\n",
+	fmt.Fprintf(w, "integrated AR demo on desktop: MTP %.1f±%.1f ms (AR target %.0f ms)\n",
 		m.Mean, m.Std, config.TargetMTPARMs)
 	if m.Mean < config.TargetMTPARMs {
-		fmt.Println("-> meets the AR target before t_display; adding display scan-out exceeds it, as in the paper")
+		fmt.Fprintln(w, "-> meets the AR target before t_display; adding display scan-out exceeds it, as in the paper")
 	} else {
-		fmt.Println("-> misses the 5 ms AR target even before display time")
+		fmt.Fprintln(w, "-> misses the 5 ms AR target even before display time")
 	}
+	return nil
 }

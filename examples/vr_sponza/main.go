@@ -8,11 +8,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
-	"illixr/internal/app"
-	"illixr/internal/integrator"
+	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
 	"illixr/internal/openxr"
 	"illixr/internal/quality"
@@ -21,30 +22,13 @@ import (
 	"illixr/internal/vio"
 )
 
-// perceptionPoses adapts the real perception pipeline (VIO estimates +
-// IMU propagation) into an openxr.PoseProvider.
-type perceptionPoses struct {
-	ds  *sensors.Dataset
-	est []vio.Estimate
-}
-
-func (p *perceptionPoses) PoseAt(t float64) mathx.Pose {
-	i := sort.Search(len(p.est), func(i int) bool { return p.est[i].T > t })
-	if i == 0 {
-		return p.ds.GroundTruthAt(0)
-	}
-	e := p.est[i-1]
-	in := integrator.New(integrator.State{
-		T: e.T, Pos: e.Pose.Pos, Vel: e.Vel, Rot: e.Pose.Rot, BiasG: e.BiasG, BiasA: e.BiasA,
-	})
-	j := sort.Search(len(p.ds.IMU), func(j int) bool { return p.ds.IMU[j].T > e.T })
-	for ; j < len(p.ds.IMU) && p.ds.IMU[j].T <= t; j++ {
-		in.Feed(p.ds.IMU[j])
-	}
-	return in.FastPose()
-}
-
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// perception pipeline over a short recording
 	cfg := sensors.DefaultDatasetConfig()
 	cfg.Duration = 4
@@ -52,33 +36,39 @@ func main() {
 	params := vio.DefaultParams()
 	runner := vio.NewRunner(ds, params, vio.NewGeometricFrontend(ds.Cam, params.MaxFeatures))
 	runner.Run(ds)
-	poses := &perceptionPoses{ds: ds, est: runner.Estimates}
+	// the fast pose at t re-anchors on the newest estimate at or before t
+	// (ground truth before the first one)
+	fastPose := func(t float64) mathx.Pose {
+		i := sort.Search(len(runner.Estimates), func(i int) bool { return runner.Estimates[i].T > t })
+		if i == 0 {
+			return ds.GroundTruthAt(0)
+		}
+		return vio.Reanchor(runner.Estimates[i-1], ds.IMU, t)
+	}
 
 	// VR session at 30 Hz (kept low so the example runs in seconds)
-	const w, h = 256, 144
-	session, err := openxr.CreateInstance("vr_sponza").CreateSession(openxr.SessionConfig{
-		Width: w, Height: h, DisplayRateHz: 30, Reproject: true, Poses: poses,
+	const width, height, frames = 256, 144, 20
+	scene := render.BuildScene(render.AppSponza, 42)
+	renderer := render.NewRenderer(width, height)
+	displayed, err := openxr.RunFrames(openxr.SessionConfig{
+		Width: width, Height: height, DisplayRateHz: 30, Reproject: true, Pose: fastPose,
+	}, frames, func(pose mathx.Pose, t float64) *imgproc.RGB {
+		return renderer.RenderFrame(scene, pose, t)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	sponza := app.New(render.AppSponza, session, w, h, 42)
-
-	frames := 20
-	if err := sponza.Run(frames); err != nil {
-		log.Fatal(err)
-	}
-	stats := sponza.RenderWorkStats()
-	fmt.Printf("rendered %d frames: %d triangles submitted, %.1fM fragments shaded\n",
-		sponza.Frames, stats.TrianglesSubmitted, float64(stats.FragmentsShaded)/1e6)
+	stats := renderer.Stats
+	fmt.Fprintf(w, "rendered %d frames: %d triangles submitted, %.1fM fragments shaded\n",
+		frames, stats.TrianglesSubmitted, float64(stats.FragmentsShaded)/1e6)
 
 	// Compare the final displayed (estimated-pose, timewarped) frame with
 	// a ground-truth render at the same display time.
 	displayT := float64(frames) / 30
-	idealRenderer := render.NewRenderer(w, h)
-	ideal := idealRenderer.RenderFrame(sponza.Scene, ds.GroundTruthAt(displayT), displayT-1.0/30)
-	ssim := quality.SSIMRGB(session.Displayed, ideal)
-	flip := quality.OneMinusFLIP(session.Displayed, ideal)
-	fmt.Printf("displayed vs ground-truth render: SSIM %.3f, 1-FLIP %.3f\n", ssim, flip)
-	fmt.Printf("head-tracking ATE over the run: %.1f mm\n", 1000*runner.ATE(ds))
+	ideal := render.NewRenderer(width, height).RenderFrame(scene, ds.GroundTruthAt(displayT), displayT-1.0/30)
+	ssim := quality.SSIMRGB(displayed, ideal)
+	flip := quality.OneMinusFLIP(displayed, ideal)
+	fmt.Fprintf(w, "displayed vs ground-truth render: SSIM %.3f, 1-FLIP %.3f\n", ssim, flip)
+	fmt.Fprintf(w, "head-tracking ATE over the run: %.1f mm\n", 1000*runner.ATE(ds))
+	return nil
 }

@@ -221,28 +221,14 @@ func TestPluginsPipelineOnSwitchboard(t *testing.T) {
 	cfg := sensors.DefaultDatasetConfig()
 	cfg.Duration = 1
 	ds := sensors.GenerateDataset(cfg)
-	reg := NewStandardRegistry(ds)
-
 	loader := runtime.NewLoader()
-	playerP, err := reg.Create("sensors", "offline_player")
-	if err != nil {
-		t.Fatal(err)
-	}
-	integP, err := reg.Create("fast_pose", "rk4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	audioP, err := reg.Create("audio", "hoa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []runtime.Plugin{playerP, integP, audioP} {
+	player := &DatasetPlayerPlugin{Dataset: ds}
+	audioPlugin := &AudioPlugin{}
+	for _, p := range []runtime.Plugin{player, &IntegratorPlugin{}, audioPlugin} {
 		if err := loader.Load(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	player := playerP.(*DatasetPlayerPlugin)
-	audioPlugin := audioP.(*AudioPlugin)
 	if n := player.PumpUntil(1.0); n == 0 {
 		t.Fatal("no events pumped")
 	}

@@ -39,7 +39,7 @@ func tracerFrom(ctx *runtime.Context) *telemetry.SpanCollector {
 // This file implements live plugins: the same components wired onto the
 // runtime's event streams (§II-B), used by the examples and the live
 // (non-simulated) mode. Each plugin is interchangeable with any other
-// implementation of its role via runtime.Registry.
+// implementation of its role that speaks the same topics.
 
 // DatasetPlayerPlugin replays a pre-recorded dataset onto the IMU and
 // camera topics — the paper's offline camera+IMU component, indistinguishable
@@ -329,30 +329,3 @@ func (p *AudioPlugin) ProcessBlock(t float64) (left, right []float64) {
 }
 
 var _ runtime.Plugin = (*AudioPlugin)(nil)
-
-// NewStandardRegistry registers the standard component implementations
-// under their roles, mirroring Table II's interchangeable alternatives.
-func NewStandardRegistry(ds *sensors.Dataset) *runtime.Registry {
-	reg := runtime.NewRegistry()
-	_ = reg.Register("sensors", "offline_player", func() runtime.Plugin {
-		return &DatasetPlayerPlugin{Dataset: ds}
-	})
-	_ = reg.Register("fast_pose", "rk4", func() runtime.Plugin {
-		init := integrator.State{}
-		if ds != nil {
-			init = integrator.State{
-				Pos: ds.Traj.Position(0), Vel: ds.Traj.Velocity(0), Rot: ds.Traj.Orientation(0),
-			}
-		}
-		return &IntegratorPlugin{Initial: init}
-	})
-	_ = reg.Register("audio", "hoa", func() runtime.Plugin {
-		return &AudioPlugin{
-			Sources: []audio.Source{
-				audio.SpeechLikeSource("lecturer", 48000, 2, audio.DirectionFromAzEl(0.5, 0), 7),
-				audio.SineSource("radio", 440, 48000, 2, audio.DirectionFromAzEl(-1.2, 0.2)),
-			},
-		}
-	})
-	return reg
-}

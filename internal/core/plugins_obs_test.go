@@ -43,7 +43,6 @@ func TestLivePipelineLineageAndMetrics(t *testing.T) {
 	if err := pb.Register(telemetry.TracerService, tracer); err != nil {
 		t.Fatal(err)
 	}
-	loader.Context().Switchboard.SetMetrics(reg)
 
 	player := &DatasetPlayerPlugin{Dataset: ds}
 	vioP := &VIOPlugin{Params: vio.FastParams(), Dataset: ds}
@@ -99,13 +98,11 @@ func TestLivePipelineLineageAndMetrics(t *testing.T) {
 		t.Errorf("binaural lineage %v, want audio_playback, integrator, imu", names)
 	}
 
-	// metrics: plugin counters and topic instrumentation both populated
+	// metrics: the plugins' counters populated
 	for _, name := range []string{
 		"illixr_integrator_samples_total",
 		"illixr_vio_frames_total",
 		"illixr_audio_blocks_total",
-		"illixr_topic_imu_published_total",
-		"illixr_topic_fast_pose_published_total",
 	} {
 		if reg.Counter(name).Value() == 0 {
 			t.Errorf("%s = 0, want > 0", name)

@@ -4,13 +4,13 @@ import (
 	"sort"
 
 	"illixr/internal/imgproc"
-	"illixr/internal/integrator"
 	"illixr/internal/mathx"
 	"illixr/internal/parallel"
 	"illixr/internal/quality"
 	"illixr/internal/render"
 	"illixr/internal/reprojection"
 	"illixr/internal/telemetry"
+	"illixr/internal/vio"
 )
 
 // reprojStatsFor models one reprojection pass at display resolution for
@@ -56,18 +56,7 @@ func (fp *fastPoser) poseAt(t float64) mathx.Pose {
 	if frame >= len(ests) {
 		frame = len(ests) - 1
 	}
-	est := ests[frame]
-	in := integrator.New(integrator.State{
-		T: est.T, Pos: est.Pose.Pos, Vel: est.Vel, Rot: est.Pose.Rot,
-		BiasG: est.BiasG, BiasA: est.BiasA,
-	})
-	// propagate the real IMU samples in (est.T, t]
-	imu := fp.perc.ds.IMU
-	j := sort.Search(len(imu), func(j int) bool { return imu[j].T > est.T })
-	for ; j < len(imu) && imu[j].T <= t; j++ {
-		in.Feed(imu[j])
-	}
-	return in.FastPose()
+	return vio.Reanchor(ests[frame], fp.perc.ds.IMU, t)
 }
 
 // evaluateQuality runs the offline image-quality pipeline of §III-E: the

@@ -16,18 +16,13 @@ func TestVIOPluginTracksOverSwitchboard(t *testing.T) {
 	cfg.MaxFeats = 40
 	ds := sensors.GenerateDataset(cfg)
 
-	reg := runtime.NewRegistry()
-	RegisterVIO(reg, ds)
-	plugin, err := reg.Create("slow_pose", "fast")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vp := &VIOPlugin{Params: vio.FastParams(), Dataset: ds}
 	loader := runtime.NewLoader()
 	player := &DatasetPlayerPlugin{Dataset: ds}
 	if err := loader.Load(player); err != nil {
 		t.Fatal(err)
 	}
-	if err := loader.Load(plugin); err != nil {
+	if err := loader.Load(vp); err != nil {
 		t.Fatal(err)
 	}
 	// pump in small steps so camera/IMU interleave like a live system
@@ -36,7 +31,6 @@ func TestVIOPluginTracksOverSwitchboard(t *testing.T) {
 		time.Sleep(2 * time.Millisecond) // let the plugin goroutine drain
 	}
 	// wait for processing to finish
-	vp := plugin.(*VIOPlugin)
 	deadline := time.Now().Add(30 * time.Second)
 	for len(vp.Estimates()) < 15 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -142,17 +136,6 @@ func TestVIOPluginStalledMatchesUnstalled(t *testing.T) {
 			t.Fatalf("estimate %d (t=%.3f) differs once VIO is stalled:\n got %+v\nwant %+v", i, want[i].T, got[i].Pose, want[i].Pose)
 		}
 	}
-}
-
-// RegisterVIO adds the two interchangeable VIO configurations to a
-// registry under the "slow_pose" role.
-func RegisterVIO(reg *runtime.Registry, ds *sensors.Dataset) {
-	_ = reg.Register("slow_pose", "openvins", func() runtime.Plugin {
-		return &VIOPlugin{Params: vio.DefaultParams(), Dataset: ds}
-	})
-	_ = reg.Register("slow_pose", "fast", func() runtime.Plugin {
-		return &VIOPlugin{Params: vio.FastParams(), Dataset: ds}
-	})
 }
 
 // estimateLogs holds, per plugin, the slow-pose subscription vioStarted

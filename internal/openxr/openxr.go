@@ -1,9 +1,9 @@
-// Package openxr provides the minimal OpenXR-flavoured interface that
+// Package openxr provides the minimal OpenXR-flavoured frame loop that
 // applications program against (§II: ILLIXR is exposed to applications
 // through the OpenXR API; here the Monado-equivalent runtime is the Go
-// components behind this facade). The shapes follow the OpenXR frame
+// components behind this facade). RunFrames follows the OpenXR frame
 // loop: xrWaitFrame → xrBeginFrame → xrLocateViews → render →
-// xrEndFrame(layers).
+// xrEndFrame(layer).
 package openxr
 
 import (
@@ -15,134 +15,57 @@ import (
 	"illixr/internal/reprojection"
 )
 
-// PoseProvider supplies the runtime's head pose at a given session time —
-// in a full system this is the perception pipeline's fast pose; tests and
-// examples may use ground truth.
-type PoseProvider interface {
-	PoseAt(t float64) mathx.Pose
-}
-
-// PoseFunc adapts a function to PoseProvider.
-type PoseFunc func(t float64) mathx.Pose
-
-// PoseAt implements PoseProvider.
-func (f PoseFunc) PoseAt(t float64) mathx.Pose { return f(t) }
-
-// Instance is the top-level API object (xrInstance analogue).
-type Instance struct {
-	AppName string
-	Runtime string
-}
-
-// CreateInstance creates an API instance.
-func CreateInstance(appName string) *Instance {
-	return &Instance{AppName: appName, Runtime: "illixr-go"}
-}
-
 // SessionConfig configures a session.
 type SessionConfig struct {
 	Width, Height int
 	DisplayRateHz float64
-	Poses         PoseProvider
+	// Pose supplies the runtime's head pose at a session time — in a full
+	// system this is the perception pipeline's fast pose; tests and
+	// examples may use ground truth.
+	Pose func(t float64) mathx.Pose
 	// Reproject enables the runtime-side timewarp on submitted frames.
 	Reproject bool
 }
 
-// Session is the xrSession analogue: a frame loop against the runtime.
-type Session struct {
-	inst    *Instance
-	cfg     SessionConfig
-	warp    *reprojection.Reprojector
-	frame   int
-	now     float64
-	inFrame bool
-
-	// Displayed is the last fully composited frame.
-	Displayed *imgproc.RGB
-	// RenderPose is the pose the app was told to render with.
-	renderPose mathx.Pose
-}
-
-// CreateSession opens a session on the instance.
-func (inst *Instance) CreateSession(cfg SessionConfig) (*Session, error) {
+// RunFrames runs n iterations of the frame loop in virtual time and
+// returns the last composited (displayed) frame. Each iteration waits for
+// the next frame slot, locates the single centred view at the slot's
+// predicted display time and hands its pose and the slot's start time to
+// render, which returns the app's layer. The runtime composites the layer
+// — reprojecting it to the freshest pose when enabled. The layer must be
+// Width×Height.
+func RunFrames(cfg SessionConfig, n int, render func(pose mathx.Pose, t float64) *imgproc.RGB) (*imgproc.RGB, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, errors.New("openxr: invalid swapchain size")
 	}
 	if cfg.DisplayRateHz <= 0 {
 		cfg.DisplayRateHz = 120
 	}
-	if cfg.Poses == nil {
-		return nil, errors.New("openxr: a PoseProvider is required")
+	if cfg.Pose == nil {
+		return nil, errors.New("openxr: a Pose source is required")
 	}
-	s := &Session{inst: inst, cfg: cfg}
+	var warp *reprojection.Reprojector
 	if cfg.Reproject {
-		s.warp = reprojection.New(reprojection.DefaultParams())
+		warp = reprojection.New(reprojection.DefaultParams())
 	}
-	return s, nil
-}
-
-// FrameState is returned by WaitFrame (xrFrameState analogue).
-type FrameState struct {
-	FrameIndex           int
-	PredictedDisplayTime float64
-}
-
-// View is one eye's render parameters (xrView analogue; this runtime
-// renders a single centered view).
-type View struct {
-	Pose    mathx.Pose
-	FovYDeg float64
-}
-
-// WaitFrame blocks (in virtual time) until the next frame slot and
-// predicts its display time.
-func (s *Session) WaitFrame() FrameState {
-	period := 1 / s.cfg.DisplayRateHz
-	s.now = float64(s.frame) * period
-	return FrameState{
-		FrameIndex:           s.frame,
-		PredictedDisplayTime: s.now + period,
+	period := 1 / cfg.DisplayRateHz
+	var displayed *imgproc.RGB
+	for frame := 0; frame < n; frame++ {
+		// xrWaitFrame: the slot starts at frame·period and is predicted
+		// to be displayed one period later
+		now := float64(frame) * period
+		renderPose := cfg.Pose(now + period)
+		layer := render(renderPose, now)
+		// xrEndFrame
+		if layer == nil || layer.W != cfg.Width || layer.H != cfg.Height {
+			return nil, fmt.Errorf("openxr: layer must be %dx%d", cfg.Width, cfg.Height)
+		}
+		if warp != nil {
+			fresh := cfg.Pose(float64(frame+1) * period)
+			displayed = warp.Reproject(layer, renderPose, fresh)
+		} else {
+			displayed = layer.Clone()
+		}
 	}
+	return displayed, nil
 }
-
-// BeginFrame marks the start of rendering for the frame.
-func (s *Session) BeginFrame() error {
-	if s.inFrame {
-		return errors.New("openxr: BeginFrame called twice")
-	}
-	s.inFrame = true
-	return nil
-}
-
-// LocateViews returns the predicted view poses for a display time.
-func (s *Session) LocateViews(displayTime float64) []View {
-	pose := s.cfg.Poses.PoseAt(displayTime)
-	s.renderPose = pose
-	return []View{{Pose: pose, FovYDeg: 90}}
-}
-
-// EndFrame submits the rendered layer. The runtime composites it —
-// reprojecting to the freshest pose when enabled — and advances the frame
-// counter.
-func (s *Session) EndFrame(layer *imgproc.RGB) error {
-	if !s.inFrame {
-		return errors.New("openxr: EndFrame without BeginFrame")
-	}
-	if layer == nil || layer.W != s.cfg.Width || layer.H != s.cfg.Height {
-		return fmt.Errorf("openxr: layer must be %dx%d", s.cfg.Width, s.cfg.Height)
-	}
-	s.inFrame = false
-	period := 1 / s.cfg.DisplayRateHz
-	displayT := float64(s.frame+1) * period
-	if s.warp != nil {
-		fresh := s.cfg.Poses.PoseAt(displayT)
-		s.Displayed = s.warp.Reproject(layer, s.renderPose, fresh)
-	} else {
-		s.Displayed = layer.Clone()
-	}
-	s.frame++
-	return nil
-}
-
-// Time returns the current session time (seconds).
-func (s *Session) Time() float64 { return s.now }

@@ -3,7 +3,7 @@ package runtime
 // Tests for the elastic subscription (DESIGN.md §4): the subscribed depth
 // is a bound the consumer can fall behind by, not memory Subscribe
 // allocates, and the overflow ring + transient pump behind the fast-tier
-// channel keep order, the latest-wins count and Cancel's no-send-on-closed
+// channel keep order, the latest-wins bound and Cancel's no-send-on-closed
 // guarantee.
 
 import (
@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"illixr/internal/telemetry"
 )
 
 // eventually polls cond until it holds or the deadline passes.
@@ -51,18 +49,23 @@ func TestSubscribeCostIndependentOfDepth(t *testing.T) {
 
 // stalledSub subscribes at depth buffer with nobody reading and publishes
 // events T = 0..publish-1.
-func stalledSub(t *testing.T, buffer, publish int) (*Subscription, *telemetry.Registry) {
+func stalledSub(t *testing.T, buffer, publish int) *Subscription {
 	t.Helper()
-	sb := NewSwitchboard()
-	reg := telemetry.NewRegistry()
-	sb.SetMetrics(reg)
-	top := sb.GetTopic("stalled")
+	top := NewSwitchboard().GetTopic("stalled")
 	sub := top.Subscribe(buffer)
 	t.Cleanup(sub.Cancel)
 	for i := 0; i < publish; i++ {
 		top.Publish(Event{T: float64(i)})
 	}
-	return sub, reg
+	return sub
+}
+
+// queued is how many events the subscription holds: C plus the ring (the
+// pump's in-flight event stays in the ring until C has taken it).
+func queued(sub *Subscription) int {
+	sub.life.Lock()
+	defer sub.life.Unlock()
+	return len(sub.C) + sub.n
 }
 
 // drain receives want events and then checks the subscription holds
@@ -80,38 +83,29 @@ func drain(t *testing.T, sub *Subscription, want int) []float64 {
 		}
 	}
 	sub.pumps.Wait() // the pump pops its last event after C has taken it
-	sub.life.Lock()
-	left := len(sub.C) + sub.n
-	sub.life.Unlock()
-	if left != 0 {
+	if left := queued(sub); left != 0 {
 		t.Fatalf("%d events still queued after draining %d", left, want)
 	}
 	return got
 }
 
 func TestStalledConsumerKeepsFullDepth(t *testing.T) {
-	sub, reg := stalledSub(t, deep, deep)
-	if got := reg.Gauge("illixr_topic_stalled_queue_depth").Value(); got != deep {
-		t.Errorf("queue_depth = %g, want %d (channel + ring)", got, deep)
+	sub := stalledSub(t, deep, deep)
+	if got := queued(sub); got != deep {
+		t.Errorf("queued = %d, want %d (channel + ring)", got, deep)
 	}
 	for i, T := range drain(t, sub, deep) {
 		if T != float64(i) {
 			t.Fatalf("event %d has T=%g: lost or reordered", i, T)
 		}
 	}
-	if got := reg.Counter("illixr_topic_stalled_dropped_total").Value(); got != 0 {
-		t.Errorf("dropped_total = %d, want 0", got)
-	}
 }
 
 func TestStalledConsumerDisplacesExactlyOverflow(t *testing.T) {
 	const k = 37
-	sub, reg := stalledSub(t, deep, deep+k)
-	if got := reg.Counter("illixr_topic_stalled_dropped_total").Value(); got != k {
-		t.Errorf("dropped_total = %d, want %d", got, k)
-	}
-	if got := reg.Gauge("illixr_topic_stalled_queue_depth").Value(); got != deep {
-		t.Errorf("queue_depth = %g, want the bound %d", got, deep)
+	sub := stalledSub(t, deep, deep+k)
+	if got := queued(sub); got != deep {
+		t.Errorf("queued = %d, want the bound %d", got, deep)
 	}
 	// what was already in C or on its way there stays; behind it the newest
 	// win, ending with the last event published
@@ -136,7 +130,7 @@ func TestStalledConsumerDisplacesExactlyOverflow(t *testing.T) {
 func TestDrainedMarksTheEndNotAPause(t *testing.T) {
 	const published = 3 * fastTier
 	for round := 0; round < 20; round++ {
-		sub, _ := stalledSub(t, deep, published)
+		sub := stalledSub(t, deep, published)
 		if sub.Drained() {
 			t.Fatal("a subscription two fast tiers behind reports Drained")
 		}
@@ -169,12 +163,12 @@ func TestDrainedMarksTheEndNotAPause(t *testing.T) {
 // TestFastTierPlusOneStaysAllChannel pins the one depth that gets no ring:
 // a ring of one could never displace anything but the in-flight event.
 func TestFastTierPlusOneStaysAllChannel(t *testing.T) {
-	sub, reg := stalledSub(t, fastTier+1, fastTier+3)
+	sub := stalledSub(t, fastTier+1, fastTier+3)
 	if cap(sub.C) != fastTier+1 || sub.limit != 0 {
 		t.Fatalf("cap(C)=%d limit=%d, want %d and 0", cap(sub.C), sub.limit, fastTier+1)
 	}
-	if got := reg.Counter("illixr_topic_stalled_dropped_total").Value(); got != 2 {
-		t.Errorf("dropped_total = %d, want 2", got)
+	if got := queued(sub); got != fastTier+1 {
+		t.Errorf("queued = %d, want %d", got, fastTier+1)
 	}
 	if got := drain(t, sub, fastTier+1); got[0] != 2 || got[fastTier] != fastTier+2 {
 		t.Errorf("survivors span T=%g..%g, want 2..%d", got[0], got[fastTier], fastTier+2)
@@ -186,13 +180,9 @@ func TestFastTierPlusOneStaysAllChannel(t *testing.T) {
 // cross from channel to ring to pump and back many times.
 func TestConsumerRacesPublisherAcrossFastTier(t *testing.T) {
 	const published = 100_000
-	sb := NewSwitchboard()
-	reg := telemetry.NewRegistry()
-	sb.SetMetrics(reg)
-	top := sb.GetTopic("race")
+	top := NewSwitchboard().GetTopic("race")
 	sub := top.Subscribe(4 * fastTier)
 	defer sub.Cancel()
-	dropped := reg.Counter("illixr_topic_race_dropped_total")
 
 	done := make(chan struct{})
 	go func() {
@@ -227,21 +217,19 @@ func TestConsumerRacesPublisherAcrossFastTier(t *testing.T) {
 			t.Fatalf("publisher still running; received %d", received)
 		}
 	}
-	for received+dropped.Value() < published {
+	// the newest event is never the one displaced, so it arrives last
+	for last < published {
 		select {
 		case ev := <-sub.C:
 			recv(ev)
 		case <-timeout:
-			t.Fatalf("received %d + displaced %d != published %d", received, dropped.Value(), published)
+			t.Fatalf("received %d, the last at T=%g; the newest (%d) never arrived", received, last, published)
 		}
 	}
-	t.Logf("received %d, displaced %d", received, dropped.Value())
-	if last != published {
-		t.Errorf("last event T=%g, want the newest (%d)", last, published)
-	}
+	t.Logf("received %d, displaced %d", received, published-received)
 	sub.pumps.Wait()
-	if n := len(sub.C); n != 0 {
-		t.Errorf("%d events left over: received %d + displaced %d + left > published", n, received, dropped.Value())
+	if n := queued(sub); n != 0 {
+		t.Errorf("%d events left over after the newest", n)
 	}
 }
 

@@ -3,8 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // Context is handed to every plugin at start: the switchboard for event
@@ -15,9 +13,9 @@ type Context struct {
 }
 
 // Plugin is a dynamically loadable ILLIXR component. In the original,
-// plugins are shared objects; here they are Go values registered under a
-// role, interchangeable as long as they speak the same event streams
-// (§II-B).
+// plugins are shared objects; here they are Go values the caller
+// constructs, interchangeable as long as they speak the same event
+// streams (§II-B).
 type Plugin interface {
 	// Name is the unique plugin instance name, e.g. "vio.openvins".
 	Name() string
@@ -26,66 +24,6 @@ type Plugin interface {
 	Start(ctx *Context) error
 	// Stop tears the plugin down.
 	Stop() error
-}
-
-// Factory constructs a plugin instance.
-type Factory func() Plugin
-
-// Registry maps roles (e.g. "slow_pose") to alternative plugin
-// implementations, the analogue of ILLIXR's plugin loader: configs select
-// one implementation per role.
-type Registry struct {
-	mu    sync.Mutex
-	roles map[string]map[string]Factory
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{roles: map[string]map[string]Factory{}}
-}
-
-// Register adds an implementation under a role. Duplicate names within a
-// role are an error.
-func (r *Registry) Register(role, name string, f Factory) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	impls, ok := r.roles[role]
-	if !ok {
-		impls = map[string]Factory{}
-		r.roles[role] = impls
-	}
-	if _, exists := impls[name]; exists {
-		return fmt.Errorf("runtime: %s/%s already registered", role, name)
-	}
-	impls[name] = f
-	return nil
-}
-
-// Create instantiates the named implementation of a role.
-func (r *Registry) Create(role, name string) (Plugin, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	impls, ok := r.roles[role]
-	if !ok {
-		return nil, fmt.Errorf("runtime: unknown role %q", role)
-	}
-	f, ok := impls[name]
-	if !ok {
-		return nil, fmt.Errorf("runtime: role %q has no implementation %q", role, name)
-	}
-	return f(), nil
-}
-
-// Roles lists all roles, sorted.
-func (r *Registry) Roles() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for role := range r.roles {
-		out = append(out, role)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Loader owns a set of started plugins, stopping them in reverse order.

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -142,34 +141,6 @@ func (f *fakePlugin) Stop() error {
 	return nil
 }
 
-func TestRegistryRolesAndAlternatives(t *testing.T) {
-	r := NewRegistry()
-	mk := func(n string) Factory { return func() Plugin { return &fakePlugin{name: n} } }
-	if err := r.Register("slow_pose", "openvins", mk("vio.openvins")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("slow_pose", "fast", mk("vio.fast")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("slow_pose", "openvins", mk("dup")); err == nil {
-		t.Error("duplicate implementation accepted")
-	}
-	impls := r.Implementations("slow_pose")
-	if len(impls) != 2 || impls[0] != "fast" {
-		t.Errorf("impls = %v", impls)
-	}
-	p, err := r.Create("slow_pose", "fast")
-	if err != nil || p.Name() != "vio.fast" {
-		t.Errorf("create = %v %v", p, err)
-	}
-	if _, err := r.Create("nope", "x"); err == nil {
-		t.Error("unknown role accepted")
-	}
-	if _, err := r.Create("slow_pose", "nope"); err == nil {
-		t.Error("unknown impl accepted")
-	}
-}
-
 func TestLoaderLifecycle(t *testing.T) {
 	var order []string
 	l := NewLoader()
@@ -197,17 +168,4 @@ func TestLoaderSharedContext(t *testing.T) {
 	if l.Context().Switchboard == nil || l.Context().Phonebook == nil {
 		t.Fatal("empty context")
 	}
-}
-
-// Implementations lists the registered implementation names for a role,
-// sorted.
-func (r *Registry) Implementations(role string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for name := range r.roles[role] {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,9 +1,9 @@
 // Package runtime implements ILLIXR's modular runtime and communication
 // framework (§II-B): typed event streams ("topics") supporting writes,
 // asynchronous reads (latest value) and synchronous reads (every value),
-// a plugin registry with interchangeable implementations per role, and a
-// live goroutine-based scheduler for running the system in wall-clock
-// time. The deterministic virtual-time scheduler used for the paper's
+// a phonebook of shared services, and a loader that starts and stops
+// plugins — interchangeable when they speak the same topics — as
+// goroutines running in wall-clock time. The deterministic virtual-time scheduler used for the paper's
 // experiments lives in internal/simsched.
 package runtime
 
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"illixr/internal/telemetry"
 )
@@ -29,39 +28,17 @@ type Event struct {
 	Trace telemetry.SpanRef
 }
 
-// topicMetrics holds a topic's pre-resolved instruments so the publish
-// hot path is a few atomic ops; nil when no collector is installed.
-type topicMetrics struct {
-	published *telemetry.Counter   // events published
-	dropped   *telemetry.Counter   // events displaced by backpressure
-	depth     *telemetry.Gauge     // max subscriber queue depth after publish
-	deliverNs *telemetry.Histogram // wall time of the fan-out, nanoseconds
-}
-
-func newTopicMetrics(reg *telemetry.Registry, topic string) *topicMetrics {
-	comp := "topic_" + topic
-	return &topicMetrics{
-		published: reg.Counter(telemetry.MetricName(comp, "published_total")),
-		dropped:   reg.Counter(telemetry.MetricName(comp, "dropped_total")),
-		depth:     reg.Gauge(telemetry.MetricName(comp, "queue_depth")),
-		deliverNs: reg.Histogram(telemetry.MetricName(comp, "publish_ns")),
-	}
-}
-
 // Topic is one event stream. Writers publish; asynchronous readers poll
 // the latest value; synchronous readers receive every event in order.
 type Topic struct {
-	name string
-
 	mu     sync.Mutex
 	latest Event
 	hasAny bool
 	seq    uint64
 	// subs is an immutable snapshot: Subscribe/Cancel replace the slice
 	// wholesale, so Publish can fan out over it outside the lock without
-	// copying — keeping the uninstrumented publish path allocation-free.
+	// copying — keeping the publish path allocation-free.
 	subs []*Subscription
-	m    *topicMetrics
 }
 
 // fastTier is the most channel slots a subscription allocates up front.
@@ -150,32 +127,30 @@ func (s *Subscription) Drained() bool {
 }
 
 // deliver sends one event with latest-wins backpressure, skipping the
-// send entirely if the subscription has been cancelled. Reports whether
-// an older event was displaced to make room, and the queue depth after.
-func (s *Subscription) deliver(ev Event) (displaced bool, depth int) {
+// send entirely if the subscription has been cancelled.
+func (s *Subscription) deliver(ev Event) {
 	s.life.Lock()
 	defer s.life.Unlock()
 	if s.closed {
-		return false, 0
+		return
 	}
 	if s.n == 0 {
 		select {
 		case s.C <- ev:
-			return false, len(s.C)
+			return
 		default:
 		}
 		if s.limit == 0 {
 			// drop one, retry once
 			select {
 			case <-s.C:
-				displaced = true
 			default:
 			}
 			select {
 			case s.C <- ev:
 			default:
 			}
-			return displaced, len(s.C)
+			return
 		}
 		// first overflow of an episode: queue the event and start the pump
 		// (it cannot look at the ring before deliver releases life)
@@ -196,10 +171,8 @@ func (s *Subscription) deliver(ev Event) (displaced bool, depth int) {
 		s.ring[next], s.ring[s.head] = s.ring[s.head], Event{}
 		s.head = next
 		s.n--
-		displaced = true
 	}
 	s.push(ev)
-	return displaced, len(s.C) + s.n
 }
 
 // push appends ev to the ring, doubling it (up to limit) when full.
@@ -254,35 +227,16 @@ func (s *Subscription) pump() {
 // Publish writes an event to the topic. A synchronous subscriber already
 // holding its full depth drops an old event to take the new one
 // (latest-wins backpressure, matching an XR runtime where stale sensor
-// data is worthless). With no metrics
-// collector installed the publish path performs no allocations.
+// data is worthless). Publish performs no allocations.
 func (t *Topic) Publish(ev Event) {
 	t.mu.Lock()
 	t.latest = ev
 	t.hasAny = true
 	t.seq++
 	subs := t.subs
-	m := t.m
 	t.mu.Unlock()
-	var begin time.Time
-	if m != nil {
-		begin = time.Now()
-	}
-	displaced, maxDepth := 0, 0
 	for _, s := range subs {
-		dropped, depth := s.deliver(ev)
-		if dropped {
-			displaced++
-		}
-		if depth > maxDepth {
-			maxDepth = depth
-		}
-	}
-	if m != nil {
-		m.deliverNs.Observe(float64(time.Since(begin).Nanoseconds()))
-		m.published.Inc()
-		m.dropped.Add(displaced)
-		m.depth.Set(float64(maxDepth))
+		s.deliver(ev)
 	}
 }
 
@@ -326,33 +280,13 @@ func (t *Topic) Subscribe(buffer int) *Subscription {
 
 // Switchboard is the topic directory.
 type Switchboard struct {
-	mu      sync.Mutex
-	topics  map[string]*Topic
-	metrics *telemetry.Registry
+	mu     sync.Mutex
+	topics map[string]*Topic
 }
 
 // NewSwitchboard creates an empty switchboard.
 func NewSwitchboard() *Switchboard {
 	return &Switchboard{topics: map[string]*Topic{}}
-}
-
-// SetMetrics installs a metrics collector: every topic (existing and
-// future) gets publish/drop counters, a queue-depth gauge, and a publish
-// fan-out latency histogram under illixr_topic_<name>_*. A nil registry
-// uninstalls instrumentation.
-func (sb *Switchboard) SetMetrics(reg *telemetry.Registry) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.metrics = reg
-	for name, t := range sb.topics {
-		var m *topicMetrics
-		if reg != nil {
-			m = newTopicMetrics(reg, name)
-		}
-		t.mu.Lock()
-		t.m = m
-		t.mu.Unlock()
-	}
 }
 
 // GetTopic returns the named topic, creating it on first use.
@@ -361,10 +295,7 @@ func (sb *Switchboard) GetTopic(name string) *Topic {
 	defer sb.mu.Unlock()
 	t, ok := sb.topics[name]
 	if !ok {
-		t = &Topic{name: name}
-		if sb.metrics != nil {
-			t.m = newTopicMetrics(sb.metrics, name)
-		}
+		t = &Topic{}
 		sb.topics[name] = t
 	}
 	return t

@@ -2,8 +2,10 @@ package vio
 
 import (
 	"math"
+	"sort"
 
 	"illixr/internal/integrator"
+	"illixr/internal/mathx"
 	"illixr/internal/sensors"
 )
 
@@ -74,4 +76,19 @@ func (r *Runner) ATE(ds *sensors.Dataset) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(r.Estimates)))
+}
+
+// Reanchor returns the fast pose at time t propagated from estimate e:
+// an RK4 integrator starts from e's state and is fed the samples of the
+// time-ordered IMU stream in (e.T, t], the way ILLIXR's integrator
+// re-anchors on each new VIO estimate (§II-A).
+func Reanchor(e Estimate, imu []sensors.IMUSample, t float64) mathx.Pose {
+	in := integrator.New(integrator.State{
+		T: e.T, Pos: e.Pose.Pos, Vel: e.Vel, Rot: e.Pose.Rot, BiasG: e.BiasG, BiasA: e.BiasA,
+	})
+	j := sort.Search(len(imu), func(j int) bool { return imu[j].T > e.T })
+	for ; j < len(imu) && imu[j].T <= t; j++ {
+		in.Feed(imu[j])
+	}
+	return in.FastPose()
 }

@@ -121,6 +121,10 @@ quiet env GOMAXPROCS=8 go test -run Determinism -count=2 ./internal/...
 # computed on tiles with every random draw in one serial pass
 quiet env GOMAXPROCS=2 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio
 quiet env GOMAXPROCS=8 go test -run 'TestDatasetGolden|TestSourcePCMGolden' ./internal/sensors ./internal/audio
+# and every example prints the same bytes however its goroutines are
+# scheduled: a line that varies fails under its example's golden test
+quiet env GOMAXPROCS=2 go test -count=2 ./examples/...
+quiet env GOMAXPROCS=8 go test -count=2 ./examples/...
 
 stage "fuzz smokes (5s each)"
 # Summarize first: its Min <= Mean <= Max invariant once failed one smoke
