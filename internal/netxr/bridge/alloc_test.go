@@ -10,6 +10,7 @@ import (
 	"illixr/internal/core"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
+	xruntime "illixr/internal/runtime"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
 	"illixr/internal/testutil"
@@ -222,5 +223,71 @@ func TestMalformedCameraEndsNonVIOSession(t *testing.T) {
 	waitCond(t, func() bool { return len(pipe.Dumps("")[0].Spans) > 0 })
 	if d := pipe.Dumps(""); len(d[0].Spans) != 2 || d[0].Spans[0].Name != compNetUp || d[0].Spans[1].Name != compNetUp {
 		t.Fatalf("replica spans %+v, want one net_uplink per good camera frame", d[0].Spans)
+	}
+}
+
+// clientRuntimeAllocBudget is the heap allocations a session's client
+// runtime may make, on a client already dialed: the loader, the tracer's
+// registration, the IMU, camera and fast-pose topics, the pose
+// subscription, the downlink and uplink started and the loader shut
+// down: 12.1 measured, + 10 % (29.1 before the loader held its topics,
+// services and plugin list inline, a first subscriber took no snapshot
+// slice and the client embedded its two plugins). What is left is the
+// loader, three subscriptions of three objects each (the subscription,
+// its channel and the channel's buffer) and the two plugins' goroutines.
+const clientRuntimeAllocBudget = 14
+
+// The client's share of a session lifecycle, on its own, so a regression
+// in the node-level budget (TestSessionLifecycleAllocBudget) names its
+// layer. Skipped under -race, which allocates on its own account.
+func TestClientRuntimeAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counting is skipped under -race")
+	}
+	const warmup, measured = 20, 200
+	tracer := telemetry.NewSpanCollector(0)
+	legs := make([]*leg, warmup+measured)
+	clients := make([]*Client, len(legs))
+	for i := range legs {
+		legs[i] = newLeg(t, 0, 0)
+		cl, err := DialWith(legs[i].conn, wire.Hello{App: "alloc", IMURateHz: 500}, DialOptions{Tracer: tracer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = cl
+	}
+	run := func(i int) {
+		loader := xruntime.NewLoader()
+		ctx := loader.Context()
+		if err := ctx.Phonebook.Register(telemetry.TracerService, tracer); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Switchboard.GetTopic(xruntime.TopicIMU)
+		ctx.Switchboard.GetTopic(xruntime.TopicCamera)
+		poses := ctx.Switchboard.GetTopic(xruntime.TopicFastPose).Subscribe(8192)
+		for _, p := range []xruntime.Plugin{clients[i].Downlink(), clients[i].Uplink()} {
+			if err := loader.Load(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		poses.Cancel()
+		if err := loader.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		<-legs[i].peer.done // the peer has seen the conn close
+	}
+	for i := 0; i < warmup; i++ {
+		run(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warmup; i < len(legs); i++ {
+		run(i)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("%.1f allocs, %.2f KB per client runtime", perRun, float64(after.TotalAlloc-before.TotalAlloc)/measured/1024)
+	if perRun > clientRuntimeAllocBudget {
+		t.Fatalf("%.1f allocs per client runtime, budget %d", perRun, clientRuntimeAllocBudget)
 	}
 }

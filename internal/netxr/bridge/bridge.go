@@ -16,9 +16,11 @@ package bridge
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"illixr/internal/core"
@@ -275,13 +277,21 @@ type Client struct {
 	wmu sync.Mutex
 	w   *wire.Writer // nil once Close or the downlink's Stop has released it
 
-	mu       sync.Mutex
-	err      error
-	closed   bool
-	bye      wire.Bye
-	recvSeq  uint64
-	pongs    map[uint64]chan wire.Ping // made by the first Ping
-	lastPose atomic64
+	mu     sync.Mutex
+	err    error
+	closed bool
+	bye    wire.Bye
+	pongs  map[uint64]chan wire.Ping // made by the first Ping
+
+	// written by the downlink reader alone, read by anyone
+	recvSeq   atomic.Uint64
+	lastPoseT atomic.Uint64 // math.Float64bits of the latest pose's T
+	havePose  atomic.Bool   // set after lastPoseT's first store
+
+	// the client's one uplink and one downlink, embedded so they cost no
+	// allocation of their own
+	up   uplinkPlugin
+	down downlinkPlugin
 }
 
 // refusedError is returned by DialWith when the server answers the Hello
@@ -300,21 +310,6 @@ func (e *refusedError) Error() string {
 
 // Retryable reports whether the server invited the client back.
 func (e *refusedError) Retryable() bool { return e.Bye.Retryable() }
-
-// atomic64 stores a float64 bit pattern without pulling sync/atomic into
-// the struct literal noise.
-type atomic64 struct {
-	mu sync.Mutex
-	v  float64
-	ok bool
-}
-
-func (a *atomic64) set(v float64) { a.mu.Lock(); a.v, a.ok = v, true; a.mu.Unlock() }
-func (a *atomic64) get() (float64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v, a.ok
-}
 
 // DialOptions collects the optional collaborators a dialed client can
 // carry; the zero value is a plain untraced, untracked client.
@@ -344,6 +339,7 @@ func DialWith(conn net.Conn, hello wire.Hello, opts DialOptions) (*Client, error
 		capture: opts.Capture,
 		window:  opts.Window,
 	}
+	c.up.c, c.down.c = c, c
 	cap := opts.Capture
 	hbuf := wire.AppendHello(recycle.Bytes.Get(128)[:0], hello)
 	err := c.write(wire.Frame{Type: wire.TypeHello, Payload: hbuf})
@@ -396,11 +392,7 @@ func (c *Client) Welcome() wire.Welcome { return c.welcome }
 
 // lastRecvSeq returns the number of downlink frames this client has seen —
 // the LastSeq a resume Hello should carry.
-func (c *Client) lastRecvSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recvSeq
-}
+func (c *Client) lastRecvSeq() uint64 { return c.recvSeq.Load() }
 
 // queue encodes f onto the client's shared writer (the uplink forwarder,
 // pings, QoE and retransmission all go through wmu) and puts the whole
@@ -538,180 +530,204 @@ func (c *Client) Ping(seq uint64, t float64, timeout time.Duration) (wire.Ping, 
 }
 
 // LastPoseT returns the session time of the latest downlinked pose.
-func (c *Client) LastPoseT() (float64, bool) { return c.lastPose.get() }
+func (c *Client) LastPoseT() (float64, bool) {
+	if !c.havePose.Load() {
+		return 0, false
+	}
+	return math.Float64frombits(c.lastPoseT.Load()), true
+}
 
-// Uplink returns the plugin that forwards local IMU and camera events to
-// the server, trace refs included. Send failures latch into Err and stop
-// the forwarders (the owner decides whether to redial).
-func (c *Client) Uplink() runtime.Plugin { return &uplinkPlugin{c: c} }
+// errStarted is what a plugin's second Start gets: a client has one
+// uplink and one downlink, and each runs once.
+var errStarted = errors.New("bridge: plugin already started")
 
-// Downlink returns the plugin that publishes server poses onto the local
-// fast-pose topic (and reprojected frames onto the warped topic).
-func (c *Client) Downlink() runtime.Plugin { return &downlinkPlugin{c: c} }
+// Uplink returns the client's plugin that forwards local IMU and camera
+// events to the server, trace refs included. Send failures latch into Err
+// and stop the forwarder (the owner decides whether to redial). It can be
+// started once: a second uplink would put every sample on the wire twice.
+func (c *Client) Uplink() runtime.Plugin { return &c.up }
+
+// Downlink returns the client's plugin that publishes server poses onto
+// the local fast-pose topic (and reprojected frames onto the warped
+// topic). It can be started once: it owns the connection's reader.
+func (c *Client) Downlink() runtime.Plugin { return &c.down }
 
 type uplinkPlugin struct {
 	c       *Client
+	started atomic.Bool
 	imuSub  *runtime.Subscription
 	camSub  *runtime.Subscription
-	done    chan struct{}
+	wg      sync.WaitGroup   // the forwarder
 	scratch [imuScratch]byte // the encode buffer's first backing array
 }
 
 // Name implements runtime.Plugin.
 func (p *uplinkPlugin) Name() string { return "netxr.uplink" }
 
-// Start implements runtime.Plugin. One forwarder drains both
-// subscriptions into the client's writer and flushes on exhaustion:
-// while either channel holds another event the frame is only queued, and
-// the moment both are empty the batch goes out in one write — a lone
-// sample is on the wire immediately, a burst costs one syscall per
-// wire.FlushWindow frames, and nothing waits on a timer. Once the
-// forwarder is more than a subscription fast tier (64 events) behind,
-// the rest of the backlog reaches the channel through a pump goroutine
-// (DESIGN.md §4), and the channel can run empty with events still
-// queued; Drained tells that pause from the end of the burst, so a
-// deep backlog still goes out one whole window per write.
+// Start implements runtime.Plugin: it subscribes to the IMU and camera
+// topics and starts the forwarder.
 func (p *uplinkPlugin) Start(ctx *runtime.Context) error {
+	if !p.started.CompareAndSwap(false, true) {
+		return errStarted
+	}
 	p.imuSub = ctx.Switchboard.GetTopic(runtime.TopicIMU).Subscribe(8192)
 	p.camSub = ctx.Switchboard.GetTopic(runtime.TopicCamera).Subscribe(256)
-	p.done = make(chan struct{})
-	go func() {
-		defer close(p.done)
-		buf := p.scratch[:0]
-		imuC, camC := p.imuSub.C, p.camSub.C
-		for imuC != nil || camC != nil {
-			var f wire.Frame
-			select {
-			case ev, open := <-imuC:
-				if !open {
-					imuC = nil
-					continue
-				}
-				if s, ok := ev.Value.(sensors.IMUSample); ok {
-					buf = wire.AppendIMU(buf[:0], s)
-					f = wire.Frame{Type: wire.TypeIMU, Trace: ev.Trace, Payload: buf}
-				}
-			case ev, open := <-camC:
-				if !open {
-					camC = nil
-					continue
-				}
-				if cf, ok := ev.Value.(sensors.CameraFrame); ok {
-					buf = wire.AppendCamera(buf[:0], cf)
-					f = wire.Frame{Type: wire.TypeCamera, Trace: ev.Trace, Payload: buf}
-				}
+	p.wg.Add(1)
+	go p.forward()
+	return nil
+}
+
+// forward drains both subscriptions into the client's writer and flushes
+// on exhaustion: while either channel holds another event the frame is
+// only queued, and the moment both are empty the batch goes out in one
+// write — a lone sample is on the wire immediately, a burst costs one
+// syscall per wire.FlushWindow frames, and nothing waits on a timer.
+// Once the forwarder is more than a subscription fast tier (64 events)
+// behind, the rest of the backlog reaches the channel through a pump
+// goroutine (DESIGN.md §4), and the channel can run empty with events
+// still queued; Drained tells that pause from the end of the burst, so a
+// deep backlog still goes out one whole window per write.
+func (p *uplinkPlugin) forward() {
+	defer p.wg.Done()
+	buf := p.scratch[:0]
+	imuC, camC := p.imuSub.C, p.camSub.C
+	for imuC != nil || camC != nil {
+		var f wire.Frame
+		select {
+		case ev, open := <-imuC:
+			if !open {
+				imuC = nil
+				continue
 			}
-			// this goroutine is the only consumer, so a non-empty channel
-			// means the next receive cannot block; an empty one may only
-			// be waiting for the pump to refill it
-			exhausted := len(imuC) == 0 && len(camC) == 0 &&
-				p.imuSub.Drained() && p.camSub.Drained()
-			var err error
-			if f.Type != wire.TypeInvalid {
-				err = p.c.queue(f, true, exhausted)
-			} else if exhausted {
-				err = p.c.flush() // a foreign event ended the burst
+			if s, ok := ev.Value.(sensors.IMUSample); ok {
+				buf = wire.AppendIMU(buf[:0], s)
+				f = wire.Frame{Type: wire.TypeIMU, Trace: ev.Trace, Payload: buf}
 			}
-			if err != nil {
-				p.c.fail(fmt.Errorf("uplink %v: %w", f.Type, err))
-				return
+		case ev, open := <-camC:
+			if !open {
+				camC = nil
+				continue
+			}
+			if cf, ok := ev.Value.(sensors.CameraFrame); ok {
+				buf = wire.AppendCamera(buf[:0], cf)
+				f = wire.Frame{Type: wire.TypeCamera, Trace: ev.Trace, Payload: buf}
 			}
 		}
-	}()
-	return nil
+		// this goroutine is the only consumer, so a non-empty channel
+		// means the next receive cannot block; an empty one may only
+		// be waiting for the pump to refill it
+		exhausted := len(imuC) == 0 && len(camC) == 0 &&
+			p.imuSub.Drained() && p.camSub.Drained()
+		var err error
+		if f.Type != wire.TypeInvalid {
+			err = p.c.queue(f, true, exhausted)
+		} else if exhausted {
+			err = p.c.flush() // a foreign event ended the burst
+		}
+		if err != nil {
+			p.c.fail(fmt.Errorf("uplink %v: %w", f.Type, err))
+			return
+		}
+	}
 }
 
 // Stop implements runtime.Plugin.
 func (p *uplinkPlugin) Stop() error {
 	p.imuSub.Cancel()
 	p.camSub.Cancel()
-	<-p.done
+	p.wg.Wait()
 	return nil
 }
 
 type downlinkPlugin struct {
-	c    *Client
-	done chan struct{}
+	c       *Client
+	started atomic.Bool
+	fast    *runtime.Topic
+	warped  *runtime.Topic
+	wg      sync.WaitGroup // the reader
 }
 
 // Name implements runtime.Plugin.
 func (p *downlinkPlugin) Name() string { return "netxr.downlink" }
 
-// Start implements runtime.Plugin.
+// Start implements runtime.Plugin: it starts the connection's reader.
 func (p *downlinkPlugin) Start(ctx *runtime.Context) error {
-	p.done = make(chan struct{})
-	fastTopic := ctx.Switchboard.GetTopic(runtime.TopicFastPose)
-	var warpTopic *runtime.Topic // resolved by the first reprojected frame
+	if !p.started.CompareAndSwap(false, true) {
+		return errStarted
+	}
+	p.fast = ctx.Switchboard.GetTopic(runtime.TopicFastPose)
+	p.warped = ctx.Switchboard.GetTopic(runtime.TopicWarped)
+	p.wg.Add(1)
+	go p.read()
+	return nil
+}
+
+// read publishes what the server sends until the connection ends or a
+// Bye arrives.
+func (p *downlinkPlugin) read() {
+	defer p.wg.Done()
 	c := p.c
-	go func() {
-		defer close(p.done)
-		// the reader is this goroutine's alone from here on: a Client's
-		// downlink runs once, and its exit is the reader's last use
-		defer c.r.Release()
-		for {
-			f, err := c.r.ReadFrame()
-			if err != nil {
-				if !c.isClosed() {
-					c.fail(fmt.Errorf("downlink: %w", err))
-				}
+	// the reader is this goroutine's alone from here on: a Client's
+	// downlink runs once, and its exit is the reader's last use
+	defer c.r.Release()
+	for {
+		f, err := c.r.ReadFrame()
+		if err != nil {
+			if !c.isClosed() {
+				c.fail(fmt.Errorf("downlink: %w", err))
+			}
+			return
+		}
+		c.recvSeq.Add(1)
+		if c.capture != nil {
+			_ = c.capture.Record(binlog.DirDown, f)
+		}
+		switch f.Type {
+		case wire.TypePose:
+			pm, derr := wire.DecodePose(f.Payload)
+			if derr != nil {
+				c.fail(fmt.Errorf("downlink pose: %w", derr))
 				return
+			}
+			// bridge the server's lineage into the local collector: the
+			// parent span id lives in the server's id range, disjoint by
+			// construction.
+			ref := c.tracer.Emit(compNetDown, f.Trace.Trace, pm.T, pm.T, f.Trace.Span)
+			if !ref.Valid() {
+				ref = f.Trace
+			}
+			c.lastPoseT.Store(math.Float64bits(pm.T))
+			c.havePose.Store(true)
+			p.fast.Publish(runtime.Event{T: pm.T, Value: pm.Pose, Trace: ref})
+		case wire.TypeFrame:
+			rf, derr := wire.DecodeReprojFrame(f.Payload)
+			if derr != nil {
+				c.fail(fmt.Errorf("downlink frame: %w", derr))
+				return
+			}
+			p.warped.Publish(runtime.Event{T: rf.T, Value: rf, Trace: f.Trace})
+		case wire.TypePong:
+			pg, derr := wire.DecodePing(f.Payload)
+			if derr != nil {
+				continue
 			}
 			c.mu.Lock()
-			c.recvSeq++
+			ch := c.pongs[pg.Seq]
 			c.mu.Unlock()
-			if c.capture != nil {
-				_ = c.capture.Record(binlog.DirDown, f)
+			if ch != nil {
+				select {
+				case ch <- pg:
+				default:
+				}
 			}
-			switch f.Type {
-			case wire.TypePose:
-				pm, derr := wire.DecodePose(f.Payload)
-				if derr != nil {
-					c.fail(fmt.Errorf("downlink pose: %w", derr))
-					return
-				}
-				// bridge the server's lineage into the local collector: the
-				// parent span id lives in the server's id range, disjoint by
-				// construction.
-				ref := c.tracer.Emit(compNetDown, f.Trace.Trace, pm.T, pm.T, f.Trace.Span)
-				if !ref.Valid() {
-					ref = f.Trace
-				}
-				c.lastPose.set(pm.T)
-				fastTopic.Publish(runtime.Event{T: pm.T, Value: pm.Pose, Trace: ref})
-			case wire.TypeFrame:
-				rf, derr := wire.DecodeReprojFrame(f.Payload)
-				if derr != nil {
-					c.fail(fmt.Errorf("downlink frame: %w", derr))
-					return
-				}
-				if warpTopic == nil {
-					warpTopic = ctx.Switchboard.GetTopic(runtime.TopicWarped)
-				}
-				warpTopic.Publish(runtime.Event{T: rf.T, Value: rf, Trace: f.Trace})
-			case wire.TypePong:
-				pg, derr := wire.DecodePing(f.Payload)
-				if derr != nil {
-					continue
-				}
-				c.mu.Lock()
-				ch := c.pongs[pg.Seq]
-				c.mu.Unlock()
-				if ch != nil {
-					select {
-					case ch <- pg:
-					default:
-					}
-				}
-			case wire.TypeBye:
-				b, _ := wire.DecodeBye(f.Payload)
-				c.mu.Lock()
-				c.bye = b
-				c.mu.Unlock()
-				return
-			}
+		case wire.TypeBye:
+			b, _ := wire.DecodeBye(f.Payload)
+			c.mu.Lock()
+			c.bye = b
+			c.mu.Unlock()
+			return
 		}
-	}()
-	return nil
+	}
 }
 
 // Stop implements runtime.Plugin.
@@ -719,14 +735,19 @@ func (p *downlinkPlugin) Stop() error {
 	// flag first: the reader treats an error as a failure unless closed is
 	// already set when the conn's close wakes it
 	p.c.mu.Lock()
+	closing := p.c.closed
 	p.c.closed = true
 	p.c.mu.Unlock()
-	_ = p.c.conn.Close()
-	// the conn is gone, so nothing can be written any more
-	p.c.wmu.Lock()
-	p.c.endWritesLocked()
-	p.c.wmu.Unlock()
-	<-p.done
+	// after Close, which ends writes and closes the conn itself, a second
+	// close would only build an error to throw away
+	if !closing {
+		_ = p.c.conn.Close()
+		// the conn is gone, so nothing can be written any more
+		p.c.wmu.Lock()
+		p.c.endWritesLocked()
+		p.c.wmu.Unlock()
+	}
+	p.wg.Wait()
 	return nil
 }
 

@@ -321,3 +321,55 @@ func settledGoroutines() int {
 	}
 	return n
 }
+
+// A client has one uplink and one downlink, each started once: loading
+// either a second time fails, in its own loader or another, and the
+// replica integrates every published sample exactly once.
+func TestPluginStartsOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rig := startRig(t, &Pipeline{Metrics: reg}, 1)
+	other := runtime.NewLoader()
+	for _, l := range []*runtime.Loader{rig.loader, other} {
+		for _, p := range []runtime.Plugin{rig.client.Uplink(), rig.client.Downlink()} {
+			if err := l.Load(p); err == nil {
+				t.Fatalf("%s started twice", p.Name())
+			}
+		}
+	}
+	if err := other.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	rig.pumpAndAwaitPose(t, 0.5)
+	published := rig.loader.Context().Switchboard.GetTopic(runtime.TopicIMU).Seq()
+	samples := reg.Counter(telemetry.MetricName(core.CompIntegrator, "samples_total"))
+	for deadline := time.Now().Add(5 * time.Second); samples.Value() < published; {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica integrated %d of %d samples", samples.Value(), published)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// a round trip behind the last sample lets a duplicate land first
+	if _, err := rig.client.Ping(1, 0.5, 2*time.Second); err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	if got := samples.Value(); got != published {
+		t.Fatalf("replica integrated %d samples for %d published", got, published)
+	}
+}
+
+// LastPoseT reports no pose until the downlink has published one, then
+// the T of the latest.
+func TestLastPoseT(t *testing.T) {
+	rig := startRig(t, &Pipeline{Metrics: telemetry.NewRegistry()}, 1)
+	if got, ok := rig.client.LastPoseT(); ok {
+		t.Fatalf("LastPoseT = %v before any pose", got)
+	}
+	rig.pumpAndAwaitPose(t, 0.5)
+	// the reader stores T before it publishes the pose, so LastPoseT,
+	// read second, is at least the topic's latest
+	latest, _ := rig.loader.Context().Switchboard.GetTopic(runtime.TopicFastPose).Latest()
+	if got, ok := rig.client.LastPoseT(); !ok || got < latest.T {
+		t.Fatalf("LastPoseT = %v, %v; the fast-pose topic's latest T is %v", got, ok, latest.T)
+	}
+}

@@ -81,6 +81,7 @@ func TestVIOSessionMatchesVIOPlugin(t *testing.T) {
 	}()
 	frames := reg.Counter(telemetry.MetricName(core.CompVIO, "frames_total"))
 	next := 0
+	var prev vio.Estimate
 	for i, f := range ds.Frames {
 		for ; next < len(ds.IMU) && ds.IMU[next].T <= f.T; next++ {
 			w.Queue(wire.Frame{Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, ds.IMU[next])})
@@ -89,10 +90,14 @@ func TestVIOSessionMatchesVIOPlugin(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		waitCond(t, func() bool { return frames.Value() == uint64(i+1) })
-		if got := pipe.stateOf(sess.ID()).vio.estimate(); got != want[i] {
+		// VIOTracker.Frame counts the frame before the session stores its
+		// estimate, so wait for the estimate to change too
+		st := pipe.stateOf(sess.ID()).vio
+		waitCond(t, func() bool { return frames.Value() == uint64(i+1) && st.estimate() != prev })
+		if got := st.estimate(); got != want[i] {
 			t.Fatalf("estimate %d (t=%.3f) differs from VIOPlugin's:\n got %+v\nwant %+v", i, f.T, got, want[i])
 		}
+		prev = want[i]
 	}
 }
 

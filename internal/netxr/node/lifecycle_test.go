@@ -140,19 +140,22 @@ func (r *lifecycleRig) run(n, from int) error {
 }
 
 // lifecycleAllocBudget is the heap allocations one lifecycle may make,
-// client, gateway and replica together: 88.5 measured once a span
-// collector's first parent slab block holds 64 IDs, not 16 (91.7
-// before), + 10 %. Presized encode buffers, per-session state embedded
+// client, gateway and replica together: 70.8 measured once the client
+// runtime is one loader allocation plus its subscriptions and
+// goroutines (88.5 before), + 10 %. A span collector's first parent
+// slab block holding 64 IDs, not 16, had brought it from 91.7 to 88.5.
+// Presized encode buffers, per-session state embedded
 // in the session, the pipeline state and the relay, and the client
 // resolving the warped topic and its pong table on first use had
 // brought it from 112.0 to 92.0. The replica
 // integrating on the session reader had brought it from 157.9 to 112.0;
 // parking the replica leg had brought it to 173.1, pooled connection
 // buffers, the index-free span store and the one-allocation loader to
-// 200.9; the tree before them measured 297.3. The replica's and the
-// gateway's own shares have budgets of their own
-// (TestReplicaLifecycleAllocBudget, TestGatewayRelayAllocBudget).
-const lifecycleAllocBudget = 98
+// 200.9; the tree before them measured 297.3. The replica's, the
+// gateway's and the client runtime's own shares have budgets of their
+// own (TestReplicaLifecycleAllocBudget, TestGatewayRelayAllocBudget,
+// TestClientRuntimeAllocBudget).
+const lifecycleAllocBudget = 78
 
 // A session lifecycle allocates what it keeps (DESIGN.md §10.1): the
 // connection buffers come from the wire free lists, the span collectors

@@ -29,12 +29,14 @@ type Plugin interface {
 // Loader owns a set of started plugins, stopping them in reverse order.
 type Loader struct {
 	ctx     *Context
-	started []Plugin
+	started []Plugin // backed by inline until it outgrows it
+	inline  [2]Plugin
 }
 
 // NewLoader creates a loader over a fresh context. The loader, its
-// context, switchboard and phonebook are one allocation: an offload
-// client builds a runtime per session and drops it with the session.
+// context, switchboard and phonebook — with their inline topics,
+// services and plugin list — are one allocation: an offload client
+// builds a runtime per session and drops it with the session.
 func NewLoader() *Loader {
 	rt := &struct {
 		l  Loader
@@ -42,10 +44,9 @@ func NewLoader() *Loader {
 		sb Switchboard
 		pb Phonebook
 	}{}
-	rt.sb.topics = map[string]*Topic{}
-	rt.pb.services = map[string]any{}
 	rt.c = Context{Switchboard: &rt.sb, Phonebook: &rt.pb}
 	rt.l.ctx = &rt.c
+	rt.l.started = rt.l.inline[:0]
 	return &rt.l
 }
 
@@ -73,6 +74,7 @@ func (l *Loader) Shutdown() error {
 			errs = append(errs, fmt.Errorf("stopping %s: %w", l.started[i].Name(), err))
 		}
 	}
-	l.started = nil
+	clear(l.started)
+	l.started = l.started[:0]
 	return errors.Join(errs...)
 }

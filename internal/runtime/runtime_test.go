@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +35,31 @@ func TestTopicIdentity(t *testing.T) {
 	}
 	if len(sb.Topics()) != 2 {
 		t.Errorf("topics = %v", sb.Topics())
+	}
+}
+
+// Topics past the inline count are allocated on their own: every
+// *Topic handed out stays the one GetTopic returns for its name, and
+// Topics lists them in creation order.
+func TestTopicsPastInlineStayPut(t *testing.T) {
+	sb := NewSwitchboard()
+	var names []string
+	var tops []*Topic
+	for i := 0; i < inlineTopics+3; i++ {
+		names = append(names, fmt.Sprint("t", i))
+		tops = append(tops, sb.GetTopic(names[i]))
+		tops[i].Publish(Event{T: float64(i)})
+	}
+	for i, n := range names {
+		if sb.GetTopic(n) != tops[i] {
+			t.Fatalf("topic %q moved", n)
+		}
+		if ev, _ := tops[i].Latest(); ev.T != float64(i) {
+			t.Fatalf("topic %q latest T = %v, want %d", n, ev.T, i)
+		}
+	}
+	if got := sb.Topics(); !slices.Equal(got, names) {
+		t.Fatalf("topics = %v, want %v", got, names)
 	}
 }
 
@@ -101,7 +128,7 @@ func TestPublishConcurrency(t *testing.T) {
 }
 
 func TestPhonebook(t *testing.T) {
-	pb := &Phonebook{services: map[string]any{}}
+	pb := &Phonebook{}
 	if err := pb.Register("clock", 42); err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +138,20 @@ func TestPhonebook(t *testing.T) {
 	v, ok := pb.Lookup("clock")
 	if !ok || v != 42 {
 		t.Errorf("lookup = %v %v", v, ok)
+	}
+	// past the inline entries the list grows; every service stays found
+	for i, name := range []string{"a", "b", "c"} {
+		if err := pb.Register(name, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range []string{"clock", "a", "b", "c"} {
+		if v, ok := pb.Lookup(name); !ok || v != [...]int{42, 0, 1, 2}[i] {
+			t.Errorf("lookup %q = %v %v", name, v, ok)
+		}
+	}
+	if err := pb.Register("c", 9); err == nil {
+		t.Error("duplicate registration past the inline entries accepted")
 	}
 	if _, ok := pb.Lookup("nope"); ok {
 		t.Error("phantom service")

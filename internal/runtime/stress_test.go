@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSwitchboardPublishCancelStress hammers one topic with concurrent
@@ -135,3 +136,89 @@ func (p *stopFailPlugin) Stop() error {
 type errTest string
 
 func (e errTest) Error() string { return "stop failed: " + string(e) }
+
+// TestFirstSubscriberChurn subscribes, cancels and re-subscribes a
+// topic's only subscriber while publishers run, and now and then a
+// second one, whose Cancel hands the survivor its own one-element
+// snapshot back. Every live subscription sees each publisher's events in
+// strictly increasing order, and a cancelled one's channel closes.
+func TestFirstSubscriberChurn(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(8))
+	top := NewSwitchboard().GetTopic("churn")
+	const publishers, churns, depth = 3, 2000, 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				top.Publish(Event{T: float64(i), Value: p})
+			}
+		}(p)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	// inOrder checks ev against the last T seen from its publisher
+	inOrder := func(ev Event, last *[publishers]float64) {
+		t.Helper()
+		p := ev.Value.(int)
+		if ev.T <= last[p] {
+			t.Fatalf("publisher %d: T %v after %v", p, ev.T, last[p])
+		}
+		last[p] = ev.T
+	}
+	// read takes n events from a live subscription
+	read := func(s *Subscription, last *[publishers]float64, n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			select {
+			case ev, open := <-s.C:
+				if !open {
+					t.Fatal("live subscription closed")
+				}
+				inOrder(ev, last)
+			case <-time.After(5 * time.Second):
+				t.Fatal("live subscription receives nothing")
+			}
+		}
+	}
+	// cancel cancels s and drains it until its channel closes
+	cancel := func(s *Subscription, last *[publishers]float64) {
+		t.Helper()
+		s.Cancel()
+		timeout := time.After(5 * time.Second)
+		for {
+			select {
+			case ev, open := <-s.C:
+				if !open {
+					return
+				}
+				inOrder(ev, last)
+			case <-timeout:
+				t.Fatal("cancelled subscription's channel never closed")
+			}
+		}
+	}
+	for i := 0; i < churns; i++ {
+		var la, lb [publishers]float64
+		a := top.Subscribe(depth)
+		read(a, &la, 3)
+		if i%4 == 3 {
+			b := top.Subscribe(depth)
+			read(b, &lb, 2)
+			cancel(a, &la)
+			a, la = b, lb         // b is the only subscriber again
+			read(a, &la, 3*depth) // more than it held before a left
+		}
+		cancel(a, &la)
+	}
+}

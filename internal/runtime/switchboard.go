@@ -31,13 +31,15 @@ type Event struct {
 // Topic is one event stream. Writers publish; asynchronous readers poll
 // the latest value; synchronous readers receive every event in order.
 type Topic struct {
+	name   string
 	mu     sync.Mutex
 	latest Event
 	hasAny bool
 	seq    uint64
 	// subs is an immutable snapshot: Subscribe/Cancel replace the slice
 	// wholesale, so Publish can fan out over it outside the lock without
-	// copying — keeping the publish path allocation-free.
+	// copying — keeping the publish path allocation-free. A lone
+	// subscriber's snapshot is its own Subscription.self.
 	subs []*Subscription
 }
 
@@ -61,6 +63,11 @@ const fastTier = 64
 type Subscription struct {
 	C     chan Event
 	topic *Topic
+	// self is the topic's snapshot while this is its only live
+	// subscriber: a one-element array set before Subscribe hands s to
+	// the topic and never written again, so a Publish still ranging over
+	// it after Cancel reads what it always held.
+	self [1]*Subscription
 	// limit is how many events may queue in the ring behind a full C:
 	// buffer - cap(C), zero for every buffer that fits the fast tier.
 	limit int
@@ -87,12 +94,17 @@ type Subscription struct {
 // before C closes, so nothing ever sends on the closed channel.
 func (s *Subscription) Cancel() {
 	s.topic.mu.Lock()
-	if i := slices.Index(s.topic.subs, s); i >= 0 {
-		// a new snapshot without s; the last subscriber leaves nil, not
-		// an empty slice allocated for nothing
-		var subs []*Subscription
-		if len(s.topic.subs) > 1 {
-			subs = slices.Concat(s.topic.subs[:i], s.topic.subs[i+1:])
+	subs := s.topic.subs
+	if i := slices.Index(subs, s); i >= 0 {
+		// a new snapshot without s: nil once none is left, the survivor's
+		// own one-element array once one is, otherwise a fresh copy
+		switch len(subs) {
+		case 1:
+			subs = nil
+		case 2:
+			subs = subs[1-i].self[:]
+		default:
+			subs = slices.Concat(subs[:i], subs[i+1:])
 		}
 		s.topic.subs = subs
 	}
@@ -269,45 +281,75 @@ func (t *Topic) Subscribe(buffer int) *Subscription {
 		fast = fastTier
 	}
 	s := &Subscription{C: make(chan Event, fast), topic: t, limit: buffer - fast}
+	s.self[0] = s
 	t.mu.Lock()
-	subs := make([]*Subscription, len(t.subs)+1)
-	copy(subs, t.subs)
-	subs[len(t.subs)] = s
-	t.subs = subs
+	if len(t.subs) == 0 {
+		t.subs = s.self[:] // a first subscriber costs no snapshot slice
+	} else {
+		subs := make([]*Subscription, len(t.subs)+1)
+		copy(subs, t.subs)
+		subs[len(t.subs)] = s
+		t.subs = subs
+	}
 	t.mu.Unlock()
 	return s
 }
 
-// Switchboard is the topic directory.
+// inlineTopics is how many topics a switchboard holds in its own
+// memory: every stream the integrated system names (the constants
+// below), so a loader's runtime is one allocation.
+const inlineTopics = 6
+
+// Switchboard is the topic directory. A handful of topics is scanned
+// faster than a map is built: the first inlineTopics live inside the
+// switchboard, later ones are allocated one by one, and no topic ever
+// moves, so a *Topic stays valid for the switchboard's life. The zero
+// value is an empty switchboard.
 type Switchboard struct {
 	mu     sync.Mutex
-	topics map[string]*Topic
+	inline [inlineTopics]Topic
+	n      int      // inline topics in use
+	more   []*Topic // topics past the inline count
 }
 
 // NewSwitchboard creates an empty switchboard.
-func NewSwitchboard() *Switchboard {
-	return &Switchboard{topics: map[string]*Topic{}}
-}
+func NewSwitchboard() *Switchboard { return &Switchboard{} }
 
 // GetTopic returns the named topic, creating it on first use.
 func (sb *Switchboard) GetTopic(name string) *Topic {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	t, ok := sb.topics[name]
-	if !ok {
-		t = &Topic{}
-		sb.topics[name] = t
+	for i := range sb.inline[:sb.n] {
+		if t := &sb.inline[i]; t.name == name {
+			return t
+		}
 	}
+	for _, t := range sb.more {
+		if t.name == name {
+			return t
+		}
+	}
+	if sb.n < inlineTopics {
+		t := &sb.inline[sb.n]
+		t.name = name
+		sb.n++
+		return t
+	}
+	t := &Topic{name: name}
+	sb.more = append(sb.more, t)
 	return t
 }
 
-// Topics lists all topic names.
+// Topics lists all topic names in creation order.
 func (sb *Switchboard) Topics() []string {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	out := make([]string, 0, len(sb.topics))
-	for n := range sb.topics {
-		out = append(out, n)
+	out := make([]string, 0, sb.n+len(sb.more))
+	for i := range sb.inline[:sb.n] {
+		out = append(out, sb.inline[i].name)
+	}
+	for _, t := range sb.more {
+		out = append(out, t.name)
 	}
 	return out
 }
@@ -324,10 +366,18 @@ const (
 )
 
 // Phonebook is the service directory plugins use to look up shared
-// facilities (the analogue of ILLIXR's phonebook).
+// facilities (the analogue of ILLIXR's phonebook). The product registers
+// at most two services, so they sit in an inline array scanned by name;
+// a third grows the list onto the heap. The zero value is empty.
 type Phonebook struct {
 	mu       sync.Mutex
-	services map[string]any
+	services []service // backed by inline until it outgrows it
+	inline   [2]service
+}
+
+type service struct {
+	name string
+	svc  any
 }
 
 // Register stores a service under a name; duplicate registration is an
@@ -335,10 +385,13 @@ type Phonebook struct {
 func (p *Phonebook) Register(name string, svc any) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, exists := p.services[name]; exists {
+	if p.find(name) >= 0 {
 		return fmt.Errorf("runtime: service %q already registered", name)
 	}
-	p.services[name] = svc
+	if p.services == nil {
+		p.services = p.inline[:0]
+	}
+	p.services = append(p.services, service{name, svc})
 	return nil
 }
 
@@ -346,6 +399,18 @@ func (p *Phonebook) Register(name string, svc any) error {
 func (p *Phonebook) Lookup(name string) (any, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.services[name]
-	return s, ok
+	if i := p.find(name); i >= 0 {
+		return p.services[i].svc, true
+	}
+	return nil, false
+}
+
+// find returns the index of the named service, or -1. Caller holds mu.
+func (p *Phonebook) find(name string) int {
+	for i := range p.services {
+		if p.services[i].name == name {
+			return i
+		}
+	}
+	return -1
 }

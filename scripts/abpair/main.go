@@ -18,9 +18,14 @@
 // from /proc/stat, print beside it, and the failed checks of a run that
 // has any below it.
 //
+// abpair adds two rows of its own to every run, from the exited process's
+// rusage: proc.vcsw_per_op and proc.ivcsw_per_op, its voluntary and
+// involuntary context switches over the whole process (set-up included)
+// divided by the operations it attempted; lower is better.
+//
 // -claim takes any printed row; -guard takes only metrics BENCHMARK.json
-// lists, under end_to_end or per_layer, and any other name is a usage
-// error. BENCHMARK.json says whether higher or lower is better; a claimed
+// lists, under end_to_end or per_layer, and abpair's own two rows; any
+// other name is a usage error. BENCHMARK.json says whether higher or lower is better; a claimed
 // row it does not list is better higher when its unit is 1/s and lower
 // otherwise, and a claimed name no run printed does not hold. For each
 // claimed metric abpair prints the
@@ -52,6 +57,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 // claimAlpha is the largest sign-test p at which a claim holds: 9 wins of
@@ -178,10 +184,11 @@ func parseGuards(list string, better map[string]bool) ([]guard, error) {
 // plus its share of CPU time the hypervisor stole and the CPUs spent idle
 // while it ran.
 type result struct {
-	ok      bool // the run printed its line
-	Correct bool `json:"correct"`
-	Failed  int  `json:"failed"`
-	Metrics map[string]struct {
+	ok        bool // the run printed its line
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 		Unit  string  `json:"unit"`
 	} `json:"metrics"`
@@ -220,9 +227,14 @@ func (r result) describe(err error, judged []string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	names := make([]string, 0, len(r.Metrics))
+	names := make([]string, 0, len(r.Metrics)+len(procRows))
 	for k := range r.Metrics {
 		names = append(names, k)
+	}
+	for _, k := range procRows {
+		if _, ok := r.values[k]; ok {
+			names = append(names, k)
+		}
 	}
 	for _, k := range judged {
 		if _, ok := r.Metrics[k]; !ok && !slices.Contains(names, k) {
@@ -255,10 +267,31 @@ func runOnce(ctx context.Context, bin, dir string, args []string) (result, error
 	after, _ := readCPU()
 	r, perr := parseRun(out)
 	r.steal, r.idle = after.share(before)
+	if cmd.ProcessState != nil {
+		if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+			r.addSwitches(ru.Nvcsw, ru.Nivcsw)
+		}
+	}
 	if err == nil {
 		err = perr
 	}
 	return r, err
+}
+
+// procRows are the rows abpair measures itself; both are better lower.
+var procRows = [...]string{"proc.vcsw_per_op", "proc.ivcsw_per_op"}
+
+// addSwitches records a parsed run's voluntary and involuntary context
+// switches per attempted operation. A run that printed no line or
+// attempted nothing gets neither row.
+func (r *result) addSwitches(vcsw, ivcsw int64) {
+	if !r.ok || r.Attempted <= 0 {
+		return
+	}
+	for i, n := range [...]int64{vcsw, ivcsw} {
+		r.values[procRows[i]] = float64(n) / float64(r.Attempted)
+		r.units[procRows[i]] = "count"
+	}
 }
 
 // parseRun decodes the last line of out that is a JSON object and every
@@ -378,7 +411,7 @@ func (c cpuTimes) share(before cpuTimes) (steal, idle float64) {
 }
 
 // directions maps every metric BENCHMARK.json lists, end to end and per
-// layer, to whether higher is better.
+// layer, and abpair's own rows to whether higher is better.
 func directions(path string) (map[string]bool, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -398,6 +431,9 @@ func directions(path string) (map[string]bool, error) {
 	m := map[string]bool{}
 	for _, x := range append(spec.EndToEnd, spec.PerLayer...) {
 		m[x.Name] = x.Better == "higher"
+	}
+	for _, name := range procRows {
+		m[name] = false
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -314,5 +315,52 @@ func TestClaimOnAnyPrintedRow(t *testing.T) {
 	out.Reset()
 	if code := report(&out, ps, []string{"pose_rtt_p50_us"}, nil, map[string]bool{}); code != 1 || !strings.Contains(out.String(), "0 of 0 valid pairs") {
 		t.Fatalf("a claim on a row no run printed: exit %d\n%s", code, out.String())
+	}
+}
+
+// A run's context switches become two rows per attempted operation; a
+// run that printed no line or attempted nothing gets neither.
+func TestAddSwitches(t *testing.T) {
+	r := line(t, `{"correct":true,"attempted":4,"failed":0,"metrics":{}}`)
+	r.addSwitches(10, 2)
+	if r.values["proc.vcsw_per_op"] != 2.5 || r.values["proc.ivcsw_per_op"] != 0.5 || r.units["proc.vcsw_per_op"] != "count" {
+		t.Fatalf("values = %v, units = %v", r.values, r.units)
+	}
+	if d := r.describe(nil, nil); !strings.Contains(d, "proc.vcsw_per_op=2.5") || !strings.Contains(d, "proc.ivcsw_per_op=0.5") {
+		t.Fatalf("run line %q does not print both rows", d)
+	}
+	idle := line(t, `{"correct":true,"attempted":0,"failed":0,"metrics":{}}`)
+	idle.addSwitches(10, 2)
+	var none result
+	none.addSwitches(10, 2)
+	for _, r := range []result{idle, none} {
+		if _, ok := r.values["proc.vcsw_per_op"]; ok {
+			t.Fatalf("a run with nothing attempted has a switches row: %v", r.values)
+		}
+	}
+	better, err := directions("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs, err := parseGuards("proc.vcsw_per_op:0.10,proc.ivcsw_per_op:0.2", better); err != nil || len(gs) != 2 || better["proc.vcsw_per_op"] {
+		t.Fatalf("parseGuards = %v, %v; both rows must be guardable and lower-better", gs, err)
+	}
+}
+
+// runOnce reads the exited child's rusage into the two rows.
+func TestRunOnceCountsContextSwitches(t *testing.T) {
+	out := `{"correct":true,"attempted":3,"failed":0,"metrics":{}}`
+	r, err := runOnce(context.Background(), "/bin/sh", t.TempDir(), []string{"-c", "sleep 0.01; echo '" + out + "'"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range procRows {
+		if v, ok := r.values[k]; !ok || v < 0 {
+			t.Errorf("%s = %v (present: %v)", k, v, ok)
+		}
+	}
+	// sleeping blocks the shell at least once
+	if r.values["proc.vcsw_per_op"] <= 0 {
+		t.Errorf("proc.vcsw_per_op = %v, want > 0", r.values["proc.vcsw_per_op"])
 	}
 }

@@ -184,9 +184,9 @@ stage "zero-allocation regression tests"
 # -race (the tests skip themselves when the detector is compiled in).
 # TestZeroAllocRenderFrame covers all four apps, so an animated scene that
 # allocates a mesh per frame fails here; a session lifecycle has a budget
-# end to end and one each for the replica (with and without -vio) and the
-# gateway relay, so a regression names its layer
-quiet go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget|TestReplicaLifecycleAllocBudget|TestVIOReplicaLifecycleAllocBudget|TestGatewayRelayAllocBudget' ./internal/...
+# end to end and one each for the replica (with and without -vio), the
+# gateway relay and the client runtime, so a regression names its layer
+quiet go test -run 'TestZeroAlloc|TestVIOFrameAllocBudget|TestSessionLifecycleAllocBudget|TestReplicaLifecycleAllocBudget|TestVIOReplicaLifecycleAllocBudget|TestGatewayRelayAllocBudget|TestClientRuntimeAllocBudget' ./internal/...
 
 stage "per-package benchmarks (run, not gated, so they cannot rot)"
 quiet go test -run='^$' -bench=BenchmarkUplinkBurst -benchtime=100ms ./internal/netxr/bridge
