@@ -54,11 +54,10 @@ const parallelNote = "modeled_parallel_ms applies the pool's tile-order " +
 	"the serial path, i.e. the makespan on N ideal cores; wall_* are " +
 	"measured wall times and are bounded by the host's GOMAXPROCS, so on " +
 	"a single-CPU host wall_speedup stays near 1 while speedup reports " +
-	"the available parallelism. The model covers pool calls only: the " +
-	"render row's serial set-up pass is in serial_ms_mean and wall_* but " +
-	"not in modeled_parallel_ms, so its speedup reads above what N cores " +
-	"deliver. Outputs are bitwise identical at every worker count " +
-	"(DESIGN.md §8)."
+	"the available parallelism. The model covers pool calls only, and " +
+	"every kernel here runs all its work in them, the render row's " +
+	"set-up pass (one tile per instance) included. Outputs are bitwise " +
+	"identical at every worker count (DESIGN.md §8)."
 
 // Check is the parallel-kernel gate: the work-span model must show the
 // required parallelism, and the quality kernels must not regress

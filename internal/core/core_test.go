@@ -2,13 +2,16 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"illixr/internal/audio"
 	"illixr/internal/config"
 	"illixr/internal/perfmodel"
 	"illixr/internal/render"
 	"illixr/internal/runtime"
 	"illixr/internal/sensors"
+	"illixr/internal/testutil"
 )
 
 // shortRun runs a 8-second integrated simulation.
@@ -248,5 +251,39 @@ func TestPluginsPipelineOnSwitchboard(t *testing.T) {
 	}
 	if _, ok := top.Latest(); !ok {
 		t.Error("no latest fast pose")
+	}
+}
+
+// TestZeroAllocBinauralPublish: a steady-state audio block, encoded,
+// binauralized and published, allocates nothing. The event carries a
+// pointer to the plugin's double-buffer slot holding the block's samples,
+// so a subscriber still holds the previous block while the next is built.
+func TestZeroAllocBinauralPublish(t *testing.T) {
+	loader := runtime.NewLoader()
+	p := &AudioPlugin{Sources: []audio.Source{
+		audio.SineSource("radio", 440, 48000, 2, audio.DirectionFromAzEl(-1.2, 0.2)),
+	}}
+	if err := loader.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	defer loader.Shutdown()
+	bin := loader.Context().Switchboard.GetTopic(runtime.TopicBinaural)
+	tm := 0.0
+	testutil.MustZeroAllocs(t, "AudioPlugin.ProcessBlock", func() {
+		tm += 1024.0 / 48000
+		p.ProcessBlock(tm)
+	})
+	prev, _ := bin.Latest()
+	l, r := p.ProcessBlock(tm + 1024.0/48000)
+	ev, _ := bin.Latest()
+	blk, ok := ev.Value.(*[2][]float64)
+	if !ok {
+		t.Fatalf("binaural value is %T, want *[2][]float64", ev.Value)
+	}
+	if !slices.Equal(blk[0], l) || !slices.Equal(blk[1], r) {
+		t.Error("the published block differs from the returned one")
+	}
+	if old := prev.Value.(*[2][]float64); old == blk || &old[0][0] == &blk[0][0] {
+		t.Error("consecutive blocks share one slot")
 	}
 }

@@ -252,8 +252,9 @@ type AudioPlugin struct {
 
 	// pubBuf double-buffers the published stereo blocks: Playback.Process
 	// returns its own reused scratch, so each publish copies into the slot
-	// the previous event is not holding. The event values stay immutable
-	// from the subscriber's point of view without a per-block allocation.
+	// the previous event is not holding, and the event carries a pointer
+	// to that slot. The event values stay immutable from the subscriber's
+	// point of view without a per-block allocation.
 	pubBuf [2][2][]float64
 	pubIdx int
 }
@@ -321,7 +322,7 @@ func (p *AudioPlugin) ProcessBlock(t float64) (left, right []float64) {
 	// the binaural block descends from the fast pose it was rotated by
 	ref := p.tracer.Emit(CompAudioPlay, poseRef.Trace, t, t, poseRef.Span)
 	p.ctx.Switchboard.GetTopic(runtime.TopicBinaural).Publish(runtime.Event{
-		T: t, Value: [2][]float64{buf[0], buf[1]}, Trace: ref,
+		T: t, Value: buf, Trace: ref,
 	})
 	p.blockNs.Observe(float64(time.Since(wall).Nanoseconds()))
 	p.blocks.Inc()

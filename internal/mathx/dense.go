@@ -79,7 +79,10 @@ const mulSpanRows = 128
 // filter's unit rows of (I−KH)ᵀ, the upper-triangular R of its QR). This is
 // exact for finite operands: every element of dst is summed in ascending k
 // from +0, and such a sum is never −0, so adding a ±0 product changes
-// nothing.
+// nothing. Rows of m are taken four at a time against each row of n, so
+// that one load of n feeds four sums; where one of the four entries is
+// zero, each row is skipped or added on its own, and no product is formed
+// that the one-row loop would not form.
 func (m *Mat) MulMatInto(dst, n *Mat) {
 	if m.Cols != n.Rows || dst.Rows != m.Rows || dst.Cols != n.Cols {
 		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d * %dx%d -> %dx%d",
@@ -91,10 +94,11 @@ func (m *Mat) MulMatInto(dst, n *Mat) {
 	var span [mulSpanRows][2]int32 // [first, last+1) nonzero column per row of n
 	// rows of n in blocks, each block over every row of m: each element of
 	// dst still receives its products in ascending k
+	mc, nc := m.Cols, n.Cols
 	for k0 := 0; k0 < n.Rows; k0 += mulSpanRows {
 		k1 := min(k0+mulSpanRows, n.Rows)
 		for k := k0; k < k1; k++ {
-			nrow := n.Data[k*n.Cols : (k+1)*n.Cols]
+			nrow := n.Data[k*nc : (k+1)*nc]
 			lo, hi := 0, len(nrow)
 			for lo < hi && nrow[lo] == 0 {
 				lo++
@@ -104,22 +108,59 @@ func (m *Mat) MulMatInto(dst, n *Mat) {
 			}
 			span[k-k0] = [2]int32{int32(lo), int32(hi)}
 		}
-		for r := 0; r < m.Rows; r++ {
-			mrow := m.Data[r*m.Cols+k0 : r*m.Cols+k1]
-			orow := dst.Data[r*n.Cols : (r+1)*n.Cols]
-			for j, mv := range mrow {
-				if mv == 0 {
+		r := 0
+		for ; r+4 <= m.Rows; r += 4 {
+			m0 := m.Data[r*mc+k0 : r*mc+k1]
+			m1 := m.Data[(r+1)*mc+k0 : (r+1)*mc+k1][:len(m0)]
+			m2 := m.Data[(r+2)*mc+k0 : (r+2)*mc+k1][:len(m0)]
+			m3 := m.Data[(r+3)*mc+k0 : (r+3)*mc+k1][:len(m0)]
+			o0 := dst.Data[r*nc : (r+1)*nc]
+			o1 := dst.Data[(r+1)*nc : (r+2)*nc]
+			o2 := dst.Data[(r+2)*nc : (r+3)*nc]
+			o3 := dst.Data[(r+3)*nc : (r+4)*nc]
+			for j, a0 := range m0 {
+				a1, a2, a3 := m1[j], m2[j], m3[j]
+				lo, hi := int(span[j][0]), int(span[j][1])
+				nrow := n.Data[(k0+j)*nc+lo : (k0+j)*nc+hi]
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					axpyNonzero(o0[lo:hi], a0, nrow)
+					axpyNonzero(o1[lo:hi], a1, nrow)
+					axpyNonzero(o2[lo:hi], a2, nrow)
+					axpyNonzero(o3[lo:hi], a3, nrow)
 					continue
 				}
-				lo, hi := int(span[j][0]), int(span[j][1])
-				nrow := n.Data[(k0+j)*n.Cols+lo : (k0+j)*n.Cols+hi]
-				o := orow[lo:hi]
-				o = o[:len(nrow)]
+				p0 := o0[lo:hi][:len(nrow)]
+				p1 := o1[lo:hi][:len(nrow)]
+				p2 := o2[lo:hi][:len(nrow)]
+				p3 := o3[lo:hi][:len(nrow)]
 				for c, nv := range nrow {
-					o[c] += mv * nv
+					p0[c] += a0 * nv
+					p1[c] += a1 * nv
+					p2[c] += a2 * nv
+					p3[c] += a3 * nv
 				}
 			}
 		}
+		for ; r < m.Rows; r++ {
+			mrow := m.Data[r*mc+k0 : r*mc+k1]
+			orow := dst.Data[r*nc : (r+1)*nc]
+			for j, mv := range mrow {
+				lo, hi := int(span[j][0]), int(span[j][1])
+				axpyNonzero(orow[lo:hi], mv, n.Data[(k0+j)*nc+lo:(k0+j)*nc+hi])
+			}
+		}
+	}
+}
+
+// axpyNonzero adds a·x into o (len(o) == len(x)) unless a is zero: the
+// one-row step of MulMatInto.
+func axpyNonzero(o []float64, a float64, x []float64) {
+	if a == 0 {
+		return
+	}
+	o = o[:len(x)]
+	for c, v := range x {
+		o[c] += a * v
 	}
 }
 

@@ -363,8 +363,12 @@ func readDrained(r *wire.Reader) bool {
 }
 
 // relay runs one client's full lifecycle on the calling goroutine.
+//
+// Every exit closes client exactly once: refuse closes it, a relay closes
+// it by severing or after parking its leg, and a Shutdown that raced the
+// handshake has closed it already. A second Close on a TCP conn builds and
+// drops an error.
 func (g *Gateway) relay(client net.Conn) {
-	defer func() { _ = client.Close() }()
 	// released after the relay's last read and write: the deferred calls
 	// run once both legs have returned (wg.Wait below)
 	cr, cw := wire.NewReader(client), wire.NewWriter(client)
@@ -456,7 +460,7 @@ func (g *Gateway) relay(client net.Conn) {
 	}
 	g.mu.Unlock()
 	if closed {
-		return
+		return // Shutdown took client from g.conns and closes it
 	}
 	welcome.Proto = wire.Version
 	wf := wire.Frame{Type: wire.TypeWelcome, Trace: bf.Trace,
@@ -467,6 +471,7 @@ func (g *Gateway) relay(client net.Conn) {
 	}
 	recycle.Bytes.Put(wf.Payload)
 	if err != nil {
+		_ = client.Close()
 		return
 	}
 

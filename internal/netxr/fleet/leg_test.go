@@ -129,13 +129,57 @@ type legClient struct {
 	w    *wire.Writer
 }
 
+// closeCounter is the gateway's end of a client conn, counting its
+// Close calls.
+type closeCounter struct {
+	net.Conn
+	closes atomic.Int32
+}
+
+func (c *closeCounter) Close() error {
+	c.closes.Add(1)
+	return c.Conn.Close()
+}
+
+// pipeClient hands g the counted end of a fresh pipe and returns a
+// wire-level client on the other end.
+func pipeClient(t *testing.T, g *Gateway) (*legClient, *closeCounter) {
+	t.Helper()
+	c, s := net.Pipe()
+	gw := &closeCounter{Conn: s}
+	g.HandleConn(gw)
+	lc := &legClient{conn: c, r: wire.NewReader(c), w: wire.NewWriter(c)}
+	t.Cleanup(func() { _ = c.Close(); lc.r.Release(); lc.w.Release() })
+	return lc, gw
+}
+
+// awaitRelayed waits for the relay of gw to return.
+func (g *Gateway) awaitRelayed(t *testing.T, gw *closeCounter) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		_, live := g.conns[gw]
+		g.mu.Unlock()
+		if !live {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the relay did not return")
+		}
+	}
+}
+
 // dialLeg opens a session through g: Hello, one IMU sample and its pose.
 func dialLeg(t *testing.T, g *Gateway) *legClient {
 	t.Helper()
-	c, s := net.Pipe()
-	g.HandleConn(s)
-	lc := &legClient{conn: c, r: wire.NewReader(c), w: wire.NewWriter(c)}
-	t.Cleanup(func() { _ = c.Close(); lc.r.Release(); lc.w.Release() })
+	lc, _ := dialCountedLeg(t, g)
+	return lc
+}
+
+// dialCountedLeg is dialLeg, also returning the gateway's counted end.
+func dialCountedLeg(t *testing.T, g *Gateway) (*legClient, *closeCounter) {
+	t.Helper()
+	lc, gw := pipeClient(t, g)
 	if err := lc.w.WriteFrame(wire.Frame{Type: wire.TypeHello,
 		Payload: wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "leg"})}); err != nil {
 		t.Fatal(err)
@@ -149,7 +193,7 @@ func dialLeg(t *testing.T, g *Gateway) *legClient {
 	if f, err := lc.r.ReadFrame(); err != nil || f.Type != wire.TypePose {
 		t.Fatalf("downlink answered %v (%v), want a pose", f.Type, err)
 	}
-	return lc
+	return lc, gw
 }
 
 // end finishes the session: bye=false severs it, bye=true says Bye and
@@ -228,6 +272,63 @@ func TestGatewayClosesLegOnOtherEndings(t *testing.T) {
 				t.Errorf("the replica accepted %d connections, want 2", n)
 			}
 		})
+	}
+}
+
+// The relay closes the client conn exactly once however the session
+// ends: parked after both Byes, severed, drained, timed out, refused at
+// placement, or refused for a bad first frame.
+func TestRelayClosesClientOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply *wire.Bye
+		end   func(t *testing.T, g *Gateway) *closeCounter
+	}{
+		{"park", &wire.Bye{Reason: "eof"}, byeEnd(true)},
+		{"sever", &wire.Bye{Reason: "eof"}, byeEnd(false)},
+		{"drain", &wire.Bye{Reason: "server shutdown", RetryAfterMs: 100}, byeEnd(true)},
+		{"timeout", nil, byeEnd(true)},
+		{"no replica", nil, func(t *testing.T, g *Gateway) *closeCounter {
+			g.Coord.setStatus(0, down)
+			lc, gw := pipeClient(t, g)
+			if err := lc.w.WriteFrame(wire.Frame{Type: wire.TypeHello,
+				Payload: wire.AppendHello(nil, wire.Hello{Proto: wire.Version, App: "leg"})}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := lc.r.ReadFrame(); err != nil || f.Type != wire.TypeBye {
+				t.Fatalf("a full fleet answered %v (%v), want a Bye", f.Type, err)
+			}
+			return gw
+		}},
+		{"protocol error", nil, func(t *testing.T, g *Gateway) *closeCounter {
+			lc, gw := pipeClient(t, g)
+			if err := lc.w.WriteFrame(wire.Frame{Type: wire.TypeIMU, Payload: wire.AppendIMU(nil, wireIMU(0.002))}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := lc.r.ReadFrame(); err != nil || f.Type != wire.TypeBye {
+				t.Fatalf("a bad first frame got %v (%v), want a Bye", f.Type, err)
+			}
+			return gw
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sr := newScriptedReplica(t, tc.reply)
+			g, _ := legGateway(t, sr, 100*time.Millisecond)
+			gw := tc.end(t, g)
+			g.awaitRelayed(t, gw)
+			if n := gw.closes.Load(); n != 1 {
+				t.Errorf("the relay closed the client conn %d times, want 1", n)
+			}
+		})
+	}
+}
+
+// byeEnd opens a session and ends it with or without the client's Bye.
+func byeEnd(bye bool) func(t *testing.T, g *Gateway) *closeCounter {
+	return func(t *testing.T, g *Gateway) *closeCounter {
+		lc, gw := dialCountedLeg(t, g)
+		lc.end(t, bye)
+		return gw
 	}
 }
 

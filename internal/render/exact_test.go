@@ -82,8 +82,8 @@ func skipPoses(s *Scene, n int, rng *rand.Rand) []mathx.Pose {
 	return poses
 }
 
-// TestFrustumSkipKeepsSetUp holds the instance skip to its contract: the
-// set-up triangle list (every field, in order) and FrameStats equal those
+// TestFrustumSkipKeepsSetUp holds the instance skip to its contract: each
+// instance's set-up triangle list (every field, in order) and FrameStats equal those
 // of a reference that sets up every instance, for all four apps over 480
 // poses each at the benchmark's and the goldens' resolutions. The reference
 // is the same scene with each mesh re-wrapped as a literal, which has no
@@ -96,20 +96,20 @@ func TestFrustumSkipKeepsSetUp(t *testing.T) {
 			r := NewRenderer(size[0], size[1])
 			ref := NewRenderer(size[0], size[1])
 			skipped, instances := 0, 0
+			lit := &Scene{Lights: s.Lights, Ambient: s.Ambient}
+			for _, in := range s.Instances {
+				lit.Instances = append(lit.Instances, &Instance{Mesh: &Mesh{}, Material: in.Material})
+			}
 			for i, pose := range skipPoses(s, 480, rng) {
 				tm := float64(i) / 120
 				if s.Update != nil {
 					s.Update(s, tm)
 				}
-				lit := Scene{Lights: s.Lights, Ambient: s.Ambient}
-				for _, in := range s.Instances {
-					lit.Instances = append(lit.Instances, &Instance{
-						Mesh:     &Mesh{Vertices: in.Mesh.Vertices, Triangles: in.Mesh.Triangles},
-						Material: in.Material,
-					})
+				for k, in := range s.Instances { // re-wrapped: the animated scenes re-pose their meshes
+					*lit.Instances[k].Mesh = Mesh{Vertices: in.Mesh.Vertices, Triangles: in.Mesh.Triangles}
 				}
 				r.setUp(s, pose)
-				ref.setUp(&lit, pose)
+				ref.setUp(lit, pose)
 				for k, in := range s.Instances {
 					if r.skips(in.Mesh) {
 						skipped++
@@ -119,18 +119,24 @@ func TestFrustumSkipKeepsSetUp(t *testing.T) {
 					}
 				}
 				instances += len(s.Instances)
-				if r.Stats != ref.Stats || len(r.tris) != len(ref.tris) {
-					t.Fatalf("%s %dx%d pose %d: stats %+v, %d triangles; reference %+v, %d triangles",
-						app, size[0], size[1], i, r.Stats, len(r.tris), ref.Stats, len(ref.tris))
+				if r.Stats != ref.Stats {
+					t.Fatalf("%s %dx%d pose %d: stats %+v, reference %+v", app, size[0], size[1], i, r.Stats, ref.Stats)
 				}
-				for k := range r.tris {
-					a, b := r.tris[k], ref.tris[k]
-					if *a.mat != *b.mat {
-						t.Fatalf("%s pose %d triangle %d: material %+v, reference %+v", app, i, k, *a.mat, *b.mat)
+				for k := range r.inst {
+					got, want := r.inst[k].tris, ref.inst[k].tris
+					if len(got) != len(want) {
+						t.Fatalf("%s %dx%d pose %d instance %d: %d triangles, reference %d",
+							app, size[0], size[1], i, k, len(got), len(want))
 					}
-					a.mat, b.mat = nil, nil
-					if a != b {
-						t.Fatalf("%s pose %d triangle %d: %+v, reference %+v", app, i, k, a, b)
+					for j := range got {
+						a, b := got[j], want[j]
+						if *a.mat != *b.mat {
+							t.Fatalf("%s pose %d instance %d triangle %d: material %+v, reference %+v", app, i, k, j, *a.mat, *b.mat)
+						}
+						a.mat, b.mat = nil, nil
+						if a != b {
+							t.Fatalf("%s pose %d instance %d triangle %d: %+v, reference %+v", app, i, k, j, a, b)
+						}
 					}
 				}
 			}

@@ -106,7 +106,16 @@ func TestDeterminismRender(t *testing.T) {
 // TestZeroAllocRenderFrame pins a steady-state frame of every app at zero
 // allocations: the clip-vertex, triangle, light and band-counter buffers
 // are the Renderer's and are reused, and the animated scenes (Platformer's
-// enemies, the AR demo's ball) re-pose their meshes in place.
+// enemies, the AR demo's ball) re-pose their meshes in place. The last
+// case renders Sponza along the live walk, 99 frames spread over the
+// whole recording, so instances come into view long after the first frame
+// sized their buffers: not one of those frames may allocate, which
+// AllocsPerRun's rounded per-run average would not show. It runs the
+// set-up and raster tiles serially, on the nil pool: a pool runs the same
+// tile functions over the same buffers, and its helper goroutines now and
+// then make the runtime allocate. It takes the least count of three walks
+// on fresh renderers, as the runtime's own allocations come and go and a
+// renderer's repeat.
 func TestZeroAllocRenderFrame(t *testing.T) {
 	for _, app := range AllApps {
 		s := BuildScene(app, 42)
@@ -117,6 +126,40 @@ func TestZeroAllocRenderFrame(t *testing.T) {
 			r.RenderFrame(s, loopPose(tm), tm)
 		})
 	}
+	if testutil.RaceEnabled {
+		return
+	}
+	s, pose, frames := liveWalk()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		r := NewRenderer(320, 180)
+		r.SetPool(nil)
+		r.RenderFrame(s, pose(0), 0)
+		runtime.GC() // the recording's garbage, collected before the count
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := frames / 100; k < frames; k += frames / 100 {
+			tm := float64(k) / 120
+			r.RenderFrame(s, pose(tm), tm)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Errorf("live walk Renderer.RenderFrame: %d allocations in the frames after the first, want 0", least)
+	}
+}
+
+// liveWalk is the live pipeline's application input: Sponza as
+// live_pipeline builds it (seed 1) and the head pose at time tm on the
+// ground truth of the recording it replays (500 Hz IMU, 15 Hz camera, seed
+// 1). frames is the recording's length in 120 Hz display frames.
+func liveWalk() (s *Scene, pose func(tm float64) mathx.Pose, frames int) {
+	cfg := sensors.DefaultDatasetConfig()
+	cfg.IMURateHz, cfg.CamRateHz, cfg.Seed = 500, 15, 1
+	ds := sensors.GenerateDataset(cfg)
+	pose = func(tm float64) mathx.Pose { return ds.GroundTruth[int(tm*cfg.IMURateHz)].Pose }
+	return BuildScene(AppSponza, 1), pose, int(cfg.Duration * 120)
 }
 
 // BenchmarkRenderSponza is Sponza at the live pipeline's resolution on the
@@ -140,16 +183,12 @@ func BenchmarkRenderSponza(b *testing.B) {
 // of the recording it replays (500 Hz IMU, 15 Hz camera, seed 1) at the
 // 120 Hz display rate, on the renderer's own pool (run with -cpu 1,2).
 func BenchmarkRenderLive(b *testing.B) {
-	cfg := sensors.DefaultDatasetConfig()
-	cfg.IMURateHz, cfg.CamRateHz, cfg.Seed = 500, 15, 1
-	ds := sensors.GenerateDataset(cfg)
-	s := BuildScene(AppSponza, 1)
+	s, pose, frames := liveWalk()
 	r := NewRenderer(320, 180)
-	frames := int(cfg.Duration * 120)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm := float64(i%frames) / 120
-		r.RenderFrame(s, ds.GroundTruth[int(tm*cfg.IMURateHz)].Pose, tm)
+		r.RenderFrame(s, pose(tm), tm)
 	}
 }

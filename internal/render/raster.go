@@ -76,11 +76,12 @@ type FrameStats struct {
 	PhysicsOps          int
 }
 
-// Renderer is a z-buffered software rasterizer. A frame is two passes
-// (DESIGN.md §8): a serial set-up pass that turns the scene into an
-// in-order list of screen-space triangles, and a raster+shade pass that the
-// pool runs over fixed bands of rows. RenderFrame is not safe for
-// concurrent use on one Renderer.
+// Renderer is a z-buffered software rasterizer. A frame is two passes on
+// the renderer's pool (DESIGN.md §8): a set-up pass over the scene's
+// instances, each projecting its mesh and placing its screen-space
+// triangles into a list of its own, and a raster+shade pass over fixed
+// bands of rows that walks those lists in instance order. RenderFrame is
+// not safe for concurrent use on one Renderer.
 type Renderer struct {
 	W, H  int
 	FovY  float64
@@ -91,15 +92,24 @@ type Renderer struct {
 	Stats FrameStats
 	pool  *parallel.Pool
 
-	// Per-frame state the band kernel reads, in buffers kept across frames
+	// Per-frame state the two kernels read, in buffers kept across frames
 	// so that a steady-state RenderFrame allocates nothing (DESIGN.md §10).
-	verts     []screenVert // projected vertices of the instance being set up
-	tris      []setupTri   // this frame's triangles, in submission order
+	scene     *Scene       // the scene inst was sized for
+	inst      []instSetup  // one per instance of scene, in its order
+	vp        mathx.Mat4   // this frame's view-projection
 	cull      [5]cullPlane // this frame's instance-skip half-spaces
 	lights    []frameLight
 	ambient   float32
 	bandStats []bandCount // one per band of the framebuffer
+	setUpFn   func(lo, hi int)
 	bandFn    func(lo, hi int)
+}
+
+// instSetup is one instance's share of a frame's set-up: its projected
+// vertices and its surviving triangles, in submission order.
+type instSetup struct {
+	verts []screenVert
+	tris  []setupTri
 }
 
 // rasterBandRows is the fixed band height of the raster pass. Bands depend
@@ -118,6 +128,7 @@ func NewRenderer(w, h int) *Renderer {
 
 		bandStats: make([]bandCount, parallel.Tiles(h, rasterBandRows)),
 	}
+	r.setUpFn = r.setUpInstances
 	r.bandFn = r.rasterBand
 	return r
 }
@@ -151,19 +162,50 @@ func (r *Renderer) RenderFrame(s *Scene, pose mathx.Pose, t float64) *imgproc.RG
 	return r.color
 }
 
-// setUp is the serial pass: it turns the scene, as posed now, into this
-// frame's triangle list and light constants.
+// setUp is the first pass: it turns the scene, as posed now, into each
+// instance's triangle list, one pool tile per instance, and works out the
+// light constants.
 func (r *Renderer) setUp(s *Scene, pose mathx.Pose) {
 	view := viewFromPose(pose)
 	proj := mathx.Perspective(r.FovY, float64(r.W)/float64(r.H), r.Near, r.Far)
-	vp := proj.Mul(view)
-	r.setUpCull(vp)
-	r.tris = r.tris[:0]
-	for _, inst := range s.Instances {
-		r.setUpMesh(inst, vp)
+	r.vp = proj.Mul(view)
+	r.setUpCull(r.vp)
+	r.sizeFor(s)
+	r.pool.ForTiles("render_setup", len(s.Instances), 1, r.setUpFn)
+	for i, inst := range s.Instances {
+		r.Stats.TrianglesSubmitted += len(inst.Mesh.Triangles)
+		r.Stats.TrianglesRasterized += len(r.inst[i].tris)
 	}
-	r.Stats.TrianglesRasterized += len(r.tris)
 	r.setUpLights(s)
+}
+
+// sizeFor gives every instance of s its set-up buffers, sized from its
+// mesh, the first time the renderer renders s: an instance coming into
+// view later allocates nothing. Two slabs hold them all.
+func (r *Renderer) sizeFor(s *Scene) {
+	if s == r.scene && len(r.inst) == len(s.Instances) {
+		return
+	}
+	nv, nt := 0, 0
+	for _, inst := range s.Instances {
+		nv += len(inst.Mesh.Vertices)
+		nt += len(inst.Mesh.Triangles)
+	}
+	verts, tris := make([]screenVert, nv), make([]setupTri, nt)
+	r.scene, r.inst = s, make([]instSetup, len(s.Instances))
+	for i, inst := range s.Instances {
+		v, t := len(inst.Mesh.Vertices), len(inst.Mesh.Triangles)
+		r.inst[i] = instSetup{verts: verts[:v:v], tris: tris[:0:t]}
+		verts, tris = verts[v:], tris[t:]
+	}
+}
+
+// setUpInstances is the set-up pool kernel: it sets up instances
+// [lo, hi) of the scene, each into its own buffers.
+func (r *Renderer) setUpInstances(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.setUpMesh(r.scene.Instances[i], &r.inst[i])
+	}
 }
 
 // cullPlane is a world-space half-space n·p + d >= 0 holding every point
@@ -269,19 +311,20 @@ type screenVert struct {
 	x, y, z, w float64
 }
 
-// setUpMesh projects an instance's vertices and appends its visible
-// triangles to the frame's list.
-func (r *Renderer) setUpMesh(inst *Instance, vp mathx.Mat4) {
+// setUpMesh projects an instance's vertices and lists its visible
+// triangles in st. A mesh that grew since sizeFor grows st with it.
+func (r *Renderer) setUpMesh(inst *Instance, st *instSetup) {
 	mesh := inst.Mesh
-	r.Stats.TrianglesSubmitted += len(mesh.Triangles)
+	st.tris = st.tris[:0]
 	if r.skips(mesh) {
 		return
 	}
 	// project every vertex once, however many triangles share it
-	if cap(r.verts) < len(mesh.Vertices) {
-		r.verts = make([]screenVert, len(mesh.Vertices))
+	if cap(st.verts) < len(mesh.Vertices) {
+		st.verts = make([]screenVert, len(mesh.Vertices))
 	}
-	verts := r.verts[:len(mesh.Vertices)]
+	verts := st.verts[:len(mesh.Vertices)]
+	vp := &r.vp
 	fw, fh := float64(r.W), float64(r.H)
 	for i := range mesh.Vertices {
 		p := &mesh.Vertices[i].Pos
@@ -302,12 +345,15 @@ func (r *Renderer) setUpMesh(inst *Instance, vp mathx.Mat4) {
 		if a.w < r.Near || b.w < r.Near || c.w < r.Near {
 			continue
 		}
-		r.tris = append(r.tris, setupTri{})
-		t := &r.tris[len(r.tris)-1]
+		n := len(st.tris)
+		if n == cap(st.tris) {
+			st.tris = append(st.tris, setupTri{})[:n]
+		}
+		t := &st.tris[:n+1][n] // place sets all but the fields set below
 		if !t.place(a.x, a.y, b.x, b.y, c.x, c.y, r.W, r.H) {
-			r.tris = r.tris[:len(r.tris)-1]
 			continue
 		}
+		st.tris = st.tris[:n+1]
 		t.za, t.zb, t.zc = a.z, b.z, c.z
 		t.va, t.vb, t.vc = &mesh.Vertices[tri[0]], &mesh.Vertices[tri[1]], &mesh.Vertices[tri[2]]
 		t.mat = &inst.Material
@@ -365,11 +411,11 @@ func (t *setupTri) place(ax, ay, bx, by, cx, cy float64, w, h int) bool {
 	if minX > maxX || minY > maxY {
 		return false
 	}
-	*t = setupTri{
-		ax: ax, ay: ay, bx: bx, by: by, cx: cx, cy: cy,
-		invArea: 1 / area,
-		minX:    minX, maxX: maxX, minY: minY, maxY: maxY,
-	}
+	// field by field: a composite literal is built aside and copied over
+	t.ax, t.ay, t.bx, t.by, t.cx, t.cy = ax, ay, bx, by, cx, cy
+	t.invArea = 1 / area
+	t.minX, t.maxX, t.minY, t.maxY = minX, maxX, minY, maxY
+	t.slope, t.spans = [3]float64{}, 0
 	extent := max(math.Abs(ax), math.Abs(ay), math.Abs(bx), math.Abs(by), math.Abs(cx), math.Abs(cy))
 	if maxX-minX+1 < spanMinWidth || !(extent <= spanMaxCoord) {
 		return true
@@ -419,11 +465,11 @@ func narrow(lo, hi int, x float64, left bool) (int, int) {
 }
 
 // rasterBand clears rows [lo, hi) and rasterizes and shades every set-up
-// triangle clipped to them, in submission order: a pixel sees the same
-// triangles in the same order whichever band size or worker runs it, so
-// the depth test (a later triangle at equal depth loses) resolves the same
-// way. It is the pool kernel; its arguments are the Renderer's per-frame
-// fields.
+// triangle clipped to them, in submission order (instance by instance,
+// each instance's in mesh order): a pixel sees the same triangles in the
+// same order whichever band size or worker runs it, so the depth test (a
+// later triangle at equal depth loses) resolves the same way. It is the
+// raster pool kernel; its arguments are the Renderer's per-frame fields.
 func (r *Renderer) rasterBand(lo, hi int) {
 	w := r.W
 	depth, pix := r.depth, r.color.Pix
@@ -435,59 +481,62 @@ func (r *Renderer) rasterBand(lo, hi int) {
 		pix[i] = 0
 	}
 	var count bandCount
-	for i := range r.tris {
-		t := &r.tris[i]
-		y0, y1 := t.minY, t.maxY
-		if y0 < lo {
-			y0 = lo
-		}
-		if y1 > hi-1 {
-			y1 = hi - 1
-		}
-		if y0 > y1 {
-			continue
-		}
-		// locals, so the pixel loop reloads nothing through t after a
-		// framebuffer store
-		ax, bx, cx, by, cy := t.ax, t.bx, t.cx, t.by, t.cy
-		dx0, dy0 := cx-bx, cy-by
-		dx1, dy1 := ax-cx, t.ay-cy
-		za, zb, zc, invArea := t.za, t.zb, t.zc, t.invArea
-		minX, maxX, spans := t.minX, t.maxX, t.spans
-		shaded := 0
-		for py := y0; py <= y1; py++ {
-			fy := float64(py) + 0.5
-			// the row-constant halves of the two edge functions
-			e0 := dx0 * (fy - by)
-			e1 := dx1 * (fy - cy)
-			x0, x1 := minX, maxX
-			if spans != 0 {
-				x0, x1 = t.rowSpan(fy)
+	for ii := range r.inst {
+		tris := r.inst[ii].tris
+		for i := range tris {
+			t := &tris[i]
+			y0, y1 := t.minY, t.maxY
+			if y0 < lo {
+				y0 = lo
 			}
-			for px := x0; px <= x1; px++ {
-				fx := float64(px) + 0.5
-				// barycentric
-				w0 := (e0 - dy0*(fx-bx)) * invArea
-				w1 := (e1 - dy1*(fx-cx)) * invArea
-				w2 := 1 - w0 - w1
-				if w0 < 0 || w1 < 0 || w2 < 0 {
-					continue
-				}
-				z := float32(w0*za + w1*zb + w2*zc)
-				di := py*w + px
-				if z >= depth[di] {
-					continue
-				}
-				depth[di] = z
-				col := r.shade(t, w0, w1, w2)
-				pix[3*di] = col[0]
-				pix[3*di+1] = col[1]
-				pix[3*di+2] = col[2]
-				shaded++
+			if y1 > hi-1 {
+				y1 = hi - 1
 			}
+			if y0 > y1 {
+				continue
+			}
+			// locals, so the pixel loop reloads nothing through t after a
+			// framebuffer store
+			ax, bx, cx, by, cy := t.ax, t.bx, t.cx, t.by, t.cy
+			dx0, dy0 := cx-bx, cy-by
+			dx1, dy1 := ax-cx, t.ay-cy
+			za, zb, zc, invArea := t.za, t.zb, t.zc, t.invArea
+			minX, maxX, spans := t.minX, t.maxX, t.spans
+			shaded := 0
+			for py := y0; py <= y1; py++ {
+				fy := float64(py) + 0.5
+				// the row-constant halves of the two edge functions
+				e0 := dx0 * (fy - by)
+				e1 := dx1 * (fy - cy)
+				x0, x1 := minX, maxX
+				if spans != 0 {
+					x0, x1 = t.rowSpan(fy)
+				}
+				for px := x0; px <= x1; px++ {
+					fx := float64(px) + 0.5
+					// barycentric
+					w0 := (e0 - dy0*(fx-bx)) * invArea
+					w1 := (e1 - dy1*(fx-cx)) * invArea
+					w2 := 1 - w0 - w1
+					if w0 < 0 || w1 < 0 || w2 < 0 {
+						continue
+					}
+					z := float32(w0*za + w1*zb + w2*zc)
+					di := py*w + px
+					if z >= depth[di] {
+						continue
+					}
+					depth[di] = z
+					col := r.shade(t, w0, w1, w2)
+					pix[3*di] = col[0]
+					pix[3*di+1] = col[1]
+					pix[3*di+2] = col[2]
+					shaded++
+				}
+			}
+			count.fragments += shaded
+			count.costWeight += shaded * shadingCost(t.mat.Model)
 		}
-		count.fragments += shaded
-		count.costWeight += shaded * shadingCost(t.mat.Model)
 	}
 	r.bandStats[lo/rasterBandRows] = count
 }

@@ -362,7 +362,7 @@ const (
 	TopicSlowPose = "slow_pose"   // vio.Estimate
 	TopicFastPose = "fast_pose"   // integrator fast pose
 	TopicWarped   = "reprojected" // final display frame
-	TopicBinaural = "binaural"    // stereo output block
+	TopicBinaural = "binaural"    // *[2][]float64 stereo block (left, right), reused two blocks on
 )
 
 // Phonebook is the service directory plugins use to look up shared

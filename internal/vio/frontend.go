@@ -16,7 +16,8 @@ import (
 // tasks of Table VI must actually execute).
 type Frontend interface {
 	// Process ingests one camera frame and returns the live tracked
-	// features plus front-end work statistics.
+	// features plus front-end work statistics. The features may be the
+	// front end's own memory, valid until the next call.
 	Process(frame sensors.CameraFrame) ([]TrackedFeature, FrontendStats)
 }
 
@@ -33,25 +34,28 @@ type FrontendStats struct {
 type GeometricFrontend struct {
 	Cam      sensors.CameraModel
 	MaxFeats int
-	// seen tracks which IDs were alive last frame (for detect-vs-track
-	// accounting).
-	seen map[int]bool
+	// seen holds the IDs alive last frame (for detect-vs-track
+	// accounting) and nowSeen this frame's; the two swap each frame.
+	seen, nowSeen map[int]bool
+	out           []TrackedFeature
 }
 
 // NewGeometricFrontend builds a geometric front end for the given camera.
 func NewGeometricFrontend(cam sensors.CameraModel, maxFeats int) *GeometricFrontend {
-	return &GeometricFrontend{Cam: cam, MaxFeats: maxFeats, seen: map[int]bool{}}
+	return &GeometricFrontend{Cam: cam, MaxFeats: maxFeats, seen: map[int]bool{}, nowSeen: map[int]bool{}}
 }
 
-// Process implements Frontend.
+// Process implements Frontend. The returned slice is the front end's own,
+// valid until the next call.
 func (f *GeometricFrontend) Process(frame sensors.CameraFrame) ([]TrackedFeature, FrontendStats) {
 	feats := frame.Features
 	if f.MaxFeats > 0 && len(feats) > f.MaxFeats {
 		feats = feats[:f.MaxFeats]
 	}
-	out := make([]TrackedFeature, 0, len(feats))
+	out := f.out[:0]
 	stats := FrontendStats{}
-	nowSeen := make(map[int]bool, len(feats))
+	nowSeen := f.nowSeen
+	clear(nowSeen)
 	for _, obs := range feats {
 		p := f.Cam.Unproject(obs.U, obs.V, 1)
 		out = append(out, TrackedFeature{ID: obs.ID, XN: p.X, YN: p.Y})
@@ -62,7 +66,8 @@ func (f *GeometricFrontend) Process(frame sensors.CameraFrame) ([]TrackedFeature
 			stats.Detected++
 		}
 	}
-	f.seen = nowSeen
+	f.seen, f.nowSeen = nowSeen, f.seen
+	f.out = out
 	return out, stats
 }
 

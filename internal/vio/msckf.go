@@ -44,6 +44,11 @@ type Filter struct {
 
 	tracks      map[int]*track
 	nextCloneID int
+	// dead holds the tracks this frame's stages removed from tracks; they
+	// join free at the start of the next frame, so a pointer a stage still
+	// holds is never handed out again within the frame. A new track takes
+	// a free one and reuses its observation array.
+	dead, free []*track
 
 	// arena holds every matrix temporary of one propagation step or one
 	// update stage. Nothing taken from it may be stored on the filter.
@@ -277,10 +282,37 @@ func (f *Filter) marginalizeOldest() {
 		}
 		tr.Obs = kept
 		if len(tr.Obs) == 0 && !tr.InState {
-			delete(f.tracks, id)
+			f.retire(id, tr)
 		}
 	}
 	f.stats.MarginalizedOps++
+}
+
+// retire removes track tr (feature id) from the live set and puts it on
+// the dead list.
+func (f *Filter) retire(id int, tr *track) {
+	delete(f.tracks, id)
+	f.dead = append(f.dead, tr)
+}
+
+// newTrack returns an empty track for feature id, recycled from an earlier
+// frame's dead tracks when there is one. A track holds at most one
+// observation per clone in the window.
+func (f *Filter) newTrack(id int) *track {
+	var tr *track
+	if n := len(f.free); n > 0 {
+		tr = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+	} else {
+		tr = &track{}
+	}
+	obs := tr.Obs[:0]
+	if cap(obs) < f.P.MaxClones+1 {
+		obs = make([]featureObs, 0, f.P.MaxClones+1)
+	}
+	*tr = track{FeatureID: id, Obs: obs}
+	return tr
 }
 
 // removeRange deletes `count` consecutive rows and columns starting at

@@ -12,6 +12,10 @@ import (
 // and marginalization. It returns the new estimate with work statistics.
 func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 	f.stats = FrameStats{T: in.T}
+	// the previous frame's dead tracks are free for this frame's new ones
+	f.free = append(f.free, f.dead...)
+	clear(f.dead)
+	f.dead = f.dead[:0]
 
 	// 1) propagate through the buffered IMU. Each step integrates exactly
 	//    from the filter's current time to the sample time (covering batch
@@ -51,8 +55,7 @@ func (f *Filter) ProcessFrame(in FrameInput) Estimate {
 		live[tf.ID] = true
 		tr, ok := f.tracks[tf.ID]
 		if !ok {
-			// a track holds at most one observation per clone in the window
-			tr = &track{FeatureID: tf.ID, Obs: make([]featureObs, 0, f.P.MaxClones+1)}
+			tr = f.newTrack(tf.ID)
 			f.tracks[tf.ID] = tr
 			f.stats.DetectedFeatures++
 		} else {
@@ -166,7 +169,7 @@ func (f *Filter) msckfUpdate(live map[int]bool) {
 	}
 	// remove consumed tracks regardless of acceptance (they are dead)
 	for _, tr := range cands {
-		delete(f.tracks, tr.FeatureID)
+		f.retire(tr.FeatureID, tr)
 	}
 	clear(cands) // and drop the pointers to them
 	if totalRows == 0 {
@@ -350,7 +353,7 @@ func (f *Filter) pruneSLAM(live map[int]bool) {
 		f.removeRange(off, 3)
 		if tr, ok := f.tracks[f.slam[i].ID]; ok {
 			tr.InState = false
-			delete(f.tracks, f.slam[i].ID)
+			f.retire(f.slam[i].ID, tr)
 		}
 		f.slam = append(f.slam[:i], f.slam[i+1:]...)
 	}
