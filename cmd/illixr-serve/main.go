@@ -43,10 +43,6 @@ func main() {
 		"on shutdown, write the metrics registry to this file (Prometheus text, as /metrics?format=prometheus)")
 	record := flag.String("record", "",
 		"capture every session frame (uplink+downlink) into this binlog file (DESIGN.md §13)")
-	qosOn := flag.Bool("qos", false,
-		"adaptive QoS: batch camera/QoE work across sessions and run the "+
-			"deadline controller over it (/qos on the debug endpoint; DESIGN.md §14)")
-	qosWorkers := flag.Int("qos-workers", 4, "worker pool split by the QoS controller")
 	flag.Parse()
 	if err := node.CheckPositive(flag.CommandLine, "max-sessions", "queue-len"); err != nil {
 		fmt.Fprintln(flag.CommandLine.Output(), err)
@@ -61,9 +57,6 @@ func main() {
 		Record:    *record,
 		Node:      *nodeName,
 		DebugAddr: *debugAddr,
-	}
-	if *qosOn {
-		r.QoSWorkers = max(*qosWorkers, 1) // -qos means on whatever the count; the node floors it at 2
 	}
 	if err := r.Start(); err != nil {
 		log.Fatal(err)

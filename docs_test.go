@@ -72,3 +72,22 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		}
 	}
 }
+
+// docCeilings are the byte sizes DESIGN.md and README.md may not grow
+// past. They only ever go down: lower one to the file's new size in the
+// change that shrinks it. DESIGN.md's target is 45 KB (ROADMAP item 14).
+var docCeilings = map[string]int64{"DESIGN.md": 91266, "README.md": 32923}
+
+// TestDocsDoNotGrow fails when a ceilinged document grows past its
+// ceiling, so new text has to displace old text.
+func TestDocsDoNotGrow(t *testing.T) {
+	for doc, ceiling := range docCeilings {
+		st, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() > ceiling {
+			t.Errorf("%s is %d bytes, past its %d-byte ceiling: trim it to make room", doc, st.Size(), ceiling)
+		}
+	}
+}

@@ -19,8 +19,8 @@ import (
 //     degradation). Each kernel is a multi-server FIFO queue whose
 //     backlog carries across epochs, so a saturated static split shows
 //     up as an exploding reprojection queue — and an exploding MTP p99.
-//     The controller sees exactly what the production RegistryTap would:
-//     per-epoch frame counts, deadline misses, and windowed p99.
+//     The controller sees per-epoch frame counts, deadline misses, and
+//     windowed p99.
 //
 //   - Batching cell: cross-session same-kernel batching amortizes the
 //     fixed per-dispatch cost (one pool dispatch per flush window
@@ -37,7 +37,7 @@ import (
 //     decision-log fingerprints and the bit patterns of the MTP p99
 //     must match exactly (drift = 0).
 //
-// The real batching pipeline is node.TestReplicaQoSBatchesAcrossSessions.
+// No replica runs the controller: this model is its only evidence.
 //
 // qosReport.Check gates the report: adaptive p99 <= static p99 *
 // qosAdaptiveMarginFrac in the saturated ramp cells, fewer deadline
@@ -215,6 +215,9 @@ type qosReport struct {
 	Note               string        `json:"note"`
 }
 
+// qosNote is written into BENCH_qos.json, which
+// TestCheckedInReportsReproduce holds byte for byte: change the two
+// together.
 const qosNote = "adaptive QoS cells (DESIGN.md §14): per-kernel multi-server FIFO " +
 	"queues with cross-epoch backlog, fed to the real qos.Controller as the " +
 	"RegistryTap would feed it (frames, misses, windowed p99); static = equal " +

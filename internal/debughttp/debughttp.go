@@ -32,12 +32,6 @@ type FleetSource interface {
 	FleetDoc() any
 }
 
-// QoSSource supplies the /qos controller document (qos.Controller
-// implements it); same interface pattern as FleetSource.
-type QoSSource interface {
-	QoSDoc() any
-}
-
 // Server exposes one run's observability surfaces. Zero-value fields are
 // simply not served.
 type Server struct {
@@ -60,9 +54,6 @@ type Server struct {
 	Events *telemetry.FlightRecorder
 	// SLO, when installed, serves objective burn rates at /slo.
 	SLO *slo.Engine
-	// QoS, when installed, serves the adaptive-QoS controller state
-	// (worker split, knob values, recent decision log) at /qos.
-	QoS QoSSource
 }
 
 // shutdownGrace bounds how long Serve's stop function waits for in-flight
@@ -80,7 +71,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("/fleet", s.fleet)
 	mux.HandleFunc("/events", s.events)
 	mux.HandleFunc("/slo", s.slo)
-	mux.HandleFunc("/qos", s.qos)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -116,7 +106,7 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprint(w, "illixr debug endpoint\n\n/metrics\n/spans\n/sessions\n/fleet\n/events\n/slo\n/qos\n/debug/pprof/\n")
+	fmt.Fprint(w, "illixr debug endpoint\n\n/metrics\n/spans\n/sessions\n/fleet\n/events\n/slo\n/debug/pprof/\n")
 }
 
 // metricsDoc is the JSON /metrics shape: the registry snapshot inlined at
@@ -258,17 +248,6 @@ func (s *Server) events(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(doc)
-}
-
-func (s *Server) qos(w http.ResponseWriter, _ *http.Request) {
-	if s.QoS == nil {
-		http.Error(w, "no qos controller installed", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.QoS.QoSDoc())
 }
 
 func (s *Server) slo(w http.ResponseWriter, _ *http.Request) {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"illixr/internal/netxr/session"
-	"illixr/internal/qos"
 	"illixr/internal/telemetry"
 	"illixr/internal/telemetry/slo"
 	"illixr/internal/telemetry/stitch"
@@ -469,76 +468,5 @@ func TestNewEndpointsMissingSourcesReturn404(t *testing.T) {
 		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
 			t.Errorf("%s with no source: status %d, want 404", path, code)
 		}
-	}
-}
-
-func TestQoSEndpoint(t *testing.T) {
-	s, ts := newTestServer(t)
-	// no source installed → 404
-	if code, _ := get(t, ts.URL+"/qos"); code != http.StatusNotFound {
-		t.Fatalf("/qos with no source: status %d, want 404", code)
-	}
-	c, err := qos.NewController(qos.Config{
-		Seed: 1, TotalWorkers: 4, BudgetUs: 8333,
-		Kernels: []qos.KernelSpec{
-			{ID: "reprojection", Weight: 2},
-			{ID: "hologram", Knobs: []qos.KnobSpec{{Name: "iterations", Full: 10, Floor: 2}}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Step([]qos.KernelStats{{Kernel: "hologram", Frames: 10, P99Us: 1000}})
-	s.QoS = c
-	code, body := get(t, ts.URL+"/qos")
-	if code != http.StatusOK {
-		t.Fatalf("/qos status %d", code)
-	}
-	var doc struct {
-		Epoch   int `json:"epoch"`
-		Kernels []struct {
-			Kernel  string `json:"kernel"`
-			Workers int    `json:"workers"`
-		} `json:"kernels"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/qos is not JSON: %v", err)
-	}
-	if doc.Epoch != 1 || len(doc.Kernels) != 2 {
-		t.Fatalf("/qos doc = %+v", doc)
-	}
-	sum := 0
-	for _, k := range doc.Kernels {
-		sum += k.Workers
-	}
-	if sum != 4 {
-		t.Fatalf("/qos workers sum %d, want 4", sum)
-	}
-}
-
-// TestQoSMetricsInBothExpositions checks the satellite requirement that
-// the controller's instruments appear in the JSON and the Prometheus
-// /metrics responses.
-func TestQoSMetricsInBothExpositions(t *testing.T) {
-	s, ts := newTestServer(t)
-	c, err := qos.NewController(qos.Config{
-		Seed: 1, TotalWorkers: 2, BudgetUs: 8333,
-		Kernels: []qos.KernelSpec{{ID: "reprojection"}, {ID: "audio"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Instrument(s.Metrics)
-	c.Step([]qos.KernelStats{{Kernel: "reprojection", Frames: 10, Misses: 2, P99Us: 9000}})
-
-	_, body := get(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "illixr_qos_deadline_miss_total") ||
-		!strings.Contains(body, "illixr_qos_workers_reprojection") {
-		t.Errorf("JSON exposition missing qos metrics: %.300s", body)
-	}
-	_, prom := get(t, ts.URL+"/metrics?format=prometheus")
-	if !strings.Contains(prom, "illixr_qos_deadline_miss_total") ||
-		!strings.Contains(prom, "illixr_qos_workers_reprojection") {
-		t.Errorf("prometheus exposition missing qos metrics: %.300s", prom)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"illixr/internal/netxr/wire"
 	"illixr/internal/recycle"
-	"illixr/internal/telemetry"
 )
 
 // SendWindow is the client-side uplink retransmission buffer that
@@ -30,10 +29,6 @@ type SendWindow struct {
 	entries []winEntry
 	head    uint64 // client seq of the most recently pushed frame
 	offset  uint64 // frames permanently lost to truncation
-
-	retransC *telemetry.Counter
-	truncC   *telemetry.Counter
-	depthG   *telemetry.Gauge
 }
 
 type winEntry struct {
@@ -60,7 +55,6 @@ func (w *SendWindow) push(f wire.Frame) {
 	cp.Payload = recycle.Bytes.Get(len(f.Payload))
 	copy(cp.Payload, f.Payload)
 	w.entries = append(w.entries, winEntry{seq: w.head, f: cp})
-	var truncated int
 	if over := len(w.entries) - w.cap; over > 0 {
 		for j := 0; j < over; j++ {
 			recycle.Bytes.Put(w.entries[j].f.Payload)
@@ -70,12 +64,8 @@ func (w *SendWindow) push(f wire.Frame) {
 			w.entries[j] = winEntry{}
 		}
 		w.entries = w.entries[:n]
-		truncated = over
 	}
-	depth := len(w.entries)
 	w.mu.Unlock()
-	w.truncC.Add(truncated)
-	w.depthG.Set(float64(depth))
 }
 
 // resume maps a server ack onto client sequence space, drops everything
@@ -131,6 +121,5 @@ func (w *SendWindow) retransmitTo(c *Client, lastAckSeq uint64) (sent int, lost 
 			return i - i%wire.FlushWindow, lost, err
 		}
 	}
-	w.retransC.Add(len(frames))
 	return len(frames), lost, nil
 }

@@ -3,7 +3,6 @@ package node
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -24,7 +23,6 @@ import (
 	"illixr/internal/netxr/binlog"
 	"illixr/internal/netxr/fleet"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/qos"
 	xruntime "illixr/internal/runtime"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
@@ -193,7 +191,6 @@ func TestReplica(t *testing.T) {
 	}{
 		{"plain", Replica{}},
 		{"vio", Replica{VIO: true}},
-		{"qos", Replica{QoSWorkers: 4}},
 		{"record", Replica{Record: "serve.binlog"}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
@@ -232,26 +229,23 @@ func TestReplica(t *testing.T) {
 			}
 			eventually(t, "the session to end", func() bool { return r.Server.Len() == 0 })
 
-			if r.QoS == nil {
-				// (with -qos the epoch loop moves gauges between the two reads;
-				// and Server.Len reaches 0 before SessionEnd has stopped the
-				// session's VIO, so a last frame can land between them: the
-				// two renderings must agree once the registry holds still)
-				var endpoint string
-				var file bytes.Buffer
-				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-					endpoint = get(t, "http://"+r.DebugAddr+"/metrics?format=prometheus")
-					file.Reset()
-					if err := r.WriteMetrics(&file); err != nil {
-						t.Fatal(err)
-					}
-					if endpoint == file.String() || time.Now().After(deadline) {
-						break
-					}
+			// Server.Len reaches 0 before SessionEnd has stopped the
+			// session's VIO, so a last frame can land between the two reads:
+			// the two renderings must agree once the registry holds still
+			var endpoint string
+			var file bytes.Buffer
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+				endpoint = get(t, "http://"+r.DebugAddr+"/metrics?format=prometheus")
+				file.Reset()
+				if err := r.WriteMetrics(&file); err != nil {
+					t.Fatal(err)
 				}
-				if endpoint != file.String() {
-					t.Errorf("WriteMetrics and /metrics?format=prometheus differ:\n--- endpoint\n%s--- WriteMetrics\n%s", endpoint, file.String())
+				if endpoint == file.String() || time.Now().After(deadline) {
+					break
 				}
+			}
+			if endpoint != file.String() {
+				t.Errorf("WriteMetrics and /metrics?format=prometheus differ:\n--- endpoint\n%s--- WriteMetrics\n%s", endpoint, file.String())
 			}
 
 			stop()
@@ -288,81 +282,13 @@ func TestReplica(t *testing.T) {
 	}
 }
 
-// (b) The QoS arm under more than one session: camera and QoE frames
-// reach the pipeline through the batcher, the controller's epochs tick,
-// /qos serves, and no batched frame's error was swallowed.
-func TestReplicaQoSBatchesAcrossSessions(t *testing.T) {
-	r := &Replica{QoSWorkers: 4, VIO: true, DebugAddr: "127.0.0.1:0"}
-	addr := serve(t, r)
-	epoch := r.QoS.Epoch()
-	done := make(chan error)
-	devs := []*device{
-		dial(t, &Client{Addr: addr, Hello: wire.Hello{App: "a", Seed: 5}}, 5),
-		dial(t, &Client{Addr: addr, Hello: wire.Hello{App: "b", Seed: 6}}, 6),
-	}
-	for _, d := range devs {
-		go func() { done <- d.stream() }()
-	}
-	for range devs {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	frames := uint64(len(devs[0].ds.Frames) + len(devs[1].ds.Frames))
-	eventually(t, "every camera frame to reach VIO through the batcher", func() bool {
-		return counter(r.Registry, "illixr_vio_frames_total") == frames
-	})
-	if n := counter(r.Registry, "illixr_qos_batch_flushes_total"); n == 0 {
-		t.Error("no batch was flushed")
-	}
-	if n := counter(r.Registry, "illixr_qos_batch_frames_total"); n < frames {
-		t.Errorf("%d frames batched, %d camera frames sent", n, frames)
-	}
-	eventually(t, "two controller epochs", func() bool { return r.QoS.Epoch() >= epoch+2 })
-	var doc qos.Doc
-	if err := json.Unmarshal([]byte(get(t, "http://"+r.DebugAddr+"/qos")), &doc); err != nil || len(doc.Kernels) != 2 {
-		t.Errorf("/qos: %v, %+v", err, doc)
-	}
-	if errs := r.batching.DeferredErrors(); len(errs) != 0 {
-		t.Errorf("batched frames failed: %v", errs)
-	}
-}
-
-// The controller configuration moved out of package main; its decisions
-// for a fixed stats script, and the /qos document after it, are pinned
-// to what the parent's wireQoS literal produced.
-func TestQoSConfigDecisionsPinned(t *testing.T) {
-	ctl, err := qos.NewController(qosConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 60; e++ {
-		// imgproc runs hot for 25 epochs, then both kernels go cold
-		img, misses := int64(3000), 0
-		if e >= 5 && e < 30 {
-			img, misses = 12000+int64(e)*100, 3
-		}
-		ctl.Step([]qos.KernelStats{
-			{Kernel: "imgproc", Frames: 6, Misses: misses, P99Us: img},
-			{Kernel: "ssim", Frames: 6, P99Us: 1000},
-		})
-	}
-	if got := fmt.Sprintf("%016x", ctl.LogFingerprint()); got != "089c4279f42179ac" {
-		t.Errorf("decision fingerprint %s, pinned 089c4279f42179ac", got)
-	}
-	doc, _ := json.Marshal(ctl.QoSDoc())
-	if got := fmt.Sprintf("%x", sha256.Sum256(doc)); got != "4d487d46a6318bf303af3305ea6abb12a3a21eca16f89911a7d0ee5e9098dc16" {
-		t.Errorf("/qos document changed (sha256 %s):\n%s", got, doc)
-	}
-}
-
 // fleetOf starts two replicas — one with everything on — and a gateway
 // in front of them; the replicas start before any traffic (see
 // Replica.Registry).
 func fleetOf(t *testing.T, dir string, federate bool) (*Gateway, [2]*Replica, string) {
 	t.Helper()
 	reps := [2]*Replica{
-		{Node: "replica-0", DebugAddr: "127.0.0.1:0", VIO: true, QoSWorkers: 4,
+		{Node: "replica-0", DebugAddr: "127.0.0.1:0", VIO: true,
 			Record: filepath.Join(dir, "r0.binlog")},
 		{Node: "replica-1", DebugAddr: "127.0.0.1:0"},
 	}
@@ -444,7 +370,7 @@ func TestGateway(t *testing.T) {
 	}
 }
 
-// (d) Close returns everything: replicas (one with QoS, VIO and a
+// (d) Close returns everything: replicas (one with VIO and a
 // capture), a federating gateway and a client leave no goroutine behind.
 func TestCloseReturnsEverything(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -457,9 +383,6 @@ func TestCloseReturnsEverything(t *testing.T) {
 		return len(doc.Replicas) == 2 && doc.Replicas[0].Live && doc.Replicas[1].Live
 	})
 	get(t, "http://"+g.DebugAddr+"/spans") // federates: opens connections to both replicas
-	// one session never makes a multi-tile batch: park the QoS pool's
-	// helpers the way a two-session flush would
-	reps[0].pool.ForTiles("warm", 8, 1, func(lo, hi int) {})
 
 	// a session that ends on both Byes leaves its replica leg parked at
 	// both ends: Close must take down the gateway's idle list and the
@@ -491,33 +414,6 @@ func TestCloseReturnsEverything(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%d goroutines after Close, %d before Start:\n%s", n, base, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// (e) Close order: work still parked in the batcher when Close starts
-// is handled before the capture closes, so what it records is kept.
-func TestCloseHandlesParkedFrameBeforeCaptureCloses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.binlog")
-	r := &Replica{QoSWorkers: 2, Record: path}
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	marker := wire.Frame{Type: wire.TypePing, Payload: wire.AppendPing(nil, wire.Ping{Seq: 77})}
-	ran := make(chan error, 1)
-	r.batching.Batcher.Submit("imgproc", 1, func() { ran <- r.capture.Record(binlog.DirUp, marker) })
-	if err := r.Close(closeCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-ran:
-		if err != nil {
-			t.Fatalf("the parked frame ran after the capture closed: %v", err)
-		}
-	default:
-		t.Fatal("Close left the parked frame unhandled")
-	}
-	if n := decodeCapture(t, path).CountByType()[wire.TypePing]; n != 1 {
-		t.Fatalf("capture holds %d ping records, want 1", n)
 	}
 }
 

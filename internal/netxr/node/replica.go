@@ -15,8 +15,6 @@ import (
 	"illixr/internal/netxr/bridge"
 	"illixr/internal/netxr/session"
 	"illixr/internal/netxr/wire"
-	"illixr/internal/parallel"
-	"illixr/internal/qos"
 	"illixr/internal/recycle"
 	"illixr/internal/sensors"
 	"illixr/internal/telemetry"
@@ -32,17 +30,13 @@ type Replica struct {
 	Net config.NetParams
 	// VIO additionally hosts the MSCKF per session.
 	VIO bool
-	// QoSWorkers, when > 0, batches camera and QoE frames across sessions
-	// and runs the deadline controller over a pool of this many workers
-	// (at least 2; DESIGN.md §14). 0 = every frame handled inline.
-	QoSWorkers int
 	// Record captures every session frame, uplink and downlink, into this
 	// binlog file, flushed and closed by Close (DESIGN.md §13).
 	Record string
 	// Node labels this process in stitched traces and span dumps.
 	Node string
-	// DebugAddr serves /metrics /spans /sessions /qos
-	// /debug/pprof/ there; Start replaces it with the bound address.
+	// DebugAddr serves /metrics /spans /sessions /debug/pprof/
+	// there; Start replaces it with the bound address.
 	DebugAddr string
 
 	// Set by Start. recycle's instruments are process-wide: Registry
@@ -51,12 +45,8 @@ type Replica struct {
 	Registry *telemetry.Registry
 	Pipeline *bridge.Pipeline
 	Server   *session.Server
-	QoS      *qos.Controller // nil unless QoSWorkers > 0
 
 	recording
-	batching  *session.BatchingHandler
-	pool      *parallel.Pool
-	stopQoS   func()
 	stopDebug func()
 }
 
@@ -76,29 +66,18 @@ func (r *Replica) Start() error {
 		Cam:           func(wire.Hello) sensors.CameraModel { return sensors.VGACamera() },
 		RetainTracers: 64,
 	}
-	var handler session.Handler = r.Pipeline
-	if r.QoSWorkers > 0 {
-		if err := r.startQoS(); err != nil {
-			_ = r.Close(context.Background())
-			return fmt.Errorf("qos: %w", err)
-		}
-		handler = r.batching
-	}
 	r.Server = session.NewServer(session.Config{
 		MaxSessions: r.Net.MaxSessions,
 		QueueLen:    r.Net.QueueLen,
 		IdleTimeout: time.Duration(r.Net.IdleTimeoutSec * float64(time.Second)),
 		Capture:     r.capture,
 		Metrics:     r.Registry,
-	}, handler)
+	}, r.Pipeline)
 	if r.DebugAddr != "" {
 		dbg := &debughttp.Server{Metrics: r.Registry, Sessions: r.Server,
 			Mem:       telemetry.NewRuntimeMem(r.Registry),
 			Node:      r.Node,
 			SpanDumps: func() []stitch.Dump { return r.Pipeline.Dumps(r.Node) },
-		}
-		if r.QoS != nil {
-			dbg.QoS = r.QoS
 		}
 		bound, stop, err := dbg.Serve(r.DebugAddr)
 		if err != nil {
@@ -110,95 +89,14 @@ func (r *Replica) Start() error {
 	return nil
 }
 
-// Live QoS cadence: the batcher flushes every flush window (bounding
-// added camera latency to ~2 ms) and the controller closes an epoch
-// every qosEpoch.
-const (
-	qosEpoch      = 50 * time.Millisecond
-	qosFlushEvery = 2 * time.Millisecond
-)
-
-// qosConfig is the live controller: two kernels sharing workers against
-// the 120 Hz vsync budget, one quality knob each.
-func qosConfig(workers int) qos.Config {
-	return qos.Config{
-		Seed:         1,
-		TotalWorkers: workers,
-		BudgetUs:     8333, // 120 Hz vsync
-		Kernels: []qos.KernelSpec{
-			{ID: "imgproc", Weight: 2, Knobs: []qos.KnobSpec{
-				{Name: "pyramid_levels", Full: 3, Floor: 1},
-			}},
-			{ID: "ssim", Weight: 1, Knobs: []qos.KnobSpec{
-				{Name: "stride", Full: 1, Floor: 4},
-			}},
-		},
-	}
-}
-
-// startQoS interposes cross-session batching in front of the pipeline
-// and starts the adaptive controller over it. Both batched kernels —
-// camera decode + VIO hand-off ("imgproc") and QoE scoring ("ssim") —
-// dispatch on the one pool the batcher owns; the controller apportions
-// workers between the two from the pool's per-kernel latency histograms
-// and resizes that pool to the imgproc share every epoch. It also steps
-// the two quality knobs, which no kernel reads yet (DESIGN.md §14).
-func (r *Replica) startQoS() error {
-	workers := max(r.QoSWorkers, 2)
-	ctl, err := qos.NewController(qosConfig(workers))
-	if err != nil {
-		return err
-	}
-	ctl.Instrument(r.Registry)
-	r.QoS = ctl
-	r.pool = parallel.New(workers - workers/2)
-	r.pool.Instrument(r.Registry)
-	pools := map[string]*parallel.Pool{"imgproc": r.pool}
-	// the pool observes illixr_parallel_qos_batch_<kernel>_ms on every
-	// batched dispatch — that histogram is the controller's signal
-	tap := qos.NewRegistryTap(r.Registry, []qos.TapStage{
-		{Kernel: "imgproc", Histogram: telemetry.MetricName("parallel", "qos_batch_imgproc_ms")},
-		{Kernel: "ssim", Histogram: telemetry.MetricName("parallel", "qos_batch_ssim_ms")},
-	})
-
-	batcher := qos.NewBatcher(r.pool)
-	batcher.Instrument(r.Registry)
-	stopFlush := batcher.AutoFlush(qosFlushEvery)
-
-	r.batching = &session.BatchingHandler{
-		Inner:   r.Pipeline,
-		Batcher: batcher,
-		Types: map[wire.Type]string{
-			wire.TypeCamera: "imgproc",
-			wire.TypeQoE:    "ssim",
-		},
-	}
-	r.batching.Instrument(r.Registry)
-
-	var stats []qos.KernelStats
-	stopEpochs := every(qosEpoch, func() {
-		stats = tap.Sample(stats)
-		ctl.Step(stats)
-		ctl.ApplyWorkers(pools)
-	})
-	r.stopQoS = func() {
-		stopEpochs()
-		stopFlush() // one final flush
-	}
-	return nil
-}
-
 // Serve accepts sessions on ln until Close (or a listener error). It blocks.
 func (r *Replica) Serve(ln net.Listener) error { return r.Server.Serve(ln) }
 
 // Close takes the replica down in dependency order: stop accepting and
 // drain every session up to ctx's deadline (stragglers are then cut) →
-// stop the QoS epoch loop and the batcher, whose final flush handles any
-// frame still parked → give the pool's workers back → stop the debug
-// endpoint → close the capture, which by then nothing records into. A
-// frame handled late therefore still reaches the capture, and nothing
-// dispatches on a pool after it closed. Every step runs whatever the
-// earlier ones returned; a second Close is a no-op.
+// stop the debug endpoint → close the capture, which by then nothing
+// records into. Every step runs whatever the earlier ones returned; a
+// second Close is a no-op.
 func (r *Replica) Close(ctx context.Context) error {
 	var drainErr error
 	if r.Server != nil {
@@ -206,10 +104,6 @@ func (r *Replica) Close(ctx context.Context) error {
 			drainErr = fmt.Errorf("drain: %w", drainErr)
 		}
 	}
-	if r.stopQoS != nil {
-		r.stopQoS()
-	}
-	r.pool.Close()
 	if r.stopDebug != nil {
 		r.stopDebug()
 	}

@@ -194,7 +194,7 @@ func (s *Session) HandlerValue() any { return s.handlerValue }
 // yet to arrive. A handler batching work across frames finishes the
 // batch when the next frame is not one it would add to. The reader
 // peeks once per frame; call it from SessionFrame on the reader
-// goroutine only (a BatchingHandler's deferred frames run elsewhere).
+// goroutine only.
 func (s *Session) NextBuffered() wire.Type { return s.next }
 
 // uptime is the session age.

@@ -60,14 +60,10 @@ type Pool struct {
 	// persistent helper goroutines: workers-1 helpers park on start and
 	// hand back completion through done; the calling goroutine computes
 	// tiles too. Channel tokens carry no data, so a dispatch allocates
-	// nothing once the helpers are running. The channels are sized for
-	// maxWorkers up front so SetWorkers can grow the pool by spawning
-	// more helpers without reallocating them; spawned tracks how many
-	// helper goroutines exist (guarded by runMu).
+	// nothing once the helpers are running.
 	startOnce sync.Once
 	start     chan struct{}
 	done      chan struct{}
-	spawned   int
 	helpers   sync.WaitGroup
 	closed    bool // guarded by runMu
 
@@ -89,8 +85,7 @@ type Pool struct {
 }
 
 // maxWorkers caps the pool size: helper goroutines stay parked until
-// Close, so the cap bounds how many a resize-happy controller can hold
-// (each parked helper costs one idle goroutine).
+// Close, so the cap bounds how many idle goroutines one pool can hold.
 const maxWorkers = 256
 
 // New returns a pool with the given worker count. workers <= 0 selects
@@ -103,44 +98,6 @@ func New(workers int) *Pool {
 		workers = maxWorkers
 	}
 	return &Pool{workers: workers}
-}
-
-// Workers reports the configured worker count (1 for a nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	p.runMu.Lock()
-	w := p.workers
-	p.runMu.Unlock()
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// SetWorkers resizes the pool to n workers, clamped to [1, 256]. The
-// resize serializes against in-flight kernels (it takes the dispatch
-// lock), so a kernel never observes the count changing mid-call, and
-// tile boundaries depend only on n and tile size — never the worker
-// count — so kernel output stays bitwise identical across resizes.
-// Growing spawns additional parked helper goroutines; shrinking parks
-// the surplus (goroutines are reused, and exit only at Close). This is
-// the QoS controller's reallocation hook: call it at control-epoch
-// boundaries.
-func (p *Pool) SetWorkers(n int) {
-	if p == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxWorkers {
-		n = maxWorkers
-	}
-	p.runMu.Lock()
-	p.workers = n
-	p.runMu.Unlock()
 }
 
 // Instrument attaches the telemetry registry: the pool reports
@@ -206,20 +163,17 @@ func Tiles(n, tile int) int {
 	return (n + tile - 1) / tile
 }
 
-// ensureWorkers lazily spawns helper goroutines up to the current
-// workers-1. Called with runMu held (from dispatch), so spawned needs
-// no extra guard; the channels are sized once for the maxWorkers cap so
-// later growth never reallocates them.
+// ensureWorkers spawns the workers-1 helper goroutines on the first
+// multi-tile dispatch. Called with runMu held (from dispatch).
 func (p *Pool) ensureWorkers() {
 	p.startOnce.Do(func() {
-		p.start = make(chan struct{}, maxWorkers)
-		p.done = make(chan struct{}, maxWorkers)
+		p.start = make(chan struct{}, p.workers)
+		p.done = make(chan struct{}, p.workers)
+		p.helpers.Add(p.workers - 1)
+		for range p.workers - 1 {
+			go p.helperLoop()
+		}
 	})
-	for p.spawned < p.workers-1 {
-		p.helpers.Add(1)
-		go p.helperLoop()
-		p.spawned++
-	}
 }
 
 // Close gives the helper goroutines back and returns once they have

@@ -46,9 +46,6 @@ func TestForTilesCoversRangeOnce(t *testing.T) {
 
 func TestNilPoolIsSerial(t *testing.T) {
 	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool workers = %d", p.Workers())
-	}
 	sum := 0
 	p.ForTiles("nil", 10, 3, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -249,13 +246,9 @@ func TestPoolCloseReleasesHelpers(t *testing.T) {
 	if got := runtime.NumGoroutine(); got < base+5 {
 		t.Fatalf("dispatch at 6 workers left %d goroutines over a baseline of %d: helpers not parked", got, base)
 	}
-	p.SetWorkers(9) // grown helpers must be given back too
-	p.ForTiles("spawn", 64, 1, func(lo, hi int) {})
 	p.Close()
 	waitGoroutines(t, base)
 	p.Close() // idempotent
-	p.ForTiles("closed", 64, 1, func(lo, hi int) {})
-	p.SetWorkers(4)
 	p.ForTiles("closed", 64, 1, func(lo, hi int) {})
 	waitGoroutines(t, base)
 

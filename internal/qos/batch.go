@@ -3,10 +3,8 @@ package qos
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"illixr/internal/parallel"
-	"illixr/internal/telemetry"
 )
 
 // batchItem is one deferred unit of kernel work.
@@ -34,26 +32,12 @@ type Batcher struct {
 	mu      sync.Mutex
 	pool    *parallel.Pool
 	pending map[string][]batchItem
-
-	flushC *telemetry.Counter
-	itemsC *telemetry.Counter
-	sizeH  *telemetry.Histogram
 }
 
 // NewBatcher builds a batcher over pool. A nil pool degrades to serial
 // execution at flush time (still batched, just not parallel).
 func NewBatcher(pool *parallel.Pool) *Batcher {
 	return &Batcher{pool: pool, pending: map[string][]batchItem{}}
-}
-
-// Instrument attaches flush/item counters and a batch-size histogram.
-func (b *Batcher) Instrument(reg *telemetry.Registry) {
-	if b == nil || reg == nil {
-		return
-	}
-	b.flushC = reg.Counter(telemetry.MetricName("qos", "batch_flushes_total"))
-	b.itemsC = reg.Counter(telemetry.MetricName("qos", "batch_items_total"))
-	b.sizeH = reg.Histogram(telemetry.MetricName("qos", "batch_size"))
 }
 
 // Submit queues one unit of kernel work on behalf of a session. run
@@ -63,18 +47,6 @@ func (b *Batcher) Submit(kernel string, session uint64, run func()) {
 	b.mu.Lock()
 	b.pending[kernel] = append(b.pending[kernel], batchItem{session, run})
 	b.mu.Unlock()
-	b.itemsC.Inc()
-}
-
-// Pending returns the number of queued items across all kernels.
-func (b *Batcher) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, items := range b.pending {
-		n += len(items)
-	}
-	return n
 }
 
 // Flush executes everything queued so far and returns the number of
@@ -102,7 +74,6 @@ func (b *Batcher) Flush() int {
 	for _, k := range kernels {
 		items := batch[k]
 		total += len(items)
-		b.sizeH.Observe(float64(len(items)))
 
 		// group by session, preserving per-session arrival order
 		bySess := map[uint64][]func(){}
@@ -132,36 +103,5 @@ func (b *Batcher) Flush() int {
 			}
 		}
 	}
-	b.flushC.Inc()
 	return total
-}
-
-// AutoFlush starts a background ticker that flushes every interval and
-// returns a stop function (which performs one final flush). Live-mode
-// convenience only — the deterministic benches call Flush explicitly on
-// virtual-time boundaries.
-func (b *Batcher) AutoFlush(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				b.Flush()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-			b.Flush()
-		})
-	}
 }

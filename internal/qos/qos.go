@@ -20,8 +20,7 @@
 // listed in its KernelSpecs between Step calls — kernels read knob
 // values at dispatch time and must not write them; everything not
 // listed in a spec stays owned by its kernel. Worker counts move only
-// through Decision.Workers (applied via parallel.Pool.SetWorkers at
-// epoch boundaries, never mid-kernel).
+// through Decision.Workers, at epoch boundaries.
 package qos
 
 import (
@@ -29,9 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"illixr/internal/parallel"
-	"illixr/internal/telemetry"
 )
 
 // unit is the fixed-point scale of pressures and rates (Q10): a
@@ -163,7 +159,7 @@ type Decision struct {
 	Workers map[string]int
 	Knobs   map[string]int
 	// Moved and Stepped report whether this epoch changed the worker
-	// split or any knob (telemetry and log compaction).
+	// split or any knob.
 	Moved   bool
 	Stepped bool
 }
@@ -185,10 +181,9 @@ type kernelState struct {
 }
 
 // Controller is the adaptive QoS scheduler. A mutex serializes Step
-// against the accessors (Workers/Knob/QoSDoc/Log*), so a live control
-// loop and a debug endpoint can share one controller; determinism is
+// against the accessors (Workers/Knob/Violations/LogFingerprint), so
+// the controller may be read from another goroutine; determinism is
 // unaffected because decisions depend only on the Step inputs.
-// Instrument is optional.
 type Controller struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -202,15 +197,6 @@ type Controller struct {
 	dropped int
 
 	violations int
-
-	// instruments (nil-safe)
-	epochsC   *telemetry.Counter
-	missC     *telemetry.Counter
-	movesC    *telemetry.Counter
-	stepsC    *telemetry.Counter
-	workersG  map[string]*telemetry.Gauge
-	pressureG map[string]*telemetry.Gauge
-	knobG     map[string]*telemetry.Gauge
 }
 
 // NewController validates cfg and returns a controller with every knob
@@ -282,33 +268,6 @@ func (c *Controller) mins() []int {
 	return m
 }
 
-// Instrument attaches the registry: epochs/miss/move/step counters plus
-// per-kernel worker, pressure, and knob gauges, all under illixr_qos_*.
-func (c *Controller) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	n := func(name string) string { return telemetry.MetricName("qos", name) }
-	c.epochsC = reg.Counter(n("epochs_total"))
-	c.missC = reg.Counter(n("deadline_miss_total"))
-	c.movesC = reg.Counter(n("worker_moves_total"))
-	c.stepsC = reg.Counter(n("knob_steps_total"))
-	c.workersG = map[string]*telemetry.Gauge{}
-	c.pressureG = map[string]*telemetry.Gauge{}
-	c.knobG = map[string]*telemetry.Gauge{}
-	for _, ks := range c.kernels {
-		id := ks.spec.ID
-		c.workersG[id] = reg.Gauge(n("workers_" + id))
-		c.pressureG[id] = reg.Gauge(n("pressure_" + id))
-		c.workersG[id].Set(float64(ks.workers))
-		for i, kn := range ks.spec.Knobs {
-			g := reg.Gauge(n("knob_" + id + "_" + kn.Name))
-			c.knobG[id+"."+kn.Name] = g
-			g.Set(float64(ks.knobs[i]))
-		}
-	}
-}
-
 // Workers returns the kernel's current allocation (0 for unknown).
 func (c *Controller) Workers(kernel string) int {
 	c.mu.Lock()
@@ -336,27 +295,6 @@ func (c *Controller) Knob(kernel, name string) (int, bool) {
 	return 0, false
 }
 
-// Epoch returns the number of completed Step calls.
-func (c *Controller) Epoch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// ApplyWorkers pushes the current split into the per-kernel pools
-// (kernels without a pool, and pools without a kernel, are ignored).
-// Call at epoch boundaries only — Pool.SetWorkers serializes against
-// in-flight kernels, so this never resizes a kernel mid-call.
-func (c *Controller) ApplyWorkers(pools map[string]*parallel.Pool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, p := range pools {
-		if ks := c.byID[id]; ks != nil {
-			p.SetWorkers(ks.workers)
-		}
-	}
-}
-
 // Violations counts internal invariant breaches (knob outside bounds,
 // worker split not summing to TotalWorkers). Always 0 in a correct
 // build; the bench and the tests assert it.
@@ -381,7 +319,6 @@ func (c *Controller) Step(stats []KernelStats) Decision {
 
 	// 1. pressures (Q10): windowed p99 over budget, plus the miss rate
 	// so a kernel that is both slow and missing pushes harder.
-	totalMisses := 0
 	for _, ks := range c.kernels {
 		s := byK[ks.spec.ID]
 		p := int(s.P99Us * unit / c.cfg.BudgetUs)
@@ -389,7 +326,6 @@ func (c *Controller) Step(stats []KernelStats) Decision {
 			p += s.Misses * unit / s.Frames
 		}
 		ks.pressureQ = p
-		totalMisses += s.Misses
 	}
 
 	// 2. worker reallocation toward the demand apportionment, bounded
@@ -408,26 +344,7 @@ func (c *Controller) Step(stats []KernelStats) Decision {
 	c.epoch++
 	c.audit()
 
-	// 4. telemetry + decision log
-	c.epochsC.Inc()
-	c.missC.Add(totalMisses)
-	if moved {
-		c.movesC.Inc()
-	}
-	if stepped {
-		c.stepsC.Inc()
-	}
-	for _, ks := range c.kernels {
-		id := ks.spec.ID
-		if c.workersG != nil {
-			c.workersG[id].Set(float64(ks.workers))
-			c.pressureG[id].Set(float64(ks.pressureQ) / unit)
-			for i, kn := range ks.spec.Knobs {
-				c.knobG[id+"."+kn.Name].Set(float64(ks.knobs[i]))
-			}
-		}
-	}
-
+	// 4. decision log
 	d := c.decision(moved, stepped)
 	c.appendLog(d)
 	return d
@@ -603,56 +520,6 @@ func (c *Controller) LogFingerprint() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fprint
-}
-
-// ---------------------------------------------------------------------------
-// /qos document
-
-// kernelDoc is one kernel's row in the /qos debug document.
-type kernelDoc struct {
-	Kernel   string         `json:"kernel"`
-	Workers  int            `json:"workers"`
-	Pressure float64        `json:"pressure"`
-	Knobs    map[string]int `json:"knobs"`
-}
-
-// Doc is the /qos debughttp payload.
-type Doc struct {
-	Epoch          int         `json:"epoch"`
-	TotalWorkers   int         `json:"total_workers"`
-	BudgetUs       int64       `json:"budget_us"`
-	Violations     int         `json:"violations"`
-	LogFingerprint string      `json:"log_fingerprint"`
-	Kernels        []kernelDoc `json:"kernels"`
-	RecentLog      []string    `json:"recent_log"`
-}
-
-// QoSDoc implements the debughttp source interface: a point-in-time
-// view of the controller, consistent under the controller mutex.
-func (c *Controller) QoSDoc() any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	doc := Doc{
-		Epoch:        c.epoch,
-		TotalWorkers: c.cfg.TotalWorkers,
-		BudgetUs:     c.cfg.BudgetUs,
-		Violations:   c.violations,
-	}
-	doc.LogFingerprint = fmt.Sprintf("%016x", c.fprint)
-	for _, ks := range c.kernels {
-		kd := kernelDoc{Kernel: ks.spec.ID, Workers: ks.workers,
-			Pressure: float64(ks.pressureQ) / unit, Knobs: map[string]int{}}
-		for i, kn := range ks.spec.Knobs {
-			kd.Knobs[kn.Name] = ks.knobs[i]
-		}
-		doc.Kernels = append(doc.Kernels, kd)
-	}
-	tail := 16
-	if len(c.log) < tail {
-		tail = len(c.log)
-	}
-	doc.RecentLog = append(doc.RecentLog, c.log[len(c.log)-tail:]...)
-	return doc
 }
 
 // ---------------------------------------------------------------------------

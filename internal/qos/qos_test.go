@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"illixr/internal/parallel"
-	"illixr/internal/telemetry"
 )
 
 func testConfig(totalWorkers int) Config {
@@ -57,11 +56,11 @@ func syntheticTrace(seed uint64, epochs int) [][]KernelStats {
 }
 
 // TestControllerDeterminism drives identical seeded signal traces
-// through controllers whose decisions are applied to pools of 1, 2, 4,
-// and 7 workers — with real batched kernel work executing on the pool
-// between epochs — and requires the decision logs to be byte-identical
-// and the fingerprints equal: the pool's actual concurrency must never
-// leak into the knob schedule.
+// through controllers beside pools of 1, 2, 4, and 7 workers — with
+// real batched kernel work executing on the pool between epochs — and
+// requires the decision logs to be byte-identical and the fingerprints
+// equal: the pool's actual concurrency must never leak into the knob
+// schedule.
 func TestControllerDeterminism(t *testing.T) {
 	const epochs = 60
 	trace := syntheticTrace(7, epochs)
@@ -88,9 +87,7 @@ func TestControllerDeterminism(t *testing.T) {
 				})
 			}
 			b.Flush()
-			d := c.Step(trace[e])
-			// apply the split to the shared pool as live mode would
-			pool.SetWorkers(d.Workers["reprojection"])
+			c.Step(trace[e])
 		}
 		if got := c.Violations(); got != 0 {
 			t.Fatalf("workers=%d: %d invariant violations", workers, got)
@@ -111,6 +108,38 @@ func TestControllerDeterminism(t *testing.T) {
 	}
 	if len(logs[0]) == 0 {
 		t.Fatal("empty decision log")
+	}
+}
+
+// TestDecisionFingerprintPinned pins the decision log of a two-kernel,
+// four-worker controller over a fixed stats script to a literal
+// fingerprint, so any change to the decision path shows here first.
+func TestDecisionFingerprintPinned(t *testing.T) {
+	c, err := NewController(Config{
+		Seed:         1,
+		TotalWorkers: 4,
+		BudgetUs:     8333, // 120 Hz vsync
+		Kernels: []KernelSpec{
+			{ID: "imgproc", Weight: 2, Knobs: []KnobSpec{{Name: "pyramid_levels", Full: 3, Floor: 1}}},
+			{ID: "ssim", Weight: 1, Knobs: []KnobSpec{{Name: "stride", Full: 1, Floor: 4}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 60; e++ {
+		// imgproc runs hot for 25 epochs, then both kernels go cold
+		img, misses := int64(3000), 0
+		if e >= 5 && e < 30 {
+			img, misses = 12000+int64(e)*100, 3
+		}
+		c.Step([]KernelStats{
+			{Kernel: "imgproc", Frames: 6, Misses: misses, P99Us: img},
+			{Kernel: "ssim", Frames: 6, P99Us: 1000},
+		})
+	}
+	if got := c.LogFingerprint(); got != 0x089c4279f42179ac {
+		t.Errorf("decision fingerprint %016x, pinned 089c4279f42179ac", got)
 	}
 }
 
@@ -289,120 +318,6 @@ func TestBatcherOrdering(t *testing.T) {
 	}
 	if b.Flush() != 0 {
 		t.Fatal("second flush re-ran work")
-	}
-}
-
-// TestRegistryTap feeds a histogram through two windows and checks the
-// diffed frame counts, p99, and miss counts.
-func TestRegistryTap(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := reg.Histogram("illixr_reprojection_latency_ms")
-	miss := reg.Counter("illixr_reprojection_miss_total")
-
-	tap := NewRegistryTap(reg, []TapStage{
-		{Kernel: "reprojection", Histogram: "illixr_reprojection_latency_ms",
-			Misses: "illixr_reprojection_miss_total"},
-	})
-
-	for i := 0; i < 100; i++ {
-		h.Observe(2.0) // 2 ms
-	}
-	for i := 0; i < 5; i++ {
-		h.Observe(16.0) // outlier tail
-	}
-	miss.Add(3)
-
-	stats := tap.Sample(nil)
-	if len(stats) != 1 {
-		t.Fatalf("stats len %d", len(stats))
-	}
-	s := stats[0]
-	if s.Frames != 105 || s.Misses != 3 {
-		t.Fatalf("window 1: frames=%d misses=%d", s.Frames, s.Misses)
-	}
-	// p99 rank 104 of 105 lands in the 16 ms outlier's bucket
-	if s.P99Us < 12000 || s.P99Us > 20000 {
-		t.Fatalf("window 1 p99 = %dus", s.P99Us)
-	}
-
-	// second window: only fast frames → p99 near 2 ms, misses reset
-	for i := 0; i < 50; i++ {
-		h.Observe(2.0)
-	}
-	stats = tap.Sample(stats)
-	s = stats[0]
-	if s.Frames != 50 || s.Misses != 0 {
-		t.Fatalf("window 2: frames=%d misses=%d", s.Frames, s.Misses)
-	}
-	if s.P99Us < 1500 || s.P99Us > 2600 {
-		t.Fatalf("window 2 p99 = %dus", s.P99Us)
-	}
-
-	// empty window
-	stats = tap.Sample(stats)
-	if stats[0].Frames != 0 || stats[0].P99Us != 0 {
-		t.Fatalf("empty window: %+v", stats[0])
-	}
-}
-
-// TestControllerTelemetry verifies the satellite metric names land in
-// the registry exposition.
-func TestControllerTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c, err := NewController(testConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Instrument(reg)
-	c.Step([]KernelStats{{Kernel: "hologram", Frames: 120, Misses: 7, P99Us: 20000}})
-
-	snap := reg.Snapshot()
-	if snap.Counters["illixr_qos_epochs_total"] != 1 {
-		t.Fatalf("epochs_total = %d", snap.Counters["illixr_qos_epochs_total"])
-	}
-	if snap.Counters["illixr_qos_deadline_miss_total"] != 7 {
-		t.Fatalf("deadline_miss_total = %d", snap.Counters["illixr_qos_deadline_miss_total"])
-	}
-	if _, ok := snap.Gauges["illixr_qos_workers_reprojection"]; !ok {
-		t.Fatal("missing workers gauge")
-	}
-	if _, ok := snap.Gauges["illixr_qos_knob_hologram_iterations"]; !ok {
-		t.Fatal("missing knob gauge")
-	}
-}
-
-// TestPoolSetWorkersDeterminism resizes a pool mid-stream and checks a
-// tiled sum stays bitwise identical to the serial result.
-func TestPoolSetWorkersDeterminism(t *testing.T) {
-	n := 10_000
-	data := make([]float64, n)
-	s := uint64(99)
-	for i := range data {
-		data[i] = float64(splitmix64(&s)%1000) / 7
-	}
-	sumRange := func(lo, hi int) float64 {
-		v := 0.0
-		for i := lo; i < hi; i++ {
-			v += data[i]
-		}
-		return v
-	}
-	var serial *parallel.Pool
-	want := serial.SumTiles("t", n, 128, sumRange)
-
-	p := parallel.New(1)
-	for _, w := range []int{4, 1, 7, 2, 256, 3} {
-		p.SetWorkers(w)
-		if got := p.SumTiles("t", n, 128, sumRange); got != want {
-			t.Fatalf("workers=%d: sum %v != serial %v", w, got, want)
-		}
-	}
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", p.Workers())
-	}
-	p.SetWorkers(0)
-	if p.Workers() != 1 {
-		t.Fatalf("SetWorkers(0) did not clamp to 1: %d", p.Workers())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"illixr/internal/imgproc"
 	"illixr/internal/mathx"
-	"illixr/internal/parallel"
 )
 
 func testImage(seed int64, w, h int) *imgproc.RGB {
@@ -177,48 +176,5 @@ func TestRotationalATE(t *testing.T) {
 func TestEmptyTrajectories(t *testing.T) {
 	if ATE(nil, nil) != 0 || RPE(nil, nil, 1) != 0 || RotationalATE(nil, nil) != 0 {
 		t.Error("empty trajectories should give 0")
-	}
-}
-
-func TestSSIMStrided(t *testing.T) {
-	a := testImage(1, 96, 80).Luminance()
-	b := addNoise(testImage(1, 96, 80), 0.05, 4).Luminance()
-
-	// stride 1 must be the full-resolution path, bit for bit
-	full := SSIMPool(nil, a, b)
-	if got := SSIMStridedPool(nil, a, b, 1); got != full {
-		t.Fatalf("stride 1 = %v, SSIMPool = %v (must be bitwise identical)", got, full)
-	}
-
-	// stride > 1 is a cheaper, coarser metric — it must still behave
-	// like SSIM: identical images score 1, and more degradation scores
-	// lower (the ranking the QoS loop relies on when the knob is hot)
-	im := testImage(1, 96, 80)
-	low := addNoise(im, 0.02, 2).Luminance()
-	high := addNoise(im, 0.15, 3).Luminance()
-	lum := im.Luminance()
-	for _, stride := range []int{2, 3, 4} {
-		if self := SSIMStridedPool(nil, lum, lum, stride); math.Abs(self-1) > 1e-9 {
-			t.Errorf("stride %d: SSIMPool(nil, x,x) = %v", stride, self)
-		}
-		sLow := SSIMStridedPool(nil, lum, low, stride)
-		sHigh := SSIMStridedPool(nil, lum, high, stride)
-		if !(1 > sLow && sLow > sHigh) {
-			t.Errorf("stride %d: ordering violated: low=%v high=%v", stride, sLow, sHigh)
-		}
-	}
-}
-
-// TestSSIMStridedDeterminism: like every kernel, the strided score must
-// be bitwise identical for any worker count.
-func TestSSIMStridedDeterminism(t *testing.T) {
-	a := testImage(7, 96, 80).Luminance()
-	b := addNoise(testImage(7, 96, 80), 0.05, 8).Luminance()
-	want := SSIMStridedPool(nil, a, b, 3)
-	for _, w := range []int{2, 4, 7} {
-		p := parallel.New(w)
-		if got := SSIMStridedPool(p, a, b, 3); got != want {
-			t.Fatalf("workers=%d: %v != serial %v", w, got, want)
-		}
 	}
 }

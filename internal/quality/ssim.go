@@ -84,64 +84,6 @@ func SSIMPool(p *parallel.Pool, a, b *imgproc.Gray) float64 {
 	return sum / float64(n)
 }
 
-// decimateCtx carries one subsampling invocation for the persistent
-// tile closure (same zero-alloc pattern as mulCtx).
-type decimateCtx struct {
-	src, out *imgproc.Gray
-	stride   int
-	fn       func(lo, hi int)
-}
-
-var decimateCtxPool = sync.Pool{New: func() any {
-	c := &decimateCtx{}
-	c.fn = func(lo, hi int) {
-		src, out, s := c.src, c.out, c.stride
-		for y := lo; y < hi; y++ {
-			srow := y * s * src.W
-			orow := y * out.W
-			for x := 0; x < out.W; x++ {
-				out.Pix[orow+x] = src.Pix[srow+x*s]
-			}
-		}
-	}
-	return c
-}}
-
-// decimate subsamples src by stride in both dimensions (top-left phase),
-// tiled over output rows.
-func decimate(p *parallel.Pool, src *imgproc.Gray, stride int) *imgproc.Gray {
-	ow := (src.W + stride - 1) / stride
-	oh := (src.H + stride - 1) / stride
-	out := imgproc.GetGray(ow, oh)
-	c := decimateCtxPool.Get().(*decimateCtx)
-	c.src, c.out, c.stride = src, out, stride
-	p.ForTiles("ssim_decimate", oh, 64, c.fn)
-	c.src, c.out = nil, nil
-	decimateCtxPool.Put(c)
-	return out
-}
-
-// SSIMStridedPool is the QoS-degradable SSIM: stride 1 IS SSIMPool
-// (bitwise identical — the golden vectors stay valid), and stride s > 1
-// decimates both images by s in each dimension before scoring, cutting
-// cost by ~s² for a bounded accuracy loss. The stride is the QoS
-// controller's SSIM quality knob (DESIGN.md §14); like every kernel
-// here, output is bitwise deterministic for any worker count.
-func SSIMStridedPool(p *parallel.Pool, a, b *imgproc.Gray, stride int) float64 {
-	if stride <= 1 {
-		return SSIMPool(p, a, b)
-	}
-	if a.W != b.W || a.H != b.H {
-		panic("quality: SSIM size mismatch")
-	}
-	da := decimate(p, a, stride)
-	db := decimate(p, b, stride)
-	s := SSIMPool(p, da, db)
-	imgproc.PutGray(da)
-	imgproc.PutGray(db)
-	return s
-}
-
 // SSIMRGB computes SSIM on the luminance of two RGB images.
 func SSIMRGB(a, b *imgproc.RGB) float64 { return SSIMRGBPool(nil, a, b) }
 

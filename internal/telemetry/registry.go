@@ -178,30 +178,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// BucketValue returns the representative (geometric-midpoint) value of
-// bucket i.
-func (h *Histogram) BucketValue(i int) float64 { return bucketMid(i) }
-
-// BucketCounts copies the per-bucket observation counts into dst
-// (grown if needed) and returns it. Each entry is cumulative since
-// process start; diff two snapshots for a windowed view.
-func (h *Histogram) BucketCounts(dst []uint64) []uint64 {
-	if cap(dst) < histBuckets {
-		dst = make([]uint64, histBuckets)
-	}
-	dst = dst[:histBuckets]
-	if h == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i := range dst {
-		dst[i] = h.counts[i].Load()
-	}
-	return dst
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

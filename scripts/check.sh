@@ -98,10 +98,9 @@ quiet go test -count=20 -run TestVIOPluginStalledMatchesUnstalled ./internal/cor
 # between workers: every set-up tile must write only its own instance's
 # buffers, and every band only its own rows
 quiet go test -race -count=10 -run TestDeterminismRender ./internal/render
-# a node must give back every goroutine it started, and handle a frame
-# still parked in the batcher before its capture closes; Pool.Close must
+# a node must give back every goroutine it started; Pool.Close must
 # hold against kernels in flight
-quiet go test -race -count=20 -run 'TestCloseReturnsEverything|TestCloseHandlesParkedFrameBeforeCaptureCloses' ./internal/netxr/node
+quiet go test -race -count=20 -run 'TestCloseReturnsEverything' ./internal/netxr/node
 quiet go test -race -count=50 -run TestPoolCloseRacesDispatch ./internal/parallel
 # the filter's arena hands the same memory to every stage of every frame:
 # the bit-exact fixtures, once more on their own so a failure names them
